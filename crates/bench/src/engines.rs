@@ -75,12 +75,8 @@ pub fn builder_configs(thread_counts: &[usize]) -> Vec<(EngineBuilder, Measure)>
             Measure::All,
         ));
     }
-    // Scheduling refinements at the headline width (locality is the
+    // The prefetching schedule at the headline width (locality is the
     // builder default).
-    configs.push((
-        EngineBuilder::new().schedule(BatchConfig::sorted()),
-        Measure::All,
-    ));
     configs.push((EngineBuilder::new(), Measure::All));
     // Sharding at every requested thread count.
     for &threads in thread_counts {
@@ -353,7 +349,6 @@ mod tests {
                 "seq_k4",
                 "lockstep_k2_plain",
                 "lockstep_k4_plain",
-                "lockstep_k4_sorted",
                 "lockstep_k4_locality",
                 "lockstep_k4_locality_t2",
                 "lockstep_k4_locality_t4",
@@ -382,7 +377,7 @@ mod tests {
             .map(|i| genome.seq().slice(i * 37, 9 + i % 13))
             .collect();
         let variants = set.variants(&[1, 2, 4]);
-        assert_eq!(variants.len(), 13);
+        assert_eq!(variants.len(), 12);
         let batches = [
             QueryBatch::uniform(QueryRequest::Count, &patterns),
             QueryBatch::uniform(QueryRequest::locate(), &patterns),

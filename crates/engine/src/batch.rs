@@ -1,5 +1,5 @@
-//! Lockstep batched backward search with dead-query dropping, interval
-//! sorting, and software prefetch — the round-loop every
+//! Lockstep batched backward search with dead-query dropping and
+//! software prefetch — the round-loop every
 //! [`crate::Executor`] run of a [`BatchEngine`] goes through, whatever
 //! mix of operations the batch carries.
 
@@ -9,26 +9,32 @@ use exma_genome::{Base, Kmer, Symbol};
 use exma_index::{KStepFmIndex, ResolveConfig};
 
 /// How many queries ahead of the one being refined the engine prefetches
-/// when [`BatchConfig::prefetch_distance`] is left to the default. Far
-/// enough that a DRAM fetch (~100 ns) completes before the refinement
-/// loop reaches the query, near enough that the lines are not evicted
-/// again first.
+/// when [`BatchConfig::prefetch_distance`] is left to the default.
+///
+/// A refinement costs some 65 ns and a miss 160–265 ns
+/// (`machine.chase_ns`), so the hints must lead by at least four
+/// queries; each query hints six lines per rank block, so a lead of `d`
+/// keeps up to `12 d` lines in flight, and the 48 KiB L1 and its fill
+/// buffers bound that from above. On `count_reads` the sweep is flat
+/// from 4 to 16 (10th-percentile ns/query at d = 2, 4, 8, 12, 16: 987,
+/// 936, 901, 929, 912; CHANGES.md, PR 14) and 8 sits in the middle of
+/// the plateau.
 pub const DEFAULT_PREFETCH_DISTANCE: usize = 8;
 
 /// Scheduling knobs of a [`BatchEngine`] round.
+///
+/// Live queries are refined in input order: with every line of the
+/// next refinements prefetched, sorting a round by interval costs more
+/// than the address order buys, and it scatters the pattern reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Sort live queries by their interval's `lo` each round, so the
-    /// round's occurrence-table accesses walk memory in address order
-    /// instead of jumping wherever the previous refinement landed.
-    pub sort_by_interval: bool,
     /// While refining query `j`, prefetch the table blocks query `j + d`
     /// will touch (`0` disables prefetching).
     pub prefetch_distance: usize,
     /// Round schedule of the locate resolver a mixed batch's locate
     /// intervals feed into. The presets keep it in step with the
-    /// search schedule: plain search resolves plain, sorted sorts cursor
-    /// rows, locality adds cursor prefetch.
+    /// search schedule: plain search resolves plain, locality adds
+    /// row sorting and cursor prefetch.
     pub resolve: ResolveConfig,
 }
 
@@ -37,7 +43,6 @@ impl Default for BatchConfig {
     /// baseline scheduling.
     fn default() -> BatchConfig {
         BatchConfig {
-            sort_by_interval: false,
             prefetch_distance: 0,
             resolve: ResolveConfig::default(),
         }
@@ -45,22 +50,12 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Interval-sorted rounds without prefetch (isolates the sort), with
-    /// row-sorted resolve rounds to match.
-    pub fn sorted() -> BatchConfig {
-        BatchConfig {
-            sort_by_interval: true,
-            prefetch_distance: 0,
-            resolve: ResolveConfig::sorted(),
-        }
-    }
-
-    /// The full locality schedule: interval-sorted rounds plus software
-    /// prefetch at [`DEFAULT_PREFETCH_DISTANCE`], and the resolver's own
-    /// locality schedule for locate intervals.
+    /// The locality schedule: software prefetch of every line the next
+    /// refinements will read, [`DEFAULT_PREFETCH_DISTANCE`] queries
+    /// ahead, and the resolver's own locality schedule for locate
+    /// intervals.
     pub fn locality() -> BatchConfig {
         BatchConfig {
-            sort_by_interval: true,
             prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
             resolve: ResolveConfig::locality(),
         }
@@ -145,9 +140,8 @@ impl std::fmt::Debug for SearchScratch {
 /// per live query (1-step refinements once a query is into its sub-k
 /// tail), then drops queries that finished or died. See the crate docs for
 /// why this ordering matters to the paper. A [`BatchConfig`] additionally
-/// sorts each round by suffix-array interval and software-prefetches
-/// upcoming queries' table blocks, turning the round's dependent memory
-/// round-trips into overlapped, mostly-ordered fetches.
+/// software-prefetches upcoming queries' table blocks, turning the
+/// round's dependent memory round-trips into overlapped fetches.
 ///
 /// Run it through the [`crate::Executor`] trait with a
 /// [`crate::QueryBatch`]; construct it through [`crate::EngineBuilder`].
@@ -223,9 +217,6 @@ impl<'a> BatchEngine<'a> {
         while !live.is_empty() {
             stats.rounds += 1;
             stats.steps += live.len();
-            if self.config.sort_by_interval {
-                live.sort_unstable_by_key(|q| q.lo);
-            }
             let d = self.config.prefetch_distance;
             for j in 0..live.len() {
                 if d > 0 {
@@ -263,9 +254,9 @@ impl<'a> BatchEngine<'a> {
         stats
     }
 
-    /// Hints the table blocks `q`'s next refinement will read — both the
-    /// `lo` and `hi` rank blocks, on whichever table (k-mer or 1-step
-    /// tail) the refinement will use.
+    /// Hints every line `q`'s next refinement will read — checkpoint
+    /// counters and code lanes of both the `lo` and `hi` rank blocks, on
+    /// whichever table (k-mer or 1-step tail) the refinement will use.
     #[inline]
     fn prefetch_query(&self, patterns: &[impl AsRef<[Base]>], q: &LiveQuery) {
         let pattern = patterns[q.pattern as usize].as_ref();
@@ -303,13 +294,11 @@ mod tests {
     }
 
     /// Every schedule the benchmarks exercise.
-    fn all_configs() -> [BatchConfig; 4] {
+    fn all_configs() -> [BatchConfig; 3] {
         [
             BatchConfig::default(),
-            BatchConfig::sorted(),
             BatchConfig::locality(),
             BatchConfig {
-                sort_by_interval: false,
                 prefetch_distance: 3,
                 resolve: ResolveConfig {
                     sort_by_row: true,
@@ -414,16 +403,14 @@ mod tests {
     }
 
     #[test]
-    fn sorting_changes_no_counter() {
-        // Interval sorting reorders work within a round; it must not
-        // create or destroy any (the bench harness gates on this).
+    fn prefetching_changes_no_counter() {
+        // The schedule moves memory traffic earlier; it must not create
+        // or destroy any work (the bench harness gates on this).
         let (index, patterns) = fig3_engine_input();
         let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);
         let (_, plain) = BatchEngine::new(&index).run(&batch);
-        for config in [BatchConfig::sorted(), BatchConfig::locality()] {
-            let (_, stats) = BatchEngine::with_config(&index, config).run(&batch);
-            assert_eq!(stats, plain, "{config:?}");
-        }
+        let (_, stats) = BatchEngine::with_config(&index, BatchConfig::locality()).run(&batch);
+        assert_eq!(stats, plain);
     }
 
     #[test]

@@ -642,7 +642,7 @@ impl EngineBuilder {
     /// `_occ{r}`/`_sa{r}`/`_kocc{r}` for non-default sampling rates,
     /// `_d8`/`_d32` for non-default delta widths and `_sb{r}` for
     /// non-default superblock spacings. Named schedule presets print as
-    /// `plain`/`sorted`/`locality`; a resolver override appends
+    /// `plain`/`locality`; a resolver override appends
     /// `_r{resolve}`. Equal recipes derive equal descriptors, which is
     /// what the benchmark enumeration dedupes on.
     pub fn descriptor(&self) -> String {
@@ -668,22 +668,18 @@ impl EngineBuilder {
 fn schedule_tag(batch: &BatchConfig) -> String {
     for (preset, name) in [
         (BatchConfig::default(), "plain"),
-        (BatchConfig::sorted(), "sorted"),
         (BatchConfig::locality(), "locality"),
     ] {
         if *batch == preset {
             return name.to_string();
         }
         // Same search half, different resolver: preset name + override.
-        if batch.sort_by_interval == preset.sort_by_interval
-            && batch.prefetch_distance == preset.prefetch_distance
-        {
+        if batch.prefetch_distance == preset.prefetch_distance {
             return format!("{name}_r{}", resolve_tag(&batch.resolve));
         }
     }
     format!(
-        "sort{}_pf{}_r{}",
-        u8::from(batch.sort_by_interval),
+        "pf{}_r{}",
         batch.prefetch_distance,
         resolve_tag(&batch.resolve)
     )
@@ -772,12 +768,11 @@ mod tests {
         assert_eq!(
             EngineBuilder::new()
                 .schedule(BatchConfig {
-                    sort_by_interval: false,
                     prefetch_distance: 3,
                     resolve: ResolveConfig::sorted(),
                 })
                 .descriptor(),
-            "lockstep_k4_sort0_pf3_rsorted"
+            "lockstep_k4_pf3_rsorted"
         );
     }
 

@@ -16,9 +16,8 @@
 //! whole batch in one run with pooled [`QueryResults`]. The lockstep
 //! implementations share one pipeline regardless of the mix: every
 //! query's backward search advances through the same round-loop —
-//! optionally interval-sorted and software-prefetched
-//! ([`BatchConfig`]) — and then every locate query's interval rows feed
-//! one shared lockstep resolver worklist
+//! optionally software-prefetched ([`BatchConfig`]) — and then every
+//! locate query's interval rows feed one shared lockstep resolver worklist
 //! ([`exma_index::BatchResolver`]'s machinery) that retires positions
 //! into the pooled buffer, honoring per-query `max_hits` caps at round
 //! boundaries. [`ShardedEngine`] splits a batch across scoped threads

@@ -71,7 +71,7 @@ fn batch_agrees_with_one_step_on_600_patterns() {
 }
 
 #[test]
-fn sorted_and_prefetching_schedules_agree_with_one_step_on_600_patterns() {
+fn prefetching_schedules_agree_with_one_step_on_600_patterns() {
     let genome = toy_genome();
     let one = FmIndex::from_genome(&genome);
     let patterns = pattern_mix(&genome, 600, 61);
@@ -81,10 +81,8 @@ fn sorted_and_prefetching_schedules_agree_with_one_step_on_600_patterns() {
     for k in [1usize, 2, 4] {
         let index = KStepFmIndex::from_genome(&genome, k);
         for config in [
-            BatchConfig::sorted(),
             BatchConfig::locality(),
             BatchConfig {
-                sort_by_interval: true,
                 prefetch_distance: 1,
                 resolve: ResolveConfig::default(),
             },
@@ -146,22 +144,18 @@ fn thread_count_never_changes_answers() {
 }
 
 #[test]
-fn sorted_schedule_never_issues_more_steps() {
-    // Sorting reorders a round's refinements; it must never add any. The
-    // bench harness gates on the same property at benchmark scale.
+fn prefetching_schedule_issues_the_same_steps() {
+    // Prefetching moves a round's memory traffic earlier; it must never
+    // add refinements. The bench harness gates on the same property at
+    // benchmark scale.
     let genome = toy_genome();
     let patterns = pattern_mix(&genome, 600, 73);
     let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);
     for k in [2usize, 4] {
         let index = KStepFmIndex::from_genome(&genome, k);
         let (_, plain) = BatchEngine::new(&index).run(&batch);
-        let (_, sorted) = BatchEngine::with_config(&index, BatchConfig::sorted()).run(&batch);
-        assert!(
-            sorted.steps <= plain.steps,
-            "k={k}: sorted issued {} steps, unsorted {}",
-            sorted.steps,
-            plain.steps
-        );
+        let (_, locality) = BatchEngine::with_config(&index, BatchConfig::locality()).run(&batch);
+        assert_eq!(locality.steps, plain.steps, "k={k}");
     }
 }
 

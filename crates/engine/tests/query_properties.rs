@@ -57,7 +57,7 @@ fn executors(k: usize) -> Vec<EngineBuilder> {
     vec![
         base.sequential(),
         base.schedule(BatchConfig::default()),
-        base.schedule(BatchConfig::sorted()),
+        base.resolve(ResolveConfig::sorted()),
         base, // locality
         base.resolve(ResolveConfig::default()),
         base.threads(2),

@@ -8,10 +8,33 @@
 //! instead packs each checkpoint row together with the codes it covers
 //! into one *block*, sized to a whole number of 64-byte cache lines and
 //! allocated line-aligned, so one `rank` touches one contiguous region.
-//! This module holds the storage primitive those tables share: a `u32`
-//! word buffer whose first word sits on a cache-line boundary, plus the
-//! software-prefetch hint the batch scheduler uses to overlap block
-//! fetches across queries.
+//! This module holds what those tables share: a `u32` word buffer whose
+//! first word sits on a cache-line boundary; the rank kernel that counts
+//! a code among a block's first lanes (`AlignedWords::prefix_counts`);
+//! the software-prefetch hints the batch scheduler uses to overlap block
+//! fetches across queries; and `Divisor`, which splits a row into
+//! block and offset without a hardware divide.
+//!
+//! # The rank kernel
+//!
+//! A rank is a checkpoint plus the number of matching code lanes before
+//! the row. Which lanes those are differs from query to query, so a scan
+//! that stops at the row — or picks the nearer of two checkpoints — ends
+//! on a branch the predictor cannot learn, and on a cache-resident table
+//! those mispredictions cost more than the scan. The kernel here has no
+//! such branch. Its loop runs once per cache line of the block's code
+//! region — a trip count fixed per table (`CodeSpan`) — counting the
+//! line's matches with four aligned 16-byte compares and adding them to
+//! each prefix that covers the whole line, selected by an arithmetic
+//! mask; the one line a prefix ends in is then compared once more into a
+//! 64-bit match mask and cut at the offset. Several offsets share the
+//! pass, so both ends of an interval come out of one forward walk from
+//! the block's own checkpoint. The price is that the whole code region
+//! is read every time, which is why the prefetch hints cover all of it
+//! (`AlignedWords::prefetch_span`). Reading only up to the furthest
+//! offset's line — re-reading that line in place of the later ones, to
+//! keep the trip count — measured 2.5 % slower on the 20 Mbp index than
+//! reading them all.
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
@@ -23,6 +46,9 @@ struct CacheLine([u32; WORDS_PER_LINE]);
 
 /// `u32` words per 64-byte cache line.
 pub const WORDS_PER_LINE: usize = 16;
+
+/// Bytes per cache line.
+const LINE_BYTES: usize = 64;
 
 /// A line-aligned `u32` buffer: the backing store of interleaved tables.
 ///
@@ -53,24 +79,15 @@ impl AlignedWords {
         buf
     }
 
-    /// The buffer reinterpreted as a slice of `T` lanes.
-    ///
-    /// SAFETY (of callers below): `CacheLine` is `repr(C)` over
-    /// `[u32; 16]` with no padding, so a contiguous `[CacheLine]` is
-    /// bit-identical to a contiguous slice of any narrower integer lane;
-    /// 64-byte alignment over-satisfies every lane type. Lane order
-    /// within a word is the machine's native one — fine, because writers
-    /// and readers of a given region always go through the *same* typed
-    /// view.
-    fn lanes<T>(&self) -> &[T] {
-        let per_line = std::mem::size_of::<CacheLine>() / std::mem::size_of::<T>();
-        unsafe {
-            std::slice::from_raw_parts(self.lines.as_ptr().cast::<T>(), self.lines.len() * per_line)
-        }
+    /// The buffer reinterpreted as a slice of `T` lanes; see [`lanes_of`].
+    fn lanes<T: Lane>(&self) -> &[T] {
+        lanes_of(&self.lines)
     }
 
-    fn lanes_mut<T>(&mut self) -> &mut [T] {
-        let per_line = std::mem::size_of::<CacheLine>() / std::mem::size_of::<T>();
+    fn lanes_mut<T: Lane>(&mut self) -> &mut [T] {
+        let per_line = LINE_BYTES / std::mem::size_of::<T>();
+        // SAFETY: as in `lanes_of`, and the borrow of `self.lines` is
+        // exclusive for the returned lifetime.
         unsafe {
             std::slice::from_raw_parts_mut(
                 self.lines.as_mut_ptr().cast::<T>(),
@@ -142,6 +159,353 @@ impl AlignedWords {
     pub fn prefetch(&self, index: usize) {
         prefetch_element(self.words(), index);
     }
+
+    /// The cache lines holding `block`'s code lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` lies past the buffer.
+    #[inline]
+    fn code_lines(&self, span: CodeSpan, block: usize) -> &[CacheLine] {
+        let first = span.first_line(block);
+        &self.lines[first..first + span.lines]
+    }
+
+    /// Hints every cache line [`AlignedWords::prefix_counts`] reads for
+    /// `block`: its whole code region. Never faults; a no-op off x86-64
+    /// and for blocks past the buffer.
+    #[inline]
+    pub(crate) fn prefetch_span(&self, span: CodeSpan, block: usize) {
+        let first = span.first_line(block);
+        for line in first..first + span.lines {
+            prefetch_element(&self.lines, line);
+        }
+    }
+
+    /// For each of `offsets`, the occurrences of `needle` among that many
+    /// leading one-byte code lanes of `block` (each offset at most the
+    /// lanes a block holds), all in one pass. The kernel of every rank
+    /// over byte codes; see the module docs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` lies past the buffer.
+    #[inline]
+    pub(crate) fn prefix_counts<const N: usize>(
+        &self,
+        span: CodeSpan,
+        block: usize,
+        needle: u8,
+        offsets: [usize; N],
+    ) -> [u32; N] {
+        let lines = self.code_lines(span, block);
+        #[cfg(target_arch = "x86_64")]
+        return prefix_counts_sse2(lines, span.head, needle, offsets);
+        #[cfg(not(target_arch = "x86_64"))]
+        return prefix_counts_scalar(lanes_of::<u8>(lines), span.head, needle, offsets);
+    }
+
+    /// What each byte kernel by itself answers to a
+    /// [`AlignedWords::prefix_counts`] call, by name: the portable one
+    /// and, on x86-64, the SSE2 one. For differential tests; nothing
+    /// switches between kernels at run time.
+    #[cfg(test)]
+    pub(crate) fn prefix_counts_by_kernel<const N: usize>(
+        &self,
+        span: CodeSpan,
+        block: usize,
+        needle: u8,
+        offsets: [usize; N],
+    ) -> Vec<(&'static str, [u32; N])> {
+        let lines = self.code_lines(span, block);
+        vec![
+            (
+                "scalar",
+                prefix_counts_scalar(lanes_of::<u8>(lines), span.head, needle, offsets),
+            ),
+            #[cfg(target_arch = "x86_64")]
+            (
+                "sse2",
+                prefix_counts_sse2(lines, span.head, needle, offsets),
+            ),
+        ]
+    }
+
+    /// [`AlignedWords::prefix_counts`] over two-byte code lanes (offsets
+    /// count lanes, not bytes): the portable kernel on every
+    /// architecture.
+    #[inline]
+    pub(crate) fn prefix_counts_wide<const N: usize>(
+        &self,
+        span: CodeSpan,
+        block: usize,
+        needle: u16,
+        offsets: [usize; N],
+    ) -> [u32; N] {
+        let lines = self.code_lines(span, block);
+        prefix_counts_scalar(lanes_of::<u16>(lines), span.head / 2, needle, offsets)
+    }
+}
+
+/// An integer type the buffer may be viewed as.
+///
+/// # Safety
+///
+/// Implementors must have no padding and no invalid bit patterns, a
+/// size that divides a cache line, and an alignment of at most 64.
+pub(crate) unsafe trait Lane: Copy + PartialEq {}
+// SAFETY: plain integers of 1, 2 and 4 bytes.
+unsafe impl Lane for u8 {}
+unsafe impl Lane for u16 {}
+unsafe impl Lane for u32 {}
+
+/// `lines` reinterpreted as a slice of `T` lanes. Lane order within a
+/// word is the machine's native one — fine, because writers and readers
+/// of a given region always go through the *same* typed view.
+fn lanes_of<T: Lane>(lines: &[CacheLine]) -> &[T] {
+    let per_line = LINE_BYTES / std::mem::size_of::<T>();
+    // SAFETY: `CacheLine` is `repr(C)` over `[u32; 16]` with no padding,
+    // so a contiguous `[CacheLine]` is bit-identical to a contiguous
+    // slice of any `Lane` type (no padding, every bit pattern valid, by
+    // the trait's contract); 64-byte alignment over-satisfies each of
+    // them, and the length covers exactly the borrowed lines.
+    unsafe { std::slice::from_raw_parts(lines.as_ptr().cast::<T>(), lines.len() * per_line) }
+}
+
+/// Where a table's blocks keep their code lanes, in whole cache lines.
+/// Fixed at construction: it is the rank kernel's trip count and the
+/// prefetcher's footprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CodeSpan {
+    /// Cache lines per block.
+    block_lines: usize,
+    /// First line of the code region within a block.
+    first: usize,
+    /// Lines the code region touches.
+    lines: usize,
+    /// Byte offset of the first code lane within its line; the bytes
+    /// before it are the tail of the block's counter row.
+    head: usize,
+}
+
+impl CodeSpan {
+    /// The span of `code_bytes` bytes of code lanes that follow
+    /// `header_bytes` of counters in blocks of `block_words` words.
+    pub(crate) fn new(block_words: usize, header_bytes: usize, code_bytes: usize) -> CodeSpan {
+        assert!(code_bytes > 0, "a block holds at least one code lane");
+        assert!(
+            block_words % WORDS_PER_LINE == 0 && header_bytes + code_bytes <= block_words * 4,
+            "code lanes must lie inside a line-rounded block"
+        );
+        let head = header_bytes % LINE_BYTES;
+        CodeSpan {
+            block_lines: block_words / WORDS_PER_LINE,
+            first: header_bytes / LINE_BYTES,
+            lines: (head + code_bytes).div_ceil(LINE_BYTES),
+            head,
+        }
+    }
+
+    /// Index of the first code line of `block`.
+    #[inline]
+    fn first_line(self, block: usize) -> usize {
+        block * self.block_lines + self.first
+    }
+}
+
+/// An all-ones word if `set`, else zero: a select written as arithmetic,
+/// which compiles to a flag-to-mask sequence or a conditional move, not
+/// to a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn mask_if(set: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(set))
+}
+
+#[cfg(target_arch = "x86_64")]
+impl CacheLine {
+    /// The line's four 16-byte quarters, each byte lane `0xFF` where it
+    /// equals `needle` and zero elsewhere: four aligned 16-byte compares
+    /// (SSE2, the x86-64 baseline).
+    #[inline(always)]
+    fn eq_quarters(&self, needle: u8) -> [std::arch::x86_64::__m128i; 4] {
+        use std::arch::x86_64::{__m128i, _mm_cmpeq_epi8, _mm_load_si128, _mm_set1_epi8};
+        let quarters: *const __m128i = (self as *const CacheLine).cast();
+        debug_assert_eq!(
+            quarters as usize % LINE_BYTES,
+            0,
+            "line not 64-byte aligned"
+        );
+        debug_assert_eq!(std::mem::size_of::<CacheLine>(), 4 * 16);
+        // SAFETY: `self` is a live `CacheLine`: 64 readable bytes at a
+        // 64-byte-aligned address (`repr(align(64))`, asserted above).
+        // The four loads read bytes `16j .. 16j + 16` for `j < 4`, so
+        // each is 16-byte aligned, as `_mm_load_si128` requires, and
+        // none reaches past the line — whatever follows it in memory.
+        // SSE2 is part of the x86-64 baseline this block is compiled for.
+        unsafe {
+            let needle = _mm_set1_epi8(needle as i8);
+            [0, 1, 2, 3].map(|j| {
+                debug_assert!(j < 4, "load past the line");
+                _mm_cmpeq_epi8(_mm_load_si128(quarters.add(j)), needle)
+            })
+        }
+    }
+
+    /// Bit `i` of the result is set iff byte lane `i` equals `needle`.
+    #[inline(always)]
+    fn eq_bits(&self, needle: u8) -> u64 {
+        use std::arch::x86_64::_mm_movemask_epi8;
+        let [a, b, c, d] = self.eq_quarters(needle).map(|hits| {
+            // SAFETY: a register-only SSE2 instruction; SSE2 is part of
+            // the x86-64 baseline.
+            u64::from(unsafe { _mm_movemask_epi8(hits) } as u16)
+        });
+        a | b << 16 | c << 32 | d << 48
+    }
+
+    /// How many of the 64 byte lanes equal `needle`.
+    #[inline(always)]
+    fn eq_count(&self, needle: u8) -> u64 {
+        use std::arch::x86_64::{
+            _mm_add_epi8, _mm_cvtsi128_si64, _mm_sad_epu8, _mm_setzero_si128, _mm_sub_epi8,
+            _mm_unpackhi_epi64,
+        };
+        let [a, b, c, d] = self.eq_quarters(needle);
+        // SAFETY: register-only SSE2 instructions; SSE2 is part of the
+        // x86-64 baseline.
+        unsafe {
+            // Each byte lane of the sum is minus its matches (0 to 4)
+            // among the four quarters; negate, then add up the bytes.
+            let minus = _mm_add_epi8(_mm_add_epi8(a, b), _mm_add_epi8(c, d));
+            let zero = _mm_setzero_si128();
+            let halves = _mm_sad_epu8(_mm_sub_epi8(zero, minus), zero);
+            (_mm_cvtsi128_si64(halves) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(halves, halves)))
+                as u64
+        }
+    }
+}
+
+/// The SSE2 rank kernel: for each of `offsets`, the occurrences of
+/// `needle` among byte lanes `head .. head + offset` of `lines`. The
+/// loop visits every line but the last whatever the offsets are, and
+/// nothing branches on them.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefix_counts_sse2<const N: usize>(
+    lines: &[CacheLine],
+    head: usize,
+    needle: u8,
+    offsets: [usize; N],
+) -> [u32; N] {
+    debug_assert!(head < LINE_BYTES, "first code lane {head} past its line");
+    let ends = offsets.map(|offset| head + offset);
+    debug_assert!(
+        ends.iter().all(|&end| end <= lines.len() * LINE_BYTES),
+        "lanes {offsets:?} at {head} past the span"
+    );
+    let last = lines.len() - 1;
+    // Each prefix is the whole lines before its edge line plus that
+    // line's low lanes; one that ends exactly on the span's end takes
+    // all 64 lanes of the last line as its edge, so the last line is
+    // never a whole one and a one-line span skips the loop altogether.
+    let edge_lines = ends.map(|end| (end / LINE_BYTES).min(last));
+    let mut whole = [0u64; N];
+    for (l, line) in lines[..last].iter().enumerate() {
+        let ones = line.eq_count(needle);
+        for n in 0..N {
+            whole[n] += ones & mask_if(l < edge_lines[n]);
+        }
+    }
+    // Lanes below `head` in the first line are counter bytes, not codes:
+    // drop their matches from every prefix that took that line whole.
+    let counters = (1u64 << head) - 1;
+    if head != 0 && last != 0 {
+        let stray = u64::from((lines[0].eq_bits(needle) & counters).count_ones());
+        for n in 0..N {
+            whole[n] -= stray & mask_if(edge_lines[n] != 0);
+        }
+    }
+    let mut counts = [0u32; N];
+    for n in 0..N {
+        let edge = edge_lines[n];
+        let lanes = ends[n] - edge * LINE_BYTES; // 0 ..= 64
+        let below = (1u64 << (lanes % LINE_BYTES)).wrapping_sub(1) | mask_if(lanes == LINE_BYTES);
+        let codes = below & !(counters & mask_if(edge == 0));
+        counts[n] = whole[n] as u32 + (lines[edge].eq_bits(needle) & codes).count_ones();
+    }
+    counts
+}
+
+/// The portable rank kernel, over lanes of any width: for each of
+/// `offsets`, the occurrences of `needle` among `lanes[head .. head +
+/// offset]`. Like the SSE2 kernel it visits every lane and selects by
+/// comparison instead of by loop bound, so it has a fixed trip count and
+/// autovectorizes.
+#[inline]
+fn prefix_counts_scalar<T: Lane, const N: usize>(
+    lanes: &[T],
+    head: usize,
+    needle: T,
+    offsets: [usize; N],
+) -> [u32; N] {
+    debug_assert!(
+        offsets.iter().all(|offset| head + offset <= lanes.len()),
+        "lanes {offsets:?} at {head} past the span"
+    );
+    let ends = offsets.map(|offset| (head + offset) as u32);
+    let head = head as u32;
+    let mut counts = [0u32; N];
+    for (i, &lane) in (0u32..).zip(lanes) {
+        let hit = u32::from(lane == needle) & u32::from(i >= head);
+        for n in 0..N {
+            counts[n] += hit & u32::from(i < ends[n]);
+        }
+    }
+    counts
+}
+
+/// Division by a divisor fixed at construction, as one multiply-high
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+/// 2019): rows split into block and offset on every rank, and the
+/// checkpoint spacings are not powers of two (44, 54).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Divisor {
+    divisor: usize,
+    /// `ceil(2^64 / divisor)`, which wraps to 0 for the divisor 1.
+    magic: u64,
+}
+
+impl Divisor {
+    /// # Panics
+    ///
+    /// Panics if `divisor == 0`.
+    pub(crate) fn new(divisor: usize) -> Divisor {
+        assert!(divisor > 0, "division by zero");
+        Divisor {
+            divisor,
+            magic: (u64::MAX / divisor as u64).wrapping_add(1),
+        }
+    }
+
+    /// The divisor itself.
+    #[inline]
+    pub(crate) fn get(self) -> usize {
+        self.divisor
+    }
+
+    /// `(n / divisor, n % divisor)`. Exact for every `n` that fits 32
+    /// bits — the tables' row ids do, by construction.
+    #[inline]
+    pub(crate) fn div_rem(self, n: usize) -> (usize, usize) {
+        debug_assert!(n <= u32::MAX as usize, "dividend {n} exceeds 32 bits");
+        let quotient = if self.magic == 0 {
+            n
+        } else {
+            ((u128::from(self.magic) * n as u128) >> 64) as usize
+        };
+        (quotient, n - quotient * self.divisor)
+    }
 }
 
 /// Hints the CPU to pull the cache line holding `slice[index]` toward L1.
@@ -204,6 +568,143 @@ mod tests {
         assert_eq!(buf.words().len(), 16);
         assert_eq!(buf.halves().len(), 32);
         assert_eq!(buf.bytes().len(), 64);
+    }
+
+    /// Bytes that hit every code of a small alphabet often, in no
+    /// pattern a 16- or 64-lane period could hide behind.
+    fn noisy_buffer(lines: usize) -> AlignedWords {
+        let mut buf = AlignedWords::zeroed(lines * WORDS_PER_LINE);
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for byte in buf.bytes_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *byte = (x % 5) as u8;
+        }
+        buf
+    }
+
+    #[test]
+    fn every_kernel_counts_like_a_plain_scan() {
+        // Blocks of 1..=5 lines whose code lanes start anywhere in the
+        // first line (counter bytes before them must never count), every
+        // pair of offsets up to the block's end.
+        for (block_lines, header) in [(1, 0), (1, 10), (1, 20), (2, 18), (4, 0), (5, 63), (3, 130)]
+        {
+            let buf = noisy_buffer(3 * block_lines);
+            let code_bytes = block_lines * LINE_BYTES - header;
+            let span = CodeSpan::new(block_lines * WORDS_PER_LINE, header, code_bytes);
+            for block in 0..3 {
+                let start = block * block_lines * LINE_BYTES + header;
+                let codes = &buf.bytes()[start..start + code_bytes];
+                for needle in [0u8, 3] {
+                    let scan =
+                        |n: usize| codes[..n].iter().filter(|&&c| c == needle).count() as u32;
+                    for lo in (0..=code_bytes).step_by(7).chain([code_bytes]) {
+                        for hi in (lo..=code_bytes).step_by(5).chain([code_bytes]) {
+                            let expect = [scan(lo), scan(hi)];
+                            assert_eq!(buf.prefix_counts(span, block, needle, [lo, hi]), expect);
+                            for (kernel, got) in
+                                buf.prefix_counts_by_kernel(span, block, needle, [lo, hi])
+                            {
+                                assert_eq!(
+                                    got, expect,
+                                    "{kernel}: {block_lines} lines, header {header}, block \
+                                     {block}, needle {needle}, offsets {lo}..{hi}"
+                                );
+                            }
+                        }
+                    }
+                    // One offset alone, at every lane.
+                    for offset in 0..=code_bytes {
+                        for (kernel, got) in
+                            buf.prefix_counts_by_kernel(span, block, needle, [offset])
+                        {
+                            assert_eq!(got, [scan(offset)], "{kernel}: offset {offset}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_lanes_count_like_a_plain_scan() {
+        let mut buf = AlignedWords::zeroed(4 * WORDS_PER_LINE);
+        for (i, half) in buf.halves_mut().iter_mut().enumerate() {
+            *half = ((i * 7 + i / 3) % 5 + 300) as u16;
+        }
+        // Two blocks of two lines: 6 counter bytes, then 61 two-byte lanes.
+        let span = CodeSpan::new(2 * WORDS_PER_LINE, 6, 122);
+        for block in 0..2 {
+            let codes = &buf.halves()[block * 64 + 3..block * 64 + 64];
+            for lo in 0..=61 {
+                for hi in lo..=61 {
+                    let scan = |n: usize| codes[..n].iter().filter(|&&c| c == 302).count() as u32;
+                    assert_eq!(
+                        buf.prefix_counts_wide(span, block, 302, [lo, hi]),
+                        [scan(lo), scan(hi)],
+                        "block {block}, offsets {lo}..{hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefetching_a_span_tolerates_any_block() {
+        let buf = noisy_buffer(8);
+        let span = CodeSpan::new(4 * WORDS_PER_LINE, 70, 150);
+        for block in [0, 1, 2, usize::MAX / 1024] {
+            buf.prefetch_span(span, block); // must not fault
+        }
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let max = u32::MAX as usize;
+        for d in [
+            1,
+            2,
+            3,
+            5,
+            7,
+            16,
+            44,
+            54,
+            200,
+            256,
+            512,
+            641,
+            65_535,
+            65_536,
+            max - 1,
+            max,
+        ] {
+            let divisor = Divisor::new(d);
+            assert_eq!(divisor.get(), d);
+            let mut probes = vec![0, 1, 2, max - 1, max, max / 2, max / 3];
+            for multiple in [1, 2, 3, 1000, max / d] {
+                let m = d.saturating_mul(multiple).min(max);
+                probes.extend([m.saturating_sub(1), m, (m + 1).min(max)]);
+            }
+            for n in probes {
+                assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+        // And densely where the tables live: every row of a small text.
+        for d in [1, 5, 44, 54, 200] {
+            let divisor = Divisor::new(d);
+            for n in 0..20_000 {
+                assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inside a line-rounded block")]
+    fn a_span_past_its_block_is_refused() {
+        let _ = CodeSpan::new(WORDS_PER_LINE, 20, 45);
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! compresses them *two-level*: sparse absolute `u32` *superblock* rows
 //! every [`superblock_rate`](KmerOccTable::superblock_rate) blocks live in
 //! a separate (small) array, and each block keeps only narrow
-//! [`DeltaWidth`] counters relative to its superblock. A rank now reads
-//! superblock word + delta lane + code scan; the superblock array is tiny
-//! and hot, and [`KmerOccTable::prefetch_rank`] hints its line alongside
-//! the block's, the same trick `resolve.rs` plays for RankBits words.
+//! [`DeltaWidth`] counters relative to its superblock. A rank reads
+//! superblock word + delta lane + the block's code lanes, always forward
+//! from the block's own checkpoint and always all of them: the
+//! branch-free kernel of [`crate::interleave`] has a fixed trip count.
+//! [`KmerOccTable::prefetch_rank`] hints exactly those lines.
 //! [`DeltaWidth::U32`] opts back into the flat absolute rows (and skips
 //! the superblock array entirely).
 
-use crate::interleave::AlignedWords;
+use crate::interleave::{AlignedWords, CodeSpan, Divisor};
 use crate::layout::{DeltaWidth, HeapBreakdown, IndexError};
 
 /// Checkpointed rank structure over k-BWT codes, interleaved per block.
@@ -62,6 +63,8 @@ pub struct KmerOccTable {
     /// Bytes of a block taken by its delta (or absolute) counter row;
     /// the code lanes start right behind it.
     delta_bytes: usize,
+    /// The cache lines of a block its code lanes occupy.
+    span: CodeSpan,
     /// Number of blocks, `len / sample_rate + 1` (the last may cover
     /// fewer than `sample_rate` codes — possibly zero).
     blocks: usize,
@@ -69,9 +72,9 @@ pub struct KmerOccTable {
     len: usize,
     /// Size of the expanded alphabet, `4^k`.
     stride: usize,
-    sample_rate: usize,
+    sample_rate: Divisor,
     /// Blocks per superblock (absolute checkpoint row).
-    superblock_rate: usize,
+    superblock_rate: Divisor,
     delta_width: DeltaWidth,
     /// Rows whose one-byte code lane holds a placeholder `0` because the
     /// sentinel marker `256` does not fit it (`stride == 256` only).
@@ -206,11 +209,12 @@ impl KmerOccTable {
             superblocks,
             block_words,
             delta_bytes,
+            span: CodeSpan::new(block_words, delta_bytes, sample_rate * code_bytes),
             blocks,
             len,
             stride,
-            sample_rate,
-            superblock_rate,
+            sample_rate: Divisor::new(sample_rate),
+            superblock_rate: Divisor::new(superblock_rate),
             delta_width,
             exceptions,
             totals,
@@ -234,7 +238,7 @@ impl KmerOccTable {
 
     /// The checkpoint spacing this table was built with.
     pub fn sample_rate(&self) -> usize {
-        self.sample_rate
+        self.sample_rate.get()
     }
 
     /// The per-block checkpoint counter width this table was built with.
@@ -245,7 +249,7 @@ impl KmerOccTable {
     /// Blocks per absolute superblock row (meaningless — and unused —
     /// with [`DeltaWidth::U32`]).
     pub fn superblock_rate(&self) -> usize {
-        self.superblock_rate
+        self.superblock_rate.get()
     }
 
     /// `true` iff code lanes are two bytes wide (`stride > 256`).
@@ -264,34 +268,13 @@ impl KmerOccTable {
         if !self.exceptions.is_empty() && self.exceptions.binary_search(&(i as u32)).is_ok() {
             return self.stride as u16;
         }
-        let block = i / self.sample_rate;
-        let offset = i - block * self.sample_rate;
+        let (block, offset) = self.sample_rate.div_rem(i);
         let code_base = block * self.block_words * 4 + self.delta_bytes;
         if self.wide_codes() {
             self.data.halves()[code_base / 2 + offset]
         } else {
             u16::from(self.data.bytes()[code_base + offset])
         }
-    }
-
-    /// Occurrences of code `r` among lanes `from..to` of `block`'s code
-    /// region. A plain slice scan, so it autovectorizes.
-    #[inline]
-    fn matches(&self, block: usize, from: usize, to: usize, r: u16) -> u32 {
-        let start = block * self.block_words * 4 + self.delta_bytes;
-        let mut count = 0u32;
-        if self.wide_codes() {
-            let a = start / 2;
-            for &code in &self.data.halves()[a + from..a + to] {
-                count += u32::from(code == r);
-            }
-        } else {
-            let r = r as u8; // r < stride <= 256
-            for &code in &self.data.bytes()[start + from..start + to] {
-                count += u32::from(code == r);
-            }
-        }
-        count
     }
 
     /// The absolute (physical) count of code `r` at `block`'s checkpoint:
@@ -302,20 +285,36 @@ impl KmerOccTable {
         match self.delta_width {
             DeltaWidth::U32 => self.data.words()[base + r],
             DeltaWidth::U16 => {
-                self.superblock_word(block, r) + u32::from(self.data.halves()[base * 2 + r])
+                self.superblocks.words()[self.superblock_word(block, r)]
+                    + u32::from(self.data.halves()[base * 2 + r])
             }
             DeltaWidth::U8 => {
-                self.superblock_word(block, r) + u32::from(self.data.bytes()[base * 4 + r])
+                self.superblocks.words()[self.superblock_word(block, r)]
+                    + u32::from(self.data.bytes()[base * 4 + r])
             }
         }
     }
 
-    /// The absolute superblock counter `block`'s checkpoint is relative
-    /// to. The group index is derived per block: a backward count that
-    /// reads `block + 1` may cross into the next superblock group.
+    /// Index of the absolute superblock counter `block`'s checkpoint is
+    /// relative to.
     #[inline]
-    fn superblock_word(&self, block: usize, r: usize) -> u32 {
-        self.superblocks.words()[(block / self.superblock_rate) * self.stride + r]
+    fn superblock_word(&self, block: usize, r: usize) -> usize {
+        self.superblock_rate.div_rem(block).0 * self.stride + r
+    }
+
+    /// For each of `offsets`, the physical count of code `r` in rows
+    /// `0 .. block * sample_rate + offset`: `block`'s checkpoint plus one
+    /// pass of the rank kernel over its code lanes.
+    #[inline]
+    fn block_ranks<const N: usize>(&self, block: usize, r: u16, offsets: [usize; N]) -> [u32; N] {
+        let below = if self.wide_codes() {
+            self.data.prefix_counts_wide(self.span, block, r, offsets)
+        } else {
+            // r < stride <= 256
+            self.data.prefix_counts(self.span, block, r as u8, offsets)
+        };
+        let checkpoint = self.checkpoint(block, r as usize);
+        below.map(|count| checkpoint + count)
     }
 
     /// Corrects a physical count (which treats placeholder lanes as code
@@ -330,20 +329,8 @@ impl KmerOccTable {
         }
     }
 
-    /// `true` iff position `i`'s rank is cheaper counted *down* from the
-    /// next block's checkpoint than up from its own: the block is past
-    /// its midpoint and the next checkpoint exists (its block covers
-    /// positions ending at or before `len`).
-    #[inline]
-    fn backward_cheaper(&self, block: usize, offset: usize) -> bool {
-        self.sample_rate - offset < offset && (block + 1) * self.sample_rate <= self.len
-    }
-
     /// `Occ_k(r, i)`: occurrences of k-mer code `r` in rows `0..i`
-    /// (exclusive of `i`).
-    ///
-    /// Counts from the nearer checkpoint: forward from the block's own
-    /// row, or backward from the next block's, halving the average scan.
+    /// (exclusive of `i`), counted forward from the block's checkpoint.
     ///
     /// # Panics
     ///
@@ -355,21 +342,18 @@ impl KmerOccTable {
         if i == self.len {
             return self.totals[r as usize];
         }
-        let block = i / self.sample_rate;
-        let offset = i - block * self.sample_rate;
-        let physical = if self.backward_cheaper(block, offset) {
-            self.checkpoint(block + 1, r as usize)
-                - self.matches(block, offset, self.sample_rate, r)
-        } else {
-            self.checkpoint(block, r as usize) + self.matches(block, 0, offset, r)
-        };
+        if i == 0 {
+            return 0; // every search's first `lo`
+        }
+        let (block, offset) = self.sample_rate.div_rem(i);
+        let [physical] = self.block_ranks(block, r, [offset]);
         self.corrected(physical, r, i)
     }
 
     /// `(rank(r, lo), rank(r, hi))` in one pass: when both positions fall
     /// in the same block — the common case once a backward search has
-    /// narrowed its interval below `sample_rate` — the shared scan prefix
-    /// is counted once instead of twice.
+    /// narrowed its interval below `sample_rate` — one run of the kernel
+    /// over the block answers both.
     ///
     /// # Panics
     ///
@@ -377,115 +361,62 @@ impl KmerOccTable {
     #[inline]
     pub fn rank_pair(&self, r: u16, lo: usize, hi: usize) -> (u32, u32) {
         assert!(lo <= hi, "rank pair {lo}..{hi} inverted");
-        let (block, offset_hi) = (hi / self.sample_rate, hi % self.sample_rate);
-        if hi >= self.len || lo / self.sample_rate != block {
+        if hi >= self.len {
+            return (self.rank(r, lo), self.rank(r, hi));
+        }
+        let (block, offset_lo) = self.sample_rate.div_rem(lo);
+        let (block_hi, offset_hi) = self.sample_rate.div_rem(hi);
+        if block != block_hi {
             return (self.rank(r, lo), self.rank(r, hi));
         }
         assert!((r as usize) < self.stride, "code {r} out of alphabet");
-        let offset_lo = lo - block * self.sample_rate;
-        let between = self.matches(block, offset_lo, offset_hi, r);
-        // Beyond `between` (shared by both directions), forward costs
-        // `offset_lo` more lanes and backward `sample_rate - offset_hi`
-        // more; equivalently, pick backward when the total backward span
-        // `sample_rate - offset_lo` undercuts the forward span `offset_hi`.
-        let backward =
-            self.sample_rate - offset_lo < offset_hi && (block + 1) * self.sample_rate <= self.len;
-        let (lo_physical, hi_physical) = if backward {
-            let hi_count = self.checkpoint(block + 1, r as usize)
-                - self.matches(block, offset_hi, self.sample_rate, r);
-            (hi_count - between, hi_count)
-        } else {
-            let lo_count =
-                self.checkpoint(block, r as usize) + self.matches(block, 0, offset_lo, r);
-            (lo_count, lo_count + between)
-        };
-        (
-            self.corrected(lo_physical, r, lo),
-            self.corrected(hi_physical, r, hi),
-        )
+        let [at_lo, at_hi] = self.block_ranks(block, r, [offset_lo, offset_hi]);
+        (self.corrected(at_lo, r, lo), self.corrected(at_hi, r, hi))
     }
 
-    /// Hints the CPU to pull what a later `rank(r, i)` will touch first
-    /// toward L1: the line holding the checkpoint counter it will read
-    /// (plus, two-level, the superblock line it is relative to — that
-    /// array is small enough to mostly live in cache anyway) and the line
-    /// where its code scan starts — mirroring `rank`'s forward/backward
-    /// choice. The rest of the scan is sequential, which the hardware
-    /// prefetcher follows on its own; issuing more hints here costs more
-    /// than it hides. Never faults; a no-op off x86-64 and for the
-    /// `i == len` totals fast path.
+    /// Hints the CPU to pull every line a later `rank(r, i)` will read
+    /// toward L1: the line of its checkpoint counter (plus, two-level,
+    /// the superblock word it is relative to) and all of the block's code
+    /// lines. Never faults; a no-op off x86-64 and for the `i == len`
+    /// totals fast path.
     #[inline]
     pub fn prefetch_rank(&self, r: u16, i: usize) {
-        if i >= self.len {
-            return; // answered from `totals`, which stays cache-hot
-        }
-        let block = i / self.sample_rate;
-        let offset = i - block * self.sample_rate;
-        let r = (r as usize).min(self.stride - 1);
-        if self.backward_cheaper(block, offset) {
-            self.prefetch_checkpoint(block + 1, r);
-            self.prefetch_scan(block, offset);
-        } else {
-            self.prefetch_checkpoint(block, r);
-            self.prefetch_scan(block, 0);
+        if i < self.len {
+            self.prefetch_block(self.sample_rate.div_rem(i).0, r);
         }
     }
 
     /// [`KmerOccTable::prefetch_rank`] for both ends of an interval, as
-    /// later consumed by a `rank_pair(r, lo, hi)`: two hints when the
-    /// ends fall in different blocks; in the same-block case (the
-    /// narrow-interval common path) it mirrors `rank_pair`'s own
-    /// direction test — which weighs the *pair*, not either endpoint
-    /// alone — so the hinted checkpoint line is the one the fused rank
-    /// will actually read.
+    /// later consumed by a `rank_pair(r, lo, hi)`: one block's lines when
+    /// the ends share it, two blocks' otherwise.
     #[inline]
     pub fn prefetch_rank_pair(&self, r: u16, lo: usize, hi: usize) {
-        let block = lo / self.sample_rate;
-        if hi >= self.len || hi / self.sample_rate != block {
-            self.prefetch_rank(r, lo);
+        self.prefetch_rank(r, lo);
+        if lo <= hi
+            && hi < self.len
+            && self.sample_rate.div_rem(hi).0 != self.sample_rate.div_rem(lo).0
+        {
             self.prefetch_rank(r, hi);
-            return;
-        }
-        let offset_lo = lo - block * self.sample_rate;
-        let offset_hi = hi - block * self.sample_rate;
-        let r = (r as usize).min(self.stride - 1);
-        if self.sample_rate - offset_lo < offset_hi && (block + 1) * self.sample_rate <= self.len {
-            // Backward fused scan: next block's checkpoint, lanes
-            // `offset_lo .. sample_rate`.
-            self.prefetch_checkpoint(block + 1, r);
-            self.prefetch_scan(block, offset_lo);
-        } else {
-            // Forward fused scan: own checkpoint, lanes `0 .. offset_hi`.
-            self.prefetch_checkpoint(block, r);
-            self.prefetch_scan(block, 0);
         }
     }
 
-    /// Hints the line(s) `checkpoint(block, r)` will read.
+    /// Hints the lines `block_ranks(block, r, ..)` will read.
     #[inline]
-    fn prefetch_checkpoint(&self, block: usize, r: usize) {
+    fn prefetch_block(&self, block: usize, r: u16) {
+        let r = (r as usize).min(self.stride - 1);
         let base = block * self.block_words;
         match self.delta_width {
             DeltaWidth::U32 => self.data.prefetch(base + r),
             DeltaWidth::U16 => {
                 self.data.prefetch(base + r / 2);
-                self.superblocks
-                    .prefetch((block / self.superblock_rate) * self.stride + r);
+                self.superblocks.prefetch(self.superblock_word(block, r));
             }
             DeltaWidth::U8 => {
                 self.data.prefetch(base + r / 4);
-                self.superblocks
-                    .prefetch((block / self.superblock_rate) * self.stride + r);
+                self.superblocks.prefetch(self.superblock_word(block, r));
             }
         }
-    }
-
-    /// Hints the line where `block`'s code scan starts at lane `offset`.
-    #[inline]
-    fn prefetch_scan(&self, block: usize, offset: usize) {
-        let code_bytes = if self.wide_codes() { 2 } else { 1 };
-        let byte = block * self.block_words * 4 + self.delta_bytes + offset * code_bytes;
-        self.data.prefetch(byte / 4);
+        self.data.prefetch_span(self.span, block);
     }
 
     /// Heap bytes attributed to checkpoints (absolute rows), deltas,
@@ -577,6 +508,105 @@ mod tests {
                 for lo in 0..=codes.len() {
                     for hi in lo..=codes.len() {
                         for r in [0u16, 3, 8] {
+                            assert_eq!(
+                                occ.rank_pair(r, lo, hi),
+                                (naive_krank(&codes, r, lo), naive_krank(&codes, r, hi)),
+                                "{width}/sb{sb}, rate {rate}, code {r}, interval {lo}..{hi}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rank of `r` at `offset` lanes into `block`, once per byte
+    /// kernel, each called directly.
+    fn ranks_by_kernel(
+        occ: &KmerOccTable,
+        block: usize,
+        r: u16,
+        offset: usize,
+    ) -> Vec<(&'static str, u32)> {
+        let row = block * occ.sample_rate() + offset;
+        let checkpoint = occ.checkpoint(block, r as usize);
+        occ.data
+            .prefix_counts_by_kernel(occ.span, block, r as u8, [offset])
+            .into_iter()
+            .map(|(kernel, [below])| (kernel, occ.corrected(checkpoint + below, r, row)))
+            .collect()
+    }
+
+    #[test]
+    fn every_kernel_matches_naive_at_every_offset_of_every_block() {
+        // Both byte kernels, called directly: every offset 0..=rate of
+        // every block (the last one short, its zero padding lanes never
+        // counted for code 0), line-aligned and unaligned code regions,
+        // one-line and many-line blocks, and at stride 256 the
+        // placeholder lanes of the marker rows.
+        for stride in [4usize, 9, 256] {
+            let codes: Vec<u16> = if stride == 256 {
+                (0..1100)
+                    .map(|i| {
+                        if i % 151 == 3 {
+                            256
+                        } else {
+                            (i * 31 + i / 7) % 3
+                        }
+                    })
+                    .collect()
+            } else {
+                fixture(1100, stride as u16)
+            };
+            for rate in [1usize, 5, 16, 44, 54, 200, 256, 512] {
+                for width in [DeltaWidth::U8, DeltaWidth::U16, DeltaWidth::U32] {
+                    // u8 deltas need short superblock spans to build.
+                    let sb = if width == DeltaWidth::U8 {
+                        (300 / rate).clamp(1, 8)
+                    } else {
+                        2
+                    };
+                    let occ = KmerOccTable::new(codes.clone(), stride, rate, width, sb).unwrap();
+                    for block in 0..=codes.len() / rate {
+                        let covered = rate.min(codes.len() - block * rate);
+                        for offset in 0..=covered {
+                            for r in [0u16, 2, (stride - 1) as u16] {
+                                let expect = naive_krank(&codes, r, block * rate + offset);
+                                for (kernel, got) in ranks_by_kernel(&occ, block, r, offset) {
+                                    assert_eq!(
+                                        got, expect,
+                                        "{kernel}: stride {stride}, rate {rate}, {width}/sb{sb}, \
+                                         code {r}, block {block}, offset {offset}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_pair_straddling_block_and_superblock_boundaries() {
+        let codes = fixture(1100, 9);
+        for (width, sb) in LAYOUTS {
+            for rate in [5usize, 44, 200] {
+                let occ = KmerOccTable::new(codes.clone(), 9, rate, width, sb).unwrap();
+                // Every block boundary, hence every superblock boundary:
+                // intervals ending on it, starting on it and crossing it.
+                for boundary in (rate..codes.len()).step_by(rate) {
+                    for (lo, hi) in [
+                        (boundary - 1, boundary),
+                        (boundary, boundary + 1),
+                        (boundary - 1, boundary + 1),
+                        (boundary - rate, boundary),
+                        (
+                            boundary.saturating_sub(rate + 1),
+                            (boundary + rate).min(codes.len()),
+                        ),
+                    ] {
+                        for r in [0u16, 4, 8] {
                             assert_eq!(
                                 occ.rank_pair(r, lo, hi),
                                 (naive_krank(&codes, r, lo), naive_krank(&codes, r, hi)),

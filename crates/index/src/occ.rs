@@ -13,7 +13,11 @@
 //! `b` packs the checkpoint counters for prefix `b * sample_rate` together
 //! with the `sample_rate` BWT codes they cover in one cache-line-aligned
 //! region, so a `rank` touches one contiguous block instead of the two
-//! distant arrays of the flat layout. The checkpoint row comes in two
+//! distant arrays of the flat layout, and counts the block's codes with
+//! the branch-free kernel the k-step table uses too (see
+//! [`crate::interleave`]): at the default spacings one 64-byte line,
+//! four vector compares, and no division by the spacings 44 and 54.
+//! The checkpoint row comes in two
 //! layouts: flat `u32` counters (the historical default, one line per
 //! block at spacing 44), or *two-level* — absolute `u32` superblock rows
 //! every `superblock_rate` blocks in a separate small array, with `u16`
@@ -23,7 +27,7 @@
 
 use exma_genome::Symbol;
 
-use crate::interleave::AlignedWords;
+use crate::interleave::{AlignedWords, CodeSpan, Divisor};
 use crate::layout::{HeapBreakdown, IndexError};
 
 /// Symbol codes per checkpoint row (one counter per alphabet symbol).
@@ -56,11 +60,14 @@ pub struct OccTable {
     /// Bytes of a block taken by its counter row (20 flat, 10 two-level);
     /// the code lanes start right behind it.
     header_bytes: usize,
+    /// The cache lines of a block its code lanes occupy (one, at the
+    /// default spacings).
+    span: CodeSpan,
     /// Length of the underlying BWT.
     len: usize,
-    sample_rate: usize,
-    /// Blocks per superblock row; `0` in the flat layout.
-    superblock_rate: usize,
+    sample_rate: Divisor,
+    /// Blocks per superblock row; `None` in the flat layout.
+    superblock_rate: Option<Divisor>,
     /// Occurrences of every symbol in the full BWT: the O(1) answer to
     /// `rank(s, len)`, issued by every backward search's first step.
     totals: [u32; 5],
@@ -165,9 +172,10 @@ impl OccTable {
             superblocks,
             block_words,
             header_bytes,
+            span: CodeSpan::new(block_words, header_bytes, sample_rate),
             len,
-            sample_rate,
-            superblock_rate,
+            sample_rate: Divisor::new(sample_rate),
+            superblock_rate: two_level.then(|| Divisor::new(superblock_rate)),
             totals: running,
         })
     }
@@ -184,27 +192,33 @@ impl OccTable {
 
     /// The checkpoint spacing this table was built with.
     pub fn sample_rate(&self) -> usize {
-        self.sample_rate
+        self.sample_rate.get()
     }
 
     /// Blocks per superblock row; `0` means the flat `u32` layout.
     pub fn superblock_rate(&self) -> usize {
-        self.superblock_rate
+        self.superblock_rate.map_or(0, Divisor::get)
     }
 
     /// The absolute count of symbol code `code` at `block`'s checkpoint.
     #[inline]
     fn checkpoint(&self, block: usize, code: usize) -> u32 {
         let base = block * self.block_words;
-        // `superblock_rate == 0` encodes the flat layout, so checked_div
-        // doubles as the layout dispatch.
-        match block.checked_div(self.superblock_rate) {
+        match self.superblock_rate {
             None => self.data.words()[base + code],
-            Some(group) => {
-                self.superblocks.words()[group * HEADER_LANES + code]
+            Some(rate) => {
+                self.superblocks.words()[rate.div_rem(block).0 * HEADER_LANES + code]
                     + u32::from(self.data.halves()[base * 2 + code])
             }
         }
+    }
+
+    /// `Occ(code, block * sample_rate + offset)`: the block's checkpoint
+    /// plus one pass of the rank kernel over its code lanes.
+    #[inline]
+    fn block_rank(&self, block: usize, code: u8, offset: usize) -> u64 {
+        let [below] = self.data.prefix_counts(self.span, block, code, [offset]);
+        u64::from(self.checkpoint(block, code as usize) + below)
     }
 
     /// The BWT symbol at position `i`.
@@ -214,8 +228,7 @@ impl OccTable {
     /// Panics if `i >= self.len()`.
     pub fn symbol(&self, i: usize) -> Symbol {
         assert!(i < self.len, "symbol position {i} out of range");
-        let block = i / self.sample_rate;
-        let offset = i - block * self.sample_rate;
+        let (block, offset) = self.sample_rate.div_rem(i);
         Symbol::from_code(
             self.data.bytes()[block * self.block_words * 4 + self.header_bytes + offset],
         )
@@ -233,17 +246,8 @@ impl OccTable {
         if i == self.len {
             return u64::from(self.totals[code as usize]);
         }
-        // The block's checkpoint counter, then a short forward scan over
-        // the codes interleaved right behind it — one contiguous region.
-        // The codes are plain byte lanes, so the scan autovectorizes.
-        let block = i / self.sample_rate;
-        let mut count = self.checkpoint(block, code as usize);
-        let scan = i - block * self.sample_rate;
-        let code_base = block * self.block_words * 4 + self.header_bytes;
-        for &c in &self.data.bytes()[code_base..code_base + scan] {
-            count += u32::from(c == code);
-        }
-        u64::from(count)
+        let (block, offset) = self.sample_rate.div_rem(i);
+        self.block_rank(block, code, offset)
     }
 
     /// The BWT symbol at `i` together with `Occ(symbol, i)` — the two
@@ -258,15 +262,12 @@ impl OccTable {
     #[inline]
     pub fn lf_data(&self, i: usize) -> (Symbol, u64) {
         assert!(i < self.len, "LF position {i} out of range");
-        let block = i / self.sample_rate;
-        let offset = i - block * self.sample_rate;
-        let code_base = block * self.block_words * 4 + self.header_bytes;
-        let code = self.data.bytes()[code_base + offset];
-        let mut count = self.checkpoint(block, code as usize);
-        for &c in &self.data.bytes()[code_base..code_base + offset] {
-            count += u32::from(c == code);
-        }
-        (Symbol::from_code(code), u64::from(count))
+        let (block, offset) = self.sample_rate.div_rem(i);
+        let code = self.data.bytes()[block * self.block_words * 4 + self.header_bytes + offset];
+        (
+            Symbol::from_code(code),
+            self.block_rank(block, code, offset),
+        )
     }
 
     /// Occurrences of every symbol in `BWT[0..i]`, one scan for all five.
@@ -275,12 +276,11 @@ impl OccTable {
         if i == self.len {
             return self.totals.map(u64::from);
         }
-        let block = i / self.sample_rate;
+        let (block, scan) = self.sample_rate.div_rem(i);
         let mut counts = [0u32; 5];
         for (code, count) in counts.iter_mut().enumerate() {
             *count = self.checkpoint(block, code);
         }
-        let scan = i - block * self.sample_rate;
         let code_base = block * self.block_words * 4 + self.header_bytes;
         for &c in &self.data.bytes()[code_base..code_base + scan] {
             counts[c as usize] += 1;
@@ -288,23 +288,23 @@ impl OccTable {
         counts.map(u64::from)
     }
 
-    /// Hints the CPU to pull the block a later `rank(s, i)` will touch
-    /// toward L1 — at the default spacings the whole block is one line —
-    /// plus, two-level, the superblock row it is relative to. Never
-    /// faults; a no-op off x86-64 and for the `i == len` totals fast
-    /// path.
+    /// Hints the CPU to pull every line a later `rank(s, i)` will read
+    /// toward L1: the block's counter row and all of its code lines — at
+    /// the default spacings one line holds both — plus, two-level, the
+    /// superblock row it is relative to. Never faults; a no-op off x86-64
+    /// and for the `i == len` totals fast path.
     #[inline]
     pub fn prefetch_rank(&self, _s: Symbol, i: usize) {
         if i >= self.len {
             return; // answered from `totals`, which stays cache-hot
         }
-        // The checkpoint counters and the scan's first codes share the
-        // block's first line, whichever symbol is asked for.
-        let block = i / self.sample_rate;
-        self.data.prefetch(block * self.block_words);
-        // checked_div: rate 0 is the flat layout with no superblocks.
-        if let Some(group) = block.checked_div(self.superblock_rate) {
-            self.superblocks.prefetch(group * HEADER_LANES);
+        // The counter row is shorter than a line, so the first code line
+        // holds all five counters, whichever symbol is asked for.
+        let block = self.sample_rate.div_rem(i).0;
+        self.data.prefetch_span(self.span, block);
+        if let Some(rate) = self.superblock_rate {
+            self.superblocks
+                .prefetch(rate.div_rem(block).0 * HEADER_LANES);
         }
     }
 
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn lf_data_fuses_symbol_and_rank() {
         let bwt = bwt_of("CATAGACATTAGACCATAGGA");
-        for rate in [1, 3, 7, 44, 54] {
+        for rate in [1, 3, 7, 44, 54, 200] {
             for occ in layouts(&bwt, rate) {
                 let sb = occ.superblock_rate();
                 for i in 0..bwt.len() {
