@@ -34,7 +34,7 @@ pub struct BatchConfig {
     /// Round schedule of the locate resolver a mixed batch's locate
     /// intervals feed into. The presets keep it in step with the
     /// search schedule: plain search resolves plain, locality adds
-    /// row sorting and cursor prefetch.
+    /// cursor prefetch.
     pub resolve: ResolveConfig,
 }
 
@@ -301,7 +301,6 @@ mod tests {
             BatchConfig {
                 prefetch_distance: 3,
                 resolve: ResolveConfig {
-                    sort_by_row: true,
                     prefetch_distance: 2,
                 },
             },

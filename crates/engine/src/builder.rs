@@ -685,22 +685,17 @@ fn schedule_tag(batch: &BatchConfig) -> String {
     )
 }
 
-/// The resolver fragment: preset name or explicit knobs.
+/// The resolver fragment: preset name or explicit look-ahead.
 fn resolve_tag(resolve: &ResolveConfig) -> String {
     for (preset, name) in [
         (ResolveConfig::default(), "plain"),
-        (ResolveConfig::sorted(), "sorted"),
         (ResolveConfig::locality(), "locality"),
     ] {
         if *resolve == preset {
             return name.to_string();
         }
     }
-    format!(
-        "sort{}_pf{}",
-        u8::from(resolve.sort_by_row),
-        resolve.prefetch_distance
-    )
+    format!("pf{}", resolve.prefetch_distance)
 }
 
 #[cfg(test)]
@@ -769,10 +764,12 @@ mod tests {
             EngineBuilder::new()
                 .schedule(BatchConfig {
                     prefetch_distance: 3,
-                    resolve: ResolveConfig::sorted(),
+                    resolve: ResolveConfig {
+                        prefetch_distance: 2,
+                    },
                 })
                 .descriptor(),
-            "lockstep_k4_pf3_rsorted"
+            "lockstep_k4_pf3_rpf2"
         );
     }
 

@@ -1,7 +1,7 @@
 //! Acceptance property of the batched locate pipeline: converting serial
-//! per-row LF-walks into lockstep resolver rounds — with or without row
-//! sorting, software prefetch, or thread sharding — must be invisible in
-//! the answers. For k ∈ {1, 2, 4} and every resolve schedule, a
+//! per-row LF-walks into lockstep resolver rounds — with or without
+//! software prefetch or thread sharding — must be invisible in the
+//! answers. For k ∈ {1, 2, 4} and every resolve schedule, a
 //! `QueryBatch` of locates over hundreds of random patterns (tails with
 //! `len % k != 0`, empty patterns, absent patterns, and high-occurrence
 //! short repeats) must equal the sequential 1-step `FmIndex::locate`,
@@ -47,13 +47,11 @@ fn locate_pattern_mix(genome: &Genome, total: usize, seed: u64) -> Vec<Vec<Base>
 
 /// Every resolver schedule the benchmarks exercise, layered on the full
 /// locality search schedule.
-fn resolve_configs() -> [ResolveConfig; 4] {
+fn resolve_configs() -> [ResolveConfig; 3] {
     [
         ResolveConfig::default(),
-        ResolveConfig::sorted(),
         ResolveConfig::locality(),
         ResolveConfig {
-            sort_by_row: false,
             prefetch_distance: 1,
         },
     ]
@@ -212,17 +210,18 @@ fn sharded_locate_agrees_with_one_step() {
 }
 
 #[test]
-fn sorted_resolver_issues_identical_work() {
-    // Row sorting reorders a round's cursor walks; it must never add or
-    // remove any — the same acceptance shape the search scheduler has.
+fn prefetching_resolver_issues_identical_work() {
+    // Prefetching moves a round's memory traffic earlier; it must never
+    // add or remove a cursor walk — the same acceptance shape the search
+    // scheduler has.
     let genome = toy_genome();
     let patterns = locate_pattern_mix(&genome, 600, 109);
     let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
     let index = KStepFmIndex::from_genome(&genome, 4);
     let stats_of = |resolve: ResolveConfig| engine_with_resolve(&index, resolve).run(&batch).1;
     let plain = stats_of(ResolveConfig::default());
-    for config in [ResolveConfig::sorted(), ResolveConfig::locality()] {
-        let stats = stats_of(config);
+    for config in &resolve_configs()[1..] {
+        let stats = stats_of(*config);
         assert_eq!(stats.resolve_lf_steps, plain.resolve_lf_steps, "{config:?}");
         assert_eq!(stats.resolve_rounds, plain.resolve_rounds, "{config:?}");
         assert_eq!(stats.cursors_retired, plain.cursors_retired, "{config:?}");

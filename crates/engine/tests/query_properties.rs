@@ -57,7 +57,9 @@ fn executors(k: usize) -> Vec<EngineBuilder> {
     vec![
         base.sequential(),
         base.schedule(BatchConfig::default()),
-        base.resolve(ResolveConfig::sorted()),
+        base.resolve(ResolveConfig {
+            prefetch_distance: 3,
+        }),
         base, // locality
         base.resolve(ResolveConfig::default()),
         base.threads(2),

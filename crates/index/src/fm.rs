@@ -91,12 +91,15 @@ impl FmIndex {
 
     /// Assembles an index from already-built components, so callers that
     /// hold the suffix array (e.g. the k-step builder) need not recompute
-    /// it.
+    /// it. The one funnel of cold builds and snapshot loads, and so the
+    /// place where the occurrence table learns which rows `ssa` samples
+    /// (see [`OccTable::lf_data`]).
     pub(crate) fn from_parts(
         counts: CountTable,
-        occ: OccTable,
+        mut occ: OccTable,
         ssa: SampledSuffixArray,
     ) -> FmIndex {
+        occ.mark_rows(ssa.marks().ones());
         FmIndex { counts, occ, ssa }
     }
 
@@ -151,8 +154,21 @@ impl FmIndex {
     ///
     /// Panics if `row >= self.text_len()`.
     pub fn lf(&self, row: usize) -> usize {
-        let (s, rank) = self.occ.lf_data(row);
-        (self.counts.count(s) + rank) as usize
+        self.lf_marked(row).0
+    }
+
+    /// [`FmIndex::lf`] of `row`, and whether `row` itself is a row the
+    /// sampled suffix array keeps — a locate walk's whole step, answered
+    /// by the one occurrence line both facts live in
+    /// ([`OccTable::lf_data`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.text_len()`.
+    #[inline]
+    pub fn lf_marked(&self, row: usize) -> (usize, bool) {
+        let (s, rank, marked) = self.occ.lf_data(row);
+        ((self.counts.count(s) + rank) as usize, marked)
     }
 
     /// One LF refinement: narrows `range` (rows whose suffixes start with
@@ -220,8 +236,8 @@ impl FmIndex {
     /// Each row LF-walks serially — one dependent cache miss per step.
     /// Batch callers with many rows in flight should use
     /// [`crate::resolve::BatchResolver`], which runs the same walks in
-    /// lockstep rounds with sorting and prefetch; its output is
-    /// element-identical to this method, interval by interval.
+    /// lockstep rounds with prefetch; its output is element-identical to
+    /// this method, interval by interval.
     pub fn resolve_range_into(&self, rows: Range<usize>, out: &mut Vec<u32>) {
         out.clear();
         out.extend(rows.map(|row| self.resolve_row(row)));
@@ -378,6 +394,48 @@ mod tests {
         recovered.reverse();
         let spelled: String = recovered.iter().map(|s| s.to_string()).collect();
         assert_eq!(spelled, "CATAGA");
+    }
+
+    #[test]
+    fn occurrence_lines_mark_exactly_the_sampled_rows() {
+        // Flat and two-level occurrence layouts x occ rates x SA rates,
+        // SA rate 1 included, where *every* code byte carries the mark.
+        let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG").unwrap();
+        let bwt = bwt_from_sa(&text, &suffix_array(&text));
+        let counts = count_table(&text);
+        for delta_width in [DeltaWidth::U32, DeltaWidth::U16] {
+            for occ_sample_rate in [1, 7, 44, 54, 200] {
+                // The same table before `from_parts` marked it.
+                let unmarked = if delta_width.is_absolute() {
+                    OccTable::new(&bwt, occ_sample_rate)
+                } else {
+                    OccTable::two_level(&bwt, occ_sample_rate, 16).unwrap()
+                };
+                for sa_sample_rate in [1, 2, 5, 32] {
+                    let config = FmBuildConfig {
+                        occ_sample_rate,
+                        sa_sample_rate,
+                        delta_width,
+                        ..FmBuildConfig::default()
+                    };
+                    let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+                    for i in 0..=text.len() {
+                        assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "{config:?}");
+                    }
+                    for (row, &s) in bwt.iter().enumerate() {
+                        let at = format!("{config:?}, row {row}");
+                        let sampled = fm.sampled_sa().get(row).is_some();
+                        let rank = unmarked.rank(s, row);
+                        assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
+                        assert_eq!(fm.occ().symbol(row), s, "{at}");
+                        assert_eq!(fm.occ().rank(s, row), rank, "{at}");
+                        let lf = (counts.count(s) + rank) as usize;
+                        assert_eq!(fm.lf(row), lf, "{at}");
+                        assert_eq!(fm.lf_marked(row), (lf, sampled), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

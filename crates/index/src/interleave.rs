@@ -29,12 +29,15 @@
 //! mask; the one line a prefix ends in is then compared once more into a
 //! 64-bit match mask and cut at the offset. Several offsets share the
 //! pass, so both ends of an interval come out of one forward walk from
-//! the block's own checkpoint. The price is that the whole code region
-//! is read every time, which is why the prefetch hints cover all of it
-//! (`AlignedWords::prefetch_span`). Reading only up to the furthest
-//! offset's line — re-reading that line in place of the later ones, to
-//! keep the trip count — measured 2.5 % slower on the 20 Mbp index than
-//! reading them all.
+//! the block's own checkpoint. The compares go through a lane mask fixed
+//! at compile time: the 1-step table keeps a flag in bit 7 of each code
+//! byte and counts `lane & 0x07`; the k-mer table's codes use the whole
+//! byte, and its all-ones mask compiles away. The price is that the
+//! whole code region is read every time, which is why the prefetch hints
+//! cover all of it (`AlignedWords::prefetch_span`). Reading only up to
+//! the furthest offset's line — re-reading that line in place of the
+//! later ones, to keep the trip count — measured 2.5 % slower on the
+//! 20 Mbp index than reading them all.
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
@@ -185,13 +188,16 @@ impl AlignedWords {
     /// For each of `offsets`, the occurrences of `needle` among that many
     /// leading one-byte code lanes of `block` (each offset at most the
     /// lanes a block holds), all in one pass. The kernel of every rank
-    /// over byte codes; see the module docs.
+    /// over byte codes; see the module docs. A lane counts when
+    /// `lane & MASK == needle`: a table whose code bytes carry flag bits
+    /// above the code names the code bits here, one whose codes use the
+    /// whole byte passes [`u8::MAX`], which compiles the mask away.
     ///
     /// # Panics
     ///
     /// Panics if `block` lies past the buffer.
     #[inline]
-    pub(crate) fn prefix_counts<const N: usize>(
+    pub(crate) fn prefix_counts<const MASK: u8, const N: usize>(
         &self,
         span: CodeSpan,
         block: usize,
@@ -200,9 +206,9 @@ impl AlignedWords {
     ) -> [u32; N] {
         let lines = self.code_lines(span, block);
         #[cfg(target_arch = "x86_64")]
-        return prefix_counts_sse2(lines, span.head, needle, offsets);
+        return prefix_counts_sse2::<MASK, N>(lines, span.head, needle, offsets);
         #[cfg(not(target_arch = "x86_64"))]
-        return prefix_counts_scalar(lanes_of::<u8>(lines), span.head, needle, offsets);
+        return prefix_counts_scalar(lanes_of::<u8>(lines), span.head, MASK, needle, offsets);
     }
 
     /// What each byte kernel by itself answers to a
@@ -210,7 +216,7 @@ impl AlignedWords {
     /// and, on x86-64, the SSE2 one. For differential tests; nothing
     /// switches between kernels at run time.
     #[cfg(test)]
-    pub(crate) fn prefix_counts_by_kernel<const N: usize>(
+    pub(crate) fn prefix_counts_by_kernel<const MASK: u8, const N: usize>(
         &self,
         span: CodeSpan,
         block: usize,
@@ -221,12 +227,12 @@ impl AlignedWords {
         vec![
             (
                 "scalar",
-                prefix_counts_scalar(lanes_of::<u8>(lines), span.head, needle, offsets),
+                prefix_counts_scalar(lanes_of::<u8>(lines), span.head, MASK, needle, offsets),
             ),
             #[cfg(target_arch = "x86_64")]
             (
                 "sse2",
-                prefix_counts_sse2(lines, span.head, needle, offsets),
+                prefix_counts_sse2::<MASK, N>(lines, span.head, needle, offsets),
             ),
         ]
     }
@@ -243,7 +249,8 @@ impl AlignedWords {
         offsets: [usize; N],
     ) -> [u32; N] {
         let lines = self.code_lines(span, block);
-        prefix_counts_scalar(lanes_of::<u16>(lines), span.head / 2, needle, offsets)
+        let lanes = lanes_of::<u16>(lines);
+        prefix_counts_scalar(lanes, span.head / 2, u16::MAX, needle, offsets)
     }
 }
 
@@ -253,7 +260,10 @@ impl AlignedWords {
 ///
 /// Implementors must have no padding and no invalid bit patterns, a
 /// size that divides a cache line, and an alignment of at most 64.
-pub(crate) unsafe trait Lane: Copy + PartialEq {}
+pub(crate) unsafe trait Lane:
+    Copy + PartialEq + std::ops::BitAnd<Output = Self>
+{
+}
 // SAFETY: plain integers of 1, 2 and 4 bytes.
 unsafe impl Lane for u8 {}
 unsafe impl Lane for u16 {}
@@ -324,12 +334,15 @@ fn mask_if(set: bool) -> u64 {
 
 #[cfg(target_arch = "x86_64")]
 impl CacheLine {
-    /// The line's four 16-byte quarters, each byte lane `0xFF` where it
-    /// equals `needle` and zero elsewhere: four aligned 16-byte compares
-    /// (SSE2, the x86-64 baseline).
+    /// The line's four 16-byte quarters, each byte lane `0xFF` where
+    /// `lane & MASK` equals `needle` and zero elsewhere: four aligned
+    /// 16-byte loads, an `and` each unless `MASK` keeps every bit, and
+    /// four compares (SSE2, the x86-64 baseline).
     #[inline(always)]
-    fn eq_quarters(&self, needle: u8) -> [std::arch::x86_64::__m128i; 4] {
-        use std::arch::x86_64::{__m128i, _mm_cmpeq_epi8, _mm_load_si128, _mm_set1_epi8};
+    fn eq_quarters<const MASK: u8>(&self, needle: u8) -> [std::arch::x86_64::__m128i; 4] {
+        use std::arch::x86_64::{
+            __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_load_si128, _mm_set1_epi8,
+        };
         let quarters: *const __m128i = (self as *const CacheLine).cast();
         debug_assert_eq!(
             quarters as usize % LINE_BYTES,
@@ -347,16 +360,22 @@ impl CacheLine {
             let needle = _mm_set1_epi8(needle as i8);
             [0, 1, 2, 3].map(|j| {
                 debug_assert!(j < 4, "load past the line");
-                _mm_cmpeq_epi8(_mm_load_si128(quarters.add(j)), needle)
+                let lanes = _mm_load_si128(quarters.add(j));
+                if MASK == u8::MAX {
+                    _mm_cmpeq_epi8(lanes, needle)
+                } else {
+                    _mm_cmpeq_epi8(_mm_and_si128(lanes, _mm_set1_epi8(MASK as i8)), needle)
+                }
             })
         }
     }
 
-    /// Bit `i` of the result is set iff byte lane `i` equals `needle`.
+    /// Bit `i` of the result is set iff byte lane `i`, masked, equals
+    /// `needle`.
     #[inline(always)]
-    fn eq_bits(&self, needle: u8) -> u64 {
+    fn eq_bits<const MASK: u8>(&self, needle: u8) -> u64 {
         use std::arch::x86_64::_mm_movemask_epi8;
-        let [a, b, c, d] = self.eq_quarters(needle).map(|hits| {
+        let [a, b, c, d] = self.eq_quarters::<MASK>(needle).map(|hits| {
             // SAFETY: a register-only SSE2 instruction; SSE2 is part of
             // the x86-64 baseline.
             u64::from(unsafe { _mm_movemask_epi8(hits) } as u16)
@@ -364,14 +383,14 @@ impl CacheLine {
         a | b << 16 | c << 32 | d << 48
     }
 
-    /// How many of the 64 byte lanes equal `needle`.
+    /// How many of the 64 byte lanes, masked, equal `needle`.
     #[inline(always)]
-    fn eq_count(&self, needle: u8) -> u64 {
+    fn eq_count<const MASK: u8>(&self, needle: u8) -> u64 {
         use std::arch::x86_64::{
             _mm_add_epi8, _mm_cvtsi128_si64, _mm_sad_epu8, _mm_setzero_si128, _mm_sub_epi8,
             _mm_unpackhi_epi64,
         };
-        let [a, b, c, d] = self.eq_quarters(needle);
+        let [a, b, c, d] = self.eq_quarters::<MASK>(needle);
         // SAFETY: register-only SSE2 instructions; SSE2 is part of the
         // x86-64 baseline.
         unsafe {
@@ -386,13 +405,13 @@ impl CacheLine {
     }
 }
 
-/// The SSE2 rank kernel: for each of `offsets`, the occurrences of
-/// `needle` among byte lanes `head .. head + offset` of `lines`. The
-/// loop visits every line but the last whatever the offsets are, and
-/// nothing branches on them.
+/// The SSE2 rank kernel: for each of `offsets`, the lanes equal to
+/// `needle` under `MASK` among byte lanes `head .. head + offset` of
+/// `lines`. The loop visits every line but the last whatever the offsets
+/// are, and nothing branches on them.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn prefix_counts_sse2<const N: usize>(
+fn prefix_counts_sse2<const MASK: u8, const N: usize>(
     lines: &[CacheLine],
     head: usize,
     needle: u8,
@@ -412,7 +431,7 @@ fn prefix_counts_sse2<const N: usize>(
     let edge_lines = ends.map(|end| (end / LINE_BYTES).min(last));
     let mut whole = [0u64; N];
     for (l, line) in lines[..last].iter().enumerate() {
-        let ones = line.eq_count(needle);
+        let ones = line.eq_count::<MASK>(needle);
         for n in 0..N {
             whole[n] += ones & mask_if(l < edge_lines[n]);
         }
@@ -421,7 +440,7 @@ fn prefix_counts_sse2<const N: usize>(
     // drop their matches from every prefix that took that line whole.
     let counters = (1u64 << head) - 1;
     if head != 0 && last != 0 {
-        let stray = u64::from((lines[0].eq_bits(needle) & counters).count_ones());
+        let stray = u64::from((lines[0].eq_bits::<MASK>(needle) & counters).count_ones());
         for n in 0..N {
             whole[n] -= stray & mask_if(edge_lines[n] != 0);
         }
@@ -432,20 +451,22 @@ fn prefix_counts_sse2<const N: usize>(
         let lanes = ends[n] - edge * LINE_BYTES; // 0 ..= 64
         let below = (1u64 << (lanes % LINE_BYTES)).wrapping_sub(1) | mask_if(lanes == LINE_BYTES);
         let codes = below & !(counters & mask_if(edge == 0));
-        counts[n] = whole[n] as u32 + (lines[edge].eq_bits(needle) & codes).count_ones();
+        counts[n] = whole[n] as u32 + (lines[edge].eq_bits::<MASK>(needle) & codes).count_ones();
     }
     counts
 }
 
 /// The portable rank kernel, over lanes of any width: for each of
-/// `offsets`, the occurrences of `needle` among `lanes[head .. head +
-/// offset]`. Like the SSE2 kernel it visits every lane and selects by
-/// comparison instead of by loop bound, so it has a fixed trip count and
-/// autovectorizes.
+/// `offsets`, the lanes equal to `needle` under `mask` among
+/// `lanes[head .. head + offset]` (every caller passes a constant mask,
+/// and an all-ones one folds away). Like the SSE2 kernel it visits every
+/// lane and selects by comparison instead of by loop bound, so it has a
+/// fixed trip count and autovectorizes.
 #[inline]
 fn prefix_counts_scalar<T: Lane, const N: usize>(
     lanes: &[T],
     head: usize,
+    mask: T,
     needle: T,
     offsets: [usize; N],
 ) -> [u32; N] {
@@ -457,7 +478,7 @@ fn prefix_counts_scalar<T: Lane, const N: usize>(
     let head = head as u32;
     let mut counts = [0u32; N];
     for (i, &lane) in (0u32..).zip(lanes) {
-        let hit = u32::from(lane == needle) & u32::from(i >= head);
+        let hit = u32::from(lane & mask == needle) & u32::from(i >= head);
         for n in 0..N {
             counts[n] += hit & u32::from(i < ends[n]);
         }
@@ -571,46 +592,58 @@ mod tests {
     }
 
     /// Bytes that hit every code of a small alphabet often, in no
-    /// pattern a 16- or 64-lane period could hide behind.
-    fn noisy_buffer(lines: usize) -> AlignedWords {
+    /// pattern a 16- or 64-lane period could hide behind, each with a
+    /// random subset of the `flags` bits set above its code.
+    fn noisy_buffer(lines: usize, flags: u8) -> AlignedWords {
         let mut buf = AlignedWords::zeroed(lines * WORDS_PER_LINE);
         let mut x = 0x2545_f491_4f6c_dd1d_u64;
         for byte in buf.bytes_mut() {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            *byte = (x % 5) as u8;
+            *byte = (x % 5) as u8 | ((x >> 32) as u8 & flags);
         }
         buf
     }
 
-    #[test]
-    fn every_kernel_counts_like_a_plain_scan() {
-        // Blocks of 1..=5 lines whose code lanes start anywhere in the
-        // first line (counter bytes before them must never count), every
-        // pair of offsets up to the block's end.
+    /// Holds both kernels to a plain scan of `lane & MASK == needle` on
+    /// bytes that carry `flags` above their codes: blocks of 1..=5 lines
+    /// whose code lanes start anywhere in the first line (the counter
+    /// bytes before them — noise too, so some equal the needle only once
+    /// masked — must never count), every pair of offsets up to the
+    /// block's end, so flagged bytes fall inside and outside every
+    /// counted prefix.
+    fn kernels_count_like_a_plain_scan<const MASK: u8>(flags: u8) {
         for (block_lines, header) in [(1, 0), (1, 10), (1, 20), (2, 18), (4, 0), (5, 63), (3, 130)]
         {
-            let buf = noisy_buffer(3 * block_lines);
+            let buf = noisy_buffer(3 * block_lines, flags);
             let code_bytes = block_lines * LINE_BYTES - header;
             let span = CodeSpan::new(block_lines * WORDS_PER_LINE, header, code_bytes);
             for block in 0..3 {
                 let start = block * block_lines * LINE_BYTES + header;
                 let codes = &buf.bytes()[start..start + code_bytes];
                 for needle in [0u8, 3] {
-                    let scan =
-                        |n: usize| codes[..n].iter().filter(|&&c| c == needle).count() as u32;
+                    let scan = |n: usize| {
+                        codes[..n].iter().filter(|&&c| c & MASK == needle).count() as u32
+                    };
                     for lo in (0..=code_bytes).step_by(7).chain([code_bytes]) {
                         for hi in (lo..=code_bytes).step_by(5).chain([code_bytes]) {
                             let expect = [scan(lo), scan(hi)];
-                            assert_eq!(buf.prefix_counts(span, block, needle, [lo, hi]), expect);
-                            for (kernel, got) in
-                                buf.prefix_counts_by_kernel(span, block, needle, [lo, hi])
-                            {
+                            assert_eq!(
+                                buf.prefix_counts::<MASK, 2>(span, block, needle, [lo, hi]),
+                                expect
+                            );
+                            for (kernel, got) in buf.prefix_counts_by_kernel::<MASK, 2>(
+                                span,
+                                block,
+                                needle,
+                                [lo, hi],
+                            ) {
                                 assert_eq!(
                                     got, expect,
-                                    "{kernel}: {block_lines} lines, header {header}, block \
-                                     {block}, needle {needle}, offsets {lo}..{hi}"
+                                    "{kernel}: mask {MASK:#x}, flags {flags:#x}, {block_lines} \
+                                     lines, header {header}, block {block}, needle {needle}, \
+                                     offsets {lo}..{hi}"
                                 );
                             }
                         }
@@ -618,14 +651,31 @@ mod tests {
                     // One offset alone, at every lane.
                     for offset in 0..=code_bytes {
                         for (kernel, got) in
-                            buf.prefix_counts_by_kernel(span, block, needle, [offset])
+                            buf.prefix_counts_by_kernel::<MASK, 1>(span, block, needle, [offset])
                         {
-                            assert_eq!(got, [scan(offset)], "{kernel}: offset {offset}");
+                            assert_eq!(
+                                got,
+                                [scan(offset)],
+                                "{kernel}: mask {MASK:#x}, flags {flags:#x}, offset {offset}"
+                            );
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_kernel_counts_like_a_plain_scan() {
+        // Whole-byte codes, as the k-mer table stores them; then the
+        // 1-step table's bytes (bits 0-2 code, bit 7 mark) and bytes with
+        // every spare bit in use, read through the code mask; and marked
+        // bytes read without it, which must then match nothing they do
+        // not equal.
+        kernels_count_like_a_plain_scan::<{ u8::MAX }>(0);
+        kernels_count_like_a_plain_scan::<0x07>(0x80);
+        kernels_count_like_a_plain_scan::<0x07>(0xF8);
+        kernels_count_like_a_plain_scan::<{ u8::MAX }>(0x80);
     }
 
     #[test]
@@ -653,7 +703,7 @@ mod tests {
 
     #[test]
     fn prefetching_a_span_tolerates_any_block() {
-        let buf = noisy_buffer(8);
+        let buf = noisy_buffer(8, 0);
         let span = CodeSpan::new(4 * WORDS_PER_LINE, 70, 150);
         for block in [0, 1, 2, usize::MAX / 1024] {
             buf.prefetch_span(span, block); // must not fault

@@ -24,6 +24,13 @@
 //! per-block deltas. The two-level header is half the size, so one line
 //! fits 54 codes instead of 44; the delta width is fixed at `u16` and
 //! proven safe at construction by bounding the superblock span.
+//!
+//! A code byte holds more than the symbol: bit 7 says whether the row is
+//! one the sampled suffix array keeps (set when the index is assembled,
+//! see [`crate::FmIndex::lf_marked`]), so the one line an LF step reads
+//! ([`OccTable::lf_data`]) also decides whether the walk ends there.
+//! Every reader of a code byte masks it down to the symbol bits, the rank
+//! kernel included.
 
 use exma_genome::Symbol;
 
@@ -33,6 +40,12 @@ use crate::layout::{HeapBreakdown, IndexError};
 /// Symbol codes per checkpoint row (one counter per alphabet symbol).
 const HEADER_LANES: usize = 5;
 
+/// The bits of a code byte that hold the symbol code (0–4).
+const SYMBOL_MASK: u8 = 0x07;
+
+/// Bit 7 of a code byte: the row is SA-sampled.
+const MARK_BIT: u8 = 0x80;
+
 /// Checkpointed rank structure over a BWT, interleaved per block.
 ///
 /// Block `b` covers BWT positions `b * sample_rate ..` and lays out, in
@@ -41,6 +54,7 @@ const HEADER_LANES: usize = 5;
 /// ```text
 /// flat:      [ 5 u32 checkpoint counters | sample_rate codes | pad ]
 /// two-level: [ 5 u16 delta counters      | sample_rate codes | pad ]
+/// code byte: bit 7 = SA-sampled row, bits 0–2 = symbol
 /// ```
 ///
 /// padded so every block starts on a 64-byte cache-line boundary.
@@ -217,8 +231,31 @@ impl OccTable {
     /// plus one pass of the rank kernel over its code lanes.
     #[inline]
     fn block_rank(&self, block: usize, code: u8, offset: usize) -> u64 {
-        let [below] = self.data.prefix_counts(self.span, block, code, [offset]);
+        let [below] = self
+            .data
+            .prefix_counts::<SYMBOL_MASK, 1>(self.span, block, code, [offset]);
         u64::from(self.checkpoint(block, code as usize) + below)
+    }
+
+    /// Byte index of the code lane `offset` rows into `block`.
+    #[inline]
+    fn code_index(&self, block: usize, offset: usize) -> usize {
+        block * self.block_words * 4 + self.header_bytes + offset
+    }
+
+    /// Sets the SA-sampled bit of every row in `rows`. Symbols and ranks
+    /// are unchanged; only [`OccTable::lf_data`] reports the bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not below `self.len()`.
+    pub(crate) fn mark_rows(&mut self, rows: impl Iterator<Item = usize>) {
+        for row in rows {
+            assert!(row < self.len, "marked row {row} out of range");
+            let (block, offset) = self.sample_rate.div_rem(row);
+            let index = self.code_index(block, offset);
+            self.data.bytes_mut()[index] |= MARK_BIT;
+        }
     }
 
     /// The BWT symbol at position `i`.
@@ -229,9 +266,7 @@ impl OccTable {
     pub fn symbol(&self, i: usize) -> Symbol {
         assert!(i < self.len, "symbol position {i} out of range");
         let (block, offset) = self.sample_rate.div_rem(i);
-        Symbol::from_code(
-            self.data.bytes()[block * self.block_words * 4 + self.header_bytes + offset],
-        )
+        Symbol::from_code(self.data.bytes()[self.code_index(block, offset)] & SYMBOL_MASK)
     }
 
     /// `Occ(s, i)`: occurrences of `s` in `BWT[0..i]` (exclusive of `i`).
@@ -250,23 +285,25 @@ impl OccTable {
         self.block_rank(block, code, offset)
     }
 
-    /// The BWT symbol at `i` together with `Occ(symbol, i)` — the two
-    /// loads of one LF step fused into a single block visit: the symbol
-    /// read, the checkpoint counter, and the code scan all touch the same
-    /// interleaved block, so deriving it once halves the per-step work of
-    /// the locate resolver's LF-walks.
+    /// The BWT symbol at `i`, `Occ(symbol, i)`, and whether row `i` is
+    /// SA-sampled — everything one step of a locate walk asks, from a
+    /// single block visit: the code byte (symbol and mark), the
+    /// checkpoint counter and the code scan all sit in the same
+    /// interleaved block.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
     #[inline]
-    pub fn lf_data(&self, i: usize) -> (Symbol, u64) {
+    pub fn lf_data(&self, i: usize) -> (Symbol, u64, bool) {
         assert!(i < self.len, "LF position {i} out of range");
         let (block, offset) = self.sample_rate.div_rem(i);
-        let code = self.data.bytes()[block * self.block_words * 4 + self.header_bytes + offset];
+        let byte = self.data.bytes()[self.code_index(block, offset)];
+        let code = byte & SYMBOL_MASK;
         (
             Symbol::from_code(code),
             self.block_rank(block, code, offset),
+            byte & MARK_BIT != 0,
         )
     }
 
@@ -281,9 +318,9 @@ impl OccTable {
         for (code, count) in counts.iter_mut().enumerate() {
             *count = self.checkpoint(block, code);
         }
-        let code_base = block * self.block_words * 4 + self.header_bytes;
+        let code_base = self.code_index(block, 0);
         for &c in &self.data.bytes()[code_base..code_base + scan] {
-            counts[c as usize] += 1;
+            counts[(c & SYMBOL_MASK) as usize] += 1;
         }
         counts.map(u64::from)
     }
@@ -375,9 +412,44 @@ mod tests {
             for occ in layouts(&bwt, rate) {
                 let sb = occ.superblock_rate();
                 for i in 0..bwt.len() {
-                    let (s, rank) = occ.lf_data(i);
+                    let (s, rank, marked) = occ.lf_data(i);
                     assert_eq!(s, occ.symbol(i), "rate {rate}, sb {sb}, position {i}");
                     assert_eq!(rank, occ.rank(s, i), "rate {rate}, sb {sb}, position {i}");
+                    assert!(!marked, "rate {rate}, sb {sb}: nothing marked row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn marks_show_in_lf_data_and_nowhere_else() {
+        let bwt = bwt_of("CATAGACATTAGACCATAGGACATAGACCTTAGGACAT");
+        // No row, every third, a block's worth in a run, and every row:
+        // the last puts bit 7 on every code byte a rank scans.
+        let row_sets: [&dyn Fn(usize) -> bool; 4] = [
+            &|_| false,
+            &|i| i % 3 == 1,
+            &|i| (5..12).contains(&i),
+            &|_| true,
+        ];
+        for rate in [1, 7, 44, 54, 200] {
+            for plain in layouts(&bwt, rate) {
+                let sb = plain.superblock_rate();
+                for (set, is_marked) in row_sets.iter().enumerate() {
+                    let mut occ = plain.clone();
+                    occ.mark_rows((0..bwt.len()).filter(|&i| is_marked(i)));
+                    let at = format!("rate {rate}, sb {sb}, row set {set}");
+                    for i in 0..=bwt.len() {
+                        assert_eq!(occ.rank_all(i), plain.rank_all(i), "{at}, prefix {i}");
+                        for &s in &SYMBOL_ALPHABET {
+                            assert_eq!(occ.rank(s, i), naive_rank(&bwt, s, i), "{at}, prefix {i}");
+                        }
+                    }
+                    for (i, &s) in bwt.iter().enumerate() {
+                        assert_eq!(occ.symbol(i), s, "{at}, row {i}");
+                        let expect = (s, naive_rank(&bwt, s, i), is_marked(i));
+                        assert_eq!(occ.lf_data(i), expect, "{at}, row {i}");
+                    }
                 }
             }
         }

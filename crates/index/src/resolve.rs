@@ -5,33 +5,36 @@
 //! serially: every step loads the occurrence block the previous step's
 //! answer points at, so the whole walk is one dependent cache-miss chain —
 //! the exact DRAM pattern the paper's measurements blame for FM-index
-//! latency (§II-C), resurfacing in `locate` after the batched `count`
-//! path eliminated it there. This module converts those serial walks into
-//! overlapped independent streams: every row of one or many intervals
-//! becomes a *cursor* `(row, steps, output slot)` on a shared worklist,
-//! and each round (1) checks every live cursor against the sampled
-//! suffix-array marks, retiring resolved cursors into their output slot,
-//! (2) LF-steps the survivors, and (3) while handling cursor `j`,
-//! software-prefetches the occurrence block *and* the mark word cursor
-//! `j + d` will touch — so by the time the loop reaches a cursor, its
-//! lines are in flight or resident. Optionally each round first sorts the
-//! cursors by row, so the round's table accesses walk memory in address
-//! order (block locality) instead of jumping wherever the previous LF
-//! landed.
+//! latency (§II-C). This module overlaps those walks: every row of one or
+//! many intervals becomes a *cursor* `(row, steps, interval)` on a shared
+//! worklist, and a round takes every live cursor one step, in worklist
+//! order (with every line hinted ahead, sorting a round by row costs more
+//! than the address order buys).
+//!
+//! **One line per step.** A step reads one occurrence line
+//! ([`FmIndex::lf_marked`]): the row's code byte holds its BWT symbol and,
+//! in bit 7, whether the row is SA-sampled; the counters and code lanes
+//! around it give the rank. A marked cursor retires, an unmarked one moves
+//! to its LF successor, and while the loop handles cursor `j` it hints the
+//! line cursor `j + d` will read.
+//!
+//! **Pipelined retirement.** A marked row's position is three dependent
+//! reads away — mark word, prefix count, sample — so retirements queue
+//! behind hints too: a retiring cursor claims the next free slot of its
+//! interval's staging region, joins the round's `retiring` list and hints
+//! its mark word; at the end of the round one pass turns each listed row
+//! into its sample slot and hints the sample, a second writes
+//! `sample + steps`.
 //!
 //! Intervals can carry a **hit cap** (`max_hits` of a
 //! `QueryRequest::Locate`): once an interval has retired its cap's worth
-//! of cursors, its surviving cursors are dropped from the worklist at the
-//! end of that round, bounding both the output and the remaining LF work.
-//! The kept positions follow the deterministic round-based rule of
-//! [`FmIndex::resolve_range_capped_into`], so capped answers are
-//! identical across every schedule, engine, and thread count.
-//!
-//! Uncapped answers are identical to the per-row path by construction —
-//! the same rows take the same LF-walks, only interleaved — and each
-//! interval's output is sorted ascending per the
-//! [`FmIndex::resolve_range_into`] contract; both properties are
-//! property-tested at the engine layer.
+//! of cursors, its survivors are dropped at the end of that round, which
+//! bounds both the output and the remaining LF work. The kept positions
+//! follow the round-based rule of [`FmIndex::resolve_range_capped_into`],
+//! so capped answers are identical across schedules, engines and thread
+//! counts. An uncapped interval is one capped at [`UNCAPPED`] — the same
+//! loop, a cap it cannot reach — and resolves element-identical to
+//! [`FmIndex::resolve_range_into`].
 
 use std::ops::Range;
 
@@ -39,52 +42,35 @@ use exma_genome::Symbol;
 
 use crate::fm::FmIndex;
 
-/// How many cursors ahead of the one being stepped the resolver
-/// prefetches when [`ResolveConfig::prefetch_distance`] is left to the
-/// preset. Matches the batch engine's query look-ahead: far enough that a
-/// DRAM fetch (~100 ns) completes before the round loop reaches the
-/// cursor, near enough that the lines are not evicted again first.
-pub const DEFAULT_RESOLVE_PREFETCH_DISTANCE: usize = 8;
+/// How many cursors ahead of the one being stepped the resolver hints
+/// when [`ResolveConfig::prefetch_distance`] is left to the preset.
+///
+/// A step costs 20–25 ns and a miss 160–265 ns (`machine.chase_ns`), so
+/// the hint must lead by ten cursors or so; it is one line and one
+/// superblock word a cursor, so a longer lead crowds nothing out. One
+/// index walked at every distance in one process reads, at d = 4, 8, 16,
+/// 32, 64, 30.9, 27.3, 25.7, 26.8, 26.8 ns a step; through the benchmark
+/// `locate_seeds` is flat from 8 to 64 within the box's noise
+/// (10th-percentile ns/query 1975, 1742, 1865, 1852, 1726; CHANGES.md,
+/// PR 18).
+pub const DEFAULT_RESOLVE_PREFETCH_DISTANCE: usize = 16;
 
 /// Hit-cap sentinel: an interval with this cap keeps every position.
 pub const UNCAPPED: u32 = u32::MAX;
 
 /// Scheduling knobs of a [`BatchResolver`] round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResolveConfig {
-    /// Sort live cursors by suffix-array row each round, so the round's
-    /// occurrence-table and mark-bitset accesses walk memory in address
-    /// order instead of the order the previous round's LF steps produced.
-    pub sort_by_row: bool,
-    /// While retiring or stepping cursor `j`, prefetch the occ block and
-    /// mark word cursor `j + d` will touch (`0` disables prefetching).
+    /// While stepping cursor `j`, prefetch the occurrence line cursor
+    /// `j + d` will read, and prefetch ahead of each retirement's mark
+    /// and sample reads. `0`, the default, issues no hint at all.
     pub prefetch_distance: usize,
 }
 
-impl Default for ResolveConfig {
-    /// Plain lockstep rounds: worklist order, no prefetch.
-    fn default() -> ResolveConfig {
-        ResolveConfig {
-            sort_by_row: false,
-            prefetch_distance: 0,
-        }
-    }
-}
-
 impl ResolveConfig {
-    /// Row-sorted rounds without prefetch (isolates the sort).
-    pub fn sorted() -> ResolveConfig {
-        ResolveConfig {
-            sort_by_row: true,
-            prefetch_distance: 0,
-        }
-    }
-
-    /// The full locality schedule: row-sorted rounds plus software
-    /// prefetch at [`DEFAULT_RESOLVE_PREFETCH_DISTANCE`].
+    /// Software prefetch at [`DEFAULT_RESOLVE_PREFETCH_DISTANCE`].
     pub fn locality() -> ResolveConfig {
         ResolveConfig {
-            sort_by_row: true,
             prefetch_distance: DEFAULT_RESOLVE_PREFETCH_DISTANCE,
         }
     }
@@ -94,68 +80,69 @@ impl ResolveConfig {
 /// harness's `BatchStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResolveStats {
-    /// Lockstep rounds executed — bounded by the SA sampling rate, since
+    /// Lockstep rounds executed — at most the SA sampling rate, since
     /// every cursor resolves within `sa_sample_rate - 1` LF steps.
     pub rounds: usize,
-    /// Total LF steps issued across all cursors and rounds.
+    /// LF steps issued across all cursors and rounds.
     pub lf_steps: usize,
-    /// Cursors retired by hitting a sampled mark. Uncapped this equals
-    /// the total interval rows resolved; capped intervals may retire a
-    /// few more than their cap (the cap is checked at round boundaries)
-    /// before the surplus is trimmed out of the output.
+    /// Cursors retired by hitting a sampled mark: every row of an
+    /// uncapped interval; a capped one may retire more than its cap (the
+    /// cap is checked at round boundaries) before its output is trimmed.
     pub retired: usize,
     /// Cursors live in the widest round (the initial worklist).
     pub peak_live: usize,
-    /// Cursors dropped un-resolved because their interval hit its cap —
+    /// Cursors dropped unresolved because their interval hit its cap —
     /// LF-walks the cap made unnecessary.
     pub dropped: usize,
 }
 
-/// In-flight state of one interval row between rounds. Rows and output
-/// slots fit `u32` because the suffix array itself stores `u32` positions
-/// and the worklist size is asserted below it.
+/// In-flight state of one interval row between rounds. Rows and interval
+/// indices fit `u32` because the suffix array itself stores `u32`
+/// positions and the worklist size is asserted below it.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     row: u32,
     /// LF steps taken so far — added back to the sampled position.
     steps: u32,
-    /// Index into the flat output buffer.
-    slot: u32,
-}
-
-/// A capped-path cursor additionally remembers which interval it belongs
-/// to, so round-boundary cap checks can drop its siblings.
-#[derive(Debug, Clone, Copy)]
-struct CappedCursor {
-    row: u32,
-    steps: u32,
-    slot: u32,
+    /// The interval whose staging region and cap this row belongs to.
     interval: u32,
 }
 
+/// A cursor that hit a mark this round, on its way to its staging slot.
+#[derive(Debug, Clone, Copy)]
+struct Retiring {
+    /// The marked row; then, between the two end-of-round passes, its
+    /// slot in the sample vector.
+    at: u32,
+    steps: u32,
+    /// Index into the staging buffer.
+    slot: u32,
+}
+
 /// Reusable scratch of the lockstep resolver: worklists, per-interval
-/// retirement counters, and the capped path's full-width staging buffer.
-/// A long-lived arena resolves many batches without reallocating — the
-/// buffers keep their high-water capacity across calls.
+/// retirement counters, and the full-width staging buffer. A long-lived
+/// arena resolves many batches without reallocating — the buffers keep
+/// their high-water capacity across calls.
 #[derive(Debug, Clone, Default)]
 pub struct ResolveArena {
     live: Vec<Cursor>,
     next: Vec<Cursor>,
-    capped_live: Vec<CappedCursor>,
-    capped_next: Vec<CappedCursor>,
-    /// Cursors retired so far per interval (capped path only).
-    retired: Vec<u32>,
-    /// Prefix sums of *full* interval widths — the staging layout the
-    /// capped path resolves into before trimming to the caps.
-    full_offsets: Vec<usize>,
-    /// Full-width staging buffer; `UNCAPPED` marks unwritten slots.
+    retiring: Vec<Retiring>,
+    /// One cap per interval ([`UNCAPPED`] where the caller gave none).
+    caps: Vec<u32>,
+    /// Cursors retired so far per interval: its staging region's fill.
+    filled: Vec<u32>,
+    /// Prefix sums of *full* interval widths — the staging layout rows
+    /// resolve into before each region is trimmed to its cap.
+    full: Vec<usize>,
+    /// Full-width staging buffer; region `i` holds `filled[i]` positions.
     staging: Vec<u32>,
 }
 
 /// Resolves every row of every interval into one pooled output: after
 /// the call, `flat[offsets[i]..offsets[i + 1]]` holds interval `i`'s
-/// text positions sorted ascending. With an empty `caps` (or every cap
-/// at [`UNCAPPED`]` >= len`), output is element-identical to running
+/// text positions sorted ascending. With an empty `caps` (or every cap at
+/// least its interval's width), output is element-identical to running
 /// [`FmIndex::resolve_range_into`] on each interval; a capped interval
 /// keeps `min(cap, len)` positions chosen by the deterministic rule of
 /// [`FmIndex::resolve_range_capped_into`]. Both buffers are cleared
@@ -182,226 +169,114 @@ pub fn resolve_capped_with_arena(
         caps.len(),
         intervals.len()
     );
+    arena.caps.clear();
+    arena.caps.extend_from_slice(caps);
+    arena.caps.resize(intervals.len(), UNCAPPED);
+    arena.full.clear();
+    arena.full.push(0);
+    let mut total = 0usize;
     for interval in intervals {
         assert!(
             interval.end <= fm.text_len(),
             "interval {interval:?} extends past the text"
         );
-    }
-    let cap_of = |i: usize| caps.get(i).copied().unwrap_or(UNCAPPED);
-    let any_capped = intervals
-        .iter()
-        .enumerate()
-        .any(|(i, r)| (cap_of(i) as usize) < r.len());
-    if any_capped {
-        resolve_capped(fm, config, intervals, &cap_of, flat, offsets, arena)
-    } else {
-        resolve_uncapped(fm, config, intervals, flat, offsets, arena)
-    }
-}
-
-/// The uncapped fast path: every row retires into a pre-assigned slot of
-/// the caller's `flat`, no staging copy.
-fn resolve_uncapped(
-    fm: &FmIndex,
-    config: ResolveConfig,
-    intervals: &[Range<usize>],
-    flat: &mut Vec<u32>,
-    offsets: &mut Vec<usize>,
-    arena: &mut ResolveArena,
-) -> ResolveStats {
-    offsets.clear();
-    offsets.reserve(intervals.len() + 1);
-    let mut total = 0usize;
-    offsets.push(0);
-    for interval in intervals {
         total += interval.len();
-        offsets.push(total);
+        arena.full.push(total);
     }
     assert!(
         total < u32::MAX as usize,
         "worklist too large for u32 slots"
     );
-    flat.clear();
-    flat.reserve(total);
-    flat.resize(total, 0);
-
+    if arena.staging.len() < total {
+        arena.staging.resize(total, 0);
+    }
+    arena.filled.clear();
+    arena.filled.resize(intervals.len(), 0);
     arena.live.clear();
-    arena.live.reserve(total);
     for (i, interval) in intervals.iter().enumerate() {
-        for (j, row) in interval.clone().enumerate() {
-            arena.live.push(Cursor {
-                row: row as u32,
-                steps: 0,
-                slot: (offsets[i] + j) as u32,
-            });
+        if arena.caps[i] == 0 {
+            continue; // nothing to keep: its rows never enter the worklist
         }
+        arena.live.extend(interval.clone().map(|row| Cursor {
+            row: row as u32,
+            steps: 0,
+            interval: i as u32,
+        }));
     }
 
     let mut stats = ResolveStats {
-        retired: total,
         peak_live: arena.live.len(),
         ..ResolveStats::default()
     };
-    let ssa = fm.sampled_sa();
-    let occ = fm.occ();
+    let (occ, ssa) = (fm.occ(), fm.sampled_sa());
     let d = config.prefetch_distance;
     while !arena.live.is_empty() {
         stats.rounds += 1;
-        if config.sort_by_row {
-            arena.live.sort_unstable_by_key(|c| c.row);
-        }
+        let mut capped_round = false;
         for j in 0..arena.live.len() {
             if d > 0 {
                 if let Some(ahead) = arena.live.get(j + d) {
-                    let row = ahead.row as usize;
-                    // The mark word decides retirement; the occ block
-                    // serves both `symbol(row)` and `rank(s, row)` of
-                    // the LF step (the hint is symbol-independent:
-                    // checkpoint row and codes share the block).
-                    ssa.prefetch(row);
-                    occ.prefetch_rank(Symbol::Sentinel, row);
+                    // Whatever its symbol: one block holds all of a row.
+                    occ.prefetch_rank(Symbol::Sentinel, ahead.row as usize);
                 }
             }
             let c = arena.live[j];
-            if let Some(pos) = ssa.get(c.row as usize) {
-                flat[c.slot as usize] = pos + c.steps;
-                continue; // retired in place
+            let (successor, marked) = fm.lf_marked(c.row as usize);
+            if !marked {
+                arena.next.push(Cursor {
+                    row: successor as u32,
+                    steps: c.steps + 1,
+                    interval: c.interval,
+                });
+                continue;
             }
-            stats.lf_steps += 1;
-            arena.next.push(Cursor {
-                row: fm.lf(c.row as usize) as u32,
-                steps: c.steps + 1,
-                slot: c.slot,
+            let i = c.interval as usize;
+            arena.retiring.push(Retiring {
+                at: c.row,
+                steps: c.steps,
+                slot: (arena.full[i] + arena.filled[i] as usize) as u32,
             });
-        }
-        std::mem::swap(&mut arena.live, &mut arena.next);
-        arena.next.clear();
-    }
-
-    // Cursors retire in whatever round their walk hits a mark, so a
-    // slot region holds its interval's positions unordered; restore
-    // the ascending order the per-row path guarantees.
-    for window in offsets.windows(2) {
-        flat[window[0]..window[1]].sort_unstable();
-    }
-    stats
-}
-
-/// The capped path: rows resolve into a full-width staging buffer; when
-/// an interval's retirements reach its cap, its surviving cursors are
-/// dropped at the round boundary (so the drop set never depends on the
-/// round's processing order); the staging regions are then sorted and
-/// the smallest `min(cap, len)` positions of each are copied out.
-fn resolve_capped(
-    fm: &FmIndex,
-    config: ResolveConfig,
-    intervals: &[Range<usize>],
-    cap_of: &dyn Fn(usize) -> u32,
-    flat: &mut Vec<u32>,
-    offsets: &mut Vec<usize>,
-    arena: &mut ResolveArena,
-) -> ResolveStats {
-    let full = &mut arena.full_offsets;
-    full.clear();
-    full.reserve(intervals.len() + 1);
-    let mut total = 0usize;
-    full.push(0);
-    for interval in intervals {
-        total += interval.len();
-        full.push(total);
-    }
-    assert!(
-        total < u32::MAX as usize,
-        "worklist too large for u32 slots"
-    );
-    arena.staging.clear();
-    arena.staging.resize(total, UNCAPPED);
-    arena.retired.clear();
-    arena.retired.resize(intervals.len(), 0);
-
-    arena.capped_live.clear();
-    for (i, interval) in intervals.iter().enumerate() {
-        if cap_of(i) == 0 {
-            continue; // nothing to keep: its rows never enter the worklist
-        }
-        for (j, row) in interval.clone().enumerate() {
-            arena.capped_live.push(CappedCursor {
-                row: row as u32,
-                steps: 0,
-                slot: (full[i] + j) as u32,
-                interval: i as u32,
-            });
-        }
-    }
-
-    let mut stats = ResolveStats {
-        peak_live: arena.capped_live.len(),
-        ..ResolveStats::default()
-    };
-    let ssa = fm.sampled_sa();
-    let occ = fm.occ();
-    let d = config.prefetch_distance;
-    while !arena.capped_live.is_empty() {
-        stats.rounds += 1;
-        if config.sort_by_row {
-            arena.capped_live.sort_unstable_by_key(|c| c.row);
-        }
-        let mut capped_round = false;
-        for j in 0..arena.capped_live.len() {
+            arena.filled[i] += 1;
+            capped_round |= arena.filled[i] >= arena.caps[i];
             if d > 0 {
-                if let Some(ahead) = arena.capped_live.get(j + d) {
-                    let row = ahead.row as usize;
-                    ssa.prefetch(row);
-                    occ.prefetch_rank(Symbol::Sentinel, row);
-                }
+                ssa.prefetch(c.row as usize);
             }
-            let c = arena.capped_live[j];
-            if let Some(pos) = ssa.get(c.row as usize) {
-                arena.staging[c.slot as usize] = pos + c.steps;
-                stats.retired += 1;
-                let count = &mut arena.retired[c.interval as usize];
-                *count += 1;
-                capped_round |= *count >= cap_of(c.interval as usize);
-                continue; // retired in place
+        }
+        stats.lf_steps += arena.next.len();
+        stats.retired += arena.retiring.len();
+        for r in arena.retiring.iter_mut() {
+            r.at = ssa.slot(r.at as usize) as u32;
+            if d > 0 {
+                ssa.prefetch_sample(r.at as usize);
             }
-            stats.lf_steps += 1;
-            arena.capped_next.push(CappedCursor {
-                row: fm.lf(c.row as usize) as u32,
-                steps: c.steps + 1,
-                slot: c.slot,
-                interval: c.interval,
-            });
+        }
+        for r in arena.retiring.drain(..) {
+            arena.staging[r.slot as usize] = ssa.sample(r.at as usize) + r.steps;
         }
         // Cap enforcement happens here, at the round boundary: every
         // cursor whose walk ends this round still retires (keeping the
         // drop set independent of in-round processing order), and only
         // then do capped intervals shed their survivors.
         if capped_round {
-            let retired = &arena.retired;
-            let before = arena.capped_next.len();
-            arena
-                .capped_next
-                .retain(|c| retired[c.interval as usize] < cap_of(c.interval as usize));
-            stats.dropped += before - arena.capped_next.len();
+            let (next, filled, caps) = (&mut arena.next, &arena.filled, &arena.caps);
+            let before = next.len();
+            next.retain(|c| filled[c.interval as usize] < caps[c.interval as usize]);
+            stats.dropped += before - next.len();
         }
-        std::mem::swap(&mut arena.capped_live, &mut arena.capped_next);
-        arena.capped_next.clear();
+        std::mem::swap(&mut arena.live, &mut arena.next);
+        arena.next.clear();
     }
 
-    // Trim each staging region to its cap: ascending sort floats the
-    // resolved positions below the `UNCAPPED` fill, and taking the first
-    // `min(cap, len)` keeps the smallest positions among the rows that
-    // resolved before the cap closed the interval.
+    // A region fills in retirement order: sort it, and its first
+    // `min(cap, len)` are the smallest positions that beat the cap.
     offsets.clear();
-    offsets.reserve(intervals.len() + 1);
-    flat.clear();
     offsets.push(0);
+    flat.clear();
     for (i, interval) in intervals.iter().enumerate() {
-        let region = &mut arena.staging[full[i]..full[i + 1]];
+        let start = arena.full[i];
+        let region = &mut arena.staging[start..start + arena.filled[i] as usize];
         region.sort_unstable();
-        let keep = (cap_of(i) as usize).min(interval.len());
-        flat.extend_from_slice(&region[..keep]);
+        flat.extend_from_slice(&region[..(arena.caps[i] as usize).min(interval.len())]);
         offsets.push(flat.len());
     }
     stats
@@ -410,9 +285,8 @@ fn resolve_capped(
 /// A lockstep multi-row resolver over a [`FmIndex`]'s sampled suffix
 /// array and occurrence table.
 ///
-/// Worklist scratch is owned by the resolver and reused across calls, so
-/// a long-lived resolver resolves many batches without reallocating.
-/// Callers that manage their own scratch (the engine's query arena) use
+/// The resolver owns its scratch and reuses it across calls; callers
+/// that manage their own (the engine's query arena) use
 /// [`resolve_capped_with_arena`] directly.
 ///
 /// ```
@@ -424,7 +298,7 @@ fn resolve_capped(
 /// let intervals = [fm.backward_search(&parse_bases("ATA").unwrap())];
 /// let (mut flat, mut offsets) = (Vec::new(), Vec::new());
 /// let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
-/// resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+/// resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
 ///
 /// let mut expect = Vec::new();
 /// fm.resolve_range_into(intervals[0].clone(), &mut expect);
@@ -438,12 +312,7 @@ pub struct BatchResolver<'a> {
 }
 
 impl<'a> BatchResolver<'a> {
-    /// A resolver borrowing `fm`'s tables, with the plain round schedule.
-    pub fn new(fm: &'a FmIndex) -> BatchResolver<'a> {
-        BatchResolver::with_config(fm, ResolveConfig::default())
-    }
-
-    /// A resolver with an explicit round schedule.
+    /// A resolver borrowing `fm`'s tables, running round schedule `config`.
     pub fn with_config(fm: &'a FmIndex, config: ResolveConfig) -> BatchResolver<'a> {
         BatchResolver {
             fm,
@@ -452,29 +321,8 @@ impl<'a> BatchResolver<'a> {
         }
     }
 
-    /// The index whose tables this resolver walks.
-    pub fn index(&self) -> &'a FmIndex {
-        self.fm
-    }
-
-    /// The round schedule this resolver runs.
-    pub fn config(&self) -> ResolveConfig {
-        self.config
-    }
-
-    /// Uncapped resolution: see [`resolve_capped_with_arena`] with empty
-    /// caps.
-    pub fn resolve_intervals(
-        &mut self,
-        intervals: &[Range<usize>],
-        flat: &mut Vec<u32>,
-        offsets: &mut Vec<usize>,
-    ) -> ResolveStats {
-        self.resolve_intervals_capped(intervals, &[], flat, offsets)
-    }
-
-    /// Capped resolution through the resolver's own arena: see
-    /// [`resolve_capped_with_arena`].
+    /// [`resolve_capped_with_arena`] through the resolver's own arena; an
+    /// empty `caps` caps nothing.
     pub fn resolve_intervals_capped(
         &mut self,
         intervals: &[Range<usize>],
@@ -513,13 +361,11 @@ mod tests {
     }
 
     /// Every schedule the benchmarks exercise, plus a short look-ahead.
-    fn all_configs() -> [ResolveConfig; 4] {
+    fn all_configs() -> [ResolveConfig; 3] {
         [
             ResolveConfig::default(),
-            ResolveConfig::sorted(),
             ResolveConfig::locality(),
             ResolveConfig {
-                sort_by_row: false,
                 prefetch_distance: 2,
             },
         ]
@@ -547,7 +393,7 @@ mod tests {
         for config in all_configs() {
             let mut resolver = BatchResolver::with_config(&fm, config);
             let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-            resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+            resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
             assert_eq!(flat, expect_flat, "{config:?}");
             assert_eq!(offsets, expect_offsets, "{config:?}");
         }
@@ -577,6 +423,115 @@ mod tests {
         }
     }
 
+    /// What the counters must read, from each row's walk length alone. A
+    /// row `w` LF steps from a mark retires in round `w` (from 0); an
+    /// interval closes at the end of the first round by which `cap` of
+    /// its rows have retired, and its other rows — stepped once in every
+    /// round so far — are dropped there.
+    fn reference_stats(fm: &FmIndex, intervals: &[Range<usize>], caps: &[u32]) -> ResolveStats {
+        let mut stats = ResolveStats::default();
+        for (interval, &cap) in intervals.iter().zip(caps) {
+            if cap == 0 {
+                continue; // its rows never enter the worklist
+            }
+            let walks: Vec<usize> = interval
+                .clone()
+                .map(|row| fm.resolve_row_with_steps(row).1 as usize)
+                .collect();
+            let mut sorted = walks.clone();
+            sorted.sort_unstable();
+            // The round that retires the cap-th row, if one does.
+            let close = sorted.get(cap as usize - 1).copied().unwrap_or(usize::MAX);
+            stats.peak_live += walks.len();
+            for w in walks {
+                let (steps, live_rounds) = if w <= close {
+                    stats.retired += 1;
+                    (w, w + 1)
+                } else {
+                    stats.dropped += 1;
+                    (close + 1, close + 1)
+                };
+                stats.lf_steps += steps;
+                stats.rounds = stats.rounds.max(live_rounds);
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn answers_and_counters_match_the_references_on_a_repeat_rich_genome() {
+        // A 90-base unit copied 45 times with a point mutation every 60
+        // bases or so: 1-3 base patterns span hundreds of rows and unit
+        // substrings about one row a copy, far beyond caps of 1 and 2.
+        let mut rng = exma_genome::SeededRng::new(0x5eed);
+        let unit: Vec<u8> = (0..90).map(|_| b"ACGT"[rng.range(0, 4)]).collect();
+        let genome: String = (0..45 * unit.len())
+            .map(|i| match rng.chance(1.0 / 60.0) {
+                true => b"ACGT"[rng.range(0, 4)] as char,
+                false => unit[i % unit.len()] as char,
+            })
+            .collect();
+        let text = text_from_str(&genome).unwrap();
+        let cap_set = [0, 1, 2, 31, 32, 33, UNCAPPED];
+        for sa_sample_rate in [1, 5, 32] {
+            let config = FmBuildConfig {
+                sa_sample_rate,
+                ..FmBuildConfig::default()
+            };
+            let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+            let search = |start: usize, len: usize| {
+                let pattern = &genome[start..start + len];
+                fm.backward_search(&exma_genome::alphabet::parse_bases(pattern).unwrap())
+            };
+            // Wide, cap 0, wide: a closed interval between two live ones;
+            // then empties, the whole text, and a spread of widths under
+            // every cap in turn.
+            let mut intervals = vec![search(3, 2), search(11, 1), search(40, 3), 0..0, 9..9];
+            let mut caps = vec![2, 0, UNCAPPED, 1, 0];
+            for (i, len) in [1usize, 2, 3, 8, 12, 20, 30]
+                .iter()
+                .cycle()
+                .take(49)
+                .enumerate()
+            {
+                intervals.push(search(i * 53 % 3000, *len));
+                caps.push(cap_set[(i + i / 7 + sa_sample_rate) % cap_set.len()]);
+            }
+            for cap in [31, UNCAPPED] {
+                intervals.push(0..fm.text_len());
+                caps.push(cap);
+            }
+            assert!(intervals
+                .iter()
+                .zip(&caps)
+                .any(|(r, &c)| r.len() > 100 && c == 1));
+
+            let expect = reference_stats(&fm, &intervals, &caps);
+            assert_eq!(expect.dropped > 0, sa_sample_rate > 1, "{expect:?}");
+            assert_eq!(expect.rounds, sa_sample_rate, "{expect:?}");
+            for prefetch_distance in [0, 3, 16] {
+                let at = format!("SA rate {sa_sample_rate}, distance {prefetch_distance}");
+                let mut resolver =
+                    BatchResolver::with_config(&fm, ResolveConfig { prefetch_distance });
+                let (mut flat, mut offsets) = (Vec::new(), Vec::new());
+                let stats =
+                    resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
+                assert_eq!(stats, expect, "{at}");
+                let mut buf = Vec::new();
+                for (i, interval) in intervals.iter().enumerate() {
+                    fm.resolve_range_capped_into(interval.clone(), caps[i], &mut buf);
+                    let got = &flat[offsets[i]..offsets[i + 1]];
+                    assert_eq!(
+                        got,
+                        &buf[..],
+                        "{at}, interval {i} {interval:?} cap {}",
+                        caps[i]
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn capping_actually_drops_cursors() {
         let fm = small_index();
@@ -584,9 +539,9 @@ mod tests {
         // worklist instead of walking every row to a mark.
         let intervals = vec![fm.backward_search(&exma_genome::alphabet::parse_bases("A").unwrap())];
         assert!(intervals[0].len() > 3);
-        let mut resolver = BatchResolver::new(&fm);
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        let uncapped = resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+        let uncapped = resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         let capped = resolver.resolve_intervals_capped(&intervals, &[1], &mut flat, &mut offsets);
         assert_eq!(flat.len(), 1);
         assert!(capped.dropped > 0, "{capped:?}");
@@ -602,7 +557,7 @@ mod tests {
         // Cap only interval 0; everything else keeps full output.
         let mut caps = vec![UNCAPPED; intervals.len()];
         caps[0] = 2;
-        let mut resolver = BatchResolver::new(&fm);
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
         resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
         let mut buf = Vec::new();
@@ -617,9 +572,9 @@ mod tests {
         let fm = small_index();
         let intervals = intervals_of(&fm);
         let total: usize = intervals.iter().map(|r| r.len()).sum();
-        let mut resolver = BatchResolver::new(&fm);
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        let stats = resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+        let stats = resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         assert_eq!(stats.retired, total);
         assert_eq!(stats.peak_live, total);
         assert!(stats.rounds <= fm.sampled_sa().sample_rate());
@@ -630,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn sorting_changes_no_counter() {
+    fn prefetching_changes_no_counter() {
         let fm = small_index();
         let intervals = intervals_of(&fm);
         let run = |config: ResolveConfig, caps: &[u32]| {
@@ -640,8 +595,8 @@ mod tests {
         };
         for caps in [vec![], vec![2; intervals_of(&fm).len()]] {
             let plain = run(ResolveConfig::default(), &caps);
-            for config in [ResolveConfig::sorted(), ResolveConfig::locality()] {
-                assert_eq!(run(config, &caps), plain, "{config:?}, caps {caps:?}");
+            for config in &all_configs()[1..] {
+                assert_eq!(run(*config, &caps), plain, "{config:?}, caps {caps:?}");
             }
         }
     }
@@ -649,15 +604,15 @@ mod tests {
     #[test]
     fn empty_worklists_and_buffers_reset() {
         let fm = small_index();
-        let mut resolver = BatchResolver::new(&fm);
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
         let (mut flat, mut offsets) = (vec![9u32; 4], vec![7usize; 4]);
-        let stats = resolver.resolve_intervals(&[], &mut flat, &mut offsets);
+        let stats = resolver.resolve_intervals_capped(&[], &[], &mut flat, &mut offsets);
         assert_eq!(stats, ResolveStats::default());
         assert!(flat.is_empty());
         assert_eq!(offsets, vec![0]);
 
         // Stale buffer content must not survive a real call either.
-        let stats = resolver.resolve_intervals(&[0..0, 2..2], &mut flat, &mut offsets);
+        let stats = resolver.resolve_intervals_capped(&[0..0, 2..2], &[], &mut flat, &mut offsets);
         assert_eq!(stats.rounds, 0);
         assert!(flat.is_empty());
         assert_eq!(offsets, vec![0, 0, 0]);
@@ -669,15 +624,15 @@ mod tests {
         let intervals = intervals_of(&fm);
         let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+        resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         let first = flat.clone();
-        resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+        resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         assert_eq!(flat, first);
         // Alternating capped and uncapped calls through one arena must
         // not leak staging state between them.
         let caps = vec![1u32; intervals.len()];
         resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
-        resolver.resolve_intervals(&intervals, &mut flat, &mut offsets);
+        resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         assert_eq!(flat, first);
     }
 
@@ -685,16 +640,21 @@ mod tests {
     #[should_panic(expected = "extends past the text")]
     fn out_of_range_interval_panics() {
         let fm = small_index();
-        let mut resolver = BatchResolver::new(&fm);
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        resolver.resolve_intervals(&[0..1, 0..fm.text_len() + 1], &mut flat, &mut offsets);
+        resolver.resolve_intervals_capped(
+            &[0..1, 0..fm.text_len() + 1],
+            &[],
+            &mut flat,
+            &mut offsets,
+        );
     }
 
     #[test]
     #[should_panic(expected = "does not match")]
     fn mismatched_caps_are_rejected() {
         let fm = small_index();
-        let mut resolver = BatchResolver::new(&fm);
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
         resolver.resolve_intervals_capped(&[0..1, 0..2], &[1], &mut flat, &mut offsets);
     }

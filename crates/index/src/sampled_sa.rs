@@ -84,9 +84,9 @@ impl RankBits {
     /// Combined membership test and rank: `Some(rank(i))` when bit `i` is
     /// set, else `None` — one word load answers both questions, where
     /// [`RankBits::get`] followed by [`RankBits::rank`] reads the word
-    /// twice with a branch in between. This is the mark-check fast path of
-    /// the batched locate resolver, which issues it once per live cursor
-    /// per round.
+    /// twice with a branch in between. The batched locate resolver
+    /// issues it once per retired cursor, for the sample slot (which
+    /// rows retire it reads from the occurrence line).
     ///
     /// Bounds are checked in debug builds only; in release an `i` inside
     /// the final word's padding resolves to `None` (padding bits are never
@@ -130,6 +130,20 @@ impl RankBits {
     /// bit `i % 64`), for snapshot serialization.
     pub(crate) fn word_slice(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The positions of the set bits, ascending.
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 
     /// Heap bytes used.
@@ -189,21 +203,49 @@ impl SampledSuffixArray {
     /// The SA value at `row` if that row is sampled, else `None`.
     ///
     /// Branch-light: one combined word load decides membership *and* the
-    /// sample slot ([`RankBits::rank_if_set`]), so the resolver's per-round
-    /// mark check does not stall on a second rank lookup for the common
+    /// sample slot ([`RankBits::rank_if_set`]), so a serial walk's mark
+    /// check does not stall on a second rank lookup for the common
     /// unsampled-row case.
     #[inline]
     pub fn get(&self, row: usize) -> Option<u32> {
         Some(self.samples[self.marks.rank_if_set(row)?])
     }
 
-    /// Hints the CPU to pull the mark word a later
-    /// [`SampledSuffixArray::get`]`(row)` will test toward L1 — the batch
-    /// resolver issues this for cursor `j + d` while retiring cursor `j`.
-    /// Never faults; a no-op off x86-64.
+    /// Hints the CPU to pull the mark word and prefix count a later
+    /// [`SampledSuffixArray::get`]`(row)` will read toward L1. Never
+    /// faults; a no-op off x86-64.
     #[inline]
     pub fn prefetch(&self, row: usize) {
         self.marks.prefetch(row);
+    }
+
+    /// [`SampledSuffixArray::get`] in two halves, so the batch resolver
+    /// can put a prefetch between them: the index of sampled row `row`'s
+    /// value in the sample vector, to hand to
+    /// [`SampledSuffixArray::prefetch_sample`] and
+    /// [`SampledSuffixArray::sample`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a sampled row.
+    #[inline]
+    pub(crate) fn slot(&self, row: usize) -> usize {
+        self.marks
+            .rank_if_set(row)
+            .expect("only sampled rows have a sample slot")
+    }
+
+    /// Hints the CPU to pull sample `slot` toward L1. Never faults; a
+    /// no-op off x86-64.
+    #[inline]
+    pub(crate) fn prefetch_sample(&self, slot: usize) {
+        prefetch_element(&self.samples, slot);
+    }
+
+    /// The SA value in sample slot `slot`.
+    #[inline]
+    pub(crate) fn sample(&self, slot: usize) -> u32 {
+        self.samples[slot]
     }
 
     /// Number of rows actually stored.
@@ -305,7 +347,14 @@ mod tests {
             for (row, &value) in sa.iter().enumerate() {
                 let expect = (value as usize % rate == 0).then_some(value);
                 assert_eq!(ssa.get(row), expect, "rate {rate}, row {row}");
+                if expect.is_some() {
+                    // The same read in the two halves the resolver uses.
+                    assert_eq!(ssa.sample(ssa.slot(row)), value, "rate {rate}, row {row}");
+                }
             }
+            let marked: Vec<usize> = ssa.marks().ones().collect();
+            let sampled = (0..sa.len()).filter(|&row| sa[row] as usize % rate == 0);
+            assert_eq!(marked, sampled.collect::<Vec<_>>(), "rate {rate}");
         }
     }
 

@@ -670,6 +670,38 @@ mod tests {
     }
 
     #[test]
+    fn sa_marks_in_the_occurrence_lines_never_reach_the_image() {
+        // The trailing whole-file CRC32 of these images as the commit
+        // before the occurrence lines carried SA marks wrote them: v1
+        // and v2 stay byte-for-byte what earlier builds read and write.
+        for (index, crc) in [
+            (toy_index(4), 0xc98f_2b36),
+            (toy_bidir_index(2), 0x348f_ac88),
+        ] {
+            let occ = index.base_index().occ();
+            let n = index.text_len();
+            let marked = (0..n).filter(|&row| occ.lf_data(row).2).count();
+            assert_eq!(marked, index.base_index().sampled_sa().stored());
+            let bytes = encode_snapshot(&index);
+            // The BWT section leads, right behind the (v1 or v2) header.
+            let flags_len = if index.is_bidirectional() {
+                FLAGS_LEN
+            } else {
+                0
+            };
+            let bwt_start = HEADER_LEN + flags_len + SECTION_HEADER_LEN;
+            assert_eq!(u64_at(&bytes, bwt_start - 12), n as u64);
+            assert!(bytes[bwt_start..bwt_start + n].iter().all(|&b| b < 5));
+            assert_eq!(u32_at(&bytes, bytes.len() - 4), crc);
+            // And it loads to the index a cold build makes, marks and all.
+            assert_eq!(
+                decode_snapshot(&bytes, None).expect("valid snapshot"),
+                index
+            );
+        }
+    }
+
+    #[test]
     fn round_trip_through_the_filesystem() {
         let index = toy_index(4);
         let path = temp_path("fs_round_trip");
