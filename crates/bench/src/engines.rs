@@ -19,9 +19,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use exma_engine::{
-    BatchConfig, EngineBuilder, EngineError, Executor, HeapBreakdown, IndexLayout, QueryResults,
-};
+use exma_engine::{BatchConfig, EngineBuilder, Executor, HeapBreakdown, IndexLayout, QueryResults};
 use exma_genome::Symbol;
 use exma_index::{FmIndex, KStepFmIndex, ResolveConfig};
 
@@ -88,11 +86,11 @@ pub fn builder_configs(thread_counts: &[usize]) -> Vec<(EngineBuilder, Measure)>
         EngineBuilder::new().resolve(ResolveConfig::default()),
         Measure::LocateOnly,
     ));
-    // The memory-layout presets at the headline width: the compact
-    // two-level layout and the flat u32 baseline it is gated against.
-    for layout in [IndexLayout::compact(), IndexLayout::fast()] {
-        configs.push((EngineBuilder::new().layout(layout), Measure::All));
-    }
+    // The memory-first layout preset at the headline width.
+    configs.push((
+        EngineBuilder::new().layout(IndexLayout::compact()),
+        Measure::All,
+    ));
     let mut seen = HashSet::new();
     configs.retain(|(builder, _)| seen.insert(builder.descriptor()));
     configs
@@ -103,19 +101,16 @@ pub struct EngineSet {
     pub one: FmIndex,
     pub k2: KStepFmIndex,
     pub k4: KStepFmIndex,
-    /// k = 4 rebuilt under [`IndexLayout::compact`] — the memory-first
-    /// preset the heap gate measures.
+    /// k = 4 rebuilt under [`IndexLayout::compact`], the memory-first
+    /// preset.
     pub k4_compact: KStepFmIndex,
-    /// k = 4 rebuilt under [`IndexLayout::fast`] — the flat-u32 baseline
-    /// the gate compares against.
-    pub k4_fast: KStepFmIndex,
-    /// Wall-clock build seconds for `one`, `k2`, `k4`, `k4_compact`,
-    /// `k4_fast` respectively.
-    pub build_secs: [f64; 5],
+    /// Wall-clock build seconds for `one`, `k2`, `k4`, `k4_compact`
+    /// respectively.
+    pub build_secs: [f64; 4],
 }
 
 impl EngineSet {
-    /// Builds all five indexes from one sentinel-terminated text, timing
+    /// Builds all four indexes from one sentinel-terminated text, timing
     /// each build (suffix-array construction included — each engine pays
     /// its full cost from raw text).
     pub fn build(text: &[Symbol]) -> EngineSet {
@@ -145,19 +140,12 @@ impl EngineSet {
                 .build_index(text)
                 .expect("the compact preset builds on every profile")
         });
-        let (k4_fast, fast_secs) = timed(|| {
-            EngineBuilder::new()
-                .layout(IndexLayout::fast())
-                .build_index(text)
-                .expect("the flat-u32 preset builds on every profile")
-        });
         EngineSet {
             one,
             k2,
             k4,
             k4_compact,
-            k4_fast,
-            build_secs: [one_secs, k2_secs, k4_secs, compact_secs, fast_secs],
+            build_secs: [one_secs, k2_secs, k4_secs, compact_secs],
         }
     }
 
@@ -182,11 +170,6 @@ impl EngineSet {
                 &self.k4_compact,
                 self.build_secs[3],
                 "lockstep_k4_locality_compact",
-            ),
-            (4, l) if l == IndexLayout::fast() => (
-                &self.k4_fast,
-                self.build_secs[4],
-                "lockstep_k4_locality_fast",
             ),
             (4, l) if l == IndexLayout::default() => (&self.k4, self.build_secs[2], "seq_k4"),
             (1, l) if l == IndexLayout::default() => {
@@ -266,25 +249,14 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Builds the swept index and remembers the recipe.
     pub fn build(text: &[Symbol], builder: EngineBuilder, measure: Measure) -> SweepPoint {
-        SweepPoint::try_build(text, builder, measure).expect("sweep recipe builds")
-    }
-
-    /// Fallible variant of [`SweepPoint::build`] for sweeps whose grid
-    /// legitimately contains unbuildable points (a u8 delta overflowing
-    /// at a coarse spacing) — the frontier is recorded, not panicked on.
-    pub fn try_build(
-        text: &[Symbol],
-        builder: EngineBuilder,
-        measure: Measure,
-    ) -> Result<SweepPoint, EngineError> {
         let start = Instant::now();
-        let index = builder.build_index(text)?;
-        Ok(SweepPoint {
+        let index = builder.build_index(text).expect("sweep recipe builds");
+        SweepPoint {
             index,
             builder,
             build_secs: start.elapsed().as_secs_f64(),
             measure,
-        })
+        }
     }
 
     /// The measured variant for this sweep point (it owns its index, so
@@ -355,7 +327,6 @@ mod tests {
                 "lockstep_k4_locality_t4",
                 "lockstep_k4_locality_rplain",
                 "lockstep_k4_locality_compact",
-                "lockstep_k4_locality_fast",
             ]
         );
         assert_eq!(
@@ -377,7 +348,7 @@ mod tests {
             .map(|i| genome.seq().slice(i * 37, 9 + i % 13))
             .collect();
         let variants = set.variants(&[1, 2, 4]);
-        assert_eq!(variants.len(), 11);
+        assert_eq!(variants.len(), 10);
         let batches = [
             QueryBatch::uniform(QueryRequest::Count, &patterns),
             QueryBatch::uniform(QueryRequest::locate(), &patterns),
@@ -437,25 +408,23 @@ mod tests {
             .iter()
             .find(|v| v.label == "lockstep_k4_locality_compact")
             .unwrap();
-        let fast = variants
+        let default = variants
             .iter()
-            .find(|v| v.label == "lockstep_k4_locality_fast")
+            .find(|v| v.label == "lockstep_k4_locality")
             .unwrap();
-        // Preset variants build their own index, so they share nothing.
+        // The preset variant builds its own index, so it shares nothing.
         assert!(compact.shares_index_with.is_none());
-        assert!(fast.shares_index_with.is_none());
         assert_eq!(compact.heap_bytes, set.k4_compact.heap_bytes());
-        assert_eq!(fast.heap_bytes, set.k4_fast.heap_bytes());
         assert!(
-            compact.heap_bytes < fast.heap_bytes,
-            "compact {} vs fast {}",
+            compact.heap_bytes < default.heap_bytes,
+            "compact {} vs default {}",
             compact.heap_bytes,
-            fast.heap_bytes
+            default.heap_bytes
         );
-        // The compression acts on the checkpoint components specifically.
+        // The saving is in the checkpoint components specifically.
         assert!(
             compact.heap.k_occ_checkpoints + compact.heap.k_occ_deltas
-                < fast.heap.k_occ_checkpoints + fast.heap.k_occ_deltas
+                < default.heap.k_occ_checkpoints + default.heap.k_occ_deltas
         );
     }
 
@@ -469,12 +438,12 @@ mod tests {
         let expected: Vec<usize> = patterns.iter().map(|p| one.count(p)).collect();
         let fine = SweepPoint::build(
             &text,
-            EngineBuilder::new().k_occ_sample_rate(64),
+            EngineBuilder::new().layout(IndexLayout::new().k_occ_sample_rate(64)),
             Measure::All,
         );
         let coarse = SweepPoint::build(
             &text,
-            EngineBuilder::new().k_occ_sample_rate(1024),
+            EngineBuilder::new().layout(IndexLayout::new().k_occ_sample_rate(1024)),
             Measure::All,
         );
         for point in [&fine, &coarse] {
@@ -494,12 +463,12 @@ mod tests {
         let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
         let fine = SweepPoint::build(
             &text,
-            EngineBuilder::new().sa_sample_rate(8),
+            EngineBuilder::new().layout(IndexLayout::new().sa_sample_rate(8)),
             Measure::LocateOnly,
         );
         let coarse = SweepPoint::build(
             &text,
-            EngineBuilder::new().sa_sample_rate(64),
+            EngineBuilder::new().layout(IndexLayout::new().sa_sample_rate(64)),
             Measure::LocateOnly,
         );
         for point in [&fine, &coarse] {

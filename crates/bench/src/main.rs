@@ -10,19 +10,17 @@
 //! an all-`locate` batch, and a `mixed` scenario interleaving counts,
 //! capped and uncapped locates, and interval requests — then writes
 //! `BENCH_exma.json` (schema v7: derived descriptors as engine labels,
-//! per-component heap breakdowns, the delta-width sweep, and the
-//! bidirectional preset section). Every genome additionally rebuilds
-//! the headline k = 4 index strand-agnostic under each memory-layout
-//! preset (default/compact/fast) and times all-`SearchBoth` batches of
+//! per-component heap breakdowns, and the bidirectional preset
+//! section). Every genome additionally rebuilds the headline k = 4
+//! index strand-agnostic under each memory-layout preset
+//! (default/compact) and times all-`SearchBoth` batches of
 //! error-free reads drawn from either strand, verified against the
 //! brute-force both-strand scan — the measured cost of the doubled
 //! `forward·revcomp` text next to its forward-only counterpart.
 //! Every variant's answers are cross-checked against the sequential
-//! 1-step oracle, the prefetching schedule is checked to issue exactly
-//! the plain one's LF steps, and the compact layout preset is gated to
-//! at most half the flat-u32 baseline's heap; any violation makes the
-//! process exit non-zero, which is what the `bench-smoke` CI job gates
-//! on.
+//! 1-step oracle, and the prefetching schedule is checked to issue
+//! exactly the plain one's LF steps; any violation makes the process
+//! exit non-zero, which is what the `bench-smoke` CI job gates on.
 //!
 //! ```text
 //! cargo run --release -p exma-bench                 # full run (~2 min)
@@ -38,8 +36,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use exma_engine::{
-    DeltaWidth, EngineBuilder, HeapBreakdown, IndexLayout, QueryArena, QueryBatch, QueryRequest,
-    QueryResults,
+    EngineBuilder, HeapBreakdown, IndexLayout, QueryArena, QueryBatch, QueryRequest, QueryResults,
 };
 use exma_genome::{
     Base, ErrorProfile, Genome, GenomeProfile, LongReadSimulator, ShortReadSimulator, Symbol,
@@ -74,15 +71,6 @@ const SWEEP_RATES: [usize; 5] = [64, 128, 256, 512, 1024];
 /// trade-off the sweep maps.
 const SA_SWEEP_RATES: [usize; 4] = [8, 16, 32, 64];
 
-/// `k_occ_sample_rate` held fixed by `--sweep-delta-width` — the compact
-/// preset's spacing, where checkpoint rows dominate the footprint and
-/// the delta-width × superblock-spacing cross actually moves it.
-const DELTA_SWEEP_KOCC_RATE: usize = 640;
-
-/// Superblock spacings crossed with each two-level width by
-/// `--sweep-delta-width`.
-const DELTA_SWEEP_SB_RATES: [usize; 3] = [2, 8, 64];
-
 const USAGE: &str = "exma-bench: benchmark the builder-config enumeration of FM-index engines
 
 USAGE:
@@ -99,21 +87,14 @@ OPTIONS:
     --sweep-sa-sample-rate
                           also sweep sa_sample_rate over 8..64 on the picea
                           profile (k = 4, locality engine, locate timing)
-    --sweep-delta-width   also cross checkpoint delta width (u32 flat, u16,
-                          u8) with superblock spacing (2, 8, 64) at the
-                          compact k-occ spacing on the picea profile;
-                          unbuildable points (delta overflow) are recorded
-                          as build errors, mapping the compression frontier
     --list-engines        print the derived descriptor of every enumerated
                           builder config (sweep configs included with the
                           sweep flags) and exit
     --help                print this help
 
 Exits non-zero if any variant's results diverge from the sequential
-1-step oracle on any op (count, locate, or the mixed scenario), if the
-prefetching schedule issues other LF steps than the plain one, or if
-the compact layout preset's k = 4 heap exceeds half the flat-u32
-baseline's on any genome.";
+1-step oracle on any op (count, locate, or the mixed scenario), or if
+the prefetching schedule issues other LF steps than the plain one.";
 
 struct Args {
     smoke: bool,
@@ -123,7 +104,6 @@ struct Args {
     threads: Vec<usize>,
     sweep: bool,
     sweep_sa: bool,
-    sweep_delta: bool,
     list_engines: bool,
 }
 
@@ -447,19 +427,13 @@ fn heap_json(heap: &HeapBreakdown) -> Json {
 /// The strand-agnostic recipes of the bidirectional section: the
 /// headline k = 4 width under each memory-layout preset, rebuilt over
 /// the doubled `forward·revcomp` text.
-fn bidir_preset_builders() -> [(&'static str, EngineBuilder); 3] {
+fn bidir_preset_builders() -> [(&'static str, EngineBuilder); 2] {
     [
         ("default", EngineBuilder::new().bidirectional(true)),
         (
             "compact",
             EngineBuilder::new()
                 .layout(IndexLayout::compact())
-                .bidirectional(true),
-        ),
-        (
-            "fast",
-            EngineBuilder::new()
-                .layout(IndexLayout::fast())
                 .bidirectional(true),
         ),
     ]
@@ -511,7 +485,7 @@ fn bidir_loads(genome: &Genome, spec: &RunSpec, seed: u64) -> Vec<BidirLoad> {
 /// [`bidir_preset_builders`] is built, verified, and timed on the
 /// [`bidir_loads`]. The default preset's verification head is checked
 /// query by query against the brute-force both-strand scan (cap rule
-/// included); the other presets must answer the full batches
+/// included); the other preset must answer the full batches
 /// identically to the default one — layout changes the footprint,
 /// never the answers. Heap is reported next to the matching
 /// forward-only index's, making the ~2× strand-agnostic cost a
@@ -520,7 +494,7 @@ fn bidir_loads(genome: &Genome, spec: &RunSpec, seed: u64) -> Vec<BidirLoad> {
 fn bidir_section(
     genome: &Genome,
     text: &[Symbol],
-    forward_heap: [usize; 3],
+    forward_heap: [usize; 2],
     spec: &RunSpec,
     seed: u64,
 ) -> (Vec<Json>, usize) {
@@ -621,7 +595,7 @@ fn sweep_builders() -> Vec<(EngineBuilder, Measure, usize)> {
         .iter()
         .map(|&rate| {
             (
-                EngineBuilder::new().k_occ_sample_rate(rate),
+                EngineBuilder::new().layout(IndexLayout::new().k_occ_sample_rate(rate)),
                 Measure::All,
                 rate,
             )
@@ -634,39 +608,12 @@ fn sa_sweep_builders() -> Vec<(EngineBuilder, Measure, usize)> {
         .iter()
         .map(|&rate| {
             (
-                EngineBuilder::new().sa_sample_rate(rate),
+                EngineBuilder::new().layout(IndexLayout::new().sa_sample_rate(rate)),
                 Measure::LocateOnly,
                 rate,
             )
         })
         .collect()
-}
-
-/// The delta-width × superblock-spacing cross of `--sweep-delta-width`:
-/// the flat u32 baseline plus every two-level width at every spacing,
-/// all at the compact k-occ checkpoint rate. Some u8 points are
-/// expected *not* to build on real profiles — a 640-row block under a
-/// wide superblock overflows a u8 counter — which is the frontier the
-/// sweep exists to map.
-fn delta_sweep_builders() -> Vec<(EngineBuilder, Measure, DeltaWidth, usize)> {
-    let base = EngineBuilder::new().k_occ_sample_rate(DELTA_SWEEP_KOCC_RATE);
-    let mut builders = vec![(
-        base.delta_width(DeltaWidth::U32),
-        Measure::All,
-        DeltaWidth::U32,
-        0usize,
-    )];
-    for width in [DeltaWidth::U16, DeltaWidth::U8] {
-        for &sb in &DELTA_SWEEP_SB_RATES {
-            builders.push((
-                base.delta_width(width).superblock_rate(sb),
-                Measure::All,
-                width,
-                sb,
-            ));
-        }
-    }
-    builders
 }
 
 /// `--list-engines`: print the derived descriptor of every enumerated
@@ -709,15 +656,6 @@ fn list_engines(args: &Args, thread_counts: &[usize]) {
             );
         }
     }
-    if args.sweep_delta {
-        println!("# --sweep-delta-width configs (picea profile)");
-        for (builder, measure, width, sb) in delta_sweep_builders() {
-            println!(
-                "{:<34} delta_width={width} superblock_rate={sb} measure={measure:?}",
-                builder.descriptor()
-            );
-        }
-    }
 }
 
 fn run(args: &Args) -> ExitCode {
@@ -740,7 +678,6 @@ fn run(args: &Args) -> ExitCode {
     let mut bidir_results: Vec<Json> = Vec::new();
     let mut sweep_results: Vec<Json> = Vec::new();
     let mut sa_sweep_results: Vec<Json> = Vec::new();
-    let mut delta_sweep_results: Vec<Json> = Vec::new();
     let mut violations = 0usize;
 
     for profile in &spec.genomes {
@@ -759,20 +696,6 @@ fn run(args: &Args) -> ExitCode {
         violations += verify(&variants, &loads, &profile.name);
         violations += check_schedule_steps(&variants, &loads, &profile.name);
 
-        // Heap regression gate: the compact preset's k = 4 index must
-        // cost at most half the flat-u32 baseline's — if two-level
-        // compression ever regresses, the run fails loud, on every
-        // genome including the CI smoke profiles.
-        let (compact, fast) = (set.k4_compact.heap_bytes(), set.k4_fast.heap_bytes());
-        if compact * 2 > fast {
-            eprintln!(
-                "HEAP REGRESSION: {}: compact k=4 heap {compact} B exceeds half the \
-                 flat-u32 layout's {fast} B",
-                profile.name
-            );
-            violations += 1;
-        }
-
         let timings = measure_interleaved(&variants, &loads, &spec);
         for (variant, variant_timings) in variants.iter().zip(&timings) {
             results.push(engine_entry(
@@ -788,14 +711,10 @@ fn run(args: &Args) -> ExitCode {
         // included: the strand-agnostic cost per layout preset is a
         // headline number, not an opt-in sweep.
         eprintln!(
-            "[{}] building bidirectional k=4 presets (default/compact/fast)...",
+            "[{}] building bidirectional k=4 presets (default/compact)...",
             spec.mode
         );
-        let forward_heap = [
-            set.k4.heap_bytes(),
-            set.k4_compact.heap_bytes(),
-            set.k4_fast.heap_bytes(),
-        ];
+        let forward_heap = [set.k4.heap_bytes(), set.k4_compact.heap_bytes()];
         let (entries, bidir_divergences) =
             bidir_section(&genome, &text, forward_heap, &spec, args.seed);
         violations += bidir_divergences;
@@ -861,57 +780,6 @@ fn run(args: &Args) -> ExitCode {
                 );
             }
         }
-
-        if args.sweep_delta && profile.name.starts_with("picea") {
-            let oracle_counts: Vec<_> = loads
-                .iter()
-                .map(|load| oracle.exec.run(&load.batches[OP_COUNT]).0)
-                .collect();
-            for (builder, measure, width, sb) in delta_sweep_builders() {
-                eprintln!(
-                    "[{}] delta sweep: k=4, kocc={DELTA_SWEEP_KOCC_RATE}, width={width}, sb={sb}...",
-                    spec.mode
-                );
-                let tagged = |entry: Json| {
-                    entry
-                        .field("delta_width", width.to_string())
-                        .field("superblock_rate", sb)
-                };
-                let point = match SweepPoint::try_build(&text, builder, measure) {
-                    Ok(point) => point,
-                    Err(err) => {
-                        // An unbuildable point is the frontier, not a
-                        // failure: record the typed reason and move on.
-                        eprintln!("[{}]   -> does not build: {err}", spec.mode);
-                        delta_sweep_results.push(tagged(
-                            Json::obj()
-                                .field("genome", profile.name.as_str())
-                                .field("engine", builder.descriptor())
-                                .field("build_error", err.to_string()),
-                        ));
-                        continue;
-                    }
-                };
-                let sweep_variant = [point.variant()];
-                for (load, expected) in loads.iter().zip(&oracle_counts) {
-                    if sweep_variant[0].exec.run(&load.batches[OP_COUNT]).0 != *expected {
-                        eprintln!(
-                            "DIVERGENCE: {}/{}/{}: count differs from 1-step oracle",
-                            profile.name, sweep_variant[0].label, load.name
-                        );
-                        violations += 1;
-                    }
-                }
-                let timings = measure_interleaved(&sweep_variant, &loads, &spec);
-                delta_sweep_results.push(tagged(engine_entry(
-                    &sweep_variant[0],
-                    &timings[0],
-                    &loads,
-                    &spec,
-                    &genome,
-                )));
-            }
-        }
     }
 
     let verified = violations == 0;
@@ -941,9 +809,6 @@ fn run(args: &Args) -> ExitCode {
     if args.sweep_sa {
         doc = doc.field("sa_rate_sweep", sa_sweep_results);
     }
-    if args.sweep_delta {
-        doc = doc.field("delta_width_sweep", delta_sweep_results);
-    }
     let rendered = format!("{doc}\n");
     if let Err(err) = std::fs::write(&args.out, rendered) {
         eprintln!("failed to write {}: {err}", args.out.display());
@@ -967,7 +832,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
         threads: Vec::new(),
         sweep: false,
         sweep_sa: false,
-        sweep_delta: false,
         list_engines: false,
     };
     let mut argv = argv.peekable();
@@ -976,7 +840,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
             "--smoke" => args.smoke = true,
             "--sweep-sample-rate" => args.sweep = true,
             "--sweep-sa-sample-rate" => args.sweep_sa = true,
-            "--sweep-delta-width" => args.sweep_delta = true,
             "--list-engines" => args.list_engines = true,
             "--out" => {
                 let path = argv.next().ok_or("--out requires a path")?;
@@ -1032,7 +895,6 @@ mod tests {
         assert!(!args.smoke);
         assert!(!args.sweep);
         assert!(!args.sweep_sa);
-        assert!(!args.sweep_delta);
         assert!(!args.list_engines);
         assert!(args.threads.is_empty());
         assert_eq!(args.out, PathBuf::from("BENCH_exma.json"));
@@ -1049,7 +911,6 @@ mod tests {
                 "1,2,8",
                 "--sweep-sample-rate",
                 "--sweep-sa-sample-rate",
-                "--sweep-delta-width",
                 "--list-engines",
             ]
             .iter()
@@ -1060,7 +921,6 @@ mod tests {
         assert!(args.smoke);
         assert!(args.sweep);
         assert!(args.sweep_sa);
-        assert!(args.sweep_delta);
         assert!(args.list_engines);
         assert_eq!(args.threads, vec![1, 2, 8]);
         assert_eq!(args.out, PathBuf::from("/tmp/b.json"));
@@ -1126,24 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_sweep_crosses_widths_and_spacings() {
-        let builders = delta_sweep_builders();
-        // 1 flat baseline + {u16, u8} × 3 spacings.
-        assert_eq!(builders.len(), 7);
-        assert_eq!(builders[0].2, DeltaWidth::U32);
-        let labels: Vec<String> = builders.iter().map(|(b, ..)| b.descriptor()).collect();
-        assert!(labels.contains(&"lockstep_k4_locality_kocc640_d32".to_string()));
-        assert!(labels.contains(&"lockstep_k4_locality_kocc640_sb2".to_string()));
-        assert!(labels.contains(&"lockstep_k4_locality_kocc640_d8_sb64".to_string()));
-        let unique: std::collections::HashSet<_> = labels.iter().collect();
-        assert_eq!(unique.len(), labels.len(), "sweep labels must be unique");
-    }
-
-    #[test]
     fn bidir_presets_cover_every_layout_with_derived_labels() {
         let presets = bidir_preset_builders();
         let names: Vec<&str> = presets.iter().map(|(name, _)| *name).collect();
-        assert_eq!(names, ["default", "compact", "fast"]);
+        assert_eq!(names, ["default", "compact"]);
         for (_, builder) in &presets {
             assert!(builder.is_bidirectional());
             assert_eq!(builder.step_width(), 4);
@@ -1155,7 +1001,7 @@ mod tests {
         }
         let labels: std::collections::HashSet<String> =
             presets.iter().map(|(_, b)| b.descriptor()).collect();
-        assert_eq!(labels.len(), 3, "preset labels must be distinct");
+        assert_eq!(labels.len(), 2, "preset labels must be distinct");
     }
 
     #[test]

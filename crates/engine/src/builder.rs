@@ -21,8 +21,8 @@ use std::path::Path;
 
 use exma_genome::Symbol;
 use exma_index::{
-    load_snapshot_expecting, write_snapshot, DeltaWidth, FmIndex, IndexError, KStepBuildConfig,
-    KStepFmIndex, ResolveConfig, SnapshotError,
+    load_snapshot_expecting, write_snapshot, FmIndex, IndexError, KStepBuildConfig, KStepFmIndex,
+    ResolveConfig, SnapshotError,
 };
 
 use crate::batch::{BatchConfig, BatchEngine};
@@ -34,7 +34,7 @@ use crate::shard::ShardedEngine;
 const DEFAULT_OCC_RATE: usize = 44;
 /// Default suffix-array sampling rate.
 const DEFAULT_SA_RATE: usize = 32;
-/// Default superblock spacing of the two-level checkpoint layouts.
+/// Default superblock spacing of the checkpoint rows.
 const DEFAULT_SUPERBLOCK_RATE: usize = 16;
 
 /// Why a builder recipe cannot build an index or attach an executor.
@@ -86,8 +86,8 @@ pub enum EngineError {
         builder_bidirectional: bool,
     },
     /// The index layer rejected the recipe while building: a text too
-    /// large for `u32` counters, a delta counter saturating before its
-    /// superblock boundary, or an unprovable superblock span.
+    /// large for `u32` counters, or a superblock span too wide for the
+    /// checkpoint rows' `u16` deltas.
     Index(IndexError),
     /// The snapshot layer rejected a persisted index: corruption,
     /// truncation, a stale format, a recipe mismatch, or plain I/O —
@@ -157,17 +157,17 @@ impl From<SnapshotError> for EngineError {
 
 /// The complete memory layout of an index, as one typed value.
 ///
-/// Collapses the sampling-rate setters that used to live directly on
-/// [`EngineBuilder`] plus the two checkpoint-compression knobs
-/// ([`DeltaWidth`], superblock spacing) into a single recipe taken by
-/// [`EngineBuilder::layout`]. Setters record; validation happens when
-/// the owning builder's recipe is used. Two presets mark the extremes:
+/// The three sampling rates and the superblock spacing of the
+/// checkpoint rows (`u16` deltas off sparse absolute `u32` superblock
+/// rows, in both occurrence tables), as the single recipe taken by
+/// [`EngineBuilder::layout`] — the one way to set a layout. Setters
+/// record; validation happens when the owning builder's recipe is used.
+/// Two presets:
 ///
-/// | preset | occ | sa | k-occ | deltas | superblocks |
-/// |---|---|---|---|---|---|
-/// | [`IndexLayout::default`] | 44 | 32 | 64k | u16 | 16 |
-/// | [`IndexLayout::compact`] | 54 | 32 | 640 | u16 | 32 |
-/// | [`IndexLayout::fast`] | 44 | 32 | 64k | u32 (flat) | — |
+/// | preset | occ | sa | k-occ | superblocks |
+/// |---|---|---|---|---|
+/// | [`IndexLayout::default`] | 44 | 32 | 64k | 16 |
+/// | [`IndexLayout::compact`] | 54 | 32 | 640 | 32 |
 ///
 /// ```
 /// use exma_engine::{EngineBuilder, IndexLayout};
@@ -181,19 +181,17 @@ pub struct IndexLayout {
     sa_sample_rate: usize,
     /// `None` = the k-dependent default (`64 * k`).
     k_occ_sample_rate: Option<usize>,
-    delta_width: DeltaWidth,
     superblock_rate: usize,
 }
 
 impl Default for IndexLayout {
-    /// The balanced default: one-cache-line blocks at the historical
-    /// spacings, with two-level `u16` checkpoints every 16 blocks.
+    /// The balanced default: one-cache-line Occ blocks, k-occ checkpoints
+    /// every `64k` rows, superblock rows every 16 blocks.
     fn default() -> IndexLayout {
         IndexLayout {
             occ_sample_rate: DEFAULT_OCC_RATE,
             sa_sample_rate: DEFAULT_SA_RATE,
             k_occ_sample_rate: None,
-            delta_width: DeltaWidth::U16,
             superblock_rate: DEFAULT_SUPERBLOCK_RATE,
         }
     }
@@ -206,8 +204,8 @@ impl IndexLayout {
     }
 
     /// Memory-first preset: coarser k-occ checkpoints (640 rows) under
-    /// wider superblocks (32 blocks), and the 54-row two-level Occ
-    /// spacing whose block is still exactly one cache line. Targets a
+    /// wider superblocks (32 blocks), and the 54-row Occ spacing whose
+    /// block is still exactly one cache line. Targets a
     /// k = 4 footprint within ~2× of the 1-step index at plateau
     /// latency.
     pub fn compact() -> IndexLayout {
@@ -215,17 +213,6 @@ impl IndexLayout {
             occ_sample_rate: 54,
             k_occ_sample_rate: Some(640),
             superblock_rate: 32,
-            ..IndexLayout::default()
-        }
-    }
-
-    /// Latency-first preset: the flat absolute-`u32` checkpoint rows of
-    /// earlier revisions (no superblock indirection) at the default
-    /// spacings — the uncompressed baseline the heap regression gate
-    /// compares against.
-    pub fn fast() -> IndexLayout {
-        IndexLayout {
-            delta_width: DeltaWidth::U32,
             ..IndexLayout::default()
         }
     }
@@ -250,22 +237,14 @@ impl IndexLayout {
         self
     }
 
-    /// Per-block checkpoint counter width ([`DeltaWidth::U32`] = flat
-    /// absolute rows, no superblocks).
-    pub fn delta_width(mut self, width: DeltaWidth) -> IndexLayout {
-        self.delta_width = width;
-        self
-    }
-
-    /// Blocks per absolute superblock row in the two-level layouts.
+    /// Blocks per absolute superblock row of both occurrence tables.
     pub fn superblock_rate(mut self, rate: usize) -> IndexLayout {
         self.superblock_rate = rate;
         self
     }
 
-    /// Checks the layout's knobs — zero rates are the only locally
-    /// decidable failures; span and overflow checks belong to the index
-    /// layer, which sees the text.
+    /// Checks the layout's knobs for zero rates; the superblock span
+    /// rule belongs to the index layer, which owns the checkpoint format.
     pub fn validate(&self) -> Result<(), EngineError> {
         for (knob, rate) in [
             ("occ", self.occ_sample_rate),
@@ -290,22 +269,17 @@ impl IndexLayout {
             k_occ_sample_rate: self
                 .k_occ_sample_rate
                 .unwrap_or_else(|| KStepBuildConfig::for_k(k).k_occ_sample_rate),
-            delta_width: self.delta_width,
             superblock_rate: self.superblock_rate,
             bidirectional: false,
         }
     }
 
     /// The descriptor fragments this layout derives: nothing for the
-    /// default, `_compact`/`_fast` for the named presets, otherwise one
-    /// fragment per non-default knob.
+    /// default, `_compact` for the named preset, otherwise one fragment
+    /// per non-default knob.
     fn descriptor_fragments(&self, k: usize, tag: &mut String) {
         if *self == IndexLayout::compact() {
             tag.push_str("_compact");
-            return;
-        }
-        if *self == IndexLayout::fast() {
-            tag.push_str("_fast");
             return;
         }
         if self.occ_sample_rate != DEFAULT_OCC_RATE {
@@ -319,14 +293,7 @@ impl IndexLayout {
                 tag.push_str(&format!("_kocc{rate}"));
             }
         }
-        match self.delta_width {
-            DeltaWidth::U8 => tag.push_str("_d8"),
-            DeltaWidth::U32 => tag.push_str("_d32"),
-            DeltaWidth::U16 => {}
-        }
-        // Superblock spacing only matters (and only prints) when a
-        // two-level layout is in effect.
-        if !self.delta_width.is_absolute() && self.superblock_rate != DEFAULT_SUPERBLOCK_RATE {
+        if self.superblock_rate != DEFAULT_SUPERBLOCK_RATE {
             tag.push_str(&format!("_sb{}", self.superblock_rate));
         }
     }
@@ -393,9 +360,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the whole memory layout at once — the primary way to
-    /// configure index memory; the per-knob setters below are sugar
-    /// over it.
+    /// Sets the memory layout — the sampling rates and superblock
+    /// spacing ride an [`IndexLayout`], nothing else sets them.
     pub fn layout(mut self, layout: IndexLayout) -> EngineBuilder {
         self.layout = layout;
         self
@@ -404,43 +370,6 @@ impl EngineBuilder {
     /// The recipe's current memory layout.
     pub fn index_layout(&self) -> IndexLayout {
         self.layout
-    }
-
-    /// Checkpoint spacing of the 1-step occurrence table. Thin wrapper
-    /// over [`IndexLayout::occ_sample_rate`].
-    pub fn occ_sample_rate(mut self, rate: usize) -> EngineBuilder {
-        self.layout = self.layout.occ_sample_rate(rate);
-        self
-    }
-
-    /// Text-position spacing of kept suffix-array samples — `locate`'s
-    /// latency/heap knob. Thin wrapper over
-    /// [`IndexLayout::sa_sample_rate`].
-    pub fn sa_sample_rate(mut self, rate: usize) -> EngineBuilder {
-        self.layout = self.layout.sa_sample_rate(rate);
-        self
-    }
-
-    /// Checkpoint spacing of the k-mer occurrence table — the paper's
-    /// central memory/latency knob. Thin wrapper over
-    /// [`IndexLayout::k_occ_sample_rate`].
-    pub fn k_occ_sample_rate(mut self, rate: usize) -> EngineBuilder {
-        self.layout = self.layout.k_occ_sample_rate(rate);
-        self
-    }
-
-    /// Per-block checkpoint counter width. Thin wrapper over
-    /// [`IndexLayout::delta_width`].
-    pub fn delta_width(mut self, width: DeltaWidth) -> EngineBuilder {
-        self.layout = self.layout.delta_width(width);
-        self
-    }
-
-    /// Blocks per absolute superblock row. Thin wrapper over
-    /// [`IndexLayout::superblock_rate`].
-    pub fn superblock_rate(mut self, rate: usize) -> EngineBuilder {
-        self.layout = self.layout.superblock_rate(rate);
-        self
     }
 
     /// The lockstep search schedule (its [`ResolveConfig`] rides along;
@@ -536,9 +465,9 @@ impl EngineBuilder {
 
     /// Builds the index this recipe queries — over the text as given,
     /// or over the doubled text when the recipe is
-    /// [`EngineBuilder::bidirectional`]. Layout failures that only
-    /// the text can reveal — delta saturation, `u32` overflow — surface
-    /// as [`EngineError::Index`].
+    /// [`EngineBuilder::bidirectional`]. Layout failures the index
+    /// layer decides — a superblock span too wide, `u32` overflow —
+    /// surface as [`EngineError::Index`].
     pub fn build_index(&self, text: &[Symbol]) -> Result<KStepFmIndex, EngineError> {
         let config = self.build_config()?;
         if self.bidirectional {
@@ -637,11 +566,10 @@ impl EngineBuilder {
 
     /// The canonical descriptor of this recipe, derived field by field:
     /// `seq_k{k}` or `lockstep_k{k}_{schedule}`, then `_t{n}` for
-    /// multi-threaded recipes and the layout's fragments — `_compact`/
-    /// `_fast` for the named presets, otherwise
-    /// `_occ{r}`/`_sa{r}`/`_kocc{r}` for non-default sampling rates,
-    /// `_d8`/`_d32` for non-default delta widths and `_sb{r}` for
-    /// non-default superblock spacings. Named schedule presets print as
+    /// multi-threaded recipes and the layout's fragments — `_compact`
+    /// for the named preset, otherwise `_occ{r}`/`_sa{r}`/`_kocc{r}` for
+    /// non-default sampling rates and `_sb{r}` for a non-default
+    /// superblock spacing. Named schedule presets print as
     /// `plain`/`locality`; a resolver override appends
     /// `_r{resolve}`. Equal recipes derive equal descriptors, which is
     /// what the benchmark enumeration dedupes on.
@@ -704,6 +632,9 @@ mod tests {
     use crate::query::QueryBatch;
     use exma_genome::alphabet::parse_bases;
     use exma_genome::genome::text_from_str;
+    use exma_genome::{Genome, GenomeProfile};
+    use exma_index::kocc::naive_krank;
+    use exma_index::HeapBreakdown;
 
     #[test]
     fn descriptors_derive_from_every_field() {
@@ -729,36 +660,23 @@ mod tests {
                 .descriptor(),
             "lockstep_k4_locality_rplain"
         );
+        let with = |layout: IndexLayout| EngineBuilder::new().layout(layout).descriptor();
         assert_eq!(
-            EngineBuilder::new().sa_sample_rate(16).descriptor(),
+            with(IndexLayout::new().sa_sample_rate(16)),
             "lockstep_k4_locality_sa16"
         );
         assert_eq!(
-            EngineBuilder::new().k_occ_sample_rate(128).descriptor(),
+            with(IndexLayout::new().k_occ_sample_rate(128)),
             "lockstep_k4_locality_kocc128"
         );
         // The k-dependent kocc default derives no fragment.
         assert_eq!(
-            EngineBuilder::new().k_occ_sample_rate(256).descriptor(),
+            with(IndexLayout::new().k_occ_sample_rate(256)),
             "lockstep_k4_locality"
         );
         assert_eq!(
-            EngineBuilder::new()
-                .delta_width(DeltaWidth::U8)
-                .descriptor(),
-            "lockstep_k4_locality_d8"
-        );
-        assert_eq!(
-            EngineBuilder::new().superblock_rate(64).descriptor(),
-            "lockstep_k4_locality_sb64"
-        );
-        // Flat rows have no superblocks, so the spacing derives nothing.
-        assert_eq!(
-            EngineBuilder::new()
-                .delta_width(DeltaWidth::U32)
-                .superblock_rate(64)
-                .descriptor(),
-            "lockstep_k4_locality_d32"
+            with(IndexLayout::new().occ_sample_rate(54).superblock_rate(64)),
+            "lockstep_k4_locality_occ54_sb64"
         );
         assert_eq!(
             EngineBuilder::new()
@@ -781,19 +699,16 @@ mod tests {
                 .descriptor(),
             "lockstep_k4_locality_compact"
         );
-        assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::fast())
-                .descriptor(),
-            "lockstep_k4_locality_fast"
-        );
         // A knob sequence that lands exactly on a preset IS that preset:
         // equal recipes, equal descriptors.
+        let by_knobs = IndexLayout::new()
+            .occ_sample_rate(54)
+            .k_occ_sample_rate(640)
+            .superblock_rate(32);
+        assert_eq!(by_knobs, IndexLayout::compact());
         assert_eq!(
-            EngineBuilder::new()
-                .delta_width(DeltaWidth::U32)
-                .descriptor(),
-            "lockstep_k4_locality_fast"
+            EngineBuilder::new().layout(by_knobs).descriptor(),
+            "lockstep_k4_locality_compact"
         );
         assert_eq!(
             EngineBuilder::new()
@@ -804,51 +719,119 @@ mod tests {
     }
 
     #[test]
-    fn legacy_setters_delegate_to_the_layout() {
-        let via_setters = EngineBuilder::new()
-            .occ_sample_rate(54)
-            .sa_sample_rate(32)
-            .k_occ_sample_rate(640)
-            .superblock_rate(32);
-        let via_layout = EngineBuilder::new().layout(IndexLayout::compact());
-        assert_eq!(via_setters, via_layout);
-        assert_eq!(via_setters.index_layout(), IndexLayout::compact());
-        assert_eq!(
-            via_setters.build_config().unwrap(),
-            via_layout.build_config().unwrap()
-        );
-    }
-
-    #[test]
     fn layout_failures_surface_as_engine_errors() {
         assert_eq!(
             IndexLayout::new().superblock_rate(0).validate().err(),
             Some(EngineError::ZeroSampleRate { knob: "superblock" })
         );
-        // A delta too narrow for the text comes back as a typed build
-        // error, not a panic: a run of one symbol longer than u8::MAX
-        // saturates a u8 delta before its superblock boundary.
-        let text = text_from_str(&"A".repeat(300)).unwrap();
+        // A superblock span one row wider than a u16 delta provably
+        // counts (4096 x 16 = 65 536) comes back from the k-table as a
+        // typed build error, not a panic — whatever the text.
+        let text = text_from_str("CATAGA").unwrap();
         let err = EngineBuilder::new()
-            .k(1)
             .layout(
                 IndexLayout::new()
-                    .k_occ_sample_rate(1)
-                    .delta_width(DeltaWidth::U8)
-                    .superblock_rate(512),
+                    .k_occ_sample_rate(4096)
+                    .superblock_rate(16),
             )
             .build_index(&text)
-            .expect_err("a 300-row run must overflow a u8 delta");
-        assert!(
-            matches!(err, EngineError::Index(IndexError::DeltaOverflow { .. })),
-            "{err:?}"
+            .expect_err("a 65 536-row span must be refused");
+        assert_eq!(
+            err,
+            EngineError::Index(IndexError::SuperblockSpanTooWide {
+                sample_rate: 4096,
+                superblock_rate: 16,
+                max_span: 65_535,
+            })
         );
         let rendered = format!("{err}");
-        assert!(rendered.contains("delta"), "{rendered}");
+        assert!(rendered.contains("4096 x 16"), "{rendered}");
         assert!(
             std::error::Error::source(&err).is_some(),
             "Index errors expose their source"
         );
+    }
+
+    #[test]
+    fn the_widest_legal_span_builds_and_ranks_like_naive() {
+        // 4369 x 15 = 65 535 rows, the widest span the rule admits, over
+        // a text whose k-BWT is one run of A longer than it: the run
+        // drives the first superblock's deltas as high as they go at this
+        // spacing (14 x 4369 = 61 166) and crosses into the second.
+        let text = text_from_str(&"A".repeat(70_000)).unwrap();
+        let index = EngineBuilder::new()
+            .k(1)
+            .layout(
+                IndexLayout::new()
+                    .k_occ_sample_rate(4369)
+                    .superblock_rate(15),
+            )
+            .build_index(&text)
+            .unwrap();
+        let kocc = index.kmer_occ();
+        assert_eq!(kocc.sample_rate() * kocc.superblock_rate(), 65_535);
+        let codes: Vec<u16> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
+        assert!(codes[..70_000].iter().all(|&c| c == 0));
+        // Every block boundary and its neighbours, the superblock
+        // boundary at row 65 535 among them.
+        for boundary in (0..=kocc.len()).step_by(4369) {
+            for i in boundary.saturating_sub(1)..=(boundary + 1).min(kocc.len()) {
+                for r in 0..4u16 {
+                    assert_eq!(
+                        kocc.rank(r, i),
+                        naive_krank(&codes, r, i),
+                        "code {r}, row {i}"
+                    );
+                    let lo = i.saturating_sub(4369 / 2);
+                    assert_eq!(
+                        kocc.rank_pair(r, lo, i),
+                        (naive_krank(&codes, r, lo), naive_krank(&codes, r, i)),
+                        "code {r}, interval {lo}..{i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_components_equal_their_closed_forms() {
+        // Both presets at k = 4 over 120 000 bases and the sentinel:
+        // every component against its formula, so a silently widened
+        // checkpoint row or block fails by name.
+        let profile = GenomeProfile {
+            len: 120_000,
+            ..GenomeProfile::toy()
+        };
+        let text = Genome::synthesize(&profile, 42).text_with_sentinel();
+        let n = text.len();
+        let stride = 256; // 4^k counters per row, one-byte code lanes
+        let line_round = |bytes: usize| bytes.next_multiple_of(64);
+        for (layout, occ_rate, kocc_rate, sb_rate) in [
+            (IndexLayout::default(), 44, 256, 16),
+            (IndexLayout::compact(), 54, 640, 32),
+        ] {
+            let index = EngineBuilder::new()
+                .layout(layout)
+                .build_index(&text)
+                .unwrap();
+            let kocc_blocks = n / kocc_rate + 1;
+            let occ_blocks = n / occ_rate + 1;
+            let expected = HeapBreakdown {
+                k_occ_checkpoints: line_round(kocc_blocks.div_ceil(sb_rate) * stride * 4),
+                k_occ_deltas: kocc_blocks * stride * 2,
+                // Code lanes and block padding, plus the totals row.
+                k_occ_codes: kocc_blocks * (line_round(stride * 2 + kocc_rate) - stride * 2)
+                    + stride * 4,
+                one_step_occ: occ_blocks * line_round(5 * 2 + occ_rate)
+                    + line_round(occ_blocks.div_ceil(sb_rate) * 5 * 4),
+                sa_samples: n.div_ceil(32) * 4,
+                // One bit per row, and a u32 running rank per 64 of them.
+                rank_bits: n.div_ceil(64) * (8 + 4),
+                // The k-mer C-array and the k sentinel-crossing rows.
+                other: stride * 4 + 4 * 4,
+            };
+            assert_eq!(index.heap_breakdown(), expected, "{layout:?}");
+        }
     }
 
     #[test]
@@ -859,7 +842,7 @@ mod tests {
         assert_eq!(
             EngineBuilder::new()
                 .k(2)
-                .k_occ_sample_rate(999)
+                .layout(IndexLayout::new().k_occ_sample_rate(999))
                 .build_config()
                 .unwrap()
                 .k_occ_sample_rate,
@@ -919,12 +902,15 @@ mod tests {
             Some(EngineError::InvalidK { k: 99 })
         );
         assert_eq!(
-            EngineBuilder::new().sa_sample_rate(0).build_config().err(),
+            EngineBuilder::new()
+                .layout(IndexLayout::new().sa_sample_rate(0))
+                .build_config()
+                .err(),
             Some(EngineError::ZeroSampleRate { knob: "sa" })
         );
         assert_eq!(
             EngineBuilder::new()
-                .k_occ_sample_rate(0)
+                .layout(IndexLayout::new().k_occ_sample_rate(0))
                 .build_index(&text)
                 .err(),
             Some(EngineError::ZeroSampleRate { knob: "k_occ" })

@@ -63,8 +63,8 @@ pub mod shard;
 pub use batch::{BatchConfig, BatchEngine, BatchStats, DEFAULT_PREFETCH_DISTANCE};
 pub use builder::{EngineBuilder, EngineError, IndexLayout};
 pub use exec::Executor;
-// The layout vocabulary an `IndexLayout` is written in, so engine users
-// need not depend on `exma_index` directly.
-pub use exma_index::{DeltaWidth, HeapBreakdown, IndexError, SnapshotError};
+// The index-layer types the engine surface returns, so engine users need
+// not depend on `exma_index` directly.
+pub use exma_index::{HeapBreakdown, IndexError, SnapshotError};
 pub use query::{QueryArena, QueryBatch, QueryOutput, QueryRequest, QueryResults};
 pub use shard::ShardedEngine;

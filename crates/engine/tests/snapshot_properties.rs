@@ -1,7 +1,6 @@
 //! Acceptance properties of snapshot persistence at the engine surface:
-//! for every `IndexLayout` preset and every delta width (u8/u16/u32
-//! across superblock spacings), an index written with
-//! `EngineBuilder::snapshot_to` and reloaded with
+//! for both `IndexLayout` presets and a custom-spacing recipe, an index
+//! written with `EngineBuilder::snapshot_to` and reloaded with
 //! `attach_from_snapshot` must be *equal* to the freshly built one —
 //! same build recipe, same heap attribution, and byte-identical
 //! `Executor` results on 600 random mixed queries — and a snapshot must
@@ -11,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use exma_engine::{
-    DeltaWidth, EngineBuilder, EngineError, IndexLayout, QueryBatch, QueryRequest, SnapshotError,
+    EngineBuilder, EngineError, IndexLayout, QueryBatch, QueryRequest, SnapshotError,
 };
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
 
@@ -31,33 +30,19 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// The layout matrix under test: the three named presets, plus one
-/// explicit recipe per delta width exercising non-default superblock
-/// spacings (u8 needs a provably narrow span; u32 is the flat layout).
+/// The layout matrix under test: the two named presets, plus one recipe
+/// moving every spacing off both.
 fn layout_matrix() -> Vec<(&'static str, IndexLayout)> {
     vec![
         ("default", IndexLayout::new()),
         ("compact", IndexLayout::compact()),
-        ("fast", IndexLayout::fast()),
         (
-            "u8_sb2",
+            "custom",
             IndexLayout::new()
-                .delta_width(DeltaWidth::U8)
-                .k_occ_sample_rate(64)
+                .occ_sample_rate(7)
+                .sa_sample_rate(8)
+                .k_occ_sample_rate(96)
                 .superblock_rate(2),
-        ),
-        (
-            "u16_sb32",
-            IndexLayout::new()
-                .delta_width(DeltaWidth::U16)
-                .k_occ_sample_rate(128)
-                .superblock_rate(32),
-        ),
-        (
-            "u32_flat",
-            IndexLayout::new()
-                .delta_width(DeltaWidth::U32)
-                .k_occ_sample_rate(96),
         ),
     ]
 }
@@ -137,11 +122,13 @@ fn a_snapshot_only_loads_under_the_recipe_that_wrote_it() {
     writer.snapshot_to(&index, &path).unwrap();
 
     // Every differently-shaped reader is rejected with the typed
-    // mismatch — wrong k, wrong preset, wrong width.
+    // mismatch — wrong k, wrong preset, wrong spacing.
     for reader in [
         EngineBuilder::new().k(2).layout(IndexLayout::compact()),
         EngineBuilder::new().k(4),
-        EngineBuilder::new().k(4).layout(IndexLayout::fast()),
+        EngineBuilder::new()
+            .k(4)
+            .layout(IndexLayout::compact().superblock_rate(16)),
         EngineBuilder::new()
             .k(4)
             .layout(IndexLayout::compact().sa_sample_rate(8)),

@@ -12,7 +12,7 @@ use std::ops::Range;
 use exma_genome::genome::Genome;
 use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, CountTable, Symbol};
 
-use crate::layout::{DeltaWidth, HeapBreakdown, IndexError};
+use crate::layout::{HeapBreakdown, IndexError};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 
@@ -23,27 +23,22 @@ pub struct FmBuildConfig {
     pub occ_sample_rate: usize,
     /// Text-position spacing of kept suffix-array samples.
     pub sa_sample_rate: usize,
-    /// Checkpoint compression: [`DeltaWidth::U32`] keeps the flat
-    /// absolute rows; any narrow width selects the two-level layout (the
-    /// 1-step Occ table's deltas are always `u16`).
-    pub delta_width: DeltaWidth,
-    /// Blocks per absolute superblock row in the two-level layout;
-    /// ignored with [`DeltaWidth::U32`].
+    /// Blocks per absolute superblock row of the occurrence table.
     pub superblock_rate: usize,
 }
 
 impl Default for FmBuildConfig {
-    /// Occ checkpoints every 44 symbols — the widest spacing whose
-    /// interleaved block (five counters + 44 one-byte codes) fits one
-    /// 64-byte cache line even with flat `u32` counters — two-level
-    /// `u16` deltas with superblocks every 16 blocks, and BWA-style SA
-    /// samples every 32 positions. The default superblock span
-    /// (44 × 16 = 704 rows) is provably overflow-free.
+    /// Occ checkpoints every 44 symbols: an interleaved block (five
+    /// `u16` deltas + 44 one-byte codes) inside one 64-byte cache line.
+    /// The line has room for 54 codes; 44 stays because every committed
+    /// heap figure and default-recipe snapshot was taken at it, so moving
+    /// it is a measured change of its own. Superblocks every 16 blocks —
+    /// a span of 44 × 16 = 704 rows, provably overflow-free — and
+    /// BWA-style SA samples every 32 positions.
     fn default() -> FmBuildConfig {
         FmBuildConfig {
             occ_sample_rate: 44,
             sa_sample_rate: 32,
-            delta_width: DeltaWidth::U16,
             superblock_rate: 16,
         }
     }
@@ -64,8 +59,8 @@ impl FmIndex {
     /// # Errors
     ///
     /// Propagates [`IndexError`] from the occurrence table: a text too
-    /// long for `u32` counters, or a two-level superblock span too wide
-    /// for its `u16` deltas.
+    /// long for `u32` counters, or a superblock span too wide for its
+    /// `u16` deltas.
     ///
     /// # Panics
     ///
@@ -77,14 +72,9 @@ impl FmIndex {
     ) -> Result<FmIndex, IndexError> {
         let sa = suffix_array(text);
         let bwt = bwt_from_sa(text, &sa);
-        let occ = if config.delta_width.is_absolute() {
-            OccTable::new(&bwt, config.occ_sample_rate)
-        } else {
-            OccTable::two_level(&bwt, config.occ_sample_rate, config.superblock_rate)?
-        };
         Ok(FmIndex::from_parts(
             count_table(text),
-            occ,
+            OccTable::new(&bwt, config.occ_sample_rate, config.superblock_rate)?,
             SampledSuffixArray::new(&sa, config.sa_sample_rate),
         ))
     }
@@ -398,41 +388,34 @@ mod tests {
 
     #[test]
     fn occurrence_lines_mark_exactly_the_sampled_rows() {
-        // Flat and two-level occurrence layouts x occ rates x SA rates,
-        // SA rate 1 included, where *every* code byte carries the mark.
+        // Occ rates x SA rates, SA rate 1 included, where *every* code
+        // byte carries the mark.
         let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG").unwrap();
         let bwt = bwt_from_sa(&text, &suffix_array(&text));
         let counts = count_table(&text);
-        for delta_width in [DeltaWidth::U32, DeltaWidth::U16] {
-            for occ_sample_rate in [1, 7, 44, 54, 200] {
-                // The same table before `from_parts` marked it.
-                let unmarked = if delta_width.is_absolute() {
-                    OccTable::new(&bwt, occ_sample_rate)
-                } else {
-                    OccTable::two_level(&bwt, occ_sample_rate, 16).unwrap()
+        for occ_sample_rate in [1, 7, 44, 54, 200] {
+            // The same table before `from_parts` marked it.
+            let unmarked = OccTable::new(&bwt, occ_sample_rate, 16).unwrap();
+            for sa_sample_rate in [1, 2, 5, 32] {
+                let config = FmBuildConfig {
+                    occ_sample_rate,
+                    sa_sample_rate,
+                    ..FmBuildConfig::default()
                 };
-                for sa_sample_rate in [1, 2, 5, 32] {
-                    let config = FmBuildConfig {
-                        occ_sample_rate,
-                        sa_sample_rate,
-                        delta_width,
-                        ..FmBuildConfig::default()
-                    };
-                    let fm = FmIndex::from_text_with_config(&text, config).unwrap();
-                    for i in 0..=text.len() {
-                        assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "{config:?}");
-                    }
-                    for (row, &s) in bwt.iter().enumerate() {
-                        let at = format!("{config:?}, row {row}");
-                        let sampled = fm.sampled_sa().get(row).is_some();
-                        let rank = unmarked.rank(s, row);
-                        assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
-                        assert_eq!(fm.occ().symbol(row), s, "{at}");
-                        assert_eq!(fm.occ().rank(s, row), rank, "{at}");
-                        let lf = (counts.count(s) + rank) as usize;
-                        assert_eq!(fm.lf(row), lf, "{at}");
-                        assert_eq!(fm.lf_marked(row), (lf, sampled), "{at}");
-                    }
+                let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+                for i in 0..=text.len() {
+                    assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "{config:?}");
+                }
+                for (row, &s) in bwt.iter().enumerate() {
+                    let at = format!("{config:?}, row {row}");
+                    let sampled = fm.sampled_sa().get(row).is_some();
+                    let rank = unmarked.rank(s, row);
+                    assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
+                    assert_eq!(fm.occ().symbol(row), s, "{at}");
+                    assert_eq!(fm.occ().rank(s, row), rank, "{at}");
+                    let lf = (counts.count(s) + rank) as usize;
+                    assert_eq!(fm.lf(row), lf, "{at}");
+                    assert_eq!(fm.lf_marked(row), (lf, sampled), "{at}");
                 }
             }
         }

@@ -10,10 +10,12 @@
 //! allocated line-aligned, so one `rank` touches one contiguous region.
 //! This module holds what those tables share: a `u32` word buffer whose
 //! first word sits on a cache-line boundary; the rank kernel that counts
-//! a code among a block's first lanes (`AlignedWords::prefix_counts`);
+//! a code among a block's first lanes (`BlockStore::prefix_counts`);
 //! the software-prefetch hints the batch scheduler uses to overlap block
-//! fetches across queries; and `Divisor`, which splits a row into
-//! block and offset without a hardware divide.
+//! fetches across queries; `Divisor`, which splits a row into block and
+//! offset without a hardware divide; and `BlockStore`, the checkpoint
+//! format itself — `u16` deltas off sparse `u32` superblock rows — built,
+//! read, hinted and sized in one place for both tables.
 //!
 //! # The rank kernel
 //!
@@ -34,10 +36,12 @@
 //! byte and counts `lane & 0x07`; the k-mer table's codes use the whole
 //! byte, and its all-ones mask compiles away. The price is that the
 //! whole code region is read every time, which is why the prefetch hints
-//! cover all of it (`AlignedWords::prefetch_span`). Reading only up to
+//! cover all of it (`BlockStore::prefetch_block`). Reading only up to
 //! the furthest offset's line — re-reading that line in place of the
 //! later ones, to keep the trip count — measured 2.5 % slower on the
 //! 20 Mbp index than reading them all.
+
+use crate::layout::IndexError;
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
@@ -162,96 +166,6 @@ impl AlignedWords {
     pub fn prefetch(&self, index: usize) {
         prefetch_element(self.words(), index);
     }
-
-    /// The cache lines holding `block`'s code lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` lies past the buffer.
-    #[inline]
-    fn code_lines(&self, span: CodeSpan, block: usize) -> &[CacheLine] {
-        let first = span.first_line(block);
-        &self.lines[first..first + span.lines]
-    }
-
-    /// Hints every cache line [`AlignedWords::prefix_counts`] reads for
-    /// `block`: its whole code region. Never faults; a no-op off x86-64
-    /// and for blocks past the buffer.
-    #[inline]
-    pub(crate) fn prefetch_span(&self, span: CodeSpan, block: usize) {
-        let first = span.first_line(block);
-        for line in first..first + span.lines {
-            prefetch_element(&self.lines, line);
-        }
-    }
-
-    /// For each of `offsets`, the occurrences of `needle` among that many
-    /// leading one-byte code lanes of `block` (each offset at most the
-    /// lanes a block holds), all in one pass. The kernel of every rank
-    /// over byte codes; see the module docs. A lane counts when
-    /// `lane & MASK == needle`: a table whose code bytes carry flag bits
-    /// above the code names the code bits here, one whose codes use the
-    /// whole byte passes [`u8::MAX`], which compiles the mask away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` lies past the buffer.
-    #[inline]
-    pub(crate) fn prefix_counts<const MASK: u8, const N: usize>(
-        &self,
-        span: CodeSpan,
-        block: usize,
-        needle: u8,
-        offsets: [usize; N],
-    ) -> [u32; N] {
-        let lines = self.code_lines(span, block);
-        #[cfg(target_arch = "x86_64")]
-        return prefix_counts_sse2::<MASK, N>(lines, span.head, needle, offsets);
-        #[cfg(not(target_arch = "x86_64"))]
-        return prefix_counts_scalar(lanes_of::<u8>(lines), span.head, MASK, needle, offsets);
-    }
-
-    /// What each byte kernel by itself answers to a
-    /// [`AlignedWords::prefix_counts`] call, by name: the portable one
-    /// and, on x86-64, the SSE2 one. For differential tests; nothing
-    /// switches between kernels at run time.
-    #[cfg(test)]
-    pub(crate) fn prefix_counts_by_kernel<const MASK: u8, const N: usize>(
-        &self,
-        span: CodeSpan,
-        block: usize,
-        needle: u8,
-        offsets: [usize; N],
-    ) -> Vec<(&'static str, [u32; N])> {
-        let lines = self.code_lines(span, block);
-        vec![
-            (
-                "scalar",
-                prefix_counts_scalar(lanes_of::<u8>(lines), span.head, MASK, needle, offsets),
-            ),
-            #[cfg(target_arch = "x86_64")]
-            (
-                "sse2",
-                prefix_counts_sse2::<MASK, N>(lines, span.head, needle, offsets),
-            ),
-        ]
-    }
-
-    /// [`AlignedWords::prefix_counts`] over two-byte code lanes (offsets
-    /// count lanes, not bytes): the portable kernel on every
-    /// architecture.
-    #[inline]
-    pub(crate) fn prefix_counts_wide<const N: usize>(
-        &self,
-        span: CodeSpan,
-        block: usize,
-        needle: u16,
-        offsets: [usize; N],
-    ) -> [u32; N] {
-        let lines = self.code_lines(span, block);
-        let lanes = lanes_of::<u16>(lines);
-        prefix_counts_scalar(lanes, span.head / 2, u16::MAX, needle, offsets)
-    }
 }
 
 /// An integer type the buffer may be viewed as.
@@ -320,6 +234,332 @@ impl CodeSpan {
     #[inline]
     fn first_line(self, block: usize) -> usize {
         block * self.block_lines + self.first
+    }
+}
+
+/// Rows a superblock may span: a delta counts occurrences since its
+/// superblock row, one per row at most, so a span within `u16` proves
+/// every delta fits whatever the text.
+const MAX_SUPERBLOCK_SPAN: usize = u16::MAX as usize;
+
+/// The one overflow rule of the checkpoint format, decided from the two
+/// spacings alone — before a builder allocates, and before a loader
+/// believes a header.
+///
+/// # Errors
+///
+/// [`IndexError::SuperblockSpanTooWide`] if
+/// `sample_rate * superblock_rate` exceeds 65 535 rows.
+pub(crate) fn check_superblock_span(
+    sample_rate: usize,
+    superblock_rate: usize,
+) -> Result<(), IndexError> {
+    if sample_rate.saturating_mul(superblock_rate) > MAX_SUPERBLOCK_SPAN {
+        return Err(IndexError::SuperblockSpanTooWide {
+            sample_rate,
+            superblock_rate,
+            max_span: MAX_SUPERBLOCK_SPAN,
+        });
+    }
+    Ok(())
+}
+
+/// The one checkpoint format, stored once for both occurrence tables.
+///
+/// Rows are checkpointed every `sample_rate` of them; block `b` packs the
+/// checkpoint for prefix `b * sample_rate` with the code lanes of the
+/// rows it covers, in bytes:
+///
+/// ```text
+/// [ lanes u16 deltas | sample_rate code lanes (1 or 2 bytes each) | pad ]
+/// ```
+///
+/// padded so every block starts on a 64-byte cache-line boundary. A delta
+/// is relative to the absolute `u32` row kept, every `superblock_rate`
+/// blocks, in a separate small array. What a code lane *means* — and so
+/// which lanes a rank counts — is the owning table's business: it feeds
+/// the lanes in, names the counter each one bumps, and reads them back
+/// through the kernel with its own mask.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BlockStore {
+    data: AlignedWords,
+    /// Absolute checkpoint rows, one `lanes`-word group per
+    /// `superblock_rate` blocks.
+    superblocks: AlignedWords,
+    /// Counters per checkpoint row.
+    lanes: usize,
+    /// Words per block, line-rounded.
+    block_words: usize,
+    /// Where a block's code lanes lie: right behind its delta row.
+    span: CodeSpan,
+    /// Rows covered.
+    len: usize,
+    sample_rate: Divisor,
+    superblock_rate: Divisor,
+}
+
+impl BlockStore {
+    /// Lays `rows` out in blocks. Each row is its code lane as stored
+    /// (`code_bytes` wide, 1 or 2) and the counter it bumps, `lanes` or
+    /// more for a lane no rank counts. Returns the store and the counters'
+    /// totals over all rows.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::IndexTooLarge`] if the rows outgrow `u32` counters;
+    /// [`IndexError::SuperblockSpanTooWide`] if
+    /// `sample_rate * superblock_rate` exceeds 65 535 rows, the bound
+    /// that proves no delta can overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample_rate == 0`, `superblock_rate == 0`, or a code
+    /// does not fit a one-byte lane.
+    pub(crate) fn build(
+        lanes: usize,
+        code_bytes: usize,
+        sample_rate: usize,
+        superblock_rate: usize,
+        mut rows: impl ExactSizeIterator<Item = (u16, usize)>,
+    ) -> Result<(BlockStore, Vec<u32>), IndexError> {
+        assert!(sample_rate > 0, "sample rate must be positive");
+        assert!(superblock_rate > 0, "superblock rate must be positive");
+        let len = rows.len();
+        if len >= u32::MAX as usize {
+            return Err(IndexError::IndexTooLarge { rows: len });
+        }
+        check_superblock_span(sample_rate, superblock_rate)?;
+        let blocks = len / sample_rate + 1;
+        let delta_bytes = lanes * 2;
+        let block_words = (delta_bytes + sample_rate * code_bytes)
+            .div_ceil(4)
+            .next_multiple_of(WORDS_PER_LINE);
+        let mut data = AlignedWords::zeroed(blocks * block_words);
+        let mut superblocks = AlignedWords::zeroed(blocks.div_ceil(superblock_rate) * lanes);
+        let mut running = vec![0u32; lanes];
+        let mut group_row = vec![0u32; lanes];
+        for block in 0..blocks {
+            // The checkpoint row for prefix `block * sample_rate`: counts
+            // accumulated so far, relative to the superblock's.
+            let base = block * block_words;
+            if block % superblock_rate == 0 {
+                let g = block / superblock_rate * lanes;
+                superblocks.words_mut()[g..g + lanes].copy_from_slice(&running);
+                group_row.copy_from_slice(&running);
+            }
+            let deltas = &mut data.halves_mut()[base * 2..base * 2 + lanes];
+            for ((delta, &now), &at_group) in deltas.iter_mut().zip(&running).zip(&group_row) {
+                *delta = u16::try_from(now - at_group).expect("the span rule bounds every delta");
+            }
+            // The codes this block covers, as plain narrow lanes behind
+            // the delta row.
+            let code_base = base * 4 + delta_bytes;
+            let slots = &mut data.bytes_mut()[code_base..code_base + sample_rate * code_bytes];
+            for (slot, (code, lane)) in slots.chunks_exact_mut(code_bytes).zip(rows.by_ref()) {
+                match slot {
+                    [byte] => *byte = u8::try_from(code).expect("code fits a one-byte lane"),
+                    // Native order: what the `u16` view of these bytes reads.
+                    _ => slot.copy_from_slice(&code.to_ne_bytes()),
+                }
+                if let Some(count) = running.get_mut(lane) {
+                    *count += 1;
+                }
+            }
+        }
+        let store = BlockStore {
+            data,
+            superblocks,
+            lanes,
+            block_words,
+            span: CodeSpan::new(block_words, delta_bytes, sample_rate * code_bytes),
+            len,
+            sample_rate: Divisor::new(sample_rate),
+            superblock_rate: Divisor::new(superblock_rate),
+        };
+        Ok((store, running))
+    }
+
+    /// Rows covered.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Counters per checkpoint row.
+    #[inline]
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The checkpoint spacing, in rows.
+    pub(crate) fn sample_rate(&self) -> usize {
+        self.sample_rate.get()
+    }
+
+    /// Blocks per absolute superblock row.
+    pub(crate) fn superblock_rate(&self) -> usize {
+        self.superblock_rate.get()
+    }
+
+    /// The block holding `row` and the row's offset into it.
+    #[inline]
+    pub(crate) fn split(&self, row: usize) -> (usize, usize) {
+        self.sample_rate.div_rem(row)
+    }
+
+    /// Index of the absolute superblock counter `block`'s checkpoint is
+    /// relative to.
+    #[inline]
+    fn superblock_word(&self, block: usize, lane: usize) -> usize {
+        self.superblock_rate.div_rem(block).0 * self.lanes + lane
+    }
+
+    /// The absolute count of counter `lane` at `block`'s checkpoint:
+    /// superblock word plus delta.
+    #[inline]
+    pub(crate) fn checkpoint(&self, block: usize, lane: usize) -> u32 {
+        self.superblocks.words()[self.superblock_word(block, lane)]
+            + u32::from(self.data.halves()[block * self.block_words * 2 + lane])
+    }
+
+    /// The cache lines holding `block`'s code lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` lies past the store.
+    #[inline]
+    fn code_lines(&self, block: usize) -> &[CacheLine] {
+        let first = self.span.first_line(block);
+        &self.data.lines[first..first + self.span.lines]
+    }
+
+    /// For each of `offsets`, the occurrences of `needle` among that many
+    /// leading one-byte code lanes of `block` (each offset at most the
+    /// lanes a block holds), all in one pass. The kernel of every rank
+    /// over byte codes; see the module docs. A lane counts when
+    /// `lane & MASK == needle`: a table whose code bytes carry flag bits
+    /// above the code names the code bits here, one whose codes use the
+    /// whole byte passes [`u8::MAX`], which compiles the mask away.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` lies past the store.
+    #[inline]
+    pub(crate) fn prefix_counts<const MASK: u8, const N: usize>(
+        &self,
+        block: usize,
+        needle: u8,
+        offsets: [usize; N],
+    ) -> [u32; N] {
+        let lines = self.code_lines(block);
+        #[cfg(target_arch = "x86_64")]
+        return prefix_counts_sse2::<MASK, N>(lines, self.span.head, needle, offsets);
+        #[cfg(not(target_arch = "x86_64"))]
+        return prefix_counts_scalar(lanes_of::<u8>(lines), self.span.head, MASK, needle, offsets);
+    }
+
+    /// What each byte kernel by itself answers to a
+    /// [`BlockStore::prefix_counts`] call, by name: the portable one
+    /// and, on x86-64, the SSE2 one. For differential tests; nothing
+    /// switches between kernels at run time.
+    #[cfg(test)]
+    pub(crate) fn prefix_counts_by_kernel<const MASK: u8, const N: usize>(
+        &self,
+        block: usize,
+        needle: u8,
+        offsets: [usize; N],
+    ) -> Vec<(&'static str, [u32; N])> {
+        let (lines, head) = (self.code_lines(block), self.span.head);
+        vec![
+            (
+                "scalar",
+                prefix_counts_scalar(lanes_of::<u8>(lines), head, MASK, needle, offsets),
+            ),
+            #[cfg(target_arch = "x86_64")]
+            (
+                "sse2",
+                prefix_counts_sse2::<MASK, N>(lines, head, needle, offsets),
+            ),
+        ]
+    }
+
+    /// [`BlockStore::prefix_counts`] over two-byte code lanes (offsets
+    /// count lanes, not bytes): the portable kernel on every
+    /// architecture.
+    #[inline]
+    pub(crate) fn prefix_counts_wide<const N: usize>(
+        &self,
+        block: usize,
+        needle: u16,
+        offsets: [usize; N],
+    ) -> [u32; N] {
+        let lanes = lanes_of::<u16>(self.code_lines(block));
+        prefix_counts_scalar(lanes, self.span.head / 2, u16::MAX, needle, offsets)
+    }
+
+    /// Hints the line of counter `lane`'s delta in `block`. Only a table
+    /// whose delta row outgrows the block's first code line needs it;
+    /// [`BlockStore::prefetch_block`] reaches that line anyway. Never
+    /// faults.
+    #[inline]
+    pub(crate) fn prefetch_delta(&self, block: usize, lane: usize) {
+        self.data.prefetch(block * self.block_words + lane / 2);
+    }
+
+    /// Hints the other lines a rank of counter `lane` in `block` reads:
+    /// the superblock word its delta is relative to, and the block's whole
+    /// code region, which the kernel always reads. Never faults; a no-op
+    /// off x86-64 and for blocks past the store.
+    #[inline]
+    pub(crate) fn prefetch_block(&self, block: usize, lane: usize) {
+        self.superblocks.prefetch(self.superblock_word(block, lane));
+        let first = self.span.first_line(block);
+        for line in first..first + self.span.lines {
+            prefetch_element(&self.data.lines, line);
+        }
+    }
+
+    /// Byte index of `block`'s first code lane.
+    #[inline]
+    fn code_base(&self, block: usize) -> usize {
+        self.span.first_line(block) * LINE_BYTES + self.span.head
+    }
+
+    /// The first `count` one-byte code lanes of `block`.
+    #[inline]
+    pub(crate) fn byte_lanes(&self, block: usize, count: usize) -> &[u8] {
+        let base = self.code_base(block);
+        &self.data.bytes()[base..base + count]
+    }
+
+    /// The one-byte code lane `offset` rows into `block`.
+    #[inline]
+    pub(crate) fn byte_lane(&self, block: usize, offset: usize) -> u8 {
+        self.data.bytes()[self.code_base(block) + offset]
+    }
+
+    /// Mutable [`BlockStore::byte_lane`], for flag bits the owning table
+    /// keeps above its codes.
+    pub(crate) fn byte_lane_mut(&mut self, block: usize, offset: usize) -> &mut u8 {
+        let index = self.code_base(block) + offset;
+        &mut self.data.bytes_mut()[index]
+    }
+
+    /// The two-byte code lane `offset` rows into `block`.
+    pub(crate) fn half_lane(&self, block: usize, offset: usize) -> u16 {
+        self.data.halves()[self.code_base(block) / 2 + offset]
+    }
+
+    /// Heap bytes of the absolute superblock rows, of the per-block delta
+    /// rows, and of the code lanes (block padding included), in that
+    /// order. Exact: they sum to the two allocations.
+    pub(crate) fn heap_split(&self) -> [usize; 3] {
+        let deltas = self.data.len() / self.block_words * self.lanes * 2;
+        [
+            self.superblocks.heap_bytes(),
+            deltas,
+            self.data.heap_bytes() - deltas,
+        ]
     }
 }
 
@@ -606,6 +846,27 @@ mod tests {
         buf
     }
 
+    /// A store over `buf` as it is: blocks of `block_lines` lines whose
+    /// code lanes start `header` bytes in and run for `code_bytes`.
+    fn store_over(
+        buf: AlignedWords,
+        block_lines: usize,
+        header: usize,
+        code_bytes: usize,
+    ) -> BlockStore {
+        let block_words = block_lines * WORDS_PER_LINE;
+        BlockStore {
+            data: buf,
+            superblocks: AlignedWords::zeroed(0),
+            lanes: 0,
+            block_words,
+            span: CodeSpan::new(block_words, header, code_bytes),
+            len: 0,
+            sample_rate: Divisor::new(1),
+            superblock_rate: Divisor::new(1),
+        }
+    }
+
     /// Holds both kernels to a plain scan of `lane & MASK == needle` on
     /// bytes that carry `flags` above their codes: blocks of 1..=5 lines
     /// whose code lanes start anywhere in the first line (the counter
@@ -616,12 +877,11 @@ mod tests {
     fn kernels_count_like_a_plain_scan<const MASK: u8>(flags: u8) {
         for (block_lines, header) in [(1, 0), (1, 10), (1, 20), (2, 18), (4, 0), (5, 63), (3, 130)]
         {
-            let buf = noisy_buffer(3 * block_lines, flags);
             let code_bytes = block_lines * LINE_BYTES - header;
-            let span = CodeSpan::new(block_lines * WORDS_PER_LINE, header, code_bytes);
+            let buf = noisy_buffer(3 * block_lines, flags);
+            let store = store_over(buf, block_lines, header, code_bytes);
             for block in 0..3 {
-                let start = block * block_lines * LINE_BYTES + header;
-                let codes = &buf.bytes()[start..start + code_bytes];
+                let codes = store.byte_lanes(block, code_bytes);
                 for needle in [0u8, 3] {
                     let scan = |n: usize| {
                         codes[..n].iter().filter(|&&c| c & MASK == needle).count() as u32
@@ -630,15 +890,12 @@ mod tests {
                         for hi in (lo..=code_bytes).step_by(5).chain([code_bytes]) {
                             let expect = [scan(lo), scan(hi)];
                             assert_eq!(
-                                buf.prefix_counts::<MASK, 2>(span, block, needle, [lo, hi]),
+                                store.prefix_counts::<MASK, 2>(block, needle, [lo, hi]),
                                 expect
                             );
-                            for (kernel, got) in buf.prefix_counts_by_kernel::<MASK, 2>(
-                                span,
-                                block,
-                                needle,
-                                [lo, hi],
-                            ) {
+                            for (kernel, got) in
+                                store.prefix_counts_by_kernel::<MASK, 2>(block, needle, [lo, hi])
+                            {
                                 assert_eq!(
                                     got, expect,
                                     "{kernel}: mask {MASK:#x}, flags {flags:#x}, {block_lines} \
@@ -651,7 +908,7 @@ mod tests {
                     // One offset alone, at every lane.
                     for offset in 0..=code_bytes {
                         for (kernel, got) in
-                            buf.prefix_counts_by_kernel::<MASK, 1>(span, block, needle, [offset])
+                            store.prefix_counts_by_kernel::<MASK, 1>(block, needle, [offset])
                         {
                             assert_eq!(
                                 got,
@@ -685,14 +942,14 @@ mod tests {
             *half = ((i * 7 + i / 3) % 5 + 300) as u16;
         }
         // Two blocks of two lines: 6 counter bytes, then 61 two-byte lanes.
-        let span = CodeSpan::new(2 * WORDS_PER_LINE, 6, 122);
+        let store = store_over(buf, 2, 6, 122);
         for block in 0..2 {
-            let codes = &buf.halves()[block * 64 + 3..block * 64 + 64];
+            let codes = &store.data.halves()[block * 64 + 3..block * 64 + 64];
             for lo in 0..=61 {
                 for hi in lo..=61 {
                     let scan = |n: usize| codes[..n].iter().filter(|&&c| c == 302).count() as u32;
                     assert_eq!(
-                        buf.prefix_counts_wide(span, block, 302, [lo, hi]),
+                        store.prefix_counts_wide(block, 302, [lo, hi]),
                         [scan(lo), scan(hi)],
                         "block {block}, offsets {lo}..{hi}"
                     );
@@ -703,10 +960,9 @@ mod tests {
 
     #[test]
     fn prefetching_a_span_tolerates_any_block() {
-        let buf = noisy_buffer(8, 0);
-        let span = CodeSpan::new(4 * WORDS_PER_LINE, 70, 150);
-        for block in [0, 1, 2, usize::MAX / 1024] {
-            buf.prefetch_span(span, block); // must not fault
+        let store = store_over(noisy_buffer(8, 0), 4, 70, 150);
+        for block in [0, 1, 2, u32::MAX as usize] {
+            store.prefetch_block(block, 0); // must not fault
         }
     }
 

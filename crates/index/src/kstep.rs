@@ -18,7 +18,7 @@ use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, Kmer, Symbol};
 
 use crate::fm::FmIndex;
 use crate::kocc::KmerOccTable;
-use crate::layout::{DeltaWidth, HeapBreakdown, IndexError};
+use crate::layout::{HeapBreakdown, IndexError};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 
@@ -39,13 +39,7 @@ pub struct KStepBuildConfig {
     /// stores `4^k` counters, so this rate should grow with k to keep the
     /// table's footprint proportionate.
     pub k_occ_sample_rate: usize,
-    /// Per-block checkpoint counter width of both occurrence tables:
-    /// narrow widths select the two-level layout (sparse absolute
-    /// superblock rows + per-block deltas), [`DeltaWidth::U32`] the flat
-    /// absolute rows.
-    pub delta_width: DeltaWidth,
-    /// Blocks per absolute superblock row in the two-level layout;
-    /// ignored with [`DeltaWidth::U32`].
+    /// Blocks per absolute superblock row of both occurrence tables.
     pub superblock_rate: usize,
     /// `true` iff the indexed text is the bidirectional doubled text
     /// (`forward · revcomp(forward) · $`, see [`crate::bidir`]). Purely a
@@ -59,10 +53,10 @@ impl KStepBuildConfig {
     /// Defaults for a given step width: the 1-step rates of
     /// [`crate::FmBuildConfig::default`] (one cache line per Occ block),
     /// a k-mer checkpoint spacing of `64k` so checkpoint memory grows
-    /// sublinearly in the `4^k` alphabet expansion, and two-level `u16`
-    /// checkpoints with superblocks every 16 blocks. Every default
-    /// superblock span (at most 64 × 7 × 16 = 7168 rows) is well inside
-    /// the `u16` delta guarantee, so these configs always build.
+    /// sublinearly in the `4^k` alphabet expansion, and superblocks every
+    /// 16 blocks. Every default superblock span (at most
+    /// 64 × 7 × 16 = 7168 rows) is well inside the `u16` delta guarantee,
+    /// so these configs always build.
     ///
     /// # Panics
     ///
@@ -77,7 +71,6 @@ impl KStepBuildConfig {
             occ_sample_rate: 44,
             sa_sample_rate: 32,
             k_occ_sample_rate: 64 * k,
-            delta_width: DeltaWidth::U16,
             superblock_rate: 16,
             bidirectional: false,
         }
@@ -120,9 +113,8 @@ impl KStepFmIndex {
     /// # Errors
     ///
     /// Propagates [`IndexError`] from the rank tables: a text too long
-    /// for `u32` counters, a two-level superblock span too wide for the
-    /// 1-step table's `u16` deltas, or a k-mer count saturating the
-    /// configured [`DeltaWidth`] before its superblock boundary.
+    /// for `u32` counters, or a superblock span of either table too wide
+    /// for its `u16` deltas.
     ///
     /// # Panics
     ///
@@ -141,14 +133,9 @@ impl KStepFmIndex {
         let n = text.len();
         let sa = suffix_array(text);
         let bwt = bwt_from_sa(text, &sa);
-        let occ = if config.delta_width.is_absolute() {
-            OccTable::new(&bwt, config.occ_sample_rate)
-        } else {
-            OccTable::two_level(&bwt, config.occ_sample_rate, config.superblock_rate)?
-        };
         let base = FmIndex::from_parts(
             count_table(text),
-            occ,
+            OccTable::new(&bwt, config.occ_sample_rate, config.superblock_rate)?,
             SampledSuffixArray::new(&sa, config.sa_sample_rate),
         );
 
@@ -177,7 +164,6 @@ impl KStepFmIndex {
             codes,
             stride,
             config.k_occ_sample_rate,
-            config.delta_width,
             config.superblock_rate,
         )?;
 
@@ -276,7 +262,6 @@ impl KStepFmIndex {
             occ_sample_rate: self.base.occ().sample_rate(),
             sa_sample_rate: self.base.sampled_sa().sample_rate(),
             k_occ_sample_rate: self.kocc.sample_rate(),
-            delta_width: self.kocc.delta_width(),
             superblock_rate: self.kocc.superblock_rate(),
             bidirectional: self.bidirectional,
         }

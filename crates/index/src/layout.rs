@@ -1,76 +1,16 @@
-//! Layout types shared by the rank tables: checkpoint compression knobs,
-//! typed construction errors, and per-component heap attribution.
+//! Layout types shared by the rank tables: typed construction errors
+//! and per-component heap attribution.
 //!
-//! The two-level checkpoint scheme (see [`crate::KmerOccTable`]) stores
-//! sparse absolute `u32` superblock rows plus narrow per-block deltas.
-//! [`DeltaWidth`] picks the delta lane width — and `U32` opts back into
-//! the flat absolute rows of earlier revisions. Construction can now
-//! fail (a delta can saturate before its superblock boundary, a text can
-//! outgrow `u32` row ids), so builders return [`IndexError`] instead of
-//! panicking. [`HeapBreakdown`] replaces the scalar `heap_bytes()`
-//! plumbing with per-component attribution so benchmarks and the server
-//! STATS frame can report *where* the bytes went.
+//! Both occurrence tables store a checkpoint row one way (see
+//! [`crate::KmerOccTable`]): `u16` per-block deltas relative to sparse
+//! absolute `u32` superblock rows. Construction can fail — a superblock
+//! can span more rows than a `u16` delta provably counts, a text can
+//! outgrow `u32` row ids — so builders return [`IndexError`] instead of
+//! panicking. [`HeapBreakdown`] attributes an index's heap bytes to its
+//! components so benchmarks and the server STATS frame can report
+//! *where* the bytes went.
 
 use std::fmt;
-
-/// Width of the per-block delta counters in a two-level checkpoint row.
-///
-/// Deltas count occurrences since the superblock's absolute row, so a
-/// width is valid only if no count within one superblock span
-/// (`sample_rate * superblock_rate` rows) exceeds its maximum — checked
-/// at construction time ([`IndexError::DeltaOverflow`]). `U32` is the
-/// escape hatch: full-width absolute rows per block and *no* superblock
-/// array, byte-for-byte the flat layout of earlier revisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DeltaWidth {
-    /// One byte per delta counter: the tightest rows, but only texts
-    /// whose superblock spans stay under 256 occurrences of any one
-    /// code can be built.
-    U8,
-    /// Two bytes per delta counter. Provably safe whenever the
-    /// superblock span `sample_rate * superblock_rate` is at most
-    /// 65 535 rows. The default.
-    #[default]
-    U16,
-    /// Absolute `u32` checkpoint rows, no superblocks: the uncompressed
-    /// baseline layout.
-    U32,
-}
-
-impl DeltaWidth {
-    /// Bytes one delta counter occupies.
-    pub fn bytes(self) -> usize {
-        match self {
-            DeltaWidth::U8 => 1,
-            DeltaWidth::U16 => 2,
-            DeltaWidth::U32 => 4,
-        }
-    }
-
-    /// Largest delta the width can store.
-    pub fn max_delta(self) -> u32 {
-        match self {
-            DeltaWidth::U8 => u32::from(u8::MAX),
-            DeltaWidth::U16 => u32::from(u16::MAX),
-            DeltaWidth::U32 => u32::MAX,
-        }
-    }
-
-    /// `true` iff this width means flat absolute rows (no superblocks).
-    pub fn is_absolute(self) -> bool {
-        matches!(self, DeltaWidth::U32)
-    }
-}
-
-impl fmt::Display for DeltaWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DeltaWidth::U8 => "u8",
-            DeltaWidth::U16 => "u16",
-            DeltaWidth::U32 => "u32",
-        })
-    }
-}
 
 /// Why an index (or one of its rank tables) could not be built.
 ///
@@ -86,23 +26,11 @@ pub enum IndexError {
         /// Rows the text would need.
         rows: usize,
     },
-    /// A delta counter saturated before its superblock boundary: some
-    /// code occurs more than [`DeltaWidth::max_delta`] times within one
-    /// superblock span. Widen the deltas, shrink `superblock_rate`, or
-    /// shrink `sample_rate`.
-    DeltaOverflow {
-        /// Block whose checkpoint row overflowed.
-        block: usize,
-        /// The code whose count overflowed.
-        code: usize,
-        /// The delta that did not fit.
-        delta: u32,
-        /// Largest delta the configured width can store.
-        max: u32,
-    },
     /// The superblock span `sample_rate * superblock_rate` exceeds what
-    /// the fixed `u16` deltas of the one-step Occ table can be *proven*
-    /// to cover (65 535 rows).
+    /// the `u16` deltas of a checkpoint row can be *proven* to cover
+    /// (65 535 rows: a delta counts rows since the superblock, so it
+    /// cannot exceed the span). Shrink `superblock_rate` or
+    /// `sample_rate`.
     SuperblockSpanTooWide {
         /// The configured checkpoint spacing.
         sample_rate: usize,
@@ -119,17 +47,6 @@ impl fmt::Display for IndexError {
             IndexError::IndexTooLarge { rows } => {
                 write!(f, "text with {rows} rows is too large for u32 counters")
             }
-            IndexError::DeltaOverflow {
-                block,
-                code,
-                delta,
-                max,
-            } => write!(
-                f,
-                "delta {delta} for code {code} at block {block} exceeds the \
-                 configured delta width (max {max}); widen deltas or shrink \
-                 the superblock span"
-            ),
             IndexError::SuperblockSpanTooWide {
                 sample_rate,
                 superblock_rate,
@@ -156,16 +73,14 @@ impl std::error::Error for IndexError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeapBreakdown {
     /// Absolute checkpoint rows of the k-step table: the sparse `u32`
-    /// superblock array in two-level layouts, or every (u32) checkpoint
-    /// row in the absolute layout.
+    /// superblock array.
     pub k_occ_checkpoints: usize,
-    /// Per-block narrow delta rows of the k-step table (zero in the
-    /// absolute layout).
+    /// Per-block `u16` delta rows of the k-step table.
     pub k_occ_deltas: usize,
     /// Interleaved k-BWT code lanes (including block padding) and the
     /// totals row of the k-step table.
     pub k_occ_codes: usize,
-    /// The 1-step Occ table: checkpoint rows, superblocks, and BWT code
+    /// The 1-step Occ table: superblock rows, delta rows, and BWT code
     /// lanes together.
     pub one_step_occ: usize,
     /// Sampled suffix-array positions.
@@ -209,31 +124,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn widths_describe_themselves() {
-        assert_eq!(DeltaWidth::default(), DeltaWidth::U16);
-        assert_eq!(DeltaWidth::U8.bytes(), 1);
-        assert_eq!(DeltaWidth::U16.max_delta(), 65_535);
-        assert!(DeltaWidth::U32.is_absolute());
-        assert!(!DeltaWidth::U16.is_absolute());
-        assert_eq!(DeltaWidth::U8.to_string(), "u8");
-    }
-
-    #[test]
     fn errors_render_their_knobs() {
-        let e = IndexError::DeltaOverflow {
-            block: 7,
-            code: 3,
-            delta: 300,
-            max: 255,
-        };
-        let text = e.to_string();
-        assert!(text.contains("300") && text.contains("block 7") && text.contains("255"));
         let e = IndexError::SuperblockSpanTooWide {
             sample_rate: 44,
             superblock_rate: 4096,
             max_span: 65_535,
         };
-        assert!(e.to_string().contains("65535 rows"));
+        let text = e.to_string();
+        assert!(text.contains("44 x 4096") && text.contains("65535 rows"));
         assert!(IndexError::IndexTooLarge {
             rows: 5_000_000_000
         }

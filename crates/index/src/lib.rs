@@ -39,7 +39,7 @@ pub use bidir::{decode_hit, doubled_text, encode_hit, is_palindromic, BidirFmInd
 pub use fm::{FmBuildConfig, FmIndex};
 pub use kocc::KmerOccTable;
 pub use kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
-pub use layout::{DeltaWidth, HeapBreakdown, IndexError};
+pub use layout::{HeapBreakdown, IndexError};
 pub use occ::OccTable;
 pub use resolve::{
     resolve_capped_with_arena, BatchResolver, ResolveArena, ResolveConfig, ResolveStats,

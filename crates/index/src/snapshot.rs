@@ -25,7 +25,8 @@
 //!     16     4  occ_sample_rate
 //!     20     4  sa_sample_rate
 //!     24     4  k_occ_sample_rate
-//!     28     4  delta width code (0 = u8, 1 = u16, 2 = u32)
+//!     28     4  delta width code (always 1 = u16; 0 and 2 named widths
+//!               this build no longer reads)
 //!     32     4  superblock_rate
 //!     36     8  text length n (sentinel included)
 //!     44     4  section count (= 4)
@@ -76,9 +77,9 @@ use std::path::{Path, PathBuf};
 use exma_genome::{count_table, Symbol};
 
 use crate::fm::FmIndex;
+use crate::interleave::check_superblock_span;
 use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
-use crate::layout::DeltaWidth;
 use crate::occ::OccTable;
 use crate::sampled_sa::{RankBits, SampledSuffixArray};
 
@@ -96,6 +97,10 @@ const FLAGS_LEN: usize = 4;
 /// Bit 0 of the recipe-flags word: the index covers the bidirectional
 /// doubled text.
 const FLAG_BIDIRECTIONAL: u32 = 1;
+/// Header word 28: checkpoint deltas are `u16`, the one width there is.
+/// Codes 0 and 2 named the `u8` and absolute-`u32` layouts of earlier
+/// builds.
+const DELTA_WIDTH_U16: u32 = 1;
 const SECTION_HEADER_LEN: usize = 16;
 const SECTION_COUNT: usize = 4;
 const SECTION_NAMES: [&str; SECTION_COUNT] = ["bwt", "k-codes", "sampled-sa", "k-starts"];
@@ -131,13 +136,8 @@ pub enum SnapshotError {
 fn write_config(f: &mut fmt::Formatter<'_>, c: &KStepBuildConfig) -> fmt::Result {
     write!(
         f,
-        "k{}_occ{}_sa{}_kocc{}_{}_sb{}",
-        c.k,
-        c.occ_sample_rate,
-        c.sa_sample_rate,
-        c.k_occ_sample_rate,
-        c.delta_width,
-        c.superblock_rate
+        "k{}_occ{}_sa{}_kocc{}_sb{}",
+        c.k, c.occ_sample_rate, c.sa_sample_rate, c.k_occ_sample_rate, c.superblock_rate
     )?;
     if c.bidirectional {
         write!(f, "_bidir")?;
@@ -210,23 +210,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
-}
-
-fn delta_width_code(width: DeltaWidth) -> u32 {
-    match width {
-        DeltaWidth::U8 => 0,
-        DeltaWidth::U16 => 1,
-        DeltaWidth::U32 => 2,
-    }
-}
-
-fn delta_width_from_code(code: u32) -> Option<DeltaWidth> {
-    match code {
-        0 => Some(DeltaWidth::U8),
-        1 => Some(DeltaWidth::U16),
-        2 => Some(DeltaWidth::U32),
-        _ => None,
-    }
 }
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
@@ -308,7 +291,7 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
     out.extend_from_slice(&(config.occ_sample_rate as u32).to_le_bytes());
     out.extend_from_slice(&(config.sa_sample_rate as u32).to_le_bytes());
     out.extend_from_slice(&(config.k_occ_sample_rate as u32).to_le_bytes());
-    out.extend_from_slice(&delta_width_code(config.delta_width).to_le_bytes());
+    out.extend_from_slice(&DELTA_WIDTH_U16.to_le_bytes());
     out.extend_from_slice(&(config.superblock_rate as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
@@ -425,7 +408,9 @@ pub fn decode_snapshot(
     if !(1..=MAX_STEP).contains(&k) {
         return Err(malformed("step width k"));
     }
-    let delta_width = delta_width_from_code(width_code).ok_or(malformed("delta width code"))?;
+    if width_code != DELTA_WIDTH_U16 {
+        return Err(malformed("delta width code"));
+    }
     if occ_rate == 0 || sa_rate == 0 || kocc_rate == 0 || superblock_rate == 0 {
         return Err(malformed("zero sample rate"));
     }
@@ -435,15 +420,19 @@ pub fn decode_snapshot(
     if section_count != SECTION_COUNT {
         return Err(malformed("section count"));
     }
-    if !delta_width.is_absolute() && occ_rate.saturating_mul(superblock_rate) > u16::MAX as usize {
-        return Err(malformed("occ superblock span"));
+    // The one overflow rule, on both tables, before anything is sized
+    // by these rates.
+    for (rate, field) in [
+        (occ_rate, "occ superblock span"),
+        (kocc_rate, "k-occ superblock span"),
+    ] {
+        check_superblock_span(rate, superblock_rate).map_err(|_| malformed(field))?;
     }
     let config = KStepBuildConfig {
         k,
         occ_sample_rate: occ_rate,
         sa_sample_rate: sa_rate,
         k_occ_sample_rate: kocc_rate,
-        delta_width,
         superblock_rate,
         bidirectional,
     };
@@ -598,19 +587,15 @@ pub fn decode_snapshot(
         previous = v;
     }
 
-    // Replay the cold-build constructors over the verified inputs. The
-    // recipe sanity checks above make the remaining constructor errors
-    // (delta overflow on crafted code streams) typed, not panics.
-    let occ = if delta_width.is_absolute() {
-        OccTable::new(&bwt, occ_rate)
-    } else {
-        OccTable::two_level(&bwt, occ_rate, superblock_rate).map_err(|_| malformed("occ layout"))?
-    };
+    // Replay the cold-build constructors over the verified inputs; the
+    // recipe checks above already rule their errors out.
+    let occ =
+        OccTable::new(&bwt, occ_rate, superblock_rate).map_err(|_| malformed("occ layout"))?;
     // The BWT is a permutation of the text, so symbol frequencies — all
     // the C-array depends on — are identical.
     let counts = count_table(&bwt);
     let base = FmIndex::from_parts(counts, occ, ssa);
-    let kocc = KmerOccTable::new(codes, stride, kocc_rate, delta_width, superblock_rate)
+    let kocc = KmerOccTable::new(codes, stride, kocc_rate, superblock_rate)
         .map_err(|_| malformed("k-occ layout"))?;
     // Bucket bounds: `kstart(r) + rank(r, n) <= n` keeps every interval
     // a k-step refinement can produce inside `0..n`, so no later rank

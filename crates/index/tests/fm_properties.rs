@@ -91,7 +91,6 @@ fn count_is_exact_across_sampling_rates() {
                 sa_sample_rate: sa_rate,
                 // Keep the superblock span provable at coarse spacings.
                 superblock_rate: (65_535 / occ_rate).clamp(1, 16),
-                ..FmBuildConfig::default()
             },
         )
         .unwrap();

@@ -7,10 +7,46 @@
 //! identical to a brute-force oracle. The sweep drives well over 200
 //! seeded mutations — single-bit flips, truncations at arbitrary
 //! offsets, torn tmp-style prefixes, and stale-version headers — over
-//! valid snapshot images.
+//! valid snapshot images. Checksums stop corruption, not a consistent
+//! file that states an impossible recipe, so header words the loader
+//! sizes tables by are also rewritten *with* the file checksum redone,
+//! under an allocator that records how much was asked of it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
+use exma_index::snapshot::crc32;
 use exma_index::{decode_snapshot, encode_snapshot, naive, KStepFmIndex, SnapshotError};
+
+thread_local! {
+    /// The largest single request this thread has made of the allocator
+    /// since the cell was last zeroed.
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each request's size per thread.
+struct NotingAllocator;
+
+// SAFETY: both calls go to `System` with their arguments unchanged, so
+// `System`'s guarantees are this allocator's (zeroed and growing
+// requests reach `alloc` through the trait's default methods). The added
+// note touches a const-initialised thread-local `Cell<usize>`, which has
+// no destructor and never allocates, and cannot unwind.
+unsafe impl GlobalAlloc for NotingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread past its teardown may still allocate.
+        let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(layout.size())));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NotingAllocator = NotingAllocator;
 
 fn toy_genome(seed: u64) -> Genome {
     let mut profile = GenomeProfile::toy();
@@ -133,17 +169,63 @@ fn corruption_sweep_never_panics_and_never_yields_an_index() {
         assert!(!err.to_string().is_empty());
     }
     assert_eq!(rejected, cases);
+    assert_cold_build_serves(&genome, &patterns, &index_default);
+}
 
-    // The fallback the server takes after any rejection: rebuild from
-    // the text and serve. Verify it against the brute-force oracle.
-    let rebuilt = KStepFmIndex::from_text(&text, 4);
-    for pattern in &patterns {
+/// The fallback the server takes after any rejection: rebuild from the
+/// text and serve. Holds it to the brute-force oracle and to `expected`,
+/// the index the rejected file claimed to be.
+fn assert_cold_build_serves(genome: &Genome, patterns: &[Vec<Base>], expected: &KStepFmIndex) {
+    let rebuilt = KStepFmIndex::from_text(&genome.text_with_sentinel(), expected.k());
+    for pattern in patterns {
         assert_eq!(rebuilt.count(pattern), naive::count(genome.seq(), pattern));
         let mut positions = rebuilt.locate(pattern);
         positions.sort_unstable();
         assert_eq!(positions, naive::occurrences(genome.seq(), pattern));
     }
-    assert_eq!(rebuilt, index_default);
+    assert_eq!(&rebuilt, expected);
+}
+
+#[test]
+fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_sized() {
+    // Header words rewritten and the file checksum redone: the image is
+    // consistent, so only the recipe checks stand between these rates
+    // and the tables sized by them (`k_occ_sample_rate = u32::MAX` once
+    // asked the allocator for 4 GiB of block).
+    let genome = toy_genome(14);
+    let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
+    let pristine = encode_snapshot(&index);
+    for (offset, value, field) in [
+        (16, u32::MAX, "occ superblock span"),
+        (24, u32::MAX, "k-occ superblock span"),
+        // 4096 x 16 = 65 536 rows: one more than a u16 delta counts.
+        (24, 4096, "k-occ superblock span"),
+        // The u8 and the flat u32 width codes of earlier builds.
+        (28, 0, "delta width code"),
+        (28, 2, "delta width code"),
+    ] {
+        let mut image = pristine.clone();
+        image[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        let body = image.len() - 4;
+        let checksum = crc32(&image[..body]);
+        image[body..].copy_from_slice(&checksum.to_le_bytes());
+
+        LARGEST_REQUEST.with(|largest| largest.set(0));
+        let outcome = decode_snapshot(&image, None);
+        let largest = LARGEST_REQUEST.with(Cell::get);
+        assert_eq!(
+            outcome.unwrap_err(),
+            SnapshotError::Malformed { field },
+            "word {offset} = {value}"
+        );
+        assert!(
+            largest <= image.len(),
+            "word {offset} = {value}: asked for {largest} bytes, file has {}",
+            image.len()
+        );
+    }
+    let mut rng = SeededRng::new(0x534E_4150 ^ 14);
+    assert_cold_build_serves(&genome, &oracle_patterns(&genome, &mut rng), &index);
 }
 
 #[test]

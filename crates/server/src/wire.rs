@@ -693,10 +693,9 @@ pub struct StatsSnapshot {
     /// seven fields below are its exact per-component attribution and
     /// always sum to this total).
     pub heap_total: u64,
-    /// k-mer checkpoint rows (superblock rows under a two-level
-    /// layout, every absolute row under the flat one).
+    /// k-mer checkpoint rows: the sparse absolute superblock rows.
     pub heap_k_occ_checkpoints: u64,
-    /// Narrow per-block k-mer delta rows (zero under the flat layout).
+    /// Per-block `u16` k-mer delta rows.
     pub heap_k_occ_deltas: u64,
     /// Per-row k-mer code lanes and totals.
     pub heap_k_occ_codes: u64,
