@@ -65,11 +65,12 @@ const MIXED_MAX_HITS: u32 = 8;
 /// default full-mode k = 4 spacing is 256).
 const SWEEP_RATES: [usize; 5] = [64, 128, 256, 512, 1024];
 
-/// `sa_sample_rate` values covered by `--sweep-sa-sample-rate` (the
-/// default is 32). Coarser rates shrink the sampled suffix array but
-/// lengthen every locate cursor's LF-walk — the locate-latency / heap
-/// trade-off the sweep maps.
-const SA_SWEEP_RATES: [usize; 4] = [8, 16, 32, 64];
+/// `sa_sample_rate` values covered by `--sweep-sa-sample-rate`: the
+/// default 11 between its neighbours 8 and 16, and 32, the default
+/// before the occurrence lines were filled to pay for 11. Coarser rates
+/// shrink the sampled suffix array but lengthen every locate cursor's
+/// LF-walk — the locate-latency / heap trade-off the sweep maps.
+const SA_SWEEP_RATES: [usize; 4] = [8, 11, 16, 32];
 
 const USAGE: &str = "exma-bench: benchmark the builder-config enumeration of FM-index engines
 
@@ -85,7 +86,7 @@ OPTIONS:
     --sweep-sample-rate   also sweep k_occ_sample_rate over 64..1024 on the
                           picea profile (k = 4, locality engine)
     --sweep-sa-sample-rate
-                          also sweep sa_sample_rate over 8..64 on the picea
+                          also sweep sa_sample_rate over 8..32 on the picea
                           profile (k = 4, locality engine, locate timing)
     --list-engines        print the derived descriptor of every enumerated
                           builder config (sweep configs included with the

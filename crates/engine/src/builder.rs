@@ -20,6 +20,10 @@ use std::fmt;
 use std::path::Path;
 
 use exma_genome::Symbol;
+use exma_index::layout::{
+    default_k_occ_sample_rate, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SA_SAMPLE_RATE,
+    DEFAULT_SUPERBLOCK_RATE,
+};
 use exma_index::{
     load_snapshot_expecting, write_snapshot, FmIndex, IndexError, KStepBuildConfig, KStepFmIndex,
     ResolveConfig, SnapshotError,
@@ -28,14 +32,6 @@ use exma_index::{
 use crate::batch::{BatchConfig, BatchEngine};
 use crate::exec::Executor;
 use crate::shard::ShardedEngine;
-
-/// Default 1-step occurrence checkpoint spacing (one cache line per
-/// interleaved block — see [`exma_index::FmBuildConfig`]).
-const DEFAULT_OCC_RATE: usize = 44;
-/// Default suffix-array sampling rate.
-const DEFAULT_SA_RATE: usize = 32;
-/// Default superblock spacing of the checkpoint rows.
-const DEFAULT_SUPERBLOCK_RATE: usize = 16;
 
 /// Why a builder recipe cannot build an index or attach an executor.
 ///
@@ -166,8 +162,11 @@ impl From<SnapshotError> for EngineError {
 ///
 /// | preset | occ | sa | k-occ | superblocks |
 /// |---|---|---|---|---|
-/// | [`IndexLayout::default`] | 44 | 32 | 64k | 16 |
+/// | [`IndexLayout::default`] | 54 | 11 | 64k | 16 |
 /// | [`IndexLayout::compact`] | 54 | 32 | 640 | 32 |
+///
+/// The default's rates are those of [`exma_index::layout`], the one
+/// place they are defined.
 ///
 /// ```
 /// use exma_engine::{EngineBuilder, IndexLayout};
@@ -185,12 +184,13 @@ pub struct IndexLayout {
 }
 
 impl Default for IndexLayout {
-    /// The balanced default: one-cache-line Occ blocks, k-occ checkpoints
-    /// every `64k` rows, superblock rows every 16 blocks.
+    /// The balanced default: Occ blocks that fill one cache line, the
+    /// densest SA sampling the bytes that saves pay for, k-occ
+    /// checkpoints every `64k` rows, superblock rows every 16 blocks.
     fn default() -> IndexLayout {
         IndexLayout {
-            occ_sample_rate: DEFAULT_OCC_RATE,
-            sa_sample_rate: DEFAULT_SA_RATE,
+            occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
+            sa_sample_rate: DEFAULT_SA_SAMPLE_RATE,
             k_occ_sample_rate: None,
             superblock_rate: DEFAULT_SUPERBLOCK_RATE,
         }
@@ -204,16 +204,16 @@ impl IndexLayout {
     }
 
     /// Memory-first preset: coarser k-occ checkpoints (640 rows) under
-    /// wider superblocks (32 blocks), and the 54-row Occ spacing whose
-    /// block is still exactly one cache line. Targets a
-    /// k = 4 footprint within ~2× of the 1-step index at plateau
-    /// latency.
+    /// wider superblocks (32 blocks), and SA samples every 32 positions
+    /// — every rate spelled out, so the preset keeps its footprint
+    /// whatever the default's rates become. Targets a k = 4 footprint
+    /// within ~2× of the 1-step index at plateau latency.
     pub fn compact() -> IndexLayout {
         IndexLayout {
             occ_sample_rate: 54,
+            sa_sample_rate: 32,
             k_occ_sample_rate: Some(640),
             superblock_rate: 32,
-            ..IndexLayout::default()
         }
     }
 
@@ -224,7 +224,11 @@ impl IndexLayout {
     }
 
     /// Text-position spacing of kept suffix-array samples — `locate`'s
-    /// latency/heap knob.
+    /// latency/heap knob. Uncapped answers do not depend on it; *which*
+    /// `max_hits` positions a capped locate keeps of more than
+    /// `max_hits` occurrences does (see
+    /// [`crate::QueryRequest::Locate`]), and on nothing else in a
+    /// layout.
     pub fn sa_sample_rate(mut self, rate: usize) -> IndexLayout {
         self.sa_sample_rate = rate;
         self
@@ -268,7 +272,7 @@ impl IndexLayout {
             sa_sample_rate: self.sa_sample_rate,
             k_occ_sample_rate: self
                 .k_occ_sample_rate
-                .unwrap_or_else(|| KStepBuildConfig::for_k(k).k_occ_sample_rate),
+                .unwrap_or(default_k_occ_sample_rate(k)),
             superblock_rate: self.superblock_rate,
             bidirectional: false,
         }
@@ -282,14 +286,14 @@ impl IndexLayout {
             tag.push_str("_compact");
             return;
         }
-        if self.occ_sample_rate != DEFAULT_OCC_RATE {
+        if self.occ_sample_rate != DEFAULT_OCC_SAMPLE_RATE {
             tag.push_str(&format!("_occ{}", self.occ_sample_rate));
         }
-        if self.sa_sample_rate != DEFAULT_SA_RATE {
+        if self.sa_sample_rate != DEFAULT_SA_SAMPLE_RATE {
             tag.push_str(&format!("_sa{}", self.sa_sample_rate));
         }
         if let Some(rate) = self.k_occ_sample_rate {
-            if rate != KStepBuildConfig::for_k(k).k_occ_sample_rate {
+            if rate != default_k_occ_sample_rate(k) {
                 tag.push_str(&format!("_kocc{rate}"));
             }
         }
@@ -661,9 +665,11 @@ mod tests {
             "lockstep_k4_locality_rplain"
         );
         let with = |layout: IndexLayout| EngineBuilder::new().layout(layout).descriptor();
+        // The rates the default had before it moved to 54 / 11 are
+        // ordinary non-default fragments now.
         assert_eq!(
-            with(IndexLayout::new().sa_sample_rate(16)),
-            "lockstep_k4_locality_sa16"
+            with(IndexLayout::new().sa_sample_rate(32)),
+            "lockstep_k4_locality_sa32"
         );
         assert_eq!(
             with(IndexLayout::new().k_occ_sample_rate(128)),
@@ -675,8 +681,12 @@ mod tests {
             "lockstep_k4_locality"
         );
         assert_eq!(
-            with(IndexLayout::new().occ_sample_rate(54).superblock_rate(64)),
-            "lockstep_k4_locality_occ54_sb64"
+            with(IndexLayout::new().occ_sample_rate(44).superblock_rate(64)),
+            "lockstep_k4_locality_occ44_sb64"
+        );
+        assert_eq!(
+            with(IndexLayout::new().occ_sample_rate(54).sa_sample_rate(11)),
+            "lockstep_k4_locality"
         );
         assert_eq!(
             EngineBuilder::new()
@@ -702,7 +712,7 @@ mod tests {
         // A knob sequence that lands exactly on a preset IS that preset:
         // equal recipes, equal descriptors.
         let by_knobs = IndexLayout::new()
-            .occ_sample_rate(54)
+            .sa_sample_rate(32)
             .k_occ_sample_rate(640)
             .superblock_rate(32);
         assert_eq!(by_knobs, IndexLayout::compact());
@@ -806,9 +816,9 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        for (layout, occ_rate, kocc_rate, sb_rate) in [
-            (IndexLayout::default(), 44, 256, 16),
-            (IndexLayout::compact(), 54, 640, 32),
+        for (layout, occ_rate, sa_rate, kocc_rate, sb_rate) in [
+            (IndexLayout::default(), 54, 11, 256, 16),
+            (IndexLayout::compact(), 54, 32, 640, 32),
         ] {
             let index = EngineBuilder::new()
                 .layout(layout)
@@ -824,7 +834,7 @@ mod tests {
                     + stride * 4,
                 one_step_occ: occ_blocks * line_round(5 * 2 + occ_rate)
                     + line_round(occ_blocks.div_ceil(sb_rate) * 5 * 4),
-                sa_samples: n.div_ceil(32) * 4,
+                sa_samples: n.div_ceil(sa_rate) * 4,
                 // One bit per row, and a u32 running rank per 64 of them.
                 rank_bits: n.div_ceil(64) * (8 + 4),
                 // The k-mer C-array and the k sentinel-crossing rows.

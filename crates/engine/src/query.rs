@@ -39,7 +39,13 @@ pub enum QueryRequest {
     /// resolver stops walking the query's remaining interval rows once
     /// the cap is hit (see
     /// [`exma_index::FmIndex::resolve_range_capped_into`] for the
-    /// deterministic selection rule).
+    /// deterministic selection rule). The rule is defined over LF-walk
+    /// lengths, so *which* `h` of more than `h` occurrences come back is
+    /// a function of the index's suffix-array sampling rate
+    /// ([`crate::IndexLayout::sa_sample_rate`]) — and of nothing else:
+    /// not the occurrence spacings, `k`, the schedule or the thread
+    /// count. Every returned position is a true occurrence at any rate,
+    /// and answers that fit their cap are the same at every rate.
     Locate {
         /// `None` resolves every occurrence.
         max_hits: Option<u32>,

@@ -6,9 +6,15 @@
 //! `len % k != 0`, empty patterns, absent patterns, and high-occurrence
 //! short repeats) must equal the sequential 1-step `FmIndex::locate`,
 //! the naive text scan, and the per-row `resolve_range_into` path —
-//! ordering included, per the sorted-ascending contract.
+//! ordering included, per the sorted-ascending contract. Capped locates
+//! get the one dependence they are allowed written down: which positions
+//! survive a cap is a function of the SA sampling rate and of nothing
+//! else a recipe or a schedule can set.
 
-use exma_engine::{BatchConfig, BatchEngine, Executor, QueryBatch, QueryRequest, ShardedEngine};
+use exma_engine::{
+    BatchConfig, BatchEngine, EngineBuilder, Executor, IndexLayout, QueryBatch, QueryOutput,
+    QueryRequest, QueryResults, ShardedEngine,
+};
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
 use exma_index::{naive, FmIndex, KStepFmIndex, ResolveConfig};
 
@@ -226,4 +232,102 @@ fn prefetching_resolver_issues_identical_work() {
         assert_eq!(stats.resolve_rounds, plain.resolve_rounds, "{config:?}");
         assert_eq!(stats.cursors_retired, plain.cursors_retired, "{config:?}");
     }
+}
+
+#[test]
+fn capped_answers_depend_on_the_sa_rate_and_on_nothing_else() {
+    // Two 60-base families over 70 % of 12 kbp: a 12-mer from a copy
+    // occurs some seventy times, far beyond a cap of 8, while background
+    // 12-mers and random ones stay under it.
+    const MAX_HITS: u32 = 8;
+    let profile = GenomeProfile {
+        len: 12_000,
+        repeat_fraction: 0.7,
+        repeat_unit_len: 60,
+        repeat_families: 2,
+        ..GenomeProfile::toy()
+    };
+    let genome = Genome::synthesize(&profile, 131);
+    let text = genome.text_with_sentinel();
+    let mut rng = SeededRng::new(137);
+    let patterns: Vec<Vec<Base>> = (0..120)
+        .map(|i| match i % 6 {
+            0 => (0..12).map(|_| rng.base()).collect(),
+            1 => genome.seq().slice(rng.range(0, genome.len()), 0),
+            2 => genome
+                .seq()
+                .slice(rng.range(0, genome.len() - 3), rng.range(1, 4)),
+            _ => genome.seq().slice(rng.range(0, genome.len() - 12), 12),
+        })
+        .collect();
+    let truth: Vec<Vec<u32>> = patterns
+        .iter()
+        .map(|p| naive::occurrences(genome.seq(), p))
+        .collect();
+    let over_cap = truth.iter().filter(|t| t.len() > MAX_HITS as usize).count();
+    assert!(over_cap >= 40 && truth.len() - over_cap >= 20, "{over_cap}");
+    let batch = QueryBatch::uniform(QueryRequest::locate_capped(MAX_HITS), &patterns);
+
+    let mut kept_per_rate: Vec<QueryResults> = Vec::new();
+    for sa_rate in [1usize, 10, 11, 32] {
+        let mut reference: Option<QueryResults> = None;
+        for occ_rate in [44usize, 54] {
+            for superblock_rate in [8usize, 16, 64] {
+                for k in [1usize, 2, 4] {
+                    let mut layout = IndexLayout::new()
+                        .occ_sample_rate(occ_rate)
+                        .sa_sample_rate(sa_rate)
+                        .superblock_rate(superblock_rate);
+                    // Half the recipes leave the k-derived k-occ spacing.
+                    if occ_rate == 44 {
+                        layout = layout.k_occ_sample_rate(96);
+                    }
+                    let builder = EngineBuilder::new().k(k).layout(layout);
+                    let index = builder.build_index(&text).unwrap();
+                    for threads in [1usize, 2] {
+                        for prefetch_distance in [0usize, 3, 16] {
+                            let flavor = builder
+                                .threads(threads)
+                                .resolve(ResolveConfig { prefetch_distance });
+                            let (results, _) = flavor.attach(&index).unwrap().run(&batch);
+                            match &reference {
+                                Some(expected) => assert_eq!(
+                                    &results,
+                                    expected,
+                                    "SA rate {sa_rate}: {}",
+                                    flavor.descriptor()
+                                ),
+                                None => reference = Some(results),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Whatever the rate keeps is true: everything under the cap,
+        // exactly `MAX_HITS` distinct real positions over it.
+        let results = reference.expect("eighteen recipes ran");
+        for (i, all) in truth.iter().enumerate() {
+            let at = format!("SA rate {sa_rate}, pattern #{i}");
+            let got = results.positions(i);
+            let truncated = all.len() > MAX_HITS as usize;
+            assert_eq!(
+                results.output(i),
+                QueryOutput::Located { truncated },
+                "{at}"
+            );
+            if truncated {
+                assert_eq!(got.len(), MAX_HITS as usize, "{at}");
+                assert!(got.windows(2).all(|w| w[0] < w[1]), "{at}: {got:?}");
+                assert!(got.iter().all(|p| all.binary_search(p).is_ok()), "{at}");
+            } else {
+                assert_eq!(got, &all[..], "{at}");
+            }
+        }
+        kept_per_rate.push(results);
+    }
+    // And the dependence is real: two rates keep different positions of
+    // some over-cap interval (the reason a recipe change re-pins the
+    // benchmark's locate checksum and no other change may).
+    assert!(kept_per_rate.windows(2).any(|w| w[0] != w[1]));
 }

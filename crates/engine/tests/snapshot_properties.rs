@@ -4,7 +4,9 @@
 //! `attach_from_snapshot` must be *equal* to the freshly built one —
 //! same build recipe, same heap attribution, and byte-identical
 //! `Executor` results on 600 random mixed queries — and a snapshot must
-//! only ever load under the recipe that wrote it.
+//! only ever load under the recipe that wrote it, which is also how an
+//! image written under an earlier default recipe migrates: refused by
+//! name under today's default, loaded under its own explicit layout.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,6 +15,7 @@ use exma_engine::{
     EngineBuilder, EngineError, IndexLayout, QueryBatch, QueryRequest, SnapshotError,
 };
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
+use exma_index::{naive, FmBuildConfig, KStepBuildConfig, MAX_STEP};
 
 fn toy_genome() -> Genome {
     Genome::synthesize(&GenomeProfile::toy(), 42)
@@ -157,4 +160,100 @@ fn snapshot_to_rejects_an_index_built_elsewhere() {
         other => panic!("foreign index accepted: {other:?}"),
     }
     assert!(!path.exists(), "rejected snapshot must not touch the disk");
+}
+
+#[test]
+fn an_old_default_image_is_refused_by_name_and_loads_under_its_own_layout() {
+    // occ 44 / sa 32 was `IndexLayout::default()` until the occurrence
+    // lines were filled; images written then are still on disks.
+    let genome = toy_genome();
+    let old_default = IndexLayout::new().occ_sample_rate(44).sa_sample_rate(32);
+    let writer = EngineBuilder::new().layout(old_default);
+    let path = temp_path("old_default");
+    let index = writer.build_index(&genome.text_with_sentinel()).unwrap();
+    writer.snapshot_to(&index, &path).unwrap();
+
+    match EngineBuilder::new().attach_from_snapshot(&path) {
+        Err(err @ EngineError::Snapshot(SnapshotError::LayoutMismatch { .. })) => {
+            let message = err.to_string();
+            assert!(message.contains("expected k4_occ54_sa11_"), "{message}");
+            assert!(message.contains("found k4_occ44_sa32_"), "{message}");
+        }
+        other => panic!("old-default image under the default recipe: {other:?}"),
+    }
+
+    let loaded = writer.attach_from_snapshot(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded, index);
+    let batch = mixed_batch(&genome, 300, 229);
+    let (results, _) = writer.attach(&loaded).unwrap().run(&batch);
+    for i in 0..batch.len() {
+        let truth = naive::occurrences(genome.seq(), batch.pattern(i));
+        match batch.request(i) {
+            QueryRequest::Count => assert_eq!(results.count(i), truth.len(), "#{i}"),
+            QueryRequest::Locate { max_hits } => {
+                let kept = results.positions(i);
+                let cap = max_hits.map_or(usize::MAX, |h| h as usize);
+                assert_eq!(kept.len(), truth.len().min(cap), "#{i}");
+                assert!(kept.windows(2).all(|w| w[0] < w[1]), "#{i}");
+                assert!(kept.iter().all(|p| truth.binary_search(p).is_ok()), "#{i}");
+            }
+            _ => assert_eq!(results.interval(i).unwrap().len(), truth.len(), "#{i}"),
+        }
+    }
+}
+
+#[test]
+fn the_default_recipe_is_one_recipe_and_compact_spells_out_its_own() {
+    let one_step = FmBuildConfig::default();
+    for k in 1..=MAX_STEP {
+        let by_index = KStepBuildConfig::for_k(k);
+        assert_eq!(
+            EngineBuilder::new().k(k).build_config().unwrap(),
+            by_index,
+            "k={k}"
+        );
+        assert_eq!(
+            FmBuildConfig {
+                occ_sample_rate: by_index.occ_sample_rate,
+                sa_sample_rate: by_index.sa_sample_rate,
+                superblock_rate: by_index.superblock_rate,
+            },
+            one_step,
+            "k={k}"
+        );
+        // The memory-first preset inherits nothing a default can move.
+        assert_eq!(
+            EngineBuilder::new()
+                .k(k)
+                .layout(IndexLayout::compact())
+                .build_config()
+                .unwrap(),
+            KStepBuildConfig {
+                k,
+                occ_sample_rate: 54,
+                sa_sample_rate: 32,
+                k_occ_sample_rate: 640,
+                superblock_rate: 32,
+                bidirectional: false,
+            },
+            "k={k}"
+        );
+    }
+    // So its samples cost a word every 32 rows, whatever the default's
+    // do (the other six components: `heap_components_equal_their_closed_
+    // forms` in the builder's unit tests).
+    let text = toy_genome().text_with_sentinel();
+    let heap_of = |layout| {
+        let builder = EngineBuilder::new().layout(layout);
+        builder.build_index(&text).unwrap().heap_breakdown()
+    };
+    assert_eq!(
+        heap_of(IndexLayout::compact()).sa_samples,
+        text.len().div_ceil(32) * 4
+    );
+    assert_eq!(
+        heap_of(IndexLayout::default()).sa_samples,
+        text.len().div_ceil(one_step.sa_sample_rate) * 4
+    );
 }

@@ -22,6 +22,20 @@ pub const REL_SCALE: usize = 1000;
 /// copies of a small library of repeat units — the synthetic analogue of
 /// transposable-element families like Alu/LINE-1 that dominate real
 /// references and stress FM-index `locate`.
+///
+/// **Copies sit on a grid.** [`Genome::synthesize`] emits segments of
+/// exactly `repeat_unit_len` bases, so every repeat copy starts at a
+/// multiple of it and the occurrences of a seed inside a family are all
+/// congruent modulo `repeat_unit_len`. A suffix-array sampling rate that
+/// shares a factor `g` with that period therefore sees a family's rows in
+/// only `rate / g` of its `rate` residue classes — they reach a sampled
+/// row in few, crowded lockstep rounds — where a rate coprime to the
+/// period spreads them over all classes, as an aperiodic genome would at
+/// any rate. Uncapped `locate` answers are unaffected; how early a
+/// `max_hits` cap closes a wide interval, and so how much resolver work
+/// it saves, is not (400 against the rates 32, 11 and 10 has gcd 16, 1
+/// and 10). Compare locate throughput across sampling rates on these
+/// profiles with that in mind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenomeProfile {
     /// Human-readable profile name, carried into [`Genome`].

@@ -12,7 +12,10 @@ use std::ops::Range;
 use exma_genome::genome::Genome;
 use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, CountTable, Symbol};
 
-use crate::layout::{HeapBreakdown, IndexError};
+use crate::layout::{
+    HeapBreakdown, IndexError, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SA_SAMPLE_RATE,
+    DEFAULT_SUPERBLOCK_RATE,
+};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 
@@ -28,18 +31,18 @@ pub struct FmBuildConfig {
 }
 
 impl Default for FmBuildConfig {
-    /// Occ checkpoints every 44 symbols: an interleaved block (five
-    /// `u16` deltas + 44 one-byte codes) inside one 64-byte cache line.
-    /// The line has room for 54 codes; 44 stays because every committed
-    /// heap figure and default-recipe snapshot was taken at it, so moving
-    /// it is a measured change of its own. Superblocks every 16 blocks —
-    /// a span of 44 × 16 = 704 rows, provably overflow-free — and
-    /// BWA-style SA samples every 32 positions.
+    /// The default recipe of [`crate::layout`]: Occ checkpoints every 54
+    /// symbols — an interleaved block of five `u16` deltas and 54
+    /// one-byte codes is exactly one 64-byte cache line — under
+    /// superblocks every 16 blocks (a span of 54 × 16 = 864 rows,
+    /// provably overflow-free), and SA samples every 11 positions, the
+    /// densest spacing the bytes a 54-row line frees over a 44-row one
+    /// pay for.
     fn default() -> FmBuildConfig {
         FmBuildConfig {
-            occ_sample_rate: 44,
-            sa_sample_rate: 32,
-            superblock_rate: 16,
+            occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
+            sa_sample_rate: DEFAULT_SA_SAMPLE_RATE,
+            superblock_rate: DEFAULT_SUPERBLOCK_RATE,
         }
     }
 }
@@ -265,6 +268,14 @@ impl FmIndex {
     /// checked at round boundaries — so the rule is independent of any
     /// within-round processing order, which is what makes capped answers
     /// identical across schedules, engines, and thread counts.)
+    ///
+    /// A walk's length is the row's text position modulo
+    /// `sa_sample_rate`, so the rule depends on that rate: two indexes
+    /// of one text sampled at different rates keep different — equally
+    /// true — `max_hits` of an interval wider than the cap, and reach
+    /// `R` after different amounts of work (on a text whose repeats are
+    /// periodic, also on what the rate shares with the period). Nothing
+    /// else in a build recipe enters it.
     ///
     /// Returns `true` iff the cap actually truncated the output. `out`
     /// is cleared first and left sorted ascending; with

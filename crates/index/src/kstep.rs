@@ -18,7 +18,10 @@ use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, Kmer, Symbol};
 
 use crate::fm::FmIndex;
 use crate::kocc::KmerOccTable;
-use crate::layout::{HeapBreakdown, IndexError};
+use crate::layout::{
+    default_k_occ_sample_rate, HeapBreakdown, IndexError, DEFAULT_OCC_SAMPLE_RATE,
+    DEFAULT_SA_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE,
+};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 
@@ -50,13 +53,12 @@ pub struct KStepBuildConfig {
 }
 
 impl KStepBuildConfig {
-    /// Defaults for a given step width: the 1-step rates of
-    /// [`crate::FmBuildConfig::default`] (one cache line per Occ block),
-    /// a k-mer checkpoint spacing of `64k` so checkpoint memory grows
-    /// sublinearly in the `4^k` alphabet expansion, and superblocks every
-    /// 16 blocks. Every default superblock span (at most
-    /// 64 × 7 × 16 = 7168 rows) is well inside the `u16` delta guarantee,
-    /// so these configs always build.
+    /// Defaults for a given step width, all read from [`crate::layout`]:
+    /// the 1-step rates of [`crate::FmBuildConfig::default`] (one full
+    /// cache line per Occ block, SA samples every 11 positions), a k-mer
+    /// checkpoint spacing of `64k` and superblocks every 16 blocks.
+    /// Every default superblock span is well inside the `u16` delta
+    /// guarantee, so these configs always build.
     ///
     /// # Panics
     ///
@@ -68,10 +70,10 @@ impl KStepBuildConfig {
         );
         KStepBuildConfig {
             k,
-            occ_sample_rate: 44,
-            sa_sample_rate: 32,
-            k_occ_sample_rate: 64 * k,
-            superblock_rate: 16,
+            occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
+            sa_sample_rate: DEFAULT_SA_SAMPLE_RATE,
+            k_occ_sample_rate: default_k_occ_sample_rate(k),
+            superblock_rate: DEFAULT_SUPERBLOCK_RATE,
             bidirectional: false,
         }
     }

@@ -1,13 +1,17 @@
-//! Layout types shared by the rank tables: typed construction errors
-//! and per-component heap attribution.
+//! Layout types shared by the rank tables: typed construction errors,
+//! the default recipe, and per-component heap attribution.
 //!
 //! Both occurrence tables store a checkpoint row one way (see
 //! [`crate::KmerOccTable`]): `u16` per-block deltas relative to sparse
 //! absolute `u32` superblock rows. Construction can fail — a superblock
 //! can span more rows than a `u16` delta provably counts, a text can
 //! outgrow `u32` row ids — so builders return [`IndexError`] instead of
-//! panicking. [`HeapBreakdown`] attributes an index's heap bytes to its
-//! components so benchmarks and the server STATS frame can report
+//! panicking. The default sampling rates are defined here and nowhere
+//! else ([`DEFAULT_OCC_SAMPLE_RATE`] and its neighbours): the index
+//! configs and the engine's `IndexLayout` all read them, because the SA
+//! rate is *derived* from the heap the occurrence rate frees and the two
+//! must move together. [`HeapBreakdown`] attributes an index's heap bytes
+//! to its components so benchmarks and the server STATS frame can report
 //! *where* the bytes went.
 
 use std::fmt;
@@ -61,6 +65,34 @@ impl fmt::Display for IndexError {
 }
 
 impl std::error::Error for IndexError {}
+
+/// Default checkpoint spacing of the 1-step occurrence table: the 54
+/// one-byte codes that fill a 64-byte line beside its five `u16` deltas
+/// (see [`crate::OccTable`]). A wider block still costs one line a rank,
+/// so this is the spacing at which the table is smallest for that price.
+pub const DEFAULT_OCC_SAMPLE_RATE: usize = 54;
+
+/// Default text-position spacing of kept suffix-array samples, set by a
+/// byte rule: the densest spacing at which [`HeapBreakdown::total`] of a
+/// default k = 4 index does not exceed what it was at the 44-row / 32
+/// recipe this one replaced. On the 20 Mbp picea index the ten rows a
+/// line gained free 5.49 MB of `one_step_occ`, samples every 11 positions
+/// cost 4.77 MB more than every 32, and every 10 would cost 7.6 kB more
+/// than the blocks freed. A locate walk then averages 5 LF steps, not
+/// 15.5.
+pub const DEFAULT_SA_SAMPLE_RATE: usize = 11;
+
+/// Default checkpoint spacing of the k-mer occurrence table at step
+/// width `k`: `64k` rows, so checkpoint memory grows sublinearly in the
+/// `4^k` alphabet expansion.
+pub const fn default_k_occ_sample_rate(k: usize) -> usize {
+    64 * k
+}
+
+/// Default blocks per absolute superblock row of both occurrence tables.
+/// The widest default span, 64 × 7 × 16 = 7168 rows, is well inside the
+/// `u16` delta guarantee, so the default recipe builds for any text.
+pub const DEFAULT_SUPERBLOCK_RATE: usize = 16;
 
 /// Heap bytes of an index attributed to its components.
 ///

@@ -15,11 +15,14 @@
 //! a `rank` touches one contiguous block, and counts the block's codes
 //! with the branch-free kernel the k-step table uses too: at the default
 //! spacing one 64-byte line, four vector compares, and no division by the
-//! spacings 44 and 54. A checkpoint row is stored the one way both tables
-//! store it: five `u16` deltas relative to an absolute `u32` superblock
-//! row kept every `superblock_rate` blocks in a separate small array. The
-//! ten header bytes leave one line room for 54 codes; bounding the
-//! superblock span at construction proves no delta can overflow.
+//! spacing. A checkpoint row is stored the one way both tables store it:
+//! five `u16` deltas relative to an absolute `u32` superblock row kept
+//! every `superblock_rate` blocks in a separate small array. The ten
+//! header bytes leave one line room for 54 codes, and 54 is the default
+//! spacing ([`crate::layout::DEFAULT_OCC_SAMPLE_RATE`]): a full line costs
+//! a rank what a 44-code one did, and the fifth of the table it saves is
+//! spent on denser suffix-array samples. Bounding the superblock span at
+//! construction proves no delta can overflow.
 //!
 //! A code byte holds more than the symbol: bit 7 says whether the row is
 //! one the sampled suffix array keeps (set when the index is assembled,
@@ -355,10 +358,10 @@ mod tests {
 
     #[test]
     fn default_rate_blocks_are_one_cache_line() {
-        // 10 header bytes + 54 codes = 64: the widest one-line block,
-        // and the default 44 codes fit it with room to spare.
+        // 10 header bytes + 54 codes = 64: the default spacing is the
+        // widest one-line block, and 44 codes fit it with room to spare.
         let bwt = bwt_of(&"ACGT".repeat(100));
-        for (rate, sb) in [(44, 16), (54, 32)] {
+        for (rate, sb) in [(44, 16), (54, 16), (54, 32)] {
             let occ = OccTable::new(&bwt, rate, sb).unwrap();
             let blocks = bwt.len() / rate + 1;
             let sb_lines = (blocks.div_ceil(sb) * HEADER_LANES).div_ceil(16);

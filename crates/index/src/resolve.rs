@@ -50,9 +50,12 @@ use crate::fm::FmIndex;
 /// superblock word a cursor, so a longer lead crowds nothing out. One
 /// index walked at every distance in one process reads, at d = 4, 8, 16,
 /// 32, 64, 30.9, 27.3, 25.7, 26.8, 26.8 ns a step; through the benchmark
-/// `locate_seeds` is flat from 8 to 64 within the box's noise
-/// (10th-percentile ns/query 1975, 1742, 1865, 1852, 1726; CHANGES.md,
-/// PR 18).
+/// `locate_seeds` was flat from 8 to 64 within the box's noise at SA
+/// rate 32 (10th-percentile ns/query 1975, 1742, 1865, 1852, 1726;
+/// CHANGES.md, PR 18). At the default rate of 11 a batch lives at most
+/// eleven rounds and its worklist shrinks faster; re-measured there, five
+/// rotated runs each: d = 8, 16, 32 read 903, 870, 869 ns/query (8 behind
+/// in all five, 16 and 32 level; CHANGES.md, PR 20).
 pub const DEFAULT_RESOLVE_PREFETCH_DISTANCE: usize = 16;
 
 /// Hit-cap sentinel: an interval with this cap keeps every position.
@@ -80,8 +83,10 @@ impl ResolveConfig {
 /// harness's `BatchStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResolveStats {
-    /// Lockstep rounds executed — at most the SA sampling rate, since
-    /// every cursor resolves within `sa_sample_rate - 1` LF steps.
+    /// Lockstep rounds executed — at most the SA sampling rate (11 at
+    /// the default recipe), since every cursor resolves within
+    /// `sa_sample_rate - 1` LF steps; fewer when caps close every
+    /// interval early.
     pub rounds: usize,
     /// LF steps issued across all cursors and rounds.
     pub lf_steps: usize,
@@ -529,6 +534,68 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_period_the_sa_rate_divides_crowds_a_capped_interval_into_one_round() {
+        // 64 exact copies of a 30-base unit, one every 40 bases over
+        // random filler — the grid `Genome::synthesize` lays repeat
+        // copies on. A 12-mer at offset 1 of the unit then occurs at
+        // 40 i + 1, and a row's walk length is that modulo the SA rate.
+        const PERIOD: usize = 40;
+        const COPIES: usize = 64;
+        const CAP: u32 = 8;
+        let mut rng = exma_genome::SeededRng::new(0x9e1d);
+        let mut base = || b"ACGT"[rng.range(0, 4)] as char;
+        let unit: String = (0..30).map(|_| base()).collect();
+        let genome: String = (0..COPIES)
+            .flat_map(|_| {
+                let filler: String = (0..PERIOD - unit.len()).map(|_| base()).collect();
+                [unit.clone(), filler]
+            })
+            .collect();
+        let text = text_from_str(&genome).unwrap();
+        let seed = exma_genome::alphabet::parse_bases(&unit[1..13]).unwrap();
+        let truth: Vec<u32> = (0..COPIES).map(|i| (PERIOD * i + 1) as u32).collect();
+
+        let resolve = |sa_sample_rate: usize| {
+            let config = FmBuildConfig {
+                sa_sample_rate,
+                ..FmBuildConfig::default()
+            };
+            let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+            let intervals = [fm.backward_search(&seed)];
+            assert_eq!(intervals[0].len(), COPIES);
+            let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
+            let (mut flat, mut offsets) = (Vec::new(), Vec::new());
+            let stats =
+                resolver.resolve_intervals_capped(&intervals, &[CAP], &mut flat, &mut offsets);
+            assert_eq!(stats, reference_stats(&fm, &intervals, &[CAP]));
+            // Either way the cap keeps `CAP` true positions.
+            assert_eq!(flat.len(), CAP as usize, "SA rate {sa_sample_rate}");
+            assert!(flat.windows(2).all(|w| w[0] < w[1]));
+            assert!(flat.iter().all(|p| truth.binary_search(p).is_ok()));
+            stats
+        };
+
+        // Rates dividing the period: every row is one step from a mark,
+        // so all 64 retire together in round 2 and the cap, checked at
+        // the round boundary, finds nothing left to drop.
+        for rate in [8, 10] {
+            assert_eq!(PERIOD % rate, 0);
+            let stats = resolve(rate);
+            assert_eq!((stats.rounds, stats.dropped), (2, 0), "SA rate {rate}");
+            assert_eq!(stats.retired, COPIES, "SA rate {rate}");
+        }
+        // Rates coprime to it: 40 i + 1 visits every residue class, five
+        // or six rows each, so the second round reaches the cap and the
+        // rest of the worklist is dropped there.
+        for rate in [11, 13] {
+            let stats = resolve(rate);
+            assert_eq!(stats.rounds, 2, "SA rate {rate}");
+            assert!(stats.retired >= CAP as usize && stats.retired < 2 * CAP as usize);
+            assert_eq!(stats.dropped, COPIES - stats.retired, "SA rate {rate}");
         }
     }
 

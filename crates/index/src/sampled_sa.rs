@@ -6,6 +6,12 @@
 //! can then be resolved by walking LF at most `sample_rate - 1` steps until
 //! a marked row is hit, adding the step count back. A rank-enabled bitset
 //! maps marked rows to their slot in the compact sample vector.
+//!
+//! The rate is where an index's spare bytes buy the most: a walk averages
+//! `(sample_rate - 1) / 2` dependent cache misses and the samples cost
+//! `4 / sample_rate` bytes a base. The default
+//! ([`crate::layout::DEFAULT_SA_SAMPLE_RATE`], 11) is the densest rate
+//! the bytes freed by filling the occurrence table's lines pay for.
 
 use crate::interleave::prefetch_element;
 

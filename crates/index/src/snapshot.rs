@@ -621,11 +621,20 @@ mod tests {
     use exma_genome::{Genome, GenomeProfile};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn toy_index(k: usize) -> KStepFmIndex {
+    /// An index of `config` over a `len`-base toy genome, or over its
+    /// doubled text when the config says bidirectional.
+    fn toy_index_with(len: usize, config: KStepBuildConfig) -> KStepFmIndex {
         let mut profile = GenomeProfile::toy();
-        profile.len = 3000;
-        let genome = Genome::synthesize(&profile, 7);
-        KStepFmIndex::from_text(&genome.text_with_sentinel(), k)
+        profile.len = len;
+        let mut text = Genome::synthesize(&profile, 7).text_with_sentinel();
+        if config.bidirectional {
+            text = crate::bidir::doubled_text(&text);
+        }
+        KStepFmIndex::from_text_with_config(&text, config).unwrap()
+    }
+
+    fn toy_index(k: usize) -> KStepFmIndex {
+        toy_index_with(3000, KStepBuildConfig::for_k(k))
     }
 
     static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -656,12 +665,29 @@ mod tests {
 
     #[test]
     fn sa_marks_in_the_occurrence_lines_never_reach_the_image() {
-        // The trailing whole-file CRC32 of these images as the commit
-        // before the occurrence lines carried SA marks wrote them: v1
-        // and v2 stay byte-for-byte what earlier builds read and write.
+        // The trailing whole-file CRC32 of the first two images as the
+        // commit before the occurrence lines carried SA marks wrote them
+        // — at occ 44 / sa 32, the default recipe of that day, spelled
+        // out here since the default moved: v1 and v2 stay byte-for-byte
+        // what earlier builds read and write. Today's default images
+        // hold to everything but a pinned constant.
+        let old_default = |k: usize, bidirectional: bool| KStepBuildConfig {
+            occ_sample_rate: 44,
+            sa_sample_rate: 32,
+            bidirectional,
+            ..KStepBuildConfig::for_k(k)
+        };
         for (index, crc) in [
-            (toy_index(4), 0xc98f_2b36),
-            (toy_bidir_index(2), 0x348f_ac88),
+            (
+                toy_index_with(3000, old_default(4, false)),
+                Some(0xc98f_2b36),
+            ),
+            (
+                toy_index_with(1500, old_default(2, true)),
+                Some(0x348f_ac88),
+            ),
+            (toy_index(4), None),
+            (toy_bidir_index(2), None),
         ] {
             let occ = index.base_index().occ();
             let n = index.text_len();
@@ -677,7 +703,9 @@ mod tests {
             let bwt_start = HEADER_LEN + flags_len + SECTION_HEADER_LEN;
             assert_eq!(u64_at(&bytes, bwt_start - 12), n as u64);
             assert!(bytes[bwt_start..bwt_start + n].iter().all(|&b| b < 5));
-            assert_eq!(u32_at(&bytes, bytes.len() - 4), crc);
+            if let Some(crc) = crc {
+                assert_eq!(u32_at(&bytes, bytes.len() - 4), crc);
+            }
             // And it loads to the index a cold build makes, marks and all.
             assert_eq!(
                 decode_snapshot(&bytes, None).expect("valid snapshot"),
@@ -807,15 +835,11 @@ mod tests {
     }
 
     fn toy_bidir_index(k: usize) -> KStepFmIndex {
-        let mut profile = GenomeProfile::toy();
-        profile.len = 1500;
-        let genome = Genome::synthesize(&profile, 7);
-        let doubled = crate::bidir::doubled_text(&genome.text_with_sentinel());
         let config = KStepBuildConfig {
             bidirectional: true,
             ..KStepBuildConfig::for_k(k)
         };
-        KStepFmIndex::from_text_with_config(&doubled, config).unwrap()
+        toy_index_with(1500, config)
     }
 
     #[test]
