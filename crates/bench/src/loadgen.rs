@@ -108,7 +108,7 @@ OPTIONS:
                        (default: 0 = off)
     --chaos-seed N     seed of the fault plan (default: 99)
     --linger-us N      self-hosted server's coalescing window (default:
-                       1000; ignored with --addr)
+                       the server's own, 0; ignored with --addr)
     --queue-depth N    self-hosted server's admission queue (default:
                        1024; ignored with --addr)
     --no-verify        skip the byte-exact oracle comparison
@@ -159,7 +159,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
         busy_retries: 3,
         chaos: 0.0,
         chaos_seed: 99,
-        linger: Duration::from_micros(1000),
+        linger: ServerConfig::default().linger,
         queue_depth: 1024,
         verify: true,
         out: PathBuf::from("LOAD_exma.json"),
@@ -527,6 +527,15 @@ fn run_rate(
     }
 }
 
+/// A client socket with Nagle off: a small frame written while an
+/// earlier one is still un-ACKed leaves at once instead of waiting in
+/// the kernel for that ACK.
+fn connect(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// One connection's share of a rate run. Returns an outcome per
 /// assigned request, the BUSY retries sent, and the instant the last
 /// response landed.
@@ -538,7 +547,7 @@ fn run_connection(
     start: Instant,
     retry: RetryPolicy,
 ) -> (Vec<Outcome>, u64, Option<Instant>) {
-    let Ok(stream) = TcpStream::connect(addr) else {
+    let Ok(stream) = connect(addr) else {
         return (assigned.iter().map(|_| Outcome::Error).collect(), 0, None);
     };
     let Ok(read_half) = stream.try_clone() else {
@@ -708,7 +717,7 @@ fn run_chaos(addr: &str, requests: &[Request], seed: u64, rate: f64, stop: &Atom
         }
         let frame = &requests[idx].frame;
         let fault = plan.decide(frame.len());
-        let Ok(mut conn) = TcpStream::connect(addr) else {
+        let Ok(mut conn) = connect(addr) else {
             // Mid-drain or a refused connect: chaos just moves on.
             thread::sleep(Duration::from_millis(5));
             continue;
@@ -744,7 +753,7 @@ struct ControlConn {
 impl ControlConn {
     fn connect(addr: &str) -> std::io::Result<ControlConn> {
         Ok(ControlConn {
-            stream: TcpStream::connect(addr)?,
+            stream: connect(addr)?,
             next_id: 1 << 62,
         })
     }
@@ -787,6 +796,20 @@ fn mean_coalesced(before: &StatsSnapshot, after: &StatsSnapshot) -> f64 {
         return f64::NAN;
     }
     coalesced as f64 / batches as f64
+}
+
+/// The server's own account of a RESULTS frame between two snapshots:
+/// mean queue wait (frame read → engine start), engine run and reply
+/// (engine end → socket write returned), in µs. What the client-side
+/// p50 shows beyond their sum is spent outside the server's threads.
+fn stage_means_us(before: &StatsSnapshot, after: &StatsSnapshot) -> [f64; 3] {
+    let replies = after.replies_timed.saturating_sub(before.replies_timed);
+    [
+        (after.queue_wait_ns, before.queue_wait_ns),
+        (after.engine_ns, before.engine_ns),
+        (after.reply_ns, before.reply_ns),
+    ]
+    .map(|(after, before)| after.saturating_sub(before) as f64 / 1e3 / replies as f64)
 }
 
 fn rate_entry(outcome: &RateOutcome) -> Json {
@@ -997,8 +1020,9 @@ fn run(args: &Args) -> ExitCode {
                 retry,
                 &mut stats_conn,
             );
+            let stages = stage_means_us(&outcome.before, &outcome.after);
             eprintln!(
-                "[loadgen]   ok {} busy {} late {} mismatch {} error {} | retries {} | p50 {:.2} ms p99 {:.2} ms p999 {:.2} ms | {:.0} req/s achieved | {:.2} subs/batch",
+                "[loadgen]   ok {} busy {} late {} mismatch {} error {} | retries {} | p50 {:.2} ms p99 {:.2} ms p999 {:.2} ms | {:.0} req/s achieved | {:.2} subs/batch | server means: queue {:.0} us, engine {:.0} us, reply {:.0} us",
                 outcome.ok,
                 outcome.busy,
                 outcome.late,
@@ -1010,6 +1034,9 @@ fn run(args: &Args) -> ExitCode {
                 percentile(&outcome.latencies_ms, 0.999),
                 outcome.achieved_rps,
                 mean_coalesced(&outcome.before, &outcome.after),
+                stages[0],
+                stages[1],
+                stages[2],
             );
             failed |= outcome.mismatches > 0 || outcome.errors > 0;
             rate_entries.push(rate_entry(&outcome));
@@ -1260,5 +1287,25 @@ mod tests {
         };
         assert_eq!(mean_coalesced(&before, &after), 3.0);
         assert!(mean_coalesced(&before, &before).is_nan());
+    }
+
+    #[test]
+    fn stage_means_divide_delta_nanoseconds_by_delta_replies() {
+        let before = StatsSnapshot {
+            queue_wait_ns: 1_000,
+            engine_ns: 5_000,
+            reply_ns: 2_000,
+            replies_timed: 1,
+            ..Default::default()
+        };
+        let after = StatsSnapshot {
+            queue_wait_ns: 41_000,
+            engine_ns: 125_000,
+            reply_ns: 22_000,
+            replies_timed: 5,
+            ..Default::default()
+        };
+        assert_eq!(stage_means_us(&before, &after), [10.0, 30.0, 5.0]);
+        assert!(stage_means_us(&before, &before)[0].is_nan());
     }
 }

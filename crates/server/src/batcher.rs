@@ -1,54 +1,54 @@
-//! The continuous-batching admission queue.
+//! The continuous-batching dispatcher.
 //!
 //! The engine's whole design bets on batch size: lockstep rounds only
 //! amortize occurrence-table locality when many queries advance
 //! together (PR 2's sweep measured the knee around a few hundred
 //! queries). A network client, though, submits whatever its own
 //! request stream carries — often a handful of queries per frame. The
-//! batcher closes that gap the way LLM serving systems do: every
-//! connection pushes its decoded submissions into one bounded queue,
-//! and a single batcher thread drains whatever has accumulated, merges
-//! it into one [`QueryBatch`], runs the engine once, and splits the
-//! pooled results back out by each submission's query range. Clients
-//! that arrive while a batch is running wait in the queue and form the
-//! next batch — admission never stalls on execution until the queue
-//! itself fills, at which point the connection answers BUSY
-//! (backpressure with an explicit signal, not an unbounded buffer).
+//! [`Dispatcher`] closes that gap the way LLM serving systems do, and
+//! without a thread of its own: every connection reader admits its
+//! decoded submissions to one bounded queue (full ⇒ BUSY: backpressure
+//! with an explicit signal, not an unbounded buffer), then tries to
+//! take the *leader token*. The winner merges whatever has accumulated
+//! into one [`QueryBatch`], runs the engine once on its own thread, and
+//! splits the pooled results back out by each submission's query
+//! range; a loser goes straight back to its socket, and what it admits
+//! while the engine runs *is* the next batch — coalescing without
+//! sleeping, and no hand-off or timer on an idle server.
+//!
+//! A leader cannot strand a follower's submission: every admit is
+//! followed by a try at the token, and a leader that found the queue
+//! empty looks at it once more *after* releasing the token. A
+//! follower's failed try means the token was still held after its
+//! submission was queued, so that last look sees it (or the token's
+//! next holder does).
 //!
 //! A `linger` window (Kafka's `linger.ms`, by another name) lets the
-//! batcher wait briefly after the first submission so concurrent
-//! clients coalesce even when the engine is faster than the arrival
-//! process; `linger = 0` degrades gracefully to drain-what's-there.
+//! leader wait on the queue's condvar after a batch's first submission
+//! so concurrent clients coalesce even when the engine is faster than
+//! the arrival process. It defaults to zero — run what is there — and
+//! pays only when many connections keep an engine-bound server busy.
 //!
 //! Deadlines are enforced *here*, not at admission: a submission's
-//! budget is checked when the batcher pulls it off the queue and
+//! budget is checked when the leader takes it off the queue and
 //! re-checked after the linger window, because queueing and lingering
 //! are exactly where a request's budget silently drains away. An
-//! expired submission answers a typed LATE frame (elapsed vs budget)
-//! and never reaches the engine — load shedding that saves the whole
-//! engine run a dead client would otherwise burn. Submissions whose
-//! connection died (writer overflow, socket failure) are skipped the
-//! same way: no reply can be delivered, so no work is done.
-//!
-//! On shutdown the batcher *drains*: it keeps executing whatever is
-//! already queued, then exits once the queue is empty, answering any
-//! last-instant stragglers with GOAWAY. It polls rather than blocks,
-//! so it never deadlocks on connections that still hold queue senders
-//! — the PR 6 retained-sender deadlock, designed out.
+//! expired submission answers a typed LATE frame and never reaches the
+//! engine — load shedding that saves the whole engine run a dead client
+//! would otherwise burn. Submissions whose connection died (writer
+//! overflow, socket failure) are skipped the same way.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use exma_engine::{Executor, QueryArena, QueryBatch};
 
-use crate::conn::ReplyHandle;
+use crate::conn::{ReplyHandle, Stamps};
 use crate::wire::{self, LateInfo, Opcode, StatsSnapshot};
 
-/// How often the idle batcher wakes to check the draining flag.
-const DRAIN_POLL: Duration = Duration::from_millis(10);
-
-/// One decoded QUERY frame, queued for the batcher.
+/// One decoded QUERY frame, queued for a leader.
 pub struct Submission {
     /// The client's request id, echoed on the response frame.
     pub request_id: u64,
@@ -61,22 +61,32 @@ pub struct Submission {
     /// The effective latency budget (client deadline clamped to the
     /// server ceiling); `None` never expires.
     pub budget: Option<Duration>,
-    /// The connection's bounded writer queue; the batcher sends the
+    /// The connection's bounded writer queue; the leader sends the
     /// encoded RESULTS (or LATE) frame here.
     pub reply: ReplyHandle,
 }
 
 impl Submission {
-    /// `Some(elapsed, budget)` iff the submission's budget has already
-    /// elapsed — the typed payload of the LATE frame it gets instead
-    /// of an engine run.
-    fn expired(&self) -> Option<LateInfo> {
-        let budget = self.budget?;
-        let elapsed = self.arrival.elapsed();
-        (elapsed > budget).then(|| LateInfo {
-            elapsed_us: saturating_us(elapsed),
-            budget_us: saturating_us(budget),
-        })
+    /// Whether the submission is still worth an engine run. An elapsed
+    /// budget answers LATE (elapsed vs budget) here; a connection
+    /// already torn down gets nothing: nothing could deliver it.
+    fn still_wanted(&self, stats: &ServerStats) -> bool {
+        let late = self.budget.and_then(|budget| {
+            let elapsed = self.arrival.elapsed();
+            (elapsed > budget).then(|| LateInfo {
+                elapsed_us: saturating_us(elapsed),
+                budget_us: saturating_us(budget),
+            })
+        });
+        if let Some(late) = late {
+            stats.late_dropped.fetch_add(1, Ordering::Relaxed);
+            let mut payload = Vec::with_capacity(8);
+            wire::encode_late(late, &mut payload);
+            let frame = wire::frame_at(self.version, Opcode::Late, self.request_id, &payload);
+            self.reply.send(frame, None, stats);
+            return false;
+        }
+        !self.reply.is_dead()
     }
 }
 
@@ -85,7 +95,7 @@ fn saturating_us(d: Duration) -> u32 {
     d.as_micros().min(u128::from(u32::MAX)) as u32
 }
 
-/// Batcher knobs, fixed at server start.
+/// Dispatcher knobs, fixed at server start.
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
     /// How long to keep coalescing after the first submission of a
@@ -99,15 +109,14 @@ pub struct BatcherConfig {
 impl Default for BatcherConfig {
     fn default() -> BatcherConfig {
         BatcherConfig {
-            linger: Duration::from_micros(200),
+            linger: Duration::ZERO,
             max_batch_queries: 4096,
         }
     }
 }
 
-/// Cumulative server counters, shared across connection threads and
-/// the batcher. Relaxed ordering throughout: these are monitoring
-/// counters, not synchronization.
+/// Cumulative server counters, shared across connection threads.
+/// Relaxed ordering throughout: monitoring, not synchronization.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -171,6 +180,17 @@ pub struct ServerStats {
     /// Symbol length of the indexed text (doubled for a bidirectional
     /// index); set once at startup.
     pub bidir_text_len: AtomicU64,
+    /// Nanoseconds from frame fully read to engine start (the linger
+    /// window included), summed over `replies_timed`.
+    pub queue_wait_ns: AtomicU64,
+    /// Nanoseconds inside `run_into`; a merged run counts once for
+    /// each submission it answered.
+    pub engine_ns: AtomicU64,
+    /// Nanoseconds from engine end to the writer's `write_all`
+    /// returning.
+    pub reply_ns: AtomicU64,
+    /// RESULTS frames written: what the three sums above are over.
+    pub replies_timed: AtomicU64,
 }
 
 impl ServerStats {
@@ -234,7 +254,26 @@ impl ServerStats {
             snapshot_rejected: self.snapshot_rejected.load(Ordering::Relaxed),
             bidir_enabled: self.bidir_enabled.load(Ordering::Relaxed),
             bidir_text_len: self.bidir_text_len.load(Ordering::Relaxed),
+            queue_wait_ns: self.queue_wait_ns.load(Ordering::Relaxed),
+            engine_ns: self.engine_ns.load(Ordering::Relaxed),
+            reply_ns: self.reply_ns.load(Ordering::Relaxed),
+            replies_timed: self.replies_timed.load(Ordering::Relaxed),
         }
+    }
+
+    /// Adds one written RESULTS frame's stage durations; the writer
+    /// calls this as its `write_all` returns.
+    pub(crate) fn note_reply(&self, stamps: &Stamps) {
+        let ns = |from: Instant, to: Instant| to.saturating_duration_since(from).as_nanos() as u64;
+        self.queue_wait_ns
+            .fetch_add(ns(stamps.arrival, stamps.engine_start), Ordering::Relaxed);
+        self.engine_ns.fetch_add(
+            ns(stamps.engine_start, stamps.engine_end),
+            Ordering::Relaxed,
+        );
+        self.reply_ns
+            .fetch_add(ns(stamps.engine_end, Instant::now()), Ordering::Relaxed);
+        self.replies_timed.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_coalesced(&self, submissions: usize) {
@@ -245,128 +284,169 @@ impl ServerStats {
     }
 }
 
-/// Pulls one submission's worth of bookkeeping: decrements the queue
-/// depth, answers LATE if the budget already elapsed (deadline check
-/// *before* linger), and returns the submission only if it is still
-/// worth batching.
-fn triage(sub: Submission, stats: &ServerStats) -> Option<Submission> {
-    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    if let Some(info) = sub.expired() {
-        send_late(&sub, info, stats);
-        return None;
-    }
-    if sub.reply.is_dead() {
-        // The client's connection is already torn down: nothing could
-        // deliver the answer, so don't compute one.
-        return None;
-    }
-    Some(sub)
+/// What the leader token guards: the buffers of an engine run, reused
+/// so steady-state batches execute allocation-free like an embedded caller's.
+#[derive(Default)]
+struct Leader {
+    pending: Vec<Submission>,
+    merged: QueryBatch,
+    arena: QueryArena,
+    payload: Vec<u8>,
 }
 
-fn send_late(sub: &Submission, info: LateInfo, stats: &ServerStats) {
-    stats.late_dropped.fetch_add(1, Ordering::Relaxed);
-    let mut payload = Vec::with_capacity(8);
-    wire::encode_late(info, &mut payload);
-    sub.reply.send(
-        wire::frame_at(sub.version, Opcode::Late, sub.request_id, &payload),
-        stats,
-    );
-}
-
-/// The batcher loop: drain → triage → merge → run → split, until every
-/// sender hangs up or `draining` is observed with an empty queue. Runs
-/// on its own thread with exclusive use of `exec`; one [`QueryArena`]
-/// lives for the whole loop, so steady-state batches execute
-/// allocation-free just like an embedded caller's would.
-pub fn run_batcher(
-    exec: &dyn Executor,
-    queue: &Receiver<Submission>,
+/// The admission queue and the leader token; see the module docs.
+pub struct Dispatcher {
+    queue: Mutex<VecDeque<Submission>>,
+    /// Only a leader inside its linger window ever waits on it.
+    arrived: Condvar,
+    leader: Mutex<Leader>,
+    queue_depth: usize,
     config: BatcherConfig,
-    stats: &ServerStats,
-    draining: &AtomicBool,
-) {
-    let mut merged = QueryBatch::new();
-    let mut arena = QueryArena::new();
-    let mut pending: Vec<Submission> = Vec::new();
-    // Per-submission routing: (request_id, version, end offset in
-    // `merged`, reply).
-    let mut routes: Vec<(u64, u8, usize, ReplyHandle)> = Vec::new();
-    let mut payload = Vec::new();
-    let mut disconnected = false;
+    pub(crate) stats: Arc<ServerStats>,
+}
 
-    'serve: while !disconnected {
-        // Poll for the batch's first live submission. Polling (rather
-        // than blocking on recv) is what lets a drain finish while
-        // connections still hold queue senders.
-        let first = loop {
-            match queue.recv_timeout(DRAIN_POLL) {
-                Ok(sub) => {
-                    if let Some(sub) = triage(sub, stats) {
-                        break sub;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if draining.load(Ordering::Relaxed) {
-                        break 'serve;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break 'serve,
-            }
-        };
-        pending.clear();
-        let mut total_queries = first.batch.len();
-        pending.push(first);
+impl Dispatcher {
+    /// A dispatcher whose queue holds at most `queue_depth` submissions.
+    pub fn new(queue_depth: usize, config: BatcherConfig, stats: Arc<ServerStats>) -> Dispatcher {
+        Dispatcher {
+            queue: Mutex::default(),
+            arrived: Condvar::new(),
+            leader: Mutex::default(),
+            queue_depth,
+            config,
+            stats,
+        }
+    }
 
-        // Coalesce: whatever is queued, plus anything that arrives
-        // within the linger window, up to the batch-size cap.
-        let deadline = Instant::now() + config.linger;
-        while total_queries < config.max_batch_queries {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match queue.recv_timeout(wait) {
-                Ok(sub) => {
-                    if let Some(sub) = triage(sub, stats) {
-                        total_queries += sub.batch.len();
-                        pending.push(sub);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Run what we already merged, then exit.
-                    disconnected = true;
-                    break;
-                }
+    // Neither lock is held across code that leaves its data half
+    // updated (the leader's buffers are cleared before every use), so
+    // a holder that panicked must not wedge every other connection.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Submission>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `sub`, or hands it back when the queue is full — the
+    /// caller answers BUSY. Follow a run of admits with [`Self::lead`].
+    pub fn admit(&self, sub: Submission) -> Result<(), Submission> {
+        let mut queue = self.queue();
+        if queue.len() >= self.queue_depth {
+            return Err(sub);
+        }
+        queue.push_back(sub);
+        // Counted before the lock is released: a leader may take the
+        // submission off (and count it down) the moment it is.
+        self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+        drop(queue);
+        if !self.config.linger.is_zero() {
+            self.arrived.notify_one(); // a syscall, and no window means no waiter
+        }
+        self.stats
+            .submissions_admitted
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Tries to take the leader token and, holding it, runs the queue
+    /// dry on the calling thread. Returns at once when another thread
+    /// leads: that thread executes what the caller admitted.
+    pub fn lead(&self, exec: &dyn Executor) {
+        loop {
+            let mut leader = match self.leader.try_lock() {
+                Ok(leader) => leader,
+                Err(TryLockError::Poisoned(dead)) => dead.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            self.serve(&mut leader, exec);
+            drop(leader);
+            // An admit between the leader's last look and the unlock
+            // found the token taken; this look is for it.
+            if self.queue().is_empty() {
+                return;
             }
         }
+    }
 
-        // Deadline re-check *after* linger: the window itself consumes
-        // budget, and a submission that expired waiting answers LATE
-        // instead of dragging the whole batch through the engine.
-        merged.clear();
-        routes.clear();
-        for sub in pending.drain(..) {
-            if let Some(info) = sub.expired() {
-                send_late(&sub, info, stats);
-                continue;
-            }
-            if sub.reply.is_dead() {
-                continue;
-            }
-            merged.extend_from(&sub.batch);
-            routes.push((sub.request_id, sub.version, merged.len(), sub.reply));
-        }
-        if merged.is_empty() {
-            continue; // everything expired or died; no engine run
-        }
+    /// [`Self::lead`], but waits for the token: returns once nothing
+    /// admitted before the call is still queued or executing.
+    pub fn drain(&self, exec: &dyn Executor) {
+        let mut leader = self.leader.lock().unwrap_or_else(PoisonError::into_inner);
+        self.serve(&mut leader, exec);
+        drop(leader);
+        self.lead(exec);
+    }
 
+    /// The leader loop: gather → merge → run → split, until the queue
+    /// is empty.
+    fn serve(&self, leader: &mut Leader, exec: &dyn Executor) {
+        loop {
+            leader.pending.clear();
+            self.gather(&mut leader.pending);
+            // Deadline re-check *after* linger: the window itself
+            // consumes budget, and a submission that expired waiting
+            // answers LATE instead of dragging the whole batch through
+            // the engine.
+            leader.pending.retain(|sub| sub.still_wanted(&self.stats));
+            if leader.pending.is_empty() {
+                return; // the queue is empty, or held only shed work
+            }
+            leader.run(exec, &self.stats);
+        }
+    }
+
+    /// Moves whatever is queued into `pending`, plus anything that
+    /// arrives within the linger window of the first live submission,
+    /// up to the batch-size cap. The deadline check *before* linger
+    /// happens here, as a submission leaves the queue.
+    fn gather(&self, pending: &mut Vec<Submission>) {
+        let mut queue = self.queue();
+        let mut total_queries = 0;
+        let mut window_ends = None;
+        loop {
+            while total_queries < self.config.max_batch_queries {
+                let Some(sub) = queue.pop_front() else { break };
+                self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                if sub.still_wanted(&self.stats) {
+                    total_queries += sub.batch.len();
+                    pending.push(sub);
+                }
+            }
+            if pending.is_empty()
+                || self.config.linger.is_zero()
+                || total_queries >= self.config.max_batch_queries
+            {
+                return;
+            }
+            let ends = *window_ends.get_or_insert_with(|| Instant::now() + self.config.linger);
+            let left = ends.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            (queue, _) = self
+                .arrived
+                .wait_timeout(queue, left)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Leader {
+    /// One engine run for everything in `pending`, then one RESULTS
+    /// frame per submission, in admission order.
+    fn run(&mut self, exec: &dyn Executor, stats: &ServerStats) {
+        self.merged.clear();
+        for sub in &self.pending {
+            self.merged.extend_from(&sub.batch);
+        }
         stats.batches_run.fetch_add(1, Ordering::Relaxed);
-        stats.note_coalesced(routes.len());
+        stats.note_coalesced(self.pending.len());
         stats
             .queries_executed
-            .fetch_add(merged.len() as u64, Ordering::Relaxed);
+            .fetch_add(self.merged.len() as u64, Ordering::Relaxed);
 
-        // One engine run for the whole coalesced batch.
-        let batch_stats = exec.run_into(&merged, &mut arena);
-        let results = arena.results();
+        let engine_start = Instant::now();
+        let batch_stats = exec.run_into(&self.merged, &mut self.arena);
+        let engine_end = Instant::now();
+        let results = self.arena.results();
         stats
             .positions_returned
             .fetch_add(results.total_positions() as u64, Ordering::Relaxed);
@@ -377,31 +457,22 @@ pub fn run_batcher(
             .resolve_rounds
             .fetch_add(batch_stats.resolve_rounds as u64, Ordering::Relaxed);
 
-        // Split the pooled results back out, one RESULTS frame per
-        // submission, in admission order. Draining (not iterating)
-        // drops each reply sender as its frame goes out — a retained
-        // sender would keep the connection's writer thread alive, and
-        // with it the connection's queue sender, deadlocking shutdown.
+        // Draining (not iterating) drops each reply sender as its
+        // frame goes out: a connection's writer ends when its last
+        // sender does.
         let mut start = 0;
-        for (request_id, version, end, reply) in routes.drain(..) {
-            payload.clear();
-            wire::encode_results_range(results, start, end, &mut payload);
-            reply.send(
-                wire::frame_at(version, Opcode::Results, request_id, &payload),
-                stats,
-            );
+        for sub in self.pending.drain(..) {
+            let end = start + sub.batch.len();
+            self.payload.clear();
+            wire::encode_results_range(results, start, end, &mut self.payload);
+            let frame = wire::frame_at(sub.version, Opcode::Results, sub.request_id, &self.payload);
+            let stamps = Stamps {
+                arrival: sub.arrival,
+                engine_start,
+                engine_end,
+            };
+            sub.reply.send(frame, Some(stamps), stats);
             start = end;
         }
-    }
-
-    // Final sweep: submissions that slipped in between the last poll
-    // and this exit get a typed GOAWAY, not silence.
-    while let Ok(sub) = queue.try_recv() {
-        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        stats.goaway_sent.fetch_add(1, Ordering::Relaxed);
-        sub.reply.send(
-            wire::frame_at(sub.version, Opcode::Goaway, sub.request_id, &[]),
-            stats,
-        );
     }
 }

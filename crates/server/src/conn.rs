@@ -1,53 +1,58 @@
-//! Per-connection frame handling: read → decode → admit, plus a
-//! dedicated writer thread.
+//! Per-connection frame handling: read → decode → admit → maybe lead,
+//! plus a dedicated writer thread.
 //!
 //! Each accepted connection gets two threads. The *reader* owns the
-//! request half: it reads frames, decodes QUERY payloads, stamps their
-//! arrival time and effective deadline budget, and pushes
-//! [`Submission`]s into the shared admission queue with `try_send` —
-//! a full queue answers BUSY immediately instead of blocking the
-//! socket (the explicit-backpressure half of continuous batching).
-//! The *writer* owns the response half: it drains a **bounded** channel
-//! of pre-encoded frames and writes them to the socket, so the batcher
-//! thread never blocks on a slow client's TCP window. When the writer
-//! queue overflows — a client reading slower than it asks — the frame
-//! is counted as shed and the connection is torn down: a slow reader
-//! costs one bounded buffer, never unbounded memory.
+//! request half. One wake of it is one `read` into the connection's
+//! buffer; it decodes **every complete frame already received**,
+//! stamps their arrival time and effective deadline budget, and admits
+//! the QUERYs to the shared [`Dispatcher`] — a full queue answers BUSY
+//! immediately instead of blocking the socket. Only then does it try
+//! for the leader token: a pipelined burst is admitted whole before
+//! anyone runs the engine, so it executes as one batch (or overflows
+//! the queue and is told so), not as one engine pass per frame. The
+//! *writer* owns the response half: it drains a **bounded** channel of
+//! pre-encoded frames into the socket, so a leader never blocks on a
+//! slow client's TCP window. When that channel overflows — a client
+//! reading slower than it asks — the frame is counted as shed and the
+//! connection is torn down: a slow reader costs one bounded buffer,
+//! never unbounded memory.
 //!
-//! Reads poll on a short timeout so the reader can notice three things
-//! a blocking read would hide: the connection went dead (writer shed
-//! or write failure), the server began force-closing after a drain,
-//! or the peer has been silent past the idle timeout — stalled and
-//! half-dead connections are *reaped*, not kept forever.
+//! Nothing polls. The socket's read timeout *is* the idle timeout, so
+//! a peer silent for that long (mid-frame counts) is *reaped*; the
+//! writer blocks in `recv` until the last sender of its channel drops;
+//! and whoever declares the connection dead — a shed, a failed or
+//! timed-out write — shuts the socket down both ways, which wakes the
+//! reader in `read` and the writer in `write_all` at once. A draining
+//! server wakes readers the same way, with `Shutdown::Read`.
 //!
 //! Because responses are produced by two parties (the reader answers
-//! BUSY/ERROR/GOAWAY/STATS_REPLY itself; the batcher produces RESULTS
+//! BUSY/ERROR/GOAWAY/STATS_REPLY itself; a leader produces RESULTS
 //! and LATE), responses are *not* globally ordered: a BUSY for a later
 //! request can overtake the RESULTS of an earlier one. Every response
 //! echoes its request id — and its request's protocol *version*, so a
 //! v1 client only ever sees v1 frames — and clients match by id, never
 //! by arrival order.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::batcher::{ServerStats, Submission};
+use exma_engine::{Executor, QueryRequest};
+
+use crate::batcher::{Dispatcher, ServerStats, Submission};
 use crate::wire::{self, Opcode, WireError, HEADER_LEN, QUERY_EXT_LEN};
 
-/// How often blocked reads and the idle writer wake to check control
-/// flags (dead, force-close, idle deadline).
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
 /// How long one `write_all` may stall on a clogged client socket
-/// before the writer declares the connection dead. Without this, a
-/// peer that stops draining its receive window pins the writer thread
-/// in `write_all` forever and shutdown can never join it.
+/// before the writer declares the connection dead: the bound on what a
+/// peer that stops draining its receive window can pin.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The reader's buffer: the most one `read` takes, short of a larger frame.
+const READ_BUFFER: usize = 64 << 10;
 
 /// Per-connection decode limits and robustness knobs, fixed at server
 /// start.
@@ -77,368 +82,292 @@ pub struct ConnConfig {
     pub bidirectional: bool,
 }
 
-impl Default for ConnConfig {
-    fn default() -> ConnConfig {
-        ConnConfig {
-            max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
-            max_queries_per_frame: 4096,
-            max_hits_ceiling: None,
-            writer_queue_depth: 256,
-            idle_timeout: Some(Duration::from_secs(60)),
-            default_deadline: None,
-            bidirectional: false,
-        }
+/// The instants a RESULTS frame carries to the writer — its request
+/// fully read, its engine run begun and ended — which become the stage
+/// durations STATS reports once the frame is on the socket.
+#[derive(Debug, Clone, Copy)]
+pub struct Stamps {
+    pub arrival: Instant,
+    pub engine_start: Instant,
+    pub engine_end: Instant,
+}
+
+/// What a connection's two threads and its reply handles share.
+struct ConnState {
+    /// Set once a frame was shed or a write failed.
+    dead: AtomicBool,
+    /// A handle on the socket, for shutting it down from any thread.
+    socket: TcpStream,
+}
+
+impl ConnState {
+    /// Declares the connection dead and wakes both of its threads.
+    fn kill(&self) {
+        self.dead.store(true, Ordering::Relaxed);
+        let _ = self.socket.shutdown(Shutdown::Both);
     }
 }
 
-/// Server-wide lifecycle flags every connection watches.
-#[derive(Clone, Default)]
-pub struct ConnShared {
-    /// Set by shutdown: new QUERYs answer GOAWAY, in-flight batches
-    /// still drain.
-    pub draining: Arc<AtomicBool>,
-    /// Set after the batcher drained: readers exit at their next poll
-    /// so the server can join every connection thread.
-    pub force_close: Arc<AtomicBool>,
-}
-
-/// The batcher-facing half of a connection's writer queue: a bounded
+/// The sending half of a connection's writer queue: a bounded
 /// `try_send` that converts overflow into a counted shed plus a dead
 /// connection, never into blocking or unbounded buffering.
 #[derive(Clone)]
 pub struct ReplyHandle {
-    tx: SyncSender<Vec<u8>>,
-    dead: Arc<AtomicBool>,
+    tx: SyncSender<(Vec<u8>, Option<Stamps>)>,
+    conn: Arc<ConnState>,
 }
 
 impl ReplyHandle {
-    /// Enqueues one pre-encoded frame. On overflow the frame is
-    /// dropped, the shed is counted, and the connection is flagged
-    /// dead — its writer shuts the socket at its next poll. Sends to
-    /// an already-dead or hung-up connection are ignored: the work is
-    /// done, the client just stopped listening.
-    pub fn send(&self, frame: Vec<u8>, stats: &ServerStats) {
+    /// Enqueues one pre-encoded frame — a RESULTS frame with the
+    /// `stamps` the writer reports once it is written. On overflow the
+    /// frame is dropped, the shed is counted, and the connection is
+    /// shut down. Sends to an already-dead or hung-up connection are
+    /// ignored: the work is done, the client just stopped listening.
+    pub fn send(&self, frame: Vec<u8>, stamps: Option<Stamps>, stats: &ServerStats) {
         if self.is_dead() {
             return;
         }
-        match self.tx.try_send(frame) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                self.dead.store(true, Ordering::Relaxed);
-                stats.writer_shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Disconnected(_)) => {}
+        if let Err(TrySendError::Full(_)) = self.tx.try_send((frame, stamps)) {
+            stats.writer_shed.fetch_add(1, Ordering::Relaxed);
+            self.conn.kill();
         }
     }
 
     /// `true` once the connection shed a frame or its socket failed;
-    /// the batcher skips executing submissions whose reply can no
-    /// longer be delivered.
+    /// a leader skips executing submissions whose reply can no longer
+    /// be delivered.
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
+        self.conn.dead.load(Ordering::Relaxed)
     }
+}
+
+/// The accept-time socket set-up: replies leave as they are written
+/// (no Nagle delay behind an un-ACKed predecessor), a read blocks for
+/// at most the idle timeout, a write for at most `WRITE_TIMEOUT`.
+pub fn configure(stream: &TcpStream, idle_timeout: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(idle_timeout)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))
 }
 
 /// Services one connection until the peer hangs up, a framing error
 /// makes the stream untrustworthy, the idle timeout reaps it, or the
-/// server force-closes. Runs on the connection's reader thread; spawns
-/// (and joins) the paired writer thread.
+/// server shuts its read half at drain (`draining` set: new QUERYs
+/// answer GOAWAY). Runs on the connection's reader thread, leading
+/// engine runs with `exec` whenever it wins the token; spawns (and
+/// joins) the paired writer thread.
 pub fn handle_conn(
     stream: TcpStream,
-    submit: SyncSender<Submission>,
-    stats: Arc<ServerStats>,
+    dispatcher: &Dispatcher,
+    exec: &dyn Executor,
     config: ConnConfig,
-    shared: ConnShared,
+    draining: &AtomicBool,
 ) {
-    let Ok(write_half) = stream.try_clone() else {
+    let (Ok(()), Ok(socket)) = (configure(&stream, config.idle_timeout), stream.try_clone()) else {
         return;
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(config.writer_queue_depth.max(1));
-    let dead = Arc::new(AtomicBool::new(false));
+    let (tx, frames) = mpsc::sync_channel(config.writer_queue_depth.max(1));
+    let dead = AtomicBool::new(false);
+    let conn = Arc::new(ConnState { dead, socket });
     let reply = ReplyHandle {
-        tx: reply_tx,
-        dead: Arc::clone(&dead),
+        tx,
+        conn: Arc::clone(&conn),
     };
-
-    let writer_dead = Arc::clone(&dead);
-    let writer = thread::spawn(move || {
-        let mut stream = write_half;
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        loop {
-            match reply_rx.recv_timeout(POLL_INTERVAL) {
-                Ok(frame) => {
-                    if writer_dead.load(Ordering::Relaxed) || stream.write_all(&frame).is_err() {
-                        writer_dead.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                // A dead connection stops flushing immediately; a live
-                // one keeps waiting for the batcher's route senders.
-                Err(RecvTimeoutError::Timeout) => {
-                    if writer_dead.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+    thread::scope(|scope| {
+        scope.spawn(|| write_loop(frames, &conn, &dispatcher.stats));
+        Reader {
+            dispatcher,
+            exec,
+            config: &config,
+            draining,
+            reply: &reply,
         }
-        // Reader saw EOF/gave up, or this half declared the conn dead;
-        // mirror the close so the other half wakes too.
-        let _ = stream.shutdown(Shutdown::Both);
+        .run(stream);
+        // Dropping the reader's sender ends the writer once the
+        // submissions still in flight have been answered.
+        drop(reply);
     });
-
-    read_loop(stream, &submit, &stats, config, &shared, &reply);
-
-    // Closing our reply sender (and dropping any Submission clones is
-    // the batcher's business) ends the writer once in-flight RESULTS
-    // frames drain.
-    drop(reply);
-    let _ = writer.join();
 }
 
-/// Why a poll-read ended without filling its buffer.
-enum ReadEnd {
-    /// Zero bytes at a frame boundary: the peer closed cleanly.
-    CleanEof,
-    /// The peer was silent past the idle timeout (mid-frame counts).
-    Idle,
-    /// The connection was flagged dead or the server is force-closing.
-    Stopped,
-    /// An I/O error or a mid-frame EOF.
-    Gone,
-}
-
-/// `read_exact` on a poll-timeout socket: fills `buf` or reports why
-/// it could not, checking the control flags and the idle deadline at
-/// every timeout tick. Clean EOF is only clean at `filled == 0` with
-/// `at_boundary` — anywhere else a close is a torn frame.
-fn poll_read_exact(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    at_boundary: bool,
-    last_activity: &mut Instant,
-    config: &ConnConfig,
-    dead: &AtomicBool,
-    shared: &ConnShared,
-) -> Result<(), ReadEnd> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && at_boundary => return Err(ReadEnd::CleanEof),
-            Ok(0) => return Err(ReadEnd::Gone),
-            Ok(n) => {
-                filled += n;
-                *last_activity = Instant::now();
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if dead.load(Ordering::Relaxed) || shared.force_close.load(Ordering::Relaxed) {
-                    return Err(ReadEnd::Stopped);
-                }
-                if let Some(idle) = config.idle_timeout {
-                    if last_activity.elapsed() >= idle {
-                        return Err(ReadEnd::Idle);
-                    }
-                }
-            }
-            Err(_) => return Err(ReadEnd::Gone),
+/// The writer loop: writes frames as they come, blocking in `recv` until
+/// every sender — the reader's and each in-flight submission's — is gone.
+fn write_loop(frames: Receiver<(Vec<u8>, Option<Stamps>)>, conn: &ConnState, stats: &ServerStats) {
+    while let Ok((frame, stamps)) = frames.recv() {
+        if conn.dead.load(Ordering::Relaxed) || (&conn.socket).write_all(&frame).is_err() {
+            break; // a dead connection stops flushing immediately
+        }
+        if let Some(stamps) = stamps {
+            stats.note_reply(&stamps);
         }
     }
-    Ok(())
+    // The reader saw EOF or gave up, or this half found the connection
+    // dead; either way close both halves so the other thread wakes too.
+    conn.kill();
 }
 
-/// The reader loop proper; returns when the connection is done.
-fn read_loop(
-    mut stream: TcpStream,
-    submit: &SyncSender<Submission>,
-    stats: &ServerStats,
-    config: ConnConfig,
-    shared: &ConnShared,
-    reply: &ReplyHandle,
-) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let dead = Arc::clone(&reply.dead);
-    let mut last_activity = Instant::now();
-    let mut header_bytes = [0u8; HEADER_LEN];
-    let mut payload = Vec::new();
-    loop {
-        // A read helper call per frame section: header, then the v2
-        // QUERY deadline extension, then the payload. Idle reaping is
-        // only counted once, wherever the stall happened.
-        let mut read = |buf: &mut [u8], at_boundary: bool, last_activity: &mut Instant| {
-            poll_read_exact(
-                &mut stream,
-                buf,
-                at_boundary,
-                last_activity,
-                &config,
-                &dead,
-                shared,
-            )
-        };
-        match read(&mut header_bytes, true, &mut last_activity) {
-            Ok(()) => {}
-            Err(ReadEnd::Idle) => {
-                stats.conns_reaped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // Clean EOF between frames, a mid-header cut, or a
-            // force-close: either way this connection is done.
-            Err(_) => return,
-        }
-        let header = match wire::decode_header(&header_bytes, config.max_frame_len) {
-            Ok(header) => header,
-            Err(e) => {
-                // Bad magic/version/length: the stream can no longer
-                // be framed. Answer once (at the floor version every
-                // client parses — the header's own version byte is
-                // untrustworthy here) and hang up.
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                reply.send(error_frame(wire::MIN_VERSION, 0, &e), stats);
-                return;
-            }
-        };
-        let deadline_us = if header.has_deadline_ext() {
-            let mut ext = [0u8; QUERY_EXT_LEN];
-            match read(&mut ext, false, &mut last_activity) {
-                Ok(()) => u32::from_le_bytes(ext),
-                Err(ReadEnd::Idle) => {
+/// The request half of one connection.
+struct Reader<'a> {
+    dispatcher: &'a Dispatcher,
+    exec: &'a dyn Executor,
+    config: &'a ConnConfig,
+    draining: &'a AtomicBool,
+    reply: &'a ReplyHandle,
+}
+
+impl Reader<'_> {
+    /// The reader loop proper; returns when the connection is done.
+    fn run(&self, mut stream: TcpStream) {
+        let stats = &*self.dispatcher.stats;
+        // `buf[..end]` is what has been received and not yet consumed;
+        // it starts on a frame boundary and `buf` always has room for
+        // the rest of the frame that starts there.
+        let mut buf = vec![0u8; READ_BUFFER];
+        let mut end = 0;
+        loop {
+            match stream.read(&mut buf[end..]) {
+                // A clean close between frames, a cut mid-frame, or the
+                // shutdown of a drain or of a dead connection.
+                Ok(0) => return,
+                Ok(n) => end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // Silent past the idle timeout, wherever in a frame.
                     stats.conns_reaped.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 Err(_) => return,
             }
-        } else {
-            0
-        };
-        payload.resize(header.payload_len as usize, 0);
-        match read(&mut payload, false, &mut last_activity) {
-            Ok(()) => {}
-            Err(ReadEnd::Idle) => {
-                // A peer that announced a payload longer than it ever
-                // sends stalls here; the idle timeout reaps it.
-                stats.conns_reaped.fetch_add(1, Ordering::Relaxed);
+            // Every frame this read completed finished arriving now; a
+            // leader measures deadlines and the queue wait from here.
+            let arrival = Instant::now();
+            let mut start = 0;
+            let mut admitted = false;
+            // Split off every whole frame — header, then the v2 QUERY
+            // deadline extension, then the payload — and leave with the
+            // length of the frame the remaining bytes are part of.
+            let frame_len = loop {
+                let bytes = &buf[start..end];
+                let Some(header) = bytes.get(..HEADER_LEN) else {
+                    break HEADER_LEN;
+                };
+                let header = header.try_into().expect("sliced to HEADER_LEN");
+                let header = match wire::decode_header(header, self.config.max_frame_len) {
+                    Ok(header) => header,
+                    Err(e) => {
+                        // Bad magic/version/length: the stream can no
+                        // longer be framed. Answer once (at the floor
+                        // version every client parses: the header's own
+                        // is untrustworthy) and hang up below.
+                        stats.errors.fetch_add(1, Ordering::Relaxed);
+                        let frame = error_frame(wire::MIN_VERSION, 0, &e);
+                        self.reply.send(frame, None, stats);
+                        break 0; // no frame is this short: "unframeable"
+                    }
+                };
+                let ext = if header.has_deadline_ext() {
+                    QUERY_EXT_LEN
+                } else {
+                    0
+                };
+                let len = HEADER_LEN + ext + header.payload_len as usize;
+                if bytes.len() < len {
+                    break len;
+                }
+                let (ext, payload) = bytes[HEADER_LEN..len].split_at(ext);
+                let deadline_us = ext.try_into().map_or(0, u32::from_le_bytes);
+                admitted |= self.handle(header, deadline_us, payload, arrival);
+                start += len;
+            };
+            // Only now, with the whole burst admitted (or told BUSY).
+            if admitted {
+                self.dispatcher.lead(self.exec);
+            }
+            if frame_len == 0 || self.reply.is_dead() {
+                // Unframeable, or the writer queue overflowed (or the
+                // socket failed) while answering: stop reading so the
+                // teardown completes.
                 return;
             }
-            Err(_) => return, // truncated frame: peer died mid-payload
-        }
-        // The submission's clock starts the instant its frame finished
-        // arriving; the batcher measures the deadline from here.
-        let arrival = Instant::now();
-
-        // From here the frame boundary is sound, so protocol errors
-        // are answerable without losing sync.
-        let opcode = match Opcode::from_byte(header.opcode) {
-            Ok(opcode) => opcode,
-            Err(e) => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                reply.send(error_frame(header.version, header.request_id, &e), stats);
-                continue;
+            buf.copy_within(start..end, 0);
+            end -= start;
+            if buf.len() < frame_len {
+                buf.resize(frame_len, 0);
             }
+        }
+    }
+
+    /// Answers or admits one request whose frame boundary is sound —
+    /// so protocol errors in it are answerable without losing sync.
+    /// `true` iff it was admitted to the dispatcher.
+    fn handle(
+        &self,
+        header: wire::FrameHeader,
+        deadline_us: u32,
+        payload: &[u8],
+        arrival: Instant,
+    ) -> bool {
+        let stats = &*self.dispatcher.stats;
+        let answer = |opcode: Opcode, payload: &[u8]| {
+            let frame = wire::frame_at(header.version, opcode, header.request_id, payload);
+            self.reply.send(frame, None, stats);
         };
-        match opcode {
-            Opcode::Query => {
-                if shared.draining.load(Ordering::Relaxed) {
-                    stats.goaway_sent.fetch_add(1, Ordering::Relaxed);
-                    reply.send(
-                        wire::frame_at(header.version, Opcode::Goaway, header.request_id, &[]),
-                        stats,
-                    );
-                    continue;
-                }
+        let refuse = |error: &WireError| {
+            stats.errors.fetch_add(1, Ordering::Relaxed);
+            let frame = error_frame(header.version, header.request_id, error);
+            self.reply.send(frame, None, stats);
+        };
+        match Opcode::from_byte(header.opcode) {
+            Ok(Opcode::Query) if self.draining.load(Ordering::Relaxed) => {
+                stats.goaway_sent.fetch_add(1, Ordering::Relaxed);
+                answer(Opcode::Goaway, &[]);
+            }
+            Ok(Opcode::Query) => {
                 let batch = match wire::decode_query_batch(
-                    &payload,
-                    config.max_queries_per_frame,
-                    config.max_hits_ceiling,
+                    payload,
+                    self.config.max_queries_per_frame,
+                    self.config.max_hits_ceiling,
                 ) {
                     Ok(batch) => batch,
                     Err(e) => {
-                        stats.errors.fetch_add(1, Ordering::Relaxed);
-                        reply.send(error_frame(header.version, header.request_id, &e), stats);
-                        continue;
+                        refuse(&e);
+                        return false;
                     }
                 };
-                if !config.bidirectional
+                if !self.config.bidirectional
                     && batch
                         .requests()
                         .iter()
-                        .any(|r| matches!(r, exma_engine::QueryRequest::SearchBoth { .. }))
+                        .any(|r| matches!(r, QueryRequest::SearchBoth { .. }))
                 {
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                    reply.send(
-                        error_frame(
-                            header.version,
-                            header.request_id,
-                            &WireError::NotBidirectional,
-                        ),
-                        stats,
-                    );
-                    continue;
+                    refuse(&WireError::NotBidirectional);
+                    return false;
                 }
-                // Count the queued submission before try_send: the
-                // batcher may drain (and decrement) it immediately.
-                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                match submit.try_send(Submission {
+                let admitted = self.dispatcher.admit(Submission {
                     request_id: header.request_id,
                     version: header.version,
                     batch,
                     arrival,
-                    budget: effective_budget(deadline_us, config.default_deadline),
-                    reply: reply.clone(),
-                }) {
-                    Ok(()) => {
-                        stats.submissions_admitted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        stats.submissions_busy.fetch_add(1, Ordering::Relaxed);
-                        reply.send(
-                            wire::frame_at(header.version, Opcode::Busy, header.request_id, &[]),
-                            stats,
-                        );
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        // The batcher already drained and exited: the
-                        // server is past the point of admitting work.
-                        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        stats.goaway_sent.fetch_add(1, Ordering::Relaxed);
-                        reply.send(
-                            wire::frame_at(header.version, Opcode::Goaway, header.request_id, &[]),
-                            stats,
-                        );
-                    }
+                    budget: effective_budget(deadline_us, self.config.default_deadline),
+                    reply: self.reply.clone(),
+                });
+                if admitted.is_err() {
+                    stats.submissions_busy.fetch_add(1, Ordering::Relaxed);
+                    answer(Opcode::Busy, &[]);
                 }
+                return admitted.is_ok();
             }
-            Opcode::Stats => {
+            Ok(Opcode::Stats) => {
                 let mut buf = Vec::new();
                 wire::encode_stats(&stats.snapshot(), &mut buf);
-                reply.send(
-                    wire::frame_at(header.version, Opcode::StatsReply, header.request_id, &buf),
-                    stats,
-                );
+                answer(Opcode::StatsReply, &buf);
             }
             // A client sending response opcodes is confused; tell it so.
-            _ => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                reply.send(
-                    error_frame(
-                        header.version,
-                        header.request_id,
-                        &WireError::BadOpcode {
-                            opcode: header.opcode,
-                        },
-                    ),
-                    stats,
-                );
-            }
+            Ok(_) => refuse(&WireError::BadOpcode {
+                opcode: header.opcode,
+            }),
+            Err(e) => refuse(&e),
         }
-        if reply.is_dead() {
-            // The writer queue overflowed (or the socket failed) while
-            // answering: stop reading so the teardown completes.
-            return;
-        }
+        false
     }
 }
 

@@ -7,17 +7,22 @@
 //! The serving pipeline is decode → admit → execute → encode:
 //! connection reader threads decode QUERY frames into
 //! [`exma_engine::QueryBatch`]es and admit them to one bounded queue
-//! ([`conn`]); a single batcher thread drains the queue, merges
-//! whatever has accumulated into one batch, runs the lockstep engine
-//! once, and routes each submission's slice of the pooled results back
-//! to its connection ([`batcher`]). Small client submissions thereby
-//! execute at engine-friendly batch sizes — the lockstep scheduler's
-//! locality wins need hundreds of in-flight queries, and no single
-//! network client supplies that — while a full queue answers BUSY
-//! instead of buffering unboundedly.
+//! ([`conn`]); whichever reader finds the engine idle then takes the
+//! leader token, merges whatever has accumulated into one batch, runs
+//! the lockstep engine once on its own thread, and routes each
+//! submission's slice of the pooled results back to its connection,
+//! while the readers that lost the token keep admitting what becomes
+//! the next batch ([`batcher`]). There is no batcher thread, no timer
+//! and no polling loop: a request on an idle server costs the two
+//! wake-ups nobody can remove (socket → reader, reply → client), and
+//! under load small client submissions still execute at
+//! engine-friendly batch sizes — the lockstep scheduler's locality
+//! wins need hundreds of in-flight queries, and no single network
+//! client supplies that — while a full queue answers BUSY instead of
+//! buffering unboundedly.
 //!
 //! The pipeline is deadline-aware and drains cleanly: protocol-v2
-//! QUERY frames carry a latency budget the batcher enforces (expired
+//! QUERY frames carry a latency budget the leader enforces (expired
 //! submissions answer LATE, never an engine run), writer queues are
 //! bounded (overflow sheds and disconnects, never OOMs), idle
 //! connections are reaped, and [`ServerHandle::shutdown`] performs a
@@ -46,15 +51,15 @@ pub mod wire;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use exma_engine::EngineBuilder;
 use exma_index::KStepFmIndex;
 
-pub use batcher::{BatcherConfig, ServerStats, Submission};
-pub use conn::{ConnConfig, ConnShared, ReplyHandle};
+pub use batcher::{BatcherConfig, Dispatcher, ServerStats, Submission};
+pub use conn::{ConnConfig, ReplyHandle};
 pub use fault::{Fault, FaultPlan};
 pub use wire::{Opcode, StatsSnapshot, WireError, WireOutput};
 
@@ -64,8 +69,8 @@ pub struct ServerConfig {
     /// Admission-queue capacity in submissions; a full queue answers
     /// BUSY (the backpressure bound).
     pub queue_depth: usize,
-    /// The batcher's coalescing window after a batch's first
-    /// submission arrives.
+    /// How long a leader keeps coalescing after a batch's first
+    /// submission arrives; zero runs what is already queued.
     pub linger: Duration,
     /// Stop coalescing a batch at this many queries.
     pub max_batch_queries: usize,
@@ -91,7 +96,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             queue_depth: 1024,
-            linger: Duration::from_micros(200),
+            linger: Duration::ZERO,
             max_batch_queries: 4096,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
             max_queries_per_frame: 4096,
@@ -111,8 +116,9 @@ pub struct Server {
     builder: EngineBuilder,
     config: ServerConfig,
     stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-    shared: ConnShared,
+    /// Set by shutdown: the accept loop ends, new QUERYs answer GOAWAY,
+    /// admitted work still executes.
+    draining: Arc<AtomicBool>,
 }
 
 /// A remote control for a running [`Server`]: lets tests and signal
@@ -120,9 +126,8 @@ pub struct Server {
 #[derive(Clone)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    draining: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    shared: ConnShared,
 }
 
 impl ServerHandle {
@@ -141,8 +146,7 @@ impl ServerHandle {
     /// with a throwaway connection, and [`Server::run`] returns once
     /// in-flight batches drain and every connection thread is joined.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.draining.store(true, Ordering::SeqCst);
         // The accept loop only observes the flag between accepts.
         let _ = TcpStream::connect(self.addr);
     }
@@ -150,7 +154,7 @@ impl ServerHandle {
 
 impl Server {
     /// Binds `addr` and validates that `builder` can attach to
-    /// `index` — a mismatched recipe fails here, not in the batcher
+    /// `index` — a mismatched recipe fails here, not on a connection
     /// thread after the first client connects.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -174,8 +178,7 @@ impl Server {
             builder,
             config,
             stats,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            shared: ConnShared::default(),
+            draining: Arc::default(),
         })
     }
 
@@ -188,24 +191,25 @@ impl Server {
     pub fn handle(&self) -> io::Result<ServerHandle> {
         Ok(ServerHandle {
             addr: self.local_addr()?,
-            shutdown: Arc::clone(&self.shutdown),
+            draining: Arc::clone(&self.draining),
             stats: Arc::clone(&self.stats),
-            shared: self.shared.clone(),
         })
     }
 
-    /// Serves until [`ServerHandle::shutdown`]: spawns the batcher
-    /// thread, then accepts connections, two threads each. On shutdown
-    /// it drains — the batcher finishes everything already queued
-    /// (answering GOAWAY to stragglers), then every connection thread
-    /// is force-closed and joined, so returning means no thread of
-    /// this server is still running.
+    /// Serves until [`ServerHandle::shutdown`]: accepts connections,
+    /// two threads each and no others. On shutdown it drains —
+    /// everything already admitted is executed, then every
+    /// connection's read half is shut and its threads joined, so
+    /// returning means no thread of this server is still running.
     pub fn run(self) -> io::Result<()> {
-        let (submit, queue) = mpsc::sync_channel::<Submission>(self.config.queue_depth);
-        let batcher_config = BatcherConfig {
-            linger: self.config.linger,
-            max_batch_queries: self.config.max_batch_queries,
-        };
+        let dispatcher = Dispatcher::new(
+            self.config.queue_depth,
+            BatcherConfig {
+                linger: self.config.linger,
+                max_batch_queries: self.config.max_batch_queries,
+            },
+            Arc::clone(&self.stats),
+        );
         let conn_config = ConnConfig {
             max_frame_len: self.config.max_frame_len,
             max_queries_per_frame: self.config.max_queries_per_frame,
@@ -215,72 +219,58 @@ impl Server {
             default_deadline: self.config.default_deadline,
             bidirectional: self.builder.is_bidirectional(),
         };
+        let (index, builder, draining) = (&*self.index, self.builder, &*self.draining);
+        let dispatcher = &dispatcher;
+        // Every thread that may lead attaches its own executor: a
+        // validation and a two-word struct over the shared index.
+        let attach = move || builder.attach(index).expect("recipe validated at bind");
 
-        let batcher = {
-            let index = Arc::clone(&self.index);
-            let builder = self.builder;
-            let stats = Arc::clone(&self.stats);
-            let draining = Arc::clone(&self.shared.draining);
-            thread::spawn(move || {
-                let exec = builder.attach(&index).expect("recipe validated at bind");
-                batcher::run_batcher(exec.as_ref(), &queue, batcher_config, &stats, &draining);
-            })
-        };
-
-        // Every live connection: a socket clone (to force-close its
-        // blocked reader at drain time) and the reader thread's handle
-        // (joined at drain time — no thread outlives `run`).
-        let mut conns: Vec<(Option<TcpStream>, thread::JoinHandle<()>)> = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            // Reap registry entries whose threads already finished so
-            // connection churn doesn't grow the registry unboundedly.
-            let mut i = 0;
-            while i < conns.len() {
-                if conns[i].1.is_finished() {
-                    let (_, done) = conns.swap_remove(i);
-                    let _ = done.join();
-                } else {
-                    i += 1;
+        thread::scope(|scope| {
+            // Every live connection: a socket clone (to wake its
+            // blocked reader at drain time) and the reader thread's
+            // handle (joined at drain time — no thread outlives `run`).
+            let mut conns: Vec<(Option<TcpStream>, thread::ScopedJoinHandle<'_, ()>)> = Vec::new();
+            for stream in self.listener.incoming() {
+                if draining.load(Ordering::SeqCst) {
+                    break;
                 }
+                let stream = match stream {
+                    Ok(stream) => stream,
+                    Err(_) => continue,
+                };
+                // Reap registry entries whose threads already finished so
+                // connection churn doesn't grow the registry unboundedly.
+                let mut i = 0;
+                while i < conns.len() {
+                    if conns[i].1.is_finished() {
+                        let (_, done) = conns.swap_remove(i);
+                        let _ = done.join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                self.stats.connections.fetch_add(1, Ordering::Relaxed);
+                let peer = stream.try_clone().ok();
+                let reader = scope.spawn(move || {
+                    conn::handle_conn(stream, dispatcher, attach().as_ref(), conn_config, draining)
+                });
+                conns.push((peer, reader));
             }
-            self.stats.connections.fetch_add(1, Ordering::Relaxed);
-            let peer = stream.try_clone().ok();
-            let submit = submit.clone();
-            let stats = Arc::clone(&self.stats);
-            let shared = self.shared.clone();
-            let handle = thread::spawn(move || {
-                conn::handle_conn(stream, submit, stats, conn_config, shared)
-            });
-            conns.push((peer, handle));
-        }
 
-        // Graceful drain, in order: stop admitting (readers GOAWAY new
-        // QUERYs), let the batcher finish everything already queued,
-        // then force-close the readers and join every connection
-        // thread. The batcher polls rather than blocking on recv, so
-        // connections still holding queue senders cannot deadlock it —
-        // the PR 6 retained-sender deadlock, designed out.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        drop(submit);
-        batcher
-            .join()
-            .map_err(|_| io::Error::other("batcher thread panicked"))?;
-        self.shared.force_close.store(true, Ordering::SeqCst);
-        for (peer, handle) in conns {
-            if let Some(peer) = peer {
-                // Unstick a reader blocked mid-read; its writer still
-                // flushes queued responses before closing.
-                let _ = peer.shutdown(Shutdown::Read);
+            // Graceful drain. The flag that ended the accept loop already
+            // has readers answering new QUERYs with GOAWAY; wait out the
+            // engine run in flight and execute whatever else was
+            // admitted, then wake every reader with end-of-stream: each
+            // answers the frames it had already received, and its
+            // writer flushes before closing.
+            dispatcher.drain(attach().as_ref());
+            for (peer, reader) in conns {
+                if let Some(peer) = peer {
+                    let _ = peer.shutdown(Shutdown::Read);
+                }
+                let _ = reader.join();
             }
-            let _ = handle.join();
-        }
+        });
         Ok(())
     }
 }

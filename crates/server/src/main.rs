@@ -12,8 +12,8 @@
 //! `exma-loadgen --verify` does.
 //!
 //! SIGTERM and SIGINT trigger a graceful drain: the server stops
-//! accepting, answers new QUERYs with GOAWAY, finishes the batches
-//! already queued, joins every thread, and exits 0 — `kill -TERM`
+//! accepting, answers new QUERYs with GOAWAY, executes everything
+//! already admitted, joins every thread, and exits 0 — `kill -TERM`
 //! followed by `wait` is a clean shutdown, not a crash.
 //!
 //! ```text
@@ -51,8 +51,13 @@ OPTIONS:
     --host HOST           bind address (default: 127.0.0.1)
     --port N              bind port, 0 = ephemeral (default: 7878)
     --queue-depth N       admission-queue capacity (default: 1024)
-    --linger-us N         coalescing window in microseconds (default: 200)
-    --max-batch N         per-run query cap for the batcher (default: 4096)
+    --linger-us N         coalescing window in microseconds (default: 0:
+                          a connection that finds the engine idle runs
+                          it at once, and what arrives meanwhile is the
+                          next batch; a window pays only when many
+                          connections keep an engine-bound server busy)
+    --max-batch N         per-run query cap of a merged batch
+                          (default: 4096)
     --max-frame-len N     largest accepted frame payload (default: 1 MiB)
     --max-hits-ceiling N  clamp every locate's hit cap to N (default: none)
     --default-deadline-us N

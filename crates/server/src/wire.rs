@@ -733,15 +733,28 @@ pub struct StatsSnapshot {
     /// with `bidir_enabled` so a client can report the doubled-text
     /// cost without knowing the genome.
     pub bidir_text_len: u64,
+    /// Nanoseconds between a QUERY frame being fully read and its
+    /// engine run starting (queueing and the linger window), summed
+    /// over `replies_timed`.
+    pub queue_wait_ns: u64,
+    /// Nanoseconds inside the engine, summed the same way; a merged
+    /// run counts once for each submission it answered.
+    pub engine_ns: u64,
+    /// Nanoseconds between the engine run ending and the RESULTS
+    /// frame's socket write returning, summed the same way.
+    pub reply_ns: u64,
+    /// RESULTS frames written: divide the three sums above by this
+    /// for the mean server-side share of a request's latency.
+    pub replies_timed: u64,
 }
 
 impl StatsSnapshot {
     /// The snapshot's fields in wire order. New counters append at the
     /// end precisely because the count-prefixed encoding lets older
     /// clients keep reading the prefix they know — the heap fields
-    /// (PR 7), the robustness counters (PR 8) and the strandedness
-    /// pair (this PR) all used that latitude.
-    fn fields(&self) -> [u64; 28] {
+    /// (PR 7), the robustness counters (PR 8), the strandedness pair
+    /// (PR 10) and the stage durations (PR 21) all used that latitude.
+    fn fields(&self) -> [u64; 32] {
         [
             self.connections,
             self.submissions_admitted,
@@ -771,6 +784,10 @@ impl StatsSnapshot {
             self.snapshot_rejected,
             self.bidir_enabled,
             self.bidir_text_len,
+            self.queue_wait_ns,
+            self.engine_ns,
+            self.reply_ns,
+            self.replies_timed,
         ]
     }
 }
@@ -792,7 +809,7 @@ pub fn encode_stats(stats: &StatsSnapshot, buf: &mut Vec<u8>) {
 pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
     let mut cursor = Cursor::new(payload);
     let announced = cursor.u32()? as usize;
-    let mut fields = [0u64; 28];
+    let mut fields = [0u64; 32];
     if announced < fields.len() {
         return Err(WireError::Truncated {
             needed: fields.len() * 8,
@@ -806,7 +823,7 @@ pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
         cursor.take(8)?;
     }
     cursor.finish()?;
-    let [connections, submissions_admitted, submissions_busy, errors, batches_run, submissions_coalesced, max_coalesced, queries_executed, positions_returned, search_rounds, resolve_rounds, queue_depth, heap_total, heap_k_occ_checkpoints, heap_k_occ_deltas, heap_k_occ_codes, heap_one_step_occ, heap_sa_samples, heap_rank_bits, heap_other, late_dropped, writer_shed, conns_reaped, goaway_sent, snapshot_loaded, snapshot_rejected, bidir_enabled, bidir_text_len] =
+    let [connections, submissions_admitted, submissions_busy, errors, batches_run, submissions_coalesced, max_coalesced, queries_executed, positions_returned, search_rounds, resolve_rounds, queue_depth, heap_total, heap_k_occ_checkpoints, heap_k_occ_deltas, heap_k_occ_codes, heap_one_step_occ, heap_sa_samples, heap_rank_bits, heap_other, late_dropped, writer_shed, conns_reaped, goaway_sent, snapshot_loaded, snapshot_rejected, bidir_enabled, bidir_text_len, queue_wait_ns, engine_ns, reply_ns, replies_timed] =
         fields;
     Ok(StatsSnapshot {
         connections,
@@ -837,6 +854,10 @@ pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
         snapshot_rejected,
         bidir_enabled,
         bidir_text_len,
+        queue_wait_ns,
+        engine_ns,
+        reply_ns,
+        replies_timed,
     })
 }
 
@@ -1150,14 +1171,19 @@ mod tests {
             snapshot_rejected: 2,
             bidir_enabled: 1,
             bidir_text_len: 20_001,
+            queue_wait_ns: 70_000,
+            engine_ns: 340_000,
+            reply_ns: 60_000,
+            replies_timed: 10,
         };
         let mut payload = Vec::new();
         encode_stats(&stats, &mut payload);
+        assert_eq!(payload.len(), 4 + 32 * 8);
         assert_eq!(decode_stats(&payload).unwrap(), stats);
 
-        // A newer server appending a 29th counter still decodes.
+        // A newer server appending a 33rd counter still decodes.
         let mut extended = payload.clone();
-        extended[0..4].copy_from_slice(&29u32.to_le_bytes());
+        extended[0..4].copy_from_slice(&33u32.to_le_bytes());
         extended.extend_from_slice(&999u64.to_le_bytes());
         assert_eq!(decode_stats(&extended).unwrap(), stats);
         assert!(decode_stats(&payload[..8]).is_err());

@@ -10,9 +10,10 @@
 //! server spawned has been joined (a leak would hang `stop()` and fail
 //! the suite by timeout).
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,9 +52,9 @@ struct Client {
 
 impl Client {
     fn connect(server: &TestServer) -> Client {
-        Client {
-            stream: TcpStream::connect(server.handle.addr()).expect("connect loopback"),
-        }
+        let stream = TcpStream::connect(server.handle.addr()).expect("connect loopback");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
+        Client { stream }
     }
 
     /// A v2 QUERY frame carrying `deadline_us` (0 = none).
@@ -704,4 +705,136 @@ fn concurrent_shutdowns_are_idempotent_and_join_cleanly() {
     // second SIGTERM landing on an already-draining process.
     handle_a.shutdown();
     handle_b.shutdown();
+}
+
+#[test]
+fn pipelining_connections_get_one_terminal_frame_per_request() {
+    let genome = toy_genome();
+    let builder = EngineBuilder::new().k(4);
+    let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
+    let config = ServerConfig {
+        queue_depth: 2,
+        linger: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start(Arc::clone(&index), builder, config);
+
+    // Four connections each write 64 frames at once against a 2-slot
+    // queue: readers admit, overflow and lead concurrently. Whoever
+    // holds the leader token, every request id must draw exactly one
+    // RESULTS (byte-exact) or BUSY — none stranded behind a leader
+    // that had just looked, none answered twice.
+    const CONNS: u64 = 4;
+    const FRAMES: u64 = 64;
+    let barrier = Barrier::new(CONNS as usize);
+    let (results, busy): (u64, u64) = thread::scope(|scope| {
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                let (server, genome, index, barrier) = (&server, &genome, &index, &barrier);
+                scope.spawn(move || {
+                    let mut client = Client::connect(server);
+                    let batches: Vec<QueryBatch> = (0..FRAMES)
+                        .map(|i| mixed_batch(genome, 5, c * 1000 + i))
+                        .collect();
+                    let mut burst = Vec::new();
+                    for (i, batch) in batches.iter().enumerate() {
+                        let mut payload = Vec::new();
+                        wire::encode_query_batch(batch, &mut payload).expect("encodable");
+                        let id = (c << 32) | i as u64;
+                        burst.extend_from_slice(&wire::query_frame(id, 0, &payload));
+                    }
+                    barrier.wait();
+                    client.send_raw(&burst);
+                    let mut outcomes = HashMap::new();
+                    for _ in 0..FRAMES {
+                        let (header, payload) = client.read_frame().expect("an answer per frame");
+                        assert_eq!(header.request_id >> 32, c, "misrouted reply");
+                        let i = (header.request_id & 0xffff_ffff) as usize;
+                        let opcode = Opcode::from_byte(header.opcode).expect("known opcode");
+                        match opcode {
+                            Opcode::Results => assert_eq!(
+                                payload,
+                                expected_payload(&builder, index, &batches[i]),
+                                "connection {c} frame {i} diverged"
+                            ),
+                            Opcode::Busy => {}
+                            other => panic!("unexpected {other:?} for a pipelined frame"),
+                        }
+                        let twice = outcomes.insert(i, opcode);
+                        assert!(twice.is_none(), "frame {i} answered twice");
+                    }
+                    let results = outcomes.values().filter(|&&op| op == Opcode::Results);
+                    let results = results.count() as u64;
+                    (results, FRAMES - results)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread"))
+            .fold((0, 0), |sum, each| (sum.0 + each.0, sum.1 + each.1))
+    });
+    assert!(results >= 1, "nothing was admitted");
+    assert!(busy >= 1, "a 2-slot queue never filled");
+
+    let mut probe = Client::connect(&server);
+    let stats = probe.stats_snapshot(999);
+    assert_eq!(stats.submissions_admitted, results);
+    assert_eq!(stats.submissions_busy, busy);
+    assert_eq!(stats.submissions_coalesced, stats.submissions_admitted);
+    assert_eq!(stats.queue_depth, 0, "a submission was left queued");
+    drop(probe);
+    server.stop();
+}
+
+#[test]
+fn shutdown_waits_for_the_run_a_leader_is_inside() {
+    let genome = toy_genome();
+    let builder = EngineBuilder::new().k(4);
+    let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
+    let config = ServerConfig {
+        linger: Duration::ZERO,
+        max_frame_len: 16 << 20,
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start(Arc::clone(&index), builder, config);
+    let mut client = Client::connect(&server);
+    let mut probe = Client::connect(&server);
+
+    // Forty uncapped empty-pattern locates resolve the whole text forty
+    // times over: a run long enough for the drain to land inside it.
+    // `batches_run` is counted as the run starts, so once it reads 1
+    // the client's own reader thread is the leader, inside the engine.
+    let slow = QueryBatch::uniform(QueryRequest::locate(), vec![Vec::<Base>::new(); 40]);
+    client.send_query(1, 0, &slow);
+    while probe.stats_snapshot(0).batches_run == 0 {
+        thread::yield_now();
+    }
+    server.handle.shutdown();
+    client.send_query(2, 0, &mixed_batch(&genome, 10, 9));
+
+    // No batcher thread is left to finish the work: the drain must let
+    // the leading reader finish, deliver its RESULTS, and only then
+    // close the connection — having told the later query to go away.
+    let mut opcodes = Vec::new();
+    while let Some((header, payload)) = client.read_frame() {
+        let opcode = Opcode::from_byte(header.opcode).expect("known opcode");
+        match opcode {
+            Opcode::Results => {
+                assert_eq!(header.request_id, 1);
+                assert_eq!(payload, expected_payload(&builder, &index, &slow));
+            }
+            Opcode::Goaway => assert_eq!(header.request_id, 2),
+            other => panic!("unexpected {other:?} during drain"),
+        }
+        opcodes.push(opcode);
+    }
+    assert_eq!(opcodes, [Opcode::Results, Opcode::Goaway]);
+
+    let started = Instant::now();
+    server.thread.join().expect("server thread").expect("serve");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "drain took implausibly long"
+    );
 }

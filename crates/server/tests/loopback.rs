@@ -6,10 +6,10 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use exma_engine::{EngineBuilder, QueryBatch, QueryRequest};
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
@@ -46,9 +46,9 @@ struct Client {
 
 impl Client {
     fn connect(server: &TestServer) -> Client {
-        Client {
-            stream: TcpStream::connect(server.handle.addr()).expect("connect loopback"),
-        }
+        let stream = TcpStream::connect(server.handle.addr()).expect("connect loopback");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
+        Client { stream }
     }
 
     fn send_query(&mut self, request_id: u64, batch: &QueryBatch) {
@@ -532,6 +532,82 @@ fn max_hits_ceiling_caps_every_locate() {
         }
         other => panic!("expected a located output, got {other:?}"),
     }
+    drop(client);
+    server.stop();
+}
+
+#[test]
+fn accepted_sockets_are_configured_with_nagle_off() {
+    // The set-up `Server::run` applies to every accepted stream, on a
+    // socket accepted here: replies must not wait in the kernel for
+    // the ACK of the previous one.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect loopback");
+    let (accepted, _) = listener.accept().expect("accept");
+    assert!(!accepted.nodelay().expect("read TCP_NODELAY"));
+    let idle_timeout = ServerConfig::default().idle_timeout;
+    exma_server::conn::configure(&accepted, idle_timeout).expect("configure the accepted socket");
+    assert!(accepted.nodelay().expect("read TCP_NODELAY"));
+    // The read timeout is the idle timeout: nothing polls.
+    assert_eq!(accepted.read_timeout().unwrap(), idle_timeout);
+}
+
+#[test]
+fn a_pipelined_burst_on_one_connection_is_one_engine_run() {
+    let genome = toy_genome();
+    let builder = EngineBuilder::new().k(4);
+    let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
+    let config = ServerConfig {
+        linger: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start(Arc::clone(&index), builder, config);
+    let mut client = Client::connect(&server);
+    let before = client.stats_snapshot(1000);
+
+    // Sixteen small frames in a single write: the reader admits every
+    // frame it has received before it leads, so with no window at all
+    // the burst still executes merged.
+    let batches: Vec<QueryBatch> = (0..16).map(|i| mixed_batch(&genome, 6, 300 + i)).collect();
+    let mut burst = Vec::new();
+    for (id, batch) in batches.iter().enumerate() {
+        let mut payload = Vec::new();
+        wire::encode_query_batch(batch, &mut payload).expect("encodable batch");
+        burst.extend_from_slice(&wire::frame(Opcode::Query, id as u64, &payload));
+    }
+    client.send_raw(&burst);
+    let mut answered = HashMap::new();
+    for _ in 0..16 {
+        let (header, payload) = client.read_frame().expect("an answer per frame");
+        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
+        assert!(answered.insert(header.request_id, payload).is_none());
+    }
+    for (id, batch) in batches.iter().enumerate() {
+        assert_eq!(
+            answered[&(id as u64)],
+            expected_payload(&builder, &index, batch),
+            "frame {id} of the burst diverged from direct execution"
+        );
+    }
+    // The writer adds a frame's stage durations as its write returns,
+    // which may be a moment after the client has read the frame.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut after = client.stats_snapshot(1001);
+    while after.replies_timed - before.replies_timed < 16 {
+        assert!(Instant::now() < deadline, "16 RESULTS, not 16 timed");
+        after = client.stats_snapshot(1001);
+    }
+    assert_eq!(after.replies_timed - before.replies_timed, 16);
+    assert!(after.engine_ns > before.engine_ns);
+    assert!(after.max_coalesced >= 8, "burst ran unmerged: {after:?}");
+    assert!(after.batches_run - before.batches_run < 16);
+
+    // A frame of zero queries, alone in its batch, is still answered.
+    client.send_query(2000, &QueryBatch::new());
+    let (header, payload) = client.read_frame().expect("empty results");
+    assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
+    assert_eq!(header.request_id, 2000);
+    assert_eq!(wire::decode_results(&payload).unwrap(), Vec::new());
     drop(client);
     server.stop();
 }

@@ -136,9 +136,9 @@ struct Client {
 
 impl Client {
     fn connect(addr: &str) -> Client {
-        Client {
-            stream: TcpStream::connect(addr).expect("connect to server process"),
-        }
+        let stream = TcpStream::connect(addr).expect("connect to server process");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
+        Client { stream }
     }
 
     fn send_raw(&mut self, bytes: &[u8]) {
