@@ -1022,7 +1022,7 @@ fn run(args: &Args) -> ExitCode {
             );
             let stages = stage_means_us(&outcome.before, &outcome.after);
             eprintln!(
-                "[loadgen]   ok {} busy {} late {} mismatch {} error {} | retries {} | p50 {:.2} ms p99 {:.2} ms p999 {:.2} ms | {:.0} req/s achieved | {:.2} subs/batch | server means: queue {:.0} us, engine {:.0} us, reply {:.0} us",
+                "[loadgen]   ok {} busy {} late {} mismatch {} error {} | retries {} | p50 {:.2} ms p99 {:.2} ms p999 {:.2} ms | {:.0} req/s achieved | {:.2} subs/batch | server means: queue {:.0} us, engine {:.0} us, reply {:.0} us | {:.0} of {:.0} MiB on huge pages",
                 outcome.ok,
                 outcome.busy,
                 outcome.late,
@@ -1037,6 +1037,8 @@ fn run(args: &Args) -> ExitCode {
                 stages[0],
                 stages[1],
                 stages[2],
+                outcome.after.heap_huge_bytes as f64 / (1024.0 * 1024.0),
+                outcome.after.heap_total as f64 / (1024.0 * 1024.0),
             );
             failed |= outcome.mismatches > 0 || outcome.errors > 0;
             rate_entries.push(rate_entry(&outcome));

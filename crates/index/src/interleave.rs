@@ -1,4 +1,4 @@
-//! Cache-line-aligned backing storage for interleaved rank tables.
+//! Cache-line-aligned, huge-page-backed storage for interleaved rank tables.
 //!
 //! The flat occurrence tables of earlier revisions kept symbol codes and
 //! rank checkpoints in two separate allocations, so every `rank` paid two
@@ -40,13 +40,50 @@
 //! the furthest offset's line — re-reading that line in place of the
 //! later ones, to keep the trip count — measured 2.5 % slower on the
 //! 20 Mbp index than reading them all.
+//!
+//! # Translation
+//!
+//! A search step's line is fetched from a random block of a table tens
+//! of megabytes long, so on 4 KiB pages nearly every step also misses
+//! the TLB, and the page walk — nested, under a hypervisor — is a second
+//! dependent round-trip in front of the first. [`AlignedWords`] is the
+//! one buffer under both occurrence tables, so it is where that is
+//! dealt with, and its own length is all it goes by:
+//!
+//! * **What is aligned.** A buffer of 2 MiB or more is allocated on a
+//!   2 MiB boundary (a `Layout` of exactly `lines × 64` bytes with that
+//!   alignment, through the global allocator, freed with the same
+//!   layout); a shorter one keeps the 64-byte alignment. `heap_bytes`
+//!   is `lines × 64` either way: alignment is not size.
+//! * **What is hinted.** On Linux the 2 MiB-aligned range — its length
+//!   rounded down to 4 KiB — is passed once to `madvise(MADV_HUGEPAGE)`
+//!   before anything touches it, through one raw `extern "C"`
+//!   declaration (no `libc` crate; the call is compiled out under Miri
+//!   and off Linux). Every whole 2 MiB of the buffer can then be one
+//!   TLB entry; the ragged end past the last boundary stays on small
+//!   pages.
+//! * **Why the zero fill is the first touch.** The kernel picks the
+//!   page size when a page is first written. `zeroed` therefore fills
+//!   the buffer itself, right after the hint, instead of asking the
+//!   allocator for zeroed memory it may never have touched: the pages
+//!   are huge from their first fault — nothing is left for `khugepaged`
+//!   to collapse later — and what fresh pages cost is paid in set-up,
+//!   in one sweep, not smeared over the first queries. On a guest that
+//!   reports free pages back to its host that cost is real (README,
+//!   "Start-up and memory").
+//! * **Where THP is off.** With `transparent_hugepage/enabled` at
+//!   `never`, on a kernel without it, or off Linux, the hint is refused
+//!   or absent and the result ignored: the same code runs on 4 KiB
+//!   pages, a 2 MiB alignment being merely generous. There is no flag
+//!   and no second path. [`huge_page_bytes`] reads back what the
+//!   process was granted.
 
 use crate::layout::IndexError;
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
 /// `repr(C, align(64))` pins both the size and the alignment, so a
-/// `Vec<CacheLine>` is a contiguous, line-aligned `u32` buffer.
+/// line-aligned run of them is a contiguous, line-aligned `u32` buffer.
 #[repr(C, align(64))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CacheLine([u32; WORDS_PER_LINE]);
@@ -57,25 +94,87 @@ pub const WORDS_PER_LINE: usize = 16;
 /// Bytes per cache line.
 const LINE_BYTES: usize = 64;
 
+/// Bytes per huge page — 2 MiB on x86-64 and on aarch64 with 4 KiB base
+/// pages: the length from which a buffer is aligned to, and advised
+/// onto, huge pages. See the module docs' "Translation".
+const HUGE_PAGE_BYTES: usize = 2 << 20;
+
 /// A line-aligned `u32` buffer: the backing store of interleaved tables.
 ///
 /// Tables address it as a flat word slice via [`AlignedWords::words`];
 /// the line granularity only matters at allocation time (the word count
 /// is rounded up to whole lines) and for [`AlignedWords::prefetch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A buffer of 2 MiB or more starts on a 2 MiB boundary and asks the
+/// kernel for huge pages (the module docs' "Translation").
 pub struct AlignedWords {
-    lines: Vec<CacheLine>,
+    /// `lines` initialised `CacheLine`s from the global allocator under
+    /// [`AlignedWords::layout`]; dangling, and never handed to the
+    /// allocator, when `lines == 0`.
+    ptr: std::ptr::NonNull<CacheLine>,
+    lines: usize,
     words: usize,
 }
 
+// SAFETY: the buffer owns its allocation outright — `ptr` is reachable
+// through no other value — and holds plain integers, so moving it to
+// another thread moves everything it refers to.
+unsafe impl Send for AlignedWords {}
+// SAFETY: `&AlignedWords` gives out only `&` views of plain integers;
+// every write goes through `&mut self`.
+unsafe impl Sync for AlignedWords {}
+
 impl AlignedWords {
+    /// The allocation request behind a buffer of `lines` cache lines:
+    /// exactly `lines * 64` bytes — alignment is not size — on a line
+    /// boundary, or on a huge-page boundary once that long.
+    fn layout(lines: usize) -> std::alloc::Layout {
+        let bytes = lines
+            .checked_mul(LINE_BYTES)
+            .expect("buffer size overflows usize");
+        let align = if bytes >= HUGE_PAGE_BYTES {
+            HUGE_PAGE_BYTES
+        } else {
+            LINE_BYTES
+        };
+        std::alloc::Layout::from_size_align(bytes, align).expect("buffer size overflows isize")
+    }
+
     /// An all-zero buffer of `words` `u32` words, padded to whole cache
-    /// lines. The allocation is exact: capacity equals length, so
-    /// `heap_bytes` reports true footprint.
+    /// lines. The allocation is exact, so `heap_bytes` reports true
+    /// footprint.
     pub fn zeroed(words: usize) -> AlignedWords {
-        let mut lines = vec![CacheLine([0; WORDS_PER_LINE]); words.div_ceil(WORDS_PER_LINE)];
-        lines.shrink_to_fit();
-        AlignedWords { lines, words }
+        let lines = words.div_ceil(WORDS_PER_LINE);
+        if lines == 0 {
+            let ptr = std::ptr::NonNull::dangling();
+            return AlignedWords { ptr, lines, words };
+        }
+        let layout = AlignedWords::layout(lines);
+        // SAFETY: `layout` has a non-zero size, as `alloc` requires.
+        let raw = unsafe { std::alloc::alloc(layout) };
+        let Some(ptr) = std::ptr::NonNull::new(raw.cast::<CacheLine>()) else {
+            std::alloc::handle_alloc_error(layout)
+        };
+        #[cfg(all(target_os = "linux", not(miri)))]
+        if layout.align() == HUGE_PAGE_BYTES {
+            const MADV_HUGEPAGE: i32 = 14;
+            const BASE_PAGE_BYTES: usize = 4096;
+            extern "C" {
+                fn madvise(addr: *mut u8, length: usize, advice: i32) -> i32;
+            }
+            // SAFETY: the range starts at `raw`, page-aligned because
+            // huge-page-aligned, and ends at the last 4 KiB boundary
+            // inside the allocation, so it names only memory this buffer
+            // owns; the advice changes how the kernel backs those pages,
+            // never their contents. A refusal (THP off, an old kernel)
+            // leaves ordinary pages, which is why the result is ignored.
+            unsafe { madvise(raw, layout.size() & !(BASE_PAGE_BYTES - 1), MADV_HUGEPAGE) };
+        }
+        // SAFETY: `raw` is the start of `layout.size()` writable bytes
+        // this buffer alone owns, and all-zero bytes are a valid
+        // `CacheLine`. An explicit fill, not `alloc_zeroed`: it is the
+        // buffer's first touch (see "Translation").
+        unsafe { raw.write_bytes(0, layout.size()) };
+        AlignedWords { ptr, lines, words }
     }
 
     /// Builds the buffer from `words`, padding the allocation to whole
@@ -86,20 +185,27 @@ impl AlignedWords {
         buf
     }
 
+    /// The buffer's cache lines.
+    #[inline]
+    fn lines(&self) -> &[CacheLine] {
+        // SAFETY: `ptr` is aligned and non-null even when dangling, and
+        // `zeroed` initialised the `lines` lines behind it; they stay
+        // allocated and unaliased by writers for as long as `self` is
+        // borrowed.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.lines) }
+    }
+
     /// The buffer reinterpreted as a slice of `T` lanes; see [`lanes_of`].
     fn lanes<T: Lane>(&self) -> &[T] {
-        lanes_of(&self.lines)
+        lanes_of(self.lines())
     }
 
     fn lanes_mut<T: Lane>(&mut self) -> &mut [T] {
         let per_line = LINE_BYTES / std::mem::size_of::<T>();
-        // SAFETY: as in `lanes_of`, and the borrow of `self.lines` is
-        // exclusive for the returned lifetime.
+        // SAFETY: as in `lines` and `lanes_of`, and the borrow of `self`
+        // is exclusive for the returned lifetime.
         unsafe {
-            std::slice::from_raw_parts_mut(
-                self.lines.as_mut_ptr().cast::<T>(),
-                self.lines.len() * per_line,
-            )
+            std::slice::from_raw_parts_mut(self.ptr.as_ptr().cast::<T>(), self.lines * per_line)
         }
     }
 
@@ -157,7 +263,7 @@ impl AlignedWords {
     /// Heap bytes of the backing allocation (padding included — it is
     /// real, resident memory).
     pub fn heap_bytes(&self) -> usize {
-        self.lines.capacity() * std::mem::size_of::<CacheLine>()
+        self.lines * LINE_BYTES
     }
 
     /// Hints the CPU to pull the cache line holding word `index` toward
@@ -166,6 +272,62 @@ impl AlignedWords {
     pub fn prefetch(&self, index: usize) {
         prefetch_element(self.words(), index);
     }
+}
+
+impl Drop for AlignedWords {
+    fn drop(&mut self) {
+        if self.lines > 0 {
+            // SAFETY: `ptr` came from `alloc` under this same layout in
+            // `zeroed`, and nothing else frees it.
+            unsafe {
+                std::alloc::dealloc(self.ptr.as_ptr().cast(), AlignedWords::layout(self.lines));
+            }
+        }
+    }
+}
+
+impl Clone for AlignedWords {
+    fn clone(&self) -> AlignedWords {
+        let mut copy = AlignedWords::zeroed(self.words);
+        copy.words_mut().copy_from_slice(self.words());
+        copy
+    }
+}
+
+impl PartialEq for AlignedWords {
+    fn eq(&self, other: &AlignedWords) -> bool {
+        self.words == other.words && self.lines() == other.lines()
+    }
+}
+
+impl Eq for AlignedWords {}
+
+impl std::fmt::Debug for AlignedWords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AlignedWords")
+            .field("lines", &self.lines())
+            .field("words", &self.words)
+            .finish()
+    }
+}
+
+/// Bytes of this process's anonymous memory the kernel backs with
+/// transparent huge pages right now — the `AnonHugePages` line of
+/// `/proc/self/smaps_rollup`: whether the hint [`AlignedWords`] gives
+/// was granted. `None` off Linux and wherever the file cannot be read.
+pub fn huge_page_bytes() -> Option<u64> {
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").ok()?;
+    rollup.lines().find_map(anon_huge_bytes)
+}
+
+/// The bytes an `AnonHugePages:    N kB` line of a `smaps` file states;
+/// `None` for every other line.
+fn anon_huge_bytes(line: &str) -> Option<u64> {
+    let kib = line
+        .strip_prefix("AnonHugePages:")?
+        .trim()
+        .strip_suffix("kB")?;
+    Some(kib.trim().parse::<u64>().ok()? * 1024)
 }
 
 /// An integer type the buffer may be viewed as.
@@ -430,7 +592,7 @@ impl BlockStore {
     #[inline]
     fn code_lines(&self, block: usize) -> &[CacheLine] {
         let first = self.span.first_line(block);
-        &self.data.lines[first..first + self.span.lines]
+        &self.data.lines()[first..first + self.span.lines]
     }
 
     /// For each of `offsets`, the occurrences of `needle` among that many
@@ -515,7 +677,7 @@ impl BlockStore {
         self.superblocks.prefetch(self.superblock_word(block, lane));
         let first = self.span.first_line(block);
         for line in first..first + self.span.lines {
-            prefetch_element(&self.data.lines, line);
+            prefetch_element(self.data.lines(), line);
         }
     }
 
@@ -813,6 +975,104 @@ mod tests {
         assert_eq!(AlignedWords::from_words(&[]).heap_bytes(), 0);
         assert_eq!(AlignedWords::from_words(&[0; 16]).heap_bytes(), 64);
         assert_eq!(AlignedWords::from_words(&[0; 17]).heap_bytes(), 128);
+    }
+
+    #[test]
+    fn a_huge_buffer_starts_on_a_huge_page_zeroed_and_exact() {
+        // 4 MiB and one ragged line past it.
+        let words = (4 << 20) / 4 + 3;
+        let mut buf = AlignedWords::zeroed(words);
+        assert_eq!(buf.words().as_ptr() as usize % HUGE_PAGE_BYTES, 0);
+        assert!(buf.words().iter().all(|&w| w == 0));
+        assert_eq!(buf.len(), words);
+        assert_eq!(buf.heap_bytes(), words.div_ceil(WORDS_PER_LINE) * 64);
+        for (i, word) in buf.words_mut().iter_mut().enumerate() {
+            *word = i as u32 ^ 0x9e37_79b9;
+        }
+        let copy = buf.clone();
+        assert_eq!(copy.words().as_ptr() as usize % HUGE_PAGE_BYTES, 0);
+        assert_ne!(copy.words().as_ptr(), buf.words().as_ptr());
+        assert_eq!(copy, buf);
+        assert_eq!(copy.heap_bytes(), buf.heap_bytes());
+        buf.words_mut()[words - 1] ^= 1;
+        assert_ne!(copy, buf);
+        // One line short of 2 MiB keeps the line alignment's layout.
+        assert_eq!(AlignedWords::layout((2 << 20) / 64 - 1).align(), 64);
+        assert_eq!(AlignedWords::layout((2 << 20) / 64).align(), 2 << 20);
+    }
+
+    #[test]
+    fn a_clone_outlives_its_original() {
+        for words in [40, (2 << 20) / 4] {
+            let original = AlignedWords::from_words(&vec![7; words]);
+            let copy = original.clone();
+            drop(original);
+            assert_eq!(copy.len(), words);
+            assert!(copy.words()[..words].iter().all(|&w| w == 7));
+            assert!(copy.words()[words..].iter().all(|&w| w == 0));
+        }
+    }
+
+    #[test]
+    fn an_empty_buffer_never_reaches_the_allocator() {
+        let empty = AlignedWords::zeroed(0);
+        assert_eq!(empty.ptr, std::ptr::NonNull::dangling());
+        assert!(empty.is_empty() && empty.words().is_empty() && empty.bytes().is_empty());
+        assert_eq!(empty.heap_bytes(), 0);
+        let copy = empty.clone();
+        assert_eq!(copy.ptr, std::ptr::NonNull::dangling());
+        assert_eq!(copy, empty);
+        assert_eq!(format!("{empty:?}"), "AlignedWords { lines: [], words: 0 }");
+    }
+
+    /// The `AnonHugePages` bytes of the mapping that holds `addr`, from
+    /// `/proc/self/smaps`.
+    #[cfg(target_os = "linux")]
+    fn huge_bytes_of_the_mapping_at(addr: usize) -> Option<u64> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line.split(' ').next().and_then(|head| head.split_once('-'));
+            let bounds = range.and_then(|(lo, hi)| {
+                Some((
+                    usize::from_str_radix(lo, 16).ok()?,
+                    usize::from_str_radix(hi, 16).ok()?,
+                ))
+            });
+            if let Some((lo, hi)) = bounds {
+                inside = (lo..hi).contains(&addr);
+            } else if let (true, Some(bytes)) = (inside, anon_huge_bytes(line)) {
+                return Some(bytes);
+            }
+        }
+        None
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_touched_huge_buffer_is_granted_huge_pages_where_the_kernel_gives_them() {
+        let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .unwrap_or_default();
+        // The other two modes grant a hinted range its huge pages.
+        if mode.is_empty() || mode.contains("[never]") {
+            eprintln!("skipped: transparent huge pages are {:?} here", mode.trim());
+            return;
+        }
+        let bytes = 16 << 20;
+        // `zeroed` has touched every page by the time it returns.
+        let buf = AlignedWords::zeroed(bytes / 4);
+        let granted = huge_bytes_of_the_mapping_at(buf.words().as_ptr() as usize)
+            .expect("the buffer's mapping is listed in /proc/self/smaps");
+        assert!(
+            granted >= bytes as u64 / 2,
+            "THP mode {:?}, yet only {granted} of {bytes} bytes sit on huge pages",
+            mode.trim()
+        );
+        // The process-wide figure the server reports counts them too,
+        // beside whatever other tests hold right now.
+        let process = huge_page_bytes().expect("/proc/self/smaps_rollup is readable");
+        assert!(process >= granted, "rollup {process} < mapping {granted}");
+        drop(buf);
     }
 
     #[test]

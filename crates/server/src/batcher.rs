@@ -191,6 +191,9 @@ pub struct ServerStats {
     pub reply_ns: AtomicU64,
     /// RESULTS frames written: what the three sums above are over.
     pub replies_timed: AtomicU64,
+    /// The process's `AnonHugePages` bytes; set once at startup
+    /// alongside the heap fields.
+    pub heap_huge_bytes: AtomicU64,
 }
 
 impl ServerStats {
@@ -258,6 +261,7 @@ impl ServerStats {
             engine_ns: self.engine_ns.load(Ordering::Relaxed),
             reply_ns: self.reply_ns.load(Ordering::Relaxed),
             replies_timed: self.replies_timed.load(Ordering::Relaxed),
+            heap_huge_bytes: self.heap_huge_bytes.load(Ordering::Relaxed),
         }
     }
 

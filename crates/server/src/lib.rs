@@ -172,6 +172,10 @@ impl Server {
         // snapshots just read them.
         stats.record_heap(&index.heap_breakdown());
         stats.record_strandedness(index.is_bidirectional(), index.text_len());
+        stats.heap_huge_bytes.store(
+            exma_index::interleave::huge_page_bytes().unwrap_or(0),
+            Ordering::Relaxed,
+        );
         Ok(Server {
             listener,
             index,

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use exma_engine::EngineBuilder;
 use exma_genome::{Genome, GenomeProfile};
+use exma_index::interleave::huge_page_bytes;
 use exma_index::KStepFmIndex;
 use exma_server::{Server, ServerConfig, ServerHandle};
 
@@ -202,6 +203,21 @@ fn profile_for(name: &str, len: Option<usize>) -> Result<GenomeProfile, String> 
     Ok(profile)
 }
 
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// "N of M MiB on huge pages": how much of the process the kernel backs
+/// with transparent huge pages now that the `heap_bytes` index is ready.
+fn huge_page_share(heap_bytes: usize) -> String {
+    match huge_page_bytes() {
+        Some(huge) => format!(
+            "{:.0} of {:.0} MiB on huge pages",
+            huge as f64 / MIB,
+            heap_bytes as f64 / MIB
+        ),
+        None => "huge pages unreadable".to_string(),
+    }
+}
+
 fn run(args: &Args) -> ExitCode {
     let profile = match profile_for(&args.profile, args.len) {
         Ok(profile) => profile,
@@ -261,10 +277,11 @@ fn run(args: &Args) -> ExitCode {
             let load_ms = load_start.elapsed().as_secs_f64() * 1e3;
             snapshot_loaded = 1;
             eprintln!(
-                "loaded k={} index snapshot in {load_ms:.1} ms ({:.1} MiB), engine {}",
+                "loaded k={} index snapshot in {load_ms:.1} ms ({:.1} MiB), engine {}, {}",
                 args.k,
-                index.heap_bytes() as f64 / (1024.0 * 1024.0),
+                index.heap_bytes() as f64 / MIB,
                 builder.descriptor(),
+                huge_page_share(index.heap_bytes()),
             );
             (
                 Arc::new(index),
@@ -282,10 +299,11 @@ fn run(args: &Args) -> ExitCode {
             };
             let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
             eprintln!(
-                "built k={} index in {build_ms:.1} ms ({:.1} MiB), engine {}",
+                "built k={} index in {build_ms:.1} ms ({:.1} MiB), engine {}, {}",
                 args.k,
-                index.heap_bytes() as f64 / (1024.0 * 1024.0),
+                index.heap_bytes() as f64 / MIB,
                 builder.descriptor(),
+                huge_page_share(index.heap_bytes()),
             );
             if let Some(path) = args.snapshot_path.as_deref() {
                 // Best-effort: a failed write must not stop serving.

@@ -746,6 +746,12 @@ pub struct StatsSnapshot {
     /// RESULTS frames written: divide the three sums above by this
     /// for the mean server-side share of a request's latency.
     pub replies_timed: u64,
+    /// Bytes of the server process's anonymous memory the kernel backed
+    /// with transparent huge pages when the index became ready
+    /// (`AnonHugePages` of `/proc/self/smaps_rollup`, read once; 0 where
+    /// it cannot be read). Against `heap_total` it says whether the
+    /// occurrence tables' huge-page hint was granted.
+    pub heap_huge_bytes: u64,
 }
 
 impl StatsSnapshot {
@@ -753,8 +759,9 @@ impl StatsSnapshot {
     /// end precisely because the count-prefixed encoding lets older
     /// clients keep reading the prefix they know — the heap fields
     /// (PR 7), the robustness counters (PR 8), the strandedness pair
-    /// (PR 10) and the stage durations (PR 21) all used that latitude.
-    fn fields(&self) -> [u64; 32] {
+    /// (PR 10), the stage durations (PR 21) and the huge-page grant
+    /// (PR 22) all used that latitude.
+    fn fields(&self) -> [u64; 33] {
         [
             self.connections,
             self.submissions_admitted,
@@ -788,6 +795,7 @@ impl StatsSnapshot {
             self.engine_ns,
             self.reply_ns,
             self.replies_timed,
+            self.heap_huge_bytes,
         ]
     }
 }
@@ -809,7 +817,7 @@ pub fn encode_stats(stats: &StatsSnapshot, buf: &mut Vec<u8>) {
 pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
     let mut cursor = Cursor::new(payload);
     let announced = cursor.u32()? as usize;
-    let mut fields = [0u64; 32];
+    let mut fields = [0u64; 33];
     if announced < fields.len() {
         return Err(WireError::Truncated {
             needed: fields.len() * 8,
@@ -823,7 +831,7 @@ pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
         cursor.take(8)?;
     }
     cursor.finish()?;
-    let [connections, submissions_admitted, submissions_busy, errors, batches_run, submissions_coalesced, max_coalesced, queries_executed, positions_returned, search_rounds, resolve_rounds, queue_depth, heap_total, heap_k_occ_checkpoints, heap_k_occ_deltas, heap_k_occ_codes, heap_one_step_occ, heap_sa_samples, heap_rank_bits, heap_other, late_dropped, writer_shed, conns_reaped, goaway_sent, snapshot_loaded, snapshot_rejected, bidir_enabled, bidir_text_len, queue_wait_ns, engine_ns, reply_ns, replies_timed] =
+    let [connections, submissions_admitted, submissions_busy, errors, batches_run, submissions_coalesced, max_coalesced, queries_executed, positions_returned, search_rounds, resolve_rounds, queue_depth, heap_total, heap_k_occ_checkpoints, heap_k_occ_deltas, heap_k_occ_codes, heap_one_step_occ, heap_sa_samples, heap_rank_bits, heap_other, late_dropped, writer_shed, conns_reaped, goaway_sent, snapshot_loaded, snapshot_rejected, bidir_enabled, bidir_text_len, queue_wait_ns, engine_ns, reply_ns, replies_timed, heap_huge_bytes] =
         fields;
     Ok(StatsSnapshot {
         connections,
@@ -858,6 +866,7 @@ pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
         engine_ns,
         reply_ns,
         replies_timed,
+        heap_huge_bytes,
     })
 }
 
@@ -1175,15 +1184,16 @@ mod tests {
             engine_ns: 340_000,
             reply_ns: 60_000,
             replies_timed: 10,
+            heap_huge_bytes: 32 << 20,
         };
         let mut payload = Vec::new();
         encode_stats(&stats, &mut payload);
-        assert_eq!(payload.len(), 4 + 32 * 8);
+        assert_eq!(payload.len(), 4 + 33 * 8);
         assert_eq!(decode_stats(&payload).unwrap(), stats);
 
-        // A newer server appending a 33rd counter still decodes.
+        // A newer server appending a 34th counter still decodes.
         let mut extended = payload.clone();
-        extended[0..4].copy_from_slice(&33u32.to_le_bytes());
+        extended[0..4].copy_from_slice(&34u32.to_le_bytes());
         extended.extend_from_slice(&999u64.to_le_bytes());
         assert_eq!(decode_stats(&extended).unwrap(), stats);
         assert!(decode_stats(&payload[..8]).is_err());
