@@ -62,7 +62,8 @@ const ILLUMINA_LEN: usize = 100;
 const MIXED_MAX_HITS: u32 = 8;
 
 /// `k_occ_sample_rate` values covered by `--sweep-sample-rate` (the
-/// default full-mode k = 4 spacing is 256).
+/// default full-mode k = 4 spacing, 320, sits between the third and the
+/// fourth).
 const SWEEP_RATES: [usize; 5] = [64, 128, 256, 512, 1024];
 
 /// `sa_sample_rate` values covered by `--sweep-sa-sample-rate`: the

@@ -1,25 +1,91 @@
-//! Lockstep batched backward search with dead-query dropping and
-//! software prefetch — the round-loop every
+//! Lockstep batched backward search with dead-query dropping, software
+//! prefetch and an early exit to the text — the round-loop every
 //! [`crate::Executor`] run of a [`BatchEngine`] goes through, whatever
 //! mix of operations the batch carries.
+//!
+//! A batch runs in three phases (`exec.rs` holds the second and third):
+//!
+//! 1. **Search.** Every query's interval is refined in lockstep rounds,
+//!    k symbols a round. A query leaves the loop when it has consumed
+//!    its pattern, when its interval empties — or when it is **cut**: its
+//!    interval is down to a row or two (`CUT_ROWS`) with enough of the
+//!    pattern still unmatched (`CUT_STEPS_PER_ROW`) that looking the
+//!    rest up in the text is cheaper than stepping through it.
+//! 2. **Resolve.** The rows of every cut query join the rows of every
+//!    locate query on the one resolver worklist, which walks each to its
+//!    text position — verification walks and locate walks hide each
+//!    other's misses.
+//! 3. **Compare and tag.** A cut query's positions are where its matched
+//!    *suffix* occurs; each is kept iff the text in front of it is the
+//!    unmatched prefix ([`KStepFmIndex::text_ends_with`]: one or two
+//!    cache lines of the index's 2-bit text). What is kept is the count,
+//!    or — moved back by the prefix length — the located positions.
+//!
+//! **Why a cut query's answer is the full search's.** After the
+//! refinements that consumed `pattern[j..]`, the interval's rows are
+//! exactly the suffixes of the text that start with `pattern[j..]`. The
+//! pattern occurs at `p` iff `pattern[j..]` occurs at `p + j` *and*
+//! `text[p..p + j] == pattern[..j]`; so the occurrences of the pattern
+//! are, one for one, the interval's rows whose text position `p + j` has
+//! `pattern[..j]` in front of it. Finishing the search would keep those
+//! rows and drop the others; the text comparison keeps the same ones.
+//! The subtraction keeps their order, so a resolved region stays sorted.
+//! A request is cut only while its interval is no wider than what it may
+//! return (a locate capped at `h` at most `h` rows; `h = 0` never), so a
+//! cap can never bite a cut query and capped answers are those of the
+//! sequential executors — which are never cut: they are the oracle.
+//! [`crate::QueryRequest::Interval`] is never cut either: its answer *is*
+//! the interval.
+//!
+//! Whether a query is cut depends on the index and the request alone —
+//! never on the schedule or the thread count — so every schedule and
+//! every sharding of a batch issue identical counters.
 
 use std::ops::Range;
 
 use exma_genome::{Base, Kmer, Symbol};
 use exma_index::{KStepFmIndex, ResolveConfig};
 
+use crate::query::QueryRequest;
+
 /// How many queries ahead of the one being refined the engine prefetches
 /// when [`BatchConfig::prefetch_distance`] is left to the default.
 ///
-/// A refinement costs some 65 ns and a miss 160–265 ns
+/// A refinement costs some 53 ns and a miss 160–265 ns
 /// (`machine.chase_ns`), so the hints must lead by at least four
-/// queries; each query hints six lines per rank block, so a lead of `d`
-/// keeps up to `12 d` lines in flight, and the 48 KiB L1 and its fill
-/// buffers bound that from above. On `count_reads` the sweep is flat
-/// from 4 to 16 (10th-percentile ns/query at d = 2, 4, 8, 12, 16: 987,
-/// 936, 901, 929, 912; CHANGES.md, PR 14) and 8 sits in the middle of
-/// the plateau.
+/// queries; each query hints seven lines per rank block, so a lead of `d`
+/// keeps up to `14 d` lines in flight, and a core's 48 KiB L1 (`lscpu`
+/// prints the two cores' 96 KiB) and its fill buffers bound that from
+/// above. On `count_reads` the sweep is flat from 4 to 16
+/// (10th-percentile ns/query at d = 2, 4, 8, 12, 16: 987, 936, 901, 929,
+/// 912; CHANGES.md, PR 14) and 8 sits in the middle of the plateau.
 pub const DEFAULT_PREFETCH_DISTANCE: usize = 8;
+
+/// Widest interval a query may be cut at (see the module docs): a query
+/// leaves the lockstep search for the text once its interval holds at
+/// most this many rows.
+///
+/// Every row of a cut interval costs an LF walk to its text position
+/// (five steps on average at the default SA rate) and a comparison,
+/// whether or not it verifies, so the cut pays only while the interval is
+/// about as narrow as the answer. On the 20 Mbp `count_reads` index an
+/// interval is one row wide after 12–16 bases. Swept on the final build
+/// (8 s runs, k queries/s, two seeds): 1 / 2 / 3 rows at 3 steps a row
+/// read 2162 / 2173 / 2108 and 2512 / 2112 / 1833 — flat within the
+/// box's ±10 % — and no bound on the width 1701 and 1602, a quarter
+/// slower. 2 keeps the pairs of rows a repeat leaves behind without
+/// paying for wide ones (CHANGES.md, PR 23, has every run).
+pub(crate) const CUT_ROWS: usize = 2;
+
+/// How many k-step refinements must still be ahead of a query, per row of
+/// its interval, before it is cut: a walk and a comparison cost about
+/// three refinements, so with fewer left the search finishes sooner by
+/// stepping. Flat too: at 2 rows, 1 / 3 / 6 steps a row read 2078 /
+/// 2173 / 2292 and 2178 / 2112 / 2052 k queries/s on `count_reads`, and
+/// on `locate_seeds` (24 bp: cut only one row wide with 12 bases left at
+/// 3, not at all at 6) 1314 / 975–1241 / 1115 and 1327 / 1104–1187 /
+/// 1277 beside the parent's 1133–1391 (CHANGES.md, PR 23).
+pub(crate) const CUT_STEPS_PER_ROW: usize = 3;
 
 /// Scheduling knobs of a [`BatchEngine`] round.
 ///
@@ -69,7 +135,9 @@ pub struct BatchStats {
     /// single-symbol tail rounds, for the longest surviving query of
     /// length `m`.
     pub rounds: usize,
-    /// Total LF refinements issued across all queries and rounds.
+    /// Total LF refinements issued across all queries and rounds. A cut
+    /// query stops adding to this; its rows' walks count under
+    /// `resolve_lf_steps`.
     pub steps: usize,
     /// Queries live in the widest round (the initial non-empty batch).
     pub peak_live: usize,
@@ -79,19 +147,27 @@ pub struct BatchStats {
     /// LF steps the locate resolver issued across all cursors and rounds.
     pub resolve_lf_steps: usize,
     /// Cursors the locate resolver retired by hitting a sampled mark.
-    /// Uncapped, this is the batch's total occurrence positions; capped
-    /// locates may retire slightly more than they keep (the cap is
-    /// checked at round boundaries).
+    /// Uncapped, this is the batch's total occurrence positions plus
+    /// `rows_rejected`; capped locates may retire slightly more than
+    /// they keep (the cap is checked at round boundaries).
     pub cursors_retired: usize,
     /// Resolver cursors dropped un-walked because their query hit its
     /// `max_hits` cap — the LF work the cap saved.
     pub cursors_dropped: usize,
+    /// Queries that left the lockstep search early, to be finished
+    /// against the text (see the module docs).
+    pub cut_queries: usize,
+    /// Rows of cut queries that were walked to their text position and
+    /// did not verify: the text in front of them is not the unmatched
+    /// prefix.
+    pub rows_rejected: usize,
 }
 
 impl BatchStats {
     /// Folds a shard's counters into a batch-wide total: work counters
-    /// (`steps`, `peak_live`, resolver steps, retirements and drops) add
-    /// up across concurrent workers, while the round counters — each the
+    /// (`steps`, `peak_live`, resolver steps, retirements, drops, cuts and
+    /// rejected rows) add up across concurrent workers, while the round
+    /// counters — each the
     /// depth of the longest shard's lockstep schedule — take the maximum,
     /// matching wall-clock intuition.
     pub(crate) fn absorb_shard(&mut self, shard: BatchStats) {
@@ -101,6 +177,8 @@ impl BatchStats {
         self.resolve_lf_steps += shard.resolve_lf_steps;
         self.cursors_retired += shard.cursors_retired;
         self.cursors_dropped += shard.cursors_dropped;
+        self.cut_queries += shard.cut_queries;
+        self.rows_rejected += shard.rows_rejected;
         self.resolve_rounds = self.resolve_rounds.max(shard.resolve_rounds);
     }
 }
@@ -117,12 +195,17 @@ struct LiveQuery {
 }
 
 /// Reusable worklists of the lockstep search loop, double-buffered so
-/// the prefetch look-ahead can peek at untouched entries. Lives in a
-/// [`crate::QueryArena`] so steady-state runs allocate nothing.
+/// the prefetch look-ahead can peek at untouched entries, and what the
+/// loop reports beside each interval. Lives in a [`crate::QueryArena`] so
+/// steady-state runs allocate nothing.
 #[derive(Default)]
 pub struct SearchScratch {
     live: Vec<LiveQuery>,
     next: Vec<LiveQuery>,
+    /// Per query, the pattern symbols a cut left unmatched: its interval
+    /// is that of `pattern[unmatched..]`. Zero for a query searched to
+    /// the end.
+    pub(crate) unmatched: Vec<u32>,
 }
 
 impl std::fmt::Debug for SearchScratch {
@@ -130,6 +213,7 @@ impl std::fmt::Debug for SearchScratch {
         f.debug_struct("SearchScratch")
             .field("live_capacity", &self.live.capacity())
             .field("next_capacity", &self.next.capacity())
+            .field("unmatched_capacity", &self.unmatched.capacity())
             .finish()
     }
 }
@@ -138,10 +222,15 @@ impl std::fmt::Debug for SearchScratch {
 ///
 /// All queries advance together: each round issues one k-step refinement
 /// per live query (1-step refinements once a query is into its sub-k
-/// tail), then drops queries that finished or died. See the crate docs for
-/// why this ordering matters to the paper. A [`BatchConfig`] additionally
-/// software-prefetches upcoming queries' table blocks, turning the
-/// round's dependent memory round-trips into overlapped fetches.
+/// tail), then drops queries that finished, died, or were cut — narrowed
+/// to a row or two with most of the pattern still ahead, and so cheaper to
+/// finish by walking those rows to their text positions and comparing the
+/// rest of the pattern with the text there (the module docs have the
+/// three phases and why the answer is the same). See the crate docs for
+/// why the lockstep ordering matters to the paper. A [`BatchConfig`]
+/// additionally software-prefetches upcoming queries' table blocks,
+/// turning the round's dependent memory round-trips into overlapped
+/// fetches.
 ///
 /// Run it through the [`crate::Executor`] trait with a
 /// [`crate::QueryBatch`]; construct it through [`crate::EngineBuilder`].
@@ -178,8 +267,14 @@ impl<'a> BatchEngine<'a> {
     /// counts read the interval width, locates feed the resolver, and
     /// interval requests return it raw. Empty intervals are normalized
     /// to `0..0`; empty patterns match every row.
+    ///
+    /// A query whose request allows it ([`QueryRequest::cut_rows`]) is
+    /// cut as the module docs describe: `intervals[i]` is then the
+    /// interval of the pattern's last `m - j` symbols and
+    /// `scratch.unmatched[i]` is `j`.
     pub(crate) fn search_core(
         &self,
+        requests: &[QueryRequest],
         patterns: &[impl AsRef<[Base]>],
         intervals: &mut Vec<Range<usize>>,
         scratch: &mut SearchScratch,
@@ -189,10 +284,15 @@ impl<'a> BatchEngine<'a> {
         assert!(patterns.len() < u32::MAX as usize, "batch too large");
         intervals.clear();
         intervals.reserve(patterns.len());
-        let live = &mut scratch.live;
-        let next = &mut scratch.next;
+        let SearchScratch {
+            live,
+            next,
+            unmatched,
+        } = scratch;
         live.clear();
         next.clear();
+        unmatched.clear();
+        unmatched.resize(patterns.len(), 0);
         for (i, pattern) in patterns.iter().enumerate() {
             if pattern.as_ref().is_empty() {
                 intervals.push(0..n); // the empty pattern matches every row
@@ -237,13 +337,25 @@ impl<'a> BatchEngine<'a> {
                 if range.is_empty() {
                     continue; // died: its result stays 0..0
                 }
-                if rem == consumed {
+                let left = rem - consumed;
+                if left == 0 {
                     intervals[q.pattern as usize] = range; // finished
+                    continue;
+                }
+                let width = range.len();
+                if width <= requests[q.pattern as usize].cut_rows()
+                    && width * CUT_STEPS_PER_ROW <= left / k
+                {
+                    // Cut: the text will say which of these rows are
+                    // preceded by the `left` symbols still unmatched.
+                    intervals[q.pattern as usize] = range;
+                    unmatched[q.pattern as usize] = left as u32;
+                    stats.cut_queries += 1;
                     continue;
                 }
                 next.push(LiveQuery {
                     pattern: q.pattern,
-                    remaining: (rem - consumed) as u32,
+                    remaining: left as u32,
                     lo: range.start as u32,
                     hi: range.end as u32,
                 });

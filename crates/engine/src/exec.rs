@@ -5,11 +5,14 @@
 //! lockstep engines share a single pipeline shape regardless of the
 //! mix: **every** query's backward search advances through the same
 //! lockstep round-loop (an interval is what all three operations need
-//! first), and then every finished locate query's interval rows feed
-//! one shared resolver worklist; counts and intervals are read straight
-//! off the search result. The sequential index types implement the same
-//! trait query-by-query, which is what makes them drop-in oracles and
-//! baselines for the benchmark harness's uniform enumeration.
+//! first) until it is finished or *cut* (`batch.rs`: narrow enough that
+//! the text finishes it sooner); then every locate query's interval rows
+//! and every cut query's feed one shared resolver worklist; then a cut
+//! query's positions are checked against the text, and counts and
+//! intervals are read straight off the search result. The sequential
+//! index types implement the same trait query-by-query and uncut, which
+//! is what makes them drop-in oracles and baselines for the benchmark
+//! harness's uniform enumeration.
 //!
 //! Construct executors through [`crate::EngineBuilder`] — it is the one
 //! place index parameters, schedules and thread counts combine.
@@ -23,6 +26,12 @@ use exma_index::{resolve_capped_with_arena, FmIndex, HeapBreakdown, KStepFmIndex
 use crate::batch::{BatchEngine, BatchStats};
 use crate::query::{QueryArena, QueryBatch, QueryOutput, QueryRequest, QueryResults};
 use crate::shard::ShardedEngine;
+
+/// How many cut queries ahead of the one being compared the engine hints
+/// the text lines of: a cut is at most [`crate::batch::CUT_ROWS`] rows, so
+/// this leads by about sixteen comparisons, as the resolver leads its
+/// walks.
+const CUT_LOOKAHEAD: usize = 8;
 
 /// A query engine that can answer a mixed-operation [`QueryBatch`].
 ///
@@ -156,23 +165,35 @@ impl BatchEngine<'_> {
             locate_intervals,
             caps,
             locate_offsets,
+            cuts,
             search,
             resolve,
             seq_buf,
-            ..
         } = arena;
 
         // Phase 1 — one lockstep search round-loop for the whole batch:
         // counts, locates and interval requests all need the suffix-array
-        // interval first, so the mix is invisible to the scheduler.
-        let mut stats = self.search_core(patterns, intervals, search);
+        // interval first, so the mix is invisible to the scheduler. A
+        // query the loop cut comes back with the interval of its
+        // pattern's last symbols and the number still unmatched.
+        let mut stats = self.search_core(requests, patterns, intervals, search);
+        let unmatched = &search.unmatched;
 
         // Phase 2 — every locate query's interval feeds one shared
-        // resolver worklist, with its cap riding along.
+        // resolver worklist, with its cap riding along, and so does every
+        // cut query's: its rows must all be walked (a cut is never wider
+        // than its request may answer), whatever the request.
         locate_intervals.clear();
         caps.clear();
+        cuts.clear();
         for (i, request) in requests.iter().enumerate() {
-            if let Some(cap) = request.resolver_cap() {
+            let cap = if unmatched[i] > 0 {
+                cuts.push((unmatched[i], locate_intervals.len() as u32));
+                Some(UNCAPPED)
+            } else {
+                request.resolver_cap()
+            };
+            if let Some(cap) = cap {
                 locate_intervals.push(intervals[i].clone());
                 caps.push(cap);
             }
@@ -194,49 +215,93 @@ impl BatchEngine<'_> {
 
         // Phase 3 — tag every query, mapping the resolver's pooled
         // regions (in resolving-query order == query order restricted
-        // to locates and strand searches) back onto the full batch.
-        // SearchBoth regions hold *raw doubled-text* positions that
-        // must shrink in place — straddlers and palindrome duplicates
-        // drop, the post-mapping cap truncates — so the pool is
-        // compacted left as it is walked, and later regions shift down
-        // by the accumulated shrink.
-        let n = forward_len(self.index().text_len());
+        // to locates, strand searches and cut queries) back onto the
+        // full batch. Regions shrink in place — a cut query keeps only
+        // the positions the text confirms, and its count keeps none; a
+        // SearchBoth region holds *raw doubled-text* positions, of which
+        // straddlers and palindrome duplicates drop and the post-mapping
+        // cap truncates — so the pool is compacted left as it is
+        // walked, and later regions shift down by the accumulated
+        // shrink.
+        let index = self.index();
+        let n = forward_len(index.text_len());
         let mut next_resolved = 0;
+        let mut next_cut = 0;
         let mut shrink = 0;
         for (i, request) in requests.iter().enumerate() {
             let interval = &intervals[i];
+            let left = unmatched[i] as usize;
             match *request {
-                QueryRequest::Count => results.push_tag(QueryOutput::Count(interval.len() as u32)),
-                QueryRequest::Interval => results.push_tag(QueryOutput::Interval {
-                    lo: interval.start as u32,
-                    hi: interval.end as u32,
-                }),
-                QueryRequest::Locate { .. } => {
-                    let (start, end) = (
-                        locate_offsets[next_resolved],
-                        locate_offsets[next_resolved + 1],
-                    );
-                    next_resolved += 1;
-                    if shrink > 0 {
-                        results.flat_mut().copy_within(start..end, start - shrink);
-                    }
-                    results.push_located(end - start, end - start < interval.len());
+                QueryRequest::Interval => {
+                    results.push_tag(QueryOutput::Interval {
+                        lo: interval.start as u32,
+                        hi: interval.end as u32,
+                    });
+                    continue;
                 }
-                QueryRequest::SearchBoth { max_hits } => {
-                    let (start, end) = (
-                        locate_offsets[next_resolved],
-                        locate_offsets[next_resolved + 1],
+                QueryRequest::Count if left == 0 => {
+                    results.push_tag(QueryOutput::Count(interval.len() as u32));
+                    continue;
+                }
+                _ => {}
+            }
+            let (start, full_end) = (
+                locate_offsets[next_resolved],
+                locate_offsets[next_resolved + 1],
+            );
+            next_resolved += 1;
+            let flat = results.flat_mut();
+            // A cut query's region holds where its matched suffix
+            // occurs: keep the positions with the unmatched prefix in
+            // front of them, as where the whole pattern starts.
+            let mut end = full_end;
+            if left > 0 {
+                if let Some(&(ahead, region)) = cuts.get(next_cut + CUT_LOOKAHEAD) {
+                    let (from, to) = (
+                        locate_offsets[region as usize],
+                        locate_offsets[region as usize + 1],
                     );
-                    next_resolved += 1;
-                    let flat = results.flat_mut();
+                    for &pos in &flat[from..to] {
+                        index.prefetch_text(pos.saturating_sub(ahead) as usize);
+                        index.prefetch_text(pos as usize);
+                    }
+                }
+                next_cut += 1;
+                end = start;
+                for at in start..full_end {
+                    let pos = flat[at] as usize;
+                    if index.text_ends_with(pos, &patterns[i][..left]) {
+                        flat[end] = (pos - left) as u32;
+                        end += 1;
+                    }
+                }
+                stats.rows_rejected += full_end - end;
+            }
+            match *request {
+                QueryRequest::SearchBoth { max_hits } => {
                     seq_buf.clear();
                     seq_buf.extend_from_slice(&flat[start..end]);
                     let valid = map_hits_in_place(seq_buf, &patterns[i], n);
                     let kept = (max_hits.unwrap_or(UNCAPPED) as usize).min(valid);
                     flat[start - shrink..start - shrink + kept].copy_from_slice(&seq_buf[..kept]);
-                    shrink += (end - start) - kept;
+                    shrink += (full_end - start) - kept;
                     results.push_both_located(kept, kept < valid);
                 }
+                QueryRequest::Locate { .. } => {
+                    if shrink > 0 {
+                        flat.copy_within(start..end, start - shrink);
+                    }
+                    shrink += full_end - end;
+                    // A cut locate was no wider than its cap.
+                    let truncated = left == 0 && end - start < interval.len();
+                    results.push_located(end - start, truncated);
+                }
+                // A cut count: its region leaves the pool.
+                QueryRequest::Count => {
+                    shrink += full_end - start;
+                    results.push_tag(QueryOutput::Count((end - start) as u32));
+                }
+                QueryRequest::Interval => unreachable!("tagged above: never resolved"),
             }
         }
         if shrink > 0 {

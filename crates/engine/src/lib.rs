@@ -16,11 +16,15 @@
 //! whole batch in one run with pooled [`QueryResults`]. The lockstep
 //! implementations share one pipeline regardless of the mix: every
 //! query's backward search advances through the same round-loop —
-//! optionally software-prefetched ([`BatchConfig`]) — and then every
-//! locate query's interval rows feed one shared lockstep resolver worklist
+//! optionally software-prefetched ([`BatchConfig`]) — until it is
+//! finished or its interval is down to a row or two, and then every
+//! locate query's interval rows, and the rows of every search that
+//! stopped early, feed one shared lockstep resolver worklist
 //! ([`exma_index::BatchResolver`]'s machinery) that retires positions
 //! into the pooled buffer, honoring per-query `max_hits` caps at round
-//! boundaries. [`ShardedEngine`] splits a batch across scoped threads
+//! boundaries; a search that stopped early is finished by comparing the
+//! rest of its pattern with the text at those positions (the [`batch`]
+//! module docs say why the answer is the same). [`ShardedEngine`] splits a batch across scoped threads
 //! (short-circuiting to the serial path at one thread), and a reusable
 //! [`QueryArena`] makes steady-state submissions allocation-free.
 //! [`EngineBuilder`] is the one place index parameters, schedules, and

@@ -20,7 +20,7 @@ use std::ops::Range;
 use exma_genome::Base;
 use exma_index::{ResolveArena, UNCAPPED};
 
-use crate::batch::SearchScratch;
+use crate::batch::{SearchScratch, CUT_ROWS};
 
 /// What one query of a [`QueryBatch`] asks for.
 ///
@@ -110,6 +110,23 @@ impl QueryRequest {
             QueryRequest::Locate { max_hits } => Some(max_hits.unwrap_or(UNCAPPED)),
             QueryRequest::SearchBoth { .. } => Some(UNCAPPED),
             _ => None,
+        }
+    }
+
+    /// Widest interval at which the lockstep engine may stop refining
+    /// this request and finish it against the text (the `batch` module
+    /// docs): [`CUT_ROWS`], but never more rows than the request may
+    /// return — a locate's cap then cannot bite a cut query, and
+    /// `max_hits` 0 is never cut — and none for an interval request,
+    /// whose answer is the interval. A strand search caps after mapping,
+    /// so its cap does not bound the raw rows.
+    pub(crate) fn cut_rows(&self) -> usize {
+        match *self {
+            QueryRequest::Count | QueryRequest::SearchBoth { .. } => CUT_ROWS,
+            QueryRequest::Locate { max_hits } => {
+                CUT_ROWS.min(max_hits.unwrap_or(UNCAPPED) as usize)
+            }
+            QueryRequest::Interval => 0,
         }
     }
 }
@@ -488,15 +505,19 @@ impl QueryResults {
 pub struct QueryArena {
     /// The batch's pooled answers.
     pub(crate) results: QueryResults,
-    /// Searched suffix-array interval of every query.
+    /// Searched suffix-array interval of every query (of a cut query,
+    /// the interval it was cut at).
     pub(crate) intervals: Vec<Range<usize>>,
-    /// Intervals of the locate queries, in query order — the resolver
-    /// worklist feed.
+    /// Intervals of the locate queries and of the cut queries, in query
+    /// order — the resolver worklist feed.
     pub(crate) locate_intervals: Vec<Range<usize>>,
     /// Hit caps aligned with `locate_intervals`.
     pub(crate) caps: Vec<u32>,
     /// The resolver's offsets over `locate_intervals`.
     pub(crate) locate_offsets: Vec<usize>,
+    /// The cut queries, in query order: `(symbols left unmatched, slot
+    /// in locate_intervals)` — what the text comparison looks ahead over.
+    pub(crate) cuts: Vec<(u32, u32)>,
     /// Lockstep search worklists.
     pub(crate) search: SearchScratch,
     /// Lockstep resolver worklists and staging.
@@ -575,6 +596,18 @@ mod tests {
             QueryRequest::search_both_capped(7).resolver_cap(),
             Some(UNCAPPED)
         );
+    }
+
+    #[test]
+    fn a_request_is_never_cut_wider_than_it_may_answer() {
+        assert_eq!(QueryRequest::Count.cut_rows(), CUT_ROWS);
+        assert_eq!(QueryRequest::locate().cut_rows(), CUT_ROWS);
+        assert_eq!(QueryRequest::locate_capped(32).cut_rows(), CUT_ROWS);
+        assert_eq!(QueryRequest::locate_capped(1).cut_rows(), 1);
+        assert_eq!(QueryRequest::locate_capped(0).cut_rows(), 0);
+        assert_eq!(QueryRequest::Interval.cut_rows(), 0);
+        // Capped after mapping: the cap says nothing about raw rows.
+        assert_eq!(QueryRequest::search_both_capped(0).cut_rows(), CUT_ROWS);
     }
 
     #[test]

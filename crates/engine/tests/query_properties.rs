@@ -12,6 +12,7 @@ use exma_engine::{
     BatchConfig, EngineBuilder, QueryBatch, QueryOutput, QueryRequest, QueryResults,
 };
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
+use exma_index::bidir::revcomp;
 use exma_index::{naive, FmIndex, ResolveConfig};
 
 fn toy_genome() -> Genome {
@@ -218,4 +219,323 @@ fn zero_cap_and_empty_pattern_edge_cases() {
     let n = index.text_len();
     assert_eq!(results.count(2), n);
     assert_eq!(results.interval(3), Some(0..n));
+}
+
+// ---- The cut: queries finished against the text --------------------------
+
+/// A reference built to keep intervals two and three rows wide for a
+/// long time: a 150-base unit copied ten times with a point mutation
+/// every 50 bases or so, separated by random filler, with one
+/// reverse-complement palindrome of 2 × 30 bases in the middle. Returns
+/// the genome and where the palindrome starts.
+fn repeat_rich_genome() -> (Genome, usize) {
+    let mut rng = SeededRng::new(0xC07);
+    let mut bases: Vec<Base> = Vec::new();
+    let unit: Vec<Base> = (0..150).map(|_| rng.base()).collect();
+    let mut palindrome_at = 0;
+    for copy in 0..10 {
+        bases.extend((0..rng.range(20, 60)).map(|_| rng.base()));
+        if copy == 5 {
+            let half: Vec<Base> = (0..30).map(|_| rng.base()).collect();
+            palindrome_at = bases.len();
+            bases.extend(&half);
+            bases.extend(revcomp(&half));
+        }
+        for &base in &unit {
+            bases.push(if rng.chance(1.0 / 50.0) {
+                rng.base_other_than(base)
+            } else {
+                base
+            });
+        }
+    }
+    bases.extend((0..40).map(|_| rng.base()));
+    (Genome::from_bases("repeat_rich", &bases), palindrome_at)
+}
+
+/// The patterns the cut has to get right, by kind.
+struct CutPatterns {
+    /// Error-free reads, forward and reverse strand: these are cut.
+    reads: Vec<Vec<Base>>,
+    /// One read with one substitution at every distance from its 3′ end:
+    /// near the 3′ end the search dies before any cut, further in the
+    /// text has to reject the row.
+    substituted: Vec<Vec<Base>>,
+    /// Everything at an edge: reads hanging off position 0 (the
+    /// unmatched prefix would start before the text), ending at the last
+    /// base before the sentinel (of the forward and of the doubled text),
+    /// straddling the doubled text's junction, palindromes, and patterns
+    /// longer than the text.
+    edges: Vec<Vec<Base>>,
+}
+
+fn cut_patterns(genome: &Genome, palindrome_at: Option<usize>, seed: u64) -> CutPatterns {
+    let mut rng = SeededRng::new(seed);
+    let n = genome.len();
+    let seq = genome.seq();
+    let mut reads = Vec::new();
+    for i in 0..60 {
+        let len = rng.range(30, 90);
+        let start = rng.range(0, n - len + 1);
+        reads.push(if i % 3 == 0 {
+            genome.revcomp_window(start, len)
+        } else {
+            seq.slice(start, len)
+        });
+    }
+
+    let read = seq.slice(n / 3, 52);
+    let substituted = (0..read.len())
+        .map(|from_end| {
+            let mut read = read.clone();
+            let at = read.len() - 1 - from_end;
+            read[at] = rng.base_other_than(read[at]);
+            read
+        })
+        .collect();
+
+    let mut edges = Vec::new();
+    for (hang, len) in [(1, 40), (3, 40), (12, 48), (30, 30), (40, 12)] {
+        let mut pattern: Vec<Base> = (0..hang).map(|_| rng.base()).collect();
+        pattern.extend(seq.slice(0, len));
+        edges.push(pattern);
+    }
+    for len in [13, 40, 77] {
+        edges.push(seq.slice(n - len, len));
+        // The doubled text ends with revcomp(forward[..len]).
+        edges.push(genome.revcomp_window(0, len));
+    }
+    for (tail, head) in [(30, 20), (10, 45), (45, 10), (1, 50), (50, 1)] {
+        // forward[n - tail..] · revcomp(forward)[..head]
+        let mut pattern = seq.slice(n - tail, tail);
+        pattern.extend(genome.revcomp_window(n - head, head));
+        edges.push(pattern);
+    }
+    for half in [6, 20, 25] {
+        let random: Vec<Base> = (0..half).map(|_| rng.base()).collect();
+        let mut palindrome = random.clone();
+        palindrome.extend(revcomp(&random));
+        edges.push(palindrome);
+        if let Some(at) = palindrome_at {
+            // The planted site's middle 2 × half bases.
+            edges.push(seq.slice(at + 30 - half, 2 * half));
+        }
+    }
+    let mut longer = seq.to_vec();
+    longer.extend(seq.slice(0, 10));
+    edges.push(longer.clone());
+    longer.extend(seq.to_vec());
+    longer.extend(seq.to_vec());
+    edges.push(longer); // longer than the doubled text too
+    CutPatterns {
+        reads,
+        substituted,
+        edges,
+    }
+}
+
+/// Every request shape of every pattern — strand searches only where
+/// the index is doubled.
+fn every_request_of(patterns: &[Vec<Base>], doubled: bool) -> QueryBatch {
+    let mut batch = QueryBatch::new();
+    for pattern in patterns {
+        batch.push(QueryRequest::Count, pattern);
+        batch.push(QueryRequest::locate(), pattern);
+        for cap in [0, 1, 2, 3, 32] {
+            batch.push(QueryRequest::locate_capped(cap), pattern);
+        }
+        batch.push(QueryRequest::Interval, pattern);
+        if doubled {
+            batch.push(QueryRequest::search_both(), pattern);
+            batch.push(QueryRequest::search_both_capped(1), pattern);
+            batch.push(QueryRequest::search_both_capped(32), pattern);
+        }
+    }
+    batch
+}
+
+/// Holds `results` to the brute-force scans: every request on a forward
+/// index, the strand searches on a doubled one (whose other requests
+/// answer over the doubled text, which only the sequential executor
+/// knows how to read).
+fn assert_naive(genome: &Genome, batch: &QueryBatch, results: &QueryResults, doubled: bool) {
+    for i in 0..batch.len() {
+        let pattern = batch.pattern(i);
+        match batch.request(i) {
+            QueryRequest::SearchBoth { max_hits } => {
+                let hits = naive::occurrences_both(genome.seq(), pattern);
+                let kept = max_hits.map_or(hits.len(), |h| h as usize).min(hits.len());
+                assert_eq!(results.positions(i), &hits[..kept], "#{i}");
+                let truncated = kept < hits.len();
+                assert_eq!(results.output(i), QueryOutput::BothLocated { truncated });
+            }
+            _ if doubled => {}
+            QueryRequest::Count => {
+                assert_eq!(
+                    results.count(i),
+                    naive::count(genome.seq(), pattern),
+                    "#{i}"
+                )
+            }
+            QueryRequest::Interval => {
+                let width = results.interval(i).map(|r| r.len());
+                assert_eq!(width, Some(naive::count(genome.seq(), pattern)), "#{i}");
+            }
+            QueryRequest::Locate { max_hits } => {
+                let hits = naive::occurrences(genome.seq(), pattern);
+                let kept = max_hits.map_or(hits.len(), |h| h as usize).min(hits.len());
+                let positions = results.positions(i);
+                assert_eq!(positions.len(), kept, "#{i}");
+                assert!(positions.windows(2).all(|w| w[0] < w[1]), "#{i}");
+                assert!(positions.iter().all(|p| hits.contains(p)), "#{i}");
+                let truncated = kept < hits.len();
+                assert_eq!(results.output(i), QueryOutput::Located { truncated });
+            }
+            other => panic!("every_request_of built an unexpected request {other:?}"),
+        }
+    }
+}
+
+/// Plain and locality schedules on one thread and on two.
+fn lockstep_executors(base: EngineBuilder) -> [EngineBuilder; 4] {
+    [
+        base.schedule(BatchConfig::default()),
+        base,
+        base.schedule(BatchConfig::default()).threads(2),
+        base.threads(2),
+    ]
+}
+
+#[test]
+fn cut_queries_answer_what_the_oracles_answer() {
+    let (repeat_rich, palindrome_at) = repeat_rich_genome();
+    let references = [(toy_genome(), None), (repeat_rich, Some(palindrome_at))];
+    for (genome, palindrome_at) in &references {
+        let patterns = cut_patterns(genome, *palindrome_at, 0xC07 + genome.len() as u64);
+        for doubled in [false, true] {
+            for k in [1usize, 2, 4] {
+                let at = format!("{}, doubled {doubled}, k={k}", genome.profile().name);
+                let base = EngineBuilder::new().k(k).bidirectional(doubled);
+                let index = base.build_index(&genome.text_with_sentinel()).unwrap();
+                let oracle = base.sequential().attach(&index).unwrap();
+                for (kind, patterns, must_cut, must_reject) in [
+                    ("reads", &patterns.reads, true, false),
+                    ("substituted", &patterns.substituted, true, true),
+                    ("edges", &patterns.edges, false, false),
+                ] {
+                    let batch = every_request_of(patterns, doubled);
+                    let (expected, _) = oracle.run(&batch);
+                    assert_naive(genome, &batch, &expected, doubled);
+                    let mut first = None;
+                    for builder in lockstep_executors(base) {
+                        let (results, stats) = builder.attach(&index).unwrap().run(&batch);
+                        assert_eq!(results, expected, "{at}, {kind}, {}", builder.descriptor());
+                        // The path ran — on every schedule and sharding
+                        // alike: the cut is a property of the index and
+                        // the request.
+                        let counters = (
+                            stats.cut_queries,
+                            stats.rows_rejected,
+                            stats.steps,
+                            stats.resolve_lf_steps,
+                            stats.cursors_retired,
+                        );
+                        assert_eq!(*first.get_or_insert(counters), counters, "{at}, {kind}");
+                        assert!(
+                            !must_cut || stats.cut_queries > 0,
+                            "{at}, {kind}: {stats:?}"
+                        );
+                        assert!(
+                            !must_reject || stats.rows_rejected > 0,
+                            "{at}, {kind}: {stats:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_cut_stays_in_its_lane() {
+    // Requests that may not be cut are not: an interval's answer is the
+    // interval, and a locate that may return nothing has no row to walk.
+    let genome = toy_genome();
+    let patterns = cut_patterns(&genome, None, 0x1A9E).reads;
+    let base = EngineBuilder::new().k(4);
+    let index = base.build_index(&genome.text_with_sentinel()).unwrap();
+    let counts = QueryBatch::uniform(QueryRequest::Count, &patterns);
+    let intervals = QueryBatch::uniform(QueryRequest::Interval, &patterns);
+    let zero = QueryBatch::uniform(QueryRequest::locate_capped(0), &patterns);
+    for builder in lockstep_executors(base) {
+        let engine = builder.attach(&index).unwrap();
+        let (_, cut) = engine.run(&counts);
+        assert!(cut.cut_queries > 0, "{cut:?}");
+        assert!(cut.resolve_lf_steps > 0, "{cut:?}");
+        for (batch, what) in [(&intervals, "intervals"), (&zero, "max_hits 0")] {
+            let (results, stats) = engine.run(batch);
+            assert_eq!(stats.cut_queries, 0, "{what}");
+            assert_eq!(stats.rows_rejected, 0, "{what}");
+            assert_eq!(stats.cursors_retired, 0, "{what}");
+            // Uncut, they take every step the pattern has — at least as
+            // many as the cut counts took.
+            assert!(stats.steps > cut.steps, "{what}");
+            assert_eq!(results.total_positions(), 0, "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_two_row_cut_keeps_the_one_row_the_text_confirms() {
+    // Two sites share a 40-base suffix behind different 40-base
+    // prefixes: a search for one of them is two rows wide from the
+    // moment the shared suffix is unique to the pair until it is
+    // consumed, is cut there, and the text tells the sites apart.
+    let mut rng = SeededRng::new(0x2C07);
+    let mut random = |len: usize| -> Vec<Base> { (0..len).map(|_| rng.base()).collect() };
+    let (shared, first, mut second) = (random(40), random(40), random(40));
+    second[39] = first[39].complement(); // the sites part right at the seam
+    let mut bases = random(300);
+    let first_at = bases.len();
+    bases.extend(first.iter().chain(&shared));
+    bases.extend(random(300));
+    let second_at = bases.len();
+    bases.extend(second.iter().chain(&shared));
+    bases.extend(random(300));
+    let genome = Genome::from_bases("two_sites", &bases);
+
+    let queries: Vec<Vec<Base>> = [&first, &second]
+        .iter()
+        .map(|prefix| prefix.iter().chain(&shared).copied().collect())
+        .collect();
+    for k in [1usize, 2, 4] {
+        let base = EngineBuilder::new().k(k);
+        let index = base.build_index(&genome.text_with_sentinel()).unwrap();
+        for builder in lockstep_executors(base) {
+            let engine = builder.attach(&index).unwrap();
+            let (results, stats) = engine.run(
+                &QueryBatch::new()
+                    .count(&queries[0])
+                    .locate(&queries[1])
+                    .locate_capped(&queries[0], 2)
+                    // One row may come back, two would have to be walked.
+                    .locate_capped(&queries[1], 1),
+            );
+            let at = format!("k={k}, {}: {stats:?}", builder.descriptor());
+            assert_eq!(results.count(0), 1, "{at}");
+            assert_eq!(results.positions(1), &[second_at as u32], "{at}");
+            assert_eq!(results.positions(2), &[first_at as u32], "{at}");
+            assert_eq!(results.positions(3), &[second_at as u32], "{at}");
+            for i in 1..4 {
+                assert_eq!(results.output(i), QueryOutput::Located { truncated: false });
+            }
+            // Three queries cut two rows wide, each keeping one row; the
+            // fourth may only be cut one row wide, where nothing is left
+            // to reject.
+            assert_eq!(stats.cut_queries, 4, "{at}");
+            assert_eq!(stats.rows_rejected, 3, "{at}");
+            assert_eq!(stats.cursors_retired, 3 * 2 + 1, "{at}");
+            assert_eq!(results.total_positions(), 3, "{at}");
+        }
+    }
 }

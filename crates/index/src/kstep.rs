@@ -24,6 +24,7 @@ use crate::layout::{
 };
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
+use crate::text::PackedText;
 
 /// Largest supported step width: `4^7` codes still fit the `u16` k-BWT
 /// representation (the out-of-alphabet marker needs one extra value).
@@ -56,7 +57,7 @@ impl KStepBuildConfig {
     /// Defaults for a given step width, all read from [`crate::layout`]:
     /// the 1-step rates of [`crate::FmBuildConfig::default`] (one full
     /// cache line per Occ block, SA samples every 11 positions), a k-mer
-    /// checkpoint spacing of `64k` and superblocks every 16 blocks.
+    /// checkpoint spacing of `80k` and superblocks every 16 blocks.
     /// Every default superblock span is well inside the `u16` delta
     /// guarantee, so these configs always build.
     ///
@@ -107,6 +108,9 @@ pub struct KStepFmIndex {
     /// Not recoverable from the tables (they see an ordinary text), so it
     /// is stored and carried through snapshots.
     bidirectional: bool,
+    /// The indexed text, two bits a base: what
+    /// [`KStepFmIndex::text_ends_with`] compares against.
+    text: PackedText,
 }
 
 impl KStepFmIndex {
@@ -214,6 +218,7 @@ impl KStepFmIndex {
             kstarts,
             kocc,
             bidirectional: config.bidirectional,
+            text: PackedText::from_symbols(text),
         })
     }
 
@@ -238,6 +243,7 @@ impl KStepFmIndex {
         kstarts: Vec<u32>,
         kocc: KmerOccTable,
         bidirectional: bool,
+        text: PackedText,
     ) -> KStepFmIndex {
         KStepFmIndex {
             k,
@@ -245,7 +251,13 @@ impl KStepFmIndex {
             kstarts,
             kocc,
             bidirectional,
+            text,
         }
+    }
+
+    /// The packed text, for snapshot serialization.
+    pub(crate) fn packed_text(&self) -> &PackedText {
+        &self.text
     }
 
     /// The expanded-alphabet C-array, for snapshot serialization.
@@ -374,12 +386,37 @@ impl KStepFmIndex {
             .resolve_range_into(self.backward_search(pattern), out);
     }
 
+    /// `true` iff the indexed text holds `prefix` right before position
+    /// `end` (`text[end - prefix.len()..end] == prefix`), compared 32
+    /// bases a step against the index's own 2-bit copy of the text.
+    /// `false` when that range would start before the text or reach the
+    /// sentinel; the empty prefix ends everywhere.
+    ///
+    /// This is how a search is finished by looking instead of stepping:
+    /// if the rows of an interval are the suffixes that start with a
+    /// pattern's last `m - j` symbols and row `r` sits at text position
+    /// `p`, the whole pattern occurs at `p - j` exactly when
+    /// `text_ends_with(p, &pattern[..j])`.
+    #[inline]
+    pub fn text_ends_with(&self, end: usize, prefix: &[Base]) -> bool {
+        self.text.ends_with(end, prefix)
+    }
+
+    /// Hints the CPU to pull the line of the text copy that holds
+    /// position `pos` toward L1, ahead of a
+    /// [`KStepFmIndex::text_ends_with`] there. Never faults; a no-op off
+    /// x86-64 and past the text.
+    #[inline]
+    pub fn prefetch_text(&self, pos: usize) {
+        self.text.prefetch(pos);
+    }
+
     /// Heap bytes of all index components (1-step tables included),
-    /// attributed per component; the expanded-alphabet C-array counts
-    /// under `other`.
+    /// attributed per component; the expanded-alphabet C-array and the
+    /// 2-bit text count under `other`.
     pub fn heap_breakdown(&self) -> HeapBreakdown {
         let mut heap = self.base.heap_breakdown().add(&self.kocc.heap_breakdown());
-        heap.other += self.kstarts.capacity() * 4;
+        heap.other += self.kstarts.capacity() * 4 + self.text.heap_bytes();
         heap
     }
 

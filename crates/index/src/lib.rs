@@ -34,6 +34,7 @@ pub mod occ;
 pub mod resolve;
 pub mod sampled_sa;
 pub mod snapshot;
+mod text;
 
 pub use bidir::{decode_hit, doubled_text, encode_hit, is_palindromic, BidirFmIndex, Strand};
 pub use fm::{FmBuildConfig, FmIndex};

@@ -3,11 +3,12 @@
 //! Rebuilding an FM-index costs a suffix-array construction — the bulk
 //! of a server's startup on real genomes — while everything the suffix
 //! array *produced* is linear to re-derive. A snapshot therefore
-//! persists the four text-derived components the index cannot cheaply
+//! persists the text-derived components the index cannot cheaply
 //! recover (the BWT symbol stream, the k-BWT code stream, the sampled
-//! suffix array, and the expanded-alphabet C-array) together with the
-//! full build recipe, and a load replays the deterministic linear
-//! constructors over them. That buys three guarantees for free: every
+//! suffix array, the expanded-alphabet C-array and the 2-bit text)
+//! together with the full build recipe, and a load replays the
+//! deterministic linear constructors over them. That buys three
+//! guarantees for free: every
 //! structural invariant holds because the ordinary constructors enforce
 //! it, the [`AlignedWords`](crate::interleave::AlignedWords) placement —
 //! cache-line-aligned, and 2 MiB-aligned and advised onto huge pages from
@@ -16,12 +17,12 @@
 //! byte-identical query results and an allocation-exact
 //! [`HeapBreakdown`](crate::HeapBreakdown).
 //!
-//! # On-disk format (versions 1 and 2, all integers little-endian)
+//! # On-disk format (version 3, all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"EXMASNAP"
-//!      8     4  format version (1 or 2)
+//!      8     4  format version (= 3)
 //!     12     4  k
 //!     16     4  occ_sample_rate
 //!     20     4  sa_sample_rate
@@ -30,24 +31,27 @@
 //!               this build no longer reads)
 //!     32     4  superblock_rate
 //!     36     8  text length n (sentinel included)
-//!     44     4  section count (= 4)
-//!   [ 48     4  recipe flags (version 2 only; bit 0 = bidirectional) ]
-//!      …     …  4 sections, each:
+//!     44     4  section count (= 5)
+//!     48     4  recipe flags (bit 0 = bidirectional)
+//!     52     …  5 sections, each:
 //!                 tag u32 | payload length u64 | payload CRC32 | payload
 //!      …     4  whole-file CRC32 over every preceding byte
 //! ```
 //!
-//! Version 2 exists solely to carry the bidirectional recipe marker (a
+//! The flags word carries the bidirectional recipe marker (a
 //! doubled-text index is table-identical to a forward-only one, so the
-//! flag cannot be recovered from the payloads). Forward-only indexes
-//! still encode as version 1, byte-identical to what earlier builds
-//! wrote; only a bidirectional index produces a version-2 image, and
-//! this build reads both.
+//! flag cannot be recovered from the payloads). There is one format:
+//! every index is written this way, and an image of any other version —
+//! the two earlier formats had no text section — is refused with
+//! [`SnapshotError::VersionMismatch`], which a server answers by
+//! rebuilding.
 //!
 //! Sections, in order: `1` BWT (n one-byte symbol codes), `2` k-BWT
 //! codes (n u16 k-mer codes), `3` sampled suffix array (sample count
 //! u64, then `⌈n/64⌉` mark words, then the u32 samples), `4` the
-//! expanded C-array (`4^k` u32 bucket starts).
+//! expanded C-array (`4^k` u32 bucket starts), `5` the text (`⌈n/32⌉`
+//! u64 words, base `i` in bits `2 (i mod 32)` of word `i / 32`, the
+//! sentinel and the padding behind it zero).
 //!
 //! # Verification before construction
 //!
@@ -55,7 +59,10 @@
 //! version, recipe sanity, structural bounds, every section checksum,
 //! the whole-file checksum (which covers the header and section
 //! framing), and finally the semantic range/consistency of each decoded
-//! payload. Every failure is a typed [`SnapshotError`]; a corrupted
+//! payload — the text against what was verified before it: its per-base
+//! counts are the BWT's, and every sampled row's BWT symbol is the base
+//! in front of its sampled position (n / `sa_sample_rate` probes). Every
+//! failure is a typed [`SnapshotError`]; a corrupted
 //! file can never panic the loader and never yields an index. The
 //! checksums are the corruption defense — a file that collides CRC32 on
 //! every region it mutated is outside the threat model (that is an
@@ -81,7 +88,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use exma_genome::{count_table, Symbol};
+use exma_genome::{count_table, Base, Symbol};
 
 use crate::fm::FmIndex;
 use crate::interleave::check_superblock_span;
@@ -89,18 +96,16 @@ use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
 use crate::occ::OccTable;
 use crate::sampled_sa::{RankBits, SampledSuffixArray};
+use crate::text::PackedText;
 
 /// The leading eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EXMASNAP";
 
-/// The newest on-disk format version this build writes and reads.
-/// Version 1 (no recipe-flags word) is still read, and still written for
-/// forward-only indexes.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// The one on-disk format version this build writes and reads.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
-const HEADER_LEN: usize = 48;
-/// The version-2 recipe-flags word appended after the v1 header.
-const FLAGS_LEN: usize = 4;
+/// Magic, version, recipe, text length, section count, recipe flags.
+const HEADER_LEN: usize = 52;
 /// Bit 0 of the recipe-flags word: the index covers the bidirectional
 /// doubled text.
 const FLAG_BIDIRECTIONAL: u32 = 1;
@@ -109,8 +114,8 @@ const FLAG_BIDIRECTIONAL: u32 = 1;
 /// builds.
 const DELTA_WIDTH_U16: u32 = 1;
 const SECTION_HEADER_LEN: usize = 16;
-const SECTION_COUNT: usize = 4;
-const SECTION_NAMES: [&str; SECTION_COUNT] = ["bwt", "k-codes", "sampled-sa", "k-starts"];
+const SECTION_COUNT: usize = 5;
+const SECTION_NAMES: [&str; SECTION_COUNT] = ["bwt", "k-codes", "sampled-sa", "k-starts", "text"];
 
 /// Why a snapshot could not be written or loaded. Every load-side
 /// failure is typed and total: corrupted input yields an error, never a
@@ -267,15 +272,13 @@ fn malformed(field: &'static str) -> SnapshotError {
 }
 
 /// Serializes `index` into its snapshot image, checksums included — the
-/// pure counterpart of [`write_snapshot`]. Forward-only indexes encode
-/// as version 1 (byte-identical to earlier builds); bidirectional
-/// indexes as version 2 with the recipe-flags word.
+/// pure counterpart of [`write_snapshot`].
 pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
     let config = index.build_config();
-    let (version, flags_len) = if config.bidirectional {
-        (SNAPSHOT_FORMAT_VERSION, FLAGS_LEN)
+    let flags = if config.bidirectional {
+        FLAG_BIDIRECTIONAL
     } else {
-        (1, 0)
+        0
     };
     let n = index.text_len();
     let stride = 1usize << (2 * config.k);
@@ -308,9 +311,14 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
         kstarts.extend_from_slice(&start.to_le_bytes());
     }
 
-    let sections = [bwt, kcodes, ssa_payload, kstarts];
+    let text = index.packed_text().image();
+    let mut text_payload = Vec::with_capacity(4 * text.len());
+    for &word in text {
+        text_payload.extend_from_slice(&word.to_le_bytes());
+    }
+
+    let sections = [bwt, kcodes, ssa_payload, kstarts, text_payload];
     let total = HEADER_LEN
-        + flags_len
         + sections
             .iter()
             .map(|s| SECTION_HEADER_LEN + s.len())
@@ -318,7 +326,7 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
         + 4;
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(config.k as u32).to_le_bytes());
     out.extend_from_slice(&(config.occ_sample_rate as u32).to_le_bytes());
     out.extend_from_slice(&(config.sa_sample_rate as u32).to_le_bytes());
@@ -327,9 +335,7 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
     out.extend_from_slice(&(config.superblock_rate as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-    if flags_len > 0 {
-        out.extend_from_slice(&FLAG_BIDIRECTIONAL.to_le_bytes());
-    }
+    out.extend_from_slice(&flags.to_le_bytes());
     for (i, payload) in sections.iter().enumerate() {
         out.extend_from_slice(&(i as u32 + 1).to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -395,7 +401,7 @@ pub fn load_snapshot_expecting(
 }
 
 /// Decodes a snapshot image, verifying everything before constructing
-/// anything: magic, version, recipe sanity, structural bounds, the four
+/// anything: magic, version, recipe sanity, structural bounds, the five
 /// section checksums, the whole-file checksum, and the semantic
 /// consistency of every decoded payload. Returns a typed error — never
 /// panics, never yields a partially-verified index.
@@ -409,20 +415,13 @@ pub fn decode_snapshot(
     }
     need(bytes, 12)?;
     let version = u32_at(bytes, 8);
-    if !(1..=SNAPSHOT_FORMAT_VERSION).contains(&version) {
+    if version != SNAPSHOT_FORMAT_VERSION {
         return Err(SnapshotError::VersionMismatch {
             found: version,
             supported: SNAPSHOT_FORMAT_VERSION,
         });
     }
-    // Version 1 has no recipe-flags word; sections start right after the
-    // common header.
-    let header_len = if version >= 2 {
-        HEADER_LEN + FLAGS_LEN
-    } else {
-        HEADER_LEN
-    };
-    need(bytes, header_len)?;
+    need(bytes, HEADER_LEN)?;
     let k = u32_at(bytes, 12) as usize;
     let occ_rate = u32_at(bytes, 16) as usize;
     let sa_rate = u32_at(bytes, 20) as usize;
@@ -431,7 +430,7 @@ pub fn decode_snapshot(
     let superblock_rate = u32_at(bytes, 32) as usize;
     let text_len = u64_at(bytes, 36);
     let section_count = u32_at(bytes, 44) as usize;
-    let flags = if version >= 2 { u32_at(bytes, 48) } else { 0 };
+    let flags = u32_at(bytes, 48);
     if flags & !FLAG_BIDIRECTIONAL != 0 {
         return Err(malformed("recipe flags"));
     }
@@ -483,7 +482,7 @@ pub fn decode_snapshot(
     // Structural walk: every section header and payload must lie within
     // the buffer, in tag order, with exactly the 4-byte file checksum
     // after the last.
-    let mut offset = header_len;
+    let mut offset = HEADER_LEN;
     let mut sections: [(usize, usize); SECTION_COUNT] = [(0, 0); SECTION_COUNT];
     let mut section_crcs = [0u32; SECTION_COUNT];
     for (i, span) in sections.iter_mut().enumerate() {
@@ -619,13 +618,39 @@ pub fn decode_snapshot(
         previous = v;
     }
 
+    // The text, against what is already verified: the BWT is a
+    // permutation of it, and a sampled row's BWT symbol is the base in
+    // front of the row's sampled position.
+    let (text_start, text_end) = sections[4];
+    let text = PackedText::from_image(&bytes[text_start..text_end], n)
+        .ok_or(malformed("text length or padding"))?;
+    let counts = count_table(&bwt);
+    for (base, count) in Base::ALL.into_iter().zip(text.base_counts()) {
+        if count != counts.frequency(Symbol::Base(base)) {
+            return Err(malformed("text base counts"));
+        }
+    }
+    let samples = ssa.sample_slice();
+    for (i, (row, &position)) in ssa.marks().ones().zip(samples).enumerate() {
+        // The samples are in row order, their positions anywhere.
+        if let Some(&ahead) = samples.get(i + 16) {
+            text.prefetch(ahead as usize);
+        }
+        let agrees = position == 0
+            || bwt[row]
+                .base()
+                .is_some_and(|before| text.code(position as usize - 1) == before.code());
+        if !agrees {
+            return Err(malformed("text against the sampled rows"));
+        }
+    }
+
     // Replay the cold-build constructors over the verified inputs; the
     // recipe checks above already rule their errors out.
     let occ =
         OccTable::new(&bwt, occ_rate, superblock_rate).map_err(|_| malformed("occ layout"))?;
-    // The BWT is a permutation of the text, so symbol frequencies — all
-    // the C-array depends on — are identical.
-    let counts = count_table(&bwt);
+    // Symbol frequencies — all the C-array depends on — are the text's:
+    // `counts` was taken from the BWT, a permutation of it.
     let base = FmIndex::from_parts(counts, occ, ssa);
     let kocc = KmerOccTable::new(codes, stride, kocc_rate, superblock_rate)
         .map_err(|_| malformed("k-occ layout"))?;
@@ -644,6 +669,7 @@ pub fn decode_snapshot(
         kstarts,
         kocc,
         bidirectional,
+        text,
     ))
 }
 
@@ -697,12 +723,14 @@ mod tests {
 
     #[test]
     fn sa_marks_in_the_occurrence_lines_never_reach_the_image() {
-        // The trailing whole-file CRC32 of the first two images as the
-        // commit before the occurrence lines carried SA marks wrote them
-        // — at occ 44 / sa 32, the default recipe of that day, spelled
-        // out here since the default moved: v1 and v2 stay byte-for-byte
-        // what earlier builds read and write. Today's default images
-        // hold to everything but a pinned constant.
+        // The trailing whole-file CRC32 of the first two images, pinned:
+        // a mark that leaked into the BWT section would move it. Pinned
+        // at occ 44 / sa 32 — the recipe these two have been held at since
+        // before the occurrence lines carried SA marks — and re-pinned
+        // once, when the format gained its text section and the flags
+        // word became unconditional (and the k-occ default under them
+        // moved to 80k). Today's default images hold to everything but a
+        // pinned constant.
         let old_default = |k: usize, bidirectional: bool| KStepBuildConfig {
             occ_sample_rate: 44,
             sa_sample_rate: 32,
@@ -712,11 +740,11 @@ mod tests {
         for (index, crc) in [
             (
                 toy_index_with(3000, old_default(4, false)),
-                Some(0xc98f_2b36),
+                Some(0xd79f_694c),
             ),
             (
                 toy_index_with(1500, old_default(2, true)),
-                Some(0x348f_ac88),
+                Some(0xf5ad_6904),
             ),
             (toy_index(4), None),
             (toy_bidir_index(2), None),
@@ -726,13 +754,8 @@ mod tests {
             let marked = (0..n).filter(|&row| occ.lf_data(row).2).count();
             assert_eq!(marked, index.base_index().sampled_sa().stored());
             let bytes = encode_snapshot(&index);
-            // The BWT section leads, right behind the (v1 or v2) header.
-            let flags_len = if index.is_bidirectional() {
-                FLAGS_LEN
-            } else {
-                0
-            };
-            let bwt_start = HEADER_LEN + flags_len + SECTION_HEADER_LEN;
+            // The BWT section leads, right behind the header.
+            let bwt_start = HEADER_LEN + SECTION_HEADER_LEN;
             assert_eq!(u64_at(&bytes, bwt_start - 12), n as u64);
             assert!(bytes[bwt_start..bwt_start + n].iter().all(|&b| b < 5));
             if let Some(crc) = crc {
@@ -789,6 +812,18 @@ mod tests {
                 supported: SNAPSHOT_FORMAT_VERSION
             }
         );
+        // The two formats earlier builds wrote had no text section: they
+        // are refused by number, whatever follows the version word.
+        for old in [0u32, 1, 2] {
+            stale[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_snapshot(&stale, None).unwrap_err(),
+                SnapshotError::VersionMismatch {
+                    found: old,
+                    supported: SNAPSHOT_FORMAT_VERSION
+                }
+            );
+        }
     }
 
     #[test]
@@ -836,6 +871,14 @@ mod tests {
             decode_snapshot(&resampled, None).unwrap_err(),
             SnapshotError::ChecksumMismatch { section: "file" }
         );
+        // One byte inside the last section's payload: the text.
+        let mut corrupt = bytes.clone();
+        let text_payload = bytes.len() - 4 - 4 * index.packed_text().image().len();
+        corrupt[text_payload + 5] ^= 0x01;
+        assert_eq!(
+            decode_snapshot(&corrupt, None).unwrap_err(),
+            SnapshotError::ChecksumMismatch { section: "text" }
+        );
         // Trailing garbage after the file checksum.
         let mut padded = bytes.clone();
         padded.push(0);
@@ -875,22 +918,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_only_snapshots_stay_version_one() {
-        // A forward-only index must encode byte-identically to what
-        // earlier builds wrote: version 1, no flags word.
-        let bytes = encode_snapshot(&toy_index(2));
-        assert_eq!(u32_at(&bytes, 8), 1);
-        // The first section tag sits right at the v1 header boundary.
-        assert_eq!(u32_at(&bytes, HEADER_LEN), 1);
-    }
-
-    #[test]
-    fn bidir_snapshots_round_trip_at_version_two() {
+    fn bidir_snapshots_round_trip_under_the_one_format() {
         for k in [1, 2, 4] {
+            let forward = encode_snapshot(&toy_index(k));
+            assert_eq!(u32_at(&forward, 8), SNAPSHOT_FORMAT_VERSION, "k={k}");
+            assert_eq!(u32_at(&forward, 48), 0, "k={k}");
             let index = toy_bidir_index(k);
             let bytes = encode_snapshot(&index);
             assert_eq!(u32_at(&bytes, 8), SNAPSHOT_FORMAT_VERSION, "k={k}");
-            assert_eq!(u32_at(&bytes, HEADER_LEN), FLAG_BIDIRECTIONAL, "k={k}");
+            assert_eq!(u32_at(&bytes, 48), FLAG_BIDIRECTIONAL, "k={k}");
+            // The first section tag sits right behind the flags word.
+            assert_eq!(u32_at(&bytes, HEADER_LEN), 1, "k={k}");
             let loaded = decode_snapshot(&bytes, None).expect("valid snapshot");
             assert_eq!(loaded, index, "k={k}");
             assert!(loaded.is_bidirectional());

@@ -10,7 +10,8 @@
 //! valid snapshot images. Checksums stop corruption, not a consistent
 //! file that states an impossible recipe, so header words the loader
 //! sizes tables by are also rewritten *with* the file checksum redone,
-//! under an allocator that records how much was asked of it.
+//! under an allocator that records how much was asked of it — and so is
+//! the text section, which no checksum ties to the tables beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -228,17 +229,112 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
     assert_cold_build_serves(&genome, &oracle_patterns(&genome, &mut rng), &index);
 }
 
+/// Where each section's payload lies in a pristine image.
+fn section_payloads(image: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut payloads = Vec::new();
+    let mut offset = 52;
+    while offset + 16 <= image.len() - 4 {
+        let len = u64::from_le_bytes(image[offset + 4..offset + 12].try_into().unwrap()) as usize;
+        payloads.push(offset + 16..offset + 16 + len);
+        offset += 16 + len;
+    }
+    payloads
+}
+
+#[test]
+fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
+    // The text section rewritten, its checksum and the file's redone: a
+    // text that is not the one the BWT and the samples were made from
+    // would verify every cut query against the wrong reference.
+    let genome = toy_genome(15);
+    let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
+    let pristine = encode_snapshot(&index);
+    let payloads = section_payloads(&pristine);
+    assert_eq!(payloads.len(), 5);
+    let text = payloads[4].clone();
+    assert_eq!(text.len(), 8 * (genome.len() + 1).div_ceil(32));
+    let base_at = |image: &[u8], i: usize| (image[text.start + i / 4] >> (2 * (i % 4))) & 3;
+    let set_base = |image: &mut [u8], i: usize, code: u8| {
+        let byte = &mut image[text.start + i / 4];
+        *byte = (*byte & !(3 << (2 * (i % 4)))) | code << (2 * (i % 4));
+    };
+    // Two positions in front of sampled ones (the default recipe samples
+    // every 11th) that hold different bases, to swap.
+    let first = 10;
+    let second = (1..)
+        .map(|j| 11 * j + 10)
+        .find(|&i| base_at(&pristine, i) != base_at(&pristine, first))
+        .expect("the genome is not one base repeated");
+
+    type Rewrite<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
+    let rewrites: [(&str, Rewrite); 4] = [
+        // One base changed: the counts no longer match the BWT's.
+        (
+            "text base counts",
+            Box::new(|image| {
+                let was = base_at(image, first);
+                set_base(image, first, (was + 1) % 4);
+            }),
+        ),
+        // Two bases swapped: the counts hold, the sampled rows do not.
+        (
+            "text against the sampled rows",
+            Box::new(|image| {
+                let (a, b) = (base_at(image, first), base_at(image, second));
+                set_base(image, first, b);
+                set_base(image, second, a);
+            }),
+        ),
+        // A bit where the sentinel is stored.
+        (
+            "text length or padding",
+            Box::new(|image| set_base(image, genome.len(), 1)),
+        ),
+        // A window short: the section shrinks, and the framing with it.
+        (
+            "text length or padding",
+            Box::new(|image| {
+                image.drain(text.end - 8..text.end);
+                let len = (text.len() - 8) as u64;
+                image[text.start - 12..text.start - 4].copy_from_slice(&len.to_le_bytes());
+            }),
+        ),
+    ];
+    for (field, rewrite) in rewrites {
+        let mut image = pristine.clone();
+        rewrite(&mut image);
+        let body = image.len() - 4;
+        let text_end = body;
+        let section = crc32(&image[text.start..text_end]);
+        image[text.start - 4..text.start].copy_from_slice(&section.to_le_bytes());
+        let checksum = crc32(&image[..body]);
+        image[body..].copy_from_slice(&checksum.to_le_bytes());
+
+        LARGEST_REQUEST.with(|largest| largest.set(0));
+        let outcome = decode_snapshot(&image, None);
+        let largest = LARGEST_REQUEST.with(Cell::get);
+        assert_eq!(outcome.unwrap_err(), SnapshotError::Malformed { field });
+        assert!(
+            largest <= image.len(),
+            "{field}: asked for {largest} bytes, file has {}",
+            image.len()
+        );
+    }
+    let mut rng = SeededRng::new(0x534E_4150 ^ 15);
+    assert_cold_build_serves(&genome, &oracle_patterns(&genome, &mut rng), &index);
+}
+
 #[test]
 fn every_single_byte_flip_in_the_header_is_rejected() {
-    // Exhaustive over the 48-byte header: whatever byte corruption
-    // lands on — magic, version, recipe, text length, section count —
-    // the load fails typed. This is the region where a silent
+    // Exhaustive over the 52-byte header: whatever byte corruption
+    // lands on — magic, version, recipe, text length, section count,
+    // recipe flags — the load fails typed. This is the region where a silent
     // acceptance would be worst: a flipped recipe rebuilds a
     // *different* index that would serve wrong-geometry answers.
     let text = toy_genome(12).text_with_sentinel();
     let index = KStepFmIndex::from_text(&text, 3);
     let pristine = encode_snapshot(&index);
-    for offset in 0..48 {
+    for offset in 0..52 {
         for bit in 0..8 {
             let mut corrupt = pristine.clone();
             corrupt[offset] ^= 1 << bit;
