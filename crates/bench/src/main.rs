@@ -62,7 +62,7 @@ const ILLUMINA_LEN: usize = 100;
 const MIXED_MAX_HITS: u32 = 8;
 
 /// `k_occ_sample_rate` values covered by `--sweep-sample-rate` (the
-/// default full-mode k = 4 spacing, 320, sits between the third and the
+/// default full-mode k = 4 spacing, 384, sits between the third and the
 /// fourth).
 const SWEEP_RATES: [usize; 5] = [64, 128, 256, 512, 1024];
 

@@ -5,9 +5,13 @@
 //!
 //! A batch runs in three phases (`exec.rs` holds the second and third):
 //!
-//! 1. **Search.** Every query's interval is refined in lockstep rounds,
-//!    k symbols a round. A query leaves the loop when it has consumed
-//!    its pattern, when its interval empties — or when it is **cut**: its
+//! 1. **Search.** A query of at least K symbols starts from the interval
+//!    the index's K-mer table holds for its last K
+//!    ([`KStepFmIndex::lookup_interval`], K = 10 on a 20 Mbp reference),
+//!    a shorter one from every row. The interval is then refined in
+//!    lockstep rounds, k symbols a round. A query leaves the search —
+//!    right after the lookup, or after any round — when it has consumed
+//!    its pattern, when its interval empties, or when it is **cut**: its
 //!    interval is down to a row or two (`CUT_ROWS`) with enough of the
 //!    pattern still unmatched (`CUT_STEPS_PER_ROW`) that looking the
 //!    rest up in the text is cheaper than stepping through it.
@@ -20,6 +24,18 @@
 //!    unmatched prefix ([`KStepFmIndex::text_ends_with`]: one or two
 //!    cache lines of the index's 2-bit text). What is kept is the count,
 //!    or — moved back by the prefix length — the located positions.
+//!
+//! **Why a seeded query's answer is the full search's.** A backward
+//! search's interval after consuming a suffix `s` of the pattern is the
+//! set of rows whose suffixes start with `s` — a function of `s` alone,
+//! not of the steps that consumed it. The table's interval of the last K
+//! symbols is that set, read off K-mer bucket bounds instead of refined
+//! to, so the rounds that follow are exactly the rounds of a search that
+//! had taken the first steps itself; only the steps are gone. They were
+//! the dear ones: a round-0 interval spans the whole table, so each of
+//! them read two blocks far apart, each waiting on the last, where the
+//! lookup reads one line whose address the pattern alone determines —
+//! every lookup of a batch can be in flight at once.
 //!
 //! **Why a cut query's answer is the full search's.** After the
 //! refinements that consumed `pattern[j..]`, the interval's rows are
@@ -53,12 +69,15 @@ use crate::query::QueryRequest;
 ///
 /// A refinement costs some 53 ns and a miss 160–265 ns
 /// (`machine.chase_ns`), so the hints must lead by at least four
-/// queries; each query hints seven lines per rank block, so a lead of `d`
-/// keeps up to `14 d` lines in flight, and a core's 48 KiB L1 (`lscpu`
-/// prints the two cores' 96 KiB) and its fill buffers bound that from
-/// above. On `count_reads` the sweep is flat from 4 to 16
+/// queries; each query hints eight lines per rank block (its delta line,
+/// its superblock word and the block's six code lines at 384 rows), so a
+/// lead of `d` keeps up to `16 d` lines in flight, and a core's 48 KiB L1
+/// (`lscpu` prints the two cores' 96 KiB) and its fill buffers bound that
+/// from above. On `count_reads` the sweep is flat from 4 to 16
 /// (10th-percentile ns/query at d = 2, 4, 8, 12, 16: 987, 936, 901, 929,
 /// 912; CHANGES.md, PR 14) and 8 sits in the middle of the plateau.
+/// The seeding loop hints the K-mer table's line of the pattern the same
+/// distance ahead: one line a query, with nothing to compute first.
 pub const DEFAULT_PREFETCH_DISTANCE: usize = 8;
 
 /// Widest interval a query may be cut at (see the module docs): a query
@@ -132,14 +151,16 @@ impl BatchConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Lockstep rounds executed: `⌊m/k⌋` k-step rounds plus `m mod k`
-    /// single-symbol tail rounds, for the longest surviving query of
-    /// length `m`.
+    /// single-symbol tail rounds, for the longest surviving query, whose
+    /// `m` symbols are those its K-mer lookup left (all of a pattern
+    /// shorter than K).
     pub rounds: usize,
-    /// Total LF refinements issued across all queries and rounds. A cut
-    /// query stops adding to this; its rows' walks count under
-    /// `resolve_lf_steps`.
+    /// Total LF refinements issued across all queries and rounds. A
+    /// lookup is none; a cut query stops adding to this, and its rows'
+    /// walks count under `resolve_lf_steps`.
     pub steps: usize,
-    /// Queries live in the widest round (the initial non-empty batch).
+    /// Queries live in the widest round: the first, which every
+    /// non-empty pattern the lookup did not already answer or cut enters.
     pub peak_live: usize,
     /// Resolver rounds of the batch's locate queries (zero when the
     /// batch located nothing) — bounded by the SA sampling rate.
@@ -194,6 +215,53 @@ struct LiveQuery {
     hi: u32,
 }
 
+impl LiveQuery {
+    fn new(pattern: usize, remaining: usize, range: Range<usize>) -> LiveQuery {
+        LiveQuery {
+            pattern: pattern as u32,
+            remaining: remaining as u32,
+            lo: range.start as u32,
+            hi: range.end as u32,
+        }
+    }
+}
+
+/// The rules a query's new interval is held to — after the lookup that
+/// seeds it and after every refinement: it has **died** if the interval
+/// is empty (its answer stays `0..0`), **finished** if no symbol is left,
+/// and is **cut** if its request allows ([`QueryRequest::cut_rows`]) and
+/// the interval is narrow enough for what is left (see [`CUT_ROWS`]).
+/// Records the answer of a query that leaves the search; returns one that
+/// searches on.
+#[inline]
+fn settle(
+    q: LiveQuery,
+    requests: &[QueryRequest],
+    k: usize,
+    intervals: &mut [Range<usize>],
+    unmatched: &mut [u32],
+    stats: &mut BatchStats,
+) -> Option<LiveQuery> {
+    let (i, left) = (q.pattern as usize, q.remaining as usize);
+    let width = (q.hi - q.lo) as usize;
+    if width == 0 {
+        return None;
+    }
+    if left == 0 {
+        intervals[i] = q.lo as usize..q.hi as usize;
+        return None;
+    }
+    if width <= requests[i].cut_rows() && width * CUT_STEPS_PER_ROW <= left / k {
+        // Cut: the text will say which of these rows are preceded by the
+        // `left` symbols still unmatched.
+        intervals[i] = q.lo as usize..q.hi as usize;
+        unmatched[i] = left as u32;
+        stats.cut_queries += 1;
+        return None;
+    }
+    Some(q)
+}
+
 /// Reusable worklists of the lockstep search loop, double-buffered so
 /// the prefetch look-ahead can peek at untouched entries, and what the
 /// loop reports beside each interval. Lives in a [`crate::QueryArena`] so
@@ -220,17 +288,17 @@ impl std::fmt::Debug for SearchScratch {
 
 /// A batched query engine over a [`KStepFmIndex`].
 ///
-/// All queries advance together: each round issues one k-step refinement
-/// per live query (1-step refinements once a query is into its sub-k
-/// tail), then drops queries that finished, died, or were cut — narrowed
-/// to a row or two with most of the pattern still ahead, and so cheaper to
-/// finish by walking those rows to their text positions and comparing the
-/// rest of the pattern with the text there (the module docs have the
-/// three phases and why the answer is the same). See the crate docs for
-/// why the lockstep ordering matters to the paper. A [`BatchConfig`]
-/// additionally software-prefetches upcoming queries' table blocks,
-/// turning the round's dependent memory round-trips into overlapped
-/// fetches.
+/// All queries start from the index's K-mer table and advance together:
+/// each round issues one k-step refinement per live query (1-step
+/// refinements once a query is into its sub-k tail), then drops queries
+/// that finished, died, or were cut — narrowed to a row or two with most
+/// of the pattern still ahead, and so cheaper to finish by walking those
+/// rows to their text positions and comparing the rest of the pattern
+/// with the text there (the module docs have the three phases and why
+/// the answer is the same). See the crate docs for why the lockstep
+/// ordering matters to the paper. A [`BatchConfig`] additionally
+/// software-prefetches upcoming queries' table lines, turning the
+/// round's dependent memory round-trips into overlapped fetches.
 ///
 /// Run it through the [`crate::Executor`] trait with a
 /// [`crate::QueryBatch`]; construct it through [`crate::EngineBuilder`].
@@ -281,9 +349,11 @@ impl<'a> BatchEngine<'a> {
     ) -> BatchStats {
         let k = self.index.k();
         let n = self.index.text_len();
+        let big_k = self.index.lookup_k();
+        let d = self.config.prefetch_distance;
         assert!(patterns.len() < u32::MAX as usize, "batch too large");
         intervals.clear();
-        intervals.reserve(patterns.len());
+        intervals.resize(patterns.len(), 0..0);
         let SearchScratch {
             live,
             next,
@@ -293,31 +363,44 @@ impl<'a> BatchEngine<'a> {
         next.clear();
         unmatched.clear();
         unmatched.resize(patterns.len(), 0);
+        let mut stats = BatchStats::default();
+
+        // Seeding: a pattern of at least K symbols starts from the K-mer
+        // table's interval of its last K, a line whose address depends on
+        // nothing but the pattern — so the line of the pattern `d` ahead
+        // is hinted, and every lookup of the batch can be in flight at
+        // once. A shorter one starts from every row. The rules of the
+        // rounds apply right away: a query can die, finish or be cut
+        // before its first refinement.
         for (i, pattern) in patterns.iter().enumerate() {
-            if pattern.as_ref().is_empty() {
-                intervals.push(0..n); // the empty pattern matches every row
+            if d > 0 {
+                if let Some(ahead) = patterns.get(i + d) {
+                    let ahead = ahead.as_ref();
+                    if ahead.len() >= big_k {
+                        self.index.prefetch_lookup(&ahead[ahead.len() - big_k..]);
+                    }
+                }
+            }
+            let pattern = pattern.as_ref();
+            let m = pattern.len();
+            let (range, left) = if m >= big_k {
+                (self.index.lookup_interval(&pattern[m - big_k..]), m - big_k)
             } else {
-                intervals.push(0..0);
-                live.push(LiveQuery {
-                    pattern: i as u32,
-                    remaining: pattern.as_ref().len() as u32,
-                    lo: 0,
-                    hi: n as u32,
-                });
+                (0..n, m)
+            };
+            let q = LiveQuery::new(i, left, range);
+            if let Some(q) = settle(q, requests, k, intervals, unmatched, &mut stats) {
+                live.push(q);
             }
         }
+        stats.peak_live = live.len();
 
-        let mut stats = BatchStats {
-            peak_live: live.len(),
-            ..BatchStats::default()
-        };
         // Survivors of each round are double-buffered into `next` instead
         // of compacted in place, so the prefetch look-ahead below can peek
         // at untouched entries.
         while !live.is_empty() {
             stats.rounds += 1;
             stats.steps += live.len();
-            let d = self.config.prefetch_distance;
             for j in 0..live.len() {
                 if d > 0 {
                     if let Some(ahead) = live.get(j + d) {
@@ -334,31 +417,10 @@ impl<'a> BatchEngine<'a> {
                 } else {
                     (self.index.base_index().step(pattern[rem - 1], range), 1)
                 };
-                if range.is_empty() {
-                    continue; // died: its result stays 0..0
+                let q = LiveQuery::new(q.pattern as usize, rem - consumed, range);
+                if let Some(q) = settle(q, requests, k, intervals, unmatched, &mut stats) {
+                    next.push(q);
                 }
-                let left = rem - consumed;
-                if left == 0 {
-                    intervals[q.pattern as usize] = range; // finished
-                    continue;
-                }
-                let width = range.len();
-                if width <= requests[q.pattern as usize].cut_rows()
-                    && width * CUT_STEPS_PER_ROW <= left / k
-                {
-                    // Cut: the text will say which of these rows are
-                    // preceded by the `left` symbols still unmatched.
-                    intervals[q.pattern as usize] = range;
-                    unmatched[q.pattern as usize] = left as u32;
-                    stats.cut_queries += 1;
-                    continue;
-                }
-                next.push(LiveQuery {
-                    pattern: q.pattern,
-                    remaining: left as u32,
-                    lo: range.start as u32,
-                    hi: range.end as u32,
-                });
             }
             std::mem::swap(live, next);
             next.clear();

@@ -162,7 +162,7 @@ impl From<SnapshotError> for EngineError {
 ///
 /// | preset | occ | sa | k-occ | superblocks |
 /// |---|---|---|---|---|
-/// | [`IndexLayout::default`] | 54 | 11 | 80k | 16 |
+/// | [`IndexLayout::default`] | 54 | 11 | 96k | 16 |
 /// | [`IndexLayout::compact`] | 54 | 32 | 640 | 32 |
 ///
 /// The default's rates are those of [`exma_index::layout`], the one
@@ -178,7 +178,7 @@ impl From<SnapshotError> for EngineError {
 pub struct IndexLayout {
     occ_sample_rate: usize,
     sa_sample_rate: usize,
-    /// `None` = the k-dependent default (`80 * k`).
+    /// `None` = the k-dependent default (`96 * k`).
     k_occ_sample_rate: Option<usize>,
     superblock_rate: usize,
 }
@@ -186,7 +186,7 @@ pub struct IndexLayout {
 impl Default for IndexLayout {
     /// The balanced default: Occ blocks that fill one cache line, the
     /// densest SA sampling the bytes that saves pay for, k-occ
-    /// checkpoints every `80k` rows, superblock rows every 16 blocks.
+    /// checkpoints every `96k` rows, superblock rows every 16 blocks.
     fn default() -> IndexLayout {
         IndexLayout {
             occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
@@ -677,7 +677,7 @@ mod tests {
         );
         // The k-dependent kocc default derives no fragment.
         assert_eq!(
-            with(IndexLayout::new().k_occ_sample_rate(320)),
+            with(IndexLayout::new().k_occ_sample_rate(384)),
             "lockstep_k4_locality"
         );
         assert_eq!(
@@ -817,7 +817,7 @@ mod tests {
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
         for (layout, occ_rate, sa_rate, kocc_rate, sb_rate) in [
-            (IndexLayout::default(), 54, 11, 320, 16),
+            (IndexLayout::default(), 54, 11, 384, 16),
             (IndexLayout::compact(), 54, 32, 640, 32),
         ] {
             let index = EngineBuilder::new()
@@ -837,9 +837,13 @@ mod tests {
                 sa_samples: n.div_ceil(sa_rate) * 4,
                 // One bit per row, and a u32 running rank per 64 of them.
                 rank_bits: n.div_ceil(64) * (8 + 4),
-                // The k-mer C-array, the k sentinel-crossing rows, and the
-                // packed text: whole 32-base windows and a spare one.
-                other: stride * 4 + 4 * 4 + line_round((n.div_ceil(32) + 1) * 8),
+                // The k-mer C-array, the k sentinel-crossing rows, the
+                // packed text (whole 32-base windows and a spare one) and
+                // the K-mer lookup (16 · 4^6 ≤ n < 16 · 4^7: K = 6).
+                other: stride * 4
+                    + 4 * 4
+                    + line_round((n.div_ceil(32) + 1) * 8)
+                    + line_round(4 * ((1 << (2 * 6)) + 1)),
             };
             assert_eq!(index.heap_breakdown(), expected, "{layout:?}");
         }
@@ -849,7 +853,7 @@ mod tests {
     fn build_config_fills_k_dependent_defaults() {
         let config = EngineBuilder::new().k(2).build_config().unwrap();
         assert_eq!(config.k, 2);
-        assert_eq!(config.k_occ_sample_rate, 160);
+        assert_eq!(config.k_occ_sample_rate, 192);
         assert_eq!(
             EngineBuilder::new()
                 .k(2)

@@ -196,13 +196,14 @@ fn rounds_track_the_longest_survivor() {
     let index = KStepFmIndex::from_genome(&genome, k);
     let engine = BatchEngine::new(&index);
     // All patterns sampled from the reference, so none dies early; the
-    // longest (len 37 → 9 k-steps + 1 tail step) bounds the round count.
-    // Interval requests: the one kind the engine never cuts short.
+    // longest (len 37 → its last K = 4 bases looked up, then 8 k-steps +
+    // 1 tail step) bounds the round count. Interval requests: the one
+    // kind the engine never cuts short.
     let patterns: Vec<Vec<Base>> = [5usize, 12, 23, 37]
         .iter()
         .map(|&len| genome.seq().slice(1000, len))
         .collect();
     let (_, stats) = engine.run(&QueryBatch::uniform(QueryRequest::Interval, &patterns));
-    assert_eq!(stats.rounds, 37 / k + 1);
+    assert_eq!(stats.rounds, 37 / k + 1 - index.lookup_k() / k);
     assert_eq!(stats.peak_live, 4);
 }

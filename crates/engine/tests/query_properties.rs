@@ -9,7 +9,7 @@
 //! one a real occurrence, bit-identical across engines.
 
 use exma_engine::{
-    BatchConfig, EngineBuilder, QueryBatch, QueryOutput, QueryRequest, QueryResults,
+    BatchConfig, EngineBuilder, Executor, QueryBatch, QueryOutput, QueryRequest, QueryResults,
 };
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
 use exma_index::bidir::revcomp;
@@ -406,10 +406,28 @@ fn lockstep_executors(base: EngineBuilder) -> [EngineBuilder; 4] {
     ]
 }
 
+/// A 300 kbp reference, half of it diverged copies of a few 400-base
+/// units: large enough that the K-mer table is K = 7 wide — three bases
+/// more than the widest step, where the toy's K = 4 is one k-step.
+fn large_repeat_rich_genome() -> Genome {
+    let profile = GenomeProfile {
+        name: "repeat_rich_300k".to_string(),
+        len: 300_000,
+        repeat_fraction: 0.5,
+        repeat_divergence: 0.03,
+        ..GenomeProfile::picea_rel()
+    };
+    Genome::synthesize(&profile, 0x300C)
+}
+
 #[test]
 fn cut_queries_answer_what_the_oracles_answer() {
     let (repeat_rich, palindrome_at) = repeat_rich_genome();
-    let references = [(toy_genome(), None), (repeat_rich, Some(palindrome_at))];
+    let references = [
+        (toy_genome(), None),
+        (repeat_rich, Some(palindrome_at)),
+        (large_repeat_rich_genome(), None),
+    ];
     for (genome, palindrome_at) in &references {
         let patterns = cut_patterns(genome, *palindrome_at, 0xC07 + genome.len() as u64);
         for doubled in [false, true] {
@@ -417,6 +435,9 @@ fn cut_queries_answer_what_the_oracles_answer() {
                 let at = format!("{}, doubled {doubled}, k={k}", genome.profile().name);
                 let base = EngineBuilder::new().k(k).bidirectional(doubled);
                 let index = base.build_index(&genome.text_with_sentinel()).unwrap();
+                if genome.len() >= 300_000 {
+                    assert!(index.lookup_k() >= k + 3, "{at}: K={}", index.lookup_k());
+                }
                 let oracle = base.sequential().attach(&index).unwrap();
                 for (kind, patterns, must_cut, must_reject) in [
                     ("reads", &patterns.reads, true, false),
@@ -452,6 +473,80 @@ fn cut_queries_answer_what_the_oracles_answer() {
                     }
                 }
             }
+        }
+    }
+}
+
+// ---- The K-mer lookup: where a search starts ----------------------------
+
+#[test]
+fn a_pattern_of_k_bases_is_answered_by_the_lookup_alone() {
+    // K = 4 on the 10 kbp toy: a pattern of exactly K bases takes no
+    // refinement at all, whatever the request; one base shorter, it
+    // starts from every row and takes every step it always took.
+    let genome = toy_genome();
+    let text = genome.text_with_sentinel();
+    let one = FmIndex::from_genome(&genome);
+    for k in [1usize, 2, 4] {
+        let base = EngineBuilder::new().k(k);
+        let index = base.build_index(&text).unwrap();
+        let big_k = index.lookup_k();
+        assert_eq!(big_k, 4);
+        let seeded = genome.seq().slice(1234, big_k);
+        let short = genome.seq().slice(1234, big_k - 1);
+        for (pattern, rounds) in [(&seeded, 0), (&short, (big_k - 1) / k + (big_k - 1) % k)] {
+            let batch = QueryBatch::new()
+                .count(pattern)
+                .locate(pattern)
+                .locate_capped(pattern, 2)
+                .interval(pattern);
+            let (expected, _) = one.run(&batch);
+            for builder in lockstep_executors(base) {
+                let (results, stats) = builder.attach(&index).unwrap().run(&batch);
+                let at = format!("k={k}, {} bases, {}", pattern.len(), builder.descriptor());
+                assert_eq!(results, expected, "{at}");
+                assert_eq!(stats.rounds, rounds, "{at}: {stats:?}");
+                assert_eq!(stats.steps, 4 * rounds, "{at}: {stats:?}");
+                assert_eq!(stats.peak_live, if rounds == 0 { 0 } else { 4 }, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_read_is_cut_straight_off_the_lookup() {
+    // 6000 bases without a T but for one TTTT: that 4-mer is one row of
+    // the K = 4 table, so a read ending in it is cut before its first
+    // refinement, and the text decides it — here, once for a read that
+    // is in the text and once for one whose first base is not.
+    let mut rng = SeededRng::new(0x7777);
+    let mut bases: Vec<Base> = (0..6000)
+        .map(|_| Base::from_code(rng.range(0, 3) as u8))
+        .collect();
+    bases[3000..3004].fill(Base::T);
+    let genome = Genome::from_bases("one_tttt", &bases);
+    let read = bases[2976..3004].to_vec();
+    let mut off = read.clone();
+    off[0] = off[0].complement();
+    for k in [1usize, 2, 4] {
+        let base = EngineBuilder::new().k(k);
+        let index = base.build_index(&genome.text_with_sentinel()).unwrap();
+        assert_eq!(index.lookup_k(), 4);
+        assert_eq!(index.lookup_interval(&read[24..]).len(), 1);
+        for builder in lockstep_executors(base) {
+            let engine = builder.attach(&index).unwrap();
+            let at = format!("k={k}, {}", builder.descriptor());
+            let (results, stats) = engine.run(&QueryBatch::new().count(&read).locate(&off));
+            assert_eq!(results.count(0), 1, "{at}");
+            assert_eq!(results.positions(1), &[] as &[u32], "{at}");
+            assert_eq!(stats.cut_queries, 2, "{at}: {stats:?}");
+            assert_eq!(stats.rows_rejected, 1, "{at}: {stats:?}");
+            assert_eq!(
+                (stats.rounds, stats.steps, stats.peak_live),
+                (0, 0, 0),
+                "{at}"
+            );
+            assert!(stats.resolve_lf_steps > 0, "{at}: {stats:?}");
         }
     }
 }

@@ -10,6 +10,17 @@
 //! 1-step refinements on the embedded [`FmIndex`], which also resolves
 //! `locate` rows — answers are identical to the 1-step index by
 //! construction, and property-tested to be.
+//!
+//! The index also carries EXMA's base pointers (§IV-A): a table keyed by
+//! every K-mer, for a K read off the text's length (10 on a 20 Mbp
+//! reference), holding where the K-mer's suffix-array bucket starts
+//! ([`KStepFmIndex::lookup_interval`]). It hands a search the interval of
+//! its pattern's last K symbols in one line whose address depends on the
+//! pattern alone, so the batch engine starts every long enough query
+//! there instead of at `0..n` — the dependent k-steps it skips are the
+//! widest ones, and the lookups of a whole batch are in flight at once.
+//! [`KStepFmIndex::backward_search`] does not use it: the sequential
+//! search stays the oracle the table is tested against.
 
 use std::ops::Range;
 
@@ -22,6 +33,7 @@ use crate::layout::{
     default_k_occ_sample_rate, HeapBreakdown, IndexError, DEFAULT_OCC_SAMPLE_RATE,
     DEFAULT_SA_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE,
 };
+use crate::lookup::{lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 use crate::text::PackedText;
@@ -57,7 +69,7 @@ impl KStepBuildConfig {
     /// Defaults for a given step width, all read from [`crate::layout`]:
     /// the 1-step rates of [`crate::FmBuildConfig::default`] (one full
     /// cache line per Occ block, SA samples every 11 positions), a k-mer
-    /// checkpoint spacing of `80k` and superblocks every 16 blocks.
+    /// checkpoint spacing of `96k` and superblocks every 16 blocks.
     /// Every default superblock span is well inside the `u16` delta
     /// guarantee, so these configs always build.
     ///
@@ -111,6 +123,9 @@ pub struct KStepFmIndex {
     /// The indexed text, two bits a base: what
     /// [`KStepFmIndex::text_ends_with`] compares against.
     text: PackedText,
+    /// The K-mer intervals, derived from `text`: what
+    /// [`KStepFmIndex::lookup_interval`] reads.
+    pub(crate) lookup: KmerLookup,
 }
 
 impl KStepFmIndex {
@@ -212,13 +227,15 @@ impl KStepFmIndex {
             })
             .collect();
 
+        let text = PackedText::from_symbols(text);
         Ok(KStepFmIndex {
             k,
             base,
             kstarts,
             kocc,
             bidirectional: config.bidirectional,
-            text: PackedText::from_symbols(text),
+            lookup: KmerLookup::new(&text, lookup_k(n)),
+            text,
         })
     }
 
@@ -244,6 +261,7 @@ impl KStepFmIndex {
         kocc: KmerOccTable,
         bidirectional: bool,
         text: PackedText,
+        lookup: KmerLookup,
     ) -> KStepFmIndex {
         KStepFmIndex {
             k,
@@ -252,6 +270,7 @@ impl KStepFmIndex {
             kocc,
             bidirectional,
             text,
+            lookup,
         }
     }
 
@@ -366,6 +385,40 @@ impl KStepFmIndex {
         range
     }
 
+    /// K, the width of the K-mer lookup table: the largest K with
+    /// `16 · 4^K ≤ n` for a text of `n` symbols, so the table's `4^K + 1`
+    /// `u32` counters cost at most a quarter of a byte a symbol; 0 — one
+    /// bucket, every row — below 64 symbols.
+    pub fn lookup_k(&self) -> usize {
+        self.lookup.k()
+    }
+
+    /// The suffix-array interval of the rows whose suffixes start with
+    /// `kmer`, a pattern's last [`KStepFmIndex::lookup_k`] bases, read
+    /// from the K-mer table: two adjacent counters, usually one line.
+    /// Equal to [`KStepFmIndex::backward_search`] of `kmer`, `0..0` when
+    /// it does not occur.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kmer` is not `lookup_k()` bases long.
+    #[inline]
+    pub fn lookup_interval(&self, kmer: &[Base]) -> Range<usize> {
+        self.lookup.interval(kmer)
+    }
+
+    /// Hints the CPU to pull the line(s) a
+    /// [`KStepFmIndex::lookup_interval`] of `kmer` reads toward L1. Never
+    /// faults; a no-op off x86-64.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kmer` is not `lookup_k()` bases long.
+    #[inline]
+    pub fn prefetch_lookup(&self, kmer: &[Base]) {
+        self.lookup.prefetch(kmer);
+    }
+
     /// Number of occurrences of `pattern` in the reference.
     pub fn count(&self, pattern: &[Base]) -> usize {
         self.backward_search(pattern).len()
@@ -412,11 +465,12 @@ impl KStepFmIndex {
     }
 
     /// Heap bytes of all index components (1-step tables included),
-    /// attributed per component; the expanded-alphabet C-array and the
-    /// 2-bit text count under `other`.
+    /// attributed per component; the expanded-alphabet C-array, the 2-bit
+    /// text and the K-mer table count under `other`.
     pub fn heap_breakdown(&self) -> HeapBreakdown {
         let mut heap = self.base.heap_breakdown().add(&self.kocc.heap_breakdown());
-        heap.other += self.kstarts.capacity() * 4 + self.text.heap_bytes();
+        heap.other +=
+            self.kstarts.capacity() * 4 + self.text.heap_bytes() + self.lookup.heap_bytes();
         heap
     }
 

@@ -83,24 +83,27 @@ pub const DEFAULT_OCC_SAMPLE_RATE: usize = 54;
 pub const DEFAULT_SA_SAMPLE_RATE: usize = 11;
 
 /// Default checkpoint spacing of the k-mer occurrence table at step
-/// width `k`: `80k` rows, set by a byte rule — the smallest unpadded
-/// spacing at which the table *and* the 2-bit text a
-/// [`crate::KStepFmIndex`] keeps beside it take no more heap than the
-/// table alone did at the `64k` rows this replaced. At k = 4 a block is
-/// 512 B of deltas and one code byte a row; 256, 320 and 384 rows are the
-/// spacings near here that fill whole cache lines (12, 13 and 14), and
-/// 320 is the smallest that pays: on the 20 Mbp picea index the deltas
-/// fall from 40.0 to 32.0 MB and the superblock rows from 5.0 to 4.0,
-/// against 5.0 MB of text. The price is a fifth code line for every
-/// k-step to read; the text buys it back by ending most searches early
-/// (`exma-engine`'s batch engine: a query leaves the lockstep search once
+/// width `k`: `96k` rows, set by a byte rule — the smallest unpadded
+/// spacing at which the table, the 2-bit text and the K-mer lookup table
+/// a [`crate::KStepFmIndex`] keeps beside it take no more heap than the
+/// table and the text alone did at the `80k` rows this replaced. At k = 4
+/// a block is 512 B of deltas and one code byte a row; 320, 384 and 448
+/// rows are the spacings near here that fill whole cache lines (13, 14
+/// and 15), and 384 is the smallest past 320, which cannot pay for the
+/// lookup at all: on the 20 Mbp picea index
+/// the deltas fall from 32.0 to 26.67 MB and the superblock rows from
+/// 4.00 to 3.33, against 4.19 MB of lookup table (the index: 96.19 →
+/// 94.39 MB). The price is a sixth code line for every k-step to read;
+/// the lookup buys it back by starting every search ten bases in, past
+/// the widest steps (`exma-engine`'s batch engine), and the text by
+/// ending most searches early (a query leaves the lockstep search once
 /// its interval is a row or two wide).
 pub const fn default_k_occ_sample_rate(k: usize) -> usize {
-    80 * k
+    96 * k
 }
 
 /// Default blocks per absolute superblock row of both occurrence tables.
-/// The widest default span, 80 × 7 × 16 = 8960 rows, is well inside the
+/// The widest default span, 96 × 7 × 16 = 10 752 rows, is well inside the
 /// `u16` delta guarantee, so the default recipe builds for any text.
 pub const DEFAULT_SUPERBLOCK_RATE: usize = 16;
 
@@ -130,9 +133,11 @@ pub struct HeapBreakdown {
     /// The rank-bits membership structure marking sampled rows.
     pub rank_bits: usize,
     /// Everything else: symbol count tables, k-mer interval starts,
-    /// sentinel-exception rows, and the 2-bit copy of the text a k-step
-    /// index keeps (a quarter of a byte a base — all but a few kilobytes
-    /// of this component).
+    /// sentinel-exception rows, and two structures a k-step index keeps
+    /// that make up all but a few kilobytes of this component — the 2-bit
+    /// copy of the text (a quarter of a byte a base) and the K-mer lookup
+    /// table (`4 (4^K + 1)` bytes, at most a quarter of a byte a base:
+    /// 4.19 MB at K = 10).
     pub other: usize,
 }
 

@@ -29,6 +29,7 @@ pub mod interleave;
 pub mod kocc;
 pub mod kstep;
 pub mod layout;
+mod lookup;
 pub mod naive;
 pub mod occ;
 pub mod resolve;

@@ -7,8 +7,10 @@
 //! recover (the BWT symbol stream, the k-BWT code stream, the sampled
 //! suffix array, the expanded-alphabet C-array and the 2-bit text)
 //! together with the full build recipe, and a load replays the
-//! deterministic linear constructors over them. That buys three
-//! guarantees for free: every
+//! deterministic linear constructors over them. The K-mer lookup table is
+//! not stored at all: one counting pass over the decoded text rebuilds
+//! it, on a second thread while the other four sections decode. That
+//! buys three guarantees for free: every
 //! structural invariant holds because the ordinary constructors enforce
 //! it, the [`AlignedWords`](crate::interleave::AlignedWords) placement —
 //! cache-line-aligned, and 2 MiB-aligned and advised onto huge pages from
@@ -61,8 +63,11 @@
 //! framing), and finally the semantic range/consistency of each decoded
 //! payload — the text against what was verified before it: its per-base
 //! counts are the BWT's, and every sampled row's BWT symbol is the base
-//! in front of its sampled position (n / `sa_sample_rate` probes). Every
-//! failure is a typed [`SnapshotError`]; a corrupted
+//! in front of its sampled position (n / `sa_sample_rate` probes). The
+//! one thing built alongside is the K-mer table, counted from the text
+//! once its length and padding check out; a load that fails drops it
+//! with everything else. Every failure is a typed [`SnapshotError`]; a
+//! corrupted
 //! file can never panic the loader and never yields an index. The
 //! checksums are the corruption defense — a file that collides CRC32 on
 //! every region it mutated is outside the threat model (that is an
@@ -94,6 +99,7 @@ use crate::fm::FmIndex;
 use crate::interleave::check_superblock_span;
 use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
+use crate::lookup::{lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa::{RankBits, SampledSuffixArray};
 use crate::text::PackedText;
@@ -477,7 +483,6 @@ pub fn decode_snapshot(
     }
 
     let n = text_len as usize;
-    let stride = 1usize << (2 * k);
 
     // Structural walk: every section header and payload must lie within
     // the buffer, in tag order, with exactly the 4-byte file checksum
@@ -535,11 +540,51 @@ pub fn decode_snapshot(
     }
 
     // Semantic decode, every value range-checked before any constructor
-    // that could assert sees it.
+    // that could assert sees it. The text leads: the K-mer table is
+    // derived from it alone, so it is counted on a second thread while
+    // this one decodes the four other sections — and joined before
+    // either the index or an error is returned. Its size is set by `n`,
+    // which the BWT section's length has just vouched for: the table is
+    // `4 (4^K + 1)` bytes with `16 · 4^K ≤ n` (two words when K is 0), at
+    // most `n / 4 + 8`, so no header can make it ask for more than the
+    // file justifies.
     let (bwt_start, bwt_end) = sections[0];
     if bwt_end - bwt_start != n {
         return Err(malformed("bwt length"));
     }
+    let (text_start, text_end) = sections[4];
+    let text = PackedText::from_image(&bytes[text_start..text_end], n)
+        .ok_or(malformed("text length or padding"))?;
+    let (tables, lookup) = std::thread::scope(|scope| {
+        let lookup = scope.spawn(|| KmerLookup::new(&text, lookup_k(n)));
+        let tables = decode_tables(bytes, &sections, &config, &text);
+        (tables, lookup.join())
+    });
+    let lookup = lookup.expect("counting the K-mers of a decoded text cannot panic");
+    let (base, kstarts, kocc) = tables?;
+    Ok(KStepFmIndex::from_parts(
+        k,
+        base,
+        kstarts,
+        kocc,
+        bidirectional,
+        text,
+        lookup,
+    ))
+}
+
+/// Decodes sections 1–4 against the already-decoded `text` (section 5)
+/// and replays the cold-build constructors over them: the 1-step index,
+/// the expanded C-array and the k-mer occurrence table.
+fn decode_tables(
+    bytes: &[u8],
+    sections: &[(usize, usize); SECTION_COUNT],
+    config: &KStepBuildConfig,
+    text: &PackedText,
+) -> Result<(FmIndex, Vec<u32>, KmerOccTable), SnapshotError> {
+    let n = text.len();
+    let stride = 1usize << (2 * config.k);
+    let (bwt_start, bwt_end) = sections[0];
     let mut bwt = Vec::with_capacity(n);
     for &b in &bytes[bwt_start..bwt_end] {
         if b > 4 {
@@ -596,12 +641,12 @@ pub fn decode_snapshot(
     let mut samples = Vec::with_capacity(sample_count);
     for chunk in bytes[ssa_start + 8 + 8 * word_count..ssa_end].chunks_exact(4) {
         let v = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        if v as usize >= n || v as usize % sa_rate != 0 {
+        if v as usize >= n || v as usize % config.sa_sample_rate != 0 {
             return Err(malformed("suffix-array sample"));
         }
         samples.push(v);
     }
-    let ssa = SampledSuffixArray::from_parts(marks, samples, sa_rate);
+    let ssa = SampledSuffixArray::from_parts(marks, samples, config.sa_sample_rate);
 
     let (ks_start, ks_end) = sections[3];
     if ks_end - ks_start != 4 * stride {
@@ -621,9 +666,6 @@ pub fn decode_snapshot(
     // The text, against what is already verified: the BWT is a
     // permutation of it, and a sampled row's BWT symbol is the base in
     // front of the row's sampled position.
-    let (text_start, text_end) = sections[4];
-    let text = PackedText::from_image(&bytes[text_start..text_end], n)
-        .ok_or(malformed("text length or padding"))?;
     let counts = count_table(&bwt);
     for (base, count) in Base::ALL.into_iter().zip(text.base_counts()) {
         if count != counts.frequency(Symbol::Base(base)) {
@@ -647,13 +689,18 @@ pub fn decode_snapshot(
 
     // Replay the cold-build constructors over the verified inputs; the
     // recipe checks above already rule their errors out.
-    let occ =
-        OccTable::new(&bwt, occ_rate, superblock_rate).map_err(|_| malformed("occ layout"))?;
+    let occ = OccTable::new(&bwt, config.occ_sample_rate, config.superblock_rate)
+        .map_err(|_| malformed("occ layout"))?;
     // Symbol frequencies — all the C-array depends on — are the text's:
     // `counts` was taken from the BWT, a permutation of it.
     let base = FmIndex::from_parts(counts, occ, ssa);
-    let kocc = KmerOccTable::new(codes, stride, kocc_rate, superblock_rate)
-        .map_err(|_| malformed("k-occ layout"))?;
+    let kocc = KmerOccTable::new(
+        codes,
+        stride,
+        config.k_occ_sample_rate,
+        config.superblock_rate,
+    )
+    .map_err(|_| malformed("k-occ layout"))?;
     // Bucket bounds: `kstart(r) + rank(r, n) <= n` keeps every interval
     // a k-step refinement can produce inside `0..n`, so no later rank
     // call can assert out of range even on a crafted-but-checksummed
@@ -663,14 +710,7 @@ pub fn decode_snapshot(
             return Err(malformed("k-starts bucket"));
         }
     }
-    Ok(KStepFmIndex::from_parts(
-        k,
-        base,
-        kstarts,
-        kocc,
-        bidirectional,
-        text,
-    ))
+    Ok((base, kstarts, kocc))
 }
 
 #[cfg(test)]
@@ -729,8 +769,9 @@ mod tests {
         // before the occurrence lines carried SA marks — and re-pinned
         // once, when the format gained its text section and the flags
         // word became unconditional (and the k-occ default under them
-        // moved to 80k). Today's default images hold to everything but a
-        // pinned constant.
+        // moved to 80k), and once more when that default moved to 96k.
+        // Today's default images hold to everything but a pinned
+        // constant.
         let old_default = |k: usize, bidirectional: bool| KStepBuildConfig {
             occ_sample_rate: 44,
             sa_sample_rate: 32,
@@ -740,11 +781,11 @@ mod tests {
         for (index, crc) in [
             (
                 toy_index_with(3000, old_default(4, false)),
-                Some(0xd79f_694c),
+                Some(0x9a71_0894),
             ),
             (
                 toy_index_with(1500, old_default(2, true)),
-                Some(0xf5ad_6904),
+                Some(0x56ec_1d7e),
             ),
             (toy_index(4), None),
             (toy_bidir_index(2), None),

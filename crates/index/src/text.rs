@@ -25,7 +25,7 @@ use crate::interleave::AlignedWords;
 /// Bases per 64-bit window.
 const WINDOW_BASES: usize = 32;
 /// Bases per `u32` word.
-const WORD_BASES: usize = 16;
+pub(crate) const WORD_BASES: usize = 16;
 
 /// A sentinel-terminated text packed two bits a base; see the module
 /// docs for the layout.
@@ -115,6 +115,11 @@ impl PackedText {
     /// windows, without the spare one.
     pub(crate) fn image(&self) -> &[u32] {
         &self.words.words()[..image_words(self.len)]
+    }
+
+    /// Symbols of the text, sentinel included.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// The 2-bit code at text position `i` (0 for the sentinel).
@@ -345,7 +350,8 @@ mod tests {
             // The text's share of `other` is its buffer, whole lines.
             let elsewhere = index.base_index().heap_breakdown().other
                 + index.kmer_occ().heap_breakdown().other
-                + 4 * index.kstart_slice().len();
+                + 4 * index.kstart_slice().len()
+                + index.lookup.heap_bytes();
             assert_eq!(
                 index.heap_breakdown().other - elsewhere,
                 text.words.heap_bytes(),

@@ -14,30 +14,46 @@
 //! the text section, which no checksum ties to the tables beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
 use exma_index::snapshot::crc32;
 use exma_index::{decode_snapshot, encode_snapshot, naive, KStepFmIndex, SnapshotError};
 
-thread_local! {
-    /// The largest single request this thread has made of the allocator
-    /// since the cell was last zeroed.
-    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+/// The largest single request any thread of the process has made of the
+/// allocator since it was last zeroed. Process-wide, not per thread: a
+/// load counts the K-mer table on a thread of its own.
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+/// Taken by every test of this file for its whole run, so that the
+/// requests noted while one of them decodes are that decode's.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The system allocator, noting each request's size per thread.
+/// The largest request `decode` makes of the allocator, from any thread.
+fn largest_request<T>(decode: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_REQUEST.store(0, Ordering::SeqCst);
+    let outcome = decode();
+    (outcome, LARGEST_REQUEST.load(Ordering::SeqCst))
+}
+
+/// The system allocator, noting each request's size.
 struct NotingAllocator;
 
 // SAFETY: both calls go to `System` with their arguments unchanged, so
 // `System`'s guarantees are this allocator's (zeroed and growing
 // requests reach `alloc` through the trait's default methods). The added
-// note touches a const-initialised thread-local `Cell<usize>`, which has
-// no destructor and never allocates, and cannot unwind.
+// note is one atomic operation on a static, which neither allocates nor
+// unwinds.
 unsafe impl GlobalAlloc for NotingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread past its teardown may still allocate.
-        let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(layout.size())));
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -127,6 +143,7 @@ fn oracle_patterns(genome: &Genome, rng: &mut SeededRng) -> Vec<Vec<Base>> {
 
 #[test]
 fn corruption_sweep_never_panics_and_never_yields_an_index() {
+    let _turn = one_at_a_time();
     let genome = toy_genome(11);
     let text = genome.text_with_sentinel();
     let mut rng = SeededRng::new(0x534E_4150 ^ 9);
@@ -193,6 +210,7 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
     // consistent, so only the recipe checks stand between these rates
     // and the tables sized by them (`k_occ_sample_rate = u32::MAX` once
     // asked the allocator for 4 GiB of block).
+    let _turn = one_at_a_time();
     let genome = toy_genome(14);
     let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
     let pristine = encode_snapshot(&index);
@@ -204,6 +222,11 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
         // The u8 and the flat u32 width codes of earlier builds.
         (28, 0, "delta width code"),
         (28, 2, "delta width code"),
+        // A text length the sections do not hold. The K-mer table is
+        // sized by it (at this length K = 13: 256 MiB of counters), so
+        // the loader checks it against the BWT section's length before
+        // the table is counted.
+        (36, u32::MAX - 1, "bwt length"),
     ] {
         let mut image = pristine.clone();
         image[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
@@ -211,9 +234,7 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
         let checksum = crc32(&image[..body]);
         image[body..].copy_from_slice(&checksum.to_le_bytes());
 
-        LARGEST_REQUEST.with(|largest| largest.set(0));
-        let outcome = decode_snapshot(&image, None);
-        let largest = LARGEST_REQUEST.with(Cell::get);
+        let (outcome, largest) = largest_request(|| decode_snapshot(&image, None));
         assert_eq!(
             outcome.unwrap_err(),
             SnapshotError::Malformed { field },
@@ -225,6 +246,15 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
             image.len()
         );
     }
+    // Past that check, the largest thing a load sizes by `n` alone is
+    // the K-mer table: `4 (4^K + 1)` bytes with `16 · 4^K ≤ n`, so at
+    // most `n / 4 + 8` — less than the BWT section that vouched for `n`.
+    let (loaded, largest) = largest_request(|| decode_snapshot(&pristine, None));
+    let loaded = loaded.expect("the pristine image loads");
+    let n = loaded.text_len();
+    let table = 4 * ((1usize << (2 * loaded.lookup_k())) + 1);
+    assert!(table <= n / 4 + 8, "K = {}, n = {n}", loaded.lookup_k());
+    assert!(largest >= table);
     let mut rng = SeededRng::new(0x534E_4150 ^ 14);
     assert_cold_build_serves(&genome, &oracle_patterns(&genome, &mut rng), &index);
 }
@@ -246,6 +276,7 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
     // The text section rewritten, its checksum and the file's redone: a
     // text that is not the one the BWT and the samples were made from
     // would verify every cut query against the wrong reference.
+    let _turn = one_at_a_time();
     let genome = toy_genome(15);
     let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
     let pristine = encode_snapshot(&index);
@@ -310,9 +341,9 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
         let checksum = crc32(&image[..body]);
         image[body..].copy_from_slice(&checksum.to_le_bytes());
 
-        LARGEST_REQUEST.with(|largest| largest.set(0));
-        let outcome = decode_snapshot(&image, None);
-        let largest = LARGEST_REQUEST.with(Cell::get);
+        // The first two reach the tables' decoding, and so the K-mer
+        // table counted beside it: its requests are among these.
+        let (outcome, largest) = largest_request(|| decode_snapshot(&image, None));
         assert_eq!(outcome.unwrap_err(), SnapshotError::Malformed { field });
         assert!(
             largest <= image.len(),
@@ -331,6 +362,7 @@ fn every_single_byte_flip_in_the_header_is_rejected() {
     // recipe flags — the load fails typed. This is the region where a silent
     // acceptance would be worst: a flipped recipe rebuilds a
     // *different* index that would serve wrong-geometry answers.
+    let _turn = one_at_a_time();
     let text = toy_genome(12).text_with_sentinel();
     let index = KStepFmIndex::from_text(&text, 3);
     let pristine = encode_snapshot(&index);
@@ -350,6 +382,7 @@ fn every_single_byte_flip_in_the_header_is_rejected() {
 fn every_truncation_length_is_rejected() {
     // Exhaustive truncation sweep on a small image: every possible cut
     // point is a typed rejection, not a panic.
+    let _turn = one_at_a_time();
     let mut profile = GenomeProfile::toy();
     profile.len = 400;
     let text = Genome::synthesize(&profile, 13).text_with_sentinel();
