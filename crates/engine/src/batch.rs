@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn prefetching_changes_no_counter() {
         // The schedule moves memory traffic earlier; it must not create
-        // or destroy any work (the bench harness gates on this).
+        // or destroy any work.
         let (index, patterns) = fig3_engine_input();
         let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);
         let (_, plain) = BatchEngine::new(&index).run(&batch);

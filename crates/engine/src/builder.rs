@@ -4,17 +4,15 @@
 //! sampling rates, the lockstep search and resolve schedules, the
 //! thread count, sequential-baseline mode — combines here, and every
 //! combination derives a canonical *descriptor* string
-//! ([`EngineBuilder::descriptor`]). The benchmark harness enumerates
-//! builder configurations instead of hand-naming engine variants, so a
-//! new knob means a new builder method and descriptor fragment, not an
-//! N×M explosion of named entries (the uniform-driver lesson the
-//! SPEChpc harness papers draw).
+//! ([`EngineBuilder::descriptor`]) that names it in test failures and
+//! in the server's log lines, so a new knob means a new builder method
+//! and descriptor fragment, not a new named engine.
 //!
 //! Construction is two-phase because executors borrow their index:
 //! [`EngineBuilder::build_index`] owns the expensive table build, and
-//! [`EngineBuilder::attach`] wires an executor onto any index with a
-//! matching `k` — which is how the harness shares one index across
-//! every schedule and thread-count variant.
+//! [`EngineBuilder::attach`] wires an executor onto any index built
+//! with a matching `k` and strandedness — which is how one index is
+//! shared across every schedule and thread-count variant.
 
 use std::fmt;
 use std::path::Path;
@@ -48,9 +46,9 @@ pub enum EngineError {
         /// The rejected width.
         k: usize,
     },
-    /// A sampling-rate knob was zero.
+    /// A sampling-rate or superblock-spacing knob was zero.
     ZeroSampleRate {
-        /// Which knob (`"occ"`, `"sa"`, or `"k_occ"`).
+        /// Which knob (`"occ"`, `"sa"`, `"k_occ"`, or `"superblock"`).
         knob: &'static str,
     },
     /// A thread count of zero.
@@ -158,21 +156,16 @@ impl From<SnapshotError> for EngineError {
 /// rows, in both occurrence tables), as the single recipe taken by
 /// [`EngineBuilder::layout`] — the one way to set a layout. Setters
 /// record; validation happens when the owning builder's recipe is used.
-/// Two presets:
-///
-/// | preset | occ | sa | k-occ | superblocks |
-/// |---|---|---|---|---|
-/// | [`IndexLayout::default`] | 54 | 11 | 96k | 16 |
-/// | [`IndexLayout::compact`] | 54 | 32 | 640 | 32 |
-///
-/// The default's rates are those of [`exma_index::layout`], the one
-/// place they are defined.
+/// One preset, [`IndexLayout::default`]: occ 54, sa 11, k-occ `96k`,
+/// superblocks every 16 blocks — the rates of [`exma_index::layout`],
+/// the one place they are defined. Any other layout is the default
+/// with knobs moved, and derives one descriptor fragment per moved knob:
 ///
 /// ```
 /// use exma_engine::{EngineBuilder, IndexLayout};
 ///
-/// let builder = EngineBuilder::new().layout(IndexLayout::compact());
-/// assert_eq!(builder.descriptor(), "lockstep_k4_locality_compact");
+/// let builder = EngineBuilder::new().layout(IndexLayout::new().sa_sample_rate(32));
+/// assert_eq!(builder.descriptor(), "lockstep_k4_locality_sa32");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexLayout {
@@ -201,20 +194,6 @@ impl IndexLayout {
     /// The default layout (see [`IndexLayout::default`]).
     pub fn new() -> IndexLayout {
         IndexLayout::default()
-    }
-
-    /// Memory-first preset: coarser k-occ checkpoints (640 rows) under
-    /// wider superblocks (32 blocks), and SA samples every 32 positions
-    /// — every rate spelled out, so the preset keeps its footprint
-    /// whatever the default's rates become. Targets a k = 4 footprint
-    /// within ~2× of the 1-step index at plateau latency.
-    pub fn compact() -> IndexLayout {
-        IndexLayout {
-            occ_sample_rate: 54,
-            sa_sample_rate: 32,
-            k_occ_sample_rate: Some(640),
-            superblock_rate: 32,
-        }
     }
 
     /// Checkpoint spacing of the 1-step occurrence table.
@@ -278,14 +257,9 @@ impl IndexLayout {
         }
     }
 
-    /// The descriptor fragments this layout derives: nothing for the
-    /// default, `_compact` for the named preset, otherwise one fragment
-    /// per non-default knob.
+    /// The descriptor fragments this layout derives: one per
+    /// non-default knob, so nothing for the default.
     fn descriptor_fragments(&self, k: usize, tag: &mut String) {
-        if *self == IndexLayout::compact() {
-            tag.push_str("_compact");
-            return;
-        }
         if self.occ_sample_rate != DEFAULT_OCC_SAMPLE_RATE {
             tag.push_str(&format!("_occ{}", self.occ_sample_rate));
         }
@@ -371,11 +345,6 @@ impl EngineBuilder {
         self
     }
 
-    /// The recipe's current memory layout.
-    pub fn index_layout(&self) -> IndexLayout {
-        self.layout
-    }
-
     /// The lockstep search schedule (its [`ResolveConfig`] rides along;
     /// override it afterwards with [`EngineBuilder::resolve`]).
     pub fn schedule(mut self, batch: BatchConfig) -> EngineBuilder {
@@ -384,7 +353,7 @@ impl EngineBuilder {
     }
 
     /// The locate resolver's round schedule, independent of the search
-    /// schedule — how the benchmark isolates resolver scheduling.
+    /// schedule — how resolver scheduling is isolated from search.
     pub fn resolve(mut self, resolve: ResolveConfig) -> EngineBuilder {
         self.batch.resolve = resolve;
         self
@@ -420,24 +389,9 @@ impl EngineBuilder {
         self
     }
 
-    /// The configured step width.
-    pub fn step_width(&self) -> usize {
-        self.k
-    }
-
     /// `true` iff this recipe indexes both strands.
     pub fn is_bidirectional(&self) -> bool {
         self.bidirectional
-    }
-
-    /// The configured worker thread count.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// `true` iff this recipe runs queries one at a time.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
     }
 
     /// Checks the recipe's field combination, the common gate of
@@ -525,8 +479,9 @@ impl EngineBuilder {
 
     /// Wires an executor onto `index` — sequential, serial lockstep, or
     /// sharded, per this recipe. Many recipes (schedules, thread
-    /// counts) can attach to one index; only `k` must match
-    /// ([`EngineError::StepWidthMismatch`] otherwise).
+    /// counts) can attach to one index; `k` and strandedness must match
+    /// ([`EngineError::StepWidthMismatch`] and
+    /// [`EngineError::StrandednessMismatch`] otherwise).
     pub fn attach<'a>(
         &self,
         index: &'a KStepFmIndex,
@@ -570,13 +525,12 @@ impl EngineBuilder {
 
     /// The canonical descriptor of this recipe, derived field by field:
     /// `seq_k{k}` or `lockstep_k{k}_{schedule}`, then `_t{n}` for
-    /// multi-threaded recipes and the layout's fragments — `_compact`
-    /// for the named preset, otherwise `_occ{r}`/`_sa{r}`/`_kocc{r}` for
-    /// non-default sampling rates and `_sb{r}` for a non-default
-    /// superblock spacing. Named schedule presets print as
+    /// multi-threaded recipes and the layout's fragments —
+    /// `_occ{r}`/`_sa{r}`/`_kocc{r}` for non-default sampling rates and
+    /// `_sb{r}` for a non-default superblock spacing — then `_bidir`
+    /// for a both-strand recipe. Named schedule presets print as
     /// `plain`/`locality`; a resolver override appends
-    /// `_r{resolve}`. Equal recipes derive equal descriptors, which is
-    /// what the benchmark enumeration dedupes on.
+    /// `_r{resolve}`. Equal recipes derive equal descriptors.
     pub fn descriptor(&self) -> String {
         let mut tag = if self.sequential {
             format!("seq_k{}", self.k)
@@ -702,33 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_presets_derive_named_fragments() {
-        assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::compact())
-                .descriptor(),
-            "lockstep_k4_locality_compact"
-        );
-        // A knob sequence that lands exactly on a preset IS that preset:
-        // equal recipes, equal descriptors.
-        let by_knobs = IndexLayout::new()
-            .sa_sample_rate(32)
-            .k_occ_sample_rate(640)
-            .superblock_rate(32);
-        assert_eq!(by_knobs, IndexLayout::compact());
-        assert_eq!(
-            EngineBuilder::new().layout(by_knobs).descriptor(),
-            "lockstep_k4_locality_compact"
-        );
-        assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::default())
-                .descriptor(),
-            "lockstep_k4_locality"
-        );
-    }
-
-    #[test]
     fn layout_failures_surface_as_engine_errors() {
         assert_eq!(
             IndexLayout::new().superblock_rate(0).validate().err(),
@@ -805,9 +732,9 @@ mod tests {
 
     #[test]
     fn heap_components_equal_their_closed_forms() {
-        // Both presets at k = 4 over 120 000 bases and the sentinel:
-        // every component against its formula, so a silently widened
-        // checkpoint row or block fails by name.
+        // The default and a memory-first layout at k = 4 over 120 000
+        // bases and the sentinel: every component against its formula, so
+        // a silently widened checkpoint row or block fails by name.
         let profile = GenomeProfile {
             len: 120_000,
             ..GenomeProfile::toy()
@@ -818,7 +745,17 @@ mod tests {
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
         for (layout, occ_rate, sa_rate, kocc_rate, sb_rate) in [
             (IndexLayout::default(), 54, 11, 384, 16),
-            (IndexLayout::compact(), 54, 32, 640, 32),
+            (
+                IndexLayout::new()
+                    .occ_sample_rate(54)
+                    .sa_sample_rate(32)
+                    .k_occ_sample_rate(640)
+                    .superblock_rate(32),
+                54,
+                32,
+                640,
+                32,
+            ),
         ] {
             let index = EngineBuilder::new()
                 .layout(layout)

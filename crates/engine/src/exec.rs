@@ -40,8 +40,7 @@ const CUT_LOOKAHEAD: usize = 8;
 /// multi-threaded [`ShardedEngine`]. Answers are engine-independent:
 /// every implementation returns identical [`QueryResults`] for the same
 /// batch over the same text — capped locates included — which the
-/// property suites and the benchmark harness's oracle gate both
-/// enforce.
+/// property suites enforce and the benchmark verifies on every run.
 pub trait Executor {
     /// Runs `batch` through `arena`, leaving the answers in
     /// `arena.results()`. A caller that keeps one arena across

@@ -29,7 +29,7 @@
 //! [`QueryArena`] makes steady-state submissions allocation-free.
 //! [`EngineBuilder`] is the one place index parameters, schedules, and
 //! thread counts combine into an executor — each combination deriving a
-//! canonical descriptor string the benchmark harness enumerates.
+//! canonical descriptor string that names it.
 //!
 //! ```
 //! use exma_engine::{EngineBuilder, Executor, QueryBatch, QueryOutput};

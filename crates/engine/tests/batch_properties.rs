@@ -146,8 +146,7 @@ fn thread_count_never_changes_answers() {
 #[test]
 fn prefetching_schedule_issues_the_same_steps() {
     // Prefetching moves a round's memory traffic earlier; it must never
-    // add refinements. The bench harness gates on the same property at
-    // benchmark scale.
+    // add refinements.
     let genome = toy_genome();
     let patterns = pattern_mix(&genome, 600, 73);
     let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);

@@ -3,14 +3,15 @@
 //! come back oracle-identical from **every** executor flavor — the
 //! sequential baselines, the lockstep `BatchEngine` at every schedule,
 //! and the `ShardedEngine` at any thread count, for k ∈ {1, 2, 4} over
-//! a bidirectional index. The oracle itself is checked pattern by
+//! a bidirectional index under the default layout, and at k = 4 under a
+//! memory-first one. The oracle itself is checked pattern by
 //! pattern against the brute-force both-strand scan
 //! (`naive::occurrences_both`), including the palindrome dedup rule and
 //! the post-mapping cap (keep the `max_hits` smallest
 //! `(position, strand)` hits — deterministic however the raw interval
 //! was resolved).
 
-use exma_engine::{BatchConfig, EngineBuilder, QueryBatch, QueryOutput, QueryRequest};
+use exma_engine::{BatchConfig, EngineBuilder, IndexLayout, QueryBatch, QueryOutput, QueryRequest};
 use exma_genome::{
     Base, ErrorProfile, Genome, GenomeProfile, LongReadSimulator, SeededRng, ShortReadSimulator,
 };
@@ -69,9 +70,8 @@ fn mixed_both_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
     batch
 }
 
-/// Every executor flavor under test for a given k.
-fn executors(k: usize) -> Vec<EngineBuilder> {
-    let base = EngineBuilder::new().k(k).bidirectional(true);
+/// Every executor flavor under test for a given recipe.
+fn executors(base: EngineBuilder) -> Vec<EngineBuilder> {
     vec![
         base.sequential(),
         base.schedule(BatchConfig::default()),
@@ -89,8 +89,18 @@ fn executors(k: usize) -> Vec<EngineBuilder> {
 fn search_both_is_executor_invariant_and_oracle_identical() {
     let genome = toy_genome();
     let batch = mixed_both_batch(&genome, 500, 131);
-    for k in [1usize, 2, 4] {
-        let builder = EngineBuilder::new().k(k).bidirectional(true);
+    let memory_first = IndexLayout::new()
+        .occ_sample_rate(54)
+        .sa_sample_rate(32)
+        .k_occ_sample_rate(640)
+        .superblock_rate(32);
+    for (k, layout) in [
+        (1usize, IndexLayout::new()),
+        (2, IndexLayout::new()),
+        (4, IndexLayout::new()),
+        (4, memory_first),
+    ] {
+        let builder = EngineBuilder::new().k(k).layout(layout).bidirectional(true);
         let index = builder.build_index(&genome.text_with_sentinel()).unwrap();
         let (expected, _) = builder.sequential().attach(&index).unwrap().run(&batch);
 
@@ -101,18 +111,22 @@ fn search_both_is_executor_invariant_and_oracle_identical() {
                 let hits = naive::occurrences_both(genome.seq(), batch.pattern(i));
                 let cap = max_hits.map_or(hits.len(), |h| h as usize);
                 let kept = cap.min(hits.len());
-                assert_eq!(expected.positions(i), &hits[..kept], "k={k} #{i}");
+                assert_eq!(
+                    expected.positions(i),
+                    &hits[..kept],
+                    "k={k} {layout:?} #{i}"
+                );
                 assert_eq!(
                     expected.output(i),
                     QueryOutput::BothLocated {
                         truncated: kept < hits.len()
                     },
-                    "k={k} #{i}"
+                    "k={k} {layout:?} #{i}"
                 );
             }
         }
 
-        for builder in executors(k) {
+        for builder in executors(builder) {
             let (results, _) = builder.attach(&index).unwrap().run(&batch);
             assert_eq!(results, expected, "k={k}, {}", builder.descriptor());
         }

@@ -1,5 +1,6 @@
 //! Acceptance properties of snapshot persistence at the engine surface:
-//! for both `IndexLayout` presets and a custom-spacing recipe, an index
+//! for the default `IndexLayout`, a memory-first one and a custom-spacing
+//! recipe, an index
 //! written with `EngineBuilder::snapshot_to` and reloaded with
 //! `attach_from_snapshot` must be *equal* to the freshly built one —
 //! same build recipe, same heap attribution, and byte-identical
@@ -33,12 +34,22 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// The layout matrix under test: the two named presets, plus one recipe
-/// moving every spacing off both.
+/// Coarser k-occ checkpoints under wider superblocks and sparser SA
+/// samples, every rate spelled out.
+fn memory_first() -> IndexLayout {
+    IndexLayout::new()
+        .occ_sample_rate(54)
+        .sa_sample_rate(32)
+        .k_occ_sample_rate(640)
+        .superblock_rate(32)
+}
+
+/// The layout matrix under test: the default, a memory-first layout,
+/// plus one recipe moving every spacing off both.
 fn layout_matrix() -> Vec<(&'static str, IndexLayout)> {
     vec![
         ("default", IndexLayout::new()),
-        ("compact", IndexLayout::compact()),
+        ("memory_first", memory_first()),
         (
             "custom",
             IndexLayout::new()
@@ -119,22 +130,22 @@ fn round_trip_is_executor_identical_across_every_layout_and_width() {
 #[test]
 fn a_snapshot_only_loads_under_the_recipe_that_wrote_it() {
     let text = toy_genome().text_with_sentinel();
-    let writer = EngineBuilder::new().k(4).layout(IndexLayout::compact());
+    let writer = EngineBuilder::new().k(4).layout(memory_first());
     let index = writer.build_index(&text).unwrap();
     let path = temp_path("recipe_gate");
     writer.snapshot_to(&index, &path).unwrap();
 
     // Every differently-shaped reader is rejected with the typed
-    // mismatch — wrong k, wrong preset, wrong spacing.
+    // mismatch — wrong k, wrong layout, wrong spacing.
     for reader in [
-        EngineBuilder::new().k(2).layout(IndexLayout::compact()),
+        EngineBuilder::new().k(2).layout(memory_first()),
         EngineBuilder::new().k(4),
         EngineBuilder::new()
             .k(4)
-            .layout(IndexLayout::compact().superblock_rate(16)),
+            .layout(memory_first().superblock_rate(16)),
         EngineBuilder::new()
             .k(4)
-            .layout(IndexLayout::compact().sa_sample_rate(8)),
+            .layout(memory_first().sa_sample_rate(8)),
     ] {
         match reader.attach_from_snapshot(&path) {
             Err(EngineError::Snapshot(SnapshotError::LayoutMismatch { expected, found })) => {
@@ -153,7 +164,7 @@ fn a_snapshot_only_loads_under_the_recipe_that_wrote_it() {
 fn snapshot_to_rejects_an_index_built_elsewhere() {
     let text = toy_genome().text_with_sentinel();
     let index = EngineBuilder::new().k(2).build_index(&text).unwrap();
-    let stranger = EngineBuilder::new().k(2).layout(IndexLayout::compact());
+    let stranger = EngineBuilder::new().k(2).layout(memory_first());
     let path = temp_path("foreign_index");
     match stranger.snapshot_to(&index, &path) {
         Err(EngineError::Snapshot(SnapshotError::LayoutMismatch { .. })) => {}
@@ -204,7 +215,7 @@ fn an_old_default_image_is_refused_by_name_and_loads_under_its_own_layout() {
 }
 
 #[test]
-fn the_default_recipe_is_one_recipe_and_compact_spells_out_its_own() {
+fn the_default_recipe_is_one_recipe() {
     let one_step = FmBuildConfig::default();
     for k in 1..=MAX_STEP {
         let by_index = KStepBuildConfig::for_k(k);
@@ -222,38 +233,14 @@ fn the_default_recipe_is_one_recipe_and_compact_spells_out_its_own() {
             one_step,
             "k={k}"
         );
-        // The memory-first preset inherits nothing a default can move.
-        assert_eq!(
-            EngineBuilder::new()
-                .k(k)
-                .layout(IndexLayout::compact())
-                .build_config()
-                .unwrap(),
-            KStepBuildConfig {
-                k,
-                occ_sample_rate: 54,
-                sa_sample_rate: 32,
-                k_occ_sample_rate: 640,
-                superblock_rate: 32,
-                bidirectional: false,
-            },
-            "k={k}"
-        );
     }
-    // So its samples cost a word every 32 rows, whatever the default's
-    // do (the other six components: `heap_components_equal_their_closed_
-    // forms` in the builder's unit tests).
+    // So its samples cost a word every `sa_sample_rate` rows (the other
+    // six components: `heap_components_equal_their_closed_forms` in the
+    // builder's unit tests).
     let text = toy_genome().text_with_sentinel();
-    let heap_of = |layout| {
-        let builder = EngineBuilder::new().layout(layout);
-        builder.build_index(&text).unwrap().heap_breakdown()
-    };
+    let index = EngineBuilder::new().build_index(&text).unwrap();
     assert_eq!(
-        heap_of(IndexLayout::compact()).sa_samples,
-        text.len().div_ceil(32) * 4
-    );
-    assert_eq!(
-        heap_of(IndexLayout::default()).sa_samples,
+        index.heap_breakdown().sa_samples,
         text.len().div_ceil(one_step.sa_sample_rate) * 4
     );
 }

@@ -1,10 +1,10 @@
 //! A minimal JSON value and serializer.
 //!
 //! The workspace builds fully offline with zero external dependencies, so
-//! instead of `serde_json` the bench harness hand-rolls the tiny subset of
-//! JSON it emits: objects, arrays, strings, booleans and numbers, pretty
-//! printed deterministically (insertion order preserved) so diffs between
-//! benchmark runs stay readable.
+//! instead of `serde_json` the load generator hand-rolls the tiny subset
+//! of JSON it emits: objects, arrays, strings, booleans and numbers,
+//! pretty printed deterministically (insertion order preserved) so diffs
+//! between load reports stay readable.
 
 use std::fmt;
 
@@ -47,7 +47,7 @@ impl Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Int(n) => write!(f, "{n}"),
             Json::Float(x) => {
-                // JSON has no NaN/Inf; the harness never produces them, but
+                // JSON has no NaN/Inf; the generator never produces them, but
                 // degrade to null rather than emit invalid output.
                 if x.is_finite() {
                     write!(f, "{x}")

@@ -35,12 +35,12 @@
 //!
 //! ```text
 //! # self-hosted: spins up a server in-process on an ephemeral port
-//! cargo run --release -p exma-bench --bin exma-loadgen
+//! cargo run --release -p exma-loadgen
 //!
 //! # against a separately started server (must share profile/len/seed/k
 //! # and run without a tighter --max-hits-ceiling than --locate-cap)
 //! cargo run --release -p exma-server -- --profile toy --port 7878 &
-//! cargo run --release -p exma-bench --bin exma-loadgen -- --addr 127.0.0.1:7878
+//! cargo run --release -p exma-loadgen -- --addr 127.0.0.1:7878
 //! ```
 
 mod json;
@@ -68,7 +68,7 @@ const USAGE: &str = "\
 exma-loadgen: open-loop load generator and verifier for exma-server
 
 USAGE:
-    cargo run --release -p exma-bench --bin exma-loadgen [-- OPTIONS]
+    cargo run --release -p exma-loadgen [-- OPTIONS]
 
 OPTIONS:
     --addr HOST:PORT   target a running exma-server; it must have been
