@@ -54,18 +54,18 @@
 //! the interval.
 //!
 //! Whether a query is cut depends on the index and the request alone —
-//! never on the schedule or the thread count — so every schedule and
-//! every sharding of a batch issue identical counters.
+//! never on the thread count — so every sharding of a batch issues
+//! identical counters.
 
 use std::ops::Range;
 
 use exma_genome::{Base, Kmer, Symbol};
-use exma_index::{KStepFmIndex, ResolveConfig};
+use exma_index::KStepFmIndex;
 
 use crate::query::QueryRequest;
 
 /// How many queries ahead of the one being refined the engine prefetches
-/// when [`BatchConfig::prefetch_distance`] is left to the default.
+/// the lines of the next refinement.
 ///
 /// A refinement costs some 53 ns and a miss 160–265 ns
 /// (`machine.chase_ns`), so the hints must lead by at least four
@@ -78,7 +78,7 @@ use crate::query::QueryRequest;
 /// 912; CHANGES.md, PR 14) and 8 sits in the middle of the plateau.
 /// The seeding loop hints the K-mer table's line of the pattern the same
 /// distance ahead: one line a query, with nothing to compute first.
-pub const DEFAULT_PREFETCH_DISTANCE: usize = 8;
+pub(crate) const PREFETCH_DISTANCE: usize = 8;
 
 /// Widest interval a query may be cut at (see the module docs): a query
 /// leaves the lockstep search for the text once its interval holds at
@@ -105,47 +105,6 @@ pub(crate) const CUT_ROWS: usize = 2;
 /// 3, not at all at 6) 1314 / 975–1241 / 1115 and 1327 / 1104–1187 /
 /// 1277 beside the parent's 1133–1391 (CHANGES.md, PR 23).
 pub(crate) const CUT_STEPS_PER_ROW: usize = 3;
-
-/// Scheduling knobs of a [`BatchEngine`] round.
-///
-/// Live queries are refined in input order: with every line of the
-/// next refinements prefetched, sorting a round by interval costs more
-/// than the address order buys, and it scatters the pattern reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// While refining query `j`, prefetch the table blocks query `j + d`
-    /// will touch (`0` disables prefetching).
-    pub prefetch_distance: usize,
-    /// Round schedule of the locate resolver a mixed batch's locate
-    /// intervals feed into. The presets keep it in step with the
-    /// search schedule: plain search resolves plain, locality adds
-    /// cursor prefetch.
-    pub resolve: ResolveConfig,
-}
-
-impl Default for BatchConfig {
-    /// Plain lockstep rounds: input order, no prefetch — the PR 2
-    /// baseline scheduling.
-    fn default() -> BatchConfig {
-        BatchConfig {
-            prefetch_distance: 0,
-            resolve: ResolveConfig::default(),
-        }
-    }
-}
-
-impl BatchConfig {
-    /// The locality schedule: software prefetch of every line the next
-    /// refinements will read, [`DEFAULT_PREFETCH_DISTANCE`] queries
-    /// ahead, and the resolver's own locality schedule for locate
-    /// intervals.
-    pub fn locality() -> BatchConfig {
-        BatchConfig {
-            prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
-            resolve: ResolveConfig::locality(),
-        }
-    }
-}
 
 /// Execution counters of one executed batch, for tests and benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -296,37 +255,31 @@ impl std::fmt::Debug for SearchScratch {
 /// rows to their text positions and comparing the rest of the pattern
 /// with the text there (the module docs have the three phases and why
 /// the answer is the same). See the crate docs for why the lockstep
-/// ordering matters to the paper. A [`BatchConfig`] additionally
-/// software-prefetches upcoming queries' table lines, turning the
-/// round's dependent memory round-trips into overlapped fetches.
+/// ordering matters to the paper. While refining one query the engine
+/// software-prefetches the table lines of the query `PREFETCH_DISTANCE`
+/// (8) places ahead of it, and the resolver hints its cursors the same way
+/// ([`exma_index::ResolveConfig::locality`]), turning a round's
+/// dependent memory round-trips into overlapped fetches. Live queries
+/// are refined in input order: with every line of the next refinements
+/// prefetched, sorting a round by interval costs more than the address
+/// order buys, and it scatters the pattern reads.
 ///
 /// Run it through the [`crate::Executor`] trait with a
 /// [`crate::QueryBatch`]; construct it through [`crate::EngineBuilder`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchEngine<'a> {
     index: &'a KStepFmIndex,
-    config: BatchConfig,
 }
 
 impl<'a> BatchEngine<'a> {
-    /// An engine borrowing `index`, with the plain round schedule.
+    /// An engine borrowing `index`.
     pub fn new(index: &'a KStepFmIndex) -> BatchEngine<'a> {
-        BatchEngine::with_config(index, BatchConfig::default())
-    }
-
-    /// An engine borrowing `index` with an explicit round schedule.
-    pub fn with_config(index: &'a KStepFmIndex, config: BatchConfig) -> BatchEngine<'a> {
-        BatchEngine { index, config }
+        BatchEngine { index }
     }
 
     /// The index this engine queries.
     pub fn index(&self) -> &'a KStepFmIndex {
         self.index
-    }
-
-    /// The round schedule this engine runs.
-    pub fn config(&self) -> BatchConfig {
-        self.config
     }
 
     /// The lockstep search round-loop: suffix-array intervals for every
@@ -350,7 +303,6 @@ impl<'a> BatchEngine<'a> {
         let k = self.index.k();
         let n = self.index.text_len();
         let big_k = self.index.lookup_k();
-        let d = self.config.prefetch_distance;
         assert!(patterns.len() < u32::MAX as usize, "batch too large");
         intervals.clear();
         intervals.resize(patterns.len(), 0..0);
@@ -367,18 +319,16 @@ impl<'a> BatchEngine<'a> {
 
         // Seeding: a pattern of at least K symbols starts from the K-mer
         // table's interval of its last K, a line whose address depends on
-        // nothing but the pattern — so the line of the pattern `d` ahead
-        // is hinted, and every lookup of the batch can be in flight at
-        // once. A shorter one starts from every row. The rules of the
-        // rounds apply right away: a query can die, finish or be cut
-        // before its first refinement.
+        // nothing but the pattern — so the line of the pattern
+        // `PREFETCH_DISTANCE` ahead is hinted, and every lookup of the
+        // batch can be in flight at once. A shorter one starts from
+        // every row. The rules of the rounds apply right away: a query
+        // can die, finish or be cut before its first refinement.
         for (i, pattern) in patterns.iter().enumerate() {
-            if d > 0 {
-                if let Some(ahead) = patterns.get(i + d) {
-                    let ahead = ahead.as_ref();
-                    if ahead.len() >= big_k {
-                        self.index.prefetch_lookup(&ahead[ahead.len() - big_k..]);
-                    }
+            if let Some(ahead) = patterns.get(i + PREFETCH_DISTANCE) {
+                let ahead = ahead.as_ref();
+                if ahead.len() >= big_k {
+                    self.index.prefetch_lookup(&ahead[ahead.len() - big_k..]);
                 }
             }
             let pattern = pattern.as_ref();
@@ -402,10 +352,8 @@ impl<'a> BatchEngine<'a> {
             stats.rounds += 1;
             stats.steps += live.len();
             for j in 0..live.len() {
-                if d > 0 {
-                    if let Some(ahead) = live.get(j + d) {
-                        self.prefetch_query(patterns, ahead);
-                    }
+                if let Some(ahead) = live.get(j + PREFETCH_DISTANCE) {
+                    self.prefetch_query(patterns, ahead);
                 }
                 let q = live[j];
                 let pattern = patterns[q.pattern as usize].as_ref();
@@ -467,34 +415,17 @@ mod tests {
         (index, patterns)
     }
 
-    /// Every schedule the benchmarks exercise.
-    fn all_configs() -> [BatchConfig; 3] {
-        [
-            BatchConfig::default(),
-            BatchConfig::locality(),
-            BatchConfig {
-                prefetch_distance: 3,
-                resolve: ResolveConfig {
-                    prefetch_distance: 2,
-                },
-            },
-        ]
-    }
-
     #[test]
     fn batch_matches_sequential_search_under_every_schedule() {
         let (index, patterns) = fig3_engine_input();
         let batch = QueryBatch::uniform(QueryRequest::Interval, &patterns);
-        for config in all_configs() {
-            let engine = BatchEngine::with_config(&index, config);
-            let (results, _) = engine.run(&batch);
-            for (i, pattern) in patterns.iter().enumerate() {
-                assert_eq!(
-                    results.interval(i),
-                    Some(index.backward_search(pattern)),
-                    "{config:?}, pattern #{i}"
-                );
-            }
+        let (results, _) = BatchEngine::new(&index).run(&batch);
+        for (i, pattern) in patterns.iter().enumerate() {
+            assert_eq!(
+                results.interval(i),
+                Some(index.backward_search(pattern)),
+                "pattern #{i}"
+            );
         }
     }
 
@@ -524,28 +455,25 @@ mod tests {
         let (index, patterns) = fig3_engine_input();
         let base = index.base_index();
         let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
-        for config in all_configs() {
-            let engine = BatchEngine::with_config(&index, config);
-            // The serial per-row baseline, straight off the index layer.
-            let expected: Vec<Vec<u32>> = patterns
-                .iter()
-                .map(|p| {
-                    let mut out = Vec::new();
-                    base.resolve_range_into(index.backward_search(p), &mut out);
-                    out
-                })
-                .collect();
-            let (results, stats) = engine.run(&batch);
-            assert_eq!(results.len(), patterns.len(), "{config:?}");
-            for (i, expect) in expected.iter().enumerate() {
-                assert_eq!(results.positions(i), &expect[..], "{config:?}, #{i}");
-            }
-            // Every interval row becomes exactly one retired cursor.
-            let total: usize = expected.iter().map(Vec::len).sum();
-            assert_eq!(stats.cursors_retired, total, "{config:?}");
-            assert_eq!(stats.cursors_dropped, 0, "{config:?}");
-            assert!(stats.resolve_rounds >= 1, "{config:?}");
+        // The serial per-row baseline, straight off the index layer.
+        let expected: Vec<Vec<u32>> = patterns
+            .iter()
+            .map(|p| {
+                let mut out = Vec::new();
+                base.resolve_range_into(index.backward_search(p), &mut out);
+                out
+            })
+            .collect();
+        let (results, stats) = BatchEngine::new(&index).run(&batch);
+        assert_eq!(results.len(), patterns.len());
+        for (i, expect) in expected.iter().enumerate() {
+            assert_eq!(results.positions(i), &expect[..], "#{i}");
         }
+        // Every interval row becomes exactly one retired cursor.
+        let total: usize = expected.iter().map(Vec::len).sum();
+        assert_eq!(stats.cursors_retired, total);
+        assert_eq!(stats.cursors_dropped, 0);
+        assert!(stats.resolve_rounds >= 1);
     }
 
     #[test]
@@ -573,17 +501,6 @@ mod tests {
         // (k-step then tail step), "CATAGA" runs all 3 rounds:
         // 5 + 2 + 1 = 8 refinements, strictly fewer than 5 queries x 3.
         assert_eq!(stats.steps, 8);
-    }
-
-    #[test]
-    fn prefetching_changes_no_counter() {
-        // The schedule moves memory traffic earlier; it must not create
-        // or destroy any work.
-        let (index, patterns) = fig3_engine_input();
-        let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);
-        let (_, plain) = BatchEngine::new(&index).run(&batch);
-        let (_, stats) = BatchEngine::with_config(&index, BatchConfig::locality()).run(&batch);
-        assert_eq!(stats, plain);
     }
 
     #[test]

@@ -1,41 +1,40 @@
 //! [`EngineBuilder`]: the one way to construct an executor.
 //!
-//! Every knob the engine stack exposes — step width `k`, the three
-//! sampling rates, the lockstep search and resolve schedules, the
-//! thread count, sequential-baseline mode — combines here, and every
-//! combination derives a canonical *descriptor* string
+//! An executor recipe is four values — step width `k`, the thread
+//! count, sequential-baseline mode and strandedness — and every recipe
+//! derives a canonical *descriptor* string
 //! ([`EngineBuilder::descriptor`]) that names it in test failures and
-//! in the server's log lines, so a new knob means a new builder method
-//! and descriptor fragment, not a new named engine.
+//! in the server's log lines. The lockstep engines have one schedule,
+//! software-prefetched search and resolve rounds, and the builder
+//! builds the default layout of [`exma_index::layout`]; an index of any
+//! other layout is built where layouts are defined, with
+//! [`KStepFmIndex::from_text_with_config`], and attached the same way.
 //!
 //! Construction is two-phase because executors borrow their index:
 //! [`EngineBuilder::build_index`] owns the expensive table build, and
 //! [`EngineBuilder::attach`] wires an executor onto any index built
 //! with a matching `k` and strandedness — which is how one index is
-//! shared across every schedule and thread-count variant.
+//! shared across the sequential, serial and sharded executors.
 
 use std::fmt;
 use std::path::Path;
 
 use exma_genome::Symbol;
-use exma_index::layout::{
-    default_k_occ_sample_rate, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SA_SAMPLE_RATE,
-    DEFAULT_SUPERBLOCK_RATE,
-};
 use exma_index::{
     load_snapshot_expecting, write_snapshot, FmIndex, IndexError, KStepBuildConfig, KStepFmIndex,
-    ResolveConfig, SnapshotError,
+    SnapshotError,
 };
 
-use crate::batch::{BatchConfig, BatchEngine};
+use crate::batch::BatchEngine;
 use crate::exec::Executor;
 use crate::shard::ShardedEngine;
 
 /// Why a builder recipe cannot build an index or attach an executor.
 ///
 /// Returned by [`EngineBuilder::build_config`],
-/// [`EngineBuilder::build_index`], [`EngineBuilder::attach`] and
-/// [`EngineBuilder::attach_one_step`] — the construction surface is
+/// [`EngineBuilder::build_index`], [`EngineBuilder::snapshot_to`],
+/// [`EngineBuilder::attach_from_snapshot`], [`EngineBuilder::attach`]
+/// and [`EngineBuilder::attach_one_step`] — the construction surface is
 /// panic-free, so a network front-end can turn a bad recipe into an
 /// error response instead of a dead worker.
 #[non_exhaustive]
@@ -45,11 +44,6 @@ pub enum EngineError {
     InvalidK {
         /// The rejected width.
         k: usize,
-    },
-    /// A sampling-rate or superblock-spacing knob was zero.
-    ZeroSampleRate {
-        /// Which knob (`"occ"`, `"sa"`, `"k_occ"`, or `"superblock"`).
-        knob: &'static str,
     },
     /// A thread count of zero.
     ZeroThreads,
@@ -79,9 +73,11 @@ pub enum EngineError {
         /// `true` iff the recipe expects both strands.
         builder_bidirectional: bool,
     },
-    /// The index layer rejected the recipe while building: a text too
-    /// large for `u32` counters, or a superblock span too wide for the
-    /// checkpoint rows' `u16` deltas.
+    /// The index layer refused to build: a text too large for `u32`
+    /// counters. (The default layout's superblock spans always fit the
+    /// checkpoint rows' `u16` deltas; a custom layout's are checked by
+    /// [`KStepFmIndex::from_text_with_config`], whose error converts
+    /// into this variant.)
     Index(IndexError),
     /// The snapshot layer rejected a persisted index: corruption,
     /// truncation, a stale format, a recipe mismatch, or plain I/O —
@@ -94,9 +90,6 @@ impl fmt::Display for EngineError {
         match *self {
             EngineError::InvalidK { k } => {
                 write!(f, "k must be in 1..={}, got {k}", exma_index::MAX_STEP)
-            }
-            EngineError::ZeroSampleRate { knob } => {
-                write!(f, "{knob} sample rate must be positive")
             }
             EngineError::ZeroThreads => write!(f, "thread count must be positive"),
             EngineError::StepWidthMismatch { index_k, builder_k } => {
@@ -149,134 +142,6 @@ impl From<SnapshotError> for EngineError {
     }
 }
 
-/// The complete memory layout of an index, as one typed value.
-///
-/// The three sampling rates and the superblock spacing of the
-/// checkpoint rows (`u16` deltas off sparse absolute `u32` superblock
-/// rows, in both occurrence tables), as the single recipe taken by
-/// [`EngineBuilder::layout`] — the one way to set a layout. Setters
-/// record; validation happens when the owning builder's recipe is used.
-/// One preset, [`IndexLayout::default`]: occ 54, sa 11, k-occ `96k`,
-/// superblocks every 16 blocks — the rates of [`exma_index::layout`],
-/// the one place they are defined. Any other layout is the default
-/// with knobs moved, and derives one descriptor fragment per moved knob:
-///
-/// ```
-/// use exma_engine::{EngineBuilder, IndexLayout};
-///
-/// let builder = EngineBuilder::new().layout(IndexLayout::new().sa_sample_rate(32));
-/// assert_eq!(builder.descriptor(), "lockstep_k4_locality_sa32");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexLayout {
-    occ_sample_rate: usize,
-    sa_sample_rate: usize,
-    /// `None` = the k-dependent default (`96 * k`).
-    k_occ_sample_rate: Option<usize>,
-    superblock_rate: usize,
-}
-
-impl Default for IndexLayout {
-    /// The balanced default: Occ blocks that fill one cache line, the
-    /// densest SA sampling the bytes that saves pay for, k-occ
-    /// checkpoints every `96k` rows, superblock rows every 16 blocks.
-    fn default() -> IndexLayout {
-        IndexLayout {
-            occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
-            sa_sample_rate: DEFAULT_SA_SAMPLE_RATE,
-            k_occ_sample_rate: None,
-            superblock_rate: DEFAULT_SUPERBLOCK_RATE,
-        }
-    }
-}
-
-impl IndexLayout {
-    /// The default layout (see [`IndexLayout::default`]).
-    pub fn new() -> IndexLayout {
-        IndexLayout::default()
-    }
-
-    /// Checkpoint spacing of the 1-step occurrence table.
-    pub fn occ_sample_rate(mut self, rate: usize) -> IndexLayout {
-        self.occ_sample_rate = rate;
-        self
-    }
-
-    /// Text-position spacing of kept suffix-array samples — `locate`'s
-    /// latency/heap knob. Uncapped answers do not depend on it; *which*
-    /// `max_hits` positions a capped locate keeps of more than
-    /// `max_hits` occurrences does (see
-    /// [`crate::QueryRequest::Locate`]), and on nothing else in a
-    /// layout.
-    pub fn sa_sample_rate(mut self, rate: usize) -> IndexLayout {
-        self.sa_sample_rate = rate;
-        self
-    }
-
-    /// Checkpoint spacing of the k-mer occurrence table — the paper's
-    /// central memory/latency knob.
-    pub fn k_occ_sample_rate(mut self, rate: usize) -> IndexLayout {
-        self.k_occ_sample_rate = Some(rate);
-        self
-    }
-
-    /// Blocks per absolute superblock row of both occurrence tables.
-    pub fn superblock_rate(mut self, rate: usize) -> IndexLayout {
-        self.superblock_rate = rate;
-        self
-    }
-
-    /// Checks the layout's knobs for zero rates; the superblock span
-    /// rule belongs to the index layer, which owns the checkpoint format.
-    pub fn validate(&self) -> Result<(), EngineError> {
-        for (knob, rate) in [
-            ("occ", self.occ_sample_rate),
-            ("sa", self.sa_sample_rate),
-            ("k_occ", self.k_occ_sample_rate.unwrap_or(1)),
-            ("superblock", self.superblock_rate),
-        ] {
-            if rate == 0 {
-                return Err(EngineError::ZeroSampleRate { knob });
-            }
-        }
-        Ok(())
-    }
-
-    /// The index-construction knobs this layout implies at step width
-    /// `k` (which the caller has already validated).
-    fn build_config(&self, k: usize) -> KStepBuildConfig {
-        KStepBuildConfig {
-            k,
-            occ_sample_rate: self.occ_sample_rate,
-            sa_sample_rate: self.sa_sample_rate,
-            k_occ_sample_rate: self
-                .k_occ_sample_rate
-                .unwrap_or(default_k_occ_sample_rate(k)),
-            superblock_rate: self.superblock_rate,
-            bidirectional: false,
-        }
-    }
-
-    /// The descriptor fragments this layout derives: one per
-    /// non-default knob, so nothing for the default.
-    fn descriptor_fragments(&self, k: usize, tag: &mut String) {
-        if self.occ_sample_rate != DEFAULT_OCC_SAMPLE_RATE {
-            tag.push_str(&format!("_occ{}", self.occ_sample_rate));
-        }
-        if self.sa_sample_rate != DEFAULT_SA_SAMPLE_RATE {
-            tag.push_str(&format!("_sa{}", self.sa_sample_rate));
-        }
-        if let Some(rate) = self.k_occ_sample_rate {
-            if rate != default_k_occ_sample_rate(k) {
-                tag.push_str(&format!("_kocc{rate}"));
-            }
-        }
-        if self.superblock_rate != DEFAULT_SUPERBLOCK_RATE {
-            tag.push_str(&format!("_sb{}", self.superblock_rate));
-        }
-    }
-}
-
 /// A fluent recipe for any executor in the workspace.
 ///
 /// Setters record; validation happens when the recipe is *used* —
@@ -289,7 +154,7 @@ impl IndexLayout {
 ///
 /// let genome = Genome::synthesize(&GenomeProfile::toy(), 42);
 /// let builder = EngineBuilder::new().k(4).threads(2);
-/// assert_eq!(builder.descriptor(), "lockstep_k4_locality_t2");
+/// assert_eq!(builder.descriptor(), "lockstep_k4_t2");
 ///
 /// let index = builder.build_index(&genome.text_with_sentinel()).unwrap();
 /// let engine = builder.attach(&index).unwrap();
@@ -302,21 +167,17 @@ impl IndexLayout {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineBuilder {
     k: usize,
-    layout: IndexLayout,
-    batch: BatchConfig,
     sequential: bool,
     threads: usize,
     bidirectional: bool,
 }
 
 impl Default for EngineBuilder {
-    /// The headline engine: k = 4 lockstep with the full locality
-    /// schedule on one thread and the default [`IndexLayout`].
+    /// The headline engine: k = 4 lockstep on one thread, over a
+    /// forward-only index of the default layout.
     fn default() -> EngineBuilder {
         EngineBuilder {
             k: 4,
-            layout: IndexLayout::default(),
-            batch: BatchConfig::locality(),
             sequential: false,
             threads: 1,
             bidirectional: false,
@@ -335,27 +196,6 @@ impl EngineBuilder {
     /// recipe is used).
     pub fn k(mut self, k: usize) -> EngineBuilder {
         self.k = k;
-        self
-    }
-
-    /// Sets the memory layout — the sampling rates and superblock
-    /// spacing ride an [`IndexLayout`], nothing else sets them.
-    pub fn layout(mut self, layout: IndexLayout) -> EngineBuilder {
-        self.layout = layout;
-        self
-    }
-
-    /// The lockstep search schedule (its [`ResolveConfig`] rides along;
-    /// override it afterwards with [`EngineBuilder::resolve`]).
-    pub fn schedule(mut self, batch: BatchConfig) -> EngineBuilder {
-        self.batch = batch;
-        self
-    }
-
-    /// The locate resolver's round schedule, independent of the search
-    /// schedule — how resolver scheduling is isolated from search.
-    pub fn resolve(mut self, resolve: ResolveConfig) -> EngineBuilder {
-        self.batch.resolve = resolve;
         self
     }
 
@@ -400,7 +240,6 @@ impl EngineBuilder {
         if !(1..=exma_index::MAX_STEP).contains(&self.k) {
             return Err(EngineError::InvalidK { k: self.k });
         }
-        self.layout.validate()?;
         if self.threads == 0 {
             return Err(EngineError::ZeroThreads);
         }
@@ -412,20 +251,21 @@ impl EngineBuilder {
         Ok(())
     }
 
-    /// The index-construction knobs this recipe implies.
+    /// The index-construction knobs this recipe implies: the default
+    /// layout at this `k` ([`KStepBuildConfig::for_k`]), marked
+    /// bidirectional if the recipe is.
     pub fn build_config(&self) -> Result<KStepBuildConfig, EngineError> {
         self.validate()?;
         Ok(KStepBuildConfig {
             bidirectional: self.bidirectional,
-            ..self.layout.build_config(self.k)
+            ..KStepBuildConfig::for_k(self.k)
         })
     }
 
     /// Builds the index this recipe queries — over the text as given,
     /// or over the doubled text when the recipe is
-    /// [`EngineBuilder::bidirectional`]. Layout failures the index
-    /// layer decides — a superblock span too wide, `u32` overflow —
-    /// surface as [`EngineError::Index`].
+    /// [`EngineBuilder::bidirectional`]. A text too large for `u32`
+    /// counters surfaces as [`EngineError::Index`].
     pub fn build_index(&self, text: &[Symbol]) -> Result<KStepFmIndex, EngineError> {
         let config = self.build_config()?;
         if self.bidirectional {
@@ -441,7 +281,9 @@ impl EngineBuilder {
     /// Persists `index` to `path` as a crash-safe, checksummed snapshot
     /// (see [`exma_index::snapshot`]), first checking that the index was
     /// built with exactly this recipe's layout — a snapshot must always
-    /// load back under the descriptor that wrote it.
+    /// load back under the descriptor that wrote it. An index of any
+    /// other layout is written with [`exma_index::write_snapshot`] and
+    /// read back with [`exma_index::load_snapshot_expecting`].
     ///
     /// # Errors
     ///
@@ -478,8 +320,12 @@ impl EngineBuilder {
     }
 
     /// Wires an executor onto `index` — sequential, serial lockstep, or
-    /// sharded, per this recipe. Many recipes (schedules, thread
-    /// counts) can attach to one index; `k` and strandedness must match
+    /// sharded, per this recipe. Many recipes (sequential or not, any
+    /// thread count) can attach to one index, whatever layout it was
+    /// built with — an index from
+    /// [`KStepFmIndex::from_text_with_config`] or
+    /// [`exma_index::load_snapshot_expecting`] attaches like one from
+    /// [`EngineBuilder::build_index`]; `k` and strandedness must match
     /// ([`EngineError::StepWidthMismatch`] and
     /// [`EngineError::StrandednessMismatch`] otherwise).
     pub fn attach<'a>(
@@ -502,9 +348,9 @@ impl EngineBuilder {
         Ok(if self.sequential {
             Box::new(index)
         } else if self.threads == 1 {
-            Box::new(BatchEngine::with_config(index, self.batch))
+            Box::new(BatchEngine::new(index))
         } else {
-            Box::new(ShardedEngine::with_config(index, self.threads, self.batch))
+            Box::new(ShardedEngine::new(index, self.threads))
         })
     }
 
@@ -524,64 +370,23 @@ impl EngineBuilder {
     }
 
     /// The canonical descriptor of this recipe, derived field by field:
-    /// `seq_k{k}` or `lockstep_k{k}_{schedule}`, then `_t{n}` for
-    /// multi-threaded recipes and the layout's fragments —
-    /// `_occ{r}`/`_sa{r}`/`_kocc{r}` for non-default sampling rates and
-    /// `_sb{r}` for a non-default superblock spacing — then `_bidir`
-    /// for a both-strand recipe. Named schedule presets print as
-    /// `plain`/`locality`; a resolver override appends
-    /// `_r{resolve}`. Equal recipes derive equal descriptors.
+    /// `seq_k{k}` or `lockstep_k{k}`, then `_t{n}` for multi-threaded
+    /// recipes, then `_bidir` for a both-strand recipe. Equal recipes
+    /// derive equal descriptors.
     pub fn descriptor(&self) -> String {
         let mut tag = if self.sequential {
             format!("seq_k{}", self.k)
         } else {
-            format!("lockstep_k{}_{}", self.k, schedule_tag(&self.batch))
+            format!("lockstep_k{}", self.k)
         };
         if self.threads > 1 {
             tag.push_str(&format!("_t{}", self.threads));
         }
-        self.layout.descriptor_fragments(self.k, &mut tag);
         if self.bidirectional {
             tag.push_str("_bidir");
         }
         tag
     }
-}
-
-/// The schedule fragment of a descriptor: a preset name when the whole
-/// [`BatchConfig`] matches one, otherwise the search fragment plus an
-/// `_r{...}` resolver fragment.
-fn schedule_tag(batch: &BatchConfig) -> String {
-    for (preset, name) in [
-        (BatchConfig::default(), "plain"),
-        (BatchConfig::locality(), "locality"),
-    ] {
-        if *batch == preset {
-            return name.to_string();
-        }
-        // Same search half, different resolver: preset name + override.
-        if batch.prefetch_distance == preset.prefetch_distance {
-            return format!("{name}_r{}", resolve_tag(&batch.resolve));
-        }
-    }
-    format!(
-        "pf{}_r{}",
-        batch.prefetch_distance,
-        resolve_tag(&batch.resolve)
-    )
-}
-
-/// The resolver fragment: preset name or explicit look-ahead.
-fn resolve_tag(resolve: &ResolveConfig) -> String {
-    for (preset, name) in [
-        (ResolveConfig::default(), "plain"),
-        (ResolveConfig::locality(), "locality"),
-    ] {
-        if *resolve == preset {
-            return name.to_string();
-        }
-    }
-    format!("pf{}", resolve.prefetch_distance)
 }
 
 #[cfg(test)]
@@ -596,83 +401,43 @@ mod tests {
 
     #[test]
     fn descriptors_derive_from_every_field() {
-        assert_eq!(EngineBuilder::new().descriptor(), "lockstep_k4_locality");
+        assert_eq!(EngineBuilder::new().descriptor(), "lockstep_k4");
         assert_eq!(
             EngineBuilder::new().k(1).sequential().descriptor(),
             "seq_k1"
         );
-        assert_eq!(
-            EngineBuilder::new()
-                .k(2)
-                .schedule(BatchConfig::default())
-                .descriptor(),
-            "lockstep_k2_plain"
-        );
+        assert_eq!(EngineBuilder::new().k(2).descriptor(), "lockstep_k2");
         assert_eq!(
             EngineBuilder::new().threads(8).descriptor(),
-            "lockstep_k4_locality_t8"
+            "lockstep_k4_t8"
         );
         assert_eq!(
             EngineBuilder::new()
-                .resolve(ResolveConfig::default())
+                .threads(2)
+                .bidirectional(true)
                 .descriptor(),
-            "lockstep_k4_locality_rplain"
-        );
-        let with = |layout: IndexLayout| EngineBuilder::new().layout(layout).descriptor();
-        // The rates the default had before it moved to 54 / 11 are
-        // ordinary non-default fragments now.
-        assert_eq!(
-            with(IndexLayout::new().sa_sample_rate(32)),
-            "lockstep_k4_locality_sa32"
-        );
-        assert_eq!(
-            with(IndexLayout::new().k_occ_sample_rate(128)),
-            "lockstep_k4_locality_kocc128"
-        );
-        // The k-dependent kocc default derives no fragment.
-        assert_eq!(
-            with(IndexLayout::new().k_occ_sample_rate(384)),
-            "lockstep_k4_locality"
-        );
-        assert_eq!(
-            with(IndexLayout::new().occ_sample_rate(44).superblock_rate(64)),
-            "lockstep_k4_locality_occ44_sb64"
-        );
-        assert_eq!(
-            with(IndexLayout::new().occ_sample_rate(54).sa_sample_rate(11)),
-            "lockstep_k4_locality"
+            "lockstep_k4_t2_bidir"
         );
         assert_eq!(
             EngineBuilder::new()
-                .schedule(BatchConfig {
-                    prefetch_distance: 3,
-                    resolve: ResolveConfig {
-                        prefetch_distance: 2,
-                    },
-                })
+                .sequential()
+                .bidirectional(true)
                 .descriptor(),
-            "lockstep_k4_pf3_rpf2"
+            "seq_k4_bidir"
         );
     }
 
     #[test]
     fn layout_failures_surface_as_engine_errors() {
-        assert_eq!(
-            IndexLayout::new().superblock_rate(0).validate().err(),
-            Some(EngineError::ZeroSampleRate { knob: "superblock" })
-        );
         // A superblock span one row wider than a u16 delta provably
-        // counts (4096 x 16 = 65 536) comes back from the k-table as a
-        // typed build error, not a panic — whatever the text.
-        let text = text_from_str("CATAGA").unwrap();
-        let err = EngineBuilder::new()
-            .layout(
-                IndexLayout::new()
-                    .k_occ_sample_rate(4096)
-                    .superblock_rate(16),
-            )
-            .build_index(&text)
-            .expect_err("a 65 536-row span must be refused");
+        // counts (4096 x 16 = 65 536) is a typed build error of the
+        // index layer (held there by the `kocc` and `occ` tests), which
+        // converts into an engine error that renders and exposes it.
+        let err = EngineError::from(IndexError::SuperblockSpanTooWide {
+            sample_rate: 4096,
+            superblock_rate: 16,
+            max_span: 65_535,
+        });
         assert_eq!(
             err,
             EngineError::Index(IndexError::SuperblockSpanTooWide {
@@ -696,15 +461,19 @@ mod tests {
         // drives the first superblock's deltas as high as they go at this
         // spacing (14 x 4369 = 61 166) and crosses into the second.
         let text = text_from_str(&"A".repeat(70_000)).unwrap();
-        let index = EngineBuilder::new()
+        let config = KStepBuildConfig {
+            k_occ_sample_rate: 4369,
+            superblock_rate: 15,
+            ..KStepBuildConfig::for_k(1)
+        };
+        let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
+        // The default recipe at k = 1 attaches to it as to its own.
+        let (results, _) = EngineBuilder::new()
             .k(1)
-            .layout(
-                IndexLayout::new()
-                    .k_occ_sample_rate(4369)
-                    .superblock_rate(15),
-            )
-            .build_index(&text)
-            .unwrap();
+            .attach(&index)
+            .unwrap()
+            .run(&QueryBatch::new().count(parse_bases("AAAA").unwrap()));
+        assert_eq!(results.count(0), 70_000 - 3);
         let kocc = index.kmer_occ();
         assert_eq!(kocc.sample_rate() * kocc.superblock_rate(), 65_535);
         let codes: Vec<u16> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
@@ -743,24 +512,23 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        for (layout, occ_rate, sa_rate, kocc_rate, sb_rate) in [
-            (IndexLayout::default(), 54, 11, 384, 16),
+        let memory_first = KStepBuildConfig {
+            sa_sample_rate: 32,
+            k_occ_sample_rate: 640,
+            superblock_rate: 32,
+            ..KStepBuildConfig::for_k(4)
+        };
+        for (config, occ_rate, sa_rate, kocc_rate, sb_rate) in [
             (
-                IndexLayout::new()
-                    .occ_sample_rate(54)
-                    .sa_sample_rate(32)
-                    .k_occ_sample_rate(640)
-                    .superblock_rate(32),
+                EngineBuilder::new().build_config().unwrap(),
                 54,
-                32,
-                640,
-                32,
+                11,
+                384,
+                16,
             ),
+            (memory_first, 54, 32, 640, 32),
         ] {
-            let index = EngineBuilder::new()
-                .layout(layout)
-                .build_index(&text)
-                .unwrap();
+            let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
             let kocc_blocks = n / kocc_rate + 1;
             let occ_blocks = n / occ_rate + 1;
             let expected = HeapBreakdown {
@@ -782,7 +550,11 @@ mod tests {
                     + line_round((n.div_ceil(32) + 1) * 8)
                     + line_round(4 * ((1 << (2 * 6)) + 1)),
             };
-            assert_eq!(index.heap_breakdown(), expected, "{layout:?}");
+            let heap = EngineBuilder::new()
+                .attach(&index)
+                .unwrap()
+                .heap_breakdown();
+            assert_eq!(heap, expected, "{config:?}");
         }
     }
 
@@ -791,15 +563,6 @@ mod tests {
         let config = EngineBuilder::new().k(2).build_config().unwrap();
         assert_eq!(config.k, 2);
         assert_eq!(config.k_occ_sample_rate, 192);
-        assert_eq!(
-            EngineBuilder::new()
-                .k(2)
-                .layout(IndexLayout::new().k_occ_sample_rate(999))
-                .build_config()
-                .unwrap()
-                .k_occ_sample_rate,
-            999
-        );
     }
 
     #[test]
@@ -820,12 +583,7 @@ mod tests {
         for k in [1usize, 2, 4] {
             let builder = EngineBuilder::new().k(k);
             let index = builder.build_index(&text).unwrap();
-            for flavor in [
-                builder.sequential(),
-                builder,
-                builder.schedule(BatchConfig::default()),
-                builder.threads(3),
-            ] {
+            for flavor in [builder.sequential(), builder, builder.threads(3)] {
                 let exec = flavor.attach(&index).unwrap();
                 assert_eq!(exec.run(&batch).0, expected, "{}", flavor.descriptor());
             }
@@ -852,20 +610,6 @@ mod tests {
         assert_eq!(
             EngineBuilder::new().k(99).build_config().err(),
             Some(EngineError::InvalidK { k: 99 })
-        );
-        assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::new().sa_sample_rate(0))
-                .build_config()
-                .err(),
-            Some(EngineError::ZeroSampleRate { knob: "sa" })
-        );
-        assert_eq!(
-            EngineBuilder::new()
-                .layout(IndexLayout::new().k_occ_sample_rate(0))
-                .build_index(&text)
-                .err(),
-            Some(EngineError::ZeroSampleRate { knob: "k_occ" })
         );
         assert_eq!(
             EngineBuilder::new().k(2).threads(0).attach(&index).err(),

@@ -11,17 +11,19 @@
 //! query's positions are checked against the text, and counts and
 //! intervals are read straight off the search result. The sequential
 //! index types implement the same trait query-by-query and uncut, which
-//! is what makes them drop-in oracles and baselines for the benchmark
-//! harness's uniform enumeration.
+//! is what makes them drop-in oracles: the property suites, the
+//! benchmark and `exma-loadgen` verify the lockstep engines against them.
 //!
-//! Construct executors through [`crate::EngineBuilder`] — it is the one
-//! place index parameters, schedules and thread counts combine.
+//! Construct executors through [`crate::EngineBuilder`] — it picks the
+//! sequential, serial lockstep or sharded executor from its recipe.
 
 use std::ops::Range;
 
 use exma_genome::Base;
 use exma_index::bidir::{forward_len, map_hits_in_place};
-use exma_index::{resolve_capped_with_arena, FmIndex, HeapBreakdown, KStepFmIndex, UNCAPPED};
+use exma_index::{
+    resolve_capped_with_arena, FmIndex, HeapBreakdown, KStepFmIndex, ResolveConfig, UNCAPPED,
+};
 
 use crate::batch::{BatchEngine, BatchStats};
 use crate::query::{QueryArena, QueryBatch, QueryOutput, QueryRequest, QueryResults};
@@ -200,7 +202,7 @@ impl BatchEngine<'_> {
         results.reset(requests.len());
         let resolved = resolve_capped_with_arena(
             self.index().base_index(),
-            self.config().resolve,
+            ResolveConfig::locality(),
             locate_intervals,
             caps,
             results.flat_mut(),
@@ -332,7 +334,7 @@ impl Executor for ShardedEngine<'_> {
     /// what the serial engine costs (PR 4 measured the spawn tax at
     /// ~1-2% on the single-core bench box).
     fn run_into(&self, batch: &QueryBatch, arena: &mut QueryArena) -> BatchStats {
-        let engine = BatchEngine::with_config(self.index(), self.config());
+        let engine = BatchEngine::new(self.index());
         if self.threads() == 1 || batch.len() <= 1 {
             return engine.run_into(batch, arena);
         }
@@ -372,7 +374,6 @@ impl Executor for ShardedEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchConfig;
     use exma_genome::alphabet::parse_bases;
     use exma_genome::genome::text_from_str;
 
@@ -411,7 +412,6 @@ mod tests {
         let executors: Vec<Box<dyn Executor + '_>> = vec![
             Box::new(&index),
             Box::new(BatchEngine::new(&index)),
-            Box::new(BatchEngine::with_config(&index, BatchConfig::locality())),
             Box::new(ShardedEngine::new(&index, 1)),
             Box::new(ShardedEngine::new(&index, 3)),
         ];
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn arena_reuse_returns_identical_results() {
         let (index, batch) = fig3_batch();
-        let engine = BatchEngine::with_config(&index, BatchConfig::locality());
+        let engine = BatchEngine::new(&index);
         let mut arena = QueryArena::new();
         engine.run_into(&batch, &mut arena);
         let first = arena.results().clone();

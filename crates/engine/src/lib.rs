@@ -15,9 +15,9 @@
 //! [`QueryRequest::Interval`] queries, and an [`Executor`] answers the
 //! whole batch in one run with pooled [`QueryResults`]. The lockstep
 //! implementations share one pipeline regardless of the mix: every
-//! query's backward search advances through the same round-loop —
-//! optionally software-prefetched ([`BatchConfig`]) — until it is
-//! finished or its interval is down to a row or two, and then every
+//! query's backward search advances through the same software-prefetched
+//! round-loop until it is finished or its interval is down to a row or
+//! two, and then every
 //! locate query's interval rows, and the rows of every search that
 //! stopped early, feed one shared lockstep resolver worklist
 //! ([`exma_index::BatchResolver`]'s machinery) that retires positions
@@ -27,9 +27,10 @@
 //! module docs say why the answer is the same). [`ShardedEngine`] splits a batch across scoped threads
 //! (short-circuiting to the serial path at one thread), and a reusable
 //! [`QueryArena`] makes steady-state submissions allocation-free.
-//! [`EngineBuilder`] is the one place index parameters, schedules, and
-//! thread counts combine into an executor — each combination deriving a
-//! canonical descriptor string that names it.
+//! [`EngineBuilder`] turns a recipe of four values — `k`, the thread
+//! count, sequential or lockstep, one strand or both — into an executor,
+//! each recipe deriving a canonical descriptor string that names it;
+//! the lockstep engines have one schedule, so no recipe picks one.
 //!
 //! ```
 //! use exma_engine::{EngineBuilder, Executor, QueryBatch, QueryOutput};
@@ -64,8 +65,8 @@ pub mod exec;
 pub mod query;
 pub mod shard;
 
-pub use batch::{BatchConfig, BatchEngine, BatchStats, DEFAULT_PREFETCH_DISTANCE};
-pub use builder::{EngineBuilder, EngineError, IndexLayout};
+pub use batch::{BatchEngine, BatchStats};
+pub use builder::{EngineBuilder, EngineError};
 pub use exec::Executor;
 // The index-layer types the engine surface returns, so engine users need
 // not depend on `exma_index` directly.

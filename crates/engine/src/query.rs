@@ -42,8 +42,8 @@ pub enum QueryRequest {
     /// deterministic selection rule). The rule is defined over LF-walk
     /// lengths, so *which* `h` of more than `h` occurrences come back is
     /// a function of the index's suffix-array sampling rate
-    /// ([`crate::IndexLayout::sa_sample_rate`]) — and of nothing else:
-    /// not the occurrence spacings, `k`, the schedule or the thread
+    /// ([`exma_index::KStepBuildConfig::sa_sample_rate`]) — and of
+    /// nothing else: not the occurrence spacings, `k` or the thread
     /// count. Every returned position is a true occurrence at any rate,
     /// and answers that fit their cap are the same at every rate.
     Locate {
@@ -60,7 +60,7 @@ pub enum QueryRequest {
     /// Palindromic patterns report each site once, tagged forward (see
     /// [`exma_index::bidir`] for the dedup rule). The cap keeps the
     /// `max_hits` *smallest* `(position, strand)` hits after mapping —
-    /// deterministic across schedules and thread counts, unlike the
+    /// deterministic across executors and thread counts, unlike the
     /// resolver-order cap of [`QueryRequest::Locate`].
     ///
     /// On a forward-only index the mapping arithmetic still runs but

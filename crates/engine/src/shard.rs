@@ -15,14 +15,12 @@
 
 use exma_index::KStepFmIndex;
 
-use crate::batch::BatchConfig;
-
 /// A sharded, multi-threaded batch engine over a [`KStepFmIndex`].
 ///
-/// Each of `threads` workers runs a [`crate::BatchEngine`] (with this
-/// engine's [`BatchConfig`]) on one contiguous shard of the batch. Answers are
-/// identical to single-threaded execution for any thread count — shard
-/// boundaries only move work between workers, never change it — and are
+/// Each of `threads` workers runs a [`crate::BatchEngine`] on one
+/// contiguous shard of the batch. Answers are identical to
+/// single-threaded execution for any thread count — shard boundaries
+/// only move work between workers, never change it — and are
 /// property-tested to be.
 ///
 /// Run it through the [`crate::Executor`] trait with a
@@ -31,36 +29,17 @@ use crate::batch::BatchConfig;
 pub struct ShardedEngine<'a> {
     index: &'a KStepFmIndex,
     threads: usize,
-    config: BatchConfig,
 }
 
 impl<'a> ShardedEngine<'a> {
-    /// An engine borrowing `index`, sharding across `threads` workers with
-    /// the full locality schedule ([`BatchConfig::locality`]) per shard.
+    /// An engine borrowing `index`, sharding across `threads` workers.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn new(index: &'a KStepFmIndex, threads: usize) -> ShardedEngine<'a> {
-        ShardedEngine::with_config(index, threads, BatchConfig::locality())
-    }
-
-    /// An engine with an explicit per-shard round schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_config(
-        index: &'a KStepFmIndex,
-        threads: usize,
-        config: BatchConfig,
-    ) -> ShardedEngine<'a> {
         assert!(threads > 0, "thread count must be positive");
-        ShardedEngine {
-            index,
-            threads,
-            config,
-        }
+        ShardedEngine { index, threads }
     }
 
     /// The index this engine queries.
@@ -71,11 +50,6 @@ impl<'a> ShardedEngine<'a> {
     /// Number of worker threads a batch is sharded across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The per-shard round schedule.
-    pub fn config(&self) -> BatchConfig {
-        self.config
     }
 }
 
@@ -105,8 +79,7 @@ mod tests {
     #[test]
     fn any_thread_count_matches_the_batch_engine() {
         let (index, batch) = fig3_batch();
-        let (expected, expected_stats) =
-            BatchEngine::with_config(&index, BatchConfig::locality()).run(&batch);
+        let (expected, expected_stats) = BatchEngine::new(&index).run(&batch);
         for threads in [1usize, 2, 3, 6, 9] {
             let (results, stats) = ShardedEngine::new(&index, threads).run(&batch);
             assert_eq!(results, expected, "{threads} threads");
@@ -129,7 +102,7 @@ mod tests {
         // the short-circuit is observable through the arena: the serial
         // path pools into the caller's arena with no append pass).
         let (index, batch) = fig3_batch();
-        let serial = BatchEngine::with_config(&index, BatchConfig::locality());
+        let serial = BatchEngine::new(&index);
         let sharded = ShardedEngine::new(&index, 1);
         let mut arena = crate::query::QueryArena::new();
         let stats = sharded.run_into(&batch, &mut arena);

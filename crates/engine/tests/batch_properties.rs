@@ -1,17 +1,15 @@
 //! Acceptance property of the batch engine: lockstep execution with
-//! dead-query dropping must be invisible in the answers, and so must every
-//! scheduling refinement layered on top — interval sorting, software
-//! prefetch, and multi-threaded sharding. For k ∈ {1, 2, 4} the batched
-//! count/interval results over hundreds of random patterns — tails with
-//! `len % k != 0`, empty patterns, absent patterns — must equal the
-//! sequential 1-step `FmIndex` and the naive oracle, for every schedule
-//! and any thread count, all through the unified `Executor` surface.
+//! dead-query dropping must be invisible in the answers, and so must what
+//! is layered on top — software prefetch and multi-threaded sharding.
+//! For k ∈ {1, 2, 4} the batched count/interval results over hundreds of
+//! random patterns — tails with `len % k != 0`, empty patterns, absent
+//! patterns — must equal the sequential 1-step `FmIndex` and the naive
+//! oracle at any thread count, all through the unified `Executor`
+//! surface.
 
-use exma_engine::{
-    BatchConfig, BatchEngine, EngineBuilder, Executor, QueryBatch, QueryRequest, ShardedEngine,
-};
+use exma_engine::{BatchEngine, EngineBuilder, Executor, QueryBatch, QueryRequest, ShardedEngine};
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_index::{naive, FmIndex, KStepFmIndex, ResolveConfig};
+use exma_index::{naive, FmIndex, KStepFmIndex};
 
 fn toy_genome() -> Genome {
     Genome::synthesize(&GenomeProfile::toy(), 42)
@@ -71,36 +69,6 @@ fn batch_agrees_with_one_step_on_600_patterns() {
 }
 
 #[test]
-fn prefetching_schedules_agree_with_one_step_on_600_patterns() {
-    let genome = toy_genome();
-    let one = FmIndex::from_genome(&genome);
-    let patterns = pattern_mix(&genome, 600, 61);
-    let batch = QueryBatch::uniform(QueryRequest::Interval, &patterns);
-    let expected: Vec<_> = patterns.iter().map(|p| one.backward_search(p)).collect();
-
-    for k in [1usize, 2, 4] {
-        let index = KStepFmIndex::from_genome(&genome, k);
-        for config in [
-            BatchConfig::locality(),
-            BatchConfig {
-                prefetch_distance: 1,
-                resolve: ResolveConfig::default(),
-            },
-        ] {
-            let engine = BatchEngine::with_config(&index, config);
-            let (results, _) = engine.run(&batch);
-            for (i, expect) in expected.iter().enumerate() {
-                assert_eq!(
-                    results.interval(i),
-                    Some(expect.clone()),
-                    "k={k} {config:?} #{i}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn sharded_engine_agrees_with_one_step_on_600_patterns() {
     let genome = toy_genome();
     let one = FmIndex::from_genome(&genome);
@@ -140,21 +108,6 @@ fn thread_count_never_changes_answers() {
         let engine = builder.threads(threads).attach(&index).unwrap();
         let (results, _) = engine.run(&batch);
         assert_eq!(results, expected, "{threads} threads");
-    }
-}
-
-#[test]
-fn prefetching_schedule_issues_the_same_steps() {
-    // Prefetching moves a round's memory traffic earlier; it must never
-    // add refinements.
-    let genome = toy_genome();
-    let patterns = pattern_mix(&genome, 600, 73);
-    let batch = QueryBatch::uniform(QueryRequest::Count, &patterns);
-    for k in [2usize, 4] {
-        let index = KStepFmIndex::from_genome(&genome, k);
-        let (_, plain) = BatchEngine::new(&index).run(&batch);
-        let (_, locality) = BatchEngine::with_config(&index, BatchConfig::locality()).run(&batch);
-        assert_eq!(locality.steps, plain.steps, "k={k}");
     }
 }
 

@@ -1,9 +1,9 @@
 //! Acceptance properties of strand-agnostic search: a mixed batch with
 //! `SearchBoth` requests interleaved among the plain operations must
 //! come back oracle-identical from **every** executor flavor — the
-//! sequential baselines, the lockstep `BatchEngine` at every schedule,
-//! and the `ShardedEngine` at any thread count, for k ∈ {1, 2, 4} over
-//! a bidirectional index under the default layout, and at k = 4 under a
+//! sequential baselines, the lockstep `BatchEngine`, and the
+//! `ShardedEngine` at any thread count, for k ∈ {1, 2, 4} over a
+//! bidirectional index under the default layout, and at k = 4 under a
 //! memory-first one. The oracle itself is checked pattern by
 //! pattern against the brute-force both-strand scan
 //! (`naive::occurrences_both`), including the palindrome dedup rule and
@@ -11,12 +11,12 @@
 //! `(position, strand)` hits — deterministic however the raw interval
 //! was resolved).
 
-use exma_engine::{BatchConfig, EngineBuilder, IndexLayout, QueryBatch, QueryOutput, QueryRequest};
+use exma_engine::{EngineBuilder, QueryBatch, QueryOutput, QueryRequest};
 use exma_genome::{
     Base, ErrorProfile, Genome, GenomeProfile, LongReadSimulator, SeededRng, ShortReadSimulator,
 };
 use exma_index::bidir::{decode_hit, Strand};
-use exma_index::{naive, ResolveConfig};
+use exma_index::{doubled_text, naive, KStepBuildConfig, KStepFmIndex};
 
 fn toy_genome() -> Genome {
     Genome::synthesize(&GenomeProfile::toy(), 42)
@@ -72,36 +72,31 @@ fn mixed_both_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
 
 /// Every executor flavor under test for a given recipe.
 fn executors(base: EngineBuilder) -> Vec<EngineBuilder> {
-    vec![
-        base.sequential(),
-        base.schedule(BatchConfig::default()),
-        base.resolve(ResolveConfig {
-            prefetch_distance: 3,
-        }),
-        base, // locality
-        base.resolve(ResolveConfig::default()),
-        base.threads(2),
-        base.threads(7),
-    ]
+    vec![base.sequential(), base, base.threads(2), base.threads(7)]
 }
 
 #[test]
 fn search_both_is_executor_invariant_and_oracle_identical() {
     let genome = toy_genome();
+    let text = genome.text_with_sentinel();
     let batch = mixed_both_batch(&genome, 500, 131);
-    let memory_first = IndexLayout::new()
-        .occ_sample_rate(54)
-        .sa_sample_rate(32)
-        .k_occ_sample_rate(640)
-        .superblock_rate(32);
-    for (k, layout) in [
-        (1usize, IndexLayout::new()),
-        (2, IndexLayout::new()),
-        (4, IndexLayout::new()),
-        (4, memory_first),
-    ] {
-        let builder = EngineBuilder::new().k(k).layout(layout).bidirectional(true);
-        let index = builder.build_index(&genome.text_with_sentinel()).unwrap();
+    for (k, memory_first) in [(1usize, false), (2, false), (4, false), (4, true)] {
+        let builder = EngineBuilder::new().k(k).bidirectional(true);
+        let index = if memory_first {
+            // Coarser k-occ checkpoints under wider superblocks and
+            // sparser SA samples, built where layouts are defined.
+            let config = KStepBuildConfig {
+                sa_sample_rate: 32,
+                k_occ_sample_rate: 640,
+                superblock_rate: 32,
+                bidirectional: true,
+                ..KStepBuildConfig::for_k(k)
+            };
+            KStepFmIndex::from_text_with_config(&doubled_text(&text), config).unwrap()
+        } else {
+            builder.build_index(&text).unwrap()
+        };
+        let layout = index.build_config();
         let (expected, _) = builder.sequential().attach(&index).unwrap().run(&batch);
 
         // The sequential oracle honors the both-strand contract against
@@ -128,7 +123,7 @@ fn search_both_is_executor_invariant_and_oracle_identical() {
 
         for builder in executors(builder) {
             let (results, _) = builder.attach(&index).unwrap().run(&batch);
-            assert_eq!(results, expected, "k={k}, {}", builder.descriptor());
+            assert_eq!(results, expected, "{layout:?}, {}", builder.descriptor());
         }
     }
 }

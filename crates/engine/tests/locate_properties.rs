@@ -1,22 +1,24 @@
 //! Acceptance property of the batched locate pipeline: converting serial
-//! per-row LF-walks into lockstep resolver rounds — with or without
-//! software prefetch or thread sharding — must be invisible in the
-//! answers. For k ∈ {1, 2, 4} and every resolve schedule, a
-//! `QueryBatch` of locates over hundreds of random patterns (tails with
-//! `len % k != 0`, empty patterns, absent patterns, and high-occurrence
-//! short repeats) must equal the sequential 1-step `FmIndex::locate`,
-//! the naive text scan, and the per-row `resolve_range_into` path —
-//! ordering included, per the sorted-ascending contract. Capped locates
-//! get the one dependence they are allowed written down: which positions
-//! survive a cap is a function of the SA sampling rate and of nothing
-//! else a recipe or a schedule can set.
+//! per-row LF-walks into prefetched lockstep resolver rounds — on one
+//! thread or sharded — must be invisible in the answers. For
+//! k ∈ {1, 2, 4}, a `QueryBatch` of locates over hundreds of random
+//! patterns (tails with `len % k != 0`, empty patterns, absent patterns,
+//! and high-occurrence short repeats) must equal the sequential 1-step
+//! `FmIndex::locate`, the naive text scan, and the per-row
+//! `resolve_range_into` path — ordering included, per the
+//! sorted-ascending contract. Capped locates get the one dependence they
+//! are allowed written down: which positions survive a cap is a function
+//! of the SA sampling rate and of nothing else a layout or a recipe can
+//! set. (That the resolver's prefetch hints change no answer and no
+//! counter is held where they are defined, by the index crate's
+//! `resolve` tests.)
 
 use exma_engine::{
-    BatchConfig, BatchEngine, EngineBuilder, Executor, IndexLayout, QueryBatch, QueryOutput,
-    QueryRequest, QueryResults, ShardedEngine,
+    BatchEngine, EngineBuilder, Executor, QueryBatch, QueryOutput, QueryRequest, QueryResults,
+    ShardedEngine,
 };
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_index::{naive, FmIndex, KStepFmIndex, ResolveConfig};
+use exma_index::{naive, FmIndex, KStepBuildConfig, KStepFmIndex};
 
 fn toy_genome() -> Genome {
     Genome::synthesize(&GenomeProfile::toy(), 42)
@@ -51,28 +53,6 @@ fn locate_pattern_mix(genome: &Genome, total: usize, seed: u64) -> Vec<Vec<Base>
         .collect()
 }
 
-/// Every resolver schedule the benchmarks exercise, layered on the full
-/// locality search schedule.
-fn resolve_configs() -> [ResolveConfig; 3] {
-    [
-        ResolveConfig::default(),
-        ResolveConfig::locality(),
-        ResolveConfig {
-            prefetch_distance: 1,
-        },
-    ]
-}
-
-fn engine_with_resolve(index: &KStepFmIndex, resolve: ResolveConfig) -> BatchEngine<'_> {
-    BatchEngine::with_config(
-        index,
-        BatchConfig {
-            resolve,
-            ..BatchConfig::locality()
-        },
-    )
-}
-
 #[test]
 fn locate_batches_agree_with_one_step_locate_on_600_patterns() {
     let genome = toy_genome();
@@ -83,33 +63,22 @@ fn locate_batches_agree_with_one_step_locate_on_600_patterns() {
 
     for k in [1usize, 2, 4] {
         let index = KStepFmIndex::from_genome(&genome, k);
-        for config in resolve_configs() {
-            let engine = engine_with_resolve(&index, config);
-            let (results, stats) = engine.run(&batch);
-            assert_eq!(results.len(), patterns.len());
-            for (i, expect) in expected.iter().enumerate() {
-                assert_eq!(
-                    results.positions(i),
-                    &expect[..],
-                    "k={k}, {config:?}, pattern #{i}"
-                );
-            }
-            // Every interval row retired exactly one cursor, within the
-            // SA sampling rate's round bound — the rows of a cut query
-            // that the text then rejected included.
-            let total: usize = expected.iter().map(Vec::len).sum();
-            assert_eq!(
-                stats.cursors_retired,
-                total + stats.rows_rejected,
-                "k={k}, {config:?}"
-            );
-            assert_eq!(stats.cursors_dropped, 0, "k={k}, {config:?}");
-            assert!(
-                stats.resolve_rounds <= index.base_index().sampled_sa().sample_rate(),
-                "k={k}, {config:?}: {} rounds",
-                stats.resolve_rounds
-            );
+        let (results, stats) = BatchEngine::new(&index).run(&batch);
+        assert_eq!(results.len(), patterns.len());
+        for (i, expect) in expected.iter().enumerate() {
+            assert_eq!(results.positions(i), &expect[..], "k={k}, pattern #{i}");
         }
+        // Every interval row retired exactly one cursor, within the SA
+        // sampling rate's round bound — the rows of a cut query that the
+        // text then rejected included.
+        let total: usize = expected.iter().map(Vec::len).sum();
+        assert_eq!(stats.cursors_retired, total + stats.rows_rejected, "k={k}");
+        assert_eq!(stats.cursors_dropped, 0, "k={k}");
+        assert!(
+            stats.resolve_rounds <= index.base_index().sampled_sa().sample_rate(),
+            "k={k}: {} rounds",
+            stats.resolve_rounds
+        );
     }
 }
 
@@ -120,7 +89,7 @@ fn locate_batches_agree_with_naive_scan() {
     let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
     for k in [2usize, 4] {
         let index = KStepFmIndex::from_genome(&genome, k);
-        let (results, _) = engine_with_resolve(&index, ResolveConfig::locality()).run(&batch);
+        let (results, _) = BatchEngine::new(&index).run(&batch);
         for (i, pattern) in patterns.iter().enumerate() {
             assert_eq!(
                 results.positions(i),
@@ -149,15 +118,12 @@ fn locate_batches_are_ordering_identical_to_the_per_row_path() {
             out
         })
         .collect();
-    for config in resolve_configs() {
-        let engine = engine_with_resolve(&index, config);
-        let (results, _) = engine.run(&batch);
-        for (i, expect) in per_row.iter().enumerate() {
-            assert_eq!(results.positions(i), &expect[..], "{config:?}, #{i}");
-            let mut sorted = expect.clone();
-            sorted.sort_unstable();
-            assert_eq!(&sorted, expect, "per-row output not ascending at #{i}");
-        }
+    let (results, _) = BatchEngine::new(&index).run(&batch);
+    for (i, expect) in per_row.iter().enumerate() {
+        assert_eq!(results.positions(i), &expect[..], "#{i}");
+        let mut sorted = expect.clone();
+        sorted.sort_unstable();
+        assert_eq!(&sorted, expect, "per-row output not ascending at #{i}");
     }
 }
 
@@ -167,7 +133,7 @@ fn every_positions_slice_is_sorted_ascending() {
     let patterns = locate_pattern_mix(&genome, 300, 101);
     let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
     let index = KStepFmIndex::from_genome(&genome, 4);
-    let (results, _) = engine_with_resolve(&index, ResolveConfig::locality()).run(&batch);
+    let (results, _) = BatchEngine::new(&index).run(&batch);
     for i in 0..results.len() {
         assert!(
             results.positions(i).windows(2).all(|w| w[0] < w[1]),
@@ -221,25 +187,6 @@ fn sharded_locate_agrees_with_one_step() {
 }
 
 #[test]
-fn prefetching_resolver_issues_identical_work() {
-    // Prefetching moves a round's memory traffic earlier; it must never
-    // add or remove a cursor walk — the same acceptance shape the search
-    // scheduler has.
-    let genome = toy_genome();
-    let patterns = locate_pattern_mix(&genome, 600, 109);
-    let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);
-    let index = KStepFmIndex::from_genome(&genome, 4);
-    let stats_of = |resolve: ResolveConfig| engine_with_resolve(&index, resolve).run(&batch).1;
-    let plain = stats_of(ResolveConfig::default());
-    for config in &resolve_configs()[1..] {
-        let stats = stats_of(*config);
-        assert_eq!(stats.resolve_lf_steps, plain.resolve_lf_steps, "{config:?}");
-        assert_eq!(stats.resolve_rounds, plain.resolve_rounds, "{config:?}");
-        assert_eq!(stats.cursors_retired, plain.cursors_retired, "{config:?}");
-    }
-}
-
-#[test]
 fn capped_answers_depend_on_the_sa_rate_and_on_nothing_else() {
     // Two 60-base families over 70 % of 12 kbp: a 12-mer from a copy
     // occurs some seventy times, far beyond a cap of 8, while background
@@ -279,31 +226,28 @@ fn capped_answers_depend_on_the_sa_rate_and_on_nothing_else() {
         for occ_rate in [44usize, 54] {
             for superblock_rate in [8usize, 16, 64] {
                 for k in [1usize, 2, 4] {
-                    let mut layout = IndexLayout::new()
-                        .occ_sample_rate(occ_rate)
-                        .sa_sample_rate(sa_rate)
-                        .superblock_rate(superblock_rate);
+                    let mut config = KStepBuildConfig {
+                        occ_sample_rate: occ_rate,
+                        sa_sample_rate: sa_rate,
+                        superblock_rate,
+                        ..KStepBuildConfig::for_k(k)
+                    };
                     // Half the recipes leave the k-derived k-occ spacing.
                     if occ_rate == 44 {
-                        layout = layout.k_occ_sample_rate(96);
+                        config.k_occ_sample_rate = 96;
                     }
-                    let builder = EngineBuilder::new().k(k).layout(layout);
-                    let index = builder.build_index(&text).unwrap();
+                    let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
                     for threads in [1usize, 2] {
-                        for prefetch_distance in [0usize, 3, 16] {
-                            let flavor = builder
-                                .threads(threads)
-                                .resolve(ResolveConfig { prefetch_distance });
-                            let (results, _) = flavor.attach(&index).unwrap().run(&batch);
-                            match &reference {
-                                Some(expected) => assert_eq!(
-                                    &results,
-                                    expected,
-                                    "SA rate {sa_rate}: {}",
-                                    flavor.descriptor()
-                                ),
-                                None => reference = Some(results),
-                            }
+                        let flavor = EngineBuilder::new().k(k).threads(threads);
+                        let (results, _) = flavor.attach(&index).unwrap().run(&batch);
+                        match &reference {
+                            Some(expected) => assert_eq!(
+                                &results,
+                                expected,
+                                "{config:?}, {}",
+                                flavor.descriptor()
+                            ),
+                            None => reference = Some(results),
                         }
                     }
                 }

@@ -2,18 +2,16 @@
 //! `QueryBatch` — count, (capped) locate, and interval requests
 //! interleaved with empty and no-hit patterns — must come back
 //! oracle-identical from **every** executor: the sequential `FmIndex`
-//! and `KStepFmIndex` baselines, the lockstep `BatchEngine` at every
-//! schedule, and the `ShardedEngine` at any thread count, for
-//! k ∈ {1, 2, 4}. Capped locates additionally obey the truncated-naive
-//! contract: `min(max_hits, hits)` positions, sorted ascending, every
-//! one a real occurrence, bit-identical across engines.
+//! and `KStepFmIndex` baselines, the lockstep `BatchEngine`, and the
+//! `ShardedEngine` at any thread count, for k ∈ {1, 2, 4}. Capped
+//! locates additionally obey the truncated-naive contract:
+//! `min(max_hits, hits)` positions, sorted ascending, every one a real
+//! occurrence, bit-identical across engines.
 
-use exma_engine::{
-    BatchConfig, EngineBuilder, Executor, QueryBatch, QueryOutput, QueryRequest, QueryResults,
-};
+use exma_engine::{EngineBuilder, Executor, QueryBatch, QueryOutput, QueryRequest, QueryResults};
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
 use exma_index::bidir::revcomp;
-use exma_index::{naive, FmIndex, ResolveConfig};
+use exma_index::{naive, FmIndex};
 
 fn toy_genome() -> Genome {
     Genome::synthesize(&GenomeProfile::toy(), 42)
@@ -55,17 +53,7 @@ fn mixed_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
 /// Every executor flavor under test for a given k, by descriptor.
 fn executors(k: usize) -> Vec<EngineBuilder> {
     let base = EngineBuilder::new().k(k);
-    vec![
-        base.sequential(),
-        base.schedule(BatchConfig::default()),
-        base.resolve(ResolveConfig {
-            prefetch_distance: 3,
-        }),
-        base, // locality
-        base.resolve(ResolveConfig::default()),
-        base.threads(2),
-        base.threads(7),
-    ]
+    vec![base.sequential(), base, base.threads(2), base.threads(7)]
 }
 
 #[test]
@@ -396,14 +384,9 @@ fn assert_naive(genome: &Genome, batch: &QueryBatch, results: &QueryResults, dou
     }
 }
 
-/// Plain and locality schedules on one thread and on two.
-fn lockstep_executors(base: EngineBuilder) -> [EngineBuilder; 4] {
-    [
-        base.schedule(BatchConfig::default()),
-        base,
-        base.schedule(BatchConfig::default()).threads(2),
-        base.threads(2),
-    ]
+/// The lockstep engine on one thread and sharded across two.
+fn lockstep_executors(base: EngineBuilder) -> [EngineBuilder; 2] {
+    [base, base.threads(2)]
 }
 
 /// A 300 kbp reference, half of it diverged copies of a few 400-base
@@ -451,7 +434,7 @@ fn cut_queries_answer_what_the_oracles_answer() {
                     for builder in lockstep_executors(base) {
                         let (results, stats) = builder.attach(&index).unwrap().run(&batch);
                         assert_eq!(results, expected, "{at}, {kind}, {}", builder.descriptor());
-                        // The path ran — on every schedule and sharding
+                        // The path ran — on one thread and sharded
                         // alike: the cut is a property of the index and
                         // the request.
                         let counters = (

@@ -1,22 +1,25 @@
 //! Acceptance properties of snapshot persistence at the engine surface:
-//! for the default `IndexLayout`, a memory-first one and a custom-spacing
-//! recipe, an index
-//! written with `EngineBuilder::snapshot_to` and reloaded with
-//! `attach_from_snapshot` must be *equal* to the freshly built one —
+//! for the default layout, a memory-first one and a custom-spacing
+//! recipe, an index written to a snapshot and reloaded — the default
+//! through `EngineBuilder::snapshot_to` and `attach_from_snapshot`, the
+//! others through `exma_index::write_snapshot` and
+//! `load_snapshot_expecting` — must be *equal* to the freshly built one:
 //! same build recipe, same heap attribution, and byte-identical
-//! `Executor` results on 600 random mixed queries — and a snapshot must
-//! only ever load under the recipe that wrote it, which is also how an
-//! image written under an earlier default recipe migrates: refused by
-//! name under today's default, loaded under its own explicit layout.
+//! `Executor` results on 600 random mixed queries. A snapshot must only
+//! ever load under the recipe that wrote it, which is also how an image
+//! written under an earlier default recipe migrates: refused by name
+//! under today's default builder, loaded under its own explicit
+//! `KStepBuildConfig` and attached by that builder unchanged.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use exma_engine::{
-    EngineBuilder, EngineError, IndexLayout, QueryBatch, QueryRequest, SnapshotError,
-};
+use exma_engine::{EngineBuilder, EngineError, QueryBatch, QueryRequest, SnapshotError};
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_index::{naive, FmBuildConfig, KStepBuildConfig, MAX_STEP};
+use exma_index::{
+    load_snapshot_expecting, naive, write_snapshot, FmBuildConfig, KStepBuildConfig, KStepFmIndex,
+    MAX_STEP,
+};
 
 fn toy_genome() -> Genome {
     Genome::synthesize(&GenomeProfile::toy(), 42)
@@ -36,27 +39,31 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// Coarser k-occ checkpoints under wider superblocks and sparser SA
 /// samples, every rate spelled out.
-fn memory_first() -> IndexLayout {
-    IndexLayout::new()
-        .occ_sample_rate(54)
-        .sa_sample_rate(32)
-        .k_occ_sample_rate(640)
-        .superblock_rate(32)
+fn memory_first(k: usize) -> KStepBuildConfig {
+    KStepBuildConfig {
+        occ_sample_rate: 54,
+        sa_sample_rate: 32,
+        k_occ_sample_rate: 640,
+        superblock_rate: 32,
+        ..KStepBuildConfig::for_k(k)
+    }
 }
 
-/// The layout matrix under test: the default, a memory-first layout,
-/// plus one recipe moving every spacing off both.
-fn layout_matrix() -> Vec<(&'static str, IndexLayout)> {
+/// The layout matrix under test at step width `k`: the default, a
+/// memory-first layout, plus one recipe moving every spacing off both.
+fn layout_matrix(k: usize) -> Vec<(&'static str, KStepBuildConfig)> {
     vec![
-        ("default", IndexLayout::new()),
-        ("memory_first", memory_first()),
+        ("default", KStepBuildConfig::for_k(k)),
+        ("memory_first", memory_first(k)),
         (
             "custom",
-            IndexLayout::new()
-                .occ_sample_rate(7)
-                .sa_sample_rate(8)
-                .k_occ_sample_rate(96)
-                .superblock_rate(2),
+            KStepBuildConfig {
+                occ_sample_rate: 7,
+                sa_sample_rate: 8,
+                k_occ_sample_rate: 96,
+                superblock_rate: 2,
+                ..KStepBuildConfig::for_k(k)
+            },
         ),
     ]
 }
@@ -99,13 +106,20 @@ fn round_trip_is_executor_identical_across_every_layout_and_width() {
     let text = genome.text_with_sentinel();
     let batch = mixed_batch(&genome, 600, 227);
 
-    for (name, layout) in layout_matrix() {
-        for k in [2usize, 4] {
-            let builder = EngineBuilder::new().k(k).layout(layout);
-            let fresh = builder.build_index(&text).unwrap();
+    for k in [2usize, 4] {
+        let builder = EngineBuilder::new().k(k);
+        for (name, config) in layout_matrix(k) {
+            let fresh = KStepFmIndex::from_text_with_config(&text, config).unwrap();
             let path = temp_path(name);
-            builder.snapshot_to(&fresh, &path).unwrap();
-            let loaded = builder.attach_from_snapshot(&path).unwrap();
+            // The builder persists only its own recipe; any other layout
+            // goes through the index layer, recipe-checked on load.
+            let loaded = if config == builder.build_config().unwrap() {
+                builder.snapshot_to(&fresh, &path).unwrap();
+                builder.attach_from_snapshot(&path).unwrap()
+            } else {
+                write_snapshot(&fresh, &path).unwrap();
+                load_snapshot_expecting(&path, Some(&config)).unwrap()
+            };
             let _ = std::fs::remove_file(&path);
 
             // Structural equality: recipe, tables, and allocation-exact
@@ -130,43 +144,60 @@ fn round_trip_is_executor_identical_across_every_layout_and_width() {
 #[test]
 fn a_snapshot_only_loads_under_the_recipe_that_wrote_it() {
     let text = toy_genome().text_with_sentinel();
-    let writer = EngineBuilder::new().k(4).layout(memory_first());
-    let index = writer.build_index(&text).unwrap();
+    let written = memory_first(4);
+    let index = KStepFmIndex::from_text_with_config(&text, written).unwrap();
     let path = temp_path("recipe_gate");
-    writer.snapshot_to(&index, &path).unwrap();
+    write_snapshot(&index, &path).unwrap();
 
-    // Every differently-shaped reader is rejected with the typed
-    // mismatch — wrong k, wrong layout, wrong spacing.
-    for reader in [
-        EngineBuilder::new().k(2).layout(memory_first()),
-        EngineBuilder::new().k(4),
-        EngineBuilder::new()
-            .k(4)
-            .layout(memory_first().superblock_rate(16)),
-        EngineBuilder::new()
-            .k(4)
-            .layout(memory_first().sa_sample_rate(8)),
-    ] {
+    // The default builder is rejected with the typed mismatch naming
+    // both recipes — at the image's k and at another.
+    for reader in [EngineBuilder::new().k(4), EngineBuilder::new().k(2)] {
         match reader.attach_from_snapshot(&path) {
             Err(EngineError::Snapshot(SnapshotError::LayoutMismatch { expected, found })) => {
                 assert_eq!(expected, reader.build_config().unwrap());
-                assert_eq!(found, writer.build_config().unwrap());
+                assert_eq!(found, written);
             }
             other => panic!("{}: {other:?}", reader.descriptor()),
         }
     }
+    // So is every other differently-shaped recipe — wrong k, wrong
+    // spacing, wrong SA rate.
+    for expected in [
+        memory_first(2),
+        KStepBuildConfig {
+            superblock_rate: 16,
+            ..written
+        },
+        KStepBuildConfig {
+            sa_sample_rate: 8,
+            ..written
+        },
+    ] {
+        match load_snapshot_expecting(&path, Some(&expected)) {
+            Err(SnapshotError::LayoutMismatch {
+                expected: wanted,
+                found,
+            }) => {
+                assert_eq!(wanted, expected);
+                assert_eq!(found, written);
+            }
+            other => panic!("{expected:?}: {other:?}"),
+        }
+    }
     // The writing recipe still loads.
-    assert_eq!(writer.attach_from_snapshot(&path).unwrap(), index);
+    assert_eq!(
+        load_snapshot_expecting(&path, Some(&written)).unwrap(),
+        index
+    );
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn snapshot_to_rejects_an_index_built_elsewhere() {
     let text = toy_genome().text_with_sentinel();
-    let index = EngineBuilder::new().k(2).build_index(&text).unwrap();
-    let stranger = EngineBuilder::new().k(2).layout(memory_first());
+    let index = KStepFmIndex::from_text_with_config(&text, memory_first(2)).unwrap();
     let path = temp_path("foreign_index");
-    match stranger.snapshot_to(&index, &path) {
+    match EngineBuilder::new().k(2).snapshot_to(&index, &path) {
         Err(EngineError::Snapshot(SnapshotError::LayoutMismatch { .. })) => {}
         other => panic!("foreign index accepted: {other:?}"),
     }
@@ -175,16 +206,21 @@ fn snapshot_to_rejects_an_index_built_elsewhere() {
 
 #[test]
 fn an_old_default_image_is_refused_by_name_and_loads_under_its_own_layout() {
-    // occ 44 / sa 32 was `IndexLayout::default()` until the occurrence
-    // lines were filled; images written then are still on disks.
+    // occ 44 / sa 32 was the default layout until the occurrence lines
+    // were filled; images written then are still on disks.
     let genome = toy_genome();
-    let old_default = IndexLayout::new().occ_sample_rate(44).sa_sample_rate(32);
-    let writer = EngineBuilder::new().layout(old_default);
+    let old_default = KStepBuildConfig {
+        occ_sample_rate: 44,
+        sa_sample_rate: 32,
+        ..KStepBuildConfig::for_k(4)
+    };
     let path = temp_path("old_default");
-    let index = writer.build_index(&genome.text_with_sentinel()).unwrap();
-    writer.snapshot_to(&index, &path).unwrap();
+    let index =
+        KStepFmIndex::from_text_with_config(&genome.text_with_sentinel(), old_default).unwrap();
+    write_snapshot(&index, &path).unwrap();
 
-    match EngineBuilder::new().attach_from_snapshot(&path) {
+    let builder = EngineBuilder::new();
+    match builder.attach_from_snapshot(&path) {
         Err(err @ EngineError::Snapshot(SnapshotError::LayoutMismatch { .. })) => {
             let message = err.to_string();
             assert!(message.contains("expected k4_occ54_sa11_"), "{message}");
@@ -193,11 +229,11 @@ fn an_old_default_image_is_refused_by_name_and_loads_under_its_own_layout() {
         other => panic!("old-default image under the default recipe: {other:?}"),
     }
 
-    let loaded = writer.attach_from_snapshot(&path).unwrap();
+    let loaded = load_snapshot_expecting(&path, Some(&old_default)).unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded, index);
     let batch = mixed_batch(&genome, 300, 229);
-    let (results, _) = writer.attach(&loaded).unwrap().run(&batch);
+    let (results, _) = builder.attach(&loaded).unwrap().run(&batch);
     for i in 0..batch.len() {
         let truth = naive::occurrences(genome.seq(), batch.pattern(i));
         match batch.request(i) {

@@ -8,7 +8,8 @@
 //! outgrow `u32` row ids — so builders return [`IndexError`] instead of
 //! panicking. The default sampling rates are defined here and nowhere
 //! else ([`DEFAULT_OCC_SAMPLE_RATE`] and its neighbours): the index
-//! configs and the engine's `IndexLayout` all read them, because the SA
+//! configs read them, and through [`crate::KStepBuildConfig::for_k`] so
+//! does every index the engine's builder makes, because the SA
 //! rate is *derived* from the heap the occurrence rate frees and the two
 //! must move together. [`HeapBreakdown`] attributes an index's heap bytes
 //! to its components so benchmarks and the server STATS frame can report

@@ -14,9 +14,12 @@
 //! Every RESULTS payload is byte-compared against a local oracle: the
 //! generator rebuilds the identical genome and index from the same
 //! `--profile`/`--len`/`--seed`/`--k` (synthesis is deterministic) and
-//! encodes a direct [`Executor`] run of each request through the same
-//! wire encoder. A server that answers from the wrong index, splits a
-//! merged batch at the wrong offset, or reorders routes fails the run.
+//! encodes a run of each request on the *sequential* k-step
+//! [`Executor`] — one query at a time, never cut short, not the
+//! lockstep engine the server runs — through the same wire encoder. A
+//! server that answers from the wrong index, splits a merged batch at
+//! the wrong offset, reorders routes, or whose lockstep engine
+//! mis-answers a merged batch fails the run.
 //!
 //! STATS frames before and after each rate turn the server's counters
 //! into per-rate deltas; `mean_coalesced_batch` (submissions per
@@ -936,9 +939,12 @@ fn run(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // The sequential k-step executor: never cut, never merged — not the
+    // lockstep engine the server runs, so a lockstep bug cannot verify
+    // itself.
     let oracle = args
         .verify
-        .then(|| builder.attach(&index).expect("oracle attach"));
+        .then(|| builder.sequential().attach(&index).expect("oracle attach"));
     let reads = args.bidirectional.then(|| read_pool(&genome));
     let (requests, strand_mix) = build_requests(&genome, reads.as_deref(), oracle.as_deref(), args);
 
