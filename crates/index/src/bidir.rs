@@ -12,7 +12,7 @@
 //!
 //! — `2n + 1` symbols for an `n`-base reference, with the single
 //! terminal sentinel the suffix-array builder requires — through the
-//! ordinary [`KStepFmIndex`] machinery (BWT, two-level occurrence
+//! ordinary [`crate::KStepFmIndex`] machinery (BWT, two-level occurrence
 //! tables, sampled suffix array, all driven by the same build recipe).
 //! One backward search over the doubled text finds a pattern on either
 //! strand at once; raw doubled-text positions are then mapped back to
@@ -42,11 +42,7 @@
 //! `(position, strand)` order. The largest profile in the workspace is
 //! 31 Mbp, far under the `2^31` the shifted encoding allows.
 
-use exma_genome::genome::Genome;
 use exma_genome::{Base, Symbol};
-
-use crate::kstep::{KStepBuildConfig, KStepFmIndex};
-use crate::layout::{HeapBreakdown, IndexError};
 
 /// Which reference strand a strand-agnostic hit matched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,132 +180,35 @@ pub fn map_hits_in_place(hits: &mut Vec<u32>, pattern: &[Base], n: usize) -> usi
     hits.len()
 }
 
-/// A strand-agnostic FM-index: a [`KStepFmIndex`] over the doubled
-/// text, plus the coordinate mapping back to forward-reference
-/// positions.
-///
-/// ```
-/// use exma_genome::{Genome, GenomeProfile};
-/// use exma_index::bidir::{decode_hit, BidirFmIndex, Strand};
-///
-/// let genome = Genome::synthesize(&GenomeProfile::toy(), 42);
-/// let index = BidirFmIndex::from_genome(&genome, 4);
-///
-/// // A reverse-strand read is found without revcomping the query.
-/// let read = genome.revcomp_window(500, 33);
-/// let hits = index.locate_both(&read);
-/// assert!(hits
-///     .iter()
-///     .any(|&h| decode_hit(h) == (500, Strand::Reverse)));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BidirFmIndex {
-    inner: KStepFmIndex,
-}
-
-impl BidirFmIndex {
-    /// Builds the bidirectional index over a sentinel-terminated
-    /// *forward* text with an explicit recipe (whose `bidirectional`
-    /// flag is forced on).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IndexError`] exactly as
-    /// [`KStepFmIndex::from_text_with_config`] — the doubled text is
-    /// twice as long, so `u32` addressability halves.
-    pub fn from_text_with_config(
-        text: &[Symbol],
-        config: KStepBuildConfig,
-    ) -> Result<BidirFmIndex, IndexError> {
-        let config = KStepBuildConfig {
-            bidirectional: true,
-            ..config
-        };
-        Ok(BidirFmIndex {
-            inner: KStepFmIndex::from_text_with_config(&doubled_text(text), config)?,
-        })
-    }
-
-    /// Builds the index with the default recipe for step width `k`.
-    pub fn from_text(text: &[Symbol], k: usize) -> BidirFmIndex {
-        BidirFmIndex::from_text_with_config(text, KStepBuildConfig::for_k(k))
-            .expect("the default layout builds for any u32-addressable text")
-    }
-
-    /// Builds the index for a genome's reference sequence.
-    pub fn from_genome(genome: &Genome, k: usize) -> BidirFmIndex {
-        BidirFmIndex::from_text(&genome.text_with_sentinel(), k)
-    }
-
-    /// Wraps an already-built doubled-text index (e.g. one loaded from
-    /// a snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inner` was not built with the bidirectional recipe
-    /// marker.
-    pub fn from_inner(inner: KStepFmIndex) -> BidirFmIndex {
-        assert!(
-            inner.is_bidirectional(),
-            "from_inner needs a bidirectional-recipe index"
-        );
-        BidirFmIndex { inner }
-    }
-
-    /// The underlying doubled-text index — what executors attach to.
-    pub fn inner(&self) -> &KStepFmIndex {
-        &self.inner
-    }
-
-    /// Unwraps the underlying doubled-text index.
-    pub fn into_inner(self) -> KStepFmIndex {
-        self.inner
-    }
-
-    /// Forward-reference length `n` (the doubled text has `2n + 1`
-    /// symbols).
-    pub fn forward_len(&self) -> usize {
-        forward_len(self.inner.text_len())
-    }
-
-    /// Number of strand-agnostic occurrences of `pattern`: forward hits
-    /// plus reverse hits, with palindromic double-counting removed.
-    pub fn count_both(&self, pattern: &[Base]) -> usize {
-        self.locate_both(pattern).len()
-    }
-
-    /// All strand-agnostic occurrences of `pattern` as encoded
-    /// strand-hits (see [`encode_hit`]), sorted by `(position,
-    /// strand)`.
-    pub fn locate_both(&self, pattern: &[Base]) -> Vec<u32> {
-        let mut hits = Vec::new();
-        self.locate_both_into(pattern, &mut hits);
-        hits
-    }
-
-    /// Allocation-reusing [`BidirFmIndex::locate_both`].
-    pub fn locate_both_into(&self, pattern: &[Base], out: &mut Vec<u32>) {
-        self.inner
-            .base_index()
-            .resolve_range_into(self.inner.backward_search(pattern), out);
-        map_hits_in_place(out, pattern, self.forward_len());
-    }
-
-    /// Heap bytes of all components, attributed per component — the
-    /// measured cost of carrying both strands (roughly 2× a
-    /// forward-only index of the same recipe).
-    pub fn heap_breakdown(&self) -> HeapBreakdown {
-        self.inner.heap_breakdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kstep::{KStepBuildConfig, KStepFmIndex};
     use crate::naive;
     use exma_genome::alphabet::parse_bases;
-    use exma_genome::genome::text_from_str;
+    use exma_genome::genome::{text_from_str, Genome};
     use exma_genome::{GenomeProfile, SeededRng};
+
+    /// The doubled-text index over a sentinel-terminated forward text,
+    /// built the way the engine builds it.
+    fn both_strands(text: &[Symbol], k: usize) -> KStepFmIndex {
+        let config = KStepBuildConfig {
+            bidirectional: true,
+            ..KStepBuildConfig::for_k(k)
+        };
+        KStepFmIndex::from_text_with_config(&doubled_text(text), config).unwrap()
+    }
+
+    /// Every strand-agnostic occurrence of `pattern` as sorted encoded
+    /// strand-hits.
+    fn locate_both(index: &KStepFmIndex, pattern: &[Base]) -> Vec<u32> {
+        let mut hits = Vec::new();
+        index
+            .base_index()
+            .resolve_range_into(index.backward_search(pattern), &mut hits);
+        map_hits_in_place(&mut hits, pattern, forward_len(index.text_len()));
+        hits
+    }
 
     #[test]
     fn strand_hits_encode_and_decode() {
@@ -374,7 +273,7 @@ mod tests {
         let mut profile = GenomeProfile::toy();
         profile.len = 2500;
         let genome = Genome::synthesize(&profile, 13);
-        let index = BidirFmIndex::from_genome(&genome, 4);
+        let index = both_strands(&genome.text_with_sentinel(), 4);
         let mut rng = SeededRng::new(0xB1D1);
         for i in 0..300 {
             let len = rng.range(1, 24);
@@ -389,19 +288,19 @@ mod tests {
                 (0..len).map(|_| rng.base()).collect()
             };
             assert_eq!(
-                index.locate_both(&pattern),
+                locate_both(&index, &pattern),
                 naive::occurrences_both(genome.seq(), &pattern),
                 "pattern #{i}"
             );
         }
         // The empty pattern and a palindrome, explicitly.
         assert_eq!(
-            index.locate_both(&[]),
+            locate_both(&index, &[]),
             naive::occurrences_both(genome.seq(), &[])
         );
         let pal = parse_bases("ACGT").unwrap();
         assert_eq!(
-            index.locate_both(&pal),
+            locate_both(&index, &pal),
             naive::occurrences_both(genome.seq(), &pal)
         );
     }
@@ -409,9 +308,9 @@ mod tests {
     #[test]
     fn reverse_strand_reads_resolve_to_their_origin() {
         let genome = Genome::synthesize(&GenomeProfile::toy(), 21);
-        let index = BidirFmIndex::from_genome(&genome, 2);
+        let index = both_strands(&genome.text_with_sentinel(), 2);
         let read = genome.revcomp_window(777, 31);
-        let hits = index.locate_both(&read);
+        let hits = locate_both(&index, &read);
         assert!(
             hits.iter()
                 .any(|&h| decode_hit(h) == (777, Strand::Reverse)),
@@ -421,17 +320,10 @@ mod tests {
 
     #[test]
     fn recipe_marker_survives_construction() {
-        let index = BidirFmIndex::from_text(&text_from_str("GATTACA").unwrap(), 2);
-        assert!(index.inner().is_bidirectional());
-        assert!(index.inner().build_config().bidirectional);
+        let index = both_strands(&text_from_str("GATTACA").unwrap(), 2);
+        assert!(index.is_bidirectional());
+        assert!(index.build_config().bidirectional);
         let forward = KStepFmIndex::from_text(&text_from_str("GATTACA").unwrap(), 2);
         assert!(!forward.is_bidirectional());
-    }
-
-    #[test]
-    #[should_panic(expected = "bidirectional-recipe index")]
-    fn from_inner_rejects_forward_indexes() {
-        let forward = KStepFmIndex::from_text(&text_from_str("GATTACA").unwrap(), 2);
-        let _ = BidirFmIndex::from_inner(forward);
     }
 }

@@ -37,7 +37,7 @@ pub mod sampled_sa;
 pub mod snapshot;
 mod text;
 
-pub use bidir::{decode_hit, doubled_text, encode_hit, is_palindromic, BidirFmIndex, Strand};
+pub use bidir::{decode_hit, doubled_text, encode_hit, is_palindromic, Strand};
 pub use fm::{FmBuildConfig, FmIndex};
 pub use kocc::KmerOccTable;
 pub use kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};

@@ -26,7 +26,7 @@
 //! engine run) is the continuous-batching figure of merit.
 //!
 //! Robustness knobs ride along: `--deadline-us` stamps every QUERY
-//! with a protocol-v2 latency budget and reports the deadline-miss
+//! with a latency budget in its deadline extension and reports the deadline-miss
 //! (LATE) rate separately from the latency percentiles — under
 //! overload the honest summary is "p99 of the answered plus the
 //! fraction shed", not a percentile over survivors only. BUSY draws a
@@ -369,7 +369,7 @@ fn build_requests(
                 expected
             });
             Request {
-                // A v2 QUERY frame; deadline 0 means no budget.
+                // A QUERY frame; deadline 0 means no budget.
                 frame: wire::query_frame(idx as u64, args.deadline_us, &payload),
                 expected,
             }

@@ -5,14 +5,14 @@
 //! together (PR 2's sweep measured the knee around a few hundred
 //! queries). A network client, though, submits whatever its own
 //! request stream carries — often a handful of queries per frame. The
-//! [`Dispatcher`] closes that gap the way LLM serving systems do, and
+//! `Dispatcher` closes that gap the way LLM serving systems do, and
 //! without a thread of its own: every connection reader admits its
 //! decoded submissions to one bounded queue (full ⇒ BUSY: backpressure
 //! with an explicit signal, not an unbounded buffer), then tries to
 //! take the *leader token*. The winner merges whatever has accumulated
-//! into one [`QueryBatch`], runs the engine once on its own thread, and
-//! splits the pooled results back out by each submission's query
-//! range; a loser goes straight back to its socket, and what it admits
+//! into one `QueryBatch` (up to `MAX_BATCH_QUERIES` queries), runs the
+//! engine once on its own thread, and splits the pooled results back
+//! out by each submission's query range; a loser goes straight back to its socket, and what it admits
 //! while the engine runs *is* the next batch — coalescing without
 //! sleeping, and no hand-off or timer on an idle server.
 //!
@@ -47,13 +47,12 @@ use exma_engine::{Executor, QueryArena, QueryBatch};
 
 use crate::conn::{ReplyHandle, Stamps};
 use crate::wire::{self, LateInfo, Opcode, StatsSnapshot};
+use crate::MAX_BATCH_QUERIES;
 
 /// One decoded QUERY frame, queued for a leader.
-pub struct Submission {
+pub(crate) struct Submission {
     /// The client's request id, echoed on the response frame.
     pub request_id: u64,
-    /// The request's protocol version; the response echoes it.
-    pub version: u8,
     /// The decoded batch (caps already clamped to the server ceiling).
     pub batch: QueryBatch,
     /// When the frame finished arriving — the deadline clock's zero.
@@ -82,7 +81,7 @@ impl Submission {
             stats.late_dropped.fetch_add(1, Ordering::Relaxed);
             let mut payload = Vec::with_capacity(8);
             wire::encode_late(late, &mut payload);
-            let frame = wire::frame_at(self.version, Opcode::Late, self.request_id, &payload);
+            let frame = wire::frame(Opcode::Late, self.request_id, &payload);
             self.reply.send(frame, None, stats);
             return false;
         }
@@ -93,26 +92,6 @@ impl Submission {
 /// A duration in whole microseconds, saturating at `u32::MAX`.
 fn saturating_us(d: Duration) -> u32 {
     d.as_micros().min(u128::from(u32::MAX)) as u32
-}
-
-/// Dispatcher knobs, fixed at server start.
-#[derive(Debug, Clone, Copy)]
-pub struct BatcherConfig {
-    /// How long to keep coalescing after the first submission of a
-    /// batch arrives. Zero drains only what is already queued.
-    pub linger: Duration,
-    /// Stop coalescing once the merged batch reaches this many
-    /// queries (bounds per-batch latency and arena growth).
-    pub max_batch_queries: usize,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> BatcherConfig {
-        BatcherConfig {
-            linger: Duration::ZERO,
-            max_batch_queries: 4096,
-        }
-    }
 }
 
 /// Cumulative server counters, shared across connection threads.
@@ -299,25 +278,28 @@ struct Leader {
 }
 
 /// The admission queue and the leader token; see the module docs.
-pub struct Dispatcher {
+pub(crate) struct Dispatcher {
     queue: Mutex<VecDeque<Submission>>,
     /// Only a leader inside its linger window ever waits on it.
     arrived: Condvar,
     leader: Mutex<Leader>,
     queue_depth: usize,
-    config: BatcherConfig,
+    /// How long to keep coalescing after the first submission of a
+    /// batch arrives. Zero drains only what is already queued.
+    linger: Duration,
     pub(crate) stats: Arc<ServerStats>,
 }
 
 impl Dispatcher {
-    /// A dispatcher whose queue holds at most `queue_depth` submissions.
-    pub fn new(queue_depth: usize, config: BatcherConfig, stats: Arc<ServerStats>) -> Dispatcher {
+    /// A dispatcher whose queue holds at most `queue_depth` submissions
+    /// and whose leaders coalesce for `linger`.
+    pub fn new(queue_depth: usize, linger: Duration, stats: Arc<ServerStats>) -> Dispatcher {
         Dispatcher {
             queue: Mutex::default(),
             arrived: Condvar::new(),
             leader: Mutex::default(),
             queue_depth,
-            config,
+            linger,
             stats,
         }
     }
@@ -341,7 +323,7 @@ impl Dispatcher {
         // submission off (and count it down) the moment it is.
         self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
         drop(queue);
-        if !self.config.linger.is_zero() {
+        if !self.linger.is_zero() {
             self.arrived.notify_one(); // a syscall, and no window means no waiter
         }
         self.stats
@@ -406,7 +388,7 @@ impl Dispatcher {
         let mut total_queries = 0;
         let mut window_ends = None;
         loop {
-            while total_queries < self.config.max_batch_queries {
+            while total_queries < MAX_BATCH_QUERIES {
                 let Some(sub) = queue.pop_front() else { break };
                 self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 if sub.still_wanted(&self.stats) {
@@ -414,13 +396,10 @@ impl Dispatcher {
                     pending.push(sub);
                 }
             }
-            if pending.is_empty()
-                || self.config.linger.is_zero()
-                || total_queries >= self.config.max_batch_queries
-            {
+            if pending.is_empty() || self.linger.is_zero() || total_queries >= MAX_BATCH_QUERIES {
                 return;
             }
-            let ends = *window_ends.get_or_insert_with(|| Instant::now() + self.config.linger);
+            let ends = *window_ends.get_or_insert_with(|| Instant::now() + self.linger);
             let left = ends.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return;
@@ -469,7 +448,7 @@ impl Leader {
             let end = start + sub.batch.len();
             self.payload.clear();
             wire::encode_results_range(results, start, end, &mut self.payload);
-            let frame = wire::frame_at(sub.version, Opcode::Results, sub.request_id, &self.payload);
+            let frame = wire::frame(Opcode::Results, sub.request_id, &self.payload);
             let stamps = Stamps {
                 arrival: sub.arrival,
                 engine_start,

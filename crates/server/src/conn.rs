@@ -5,7 +5,7 @@
 //! request half. One wake of it is one `read` into the connection's
 //! buffer; it decodes **every complete frame already received**,
 //! stamps their arrival time and effective deadline budget, and admits
-//! the QUERYs to the shared [`Dispatcher`] — a full queue answers BUSY
+//! the QUERYs to the shared `Dispatcher` — a full queue answers BUSY
 //! immediately instead of blocking the socket. Only then does it try
 //! for the leader token: a pipelined burst is admitted whole before
 //! anyone runs the engine, so it executes as one batch (or overflows
@@ -29,9 +29,8 @@
 //! BUSY/ERROR/GOAWAY/STATS_REPLY itself; a leader produces RESULTS
 //! and LATE), responses are *not* globally ordered: a BUSY for a later
 //! request can overtake the RESULTS of an earlier one. Every response
-//! echoes its request id — and its request's protocol *version*, so a
-//! v1 client only ever sees v1 frames — and clients match by id, never
-//! by arrival order.
+//! echoes its request id, and clients match by id, never by arrival
+//! order.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -45,6 +44,7 @@ use exma_engine::{Executor, QueryRequest};
 
 use crate::batcher::{Dispatcher, ServerStats, Submission};
 use crate::wire::{self, Opcode, WireError, HEADER_LEN, QUERY_EXT_LEN};
+use crate::{ServerConfig, MAX_BATCH_QUERIES};
 
 /// How long one `write_all` may stall on a clogged client socket
 /// before the writer declares the connection dead: the bound on what a
@@ -54,39 +54,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// The reader's buffer: the most one `read` takes, short of a larger frame.
 const READ_BUFFER: usize = 64 << 10;
 
-/// Per-connection decode limits and robustness knobs, fixed at server
-/// start.
-#[derive(Debug, Clone, Copy)]
-pub struct ConnConfig {
-    /// Largest accepted `payload_len`.
-    pub max_frame_len: usize,
-    /// Largest accepted per-frame query count.
-    pub max_queries_per_frame: usize,
-    /// Hit-cap ceiling clamped onto every locate request (`None` =
-    /// honor client caps verbatim, uncapped stays uncapped).
-    pub max_hits_ceiling: Option<u32>,
-    /// Bounded writer-queue capacity in frames. Overflow sheds the
-    /// frame and disconnects the client.
-    pub writer_queue_depth: usize,
-    /// Reap the connection after this much read inactivity (`None` =
-    /// never; a stalled mid-frame peer then lives until it hangs up).
-    pub idle_timeout: Option<Duration>,
-    /// Server-side deadline ceiling applied to every submission: the
-    /// effective budget is the tighter of this and the client's
-    /// `deadline_us` (`None` = only client deadlines apply).
-    pub default_deadline: Option<Duration>,
-    /// Whether the served index is bidirectional. When `false`, a
-    /// both-strand query (kind 3) answers a payload-level ERROR and
-    /// keeps the connection — a forward-only index would return
-    /// deterministic nonsense for it.
-    pub bidirectional: bool,
-}
-
 /// The instants a RESULTS frame carries to the writer — its request
 /// fully read, its engine run begun and ended — which become the stage
 /// durations STATS reports once the frame is on the socket.
 #[derive(Debug, Clone, Copy)]
-pub struct Stamps {
+pub(crate) struct Stamps {
     pub arrival: Instant,
     pub engine_start: Instant,
     pub engine_end: Instant,
@@ -112,7 +84,7 @@ impl ConnState {
 /// `try_send` that converts overflow into a counted shed plus a dead
 /// connection, never into blocking or unbounded buffering.
 #[derive(Clone)]
-pub struct ReplyHandle {
+pub(crate) struct ReplyHandle {
     tx: SyncSender<(Vec<u8>, Option<Stamps>)>,
     conn: Arc<ConnState>,
 }
@@ -155,12 +127,17 @@ pub fn configure(stream: &TcpStream, idle_timeout: Option<Duration>) -> io::Resu
 /// server shuts its read half at drain (`draining` set: new QUERYs
 /// answer GOAWAY). Runs on the connection's reader thread, leading
 /// engine runs with `exec` whenever it wins the token; spawns (and
-/// joins) the paired writer thread.
-pub fn handle_conn(
+/// joins) the paired writer thread. `bidirectional` says whether the
+/// served index covers both strands: when it does not, a both-strand
+/// query (kind 3) answers a payload-level ERROR and keeps the
+/// connection — a forward-only index would return deterministic
+/// nonsense for it.
+pub(crate) fn handle_conn(
     stream: TcpStream,
     dispatcher: &Dispatcher,
     exec: &dyn Executor,
-    config: ConnConfig,
+    config: &ServerConfig,
+    bidirectional: bool,
     draining: &AtomicBool,
 ) {
     let (Ok(()), Ok(socket)) = (configure(&stream, config.idle_timeout), stream.try_clone()) else {
@@ -178,7 +155,8 @@ pub fn handle_conn(
         Reader {
             dispatcher,
             exec,
-            config: &config,
+            config,
+            bidirectional,
             draining,
             reply: &reply,
         }
@@ -209,7 +187,8 @@ fn write_loop(frames: Receiver<(Vec<u8>, Option<Stamps>)>, conn: &ConnState, sta
 struct Reader<'a> {
     dispatcher: &'a Dispatcher,
     exec: &'a dyn Executor,
-    config: &'a ConnConfig,
+    config: &'a ServerConfig,
+    bidirectional: bool,
     draining: &'a AtomicBool,
     reply: &'a ReplyHandle,
 }
@@ -242,7 +221,7 @@ impl Reader<'_> {
             let arrival = Instant::now();
             let mut start = 0;
             let mut admitted = false;
-            // Split off every whole frame — header, then the v2 QUERY
+            // Split off every whole frame — header, then the QUERY
             // deadline extension, then the payload — and leave with the
             // length of the frame the remaining bytes are part of.
             let frame_len = loop {
@@ -255,11 +234,9 @@ impl Reader<'_> {
                     Ok(header) => header,
                     Err(e) => {
                         // Bad magic/version/length: the stream can no
-                        // longer be framed. Answer once (at the floor
-                        // version every client parses: the header's own
-                        // is untrustworthy) and hang up below.
+                        // longer be framed. Answer once and hang up below.
                         stats.errors.fetch_add(1, Ordering::Relaxed);
-                        let frame = error_frame(wire::MIN_VERSION, 0, &e);
+                        let frame = error_frame(0, &e);
                         self.reply.send(frame, None, stats);
                         break 0; // no frame is this short: "unframeable"
                     }
@@ -308,12 +285,12 @@ impl Reader<'_> {
     ) -> bool {
         let stats = &*self.dispatcher.stats;
         let answer = |opcode: Opcode, payload: &[u8]| {
-            let frame = wire::frame_at(header.version, opcode, header.request_id, payload);
+            let frame = wire::frame(opcode, header.request_id, payload);
             self.reply.send(frame, None, stats);
         };
         let refuse = |error: &WireError| {
             stats.errors.fetch_add(1, Ordering::Relaxed);
-            let frame = error_frame(header.version, header.request_id, error);
+            let frame = error_frame(header.request_id, error);
             self.reply.send(frame, None, stats);
         };
         match Opcode::from_byte(header.opcode) {
@@ -324,7 +301,7 @@ impl Reader<'_> {
             Ok(Opcode::Query) => {
                 let batch = match wire::decode_query_batch(
                     payload,
-                    self.config.max_queries_per_frame,
+                    MAX_BATCH_QUERIES,
                     self.config.max_hits_ceiling,
                 ) {
                     Ok(batch) => batch,
@@ -333,7 +310,7 @@ impl Reader<'_> {
                         return false;
                     }
                 };
-                if !self.config.bidirectional
+                if !self.bidirectional
                     && batch
                         .requests()
                         .iter()
@@ -344,7 +321,6 @@ impl Reader<'_> {
                 }
                 let admitted = self.dispatcher.admit(Submission {
                     request_id: header.request_id,
-                    version: header.version,
                     batch,
                     arrival,
                     budget: effective_budget(deadline_us, self.config.default_deadline),
@@ -382,13 +358,8 @@ fn effective_budget(deadline_us: u32, default_deadline: Option<Duration>) -> Opt
 }
 
 /// An ERROR frame carrying the error's display string.
-fn error_frame(version: u8, request_id: u64, error: &WireError) -> Vec<u8> {
-    wire::frame_at(
-        version,
-        Opcode::Error,
-        request_id,
-        error.to_string().as_bytes(),
-    )
+fn error_frame(request_id: u64, error: &WireError) -> Vec<u8> {
+    wire::frame(Opcode::Error, request_id, error.to_string().as_bytes())
 }
 
 #[cfg(test)]

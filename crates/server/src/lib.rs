@@ -2,7 +2,7 @@
 //!
 //! The network front-end of the EXMA reproduction: a dependency-free
 //! binary protocol over TCP ([`wire`]) feeding the batched query
-//! engine through a continuous-batching admission queue ([`batcher`]).
+//! engine through a continuous-batching admission queue.
 //!
 //! The serving pipeline is decode → admit → execute → encode:
 //! connection reader threads decode QUERY frames into
@@ -12,22 +12,21 @@
 //! the lockstep engine once on its own thread, and routes each
 //! submission's slice of the pooled results back to its connection,
 //! while the readers that lost the token keep admitting what becomes
-//! the next batch ([`batcher`]). There is no batcher thread, no timer
-//! and no polling loop: a request on an idle server costs the two
-//! wake-ups nobody can remove (socket → reader, reply → client), and
-//! under load small client submissions still execute at
-//! engine-friendly batch sizes — the lockstep scheduler's locality
-//! wins need hundreds of in-flight queries, and no single network
-//! client supplies that — while a full queue answers BUSY instead of
-//! buffering unboundedly.
+//! the next batch. There is no batcher thread, no timer and no polling
+//! loop: a request on an idle server costs the two wake-ups nobody can
+//! remove (socket → reader, reply → client), and under load small
+//! client submissions still execute at engine-friendly batch sizes —
+//! the lockstep scheduler's locality wins need hundreds of in-flight
+//! queries, and no single network client supplies that — while a full
+//! queue answers BUSY instead of buffering unboundedly.
 //!
-//! The pipeline is deadline-aware and drains cleanly: protocol-v2
-//! QUERY frames carry a latency budget the leader enforces (expired
-//! submissions answer LATE, never an engine run), writer queues are
-//! bounded (overflow sheds and disconnects, never OOMs), idle
-//! connections are reaped, and [`ServerHandle::shutdown`] performs a
-//! graceful drain — stop accepting, GOAWAY new queries, finish
-//! everything queued, join every thread.
+//! The pipeline is deadline-aware and drains cleanly: QUERY frames
+//! carry a latency budget the leader enforces (expired submissions
+//! answer LATE, never an engine run), writer queues are bounded
+//! (overflow sheds and disconnects, never OOMs), idle connections are
+//! reaped, and [`ServerHandle::shutdown`] performs a graceful drain —
+//! stop accepting, GOAWAY new queries, finish everything queued, join
+//! every thread.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -43,7 +42,7 @@
 //! server.run().unwrap();
 //! ```
 
-pub mod batcher;
+mod batcher;
 pub mod conn;
 pub mod fault;
 pub mod wire;
@@ -58,10 +57,16 @@ use std::time::Duration;
 use exma_engine::EngineBuilder;
 use exma_index::KStepFmIndex;
 
-pub use batcher::{BatcherConfig, Dispatcher, ServerStats, Submission};
-pub use conn::{ConnConfig, ReplyHandle};
+use batcher::Dispatcher;
+
+pub use batcher::ServerStats;
 pub use fault::{Fault, FaultPlan};
 pub use wire::{Opcode, StatsSnapshot, WireError, WireOutput};
+
+/// The most queries one QUERY frame may carry, and the size at which a
+/// leader stops merging submissions into one engine run (bounding
+/// per-batch latency and arena growth).
+pub(crate) const MAX_BATCH_QUERIES: usize = 4096;
 
 /// Every serving knob in one place, fixed at [`Server::bind`].
 #[derive(Debug, Clone, Copy)]
@@ -72,12 +77,8 @@ pub struct ServerConfig {
     /// How long a leader keeps coalescing after a batch's first
     /// submission arrives; zero runs what is already queued.
     pub linger: Duration,
-    /// Stop coalescing a batch at this many queries.
-    pub max_batch_queries: usize,
     /// Largest accepted frame payload, in bytes.
     pub max_frame_len: usize,
-    /// Largest accepted per-frame query count.
-    pub max_queries_per_frame: usize,
     /// Hit-cap ceiling clamped onto every locate (the resolution
     /// budget; `None` honors client caps verbatim).
     pub max_hits_ceiling: Option<u32>,
@@ -97,9 +98,7 @@ impl Default for ServerConfig {
         ServerConfig {
             queue_depth: 1024,
             linger: Duration::ZERO,
-            max_batch_queries: 4096,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
-            max_queries_per_frame: 4096,
             max_hits_ceiling: None,
             writer_queue_depth: 256,
             idle_timeout: Some(Duration::from_secs(60)),
@@ -208,22 +207,11 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let dispatcher = Dispatcher::new(
             self.config.queue_depth,
-            BatcherConfig {
-                linger: self.config.linger,
-                max_batch_queries: self.config.max_batch_queries,
-            },
+            self.config.linger,
             Arc::clone(&self.stats),
         );
-        let conn_config = ConnConfig {
-            max_frame_len: self.config.max_frame_len,
-            max_queries_per_frame: self.config.max_queries_per_frame,
-            max_hits_ceiling: self.config.max_hits_ceiling,
-            writer_queue_depth: self.config.writer_queue_depth,
-            idle_timeout: self.config.idle_timeout,
-            default_deadline: self.config.default_deadline,
-            bidirectional: self.builder.is_bidirectional(),
-        };
         let (index, builder, draining) = (&*self.index, self.builder, &*self.draining);
+        let (config, bidirectional) = (&self.config, builder.is_bidirectional());
         let dispatcher = &dispatcher;
         // Every thread that may lead attaches its own executor: a
         // validation and a two-word struct over the shared index.
@@ -256,7 +244,14 @@ impl Server {
                 self.stats.connections.fetch_add(1, Ordering::Relaxed);
                 let peer = stream.try_clone().ok();
                 let reader = scope.spawn(move || {
-                    conn::handle_conn(stream, dispatcher, attach().as_ref(), conn_config, draining)
+                    conn::handle_conn(
+                        stream,
+                        dispatcher,
+                        attach().as_ref(),
+                        config,
+                        bidirectional,
+                        draining,
+                    )
                 });
                 conns.push((peer, reader));
             }

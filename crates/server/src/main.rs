@@ -57,8 +57,6 @@ OPTIONS:
                           it at once, and what arrives meanwhile is the
                           next batch; a window pays only when many
                           connections keep an engine-bound server busy)
-    --max-batch N         per-run query cap of a merged batch
-                          (default: 4096)
     --max-frame-len N     largest accepted frame payload (default: 1 MiB)
     --max-hits-ceiling N  clamp every locate's hit cap to N (default: none)
     --default-deadline-us N
@@ -118,7 +116,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
             "--linger-us" => {
                 args.config.linger = Duration::from_micros(parse_num(&value("--linger-us")?)?)
             }
-            "--max-batch" => args.config.max_batch_queries = parse_num(&value("--max-batch")?)?,
             "--max-frame-len" => args.config.max_frame_len = parse_num(&value("--max-frame-len")?)?,
             "--max-hits-ceiling" => {
                 args.config.max_hits_ceiling = Some(parse_num(&value("--max-hits-ceiling")?)?)
@@ -445,6 +442,7 @@ mod tests {
         assert!(parse_args(["--seed".to_string(), "x".to_string()].into_iter()).is_err());
         assert!(parse_args(["--len".to_string()].into_iter()).is_err());
         assert!(parse_args(["--snapshot-path".to_string()].into_iter()).is_err());
+        assert!(parse_args(["--max-batch".to_string(), "8".to_string()].into_iter()).is_err());
         assert!(parse_args(["--help".to_string()].into_iter())
             .unwrap()
             .is_none());

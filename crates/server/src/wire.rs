@@ -8,25 +8,23 @@
 //! ```text
 //! offset  size  field
 //!      0     1  magic        (0xE5)
-//!      1     1  version      (1 or 2)
+//!      1     1  version      (2)
 //!      2     1  opcode       (request 0x01-0x02, response 0x81-0x86)
 //!      3     1  reserved     (0 on send, ignored on receive)
 //!      4     8  request_id   (echoed verbatim on every response)
 //!     12     4  payload_len  (bytes following the header + extension)
 //! ```
 //!
-//! **Protocol v2** activates the header's reserved region on QUERY
-//! frames only: a version-2 QUERY header is followed by a 4-byte
-//! extension carrying `deadline_us` (`u32`, `0` = no deadline) before
-//! the payload proper. `payload_len` does *not* include the extension.
-//! The deadline is the client's end-to-end latency budget in
+//! A QUERY header is followed by a 4-byte extension carrying
+//! `deadline_us` (`u32`, `0` = no deadline) before the payload proper;
+//! no other opcode has one. `payload_len` does *not* include the
+//! extension. The deadline is the client's end-to-end latency budget in
 //! microseconds, measured by the server from the instant the frame
 //! finished arriving: a submission whose budget has already elapsed
 //! when the batcher would execute it is answered with a typed LATE
 //! frame (payload: `u32 elapsed_us`, `u32 budget_us`) instead of
-//! burning an engine run. Version-1 frames carry no extension and no
-//! deadline; servers accept both versions and echo each request's
-//! version on its responses, so a v1 client never sees a v2 frame.
+//! burning an engine run. A header of any other version is refused as
+//! unframeable.
 //!
 //! A QUERY payload is a [`QueryBatch`]: `u32` query count, then per
 //! query a `u8` operation (`0` count, `1` locate, `2` interval,
@@ -62,15 +60,11 @@ use exma_genome::Base;
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xE5;
-/// Newest protocol version this build speaks (and the default for
-/// frames it originates).
+/// The one protocol version this build speaks and accepts.
 pub const VERSION: u8 = 2;
-/// Oldest protocol version this build still accepts. v1 frames carry
-/// no deadline extension and are answered with v1 responses.
-pub const MIN_VERSION: u8 = 1;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 16;
-/// Size of the deadline extension following a v2 QUERY header.
+/// Size of the deadline extension following a QUERY header.
 pub const QUERY_EXT_LEN: usize = 4;
 /// Default cap on `payload_len`; anything larger is rejected before
 /// the payload is read, so a hostile length prefix cannot OOM the
@@ -207,7 +201,7 @@ impl fmt::Display for WireError {
             WireError::BadVersion { version } => {
                 write!(
                     f,
-                    "unsupported protocol version {version}, this build speaks {MIN_VERSION}..={VERSION}"
+                    "unsupported protocol version {version}, this build speaks {VERSION}"
                 )
             }
             WireError::BadOpcode { opcode } => write!(f, "unknown opcode {opcode:#04x}"),
@@ -260,9 +254,6 @@ impl std::error::Error for WireError {}
 /// stream sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The negotiated protocol version (`MIN_VERSION..=VERSION`);
-    /// responses echo it so old clients never see new framing.
-    pub version: u8,
     /// The raw opcode byte; validate with [`Opcode::from_byte`].
     pub opcode: u8,
     /// Client-chosen id, echoed on the matching response.
@@ -273,37 +264,26 @@ pub struct FrameHeader {
 
 impl FrameHeader {
     /// `true` iff a [`QUERY_EXT_LEN`]-byte deadline extension follows
-    /// this header before the payload — v2 QUERY frames only.
+    /// this header before the payload — QUERY frames only.
     pub fn has_deadline_ext(&self) -> bool {
-        self.version >= 2 && self.opcode == Opcode::Query as u8
+        self.opcode == Opcode::Query as u8
     }
 }
 
-/// Serializes a header at the current [`VERSION`] into `HEADER_LEN`
-/// bytes. The caller of a v2 QUERY frame must append the deadline
-/// extension itself (or use [`query_frame`], which does).
+/// Serializes a header into `HEADER_LEN` bytes. The caller of a QUERY
+/// frame must append the deadline extension itself (or use
+/// [`query_frame`], which does).
 pub fn encode_header(opcode: Opcode, request_id: u64, payload_len: u32) -> [u8; HEADER_LEN] {
-    encode_header_at(VERSION, opcode, request_id, payload_len)
-}
-
-/// Serializes a header at an explicit protocol version.
-pub fn encode_header_at(
-    version: u8,
-    opcode: Opcode,
-    request_id: u64,
-    payload_len: u32,
-) -> [u8; HEADER_LEN] {
     let mut bytes = [0u8; HEADER_LEN];
     bytes[0] = MAGIC;
-    bytes[1] = version;
+    bytes[1] = VERSION;
     bytes[2] = opcode as u8;
     bytes[4..12].copy_from_slice(&request_id.to_le_bytes());
     bytes[12..16].copy_from_slice(&payload_len.to_le_bytes());
     bytes
 }
 
-/// Deserializes and validates a header (magic, version range, frame
-/// cap).
+/// Deserializes and validates a header (magic, version, frame cap).
 pub fn decode_header(
     bytes: &[u8; HEADER_LEN],
     max_frame_len: usize,
@@ -311,7 +291,7 @@ pub fn decode_header(
     if bytes[0] != MAGIC {
         return Err(WireError::BadMagic { byte: bytes[0] });
     }
-    if !(MIN_VERSION..=VERSION).contains(&bytes[1]) {
+    if bytes[1] != VERSION {
         return Err(WireError::BadVersion { version: bytes[1] });
     }
     let payload_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
@@ -322,46 +302,30 @@ pub fn decode_header(
         });
     }
     Ok(FrameHeader {
-        version: bytes[1],
         opcode: bytes[2],
         request_id: u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes")),
         payload_len,
     })
 }
 
-/// A whole frame at an explicit version — header, extension when the
-/// version and opcode demand one (deadline 0), and payload — ready for
-/// a single `write_all`.
-pub fn frame_at(version: u8, opcode: Opcode, request_id: u64, payload: &[u8]) -> Vec<u8> {
-    let ext = if version >= 2 && opcode == Opcode::Query {
-        QUERY_EXT_LEN
-    } else {
-        0
-    };
-    let mut out = Vec::with_capacity(HEADER_LEN + ext + payload.len());
-    out.extend_from_slice(&encode_header_at(
-        version,
-        opcode,
-        request_id,
-        payload.len() as u32,
-    ));
-    out.resize(out.len() + ext, 0);
+/// A whole frame — header, then payload — ready for a single
+/// `write_all`. QUERY frames get a zeroed (no-deadline) extension; use
+/// [`query_frame`] to set one.
+pub fn frame(opcode: Opcode, request_id: u64, payload: &[u8]) -> Vec<u8> {
+    if opcode == Opcode::Query {
+        return query_frame(request_id, 0, payload);
+    }
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(&encode_header(opcode, request_id, payload.len() as u32));
     out.extend_from_slice(payload);
     out
 }
 
-/// A whole frame at the current [`VERSION`]. QUERY frames get a
-/// zeroed (no-deadline) extension; use [`query_frame`] to set one.
-pub fn frame(opcode: Opcode, request_id: u64, payload: &[u8]) -> Vec<u8> {
-    frame_at(VERSION, opcode, request_id, payload)
-}
-
-/// A v2 QUERY frame carrying `deadline_us` (`0` = no deadline) in the
+/// A QUERY frame carrying `deadline_us` (`0` = no deadline) in the
 /// header's extension bytes.
 pub fn query_frame(request_id: u64, deadline_us: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + QUERY_EXT_LEN + payload.len());
-    out.extend_from_slice(&encode_header_at(
-        VERSION,
+    out.extend_from_slice(&encode_header(
         Opcode::Query,
         request_id,
         payload.len() as u32,
@@ -508,29 +472,15 @@ pub fn decode_query_batch(
     for _ in 0..n {
         let request = match cursor.u8()? {
             KIND_COUNT => QueryRequest::Count,
-            KIND_LOCATE => {
-                let cap = cursor.u32()?;
-                let requested = (cap != UNCAPPED_WIRE).then_some(cap);
-                let clamped = match (requested, max_hits_ceiling) {
-                    (Some(c), Some(ceiling)) => Some(c.min(ceiling)),
-                    (Some(c), None) => Some(c),
-                    (None, ceiling) => ceiling,
-                };
-                QueryRequest::Locate { max_hits: clamped }
-            }
+            KIND_LOCATE => QueryRequest::Locate {
+                max_hits: clamp_hits(cursor.u32()?, max_hits_ceiling),
+            },
             KIND_INTERVAL => QueryRequest::Interval,
-            KIND_SEARCH_BOTH => {
-                // Strand-agnostic hits cost the same resolver budget as
-                // locates, so the ceiling clamps them identically.
-                let cap = cursor.u32()?;
-                let requested = (cap != UNCAPPED_WIRE).then_some(cap);
-                let clamped = match (requested, max_hits_ceiling) {
-                    (Some(c), Some(ceiling)) => Some(c.min(ceiling)),
-                    (Some(c), None) => Some(c),
-                    (None, ceiling) => ceiling,
-                };
-                QueryRequest::SearchBoth { max_hits: clamped }
-            }
+            // Strand-agnostic hits cost the same resolver budget as
+            // locates, so the ceiling clamps them identically.
+            KIND_SEARCH_BOTH => QueryRequest::SearchBoth {
+                max_hits: clamp_hits(cursor.u32()?, max_hits_ceiling),
+            },
             kind => return Err(WireError::BadRequestKind { kind }),
         };
         let len = cursor.u32()? as usize;
@@ -545,6 +495,15 @@ pub fn decode_query_batch(
     }
     cursor.finish()?;
     Ok(batch)
+}
+
+/// A wire hit cap clamped to the server's ceiling: an uncapped request
+/// inherits the ceiling, a tighter cap survives.
+fn clamp_hits(cap: u32, ceiling: Option<u32>) -> Option<u32> {
+    match ((cap != UNCAPPED_WIRE).then_some(cap), ceiling) {
+        (Some(c), Some(ceiling)) => Some(c.min(ceiling)),
+        (requested, ceiling) => requested.or(ceiling),
+    }
 }
 
 /// Appends a RESULTS payload for queries `lo..hi` of pooled `results`
@@ -948,21 +907,12 @@ mod tests {
     fn header_round_trips() {
         let bytes = encode_header(Opcode::Query, 0xDEAD_BEEF_0042, 96);
         let header = decode_header(&bytes, DEFAULT_MAX_FRAME_LEN).unwrap();
-        assert_eq!(header.version, VERSION);
         assert_eq!(header.opcode, Opcode::Query as u8);
         assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Query));
         assert_eq!(header.request_id, 0xDEAD_BEEF_0042);
         assert_eq!(header.payload_len, 96);
         assert!(header.has_deadline_ext());
-    }
-
-    #[test]
-    fn v1_headers_decode_without_a_deadline_extension() {
-        let bytes = encode_header_at(1, Opcode::Query, 7, 12);
-        let header = decode_header(&bytes, DEFAULT_MAX_FRAME_LEN).unwrap();
-        assert_eq!(header.version, 1);
-        assert!(!header.has_deadline_ext());
-        // Responses never carry the extension, at either version.
+        // Responses never carry the extension.
         let bytes = encode_header(Opcode::Results, 7, 12);
         let header = decode_header(&bytes, DEFAULT_MAX_FRAME_LEN).unwrap();
         assert!(!header.has_deadline_ext());
@@ -986,8 +936,6 @@ mod tests {
         assert_eq!(&built[HEADER_LEN + QUERY_EXT_LEN..], b"pp");
         // The generic builder zeroes the extension (no deadline).
         assert_eq!(frame(Opcode::Query, 9, b"pp")[HEADER_LEN..][..4], [0; 4]);
-        // v1 query frames carry no extension at all.
-        assert_eq!(frame_at(1, Opcode::Query, 9, b"pp").len(), HEADER_LEN + 2);
     }
 
     #[test]
@@ -1019,18 +967,14 @@ mod tests {
             decode_header(&bad, DEFAULT_MAX_FRAME_LEN),
             Err(WireError::BadMagic { byte: 0 })
         );
-        let mut bad = good;
-        bad[1] = 9;
-        assert_eq!(
-            decode_header(&bad, DEFAULT_MAX_FRAME_LEN),
-            Err(WireError::BadVersion { version: 9 })
-        );
-        let mut bad = good;
-        bad[1] = 0;
-        assert_eq!(
-            decode_header(&bad, DEFAULT_MAX_FRAME_LEN),
-            Err(WireError::BadVersion { version: 0 })
-        );
+        for version in [0, 1, 9] {
+            let mut bad = good;
+            bad[1] = version;
+            assert_eq!(
+                decode_header(&bad, DEFAULT_MAX_FRAME_LEN),
+                Err(WireError::BadVersion { version })
+            );
+        }
         assert_eq!(
             decode_header(&good, 10),
             Err(WireError::Oversized { len: 64, max: 10 })

@@ -5,8 +5,8 @@
 //! reads, flipped bytes, unread response floods — and asserts the
 //! contract that matters: expired work answers LATE without an engine
 //! run, shutdown drains without deadlock, healthy clients stay
-//! byte-verified against direct execution throughout, v1 frames keep
-//! round-tripping, and `Server::run` returning means every thread the
+//! byte-verified against direct execution throughout, v1 frames are
+//! refused as unframeable, and `Server::run` returning means every thread the
 //! server spawned has been joined (a leak would hang `stop()` and fail
 //! the suite by timeout).
 
@@ -202,38 +202,30 @@ fn server_deadline_ceiling_applies_to_deadline_free_clients() {
 }
 
 #[test]
-fn v1_frames_round_trip_and_get_v1_responses() {
+fn v1_frames_are_refused_by_version_and_the_stream_closes() {
     let genome = toy_genome();
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
     let mut client = Client::connect(&server);
 
-    // A v1 QUERY frame: 16-byte header, payload immediately after —
-    // no deadline extension. The response must come back as v1 too,
-    // so a v1 client never sees bytes it cannot parse.
-    let batch = mixed_batch(&genome, 10, 3);
+    // A well-formed QUERY frame stamped version 1: the server speaks
+    // only version 2, so the header cannot be trusted to frame what
+    // follows — one ERROR naming the version, then end-of-stream.
     let mut payload = Vec::new();
-    wire::encode_query_batch(&batch, &mut payload).expect("encodable batch");
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&wire::encode_header_at(
-        1,
-        Opcode::Query,
-        7,
-        payload.len() as u32,
-    ));
-    frame.extend_from_slice(&payload);
+    wire::encode_query_batch(&mixed_batch(&genome, 10, 3), &mut payload).expect("encodable batch");
+    let mut frame = wire::frame(Opcode::Query, 7, &payload);
+    frame[1] = 1;
     client.send_raw(&frame);
 
-    let (header, payload) = client.read_frame().expect("results");
-    assert_eq!(
-        header.version, 1,
-        "v1 request drew a v{} response",
-        header.version
-    );
-    assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
-    assert_eq!(header.request_id, 7);
-    assert_eq!(payload, expected_payload(&builder, &index, &batch));
+    let (header, payload) = client.read_frame().expect("error frame");
+    assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Error));
+    let message = String::from_utf8(payload).expect("UTF-8 error message");
+    assert!(message.contains("version 1"), "{message}");
+    assert!(client.read_frame().is_none(), "stream stayed open");
+    let stats = Client::connect(&server).stats_snapshot(8);
+    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.queries_executed, 0);
     drop(client);
     server.stop();
 }
