@@ -112,6 +112,18 @@ impl GenomeProfile {
             repeat_divergence: 0.12,
         }
     }
+
+    /// The profile a command line names: `toy`, `human_rel`, `picea_rel`
+    /// or `pinus_rel`; `None` for any other name.
+    pub fn by_name(name: &str) -> Option<GenomeProfile> {
+        match name {
+            "toy" => Some(GenomeProfile::toy()),
+            "human_rel" => Some(GenomeProfile::human_rel()),
+            "picea_rel" => Some(GenomeProfile::picea_rel()),
+            "pinus_rel" => Some(GenomeProfile::pinus_rel()),
+            _ => None,
+        }
+    }
 }
 
 /// A synthesized reference genome: a 2-bit packed sequence plus the profile
@@ -300,6 +312,15 @@ mod tests {
     fn synthesis_is_deterministic() {
         let p = GenomeProfile::toy();
         assert_eq!(Genome::synthesize(&p, 1), Genome::synthesize(&p, 1));
+    }
+
+    #[test]
+    fn profiles_resolve_by_name() {
+        for name in ["toy", "human_rel", "picea_rel", "pinus_rel"] {
+            assert_eq!(GenomeProfile::by_name(name).unwrap().name, name);
+        }
+        assert_eq!(GenomeProfile::by_name("toy"), Some(GenomeProfile::toy()));
+        assert_eq!(GenomeProfile::by_name("mouse_rel"), None);
     }
 
     #[test]

@@ -1,201 +1,122 @@
-//! `exma-loadgen` — an open-loop load generator for `exma-server`.
+//! `exma-loadgen` — a client that byte-verifies a running `exma-server`.
 //!
-//! The serving claim the server makes — continuous batching turns
-//! trickles of small network submissions into engine-friendly merged
-//! batches — is a claim about behavior *under an arrival process*, not
-//! under a lockstep test. This binary measures it: requests are
-//! scheduled by a seeded Poisson process at fixed target rates and
-//! sent at their scheduled instants whether or not earlier responses
-//! have returned (open loop, so a slow server cannot slow the clock
-//! and hide its own queueing — the coordinated-omission trap).
-//! Latency is measured from each request's *scheduled* arrival to its
-//! response, so queueing delay is part of the number.
+//! It rebuilds the server's genome and index from the same
+//! `--profile`/`--len`/`--seed`/`--k`/`--bidirectional` (synthesis is
+//! deterministic) and compares every RESULTS payload with the bytes the
+//! *sequential* k-step [`Executor`] — never cut, never merged, not the
+//! lockstep engine the server runs — produces through the same wire
+//! encoder. A server that answers from the wrong index, splits a merged
+//! batch at the wrong offset or mis-answers a merged batch fails the run.
 //!
-//! Every RESULTS payload is byte-compared against a local oracle: the
-//! generator rebuilds the identical genome and index from the same
-//! `--profile`/`--len`/`--seed`/`--k` (synthesis is deterministic) and
-//! encodes a run of each request on the *sequential* k-step
-//! [`Executor`] — one query at a time, never cut short, not the
-//! lockstep engine the server runs — through the same wire encoder. A
-//! server that answers from the wrong index, splits a merged batch at
-//! the wrong offset, reorders routes, or whose lockstep engine
-//! mis-answers a merged batch fails the run.
-//!
-//! STATS frames before and after each rate turn the server's counters
-//! into per-rate deltas; `mean_coalesced_batch` (submissions per
-//! engine run) is the continuous-batching figure of merit.
-//!
-//! Robustness knobs ride along: `--deadline-us` stamps every QUERY
-//! with a latency budget in its deadline extension and reports the deadline-miss
-//! (LATE) rate separately from the latency percentiles — under
-//! overload the honest summary is "p99 of the answered plus the
-//! fraction shed", not a percentile over survivors only. BUSY draws a
-//! bounded retry with jittered exponential backoff. `--chaos` runs a
-//! seeded [`FaultPlan`] sidecar that feeds the server torn, truncated,
-//! stalled, and corrupted frames on sacrificial connections for the
-//! whole measurement window; the measured connections must stay
-//! byte-verified throughout.
+//! The workload is fixed: [`REQUESTS`] frames of [`QUERIES`] mixed
+//! queries, dealt round-robin to [`CONNS`] connections, each of which
+//! sends its `i`-th frame at `start + i × PACE` without waiting for
+//! earlier answers, so the server has submissions to merge. Latency is
+//! the `benchmark/` package's `serve_small` workload's to measure.
+//! `--deadline-us` stamps every QUERY with a budget; `--chaos` runs a
+//! seeded [`FaultPlan`] sidecar of torn, truncated, stalled and corrupted
+//! frames on sacrificial connections for the whole run. The run ends with
+//! one line on stdout:
 //!
 //! ```text
-//! # self-hosted: spins up a server in-process on an ephemeral port
-//! cargo run --release -p exma-loadgen
-//!
-//! # against a separately started server (must share profile/len/seed/k
-//! # and run without a tighter --max-hits-ceiling than --locate-cap)
 //! cargo run --release -p exma-server -- --profile toy --port 7878 &
 //! cargo run --release -p exma-loadgen -- --addr 127.0.0.1:7878
+//! exma-loadgen requests 1000 ok 1000 busy 0 late 0 mismatches 0 errors 0 search_both 0 reverse_hits 0 chaos_frames 0 verified true
 //! ```
 
-mod json;
-
+use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use exma_engine::{EngineBuilder, Executor, QueryBatch, QueryOutput, QueryRequest};
+use exma_engine::{EngineBuilder, EngineError, Executor, QueryBatch, QueryRequest};
 use exma_genome::{
     Base, ErrorProfile, Genome, GenomeProfile, LongReadSimulator, SeededRng, ShortReadSimulator,
 };
-use exma_index::bidir::{decode_hit, is_palindromic, Strand};
-use exma_server::wire::{self, Opcode, StatsSnapshot, HEADER_LEN};
-use exma_server::{FaultPlan, Server, ServerConfig, ServerHandle};
+use exma_index::bidir::{decode_hit, Strand};
+use exma_server::wire::{self, Opcode, HEADER_LEN};
+use exma_server::FaultPlan;
 
-use crate::json::Json;
+/// Request frames in the workload.
+const REQUESTS: usize = 1000;
+/// Queries in every request frame.
+const QUERIES: usize = 8;
+/// The `max_hits` cap on every locate and SearchBoth query, so answer
+/// sizes stay bounded however often a pattern occurs.
+const LOCATE_CAP: u32 = 16;
+/// Client connections; request `idx` goes to connection `idx % CONNS`.
+const CONNS: usize = 4;
+/// The gap between one connection's consecutive sends.
+const PACE: Duration = Duration::from_millis(1);
+/// Seed of the chaos sidecar's fault plan.
+const CHAOS_SEED: u64 = 99;
 
 const USAGE: &str = "\
-exma-loadgen: open-loop load generator and verifier for exma-server
+exma-loadgen: send a fixed workload to a running exma-server and
+byte-verify every answer against a locally rebuilt index
 
 USAGE:
-    cargo run --release -p exma-loadgen [-- OPTIONS]
+    cargo run --release -p exma-loadgen -- --addr HOST:PORT [OPTIONS]
 
 OPTIONS:
-    --addr HOST:PORT   target a running exma-server; it must have been
-                       started with the same --profile/--len/--seed/--k
-                       and no --max-hits-ceiling below --locate-cap
-                       (default: self-host a server in-process)
+    --addr HOST:PORT   the server (required); it must have been started
+                       with the same --profile/--len/--seed/--k/
+                       --bidirectional and no --max-hits-ceiling below 16
     --profile NAME     reference profile: toy, human_rel, picea_rel,
                        pinus_rel (default: toy)
     --len N            override the profile's length in bases
     --seed N           genome synthesis seed (default: 42)
     --k N              step width of the index (default: 4)
-    --rates LIST       target request rates in req/s, comma-separated
-                       (default: 1000,4000)
-    --requests N       requests per rate (default: 1000)
-    --conns N          client connections (default: 4)
-    --queries N        queries per request frame (default: 8)
-    --locate-cap N     max_hits cap on every locate query (default: 16)
-    --bidirectional    serve and verify a bidirectional (both-strand)
-                       index: every 4th query is a strand-agnostic
-                       SearchBoth over simulated short/long reads drawn
-                       as sequenced from either strand (never
-                       client-side reverse-complemented), the chaos
-                       sidecar sabotages SearchBoth frames too, and the
-                       JSON gains a strand_mix block; a --addr server
-                       must also have been started --bidirectional
-    --arrival-seed N   seed of the Poisson arrival process (default: 7)
-    --deadline-us N    per-request latency budget stamped on every
-                       QUERY frame; expired requests come back LATE
-                       and count as deadline misses (default: 0 = none)
-    --busy-retries N   retry a BUSY answer up to N times with jittered
-                       exponential backoff (default: 3; 0 = give up)
-    --chaos RATE       run a fault-injection sidecar for the whole
-                       measurement window: sacrificial connections
-                       send frames sabotaged with probability RATE
-                       (torn/truncated/stalled/corrupted) while the
-                       measured load must stay byte-verified
-                       (default: 0 = off)
-    --chaos-seed N     seed of the fault plan (default: 99)
-    --linger-us N      self-hosted server's coalescing window (default:
-                       the server's own, 0; ignored with --addr)
-    --queue-depth N    self-hosted server's admission queue (default:
-                       1024; ignored with --addr)
-    --no-verify        skip the byte-exact oracle comparison
-    --out PATH         output JSON path (default: LOAD_exma.json)
+    --bidirectional    make every 4th query a strand-agnostic SearchBoth
+                       over a simulated read drawn from either strand
+    --deadline-us N    latency budget stamped on every QUERY frame; an
+                       expired request answers LATE (default: 0 = none)
+    --chaos RATE       run a fault-injection sidecar alongside: sacrificial
+                       connections send frames sabotaged with probability
+                       RATE (default: 0 = off)
     --help             print this help
 
-Exits non-zero if any response diverges from the local oracle, any
-ERROR frame arrives, or any request goes unanswered.";
+Prints one summary line. Exits 1 if any answer differs from the local
+oracle, any ERROR frame arrives or any request goes unanswered; 2 on a
+usage error or a failed index build; 0 otherwise. BUSY and LATE answers
+are counted, not failures.";
 
 struct Args {
-    addr: Option<String>,
-    profile: String,
-    len: Option<usize>,
+    addr: String,
+    profile: GenomeProfile,
     seed: u64,
     k: usize,
-    rates: Vec<f64>,
-    requests: usize,
-    conns: usize,
-    queries: usize,
-    locate_cap: u32,
     bidirectional: bool,
-    arrival_seed: u64,
     deadline_us: u32,
-    busy_retries: u32,
     chaos: f64,
-    chaos_seed: u64,
-    linger: Duration,
-    queue_depth: usize,
-    verify: bool,
-    out: PathBuf,
 }
 
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut profile = "toy".to_string();
+    let mut len: Option<usize> = None;
     let mut args = Args {
-        addr: None,
-        profile: "toy".to_string(),
-        len: None,
+        addr: String::new(),
+        profile: GenomeProfile::toy(),
         seed: 42,
         k: 4,
-        rates: vec![1000.0, 4000.0],
-        requests: 1000,
-        conns: 4,
-        queries: 8,
-        locate_cap: 16,
         bidirectional: false,
-        arrival_seed: 7,
         deadline_us: 0,
-        busy_retries: 3,
         chaos: 0.0,
-        chaos_seed: 99,
-        linger: ServerConfig::default().linger,
-        queue_depth: 1024,
-        verify: true,
-        out: PathBuf::from("LOAD_exma.json"),
     };
     let mut argv = argv.peekable();
     while let Some(arg) = argv.next() {
         let mut value = |flag: &str| argv.next().ok_or(format!("{flag} requires a value"));
         match arg.as_str() {
-            "--addr" => args.addr = Some(value("--addr")?),
-            "--profile" => args.profile = value("--profile")?,
-            "--len" => args.len = Some(parse_num(&value("--len")?)?),
+            "--addr" => args.addr = value("--addr")?,
+            "--profile" => profile = value("--profile")?,
+            "--len" => len = Some(parse_num(&value("--len")?)?),
             "--seed" => args.seed = parse_num(&value("--seed")?)?,
             "--k" => args.k = parse_num(&value("--k")?)?,
-            "--rates" => {
-                args.rates = value("--rates")?
-                    .split(',')
-                    .map(|part| {
-                        part.trim()
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|&r| r.is_finite() && r > 0.0)
-                            .ok_or_else(|| format!("bad rate '{part}'"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--requests" => args.requests = parse_num(&value("--requests")?)?,
-            "--conns" => args.conns = parse_num(&value("--conns")?)?,
-            "--queries" => args.queries = parse_num(&value("--queries")?)?,
-            "--locate-cap" => args.locate_cap = parse_num(&value("--locate-cap")?)?,
             "--bidirectional" => args.bidirectional = true,
-            "--arrival-seed" => args.arrival_seed = parse_num(&value("--arrival-seed")?)?,
             "--deadline-us" => args.deadline_us = parse_num(&value("--deadline-us")?)?,
-            "--busy-retries" => args.busy_retries = parse_num(&value("--busy-retries")?)?,
             "--chaos" => {
                 args.chaos = value("--chaos")?
                     .parse::<f64>()
@@ -203,22 +124,20 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
                     .filter(|r| (0.0..=1.0).contains(r))
                     .ok_or("--chaos needs a probability in [0, 1]")?;
             }
-            "--chaos-seed" => args.chaos_seed = parse_num(&value("--chaos-seed")?)?,
-            "--linger-us" => {
-                args.linger = Duration::from_micros(parse_num(&value("--linger-us")?)?)
-            }
-            "--queue-depth" => args.queue_depth = parse_num(&value("--queue-depth")?)?,
-            "--no-verify" => args.verify = false,
-            "--out" => args.out = PathBuf::from(value("--out")?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if args.rates.is_empty() {
-        return Err("--rates needs at least one rate".to_string());
+    if args.addr.is_empty() {
+        return Err("--addr HOST:PORT is required".to_string());
     }
-    if args.requests == 0 || args.conns == 0 || args.queries == 0 {
-        return Err("--requests, --conns and --queries must be positive".to_string());
+    args.profile =
+        GenomeProfile::by_name(&profile).ok_or_else(|| format!("unknown profile '{profile}'"))?;
+    if let Some(len) = len {
+        if len == 0 {
+            return Err("--len must be positive".to_string());
+        }
+        args.profile.len = len;
     }
     Ok(Some(args))
 }
@@ -227,29 +146,11 @@ fn parse_num<T: std::str::FromStr>(raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("bad number '{raw}'"))
 }
 
-fn profile_for(name: &str, len: Option<usize>) -> Result<GenomeProfile, String> {
-    let mut profile = match name {
-        "toy" => GenomeProfile::toy(),
-        "human_rel" => GenomeProfile::human_rel(),
-        "picea_rel" => GenomeProfile::picea_rel(),
-        "pinus_rel" => GenomeProfile::pinus_rel(),
-        other => return Err(format!("unknown profile '{other}'")),
-    };
-    if let Some(len) = len {
-        if len == 0 {
-            return Err("--len must be positive".to_string());
-        }
-        profile.len = len;
-    }
-    Ok(profile)
-}
-
 /// One request of the workload: the pre-encoded QUERY frame and the
-/// oracle's byte-exact RESULTS payload. Both are fixed before the
-/// clock starts so the hot loop does no encoding.
+/// oracle's byte-exact RESULTS payload, both fixed before the first send.
 struct Request {
     frame: Vec<u8>,
-    expected: Option<Vec<u8>>,
+    expected: Vec<u8>,
 }
 
 /// The deterministic mixed-op batch of request `idx`: counts, capped
@@ -262,21 +163,15 @@ struct Request {
 /// short or long, drawn as sequenced from either strand, sent without
 /// any client-side reverse complementing. The cap keeps the
 /// both-strand answers bounded just like the locates.
-fn request_batch(
-    genome: &Genome,
-    reads: Option<&[Vec<Base>]>,
-    idx: usize,
-    queries: usize,
-    locate_cap: u32,
-) -> QueryBatch {
+fn request_batch(genome: &Genome, reads: Option<&[Vec<Base>]>, idx: usize) -> QueryBatch {
     let mut rng = SeededRng::new(0x10adu64 ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut batch = QueryBatch::new();
-    for q in 0..queries {
+    for q in 0..QUERIES {
         let cycle = if reads.is_some() { 4 } else { 3 };
         if (idx + q) % cycle == 3 {
             let pool = reads.expect("cycle 4 only with a read pool");
             let read = pool[rng.range(0, pool.len())].clone();
-            batch.push(QueryRequest::search_both_capped(locate_cap), read);
+            batch.push(QueryRequest::search_both_capped(LOCATE_CAP), read);
             continue;
         }
         let len = rng.range(8, 28);
@@ -288,7 +183,7 @@ fn request_batch(
         };
         match (idx + q) % cycle {
             0 => batch.push(QueryRequest::Count, pattern),
-            1 => batch.push(QueryRequest::locate_capped(locate_cap), pattern),
+            1 => batch.push(QueryRequest::locate_capped(LOCATE_CAP), pattern),
             _ => batch.push(QueryRequest::Interval, pattern),
         }
     }
@@ -311,223 +206,87 @@ fn read_pool(genome: &Genome) -> Vec<Vec<Base>> {
         .collect()
 }
 
-/// The strand composition of the workload's SearchBoth share, from the
-/// oracle's own answers (zero hit counts under `--no-verify`): the
-/// per-strand hit totals, the palindromic patterns the dedup rule
-/// collapses to forward-only answers, and the answers the cap
-/// truncated.
+/// What one run saw. Every request ends as exactly one of `ok`, `busy`,
+/// `late`, `mismatches` or `errors` (an ERROR frame or no answer at
+/// all); `search_both` and `reverse_hits` count the workload's
+/// SearchBoth queries and the reverse-strand hits in the oracle's
+/// answers to them.
 #[derive(Default)]
-struct StrandMix {
-    search_both_queries: u64,
-    forward_hits: u64,
-    reverse_hits: u64,
-    truncated_answers: u64,
-    palindromic_patterns: u64,
-}
-
-/// Builds every request up front: frames encoded, oracle answers
-/// (optionally) computed through the same wire encoder the server
-/// uses, the strand mix tallied from them. Request ids are the
-/// request indices.
-fn build_requests(
-    genome: &Genome,
-    reads: Option<&[Vec<Base>]>,
-    oracle: Option<&dyn Executor>,
-    args: &Args,
-) -> (Vec<Request>, StrandMix) {
-    let mut mix = StrandMix::default();
-    let requests = (0..args.requests)
-        .map(|idx| {
-            let batch = request_batch(genome, reads, idx, args.queries, args.locate_cap);
-            let mut payload = Vec::new();
-            wire::encode_query_batch(&batch, &mut payload).expect("loadgen batches are encodable");
-            let results = oracle.map(|exec| exec.run(&batch).0);
-            for i in 0..batch.len() {
-                if !matches!(batch.request(i), QueryRequest::SearchBoth { .. }) {
-                    continue;
-                }
-                mix.search_both_queries += 1;
-                mix.palindromic_patterns += u64::from(is_palindromic(batch.pattern(i)));
-                if let Some(results) = &results {
-                    for &hit in results.positions(i) {
-                        match decode_hit(hit).1 {
-                            Strand::Forward => mix.forward_hits += 1,
-                            Strand::Reverse => mix.reverse_hits += 1,
-                        }
-                    }
-                    if matches!(
-                        results.output(i),
-                        QueryOutput::BothLocated { truncated: true }
-                    ) {
-                        mix.truncated_answers += 1;
-                    }
-                }
-            }
-            let expected = results.map(|results| {
-                let mut expected = Vec::new();
-                wire::encode_results_range(&results, 0, results.len(), &mut expected);
-                expected
-            });
-            Request {
-                // A QUERY frame; deadline 0 means no budget.
-                frame: wire::query_frame(idx as u64, args.deadline_us, &payload),
-                expected,
-            }
-        })
-        .collect();
-    (requests, mix)
-}
-
-/// Cumulative Poisson arrival offsets: `schedule[i]` is request `i`'s
-/// intended send instant relative to the run start, exponential
-/// inter-arrivals at `rate` per second.
-fn arrival_schedule(requests: usize, rate: f64, seed: u64) -> Vec<Duration> {
-    let mut rng = SeededRng::new(seed);
-    let mut at = 0.0f64;
-    (0..requests)
-        .map(|_| {
-            // f64() is in [0, 1); flip to (0, 1] so ln never sees zero.
-            let dt = -(1.0 - rng.f64()).ln() / rate;
-            at += dt;
-            Duration::from_secs_f64(at)
-        })
-        .collect()
-}
-
-fn sleep_until(deadline: Instant) {
-    loop {
-        let now = Instant::now();
-        let Some(remaining) = deadline
-            .checked_duration_since(now)
-            .filter(|d| !d.is_zero())
-        else {
-            return;
-        };
-        thread::sleep(remaining);
-    }
-}
-
-/// What one response turned out to be.
-enum Outcome {
-    /// RESULTS that matched the oracle (or went unchecked): latency
-    /// from scheduled arrival to last payload byte.
-    Ok(Duration),
-    /// BUSY that stayed BUSY through every retry.
-    Busy,
-    /// A LATE frame: the server shed the request as past its deadline.
-    /// Reported as a miss rate, never folded into the percentiles.
-    Late,
-    /// RESULTS that diverged from the oracle.
-    Mismatch,
-    /// An ERROR frame, an unanswered request, or a broken connection.
-    Error,
-}
-
-/// Bounded jittered-exponential-backoff retry on BUSY.
-#[derive(Clone, Copy)]
-struct RetryPolicy {
-    /// Retry attempts after the first BUSY; 0 gives up immediately.
-    attempts: u32,
-    /// Backoff before retry `n` is `base << n`, scaled by a uniform
-    /// jitter in `[0.5, 1.5)` so synchronized clients desynchronize.
-    base: Duration,
-}
-
-/// Everything measured at one target rate.
-struct RateOutcome {
-    target_rps: f64,
-    offered_rps: f64,
-    achieved_rps: f64,
+struct Summary {
     ok: usize,
     busy: usize,
     late: usize,
     mismatches: usize,
     errors: usize,
-    /// BUSY retries sent across every connection.
-    retries: u64,
-    /// Sorted OK latencies in milliseconds.
-    latencies_ms: Vec<f64>,
-    before: StatsSnapshot,
-    after: StatsSnapshot,
+    search_both: u64,
+    reverse_hits: u64,
+    chaos_frames: u64,
 }
 
-/// Runs one rate: `conns` connections interleave the request list
-/// round-robin, each sending on schedule from its own thread while its
-/// reader thread collects responses until every assigned id is
-/// answered (or the 30 s read timeout calls the rest lost).
-fn run_rate(
-    addr: &str,
-    requests: &[Request],
-    schedule: &[Duration],
-    conns: usize,
-    target_rps: f64,
-    retry: RetryPolicy,
-    stats_conn: &mut ControlConn,
-) -> RateOutcome {
-    let before = stats_conn.snapshot();
-    let start = Instant::now();
-    let per_conn: Vec<(Vec<Outcome>, u64, Option<Instant>)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..conns)
-            .map(|c| {
-                scope.spawn(move || {
-                    let assigned: Vec<usize> = (c..requests.len()).step_by(conns).collect();
-                    run_connection(addr, requests, schedule, &assigned, start, retry)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let after = stats_conn.snapshot();
+impl Summary {
+    /// Every request was answered, by no ERROR frame and by no RESULTS
+    /// that differ from the oracle's.
+    fn verified(&self) -> bool {
+        self.mismatches == 0 && self.errors == 0
+    }
+}
 
-    let mut ok = 0;
-    let mut busy = 0;
-    let mut late = 0;
-    let mut mismatches = 0;
-    let mut errors = 0;
-    let mut retries = 0;
-    let mut latencies_ms = Vec::new();
-    let mut last_done = start;
-    for (outcomes, conn_retries, conn_last) in per_conn {
-        retries += conn_retries;
-        if let Some(t) = conn_last {
-            last_done = last_done.max(t);
-        }
-        for outcome in outcomes {
-            match outcome {
-                Outcome::Ok(latency) => {
-                    ok += 1;
-                    latencies_ms.push(latency.as_secs_f64() * 1e3);
+impl fmt::Display for Summary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "exma-loadgen requests {REQUESTS} ok {} busy {} late {} mismatches {} errors {} \
+             search_both {} reverse_hits {} chaos_frames {} verified {}",
+            self.ok,
+            self.busy,
+            self.late,
+            self.mismatches,
+            self.errors,
+            self.search_both,
+            self.reverse_hits,
+            self.chaos_frames,
+            self.verified()
+        )
+    }
+}
+
+/// Builds every request up front: frames encoded, oracle answers
+/// computed through the same wire encoder the server uses. Request ids
+/// are the request indices. The summary returned holds the strand
+/// counts; the outcome counts are still zero.
+fn build_requests(
+    genome: &Genome,
+    reads: Option<&[Vec<Base>]>,
+    oracle: &dyn Executor,
+    deadline_us: u32,
+) -> (Vec<Request>, Summary) {
+    let mut summary = Summary::default();
+    let requests = (0..REQUESTS)
+        .map(|idx| {
+            let batch = request_batch(genome, reads, idx);
+            let mut payload = Vec::new();
+            wire::encode_query_batch(&batch, &mut payload).expect("loadgen batches are encodable");
+            let results = oracle.run(&batch).0;
+            for i in 0..batch.len() {
+                if matches!(batch.request(i), QueryRequest::SearchBoth { .. }) {
+                    summary.search_both += 1;
+                    summary.reverse_hits += results
+                        .positions(i)
+                        .iter()
+                        .filter(|&&hit| decode_hit(hit).1 == Strand::Reverse)
+                        .count() as u64;
                 }
-                Outcome::Busy => busy += 1,
-                Outcome::Late => late += 1,
-                Outcome::Mismatch => mismatches += 1,
-                Outcome::Error => errors += 1,
             }
-        }
-    }
-    latencies_ms.sort_by(f64::total_cmp);
-    let wall = (last_done - start).as_secs_f64();
-    RateOutcome {
-        target_rps,
-        offered_rps: requests.len() as f64 / schedule.last().expect("nonempty").as_secs_f64(),
-        achieved_rps: if wall > 0.0 {
-            (ok + busy + late) as f64 / wall
-        } else {
-            0.0
-        },
-        ok,
-        busy,
-        late,
-        mismatches,
-        errors,
-        retries,
-        latencies_ms,
-        before,
-        after,
-    }
+            let mut expected = Vec::new();
+            wire::encode_results_range(&results, 0, results.len(), &mut expected);
+            Request {
+                // Deadline 0 means no budget.
+                frame: wire::query_frame(idx as u64, deadline_us, &payload),
+                expected,
+            }
+        })
+        .collect();
+    (requests, summary)
 }
 
 /// A client socket with Nagle off: a small frame written while an
@@ -539,179 +298,75 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// One connection's share of a rate run. Returns an outcome per
-/// assigned request, the BUSY retries sent, and the instant the last
-/// response landed.
-fn run_connection(
-    addr: &str,
-    requests: &[Request],
-    schedule: &[Duration],
-    assigned: &[usize],
-    start: Instant,
-    retry: RetryPolicy,
-) -> (Vec<Outcome>, u64, Option<Instant>) {
-    let Ok(stream) = connect(addr) else {
-        return (assigned.iter().map(|_| Outcome::Error).collect(), 0, None);
+/// One connection's share of the workload: sends the `i`-th of
+/// `assigned` at `start + i × PACE` while a reader thread scores the
+/// answers. Returns the outcome counts.
+fn run_connection(addr: &str, requests: &[Request], assigned: &[usize], start: Instant) -> Summary {
+    let Ok((mut sender, read_half)) =
+        connect(addr).and_then(|stream| Ok((stream.try_clone()?, stream)))
+    else {
+        return Summary {
+            errors: assigned.len(),
+            ..Summary::default()
+        };
     };
-    let Ok(read_half) = stream.try_clone() else {
-        return (assigned.iter().map(|_| Outcome::Error).collect(), 0, None);
-    };
-
-    // The reader runs concurrently with the sender — open loop means
-    // many requests can be in flight on this one connection.
-    let expected = assigned.len();
-    let reader = thread::spawn(move || read_responses(read_half, expected));
-
-    let mut sender = stream;
-    for &idx in assigned {
-        sleep_until(start + schedule[idx]);
-        if sender.write_all(&requests[idx].frame).is_err() {
-            // The reader sees the broken stream too and returns; the
-            // unsent requests score as unanswered below.
-            break;
-        }
-    }
-    let responses = reader.join().expect("reader thread");
-
-    let mut last_done = None;
-    let mut outcomes: Vec<Outcome> = assigned
-        .iter()
-        .map(|&idx| {
-            let Some((opcode, payload, at)) = responses
-                .iter()
-                .find_map(|r| (r.request_id == idx as u64).then_some((r.opcode, &r.payload, r.at)))
-            else {
-                return Outcome::Error; // unanswered
-            };
-            last_done = Some(last_done.map_or(at, |t: Instant| t.max(at)));
-            match opcode {
-                Ok(Opcode::Results) => match &requests[idx].expected {
-                    Some(expected) if payload != expected => Outcome::Mismatch,
-                    _ => Outcome::Ok(at - (start + schedule[idx])),
-                },
-                Ok(Opcode::Busy) => Outcome::Busy,
-                Ok(Opcode::Late) => Outcome::Late,
-                _ => Outcome::Error,
-            }
-        })
-        .collect();
-
-    // BUSY retry pass, after the open-loop schedule completes so the
-    // retries never perturb it: bounded attempts, jittered exponential
-    // backoff, latency still measured from the original scheduled
-    // arrival (the retry wait is part of the client's experience).
-    let mut retries = 0;
-    if retry.attempts > 0 {
-        let mut rng = SeededRng::new(0xB05Fu64 ^ assigned.first().copied().unwrap_or(0) as u64);
-        let _ = sender.set_read_timeout(Some(Duration::from_secs(5)));
-        for (slot, &idx) in assigned.iter().enumerate() {
-            if !matches!(outcomes[slot], Outcome::Busy) {
-                continue;
-            }
-            for attempt in 0..retry.attempts {
-                let jitter = 0.5 + rng.f64();
-                thread::sleep(
-                    Duration::from_secs_f64(retry.base.as_secs_f64() * jitter)
-                        * 2u32.pow(attempt.min(16)),
-                );
-                retries += 1;
-                if sender.write_all(&requests[idx].frame).is_err() {
-                    outcomes[slot] = Outcome::Error;
-                    break;
-                }
-                // Nothing else is in flight here, so the next frame is
-                // this retry's answer.
-                let Some(response) = read_responses(sender.try_clone().expect("clone"), 1).pop()
-                else {
-                    outcomes[slot] = Outcome::Error;
-                    break;
-                };
-                debug_assert_eq!(response.request_id, idx as u64);
-                outcomes[slot] = match response.opcode {
-                    Ok(Opcode::Results) => match &requests[idx].expected {
-                        Some(expected) if &response.payload != expected => Outcome::Mismatch,
-                        _ => {
-                            last_done = Some(
-                                last_done.map_or(response.at, |t: Instant| t.max(response.at)),
-                            );
-                            Outcome::Ok(response.at - (start + schedule[idx]))
-                        }
-                    },
-                    Ok(Opcode::Busy) => Outcome::Busy,
-                    Ok(Opcode::Late) => Outcome::Late,
-                    _ => Outcome::Error,
-                };
-                if !matches!(outcomes[slot], Outcome::Busy) {
-                    break;
-                }
+    thread::scope(|scope| {
+        let reader = scope.spawn(move || read_answers(read_half, requests, assigned));
+        for (i, &idx) in assigned.iter().enumerate() {
+            thread::sleep((start + PACE * i as u32).saturating_duration_since(Instant::now()));
+            if sender.write_all(&requests[idx].frame).is_err() {
+                // The reader sees the broken stream too and returns; the
+                // unsent requests score as unanswered.
+                break;
             }
         }
-    }
-    (outcomes, retries, last_done)
+        reader.join().expect("reader thread")
+    })
 }
 
-/// One frame as the reader saw it.
-struct Response {
-    request_id: u64,
-    opcode: Result<Opcode, wire::WireError>,
-    payload: Vec<u8>,
-    at: Instant,
-}
-
-/// Reads until `expected` frames arrive, the peer closes, or the
-/// 30-second stall guard trips (a hung server must fail the run, not
-/// wedge it).
-fn read_responses(mut stream: TcpStream, expected: usize) -> Vec<Response> {
+/// Reads and scores answers until every `assigned` request has one, the
+/// peer closes, a frame answers nothing still pending, or the 30-second
+/// stall guard trips (a hung server must fail the run, not wedge it).
+/// A request left unanswered counts as an error.
+fn read_answers(mut stream: TcpStream, requests: &[Request], assigned: &[usize]) -> Summary {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut responses = Vec::with_capacity(expected);
+    let mut tally = Summary::default();
+    let mut pending = assigned.to_vec();
     let mut header_bytes = [0u8; HEADER_LEN];
-    while responses.len() < expected {
-        if read_exact(&mut stream, &mut header_bytes).is_err() {
-            break;
-        }
-        let Ok(header) = wire::decode_header(&header_bytes, usize::MAX) else {
+    while !pending.is_empty() && stream.read_exact(&mut header_bytes).is_ok() {
+        // Answers to this workload are a few KiB: a longer frame is
+        // broken, not something to allocate for.
+        let Ok(header) = wire::decode_header(&header_bytes, 1 << 20) else {
             break;
         };
         let mut payload = vec![0u8; header.payload_len as usize];
-        if read_exact(&mut stream, &mut payload).is_err() {
+        let answered = pending
+            .iter()
+            .position(|&idx| idx as u64 == header.request_id);
+        let (Ok(()), Some(slot)) = (stream.read_exact(&mut payload), answered) else {
             break;
-        }
-        responses.push(Response {
-            request_id: header.request_id,
-            opcode: Opcode::from_byte(header.opcode),
-            payload,
-            at: Instant::now(),
-        });
+        };
+        let idx = pending.swap_remove(slot);
+        *match Opcode::from_byte(header.opcode) {
+            Ok(Opcode::Results) if payload == requests[idx].expected => &mut tally.ok,
+            Ok(Opcode::Results) => &mut tally.mismatches,
+            Ok(Opcode::Busy) => &mut tally.busy,
+            Ok(Opcode::Late) => &mut tally.late,
+            _ => &mut tally.errors,
+        } += 1;
     }
-    responses
-}
-
-fn read_exact(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+    tally.errors += pending.len();
+    tally
 }
 
 /// The fault-injection sidecar: until `stop` flips, sacrificial
 /// connections send workload frames sabotaged per a seeded
 /// [`FaultPlan`] — torn prefixes then hangups, silent stalls, flipped
-/// bytes. Nothing here is asserted or measured beyond the count of
-/// frames thrown; the assertion is that the *measured* connections
-/// stay byte-verified while this runs. Returns the frames thrown.
-fn run_chaos(addr: &str, requests: &[Request], seed: u64, rate: f64, stop: &AtomicBool) -> u64 {
-    let mut plan = FaultPlan::new(seed, rate);
+/// bytes. Nothing here is asserted beyond the count of frames thrown;
+/// the assertion is that the *verified* connections stay byte-exact
+/// while this runs. Returns the frames thrown.
+fn run_chaos(addr: &str, requests: &[Request], rate: f64, stop: &AtomicBool) -> u64 {
+    let mut plan = FaultPlan::new(CHAOS_SEED, rate);
     let mut stalled: Vec<TcpStream> = Vec::new();
     let mut thrown = 0u64;
     for idx in (0..requests.len()).cycle() {
@@ -746,387 +401,67 @@ fn run_chaos(addr: &str, requests: &[Request], seed: u64, rate: f64, stop: &Atom
     thrown
 }
 
-/// A dedicated connection for STATS probes, kept apart from the load
-/// connections so probes never queue behind load frames.
-struct ControlConn {
-    stream: TcpStream,
-    next_id: u64,
-}
-
-impl ControlConn {
-    fn connect(addr: &str) -> std::io::Result<ControlConn> {
-        Ok(ControlConn {
-            stream: connect(addr)?,
-            next_id: 1 << 62,
-        })
-    }
-
-    fn snapshot(&mut self) -> StatsSnapshot {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.stream
-            .write_all(&wire::frame(Opcode::Stats, id, &[]))
-            .expect("stats request");
-        let mut header_bytes = [0u8; HEADER_LEN];
-        read_exact(&mut self.stream, &mut header_bytes).expect("stats header");
-        let header = wire::decode_header(&header_bytes, usize::MAX).expect("stats frame");
-        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::StatsReply));
-        assert_eq!(header.request_id, id);
-        let mut payload = vec![0u8; header.payload_len as usize];
-        read_exact(&mut self.stream, &mut payload).expect("stats payload");
-        wire::decode_stats(&payload).expect("stats decode")
-    }
-}
-
-/// Nearest-rank percentile of an already-sorted sample; NaN (rendered
-/// as JSON null) when the sample is empty.
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return f64::NAN;
-    }
-    let rank = (q * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[rank.min(sorted_ms.len() - 1)]
-}
-
-/// Submissions per engine run between two snapshots — the
-/// continuous-batching figure of merit.
-fn mean_coalesced(before: &StatsSnapshot, after: &StatsSnapshot) -> f64 {
-    let batches = after.batches_run.saturating_sub(before.batches_run);
-    let coalesced = after
-        .submissions_coalesced
-        .saturating_sub(before.submissions_coalesced);
-    if batches == 0 {
-        return f64::NAN;
-    }
-    coalesced as f64 / batches as f64
-}
-
-/// The server's own account of a RESULTS frame between two snapshots:
-/// mean queue wait (frame read → engine start), engine run and reply
-/// (engine end → socket write returned), in µs. What the client-side
-/// p50 shows beyond their sum is spent outside the server's threads.
-fn stage_means_us(before: &StatsSnapshot, after: &StatsSnapshot) -> [f64; 3] {
-    let replies = after.replies_timed.saturating_sub(before.replies_timed);
-    [
-        (after.queue_wait_ns, before.queue_wait_ns),
-        (after.engine_ns, before.engine_ns),
-        (after.reply_ns, before.reply_ns),
-    ]
-    .map(|(after, before)| after.saturating_sub(before) as f64 / 1e3 / replies as f64)
-}
-
-fn rate_entry(outcome: &RateOutcome) -> Json {
-    let (before, after) = (&outcome.before, &outcome.after);
-    let lat = &outcome.latencies_ms;
-    let mean_ms = if lat.is_empty() {
-        f64::NAN
-    } else {
-        lat.iter().sum::<f64>() / lat.len() as f64
-    };
-    Json::obj()
-        .field("target_rps", outcome.target_rps)
-        .field("offered_rps", outcome.offered_rps)
-        .field("achieved_rps", outcome.achieved_rps)
-        .field(
-            "requests",
-            outcome.ok + outcome.busy + outcome.late + outcome.mismatches + outcome.errors,
-        )
-        .field("ok", outcome.ok)
-        .field("busy", outcome.busy)
-        .field("late", outcome.late)
-        .field("mismatches", outcome.mismatches)
-        .field("errors", outcome.errors)
-        .field("busy_retries", outcome.retries)
-        .field(
-            // Misses over everything offered — separate from (and
-            // alongside) percentiles that only cover the answered.
-            "deadline_miss_rate",
-            outcome.late as f64
-                / (outcome.ok + outcome.busy + outcome.late + outcome.mismatches + outcome.errors)
-                    .max(1) as f64,
-        )
-        .field(
-            "latency_ms",
-            Json::obj()
-                .field("p50", percentile(lat, 0.50))
-                .field("p99", percentile(lat, 0.99))
-                .field("p999", percentile(lat, 0.999))
-                .field("max", lat.last().copied().unwrap_or(f64::NAN))
-                .field("mean", mean_ms),
-        )
-        .field(
-            "stats_delta",
-            Json::obj()
-                .field(
-                    "batches_run",
-                    after.batches_run.saturating_sub(before.batches_run),
-                )
-                .field(
-                    "submissions_coalesced",
-                    after
-                        .submissions_coalesced
-                        .saturating_sub(before.submissions_coalesced),
-                )
-                .field("mean_coalesced_batch", mean_coalesced(before, after))
-                .field("max_coalesced_seen", after.max_coalesced)
-                .field(
-                    "queries_executed",
-                    after
-                        .queries_executed
-                        .saturating_sub(before.queries_executed),
-                )
-                .field(
-                    "positions_returned",
-                    after
-                        .positions_returned
-                        .saturating_sub(before.positions_returned),
-                )
-                .field(
-                    "search_rounds",
-                    after.search_rounds.saturating_sub(before.search_rounds),
-                )
-                .field(
-                    "resolve_rounds",
-                    after.resolve_rounds.saturating_sub(before.resolve_rounds),
-                )
-                .field(
-                    "late_dropped",
-                    after.late_dropped.saturating_sub(before.late_dropped),
-                )
-                .field(
-                    "writer_shed",
-                    after.writer_shed.saturating_sub(before.writer_shed),
-                )
-                .field(
-                    "conns_reaped",
-                    after.conns_reaped.saturating_sub(before.conns_reaped),
-                )
-                .field(
-                    "goaway_sent",
-                    after.goaway_sent.saturating_sub(before.goaway_sent),
-                ),
-        )
-}
-
-fn run(args: &Args) -> ExitCode {
-    let profile = match profile_for(&args.profile, args.len) {
-        Ok(profile) => profile,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    eprintln!(
-        "[loadgen] synthesizing {} ({} bp, seed {}) and building the k={}{} oracle...",
-        profile.name,
-        profile.len,
-        args.seed,
-        args.k,
-        if args.bidirectional {
-            " bidirectional"
-        } else {
-            ""
-        }
-    );
-    let genome = Genome::synthesize(&profile, args.seed);
+/// Rebuilds the oracle, sends the workload (with the chaos sidecar when
+/// asked) and counts the outcomes. Fails only if the oracle's index
+/// cannot be built.
+fn run(args: &Args) -> Result<Summary, EngineError> {
+    let genome = Genome::synthesize(&args.profile, args.seed);
     let builder = EngineBuilder::new()
         .k(args.k)
         .bidirectional(args.bidirectional);
-    let index = match builder.build_index(&genome.text_with_sentinel()) {
-        Ok(index) => Arc::new(index),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let index = builder.build_index(&genome.text_with_sentinel())?;
     // The sequential k-step executor: never cut, never merged — not the
     // lockstep engine the server runs, so a lockstep bug cannot verify
     // itself.
-    let oracle = args
-        .verify
-        .then(|| builder.sequential().attach(&index).expect("oracle attach"));
+    let oracle = builder.sequential().attach(&index)?;
     let reads = args.bidirectional.then(|| read_pool(&genome));
-    let (requests, strand_mix) = build_requests(&genome, reads.as_deref(), oracle.as_deref(), args);
+    let (requests, mut summary) =
+        build_requests(&genome, reads.as_deref(), &*oracle, args.deadline_us);
 
-    // Self-host unless --addr points at a running server.
-    let mut hosted: Option<(ServerHandle, thread::JoinHandle<std::io::Result<()>>)> = None;
-    let addr = match &args.addr {
-        Some(addr) => addr.clone(),
-        None => {
-            let config = ServerConfig {
-                queue_depth: args.queue_depth,
-                linger: args.linger,
-                // Under chaos, stalled sacrificial connections must be
-                // reaped within the run, not after a minute.
-                idle_timeout: if args.chaos > 0.0 {
-                    Some(Duration::from_secs(2))
-                } else {
-                    ServerConfig::default().idle_timeout
-                },
-                ..ServerConfig::default()
-            };
-            let server = match Server::bind("127.0.0.1:0", Arc::clone(&index), builder, config) {
-                Ok(server) => server,
-                Err(e) => {
-                    eprintln!("error: cannot self-host: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let handle = server.handle().expect("local addr");
-            let addr = handle.addr().to_string();
-            hosted = Some((handle, thread::spawn(move || server.run())));
-            eprintln!("[loadgen] self-hosted server on {addr}");
-            addr
-        }
-    };
-
-    let mut stats_conn = match ControlConn::connect(&addr) {
-        Ok(conn) => conn,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let retry = RetryPolicy {
-        attempts: args.busy_retries,
-        base: Duration::from_micros(500),
-    };
-    let mut rate_entries = Vec::new();
-    let mut failed = false;
-    let first_before = stats_conn.snapshot();
     let stop_chaos = AtomicBool::new(false);
-    let chaos_thrown = thread::scope(|scope| {
-        // The sidecar spans every rate: the measured load below runs
-        // against a server under continuous attack.
-        let chaos = (args.chaos > 0.0).then(|| {
-            let (addr, requests, stop) = (&addr, &requests, &stop_chaos);
-            eprintln!(
-                "[loadgen] chaos sidecar on: fault rate {} (seed {})",
-                args.chaos, args.chaos_seed
-            );
-            scope.spawn(move || run_chaos(addr, requests, args.chaos_seed, args.chaos, stop))
-        });
-        for (ri, &rate) in args.rates.iter().enumerate() {
-            let schedule = arrival_schedule(
-                args.requests,
-                rate,
-                args.arrival_seed ^ (ri as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
-            );
-            eprintln!(
-                "[loadgen] rate {rate} req/s: {} requests x {} queries over {} conns...",
-                args.requests, args.queries, args.conns
-            );
-            let outcome = run_rate(
-                &addr,
-                &requests,
-                &schedule,
-                args.conns,
-                rate,
-                retry,
-                &mut stats_conn,
-            );
-            let stages = stage_means_us(&outcome.before, &outcome.after);
-            eprintln!(
-                "[loadgen]   ok {} busy {} late {} mismatch {} error {} | retries {} | p50 {:.2} ms p99 {:.2} ms p999 {:.2} ms | {:.0} req/s achieved | {:.2} subs/batch | server means: queue {:.0} us, engine {:.0} us, reply {:.0} us | {:.0} of {:.0} MiB on huge pages",
-                outcome.ok,
-                outcome.busy,
-                outcome.late,
-                outcome.mismatches,
-                outcome.errors,
-                outcome.retries,
-                percentile(&outcome.latencies_ms, 0.50),
-                percentile(&outcome.latencies_ms, 0.99),
-                percentile(&outcome.latencies_ms, 0.999),
-                outcome.achieved_rps,
-                mean_coalesced(&outcome.before, &outcome.after),
-                stages[0],
-                stages[1],
-                stages[2],
-                outcome.after.heap_huge_bytes as f64 / (1024.0 * 1024.0),
-                outcome.after.heap_total as f64 / (1024.0 * 1024.0),
-            );
-            failed |= outcome.mismatches > 0 || outcome.errors > 0;
-            rate_entries.push(rate_entry(&outcome));
+    summary.chaos_frames = thread::scope(|scope| {
+        let (addr, requests) = (args.addr.as_str(), &requests);
+        let chaos = (args.chaos > 0.0)
+            .then(|| scope.spawn(|| run_chaos(addr, requests, args.chaos, &stop_chaos)));
+        let start = Instant::now();
+        let conns: Vec<_> = (0..CONNS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let assigned: Vec<usize> = (c..REQUESTS).step_by(CONNS).collect();
+                    run_connection(addr, requests, &assigned, start)
+                })
+            })
+            .collect();
+        for conn in conns {
+            let tally = conn.join().expect("client thread");
+            summary.ok += tally.ok;
+            summary.busy += tally.busy;
+            summary.late += tally.late;
+            summary.mismatches += tally.mismatches;
+            summary.errors += tally.errors;
         }
         stop_chaos.store(true, Ordering::Relaxed);
-        chaos.map(|h| h.join().expect("chaos thread"))
+        chaos.map_or(0, |h| h.join().expect("chaos thread"))
     });
-    if let Some(thrown) = chaos_thrown {
-        eprintln!("[loadgen] chaos sidecar threw {thrown} sabotaged frames");
-    }
-    let last_after = stats_conn.snapshot();
-
-    let mut doc = Json::obj()
-        .field("schema_version", 8u64)
-        .field("mode", "loadgen")
-        .field("profile", profile.name.as_str())
-        .field("genome_len", genome.len())
-        .field("seed", args.seed)
-        .field("k", args.k)
-        .field("bidirectional", args.bidirectional)
-        .field(
-            "server",
-            if args.addr.is_some() {
-                addr.as_str()
-            } else {
-                "self-hosted"
-            },
-        )
-        .field("connections", args.conns)
-        .field("requests_per_rate", args.requests)
-        .field("queries_per_request", args.queries)
-        .field("locate_cap", args.locate_cap as u64)
-        .field("arrival_seed", args.arrival_seed)
-        .field("deadline_us", args.deadline_us as u64)
-        .field("busy_retries", args.busy_retries as u64)
-        .field("chaos_rate", args.chaos)
-        .field("chaos_frames", chaos_thrown.unwrap_or(0))
-        .field("verified_against_oracle", args.verify && !failed)
-        .field(
-            "mean_coalesced_batch",
-            mean_coalesced(&first_before, &last_after),
-        );
-    if args.bidirectional {
-        doc = doc.field(
-            "strand_mix",
-            Json::obj()
-                .field("search_both_queries", strand_mix.search_both_queries)
-                .field("forward_hits", strand_mix.forward_hits)
-                .field("reverse_hits", strand_mix.reverse_hits)
-                .field("truncated_answers", strand_mix.truncated_answers)
-                .field("palindromic_patterns", strand_mix.palindromic_patterns),
-        );
-    }
-    let doc = doc.field("rates", rate_entries);
-    let rendered = format!("{doc}\n");
-    if let Err(err) = std::fs::write(&args.out, rendered) {
-        eprintln!("failed to write {}: {err}", args.out.display());
-        return ExitCode::from(2);
-    }
-    eprintln!("[loadgen] wrote {}", args.out.display());
-
-    if let Some((handle, thread)) = hosted {
-        // The drain no longer needs clients gone first (the server
-        // force-closes and joins them), but closing our control
-        // connection is still the polite order.
-        drop(stats_conn);
-        handle.shutdown();
-        if thread.join().expect("server thread").is_err() {
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("loadgen FAILED: mismatches or errors above");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(summary)
 }
 
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)) {
-        Ok(Some(args)) => run(&args),
+        Ok(Some(args)) => match run(&args) {
+            Ok(summary) => {
+                println!("{summary}");
+                if summary.verified() {
+                    ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
+                }
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::from(2)
+            }
+        },
         Ok(None) => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -1141,93 +476,69 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exma_server::{Server, ServerConfig, ServerHandle};
+    use std::sync::Arc;
+
+    fn parse(argv: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
 
     #[test]
     fn args_default_and_parse() {
-        let args = parse_args(Vec::<String>::new().into_iter())
-            .unwrap()
-            .unwrap();
-        assert!(args.addr.is_none());
-        assert!(args.verify);
-        assert_eq!(args.rates, vec![1000.0, 4000.0]);
-        assert_eq!(args.requests, 1000);
-        assert_eq!(args.out, PathBuf::from("LOAD_exma.json"));
+        let args = parse(&["--addr", "127.0.0.1:7878"]).unwrap().unwrap();
+        assert_eq!(args.addr, "127.0.0.1:7878");
+        assert_eq!(args.profile, GenomeProfile::toy());
+        assert_eq!((args.seed, args.k, args.deadline_us), (42, 4, 0));
+        assert!(!args.bidirectional);
+        assert_eq!(args.chaos, 0.0);
 
         let argv = [
             "--addr",
-            "127.0.0.1:7878",
-            "--rates",
-            "500,2500.5",
-            "--requests",
-            "64",
-            "--conns",
+            "h:1",
+            "--profile",
+            "human_rel",
+            "--len",
+            "50000",
+            "--seed",
+            "7",
+            "--k",
             "2",
-            "--queries",
-            "5",
-            "--locate-cap",
-            "9",
             "--bidirectional",
             "--deadline-us",
             "4000",
-            "--busy-retries",
-            "5",
             "--chaos",
             "0.25",
-            "--chaos-seed",
-            "11",
-            "--no-verify",
-            "--out",
-            "/tmp/l.json",
         ];
-        let args = parse_args(argv.iter().map(|s| s.to_string()))
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.addr.as_deref(), Some("127.0.0.1:7878"));
-        assert_eq!(args.rates, vec![500.0, 2500.5]);
-        assert_eq!(args.requests, 64);
-        assert_eq!(args.conns, 2);
-        assert_eq!(args.queries, 5);
-        assert_eq!(args.locate_cap, 9);
+        let args = parse(&argv).unwrap().unwrap();
+        assert_eq!(args.profile.name, "human_rel");
+        assert_eq!(args.profile.len, 50_000);
+        assert_eq!((args.seed, args.k, args.deadline_us), (7, 2, 4000));
         assert!(args.bidirectional);
-        assert_eq!(args.deadline_us, 4000);
-        assert_eq!(args.busy_retries, 5);
         assert_eq!(args.chaos, 0.25);
-        assert_eq!(args.chaos_seed, 11);
-        assert!(!args.verify);
-    }
 
-    #[test]
-    fn bad_args_are_rejected() {
-        assert!(parse_args(["--frobnicate".to_string()].into_iter()).is_err());
-        assert!(parse_args(["--rates".to_string(), "0".to_string()].into_iter()).is_err());
-        assert!(parse_args(["--rates".to_string(), "x".to_string()].into_iter()).is_err());
-        assert!(parse_args(["--requests".to_string(), "0".to_string()].into_iter()).is_err());
-        assert!(parse_args(["--chaos".to_string(), "1.5".to_string()].into_iter()).is_err());
-        assert!(parse_args(["--chaos".to_string(), "-0.1".to_string()].into_iter()).is_err());
-        assert!(parse_args(["--help".to_string()].into_iter())
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn arrival_schedule_is_monotonic_and_near_rate() {
-        let schedule = arrival_schedule(4000, 1000.0, 7);
-        assert!(schedule.windows(2).all(|w| w[0] <= w[1]));
-        // 4000 arrivals at 1000/s should span ~4 s; the Poisson spread
-        // at n = 4000 stays well within +-20%.
-        let span = schedule.last().unwrap().as_secs_f64();
-        assert!((3.2..=4.8).contains(&span), "span {span}");
-        // Determinism: the same seed replays the same process.
-        assert_eq!(schedule, arrival_schedule(4000, 1000.0, 7));
-        assert_ne!(schedule, arrival_schedule(4000, 1000.0, 8));
+        assert!(parse(&["--help"]).unwrap().is_none());
+        let bad: [&[&str]; 9] = [
+            &[],
+            &["--addr"],
+            &["--addr", "h:1", "--frobnicate"],
+            &["--addr", "h:1", "--rates", "1000"],
+            &["--addr", "h:1", "--chaos", "1.5"],
+            &["--addr", "h:1", "--chaos", "-0.1"],
+            &["--addr", "h:1", "--seed", "x"],
+            &["--addr", "h:1", "--profile", "nope"],
+            &["--addr", "h:1", "--len", "0"],
+        ];
+        for argv in bad {
+            assert!(parse(argv).is_err(), "{argv:?}");
+        }
     }
 
     #[test]
     fn request_batches_are_deterministic_and_mixed() {
         let genome = Genome::synthesize(&GenomeProfile::toy(), 42);
-        let a = request_batch(&genome, None, 3, 9, 16);
-        let b = request_batch(&genome, None, 3, 9, 16);
-        assert_eq!(a.len(), 9);
+        let a = request_batch(&genome, None, 3);
+        let b = request_batch(&genome, None, 3);
+        assert_eq!(a.len(), QUERIES);
         for q in 0..a.len() {
             assert_eq!(a.request(q), b.request(q));
             assert_eq!(a.pattern(q), b.pattern(q));
@@ -1237,7 +548,7 @@ mod tests {
         assert_eq!(a.request(1), QueryRequest::locate_capped(16));
         assert_eq!(a.request(2), QueryRequest::Interval);
         assert_ne!(
-            request_batch(&genome, None, 4, 9, 16).request(0),
+            request_batch(&genome, None, 4).request(0),
             QueryRequest::Count
         );
     }
@@ -1254,8 +565,8 @@ mod tests {
         assert!(origins.iter().any(|r| r.origin.reverse));
         assert!(origins.iter().any(|r| !r.origin.reverse));
 
-        let a = request_batch(&genome, Some(&pool), 0, 8, 16);
-        let b = request_batch(&genome, Some(&pool), 0, 8, 16);
+        let a = request_batch(&genome, Some(&pool), 0);
+        let b = request_batch(&genome, Some(&pool), 0);
         assert_eq!(a.len(), 8);
         for q in 0..a.len() {
             assert_eq!(a.request(q), b.request(q));
@@ -1272,48 +583,68 @@ mod tests {
         assert_eq!(a.request(2), QueryRequest::Interval);
     }
 
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 0.50), 51.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-        assert!(percentile(&[], 0.5).is_nan());
+    /// An in-process server over the toy genome of `seed`, on an
+    /// ephemeral port, as `exma-server --profile toy` would build it.
+    fn serve(
+        seed: u64,
+        bidirectional: bool,
+    ) -> (ServerHandle, thread::JoinHandle<std::io::Result<()>>) {
+        let genome = Genome::synthesize(&GenomeProfile::toy(), seed);
+        let builder = EngineBuilder::new().bidirectional(bidirectional);
+        let index = builder.build_index(&genome.text_with_sentinel()).unwrap();
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(index),
+            builder,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let handle = server.handle().unwrap();
+        (handle, thread::spawn(move || server.run()))
+    }
+
+    /// Runs the client against `handle` with `flags` and drains the
+    /// server.
+    fn verify(
+        (handle, server): (ServerHandle, thread::JoinHandle<std::io::Result<()>>),
+        flags: &[&str],
+    ) -> Summary {
+        let addr = handle.addr().to_string();
+        let argv: Vec<&str> = ["--addr", addr.as_str()]
+            .into_iter()
+            .chain(flags.iter().copied())
+            .collect();
+        let summary = run(&parse(&argv).unwrap().unwrap()).unwrap();
+        handle.shutdown();
+        server.join().expect("server thread").unwrap();
+        summary
     }
 
     #[test]
-    fn coalescing_figure_divides_delta_submissions_by_delta_batches() {
-        let before = StatsSnapshot {
-            batches_run: 10,
-            submissions_coalesced: 10,
-            ..Default::default()
-        };
-        let after = StatsSnapshot {
-            batches_run: 14,
-            submissions_coalesced: 22,
-            ..Default::default()
-        };
-        assert_eq!(mean_coalesced(&before, &after), 3.0);
-        assert!(mean_coalesced(&before, &before).is_nan());
+    fn a_matching_server_verifies_under_chaos_and_deadlines() {
+        let forward = verify(serve(42, false), &[]);
+        assert!(forward.verified(), "{forward}");
+        assert_eq!(forward.ok, REQUESTS);
+        assert_eq!(forward.search_both, 0);
+
+        let flags = [
+            "--bidirectional",
+            "--chaos",
+            "0.5",
+            "--deadline-us",
+            "100000",
+        ];
+        let both = verify(serve(42, true), &flags);
+        assert!(both.verified(), "{both}");
+        assert_eq!(both.ok + both.busy + both.late, REQUESTS);
+        assert!(both.search_both > 0 && both.reverse_hits > 0, "{both}");
+        assert!(both.chaos_frames > 0, "{both}");
     }
 
     #[test]
-    fn stage_means_divide_delta_nanoseconds_by_delta_replies() {
-        let before = StatsSnapshot {
-            queue_wait_ns: 1_000,
-            engine_ns: 5_000,
-            reply_ns: 2_000,
-            replies_timed: 1,
-            ..Default::default()
-        };
-        let after = StatsSnapshot {
-            queue_wait_ns: 41_000,
-            engine_ns: 125_000,
-            reply_ns: 22_000,
-            replies_timed: 5,
-            ..Default::default()
-        };
-        assert_eq!(stage_means_us(&before, &after), [10.0, 30.0, 5.0]);
-        assert!(stage_means_us(&before, &before)[0].is_nan());
+    fn a_server_over_another_genome_fails_verification() {
+        let summary = verify(serve(43, false), &["--seed", "42"]);
+        assert!(summary.mismatches > 0, "{summary}");
+        assert!(!summary.verified());
     }
 }

@@ -9,7 +9,7 @@
 //! how long that took. Clients that want to verify responses rebuild
 //! the identical reference from the same `--profile`/`--len`/`--seed`
 //! (synthesis is deterministic) — which is exactly what
-//! `exma-loadgen --verify` does.
+//! `exma-loadgen` does.
 //!
 //! SIGTERM and SIGINT trigger a graceful drain: the server stops
 //! accepting, answers new QUERYs with GOAWAY, executes everything
@@ -184,13 +184,8 @@ fn drain_on_signals(_handle: ServerHandle) {}
 
 /// Resolves a profile name, applying the `--len` override.
 fn profile_for(name: &str, len: Option<usize>) -> Result<GenomeProfile, String> {
-    let mut profile = match name {
-        "toy" => GenomeProfile::toy(),
-        "human_rel" => GenomeProfile::human_rel(),
-        "picea_rel" => GenomeProfile::picea_rel(),
-        "pinus_rel" => GenomeProfile::pinus_rel(),
-        other => return Err(format!("unknown profile '{other}'")),
-    };
+    let mut profile =
+        GenomeProfile::by_name(name).ok_or_else(|| format!("unknown profile '{name}'"))?;
     if let Some(len) = len {
         if len == 0 {
             return Err("--len must be positive".to_string());

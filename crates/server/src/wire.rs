@@ -619,8 +619,8 @@ pub fn decode_results(payload: &[u8]) -> Result<Vec<WireOutput>, WireError> {
 
 /// A point-in-time copy of the server's cumulative counters, as
 /// carried by a STATS_REPLY payload. Clients sample twice and diff —
-/// the load generator derives its coalescing metrics from exactly
-/// such deltas.
+/// the benchmark's `serve_small` workload derives its coalescing
+/// metrics from exactly such deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Connections accepted since startup.
