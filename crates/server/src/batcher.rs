@@ -39,14 +39,14 @@
 //! overflow, socket failure) are skipped the same way.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use exma_engine::{Executor, QueryArena, QueryBatch};
 
 use crate::conn::{ReplyHandle, Stamps};
-use crate::wire::{self, LateInfo, Opcode, StatsSnapshot};
+use crate::wire::{self, LateInfo, Opcode, ServerStats};
 use crate::MAX_BATCH_QUERIES;
 
 /// One decoded QUERY frame, queued for a leader.
@@ -94,87 +94,6 @@ fn saturating_us(d: Duration) -> u32 {
     d.as_micros().min(u128::from(u32::MAX)) as u32
 }
 
-/// Cumulative server counters, shared across connection threads.
-/// Relaxed ordering throughout: monitoring, not synchronization.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Submissions admitted to the queue.
-    pub submissions_admitted: AtomicU64,
-    /// Submissions bounced with BUSY.
-    pub submissions_busy: AtomicU64,
-    /// Frames answered with ERROR.
-    pub errors: AtomicU64,
-    /// Merged engine runs executed.
-    pub batches_run: AtomicU64,
-    /// Submissions coalesced across all runs.
-    pub submissions_coalesced: AtomicU64,
-    /// Most submissions merged into one run.
-    pub max_coalesced: AtomicU64,
-    /// Queries executed across all runs.
-    pub queries_executed: AtomicU64,
-    /// Located positions returned across all runs.
-    pub positions_returned: AtomicU64,
-    /// Lockstep search rounds across all runs.
-    pub search_rounds: AtomicU64,
-    /// Resolver rounds across all runs.
-    pub resolve_rounds: AtomicU64,
-    /// Submissions currently queued (admitted, not yet drained).
-    pub queue_depth: AtomicU64,
-    /// Total heap bytes of the served index, set once at bind.
-    pub heap_total: AtomicU64,
-    /// k-mer checkpoint rows of the served index.
-    pub heap_k_occ_checkpoints: AtomicU64,
-    /// Per-block k-mer delta rows of the served index.
-    pub heap_k_occ_deltas: AtomicU64,
-    /// k-mer code lanes and totals of the served index.
-    pub heap_k_occ_codes: AtomicU64,
-    /// The served index's 1-step occurrence table.
-    pub heap_one_step_occ: AtomicU64,
-    /// The served index's sampled suffix-array positions.
-    pub heap_sa_samples: AtomicU64,
-    /// The served index's sampled-row rank bitvector.
-    pub heap_rank_bits: AtomicU64,
-    /// Remaining served-index bytes (C-array, marker exceptions).
-    pub heap_other: AtomicU64,
-    /// Submissions answered LATE: deadline elapsed before execution.
-    pub late_dropped: AtomicU64,
-    /// Response frames shed on a full bounded writer queue (each shed
-    /// also disconnects its connection).
-    pub writer_shed: AtomicU64,
-    /// Connections reaped by the read/idle timeout.
-    pub conns_reaped: AtomicU64,
-    /// QUERYs answered GOAWAY while draining for shutdown.
-    pub goaway_sent: AtomicU64,
-    /// 1 when this process warm-started from a verified snapshot; set
-    /// once at startup alongside the heap fields.
-    pub snapshot_loaded: AtomicU64,
-    /// Snapshot files rejected by the verified loader at startup, each
-    /// followed by a cold rebuild; set once at startup.
-    pub snapshot_rejected: AtomicU64,
-    /// 1 when the served index is bidirectional (strand-agnostic
-    /// search); set once at startup.
-    pub bidir_enabled: AtomicU64,
-    /// Symbol length of the indexed text (doubled for a bidirectional
-    /// index); set once at startup.
-    pub bidir_text_len: AtomicU64,
-    /// Nanoseconds from frame fully read to engine start (the linger
-    /// window included), summed over `replies_timed`.
-    pub queue_wait_ns: AtomicU64,
-    /// Nanoseconds inside `run_into`; a merged run counts once for
-    /// each submission it answered.
-    pub engine_ns: AtomicU64,
-    /// Nanoseconds from engine end to the writer's `write_all`
-    /// returning.
-    pub reply_ns: AtomicU64,
-    /// RESULTS frames written: what the three sums above are over.
-    pub replies_timed: AtomicU64,
-    /// The process's `AnonHugePages` bytes; set once at startup
-    /// alongside the heap fields.
-    pub heap_huge_bytes: AtomicU64,
-}
-
 impl ServerStats {
     /// Publishes the served index's heap attribution — called once at
     /// [`crate::Server::bind`]; the fields are static thereafter.
@@ -203,45 +122,6 @@ impl ServerStats {
             .store(u64::from(bidirectional), Ordering::Relaxed);
         self.bidir_text_len
             .store(text_len as u64, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy, as sent in a STATS_REPLY frame.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            submissions_admitted: self.submissions_admitted.load(Ordering::Relaxed),
-            submissions_busy: self.submissions_busy.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            batches_run: self.batches_run.load(Ordering::Relaxed),
-            submissions_coalesced: self.submissions_coalesced.load(Ordering::Relaxed),
-            max_coalesced: self.max_coalesced.load(Ordering::Relaxed),
-            queries_executed: self.queries_executed.load(Ordering::Relaxed),
-            positions_returned: self.positions_returned.load(Ordering::Relaxed),
-            search_rounds: self.search_rounds.load(Ordering::Relaxed),
-            resolve_rounds: self.resolve_rounds.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            heap_total: self.heap_total.load(Ordering::Relaxed),
-            heap_k_occ_checkpoints: self.heap_k_occ_checkpoints.load(Ordering::Relaxed),
-            heap_k_occ_deltas: self.heap_k_occ_deltas.load(Ordering::Relaxed),
-            heap_k_occ_codes: self.heap_k_occ_codes.load(Ordering::Relaxed),
-            heap_one_step_occ: self.heap_one_step_occ.load(Ordering::Relaxed),
-            heap_sa_samples: self.heap_sa_samples.load(Ordering::Relaxed),
-            heap_rank_bits: self.heap_rank_bits.load(Ordering::Relaxed),
-            heap_other: self.heap_other.load(Ordering::Relaxed),
-            late_dropped: self.late_dropped.load(Ordering::Relaxed),
-            writer_shed: self.writer_shed.load(Ordering::Relaxed),
-            conns_reaped: self.conns_reaped.load(Ordering::Relaxed),
-            goaway_sent: self.goaway_sent.load(Ordering::Relaxed),
-            snapshot_loaded: self.snapshot_loaded.load(Ordering::Relaxed),
-            snapshot_rejected: self.snapshot_rejected.load(Ordering::Relaxed),
-            bidir_enabled: self.bidir_enabled.load(Ordering::Relaxed),
-            bidir_text_len: self.bidir_text_len.load(Ordering::Relaxed),
-            queue_wait_ns: self.queue_wait_ns.load(Ordering::Relaxed),
-            engine_ns: self.engine_ns.load(Ordering::Relaxed),
-            reply_ns: self.reply_ns.load(Ordering::Relaxed),
-            replies_timed: self.replies_timed.load(Ordering::Relaxed),
-            heap_huge_bytes: self.heap_huge_bytes.load(Ordering::Relaxed),
-        }
     }
 
     /// Adds one written RESULTS frame's stage durations; the writer

@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 
 use exma_engine::{Executor, QueryRequest};
 
-use crate::batcher::{Dispatcher, ServerStats, Submission};
-use crate::wire::{self, Opcode, WireError, HEADER_LEN, QUERY_EXT_LEN};
+use crate::batcher::{Dispatcher, Submission};
+use crate::wire::{self, Opcode, ServerStats, WireError, HEADER_LEN, QUERY_EXT_LEN};
 use crate::{ServerConfig, MAX_BATCH_QUERIES};
 
 /// How long one `write_all` may stall on a clogged client socket

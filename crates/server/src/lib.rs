@@ -59,9 +59,8 @@ use exma_index::KStepFmIndex;
 
 use batcher::Dispatcher;
 
-pub use batcher::ServerStats;
 pub use fault::{Fault, FaultPlan};
-pub use wire::{Opcode, StatsSnapshot, WireError, WireOutput};
+pub use wire::{Opcode, ServerStats, StatsSnapshot, WireError, WireOutput};
 
 /// The most queries one QUERY frame may carry, and the size at which a
 /// leader stops merging submissions into one engine run (bounding

@@ -210,6 +210,39 @@ fn huge_page_share(heap_bytes: usize) -> String {
     }
 }
 
+/// Bases compared per [`KStepFmIndex::text_ends_with`] call when a
+/// snapshot's reference is checked, so no whole-genome copy is made.
+const CHECK_CHUNK: usize = 1 << 20;
+
+/// Whether a loaded `index` holds exactly the synthesized reference: its
+/// length (`2n + 1` for a bidirectional recipe, whose doubled text the
+/// snapshot's recipe flag already gates) and its forward bases. A
+/// snapshot of another seed at the same length fails the second check.
+fn check_reference(
+    index: &KStepFmIndex,
+    genome: &Genome,
+    bidirectional: bool,
+) -> Result<(), String> {
+    let n = genome.len();
+    let expected = if bidirectional { 2 * n + 1 } else { n + 1 };
+    if index.text_len() != expected {
+        return Err(format!(
+            "indexes {} symbols but the synthesized reference needs {expected}",
+            index.text_len()
+        ));
+    }
+    for start in (0..n).step_by(CHECK_CHUNK) {
+        let len = CHECK_CHUNK.min(n - start);
+        if !index.text_ends_with(start + len, &genome.seq().slice(start, len)) {
+            return Err(format!(
+                "holds another reference (bases {start}..{} differ)",
+                start + len
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &Args) -> ExitCode {
     let profile = match profile_for(&args.profile, args.len) {
         Ok(profile) => profile,
@@ -238,27 +271,15 @@ fn run(args: &Args) -> ExitCode {
     let mut snapshot_rejected = 0u64;
     let load_start = Instant::now();
     let mut warm: Option<KStepFmIndex> = None;
-    // A bidirectional recipe indexes the doubled text: 2n + 1 symbols
-    // for an n-base reference (the snapshot's recipe flag already gates
-    // strandedness; this check catches a different reference length).
-    let expected_text_len = if args.bidirectional {
-        2 * (text.len() - 1) + 1
-    } else {
-        text.len()
-    };
     if let Some(path) = args.snapshot_path.as_deref().filter(|p| p.exists()) {
-        match builder.attach_from_snapshot(path) {
-            Ok(index) if index.text_len() != expected_text_len => {
-                eprintln!(
-                    "snapshot rejected: indexes {} symbols but the synthesized reference needs {}; rebuilding",
-                    index.text_len(),
-                    expected_text_len
-                );
-                snapshot_rejected = 1;
-            }
+        let loaded = builder
+            .attach_from_snapshot(path)
+            .map_err(|e| e.to_string())
+            .and_then(|index| check_reference(&index, &genome, args.bidirectional).map(|()| index));
+        match loaded {
             Ok(index) => warm = Some(index),
-            Err(e) => {
-                eprintln!("snapshot rejected: {e}; rebuilding");
+            Err(why) => {
+                eprintln!("snapshot rejected: {why}; rebuilding");
                 snapshot_rejected = 1;
             }
         }
@@ -318,16 +339,6 @@ fn run(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match server.local_addr() {
-        // The readiness line scripts wait for — keep its prefix stable.
-        // The parenthesized suffix reports cold vs warm startup and how
-        // long the build or verified load took.
-        Ok(addr) => println!("exma-server listening on {addr} {startup}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     match server.handle() {
         Ok(handle) => {
             let stats = handle.stats();
@@ -339,6 +350,17 @@ fn run(args: &Args) -> ExitCode {
                 .store(snapshot_rejected, Ordering::Relaxed);
             drain_on_signals(handle);
         }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    match server.local_addr() {
+        // The readiness line scripts wait for — keep its prefix stable.
+        // It follows the signal handlers, so a SIGTERM sent on it drains.
+        // The parenthesized suffix reports cold vs warm startup and how
+        // long the build or verified load took.
+        Ok(addr) => println!("exma-server listening on {addr} {startup}"),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

@@ -54,6 +54,7 @@
 //! worker thread.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use exma_engine::{QueryBatch, QueryOutput, QueryRequest, QueryResults};
 use exma_genome::Base;
@@ -617,146 +618,148 @@ pub fn decode_results(payload: &[u8]) -> Result<Vec<WireOutput>, WireError> {
     Ok(outputs)
 }
 
-/// A point-in-time copy of the server's cumulative counters, as
-/// carried by a STATS_REPLY payload. Clients sample twice and diff —
-/// the benchmark's `serve_small` workload derives its coalescing
-/// metrics from exactly such deltas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
+/// Declares the STATS counters: [`StatsSnapshot`] (`u64` fields),
+/// [`ServerStats`] (the same fields as `AtomicU64`s), the copy from one
+/// to the other, and the wire order both `encode_stats` and
+/// `decode_stats` use, all from one list. List order *is* wire order.
+macro_rules! stats_counters {
+    ($($(#[$doc:meta])+ $name:ident,)+) => {
+        /// A point-in-time copy of the server's cumulative counters, as
+        /// carried by a STATS_REPLY payload. Clients sample twice and
+        /// diff — the benchmark's `serve_small` workload derives its
+        /// coalescing metrics from exactly such deltas.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])+ pub $name: u64,)+
+        }
+
+        /// Cumulative server counters, shared across connection
+        /// threads; the live side of [`StatsSnapshot`]. Relaxed
+        /// ordering throughout: monitoring, not synchronization.
+        #[derive(Debug, Default)]
+        pub struct ServerStats {
+            $($(#[$doc])+ pub $name: AtomicU64,)+
+        }
+
+        impl ServerStats {
+            /// A point-in-time copy, as sent in a STATS_REPLY frame.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        /// How many counters a STATS_REPLY carries.
+        const STATS_FIELDS: usize = [$(stringify!($name)),+].len();
+
+        impl StatsSnapshot {
+            /// The snapshot's fields in wire order.
+            fn fields(&self) -> [u64; STATS_FIELDS] {
+                [$(self.$name),+]
+            }
+
+            /// The inverse of [`Self::fields`].
+            fn from_fields(fields: [u64; STATS_FIELDS]) -> StatsSnapshot {
+                let [$($name),+] = fields;
+                StatsSnapshot { $($name),+ }
+            }
+        }
+    };
+}
+
+// Every STATS counter, in wire order. A new counter appends at the end:
+// the count-prefixed encoding lets older clients keep reading the prefix
+// they know.
+stats_counters! {
     /// Connections accepted since startup.
-    pub connections: u64,
+    connections,
     /// QUERY submissions admitted to the batching queue.
-    pub submissions_admitted: u64,
+    submissions_admitted,
     /// QUERY submissions bounced with BUSY (queue full).
-    pub submissions_busy: u64,
+    submissions_busy,
     /// Frames rejected with ERROR (malformed payloads included).
-    pub errors: u64,
+    errors,
     /// Merged engine runs the batcher executed.
-    pub batches_run: u64,
+    batches_run,
     /// Client submissions coalesced across all merged runs
     /// (`/ batches_run` = the mean coalescing factor).
-    pub submissions_coalesced: u64,
+    submissions_coalesced,
     /// Most submissions ever merged into one engine run.
-    pub max_coalesced: u64,
+    max_coalesced,
     /// Queries executed across all merged runs.
-    pub queries_executed: u64,
+    queries_executed,
     /// Located positions returned across all merged runs.
-    pub positions_returned: u64,
+    positions_returned,
     /// Lockstep search rounds across all merged runs.
-    pub search_rounds: u64,
+    search_rounds,
     /// Lockstep resolver rounds across all merged runs.
-    pub resolve_rounds: u64,
+    resolve_rounds,
     /// Submissions sitting in the admission queue right now.
-    pub queue_depth: u64,
+    queue_depth,
     /// Total heap bytes of the served index (set once at startup; the
     /// seven fields below are its exact per-component attribution and
     /// always sum to this total).
-    pub heap_total: u64,
+    heap_total,
     /// k-mer checkpoint rows: the sparse absolute superblock rows.
-    pub heap_k_occ_checkpoints: u64,
+    heap_k_occ_checkpoints,
     /// Per-block `u16` k-mer delta rows.
-    pub heap_k_occ_deltas: u64,
+    heap_k_occ_deltas,
     /// Per-row k-mer code lanes and totals.
-    pub heap_k_occ_codes: u64,
+    heap_k_occ_codes,
     /// The 1-step occurrence table, checkpoints and symbols.
-    pub heap_one_step_occ: u64,
+    heap_one_step_occ,
     /// Sampled suffix-array positions.
-    pub heap_sa_samples: u64,
+    heap_sa_samples,
     /// The sampled-row rank bitvector.
-    pub heap_rank_bits: u64,
+    heap_rank_bits,
     /// Everything else (k-mer C-array, marker exception list).
-    pub heap_other: u64,
+    heap_other,
     /// Submissions dropped with a LATE response: their deadline
     /// elapsed before the batcher could execute them.
-    pub late_dropped: u64,
+    late_dropped,
     /// Response frames shed because a connection's bounded writer
     /// queue overflowed (the connection is disconnected alongside).
-    pub writer_shed: u64,
+    writer_shed,
     /// Connections reaped by the read/idle timeout.
-    pub conns_reaped: u64,
+    conns_reaped,
     /// QUERY submissions answered GOAWAY during shutdown drain.
-    pub goaway_sent: u64,
+    goaway_sent,
     /// 1 when this process warm-started from a verified snapshot
     /// (the index was loaded, not rebuilt).
-    pub snapshot_loaded: u64,
-    /// Snapshot files rejected at startup by the verified loader
-    /// (corruption, truncation, stale version, layout mismatch), each
-    /// followed by a cold rebuild.
-    pub snapshot_rejected: u64,
+    snapshot_loaded,
+    /// Snapshot files rejected at startup (corruption, truncation,
+    /// stale version, layout or reference mismatch), each followed by
+    /// a cold rebuild.
+    snapshot_rejected,
     /// 1 when the served index is bidirectional (doubled-text,
     /// strand-agnostic search enabled), 0 for forward-only.
-    pub bidir_enabled: u64,
+    bidir_enabled,
     /// Length in symbols of the text the index actually holds —
     /// `2n + 1` for a bidirectional index over an `n`-base reference,
     /// the reference's sentinel-terminated length otherwise. Paired
     /// with `bidir_enabled` so a client can report the doubled-text
     /// cost without knowing the genome.
-    pub bidir_text_len: u64,
+    bidir_text_len,
     /// Nanoseconds between a QUERY frame being fully read and its
     /// engine run starting (queueing and the linger window), summed
     /// over `replies_timed`.
-    pub queue_wait_ns: u64,
+    queue_wait_ns,
     /// Nanoseconds inside the engine, summed the same way; a merged
     /// run counts once for each submission it answered.
-    pub engine_ns: u64,
+    engine_ns,
     /// Nanoseconds between the engine run ending and the RESULTS
     /// frame's socket write returning, summed the same way.
-    pub reply_ns: u64,
+    reply_ns,
     /// RESULTS frames written: divide the three sums above by this
     /// for the mean server-side share of a request's latency.
-    pub replies_timed: u64,
+    replies_timed,
     /// Bytes of the server process's anonymous memory the kernel backed
     /// with transparent huge pages when the index became ready
     /// (`AnonHugePages` of `/proc/self/smaps_rollup`, read once; 0 where
     /// it cannot be read). Against `heap_total` it says whether the
     /// occurrence tables' huge-page hint was granted.
-    pub heap_huge_bytes: u64,
-}
-
-impl StatsSnapshot {
-    /// The snapshot's fields in wire order. New counters append at the
-    /// end precisely because the count-prefixed encoding lets older
-    /// clients keep reading the prefix they know — the heap fields
-    /// (PR 7), the robustness counters (PR 8), the strandedness pair
-    /// (PR 10), the stage durations (PR 21) and the huge-page grant
-    /// (PR 22) all used that latitude.
-    fn fields(&self) -> [u64; 33] {
-        [
-            self.connections,
-            self.submissions_admitted,
-            self.submissions_busy,
-            self.errors,
-            self.batches_run,
-            self.submissions_coalesced,
-            self.max_coalesced,
-            self.queries_executed,
-            self.positions_returned,
-            self.search_rounds,
-            self.resolve_rounds,
-            self.queue_depth,
-            self.heap_total,
-            self.heap_k_occ_checkpoints,
-            self.heap_k_occ_deltas,
-            self.heap_k_occ_codes,
-            self.heap_one_step_occ,
-            self.heap_sa_samples,
-            self.heap_rank_bits,
-            self.heap_other,
-            self.late_dropped,
-            self.writer_shed,
-            self.conns_reaped,
-            self.goaway_sent,
-            self.snapshot_loaded,
-            self.snapshot_rejected,
-            self.bidir_enabled,
-            self.bidir_text_len,
-            self.queue_wait_ns,
-            self.engine_ns,
-            self.reply_ns,
-            self.replies_timed,
-            self.heap_huge_bytes,
-        ]
-    }
+    heap_huge_bytes,
 }
 
 /// Appends a STATS_REPLY payload to `buf`: a `u32` field count, then
@@ -764,9 +767,8 @@ impl StatsSnapshot {
 /// append counters without breaking older clients, which read the
 /// prefix they know.
 pub fn encode_stats(stats: &StatsSnapshot, buf: &mut Vec<u8>) {
-    let fields = stats.fields();
-    buf.extend_from_slice(&(fields.len() as u32).to_le_bytes());
-    for field in fields {
+    buf.extend_from_slice(&(STATS_FIELDS as u32).to_le_bytes());
+    for field in stats.fields() {
         buf.extend_from_slice(&field.to_le_bytes());
     }
 }
@@ -776,57 +778,21 @@ pub fn encode_stats(stats: &StatsSnapshot, buf: &mut Vec<u8>) {
 pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
     let mut cursor = Cursor::new(payload);
     let announced = cursor.u32()? as usize;
-    let mut fields = [0u64; 33];
-    if announced < fields.len() {
+    if announced < STATS_FIELDS {
         return Err(WireError::Truncated {
-            needed: fields.len() * 8,
+            needed: STATS_FIELDS * 8,
             got: announced * 8,
         });
     }
+    let mut fields = [0; STATS_FIELDS];
     for field in &mut fields {
         *field = u64::from_le_bytes(cursor.take(8)?.try_into().expect("8 bytes"));
     }
-    for _ in fields.len()..announced {
+    for _ in STATS_FIELDS..announced {
         cursor.take(8)?;
     }
     cursor.finish()?;
-    let [connections, submissions_admitted, submissions_busy, errors, batches_run, submissions_coalesced, max_coalesced, queries_executed, positions_returned, search_rounds, resolve_rounds, queue_depth, heap_total, heap_k_occ_checkpoints, heap_k_occ_deltas, heap_k_occ_codes, heap_one_step_occ, heap_sa_samples, heap_rank_bits, heap_other, late_dropped, writer_shed, conns_reaped, goaway_sent, snapshot_loaded, snapshot_rejected, bidir_enabled, bidir_text_len, queue_wait_ns, engine_ns, reply_ns, replies_timed, heap_huge_bytes] =
-        fields;
-    Ok(StatsSnapshot {
-        connections,
-        submissions_admitted,
-        submissions_busy,
-        errors,
-        batches_run,
-        submissions_coalesced,
-        max_coalesced,
-        queries_executed,
-        positions_returned,
-        search_rounds,
-        resolve_rounds,
-        queue_depth,
-        heap_total,
-        heap_k_occ_checkpoints,
-        heap_k_occ_deltas,
-        heap_k_occ_codes,
-        heap_one_step_occ,
-        heap_sa_samples,
-        heap_rank_bits,
-        heap_other,
-        late_dropped,
-        writer_shed,
-        conns_reaped,
-        goaway_sent,
-        snapshot_loaded,
-        snapshot_rejected,
-        bidir_enabled,
-        bidir_text_len,
-        queue_wait_ns,
-        engine_ns,
-        reply_ns,
-        replies_timed,
-        heap_huge_bytes,
-    })
+    Ok(StatsSnapshot::from_fields(fields))
 }
 
 #[cfg(test)]
@@ -1099,28 +1065,28 @@ mod tests {
             connections: 3,
             submissions_admitted: 100,
             submissions_busy: 7,
-            errors: 1,
+            errors: 5,
             batches_run: 20,
-            submissions_coalesced: 100,
+            submissions_coalesced: 98,
             max_coalesced: 12,
             queries_executed: 800,
             positions_returned: 5000,
             search_rounds: 90,
             resolve_rounds: 40,
-            queue_depth: 2,
-            heap_total: 36,
-            heap_k_occ_checkpoints: 8,
-            heap_k_occ_deltas: 4,
-            heap_k_occ_codes: 9,
-            heap_one_step_occ: 6,
-            heap_sa_samples: 5,
-            heap_rank_bits: 3,
-            heap_other: 1,
+            queue_depth: 14,
+            heap_total: 382,
+            heap_k_occ_checkpoints: 80,
+            heap_k_occ_deltas: 41,
+            heap_k_occ_codes: 93,
+            heap_one_step_occ: 61,
+            heap_sa_samples: 57,
+            heap_rank_bits: 33,
+            heap_other: 17,
             late_dropped: 11,
-            writer_shed: 2,
+            writer_shed: 21,
             conns_reaped: 4,
             goaway_sent: 6,
-            snapshot_loaded: 1,
+            snapshot_loaded: 0,
             snapshot_rejected: 2,
             bidir_enabled: 1,
             bidir_text_len: 20_001,
@@ -1130,14 +1096,69 @@ mod tests {
             replies_timed: 10,
             heap_huge_bytes: 32 << 20,
         };
+        // The wire order, written out independently of the declaring
+        // list: reordering that list must fail here, not round-trip.
+        let wire_order = [
+            stats.connections,
+            stats.submissions_admitted,
+            stats.submissions_busy,
+            stats.errors,
+            stats.batches_run,
+            stats.submissions_coalesced,
+            stats.max_coalesced,
+            stats.queries_executed,
+            stats.positions_returned,
+            stats.search_rounds,
+            stats.resolve_rounds,
+            stats.queue_depth,
+            stats.heap_total,
+            stats.heap_k_occ_checkpoints,
+            stats.heap_k_occ_deltas,
+            stats.heap_k_occ_codes,
+            stats.heap_one_step_occ,
+            stats.heap_sa_samples,
+            stats.heap_rank_bits,
+            stats.heap_other,
+            stats.late_dropped,
+            stats.writer_shed,
+            stats.conns_reaped,
+            stats.goaway_sent,
+            stats.snapshot_loaded,
+            stats.snapshot_rejected,
+            stats.bidir_enabled,
+            stats.bidir_text_len,
+            stats.queue_wait_ns,
+            stats.engine_ns,
+            stats.reply_ns,
+            stats.replies_timed,
+            stats.heap_huge_bytes,
+        ];
+        let mut distinct = wire_order.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            STATS_FIELDS,
+            "values must tell fields apart"
+        );
+
         let mut payload = Vec::new();
         encode_stats(&stats, &mut payload);
-        assert_eq!(payload.len(), 4 + 33 * 8);
+        assert_eq!(payload.len(), 4 + STATS_FIELDS * 8);
+        assert_eq!(payload[..4], (STATS_FIELDS as u32).to_le_bytes());
+        for (i, value) in wire_order.into_iter().enumerate() {
+            let at = 4 + 8 * i;
+            assert_eq!(
+                payload[at..at + 8],
+                value.to_le_bytes(),
+                "field {i} out of wire order"
+            );
+        }
         assert_eq!(decode_stats(&payload).unwrap(), stats);
 
-        // A newer server appending a 34th counter still decodes.
+        // A newer server appending a counter still decodes.
         let mut extended = payload.clone();
-        extended[0..4].copy_from_slice(&34u32.to_le_bytes());
+        extended[0..4].copy_from_slice(&(STATS_FIELDS as u32 + 1).to_le_bytes());
         extended.extend_from_slice(&999u64.to_le_bytes());
         assert_eq!(decode_stats(&extended).unwrap(), stats);
         assert!(decode_stats(&payload[..8]).is_err());

@@ -343,6 +343,78 @@ fn corrupted_snapshot_is_rejected_and_the_rebuild_still_serves() {
 }
 
 #[test]
+fn a_snapshot_of_another_reference_is_rejected_and_rebuilt() {
+    let snapshot = temp_path("reference");
+    let snapshot_arg = snapshot.to_str().expect("utf-8 temp path");
+    // A seed-42 cold start writes the snapshot.
+    ServerProcess::start(&["--snapshot-path", snapshot_arg]).terminate();
+    assert!(snapshot.exists(), "cold run wrote no snapshot");
+
+    // Same length, same recipe, another seed: the snapshot's recipe
+    // and length both match, but it holds another genome.
+    let restarted = ServerProcess::start(&["--snapshot-path", snapshot_arg, "--seed", "43"]);
+    assert!(
+        restarted.startup.starts_with("cold start"),
+        "a seed-42 snapshot warm-started a seed-43 server: {:?}",
+        restarted.startup
+    );
+    let mut profile = GenomeProfile::toy();
+    profile.len = 120_000;
+    let genome = Genome::synthesize(&profile, 43);
+    let builder = EngineBuilder::new().k(4);
+    let index = builder.build_index(&genome.text_with_sentinel()).unwrap();
+    let engine = builder.attach(&index).expect("attach oracle");
+    let batch = mixed_batch(&genome, 30, 43);
+    let (results, _) = engine.run(&batch);
+    let mut expected = Vec::new();
+    wire::encode_results_range(&results, 0, results.len(), &mut expected);
+    let mut client = Client::connect(&restarted.addr);
+    assert_eq!(
+        client.results_payload(1, &batch),
+        expected,
+        "the rebuild did not serve the seed-43 genome"
+    );
+    let stats = client.stats(2);
+    assert_eq!(stats.snapshot_rejected, 1, "rejection not counted");
+    assert_eq!(stats.snapshot_loaded, 0);
+    drop(client);
+    let stderr = restarted.terminate();
+    assert!(
+        stderr
+            .iter()
+            .any(|l| l.starts_with("snapshot rejected: holds another reference")),
+        "no reference rejection on stderr: {stderr:?}"
+    );
+
+    // The rebuild rewrote the snapshot for seed 43; a shorter reference
+    // of that seed is rejected on its length.
+    let shorter = ServerProcess::start(&[
+        "--snapshot-path",
+        snapshot_arg,
+        "--seed",
+        "43",
+        "--len",
+        "100000",
+    ]);
+    assert!(
+        shorter.startup.starts_with("cold start"),
+        "a 120 kbp snapshot warm-started a 100 kbp server: {:?}",
+        shorter.startup
+    );
+    let stats = Client::connect(&shorter.addr).stats(3);
+    assert_eq!(stats.snapshot_rejected, 1, "rejection not counted");
+    assert_eq!(stats.snapshot_loaded, 0);
+    let stderr = shorter.terminate();
+    assert!(
+        stderr.iter().any(|l| l.starts_with(
+            "snapshot rejected: indexes 120001 symbols but the synthesized reference needs 100001"
+        )),
+        "no length rejection on stderr: {stderr:?}"
+    );
+    let _ = std::fs::remove_file(&snapshot);
+}
+
+#[test]
 fn racing_sigterms_still_drain_to_exit_zero() {
     // Two SIGTERMs land back to back — the second racing the drain the
     // first started. The drain must stay idempotent: exit 0, farewell
