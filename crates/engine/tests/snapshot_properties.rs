@@ -5,25 +5,23 @@
 //! others through `exma_index::write_snapshot` and
 //! `load_snapshot_expecting` — must be *equal* to the freshly built one:
 //! same build recipe, same heap attribution, and byte-identical
-//! `Executor` results on 600 random mixed queries. A snapshot must only
-//! ever load under the recipe that wrote it, which is also how an image
-//! written under an earlier default recipe migrates: refused by name
-//! under today's default builder, loaded under its own explicit
-//! `KStepBuildConfig` and attached by that builder unchanged.
+//! `Executor` results on every request shape of 64 sampled patterns. A
+//! snapshot must only ever load under the recipe that wrote it, which is
+//! also how an image written under an earlier default recipe migrates:
+//! refused by name under today's default builder, loaded under its own
+//! explicit `KStepBuildConfig` and attached by that builder unchanged.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use exma_engine::{EngineBuilder, EngineError, QueryBatch, QueryRequest, SnapshotError};
-use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
+use common::{answer, judge, layout_matrix, memory_first, mixed_batch, toy_genome, Truth};
+use exma_engine::{EngineBuilder, EngineError, SnapshotError};
 use exma_index::{
-    load_snapshot_expecting, naive, write_snapshot, FmBuildConfig, KStepBuildConfig, KStepFmIndex,
+    load_snapshot_expecting, naive, write_snapshot, FmIndex, KStepBuildConfig, KStepFmIndex,
     MAX_STEP,
 };
-
-fn toy_genome() -> Genome {
-    Genome::synthesize(&GenomeProfile::toy(), 42)
-}
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -37,74 +35,11 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// Coarser k-occ checkpoints under wider superblocks and sparser SA
-/// samples, every rate spelled out.
-fn memory_first(k: usize) -> KStepBuildConfig {
-    KStepBuildConfig {
-        occ_sample_rate: 54,
-        sa_sample_rate: 32,
-        k_occ_sample_rate: 640,
-        superblock_rate: 32,
-        ..KStepBuildConfig::for_k(k)
-    }
-}
-
-/// The layout matrix under test at step width `k`: the default, a
-/// memory-first layout, plus one recipe moving every spacing off both.
-fn layout_matrix(k: usize) -> Vec<(&'static str, KStepBuildConfig)> {
-    vec![
-        ("default", KStepBuildConfig::for_k(k)),
-        ("memory_first", memory_first(k)),
-        (
-            "custom",
-            KStepBuildConfig {
-                occ_sample_rate: 7,
-                sa_sample_rate: 8,
-                k_occ_sample_rate: 96,
-                superblock_rate: 2,
-                ..KStepBuildConfig::for_k(k)
-            },
-        ),
-    ]
-}
-
-/// The loopback suites' mixed workload: counts, (capped) locates and
-/// interval requests over hit/miss/empty/short-repeat patterns.
-fn mixed_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
-    let mut rng = SeededRng::new(seed);
-    let mut batch = QueryBatch::new();
-    for i in 0..total {
-        let pattern: Vec<Base> = if i % 101 == 0 {
-            Vec::new()
-        } else {
-            let len = if i % 13 == 0 {
-                rng.range(1, 4)
-            } else {
-                rng.range(1, 40)
-            };
-            if i % 2 == 0 {
-                let start = rng.range(0, genome.len() - len + 1);
-                genome.seq().slice(start, len)
-            } else {
-                (0..len).map(|_| rng.base()).collect()
-            }
-        };
-        match i % 5 {
-            0 => batch.push(QueryRequest::Count, pattern),
-            1 => batch.push(QueryRequest::locate(), pattern),
-            2 => batch.push(QueryRequest::locate_capped(rng.range(0, 6) as u32), pattern),
-            3 => batch.push(QueryRequest::Interval, pattern),
-            _ => batch.push(QueryRequest::locate_capped(1000), pattern),
-        }
-    }
-    batch
-}
-
 #[test]
 fn round_trip_is_executor_identical_across_every_layout_and_width() {
     let genome = toy_genome();
     let text = genome.text_with_sentinel();
-    let batch = mixed_batch(&genome, 600, 227);
+    let batch = mixed_batch(&genome, 64, 227);
 
     for k in [2usize, 4] {
         let builder = EngineBuilder::new().k(k);
@@ -232,51 +167,37 @@ fn an_old_default_image_is_refused_by_name_and_loads_under_its_own_layout() {
     let loaded = load_snapshot_expecting(&path, Some(&old_default)).unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded, index);
-    let batch = mixed_batch(&genome, 300, 229);
+    let batch = mixed_batch(&genome, 32, 229);
     let (results, _) = builder.attach(&loaded).unwrap().run(&batch);
     for i in 0..batch.len() {
-        let truth = naive::occurrences(genome.seq(), batch.pattern(i));
-        match batch.request(i) {
-            QueryRequest::Count => assert_eq!(results.count(i), truth.len(), "#{i}"),
-            QueryRequest::Locate { max_hits } => {
-                let kept = results.positions(i);
-                let cap = max_hits.map_or(usize::MAX, |h| h as usize);
-                assert_eq!(kept.len(), truth.len().min(cap), "#{i}");
-                assert!(kept.windows(2).all(|w| w[0] < w[1]), "#{i}");
-                assert!(kept.iter().all(|p| truth.binary_search(p).is_ok()), "#{i}");
-            }
-            _ => assert_eq!(results.interval(i).unwrap().len(), truth.len(), "#{i}"),
-        }
+        let hits = naive::occurrences(genome.seq(), batch.pattern(i));
+        let truth = Truth { hits, both: vec![] };
+        let verdict = judge(batch.request(i), &truth, answer(&results, i), None);
+        assert_eq!(verdict, Ok(()), "#{i}");
     }
 }
 
 #[test]
 fn the_default_recipe_is_one_recipe() {
-    let one_step = FmBuildConfig::default();
     for k in 1..=MAX_STEP {
-        let by_index = KStepBuildConfig::for_k(k);
         assert_eq!(
             EngineBuilder::new().k(k).build_config().unwrap(),
-            by_index,
-            "k={k}"
-        );
-        assert_eq!(
-            FmBuildConfig {
-                occ_sample_rate: by_index.occ_sample_rate,
-                sa_sample_rate: by_index.sa_sample_rate,
-                superblock_rate: by_index.superblock_rate,
-            },
-            one_step,
+            KStepBuildConfig::for_k(k),
             "k={k}"
         );
     }
     // So its samples cost a word every `sa_sample_rate` rows (the other
     // six components: `heap_components_equal_their_closed_forms` in the
-    // builder's unit tests).
+    // builder's unit tests), and the 1-step oracle samples at that rate.
     let text = toy_genome().text_with_sentinel();
     let index = EngineBuilder::new().build_index(&text).unwrap();
+    let sa_sample_rate = KStepBuildConfig::for_k(4).sa_sample_rate;
     assert_eq!(
         index.heap_breakdown().sa_samples,
-        text.len().div_ceil(one_step.sa_sample_rate) * 4
+        text.len().div_ceil(sa_sample_rate) * 4
+    );
+    assert_eq!(
+        FmIndex::from_text(&text).sampled_sa().sample_rate(),
+        sa_sample_rate
     );
 }

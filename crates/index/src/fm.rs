@@ -13,39 +13,10 @@ use exma_genome::genome::Genome;
 use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, CountTable, Symbol};
 
 use crate::layout::{
-    HeapBreakdown, IndexError, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SA_SAMPLE_RATE,
-    DEFAULT_SUPERBLOCK_RATE,
+    HeapBreakdown, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SA_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE,
 };
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
-
-/// Space/latency knobs for index construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FmBuildConfig {
-    /// Checkpoint spacing of the occurrence table (BWT symbols).
-    pub occ_sample_rate: usize,
-    /// Text-position spacing of kept suffix-array samples.
-    pub sa_sample_rate: usize,
-    /// Blocks per absolute superblock row of the occurrence table.
-    pub superblock_rate: usize,
-}
-
-impl Default for FmBuildConfig {
-    /// The default recipe of [`crate::layout`]: Occ checkpoints every 54
-    /// symbols — an interleaved block of five `u16` deltas and 54
-    /// one-byte codes is exactly one 64-byte cache line — under
-    /// superblocks every 16 blocks (a span of 54 × 16 = 864 rows,
-    /// provably overflow-free), and SA samples every 11 positions, the
-    /// densest spacing the bytes a 54-row line frees over a 44-row one
-    /// pay for.
-    fn default() -> FmBuildConfig {
-        FmBuildConfig {
-            occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
-            sa_sample_rate: DEFAULT_SA_SAMPLE_RATE,
-            superblock_rate: DEFAULT_SUPERBLOCK_RATE,
-        }
-    }
-}
 
 /// An FM-index over a sentinel-terminated text.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,32 +27,6 @@ pub struct FmIndex {
 }
 
 impl FmIndex {
-    /// Builds the index from a sentinel-terminated symbol text with the
-    /// given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IndexError`] from the occurrence table: a text too
-    /// long for `u32` counters, or a superblock span too wide for its
-    /// `u16` deltas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `text` is not sentinel-terminated (see
-    /// [`exma_genome::suffix_array`]) or a sample rate is zero.
-    pub fn from_text_with_config(
-        text: &[Symbol],
-        config: FmBuildConfig,
-    ) -> Result<FmIndex, IndexError> {
-        let sa = suffix_array(text);
-        let bwt = bwt_from_sa(text, &sa);
-        Ok(FmIndex::from_parts(
-            count_table(text),
-            OccTable::new(&bwt, config.occ_sample_rate, config.superblock_rate)?,
-            SampledSuffixArray::new(&sa, config.sa_sample_rate),
-        ))
-    }
-
     /// Assembles an index from already-built components, so callers that
     /// hold the suffix array (e.g. the k-step builder) need not recompute
     /// it. The one funnel of cold builds and snapshot loads, and so the
@@ -96,12 +41,25 @@ impl FmIndex {
         FmIndex { counts, occ, ssa }
     }
 
-    /// Builds the index from a sentinel-terminated symbol text with default
-    /// sampling rates (which are provably buildable for any text the
-    /// workspace can address).
+    /// Builds the index from a sentinel-terminated symbol text under the
+    /// default recipe of [`crate::layout`] (provably buildable for any
+    /// text the workspace can address). An index of any other layout is
+    /// the [`crate::KStepFmIndex::base_index`] of one built from a
+    /// [`crate::KStepBuildConfig`] at `k = 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `text` is not sentinel-terminated (see
+    /// [`exma_genome::suffix_array`]) or too long for `u32` counters.
     pub fn from_text(text: &[Symbol]) -> FmIndex {
-        FmIndex::from_text_with_config(text, FmBuildConfig::default())
-            .expect("the default layout builds for any u32-addressable text")
+        let sa = suffix_array(text);
+        let bwt = bwt_from_sa(text, &sa);
+        FmIndex::from_parts(
+            count_table(text),
+            OccTable::new(&bwt, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE)
+                .expect("the default layout builds for any u32-addressable text"),
+            SampledSuffixArray::new(&sa, DEFAULT_SA_SAMPLE_RATE),
+        )
     }
 
     /// Builds the index for a genome's reference sequence.
@@ -327,22 +285,30 @@ impl FmIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{KStepBuildConfig, KStepFmIndex};
     use exma_genome::alphabet::parse_bases;
     use exma_genome::genome::text_from_str;
 
+    /// The 1-step tables of a `k = 1` index at these rates.
+    pub(crate) fn with_rates(
+        text: &[Symbol],
+        occ_sample_rate: usize,
+        sa_sample_rate: usize,
+    ) -> FmIndex {
+        let config = KStepBuildConfig {
+            occ_sample_rate,
+            sa_sample_rate,
+            ..KStepBuildConfig::for_k(1)
+        };
+        let index = KStepFmIndex::from_text_with_config(text, config).unwrap();
+        index.base_index().clone()
+    }
+
     fn fig3_index() -> FmIndex {
         // The paper's running example: G = CATAGA$.
-        FmIndex::from_text_with_config(
-            &text_from_str("CATAGA").unwrap(),
-            FmBuildConfig {
-                occ_sample_rate: 2,
-                sa_sample_rate: 2,
-                ..FmBuildConfig::default()
-            },
-        )
-        .unwrap()
+        with_rates(&text_from_str("CATAGA").unwrap(), 2, 2)
     }
 
     #[test]
@@ -408,17 +374,13 @@ mod tests {
             // The same table before `from_parts` marked it.
             let unmarked = OccTable::new(&bwt, occ_sample_rate, 16).unwrap();
             for sa_sample_rate in [1, 2, 5, 32] {
-                let config = FmBuildConfig {
-                    occ_sample_rate,
-                    sa_sample_rate,
-                    ..FmBuildConfig::default()
-                };
-                let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+                let fm = with_rates(&text, occ_sample_rate, sa_sample_rate);
+                let rates = format!("occ {occ_sample_rate}, sa {sa_sample_rate}");
                 for i in 0..=text.len() {
-                    assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "{config:?}");
+                    assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "{rates}");
                 }
                 for (row, &s) in bwt.iter().enumerate() {
-                    let at = format!("{config:?}, row {row}");
+                    let at = format!("{rates}, row {row}");
                     let sampled = fm.sampled_sa().get(row).is_some();
                     let rank = unmarked.rank(s, row);
                     assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
@@ -441,15 +403,7 @@ mod tests {
     #[test]
     fn capped_resolution_truncates_deterministically() {
         let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap();
-        let fm = FmIndex::from_text_with_config(
-            &text,
-            FmBuildConfig {
-                occ_sample_rate: 7,
-                sa_sample_rate: 5,
-                ..FmBuildConfig::default()
-            },
-        )
-        .unwrap();
+        let fm = with_rates(&text, 7, 5);
         let rows = fm.backward_search(&parse_bases("A").unwrap());
         let full = fm.locate(&parse_bases("A").unwrap());
         assert!(full.len() >= 4);
@@ -483,25 +437,9 @@ mod tests {
     #[test]
     fn sampling_rates_do_not_change_answers() {
         let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap();
-        let reference = FmIndex::from_text_with_config(
-            &text,
-            FmBuildConfig {
-                occ_sample_rate: 1,
-                sa_sample_rate: 1,
-                ..FmBuildConfig::default()
-            },
-        )
-        .unwrap();
+        let reference = with_rates(&text, 1, 1);
         for (occ_rate, sa_rate) in [(2, 3), (7, 5), (64, 32), (100, 100)] {
-            let fm = FmIndex::from_text_with_config(
-                &text,
-                FmBuildConfig {
-                    occ_sample_rate: occ_rate,
-                    sa_sample_rate: sa_rate,
-                    ..FmBuildConfig::default()
-                },
-            )
-            .unwrap();
+            let fm = with_rates(&text, occ_rate, sa_rate);
             for pat in ["A", "CAT", "TAGA", "CCATAG", "GGG"] {
                 let p = parse_bases(pat).unwrap();
                 assert_eq!(fm.count(&p), reference.count(&p), "count {pat}");

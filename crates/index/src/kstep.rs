@@ -67,7 +67,7 @@ pub struct KStepBuildConfig {
 
 impl KStepBuildConfig {
     /// Defaults for a given step width, all read from [`crate::layout`]:
-    /// the 1-step rates of [`crate::FmBuildConfig::default`] (one full
+    /// the 1-step rates [`crate::FmIndex::from_text`] builds (one full
     /// cache line per Occ block, SA samples every 11 positions), a k-mer
     /// checkpoint spacing of `96k` and superblocks every 16 blocks.
     /// Every default superblock span is well inside the `u16` delta

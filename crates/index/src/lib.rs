@@ -38,7 +38,7 @@ pub mod snapshot;
 mod text;
 
 pub use bidir::{decode_hit, doubled_text, encode_hit, is_palindromic, Strand};
-pub use fm::{FmBuildConfig, FmIndex};
+pub use fm::FmIndex;
 pub use kocc::KmerOccTable;
 pub use kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
 pub use layout::{HeapBreakdown, IndexError};

@@ -350,19 +350,16 @@ impl<'a> BatchResolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fm::FmBuildConfig;
+    use crate::fm::tests::with_rates;
+    use crate::layout::DEFAULT_OCC_SAMPLE_RATE;
     use exma_genome::genome::text_from_str;
 
     fn small_index() -> FmIndex {
-        FmIndex::from_text_with_config(
+        with_rates(
             &text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap(),
-            FmBuildConfig {
-                occ_sample_rate: 7,
-                sa_sample_rate: 5,
-                ..FmBuildConfig::default()
-            },
+            7,
+            5,
         )
-        .unwrap()
     }
 
     /// Every schedule the benchmarks exercise, plus a short look-ahead.
@@ -479,11 +476,7 @@ mod tests {
         let text = text_from_str(&genome).unwrap();
         let cap_set = [0, 1, 2, 31, 32, 33, UNCAPPED];
         for sa_sample_rate in [1, 5, 32] {
-            let config = FmBuildConfig {
-                sa_sample_rate,
-                ..FmBuildConfig::default()
-            };
-            let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+            let fm = with_rates(&text, DEFAULT_OCC_SAMPLE_RATE, sa_sample_rate);
             let search = |start: usize, len: usize| {
                 let pattern = &genome[start..start + len];
                 fm.backward_search(&exma_genome::alphabet::parse_bases(pattern).unwrap())
@@ -560,11 +553,7 @@ mod tests {
         let truth: Vec<u32> = (0..COPIES).map(|i| (PERIOD * i + 1) as u32).collect();
 
         let resolve = |sa_sample_rate: usize| {
-            let config = FmBuildConfig {
-                sa_sample_rate,
-                ..FmBuildConfig::default()
-            };
-            let fm = FmIndex::from_text_with_config(&text, config).unwrap();
+            let fm = with_rates(&text, DEFAULT_OCC_SAMPLE_RATE, sa_sample_rate);
             let intervals = [fm.backward_search(&seed)];
             assert_eq!(intervals[0].len(), COPIES);
             let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
