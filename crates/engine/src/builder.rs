@@ -5,10 +5,8 @@
 //! derives a canonical *descriptor* string
 //! ([`EngineBuilder::descriptor`]) that names it in test failures and
 //! in the server's log lines. The lockstep engines have one schedule,
-//! software-prefetched search and resolve rounds, and the builder
-//! builds the default layout of [`exma_index::layout`]; an index of any
-//! other layout is built where layouts are defined, with
-//! [`KStepFmIndex::from_text_with_config`], and attached the same way.
+//! software-prefetched search and resolve rounds, and every index has
+//! the one layout of [`exma_index::layout`].
 //!
 //! Construction is two-phase because executors borrow their index:
 //! [`EngineBuilder::build_index`] owns the expensive table build, and
@@ -74,10 +72,7 @@ pub enum EngineError {
         builder_bidirectional: bool,
     },
     /// The index layer refused to build: a text too large for `u32`
-    /// counters. (The default layout's superblock spans always fit the
-    /// checkpoint rows' `u16` deltas; a custom layout's are checked by
-    /// [`KStepFmIndex::from_text_with_config`], whose error converts
-    /// into this variant.)
+    /// counters.
     Index(IndexError),
     /// The snapshot layer rejected a persisted index: corruption,
     /// truncation, a stale format, a recipe mismatch, or plain I/O —
@@ -174,7 +169,7 @@ pub struct EngineBuilder {
 
 impl Default for EngineBuilder {
     /// The headline engine: k = 4 lockstep on one thread, over a
-    /// forward-only index of the default layout.
+    /// forward-only index.
     fn default() -> EngineBuilder {
         EngineBuilder {
             k: 4,
@@ -222,7 +217,7 @@ impl EngineBuilder {
     /// (`_bidir`), the build config, and the snapshot header, so a
     /// bidirectional snapshot never warm-loads under a forward-only
     /// recipe or vice versa. Costs roughly 2× the index heap of the
-    /// same layout, itemized by the attached executor's
+    /// forward-only index, itemized by the attached executor's
     /// [`Executor::heap_breakdown`].
     pub fn bidirectional(mut self, bidirectional: bool) -> EngineBuilder {
         self.bidirectional = bidirectional;
@@ -251,14 +246,12 @@ impl EngineBuilder {
         Ok(())
     }
 
-    /// The index-construction knobs this recipe implies: the default
-    /// layout at this `k` ([`KStepBuildConfig::for_k`]), marked
-    /// bidirectional if the recipe is.
+    /// The index build this recipe implies: its `k` and strandedness.
     pub fn build_config(&self) -> Result<KStepBuildConfig, EngineError> {
         self.validate()?;
         Ok(KStepBuildConfig {
+            k: self.k,
             bidirectional: self.bidirectional,
-            ..KStepBuildConfig::for_k(self.k)
         })
     }
 
@@ -280,10 +273,8 @@ impl EngineBuilder {
 
     /// Persists `index` to `path` as a crash-safe, checksummed snapshot
     /// (see [`exma_index::snapshot`]), first checking that the index was
-    /// built with exactly this recipe's layout — a snapshot must always
-    /// load back under the descriptor that wrote it. An index of any
-    /// other layout is written with [`exma_index::write_snapshot`] and
-    /// read back with [`exma_index::load_snapshot_expecting`].
+    /// built with exactly this recipe's `k` and strandedness — a snapshot
+    /// must always load back under the descriptor that wrote it.
     ///
     /// # Errors
     ///
@@ -321,9 +312,8 @@ impl EngineBuilder {
 
     /// Wires an executor onto `index` — sequential, serial lockstep, or
     /// sharded, per this recipe. Many recipes (sequential or not, any
-    /// thread count) can attach to one index, whatever layout it was
-    /// built with — an index from
-    /// [`KStepFmIndex::from_text_with_config`] or
+    /// thread count) can attach to one index, wherever it was built — an
+    /// index from [`KStepFmIndex::from_text_with_config`] or
     /// [`exma_index::load_snapshot_expecting`] attaches like one from
     /// [`EngineBuilder::build_index`]; `k` and strandedness must match
     /// ([`EngineError::StepWidthMismatch`] and
@@ -397,6 +387,7 @@ mod tests {
     use exma_genome::genome::text_from_str;
     use exma_genome::{Genome, GenomeProfile};
     use exma_index::kocc::naive_krank;
+    use exma_index::layout::{k_occ_sample_rate, SUPERBLOCK_RATE};
     use exma_index::HeapBreakdown;
 
     #[test]
@@ -429,25 +420,20 @@ mod tests {
 
     #[test]
     fn layout_failures_surface_as_engine_errors() {
-        // A superblock span one row wider than a u16 delta provably
-        // counts (4096 x 16 = 65 536) is a typed build error of the
-        // index layer (held there by the `kocc` and `occ` tests), which
-        // converts into an engine error that renders and exposes it.
-        let err = EngineError::from(IndexError::SuperblockSpanTooWide {
-            sample_rate: 4096,
-            superblock_rate: 16,
-            max_span: 65_535,
+        // A text with more rows than a u32 counter holds is the one typed
+        // build error of the index layer, which converts into an engine
+        // error that renders and exposes it.
+        let err = EngineError::from(IndexError::IndexTooLarge {
+            rows: 5_000_000_000,
         });
         assert_eq!(
             err,
-            EngineError::Index(IndexError::SuperblockSpanTooWide {
-                sample_rate: 4096,
-                superblock_rate: 16,
-                max_span: 65_535,
+            EngineError::Index(IndexError::IndexTooLarge {
+                rows: 5_000_000_000
             })
         );
         let rendered = format!("{err}");
-        assert!(rendered.contains("4096 x 16"), "{rendered}");
+        assert!(rendered.contains("5000000000 rows"), "{rendered}");
         assert!(
             std::error::Error::source(&err).is_some(),
             "Index errors expose their source"
@@ -456,39 +442,36 @@ mod tests {
 
     #[test]
     fn the_widest_legal_span_builds_and_ranks_like_naive() {
-        // 4369 x 15 = 65 535 rows, the widest span the rule admits, over
-        // a text whose k-BWT is one run of A longer than it: the run
-        // drives the first superblock's deltas as high as they go at this
-        // spacing (14 x 4369 = 61 166) and crosses into the second.
-        let text = text_from_str(&"A".repeat(70_000)).unwrap();
-        let config = KStepBuildConfig {
-            k_occ_sample_rate: 4369,
-            superblock_rate: 15,
-            ..KStepBuildConfig::for_k(1)
-        };
-        let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
-        // The default recipe at k = 1 attaches to it as to its own.
+        // The widest superblock span of the layout is the k-occ table's
+        // at k = MAX_STEP: 672 x 16 = 10 752 rows. A text whose k-BWT is
+        // one run of the A-mer longer than two of them drives each
+        // superblock's deltas as high as they go and crosses into the
+        // third.
+        let k = exma_index::MAX_STEP;
+        let rate = k_occ_sample_rate(k);
+        let len = 2 * rate * SUPERBLOCK_RATE + 1000;
+        let text = text_from_str(&"A".repeat(len)).unwrap();
+        let index = EngineBuilder::new().k(k).build_index(&text).unwrap();
         let (results, _) = EngineBuilder::new()
-            .k(1)
+            .k(k)
             .attach(&index)
             .unwrap()
-            .run(&QueryBatch::new().count(parse_bases("AAAA").unwrap()));
-        assert_eq!(results.count(0), 70_000 - 3);
+            .run(&QueryBatch::new().count(parse_bases(&"A".repeat(20)).unwrap()));
+        assert_eq!(results.count(0), len - 19);
         let kocc = index.kmer_occ();
-        assert_eq!(kocc.sample_rate() * kocc.superblock_rate(), 65_535);
         let codes: Vec<u16> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
-        assert!(codes[..70_000].iter().all(|&c| c == 0));
+        assert!(codes[..=len - k].iter().all(|&c| c == 0));
         // Every block boundary and its neighbours, the superblock
-        // boundary at row 65 535 among them.
-        for boundary in (0..=kocc.len()).step_by(4369) {
+        // boundaries at rows 10 752 and 21 504 among them.
+        for boundary in (0..=kocc.len()).step_by(rate) {
             for i in boundary.saturating_sub(1)..=(boundary + 1).min(kocc.len()) {
-                for r in 0..4u16 {
+                for r in [0u16, 1, 4095] {
                     assert_eq!(
                         kocc.rank(r, i),
                         naive_krank(&codes, r, i),
                         "code {r}, row {i}"
                     );
-                    let lo = i.saturating_sub(4369 / 2);
+                    let lo = i.saturating_sub(rate / 2);
                     assert_eq!(
                         kocc.rank_pair(r, lo, i),
                         (naive_krank(&codes, r, lo), naive_krank(&codes, r, i)),
@@ -501,9 +484,9 @@ mod tests {
 
     #[test]
     fn heap_components_equal_their_closed_forms() {
-        // The default and a memory-first layout at k = 4 over 120 000
-        // bases and the sentinel: every component against its formula, so
-        // a silently widened checkpoint row or block fails by name.
+        // The layout at k = 4 over 120 000 bases and the sentinel: every
+        // component against its formula, so a silently widened checkpoint
+        // row or block fails by name.
         let profile = GenomeProfile {
             len: 120_000,
             ..GenomeProfile::toy()
@@ -512,57 +495,51 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        let memory_first = KStepBuildConfig {
-            sa_sample_rate: 32,
-            k_occ_sample_rate: 640,
-            superblock_rate: 32,
-            ..KStepBuildConfig::for_k(4)
+        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (54, 11, 384, 16);
+        let index = EngineBuilder::new().build_index(&text).unwrap();
+        let kocc_blocks = n / kocc_rate + 1;
+        let occ_blocks = n / occ_rate + 1;
+        let expected = HeapBreakdown {
+            k_occ_checkpoints: line_round(kocc_blocks.div_ceil(sb_rate) * stride * 4),
+            k_occ_deltas: kocc_blocks * stride * 2,
+            // Code lanes and block padding, plus the totals row.
+            k_occ_codes: kocc_blocks * (line_round(stride * 2 + kocc_rate) - stride * 2)
+                + stride * 4,
+            one_step_occ: occ_blocks * line_round(5 * 2 + occ_rate)
+                + line_round(occ_blocks.div_ceil(sb_rate) * 5 * 4),
+            sa_samples: n.div_ceil(sa_rate) * 4,
+            // One bit per row, and a u32 running rank per 64 of them.
+            rank_bits: n.div_ceil(64) * (8 + 4),
+            // The k-mer C-array, the k sentinel-crossing rows, the
+            // packed text (whole 32-base windows and a spare one) and
+            // the K-mer lookup (16 · 4^6 ≤ n < 16 · 4^7: K = 6).
+            other: stride * 4
+                + 4 * 4
+                + line_round((n.div_ceil(32) + 1) * 8)
+                + line_round(4 * ((1 << (2 * 6)) + 1)),
         };
-        for (config, occ_rate, sa_rate, kocc_rate, sb_rate) in [
-            (
-                EngineBuilder::new().build_config().unwrap(),
-                54,
-                11,
-                384,
-                16,
-            ),
-            (memory_first, 54, 32, 640, 32),
-        ] {
-            let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
-            let kocc_blocks = n / kocc_rate + 1;
-            let occ_blocks = n / occ_rate + 1;
-            let expected = HeapBreakdown {
-                k_occ_checkpoints: line_round(kocc_blocks.div_ceil(sb_rate) * stride * 4),
-                k_occ_deltas: kocc_blocks * stride * 2,
-                // Code lanes and block padding, plus the totals row.
-                k_occ_codes: kocc_blocks * (line_round(stride * 2 + kocc_rate) - stride * 2)
-                    + stride * 4,
-                one_step_occ: occ_blocks * line_round(5 * 2 + occ_rate)
-                    + line_round(occ_blocks.div_ceil(sb_rate) * 5 * 4),
-                sa_samples: n.div_ceil(sa_rate) * 4,
-                // One bit per row, and a u32 running rank per 64 of them.
-                rank_bits: n.div_ceil(64) * (8 + 4),
-                // The k-mer C-array, the k sentinel-crossing rows, the
-                // packed text (whole 32-base windows and a spare one) and
-                // the K-mer lookup (16 · 4^6 ≤ n < 16 · 4^7: K = 6).
-                other: stride * 4
-                    + 4 * 4
-                    + line_round((n.div_ceil(32) + 1) * 8)
-                    + line_round(4 * ((1 << (2 * 6)) + 1)),
-            };
-            let heap = EngineBuilder::new()
-                .attach(&index)
-                .unwrap()
-                .heap_breakdown();
-            assert_eq!(heap, expected, "{config:?}");
-        }
+        let heap = EngineBuilder::new()
+            .attach(&index)
+            .unwrap()
+            .heap_breakdown();
+        assert_eq!(heap, expected);
     }
 
     #[test]
     fn build_config_fills_k_dependent_defaults() {
+        // The build is the recipe's `k` and strandedness; the k-occ
+        // spacing follows from `k` alone.
         let config = EngineBuilder::new().k(2).build_config().unwrap();
-        assert_eq!(config.k, 2);
-        assert_eq!(config.k_occ_sample_rate, 192);
+        assert_eq!(config, KStepBuildConfig::for_k(2));
+        let both = EngineBuilder::new().k(2).bidirectional(true);
+        assert_eq!(
+            both.build_config().unwrap(),
+            KStepBuildConfig {
+                k: 2,
+                bidirectional: true
+            }
+        );
+        assert_eq!(k_occ_sample_rate(2), 192);
     }
 
     #[test]

@@ -41,11 +41,11 @@ pub enum QueryRequest {
     /// [`exma_index::FmIndex::resolve_range_capped_into`] for the
     /// deterministic selection rule). The rule is defined over LF-walk
     /// lengths, so *which* `h` of more than `h` occurrences come back is
-    /// a function of the index's suffix-array sampling rate
-    /// ([`exma_index::KStepBuildConfig::sa_sample_rate`]) — and of
-    /// nothing else: not the occurrence spacings, `k` or the thread
-    /// count. Every returned position is a true occurrence at any rate,
-    /// and answers that fit their cap are the same at every rate.
+    /// a function of the layout's suffix-array sampling rate
+    /// ([`exma_index::layout::SA_SAMPLE_RATE`]) — and of nothing else:
+    /// not the occurrence spacings, `k` or the thread count. Every
+    /// returned position is a true occurrence, and answers that fit
+    /// their cap would be the same at any rate.
     Locate {
         /// `None` resolves every occurrence.
         max_hits: Option<u32>,

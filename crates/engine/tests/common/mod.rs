@@ -1,7 +1,6 @@
 //! The one generator the engine's integration tests draw on: the
 //! references, the patterns cut from them, the requests asked of them,
-//! the layouts they are indexed under, the executors that answer and
-//! the rule each answer is held to.
+//! the executors that answer and the rule each answer is held to.
 //! Every seed is a constant here or at the call site, so a failure
 //! replays by name.
 
@@ -11,7 +10,6 @@ use exma_engine::{EngineBuilder, QueryBatch, QueryOutput, QueryRequest, QueryRes
 use exma_genome::{Base, ErrorProfile, Genome, GenomeProfile, SeededRng};
 use exma_genome::{LongReadSimulator, ShortReadSimulator};
 use exma_index::bidir::revcomp;
-use exma_index::KStepBuildConfig;
 
 /// A reference of the generator: the genome, the seed it was drawn
 /// from, and where its planted palindrome starts, if it has one.
@@ -42,15 +40,6 @@ pub fn toy() -> Reference {
 
 pub fn toy_genome() -> Genome {
     toy().genome
-}
-
-/// A 2 kbp toy, small enough to index at every sampling rate down to 1.
-pub fn small_toy() -> Reference {
-    let profile = GenomeProfile {
-        len: 2_000,
-        ..GenomeProfile::toy()
-    };
-    synthesized(profile, 3)
 }
 
 /// A reference built to keep intervals two and three rows wide for a
@@ -351,36 +340,6 @@ pub fn judge(
         )),
         _ => Ok(()),
     }
-}
-
-/// The recipe at step width `k` with these occurrence, SA and k-occ
-/// rates and this superblock rate.
-pub fn rates(k: usize, occ: usize, sa: usize, k_occ: usize, superblock: usize) -> KStepBuildConfig {
-    KStepBuildConfig {
-        occ_sample_rate: occ,
-        sa_sample_rate: sa,
-        k_occ_sample_rate: k_occ,
-        superblock_rate: superblock,
-        ..KStepBuildConfig::for_k(k)
-    }
-}
-
-/// Coarser k-occ checkpoints under wider superblocks and sparser SA
-/// samples, every rate spelled out.
-pub fn memory_first(k: usize) -> KStepBuildConfig {
-    rates(k, 54, 32, 640, 32)
-}
-
-/// The named layouts at step width `k`: the default, a memory-first
-/// layout, plus one recipe moving every spacing off both.
-pub fn layout_matrix(k: usize) -> Vec<(&'static str, KStepBuildConfig)> {
-    let default = KStepBuildConfig::for_k(k);
-    let custom = rates(k, 7, 8, 96, 2);
-    vec![
-        ("default", default),
-        ("memory_first", memory_first(k)),
-        ("custom", custom),
-    ]
 }
 
 /// Every executor of a recipe: the sequential oracle, the lockstep

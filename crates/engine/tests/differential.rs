@@ -1,37 +1,36 @@
-//! The differential harness: every executor of every recipe, on both
-//! strands and at every step width, held to the naive scan.
+//! The differential harness: every executor, on both strands and at
+//! every step width, held to the naive scan.
 //!
 //! One generator (`common`) draws the references, their patterns and
 //! every request shape; each `#[test]` is one reference × strandedness
-//! over the recipe matrix — `KStepBuildConfig::for_k` at every k in
-//! `1..=MAX_STEP` (k = 3, 5, 6 and 7 only up to 10 kbp), plus the
-//! memory-first and custom rows at k ∈ {2, 4} or the extreme-rate rows
-//! at k ∈ {1, 2, 4} — answered by the sequential executor, the lockstep
-//! engine on one thread, sharded on two and seven, and the 1-step
-//! `FmIndex` oracle on the default layout. What holds:
+//! over every step width — `KStepBuildConfig::for_k` at every k in
+//! `1..=MAX_STEP` (k = 3, 5, 6 and 7 only up to 10 kbp), all in the one
+//! layout — answered by the sequential executor, the lockstep engine on
+//! one thread, sharded on two and seven, and the 1-step `FmIndex`
+//! oracle. What holds:
 //!
 //! - Every answer within its cap and every strand search equals the
 //!   naive scan of the indexed text.
 //! - A locate wider than its cap keeps `min(cap, hits)` distinct, sorted,
 //!   true positions, flagged truncated, and equals the sequential
-//!   executor on the same index (which positions survive is a function
-//!   of the SA rate).
+//!   executor on the same index and the 1-step oracle (which positions
+//!   survive is a function of the SA rate, and every index has the one).
 //! - Every executor answers what the sequential one answers, and the
 //!   index's own `count` / `locate_into` agree with the scan.
 //! - The lockstep counters do not depend on the thread count.
 //!
-//! A failure names the reference and its seed, the recipe, the
-//! executor, the query, its request and its pattern, and says whether
-//! the query still fails run alone: to replay it, build that reference
-//! under that recipe and run the pattern as a batch of one.
+//! A failure names the reference and its seed, the build, the executor,
+//! the query, its request and its pattern, and says whether the query
+//! still fails run alone: to replay it, build that reference at that k
+//! and run the pattern as a batch of one.
 
 mod common;
 
-use common::{answer, every_request_of, executors, judge, layout_matrix, patterns, rates};
-use common::{Reference, Truth};
+use common::{answer, every_request_of, executors, judge, patterns, Reference, Truth};
 use exma_engine::{EngineBuilder, Executor, QueryBatch, QueryRequest, QueryResults};
 use exma_genome::{Base, PackedSeq, SeededRng, Symbol};
 use exma_index::bidir::{encode_hit, is_palindromic, revcomp, Strand};
+use exma_index::layout::SA_SAMPLE_RATE;
 use exma_index::{doubled_text, naive, FmIndex, KStepBuildConfig, KStepFmIndex, MAX_STEP};
 
 /// One kind of pattern, every request shape of each, and the truth.
@@ -148,47 +147,22 @@ fn hold(
     }
 }
 
-/// The index's own `count`, k-step and 1-step, and if `locate`, its
-/// `locate_into` (into a buffer holding the last answer), against the scan.
-fn hold_methods(at: &str, kind: &Kind, index: &KStepFmIndex, locate: bool) {
+/// The index's own `count`, k-step and 1-step, and its `locate_into`
+/// (into a buffer holding the last answer), against the scan.
+fn hold_methods(at: &str, kind: &Kind, index: &KStepFmIndex) {
     let mut buf = Vec::new();
     for (pattern, truth) in kind.patterns.iter().zip(&kind.truth) {
         let at = format!("{at}: the index's own answer for {:?}", acgt(pattern));
         let counts = (index.count(pattern), index.base_index().count(pattern));
         assert_eq!(counts, (truth.hits.len(), truth.hits.len()), "{at}");
-        if locate {
-            index.locate_into(pattern, &mut buf);
-            assert_eq!(buf, truth.hits, "{at}");
-        }
+        index.locate_into(pattern, &mut buf);
+        assert_eq!(buf, truth.hits, "{at}");
     }
 }
 
-/// The SA rate from which a recipe answers only `long_walks`.
-const LONG_WALK: usize = 1000;
-
-/// The memory-first and custom layouts at k = 2 and 4, as the snapshot
-/// suite builds them.
-fn layouts() -> Vec<KStepBuildConfig> {
-    let rows = [2, 4].map(|k| layout_matrix(k).into_iter().skip(1));
-    rows.into_iter()
-        .flatten()
-        .map(|(_, config)| config)
-        .collect()
-}
-
-/// Occurrence, SA and k-occ rates from every sample a row to none at
-/// all, superblocks kept within their `u16` span, at k = 1, 2 and 4.
-fn extreme_rates() -> Vec<KStepBuildConfig> {
-    let extremes = [(1, 1, 1), (3, 5, 5), (64, 32, 256), (5000, 5000, 5000)];
-    let rows = [1, 2, 4].map(|k| extremes.map(|(occ, sa, k_occ)| (k, occ, sa, k_occ)));
-    let rows = rows.into_iter().flatten();
-    rows.map(|(k, occ, sa, k_occ)| rates(k, occ, sa, k_occ, (65_535 / occ).clamp(1, 16)))
-        .collect()
-}
-
 /// Runs the whole matrix over `reference`: `for_k` at every k (only
-/// k ∈ {1, 2, 4} above 10 kbp), then the `extra` rows.
-fn differential(reference: &Reference, doubled: bool, extra: fn() -> Vec<KStepBuildConfig>) {
+/// k ∈ {1, 2, 4} above 10 kbp).
+fn differential(reference: &Reference, doubled: bool) {
     let case = Case::new(reference, doubled);
     let genome = &reference.genome;
     let forward = genome.seq();
@@ -224,16 +198,7 @@ fn differential(reference: &Reference, doubled: bool, extra: fn() -> Vec<KStepBu
         genome.len() < 100 || (1..=MAX_STEP).all(every_residue),
         "{lengths:?}"
     );
-    // Past an SA rate of `LONG_WALK` a row walks to the one sample, at 0:
-    // n / 2 LF steps, each a rank over a text-long block, about 1 ms a
-    // row here. Such a recipe answers eight reads, and counts the rest.
-    let long_walks: Vec<Kind> = kinds
-        .iter()
-        .filter(|kind| kind.name == "reads")
-        .map(|reads| case.kind("reads", reads.patterns[..8].to_vec()))
-        .collect();
-
-    // The 1-step oracle, on the default layout.
+    // The 1-step oracle.
     let fm = FmIndex::from_text(&case.text);
     let one_step = EngineBuilder::new().k(1).sequential();
     let one_step = one_step.attach_one_step(&fm).unwrap();
@@ -248,36 +213,26 @@ fn differential(reference: &Reference, doubled: bool, extra: fn() -> Vec<KStepBu
         .collect();
 
     let widths = (1..=MAX_STEP).filter(|k| [1, 2, 4].contains(k) || genome.len() <= 10_000);
-    let recipes = widths.map(KStepBuildConfig::for_k).chain(extra());
-    for mut config in recipes {
-        config.bidirectional = doubled;
+    for k in widths {
+        let config = KStepBuildConfig {
+            k,
+            bidirectional: doubled,
+        };
         let index = KStepFmIndex::from_text_with_config(&case.text, config).unwrap();
         if genome.len() >= 300_000 {
-            assert!(index.lookup_k() >= config.k + 3, "K = {}", index.lookup_k());
+            assert!(index.lookup_k() >= k + 3, "K = {}", index.lookup_k());
         }
-        // Which positions a capped locate keeps depends on the SA rate
-        // alone, so at the oracle's rate they are the oracle's.
-        let same_rate = config.sa_sample_rate == fm.sampled_sa().sample_rate();
-        for kind in kinds.iter().filter(|_| config.sa_sample_rate >= LONG_WALK) {
-            let at = case.at(&format!("{config:?}"), "count", kind.name);
-            hold_methods(&at, kind, &index, false);
-        }
-        let runs: Vec<(&Kind, Option<&QueryResults>)> = match config.sa_sample_rate {
-            LONG_WALK.. => long_walks.iter().map(|kind| (kind, None)).collect(),
-            _ => kinds
-                .iter()
-                .zip(oracle.iter().map(|o| same_rate.then_some(o)))
-                .collect(),
-        };
         let [sequential, lockstep @ ..] =
-            executors(EngineBuilder::new().k(config.k).bidirectional(doubled));
-        for (kind, oracle) in runs {
+            executors(EngineBuilder::new().k(k).bidirectional(doubled));
+        // Which positions a capped locate keeps depends on the SA rate
+        // alone, so they are the oracle's.
+        for (kind, oracle) in kinds.iter().zip(&oracle) {
             let recipe = format!("{config:?}");
             let at = case.at(&recipe, &sequential.descriptor(), kind.name);
-            hold_methods(&at, kind, &index, true);
+            hold_methods(&at, kind, &index);
             let engine = sequential.attach(&index).unwrap();
             let (expected, _) = engine.run(&kind.batch);
-            hold(&at, kind, &*engine, &expected, oracle, usize::MAX);
+            hold(&at, kind, &*engine, &expected, Some(oracle), usize::MAX);
             let mut first = None;
             for builder in lockstep {
                 let at = case.at(&recipe, &builder.descriptor(), kind.name);
@@ -320,10 +275,7 @@ fn differential(reference: &Reference, doubled: bool, extra: fn() -> Vec<KStepBu
                 let hits: usize = kind.truth.iter().map(|t| t.hits.len()).sum();
                 assert_eq!(stats.cursors_retired, hits + stats.rows_rejected, "{at}");
                 assert_eq!(stats.cursors_dropped, 0, "{at}");
-                assert!(
-                    stats.resolve_rounds <= config.sa_sample_rate,
-                    "{at}: {stats:?}"
-                );
+                assert!(stats.resolve_rounds <= SA_SAMPLE_RATE, "{at}: {stats:?}");
             }
         }
     }
@@ -338,33 +290,35 @@ fn tiny() -> Vec<Reference> {
 
 /// One `#[test]` per reference × strandedness, so they run in parallel.
 macro_rules! cases {
-    ($($name:ident: $references:expr, $doubled:expr, $extra:expr;)*) => {
+    ($($name:ident: $references:expr, $doubled:expr;)*) => {
         $(#[test]
         fn $name() {
             for reference in $references {
-                differential(&reference, $doubled, $extra);
+                differential(&reference, $doubled);
             }
         })*
     };
 }
 
 cases! {
-    toy_10k_forward: [common::toy()], false, layouts;
-    toy_10k_doubled: [common::toy()], true, layouts;
-    repeat_rich_forward: [common::repeat_rich()], false, layouts;
-    repeat_rich_doubled: [common::repeat_rich()], true, layouts;
-    repeat_rich_300k_forward: [common::large_repeat_rich()], false, Vec::new;
-    repeat_rich_300k_doubled: [common::large_repeat_rich()], true, Vec::new;
-    toy_2k_extreme_rates_forward: [common::small_toy()], false, extreme_rates;
-    toy_2k_extreme_rates_doubled: [common::small_toy()], true, extreme_rates;
-    random_1_to_31_bases_forward: tiny(), false, Vec::new;
-    random_1_to_31_bases_doubled: tiny(), true, Vec::new;
+    toy_10k_forward: [common::toy()], false;
+    toy_10k_doubled: [common::toy()], true;
+    repeat_rich_forward: [common::repeat_rich()], false;
+    repeat_rich_doubled: [common::repeat_rich()], true;
+    repeat_rich_300k_forward: [common::large_repeat_rich()], false;
+    repeat_rich_300k_doubled: [common::large_repeat_rich()], true;
+    random_1_to_31_bases_forward: tiny(), false;
+    random_1_to_31_bases_doubled: tiny(), true;
 }
 
 #[test]
-fn capped_answers_depend_on_the_sa_rate_and_on_nothing_else() {
+fn capped_answers_are_the_same_at_every_k_and_thread_count() {
     // A 12-mer from a family copy occurs some seventy times, far beyond
     // a cap of 8, while background 12-mers and random ones stay under it.
+    // Which 8 a capped locate keeps is a function of the SA rate alone
+    // (the reason a change of `SA_SAMPLE_RATE` re-pins the benchmark's
+    // locate checksum and no other change may), so every width and
+    // thread count keeps the same.
     const MAX_HITS: u32 = 8;
     let reference = common::two_families();
     let case = Case::new(&reference, false);
@@ -390,36 +344,19 @@ fn capped_answers_depend_on_the_sa_rate_and_on_nothing_else() {
         "{over_cap}"
     );
 
-    let mut kept_per_rate: Vec<QueryResults> = Vec::new();
-    for sa_rate in [1usize, 10, 11, 32] {
-        let mut kept: Option<QueryResults> = None;
-        for occ_rate in [44usize, 54] {
-            for superblock_rate in [8usize, 16, 64] {
-                for k in [1usize, 2, 4] {
-                    // Half the recipes leave the k-derived k-occ spacing.
-                    let k_occ = KStepBuildConfig::for_k(k).k_occ_sample_rate;
-                    let k_occ = if occ_rate == 44 { 96 } else { k_occ };
-                    let config = rates(k, occ_rate, sa_rate, k_occ, superblock_rate);
-                    let index = KStepFmIndex::from_text_with_config(&case.text, config).unwrap();
-                    for threads in [1usize, 2] {
-                        let flavor = EngineBuilder::new().k(k).threads(threads);
-                        let engine = flavor.attach(&index).unwrap();
-                        let (results, _) = engine.run(&kind.batch);
-                        // Whatever the rate keeps is true: everything
-                        // under the cap, exactly `MAX_HITS` distinct real
-                        // positions over it — and every recipe at this
-                        // rate keeps the same.
-                        let at = case.at(&format!("{config:?}"), &flavor.descriptor(), kind.name);
-                        hold(&at, &kind, &*engine, &results, kept.as_ref(), usize::MAX);
-                        kept.get_or_insert(results);
-                    }
-                }
-            }
+    let mut kept: Option<QueryResults> = None;
+    for k in [1usize, 2, 4] {
+        let index = KStepFmIndex::from_text(&case.text, k);
+        for threads in [1usize, 2] {
+            let flavor = EngineBuilder::new().k(k).threads(threads);
+            let engine = flavor.attach(&index).unwrap();
+            let (results, _) = engine.run(&kind.batch);
+            // Whatever the rate keeps is true: everything under the cap,
+            // exactly `MAX_HITS` distinct real positions over it — and
+            // every run keeps the same.
+            let at = case.at(&format!("k={k}"), &flavor.descriptor(), kind.name);
+            hold(&at, &kind, &*engine, &results, kept.as_ref(), usize::MAX);
+            kept.get_or_insert(results);
         }
-        kept_per_rate.push(kept.expect("36 recipes ran"));
     }
-    // And the dependence is real: two rates keep different positions of
-    // some over-cap interval (the reason a recipe change re-pins the
-    // benchmark's locate checksum and no other change may).
-    assert!(kept_per_rate.windows(2).any(|w| w[0] != w[1]));
 }

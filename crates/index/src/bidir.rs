@@ -13,7 +13,7 @@
 //! — `2n + 1` symbols for an `n`-base reference, with the single
 //! terminal sentinel the suffix-array builder requires — through the
 //! ordinary [`crate::KStepFmIndex`] machinery (BWT, two-level occurrence
-//! tables, sampled suffix array, all driven by the same build recipe).
+//! tables, sampled suffix array, all in the one layout).
 //! One backward search over the doubled text finds a pattern on either
 //! strand at once; raw doubled-text positions are then mapped back to
 //! forward-reference coordinates with a strand tag by pure arithmetic:

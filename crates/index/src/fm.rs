@@ -12,9 +12,7 @@ use std::ops::Range;
 use exma_genome::genome::Genome;
 use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, CountTable, Symbol};
 
-use crate::layout::{
-    HeapBreakdown, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SA_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE,
-};
+use crate::layout::HeapBreakdown;
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 
@@ -41,11 +39,9 @@ impl FmIndex {
         FmIndex { counts, occ, ssa }
     }
 
-    /// Builds the index from a sentinel-terminated symbol text under the
-    /// default recipe of [`crate::layout`] (provably buildable for any
-    /// text the workspace can address). An index of any other layout is
-    /// the [`crate::KStepFmIndex::base_index`] of one built from a
-    /// [`crate::KStepBuildConfig`] at `k = 1`.
+    /// Builds the index from a sentinel-terminated symbol text in the
+    /// layout of [`crate::layout`], the one every
+    /// [`crate::KStepFmIndex::base_index`] has too.
     ///
     /// # Panics
     ///
@@ -56,9 +52,8 @@ impl FmIndex {
         let bwt = bwt_from_sa(text, &sa);
         FmIndex::from_parts(
             count_table(text),
-            OccTable::new(&bwt, DEFAULT_OCC_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE)
-                .expect("the default layout builds for any u32-addressable text"),
-            SampledSuffixArray::new(&sa, DEFAULT_SA_SAMPLE_RATE),
+            OccTable::new(&bwt).expect("the text fits u32 counters"),
+            SampledSuffixArray::new(&sa),
         )
     }
 
@@ -165,8 +160,9 @@ impl FmIndex {
 
     /// All starting positions of `pattern` in the reference, sorted
     /// ascending. Resolves each interval row by LF-walking to a sampled
-    /// row — at most `sa_sample_rate - 1` steps, since text positions
-    /// decrease by one per step and every multiple of the rate is sampled.
+    /// row — at most [`crate::layout::SA_SAMPLE_RATE`]` - 1` steps, since
+    /// text positions decrease by one per step and every multiple of the
+    /// rate is sampled.
     pub fn locate(&self, pattern: &[Base]) -> Vec<u32> {
         let mut positions = Vec::new();
         self.locate_into(pattern, &mut positions);
@@ -228,12 +224,13 @@ impl FmIndex {
     /// identical across schedules, engines, and thread counts.)
     ///
     /// A walk's length is the row's text position modulo
-    /// `sa_sample_rate`, so the rule depends on that rate: two indexes
-    /// of one text sampled at different rates keep different — equally
-    /// true — `max_hits` of an interval wider than the cap, and reach
-    /// `R` after different amounts of work (on a text whose repeats are
-    /// periodic, also on what the rate shares with the period). Nothing
-    /// else in a build recipe enters it.
+    /// [`crate::layout::SA_SAMPLE_RATE`], so the rule depends on that
+    /// constant: sampled at another rate, one text would keep different —
+    /// equally true — `max_hits` of an interval wider than the cap, and
+    /// reach `R` after a different amount of work (on a text whose
+    /// repeats are periodic, also on what the rate shares with the
+    /// period). Nothing else in the layout, and neither `k` nor the
+    /// strandedness, enters it.
     ///
     /// Returns `true` iff the cap actually truncated the output. `out`
     /// is cleared first and left sorted ascending; with
@@ -285,30 +282,16 @@ impl FmIndex {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::{KStepBuildConfig, KStepFmIndex};
+    use crate::layout::SA_SAMPLE_RATE;
+    use crate::{naive, KStepFmIndex, MAX_STEP};
     use exma_genome::alphabet::parse_bases;
     use exma_genome::genome::text_from_str;
 
-    /// The 1-step tables of a `k = 1` index at these rates.
-    pub(crate) fn with_rates(
-        text: &[Symbol],
-        occ_sample_rate: usize,
-        sa_sample_rate: usize,
-    ) -> FmIndex {
-        let config = KStepBuildConfig {
-            occ_sample_rate,
-            sa_sample_rate,
-            ..KStepBuildConfig::for_k(1)
-        };
-        let index = KStepFmIndex::from_text_with_config(text, config).unwrap();
-        index.base_index().clone()
-    }
-
     fn fig3_index() -> FmIndex {
         // The paper's running example: G = CATAGA$.
-        with_rates(&text_from_str("CATAGA").unwrap(), 2, 2)
+        FmIndex::from_text(&text_from_str("CATAGA").unwrap())
     }
 
     #[test]
@@ -365,32 +348,36 @@ pub(crate) mod tests {
 
     #[test]
     fn occurrence_lines_mark_exactly_the_sampled_rows() {
-        // Occ rates x SA rates, SA rate 1 included, where *every* code
-        // byte carries the mark.
-        let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG").unwrap();
-        let bwt = bwt_from_sa(&text, &suffix_array(&text));
-        let counts = count_table(&text);
-        for occ_sample_rate in [1, 7, 44, 54, 200] {
+        // A text one block long and one of several blocks, each sampled
+        // every 11th position.
+        for body in [
+            "CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG",
+            &"CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG".repeat(7),
+        ] {
+            let text = text_from_str(body).unwrap();
+            let bwt = bwt_from_sa(&text, &suffix_array(&text));
+            let counts = count_table(&text);
             // The same table before `from_parts` marked it.
-            let unmarked = OccTable::new(&bwt, occ_sample_rate, 16).unwrap();
-            for sa_sample_rate in [1, 2, 5, 32] {
-                let fm = with_rates(&text, occ_sample_rate, sa_sample_rate);
-                let rates = format!("occ {occ_sample_rate}, sa {sa_sample_rate}");
-                for i in 0..=text.len() {
-                    assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "{rates}");
-                }
-                for (row, &s) in bwt.iter().enumerate() {
-                    let at = format!("{rates}, row {row}");
-                    let sampled = fm.sampled_sa().get(row).is_some();
-                    let rank = unmarked.rank(s, row);
-                    assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
-                    assert_eq!(fm.occ().symbol(row), s, "{at}");
-                    assert_eq!(fm.occ().rank(s, row), rank, "{at}");
-                    let lf = (counts.count(s) + rank) as usize;
-                    assert_eq!(fm.lf(row), lf, "{at}");
-                    assert_eq!(fm.lf_marked(row), (lf, sampled), "{at}");
-                }
+            let unmarked = OccTable::new(&bwt).unwrap();
+            let fm = FmIndex::from_text(&text);
+            let n = text.len();
+            for i in 0..=n {
+                assert_eq!(fm.occ().rank_all(i), unmarked.rank_all(i), "n {n}");
             }
+            let mut marked = 0;
+            for (row, &s) in bwt.iter().enumerate() {
+                let at = format!("n {n}, row {row}");
+                let sampled = fm.sampled_sa().get(row).is_some();
+                marked += usize::from(sampled);
+                let rank = unmarked.rank(s, row);
+                assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
+                assert_eq!(fm.occ().symbol(row), s, "{at}");
+                assert_eq!(fm.occ().rank(s, row), rank, "{at}");
+                let lf = (counts.count(s) + rank) as usize;
+                assert_eq!(fm.lf(row), lf, "{at}");
+                assert_eq!(fm.lf_marked(row), (lf, sampled), "{at}");
+            }
+            assert_eq!(marked, n.div_ceil(SA_SAMPLE_RATE), "n {n}");
         }
     }
 
@@ -403,7 +390,7 @@ pub(crate) mod tests {
     #[test]
     fn capped_resolution_truncates_deterministically() {
         let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap();
-        let fm = with_rates(&text, 7, 5);
+        let fm = FmIndex::from_text(&text);
         let rows = fm.backward_search(&parse_bases("A").unwrap());
         let full = fm.locate(&parse_bases("A").unwrap());
         assert!(full.len() >= 4);
@@ -430,20 +417,30 @@ pub(crate) mod tests {
         for row in 0..fm.text_len() {
             let (pos, steps) = fm.resolve_row_with_steps(row);
             assert_eq!(pos, fm.resolve_row(row));
-            assert!((steps as usize) < fm.sampled_sa().sample_rate());
+            assert!((steps as usize) < SA_SAMPLE_RATE);
         }
     }
 
     #[test]
     fn sampling_rates_do_not_change_answers() {
-        let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap();
-        let reference = with_rates(&text, 1, 1);
-        for (occ_rate, sa_rate) in [(2, 3), (7, 5), (64, 32), (100, 100)] {
-            let fm = with_rates(&text, occ_rate, sa_rate);
-            for pat in ["A", "CAT", "TAGA", "CCATAG", "GGG"] {
-                let p = parse_bases(pat).unwrap();
-                assert_eq!(fm.count(&p), reference.count(&p), "count {pat}");
-                assert_eq!(fm.locate(&p), reference.locate(&p), "locate {pat}");
+        // The 1-step tables and the k-mer tables at every width, each
+        // checkpointed at its own spacing (96k rows), against the scan.
+        let body = "CCATAGACATTAGACCATAGGACATAGACC";
+        let text = text_from_str(body).unwrap();
+        let seq = exma_genome::PackedSeq::from_bases(&parse_bases(body).unwrap());
+        let fm = FmIndex::from_text(&text);
+        let indexes: Vec<_> = (1..=MAX_STEP)
+            .map(|k| KStepFmIndex::from_text(&text, k))
+            .collect();
+        for pat in ["A", "CAT", "TAGA", "CCATAG", "GGG", "ACATAGACC"] {
+            let p = parse_bases(pat).unwrap();
+            let hits = naive::occurrences(&seq, &p);
+            assert_eq!(fm.count(&p), hits.len(), "count {pat}");
+            assert_eq!(fm.locate(&p), hits, "locate {pat}");
+            for index in &indexes {
+                let k = index.k();
+                assert_eq!(index.count(&p), hits.len(), "k={k}, count {pat}");
+                assert_eq!(index.locate(&p), hits, "k={k}, locate {pat}");
             }
         }
     }

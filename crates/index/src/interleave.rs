@@ -78,7 +78,7 @@
 //!   and no second path. [`huge_page_bytes`] reads back what the
 //!   process was granted.
 
-use crate::layout::IndexError;
+use crate::layout::{IndexError, SUPERBLOCK_RATE};
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
@@ -399,33 +399,6 @@ impl CodeSpan {
     }
 }
 
-/// Rows a superblock may span: a delta counts occurrences since its
-/// superblock row, one per row at most, so a span within `u16` proves
-/// every delta fits whatever the text.
-const MAX_SUPERBLOCK_SPAN: usize = u16::MAX as usize;
-
-/// The one overflow rule of the checkpoint format, decided from the two
-/// spacings alone — before a builder allocates, and before a loader
-/// believes a header.
-///
-/// # Errors
-///
-/// [`IndexError::SuperblockSpanTooWide`] if
-/// `sample_rate * superblock_rate` exceeds 65 535 rows.
-pub(crate) fn check_superblock_span(
-    sample_rate: usize,
-    superblock_rate: usize,
-) -> Result<(), IndexError> {
-    if sample_rate.saturating_mul(superblock_rate) > MAX_SUPERBLOCK_SPAN {
-        return Err(IndexError::SuperblockSpanTooWide {
-            sample_rate,
-            superblock_rate,
-            max_span: MAX_SUPERBLOCK_SPAN,
-        });
-    }
-    Ok(())
-}
-
 /// The one checkpoint format, stored once for both occurrence tables.
 ///
 /// Rows are checkpointed every `sample_rate` of them; block `b` packs the
@@ -437,8 +410,10 @@ pub(crate) fn check_superblock_span(
 /// ```
 ///
 /// padded so every block starts on a 64-byte cache-line boundary. A delta
-/// is relative to the absolute `u32` row kept, every `superblock_rate`
-/// blocks, in a separate small array. What a code lane *means* — and so
+/// is relative to the absolute `u32` row kept, every
+/// [`SUPERBLOCK_RATE`] blocks, in a separate small array. The spacing is
+/// the owning table's ([`crate::layout`] has one for each), and so is
+/// kept at run time. What a code lane *means* — and so
 /// which lanes a rank counts — is the owning table's business: it feeds
 /// the lanes in, names the counter each one bumps, and reads them back
 /// through the kernel with its own mask.
@@ -446,7 +421,7 @@ pub(crate) fn check_superblock_span(
 pub(crate) struct BlockStore {
     data: AlignedWords,
     /// Absolute checkpoint rows, one `lanes`-word group per
-    /// `superblock_rate` blocks.
+    /// [`SUPERBLOCK_RATE`] blocks.
     superblocks: AlignedWords,
     /// Counters per checkpoint row.
     lanes: usize,
@@ -457,7 +432,6 @@ pub(crate) struct BlockStore {
     /// Rows covered.
     len: usize,
     sample_rate: Divisor,
-    superblock_rate: Divisor,
 }
 
 impl BlockStore {
@@ -468,44 +442,39 @@ impl BlockStore {
     ///
     /// # Errors
     ///
-    /// [`IndexError::IndexTooLarge`] if the rows outgrow `u32` counters;
-    /// [`IndexError::SuperblockSpanTooWide`] if
-    /// `sample_rate * superblock_rate` exceeds 65 535 rows, the bound
-    /// that proves no delta can overflow.
+    /// [`IndexError::IndexTooLarge`] if the rows outgrow `u32` counters.
     ///
     /// # Panics
     ///
-    /// Panics if `sample_rate == 0`, `superblock_rate == 0`, or a code
-    /// does not fit a one-byte lane.
+    /// Panics if `sample_rate == 0` or a code does not fit a one-byte
+    /// lane. The layout's spacings are proven narrow enough for the
+    /// deltas at compile time ([`crate::layout`]).
     pub(crate) fn build(
         lanes: usize,
         code_bytes: usize,
         sample_rate: usize,
-        superblock_rate: usize,
         mut rows: impl ExactSizeIterator<Item = (u16, usize)>,
     ) -> Result<(BlockStore, Vec<u32>), IndexError> {
         assert!(sample_rate > 0, "sample rate must be positive");
-        assert!(superblock_rate > 0, "superblock rate must be positive");
         let len = rows.len();
         if len >= u32::MAX as usize {
             return Err(IndexError::IndexTooLarge { rows: len });
         }
-        check_superblock_span(sample_rate, superblock_rate)?;
         let blocks = len / sample_rate + 1;
         let delta_bytes = lanes * 2;
         let block_words = (delta_bytes + sample_rate * code_bytes)
             .div_ceil(4)
             .next_multiple_of(WORDS_PER_LINE);
         let mut data = AlignedWords::zeroed(blocks * block_words);
-        let mut superblocks = AlignedWords::zeroed(blocks.div_ceil(superblock_rate) * lanes);
+        let mut superblocks = AlignedWords::zeroed(blocks.div_ceil(SUPERBLOCK_RATE) * lanes);
         let mut running = vec![0u32; lanes];
         let mut group_row = vec![0u32; lanes];
         for block in 0..blocks {
             // The checkpoint row for prefix `block * sample_rate`: counts
             // accumulated so far, relative to the superblock's.
             let base = block * block_words;
-            if block % superblock_rate == 0 {
-                let g = block / superblock_rate * lanes;
+            if block % SUPERBLOCK_RATE == 0 {
+                let g = block / SUPERBLOCK_RATE * lanes;
                 superblocks.words_mut()[g..g + lanes].copy_from_slice(&running);
                 group_row.copy_from_slice(&running);
             }
@@ -536,7 +505,6 @@ impl BlockStore {
             span: CodeSpan::new(block_words, delta_bytes, sample_rate * code_bytes),
             len,
             sample_rate: Divisor::new(sample_rate),
-            superblock_rate: Divisor::new(superblock_rate),
         };
         Ok((store, running))
     }
@@ -553,16 +521,6 @@ impl BlockStore {
         self.lanes
     }
 
-    /// The checkpoint spacing, in rows.
-    pub(crate) fn sample_rate(&self) -> usize {
-        self.sample_rate.get()
-    }
-
-    /// Blocks per absolute superblock row.
-    pub(crate) fn superblock_rate(&self) -> usize {
-        self.superblock_rate.get()
-    }
-
     /// The block holding `row` and the row's offset into it.
     #[inline]
     pub(crate) fn split(&self, row: usize) -> (usize, usize) {
@@ -573,7 +531,7 @@ impl BlockStore {
     /// relative to.
     #[inline]
     fn superblock_word(&self, block: usize, lane: usize) -> usize {
-        self.superblock_rate.div_rem(block).0 * self.lanes + lane
+        block / SUPERBLOCK_RATE * self.lanes + lane
     }
 
     /// The absolute count of counter `lane` at `block`'s checkpoint:
@@ -891,7 +849,8 @@ fn prefix_counts_scalar<T: Lane, const N: usize>(
 /// Division by a divisor fixed at construction, as one multiply-high
 /// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
 /// 2019): rows split into block and offset on every rank, and the
-/// checkpoint spacings are not powers of two (44, 54).
+/// checkpoint spacings are not powers of two (54, and 96k rows for the
+/// k-step table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Divisor {
     divisor: usize,
@@ -909,12 +868,6 @@ impl Divisor {
             divisor,
             magic: (u64::MAX / divisor as u64).wrapping_add(1),
         }
-    }
-
-    /// The divisor itself.
-    #[inline]
-    pub(crate) fn get(self) -> usize {
-        self.divisor
     }
 
     /// `(n / divisor, n % divisor)`. Exact for every `n` that fits 32
@@ -1123,7 +1076,6 @@ mod tests {
             span: CodeSpan::new(block_words, header, code_bytes),
             len: 0,
             sample_rate: Divisor::new(1),
-            superblock_rate: Divisor::new(1),
         }
     }
 
@@ -1248,7 +1200,6 @@ mod tests {
             max,
         ] {
             let divisor = Divisor::new(d);
-            assert_eq!(divisor.get(), d);
             let mut probes = vec![0, 1, 2, max - 1, max, max / 2, max / 3];
             for multiple in [1, 2, 3, 1000, max / d] {
                 let m = d.saturating_mul(multiple).min(max);

@@ -7,40 +7,42 @@
 //! sentinel cannot equal any query k-mer, so they all share a single
 //! out-of-alphabet code.
 //!
-//! Rank is checkpointed every `sample_rate` rows inside cache-line-aligned
+//! Rank is checkpointed every `96k` rows
+//! ([`crate::layout::k_occ_sample_rate`]) inside cache-line-aligned
 //! interleaved blocks (see [`crate::interleave`]): block `b` packs the
-//! checkpoint row for prefix `b * sample_rate` together with the
-//! `sample_rate` codes it covers, so one `rank` touches one contiguous
-//! block. Absolute `u32` checkpoint rows would dominate memory at k = 4 —
-//! 1 KiB of counters ahead of every few hundred bytes of codes — so rows
-//! are stored *two-level*: sparse absolute `u32` *superblock* rows every
-//! [`superblock_rate`](KmerOccTable::superblock_rate) blocks live in a
-//! separate (small) array, and each block keeps only `u16` deltas
-//! relative to its superblock. A rank reads the superblock word, the
+//! checkpoint row for prefix `b * 96k` together with the `96k` codes it
+//! covers, so one `rank` touches one contiguous block. Absolute `u32`
+//! checkpoint rows would dominate memory at k = 4 — 1 KiB of counters
+//! ahead of every few hundred bytes of codes — so rows are stored
+//! *two-level*: sparse absolute `u32` *superblock* rows every
+//! [`crate::layout::SUPERBLOCK_RATE`] blocks live in a separate (small)
+//! array, and each block keeps only `u16` deltas relative to its
+//! superblock. A rank reads the superblock word, the
 //! delta lane and the block's code lanes, always forward from the block's
 //! own checkpoint and always all of them: the branch-free kernel of
 //! [`crate::interleave`] has a fixed trip count.
 //! [`KmerOccTable::prefetch_rank`] hints exactly those lines.
 
 use crate::interleave::BlockStore;
-use crate::layout::{HeapBreakdown, IndexError};
+use crate::kstep::MAX_STEP;
+use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError};
 
 /// Checkpointed rank structure over k-BWT codes, interleaved per block.
 ///
 /// Valid codes are `0 .. stride` (k-mer lexicographic ranks); the value
 /// `stride` itself marks a sentinel-crossing context and is never ranked.
 ///
-/// Block `b` covers code positions `b * sample_rate ..` and lays out, in
-/// bytes:
+/// With `rate` = `96k`, block `b` covers code positions `b * rate ..` and
+/// lays out, in bytes:
 ///
 /// ```text
-/// [ stride u16 delta counters | sample_rate codes | pad ]
+/// [ stride u16 delta counters | rate codes | pad ]
 /// ```
 ///
 /// padded so every block starts on a 64-byte cache-line boundary. Code
 /// lanes are one byte when `stride <= 256` and two bytes otherwise.
 /// Absolute rows live in a separate superblock array, one `stride`-word
-/// row per `superblock_rate` blocks.
+/// row per [`crate::layout::SUPERBLOCK_RATE`] blocks.
 ///
 /// One wrinkle at `stride == 256` exactly: the sentinel-crossing marker
 /// code (`stride`) does not fit a one-byte lane. Those rows — at most
@@ -64,34 +66,28 @@ pub struct KmerOccTable {
 }
 
 impl KmerOccTable {
-    /// Builds the table with checkpoints every `sample_rate` rows and
-    /// absolute superblock rows every `superblock_rate` blocks. Takes the
-    /// codes by value: at reference scale they are tens of megabytes, and
-    /// the sole builder has no further use for them.
+    /// Builds the table over the k-BWT `codes` of step width `k` (valid
+    /// codes `0 .. 4^k`, the marker `4^k`), checkpointed every
+    /// [`k_occ_sample_rate`]`(k)` rows. Takes the codes by value: at
+    /// reference scale they are tens of megabytes, and the sole builder
+    /// has no further use for them.
     ///
     /// # Errors
     ///
     /// [`IndexError::IndexTooLarge`] if the table would overflow its
-    /// `u32` counters; [`IndexError::SuperblockSpanTooWide`] if
-    /// `sample_rate * superblock_rate` exceeds 65 535 rows — the bound
-    /// that proves no delta can overflow, whatever the codes.
+    /// `u32` counters.
     ///
     /// # Panics
     ///
-    /// Panics if `sample_rate == 0`, `superblock_rate == 0`, `stride`
-    /// does not fit the code type, or any code exceeds `stride` — all
-    /// programming errors of the (internal) caller, not data-dependent
-    /// conditions.
-    pub fn new(
-        codes: Vec<u16>,
-        stride: usize,
-        sample_rate: usize,
-        superblock_rate: usize,
-    ) -> Result<KmerOccTable, IndexError> {
+    /// Panics if `k` is zero or greater than [`MAX_STEP`], or any code
+    /// exceeds `4^k` — programming errors of the (internal) caller, not
+    /// data-dependent conditions.
+    pub fn new(codes: Vec<u16>, k: usize) -> Result<KmerOccTable, IndexError> {
         assert!(
-            stride > 0 && stride < u16::MAX as usize,
-            "stride {stride} out of range"
+            (1..=MAX_STEP).contains(&k),
+            "k must be in 1..={MAX_STEP}, got {k}"
         );
+        let stride = 1usize << (2 * k);
         // `stride` (the sentinel marker) does not fit a one-byte lane
         // only when stride == 256 exactly; see the struct docs.
         let masked_marker = stride == 256;
@@ -110,7 +106,7 @@ impl KmerOccTable {
         });
         let code_bytes = if stride > 256 { 2 } else { 1 };
         let (store, mut totals) =
-            BlockStore::build(stride, code_bytes, sample_rate, superblock_rate, rows)?;
+            BlockStore::build(stride, code_bytes, k_occ_sample_rate(k), rows)?;
         exceptions.shrink_to_fit();
         // `totals` answers rank(r, len) directly, so it stores *true*
         // counts: placeholders are not occurrences of code 0.
@@ -138,16 +134,6 @@ impl KmerOccTable {
         self.store.lanes()
     }
 
-    /// The checkpoint spacing this table was built with.
-    pub fn sample_rate(&self) -> usize {
-        self.store.sample_rate()
-    }
-
-    /// Blocks per absolute superblock row.
-    pub fn superblock_rate(&self) -> usize {
-        self.store.superblock_rate()
-    }
-
     /// `true` iff code lanes are two bytes wide (`stride > 256`).
     #[inline]
     fn wide_codes(&self) -> bool {
@@ -173,7 +159,7 @@ impl KmerOccTable {
     }
 
     /// For each of `offsets`, the physical count of code `r` in rows
-    /// `0 .. block * sample_rate + offset`: `block`'s checkpoint plus one
+    /// `0 .. block * 96k + offset`: `block`'s checkpoint plus one
     /// pass of the rank kernel over its code lanes.
     #[inline]
     fn block_ranks<const N: usize>(&self, block: usize, r: u16, offsets: [usize; N]) -> [u32; N] {
@@ -224,7 +210,7 @@ impl KmerOccTable {
 
     /// `(rank(r, lo), rank(r, hi))` in one pass: when both positions fall
     /// in the same block — the common case once a backward search has
-    /// narrowed its interval below `sample_rate` — one run of the kernel
+    /// narrowed its interval below a block's `96k` rows — one run of the kernel
     /// over the block answers both.
     ///
     /// # Panics
@@ -299,39 +285,44 @@ pub fn naive_krank(codes: &[u16], r: u16, i: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::SUPERBLOCK_RATE;
 
-    /// The superblock spacings the property tests cross.
-    const LAYOUTS: [usize; 3] = [2, 8, 64];
-
-    /// A small deterministic code stream over a stride-9 alphabet with some
-    /// out-of-alphabet (sentinel-crossing) entries.
-    fn fixture(len: usize, stride: u16) -> Vec<u16> {
+    /// A small deterministic code stream over the `4^k` codes of width
+    /// `k` and the out-of-alphabet (sentinel-crossing) marker.
+    fn fixture(len: usize, k: usize) -> Vec<u16> {
+        let stride = 1 << (2 * k);
         (0..len)
-            .map(|i| {
-                let x = (i * 7 + i / 3) % (stride as usize + 1);
-                x as u16
-            })
+            .map(|i| ((i * 7 + i / 3) % (stride + 1)) as u16)
             .collect()
     }
 
-    fn build(codes: Vec<u16>, stride: usize, rate: usize) -> KmerOccTable {
-        KmerOccTable::new(codes, stride, rate, 16).unwrap()
+    /// [`naive_krank`] of `r` at every `i` in `0..=codes.len()`, counted
+    /// in one pass.
+    fn naive_kranks(codes: &[u16], r: u16) -> Vec<u32> {
+        let mut ranks = vec![0];
+        for &c in codes {
+            ranks.push(ranks.last().unwrap() + u32::from(c == r));
+        }
+        ranks
+    }
+
+    /// A few codes of width `k` worth checking everywhere: the first,
+    /// one in the middle and the last.
+    fn probe_codes(k: usize) -> [u16; 3] {
+        let stride = 1u16 << (2 * k);
+        [0, stride / 2 + 1, stride - 1]
     }
 
     #[test]
     fn rank_matches_naive_across_widths_spacings_and_rates() {
-        let codes = fixture(137, 9);
-        for sb in LAYOUTS {
-            for rate in [1, 5, 44, 200] {
-                let occ = KmerOccTable::new(codes.clone(), 9, rate, sb).unwrap();
-                for i in 0..=codes.len() {
-                    for r in 0..9u16 {
-                        assert_eq!(
-                            occ.rank(r, i),
-                            naive_krank(&codes, r, i),
-                            "sb {sb}, rate {rate}, code {r}, prefix {i}"
-                        );
-                    }
+        // Every width, each at its own spacing: two blocks at k = 7, ten
+        // at k = 1.
+        for k in 1..=MAX_STEP {
+            let codes = fixture(900, k);
+            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            for r in probe_codes(k) {
+                for (i, &rank) in naive_kranks(&codes, r).iter().enumerate() {
+                    assert_eq!(occ.rank(r, i), rank, "k {k}, code {r}, prefix {i}");
                 }
             }
         }
@@ -339,19 +330,18 @@ mod tests {
 
     #[test]
     fn rank_pair_matches_naive_across_widths_spacings_and_rates() {
-        let codes = fixture(137, 9);
-        for sb in LAYOUTS {
-            for rate in [1, 5, 44, 200] {
-                let occ = KmerOccTable::new(codes.clone(), 9, rate, sb).unwrap();
+        for k in 1..=MAX_STEP {
+            let codes = fixture(400, k);
+            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            for r in probe_codes(k) {
+                let ranks = naive_kranks(&codes, r);
                 for lo in 0..=codes.len() {
-                    for hi in lo..=codes.len() {
-                        for r in [0u16, 3, 8] {
-                            assert_eq!(
-                                occ.rank_pair(r, lo, hi),
-                                (naive_krank(&codes, r, lo), naive_krank(&codes, r, hi)),
-                                "sb {sb}, rate {rate}, code {r}, interval {lo}..{hi}"
-                            );
-                        }
+                    for hi in (lo..=codes.len()).step_by(3) {
+                        assert_eq!(
+                            occ.rank_pair(r, lo, hi),
+                            (ranks[lo], ranks[hi]),
+                            "k {k}, code {r}, interval {lo}..{hi}"
+                        );
                     }
                 }
             }
@@ -362,11 +352,12 @@ mod tests {
     /// kernel, each called directly.
     fn ranks_by_kernel(
         occ: &KmerOccTable,
+        k: usize,
         block: usize,
         r: u16,
         offset: usize,
     ) -> Vec<(&'static str, u32)> {
-        let row = block * occ.sample_rate() + offset;
+        let row = block * k_occ_sample_rate(k) + offset;
         let checkpoint = occ.store.checkpoint(block, r as usize);
         occ.store
             .prefix_counts_by_kernel::<{ u8::MAX }, 1>(block, r as u8, [offset])
@@ -377,17 +368,20 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_naive_at_every_offset_of_every_block() {
-        // Both byte kernels, called directly: every offset 0..=rate of
-        // every block (the last one short, its zero padding lanes never
-        // counted for code 0), line-aligned and unaligned code regions,
-        // one-line and many-line blocks, and at stride 256 the
-        // placeholder lanes of the marker rows.
-        for stride in [4usize, 9, 256] {
-            // At stride 256 a code uses all eight bits of its lane: every
+        // Both byte kernels, called directly: every offset of every
+        // block (the last one short, its zero padding lanes never counted
+        // for code 0) at the one-byte widths — code regions of two to six
+        // lines, unaligned behind 8-, 32- and 128-byte delta rows and
+        // aligned behind k = 4's 512 — and at k = 4 the placeholder lanes
+        // of the marker rows.
+        for k in 1..=4 {
+            let stride = 1usize << (2 * k);
+            let rate = k_occ_sample_rate(k);
+            // At k = 4 a code uses all eight bits of its lane: every
             // other row's code differs from a low one only in bit 7, the
             // bit the 1-step table's readers mask off, so a mask that
             // leaked into this table's kernel would merge the two.
-            let codes: Vec<u16> = if stride == 256 {
+            let codes: Vec<u16> = if k == 4 {
                 (0..1100)
                     .map(|i| {
                         if i % 151 == 3 {
@@ -398,24 +392,22 @@ mod tests {
                     })
                     .collect()
             } else {
-                fixture(1100, stride as u16)
+                fixture(1100, k)
             };
-            for rate in [1usize, 5, 16, 44, 54, 200, 256, 512] {
-                let occ = KmerOccTable::new(codes.clone(), stride, rate, 2).unwrap();
+            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            // 130 is 2 with bit 7 set (a no-op repeat of the last code
+            // on the small strides).
+            for r in [0, 2, 130.min(stride - 1), stride - 1].map(|r| r as u16) {
+                let ranks = naive_kranks(&codes, r);
                 for block in 0..=codes.len() / rate {
                     let covered = rate.min(codes.len() - block * rate);
                     for offset in 0..=covered {
-                        // 130 is 2 with bit 7 set (a no-op repeat of
-                        // the last code on the small strides).
-                        for r in [0, 2, 130.min(stride - 1), stride - 1].map(|r| r as u16) {
-                            let expect = naive_krank(&codes, r, block * rate + offset);
-                            for (kernel, got) in ranks_by_kernel(&occ, block, r, offset) {
-                                assert_eq!(
-                                    got, expect,
-                                    "{kernel}: stride {stride}, rate {rate}, code {r}, \
-                                     block {block}, offset {offset}"
-                                );
-                            }
+                        let expect = ranks[block * rate + offset];
+                        for (kernel, got) in ranks_by_kernel(&occ, k, block, r, offset) {
+                            assert_eq!(
+                                got, expect,
+                                "{kernel}: k {k}, code {r}, block {block}, offset {offset}"
+                            );
                         }
                     }
                 }
@@ -425,10 +417,13 @@ mod tests {
 
     #[test]
     fn rank_pair_straddling_block_and_superblock_boundaries() {
-        let codes = fixture(1100, 9);
-        for sb in LAYOUTS {
-            for rate in [5usize, 44, 200] {
-                let occ = KmerOccTable::new(codes.clone(), 9, rate, sb).unwrap();
+        for k in [1, 2, 4] {
+            let rate = k_occ_sample_rate(k);
+            // Past the second superblock boundary.
+            let codes = fixture(2 * rate * SUPERBLOCK_RATE + 100, k);
+            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            for r in probe_codes(k) {
+                let ranks = naive_kranks(&codes, r);
                 // Every block boundary, hence every superblock boundary:
                 // intervals ending on it, starting on it and crossing it.
                 for boundary in (rate..codes.len()).step_by(rate) {
@@ -442,13 +437,11 @@ mod tests {
                             (boundary + rate).min(codes.len()),
                         ),
                     ] {
-                        for r in [0u16, 4, 8] {
-                            assert_eq!(
-                                occ.rank_pair(r, lo, hi),
-                                (naive_krank(&codes, r, lo), naive_krank(&codes, r, hi)),
-                                "sb {sb}, rate {rate}, code {r}, interval {lo}..{hi}"
-                            );
-                        }
+                        assert_eq!(
+                            occ.rank_pair(r, lo, hi),
+                            (ranks[lo], ranks[hi]),
+                            "k {k}, code {r}, interval {lo}..{hi}"
+                        );
                     }
                 }
             }
@@ -457,35 +450,33 @@ mod tests {
 
     #[test]
     fn codes_round_trip_through_the_interleaved_layout() {
-        let codes = fixture(137, 9);
-        for sb in LAYOUTS {
-            for rate in [1, 2, 5, 16, 200] {
-                let occ = KmerOccTable::new(codes.clone(), 9, rate, sb).unwrap();
-                for (i, &c) in codes.iter().enumerate() {
-                    assert_eq!(occ.code(i), c, "sb {sb}, rate {rate}, position {i}");
-                }
+        for k in 1..=MAX_STEP {
+            let codes = fixture(1500, k);
+            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            for (i, &c) in codes.iter().enumerate() {
+                assert_eq!(occ.code(i), c, "k {k}, position {i}");
             }
         }
     }
 
     #[test]
     fn wide_strides_use_two_byte_code_lanes() {
-        // stride 1024 (k = 5) forces u16 lanes; markers store literally.
-        let codes: Vec<u16> = (0..300).map(|i| (i * 37) % 1025).collect();
-        let occ = KmerOccTable::new(codes.clone(), 1024, 7, 8).unwrap();
+        // k = 5 (stride 1024) forces u16 lanes; markers store literally.
+        let codes: Vec<u16> = (0..1300).map(|i| (i * 37) % 1025).collect();
+        let occ = KmerOccTable::new(codes.clone(), 5).unwrap();
         for (i, &c) in codes.iter().enumerate() {
             assert_eq!(occ.code(i), c, "position {i}");
         }
         for r in [0u16, 36, 1023] {
-            for i in 0..=codes.len() {
-                assert_eq!(occ.rank(r, i), naive_krank(&codes, r, i));
+            for (i, &rank) in naive_kranks(&codes, r).iter().enumerate() {
+                assert_eq!(occ.rank(r, i), rank, "code {r}, prefix {i}");
             }
         }
     }
 
     #[test]
     fn invalid_codes_are_stored_but_never_counted() {
-        let occ = build(vec![0u16, 4, 1, 4, 2], 4, 2);
+        let occ = KmerOccTable::new(vec![0u16, 4, 1, 4, 2], 1).unwrap();
         assert_eq!(occ.code(1), 4);
         assert_eq!(occ.rank(0, 5), 1);
         assert_eq!(occ.rank(1, 5), 1);
@@ -495,33 +486,35 @@ mod tests {
 
     #[test]
     fn stride_256_markers_round_trip_and_never_count() {
-        // At stride 256 the marker (256) does not fit a byte lane and
-        // takes the exception path: placeholder-0 lanes, corrected ranks.
-        let codes: Vec<u16> = (0..600)
-            .map(|i| if i % 151 == 3 { 256 } else { (i * 31) % 256 })
-            .collect();
-        for sb in LAYOUTS {
-            let occ = KmerOccTable::new(codes.clone(), 256, 7, sb).unwrap();
-            for (i, &c) in codes.iter().enumerate() {
-                assert_eq!(occ.code(i), c, "sb {sb}, position {i}");
-            }
-            // Code 0 is the corrected path; spot-check others too.
-            for r in [0u16, 1, 93, 255] {
-                for i in 0..=codes.len() {
-                    assert_eq!(
-                        occ.rank(r, i),
-                        naive_krank(&codes, r, i),
-                        "sb {sb}, code {r}, prefix {i}"
-                    );
+        // At k = 4 the marker (256) does not fit a byte lane and takes
+        // the exception path: placeholder-0 lanes, corrected ranks. Past
+        // the first superblock boundary (16 blocks of 384 rows).
+        let codes: Vec<u16> = (0..6500)
+            .map(|i| {
+                if i % 151 == 3 {
+                    256
+                } else {
+                    (i * 31 % 256) as u16
                 }
-                for lo in (0..codes.len()).step_by(41) {
-                    for hi in (lo..=codes.len()).step_by(13) {
-                        assert_eq!(
-                            occ.rank_pair(r, lo, hi),
-                            (naive_krank(&codes, r, lo), naive_krank(&codes, r, hi)),
-                            "sb {sb}, code {r}, interval {lo}..{hi}"
-                        );
-                    }
+            })
+            .collect();
+        let occ = KmerOccTable::new(codes.clone(), 4).unwrap();
+        for (i, &c) in codes.iter().enumerate() {
+            assert_eq!(occ.code(i), c, "position {i}");
+        }
+        // Code 0 is the corrected path; spot-check others too.
+        for r in [0u16, 1, 93, 255] {
+            let ranks = naive_kranks(&codes, r);
+            for (i, &rank) in ranks.iter().enumerate() {
+                assert_eq!(occ.rank(r, i), rank, "code {r}, prefix {i}");
+            }
+            for lo in (0..codes.len()).step_by(41) {
+                for hi in (lo..=codes.len()).step_by(13) {
+                    assert_eq!(
+                        occ.rank_pair(r, lo, hi),
+                        (ranks[lo], ranks[hi]),
+                        "code {r}, interval {lo}..{hi}"
+                    );
                 }
             }
         }
@@ -530,7 +523,7 @@ mod tests {
     #[test]
     fn all_marker_rows_still_build() {
         // A text shorter than k makes *every* row sentinel-crossing.
-        let occ = KmerOccTable::new(vec![256, 256, 256], 256, 2, 16).unwrap();
+        let occ = KmerOccTable::new(vec![256, 256, 256], 4).unwrap();
         assert_eq!(occ.code(1), 256);
         for r in [0u16, 255] {
             assert_eq!(occ.rank(r, 3), 0);
@@ -539,27 +532,18 @@ mod tests {
 
     #[test]
     fn tighter_superblocks_absorb_the_same_overflow() {
-        // A run of one code longer than any legal span. Sixteen blocks of
-        // 4096 rows could count 65 536 of it since their superblock, one
-        // more than a u16 delta holds, so the recipe is refused whatever
-        // the codes are; fifteen blocks reset the delta in time.
+        // A run of one code longer than a u16 delta counts. Without
+        // superblocks the deltas of its last blocks would overflow; every
+        // 16 blocks of 96 rows (k = 1) the absolute row resets them, so
+        // none exceeds 15 x 96.
         let mut codes = vec![0u16; 70_000];
         codes.extend([1, 4, 1, 1]);
-        let err = KmerOccTable::new(codes.clone(), 4, 4096, 16).unwrap_err();
-        assert_eq!(
-            err,
-            IndexError::SuperblockSpanTooWide {
-                sample_rate: 4096,
-                superblock_rate: 16,
-                max_span: 65_535,
-            }
-        );
-        let occ = KmerOccTable::new(codes.clone(), 4, 4096, 15).unwrap();
-        // Around every block boundary, hence the superblock boundary at
-        // row 61 440, where the largest delta (57 344) gives way to zero.
+        let occ = KmerOccTable::new(codes.clone(), 1).unwrap();
+        let rate = k_occ_sample_rate(1);
+        // Around every block boundary, hence every superblock boundary.
         let mut zeros = 0;
         for (i, &c) in codes.iter().enumerate() {
-            if i % 4096 <= 1 || i % 4096 == 4095 {
+            if i % rate <= 1 || i % rate == rate - 1 {
                 assert_eq!(occ.rank(0, i), zeros, "prefix {i}");
                 assert_eq!(occ.rank_pair(0, i, i + 1).1, zeros + u32::from(c == 0));
             }
@@ -570,38 +554,27 @@ mod tests {
 
     #[test]
     fn prefetch_is_a_safe_no_op_everywhere() {
-        for sb in LAYOUTS {
-            let occ = KmerOccTable::new(fixture(137, 9), 9, 16, sb).unwrap();
-            for i in [0usize, 1, 16, 136, 137, 500] {
-                for r in 0..9u16 {
-                    occ.prefetch_rank(r, i); // must never fault or panic
-                    occ.prefetch_rank_pair(r, i / 2, i);
-                }
+        let codes = fixture(137, 2);
+        let occ = KmerOccTable::new(codes.clone(), 2).unwrap();
+        for i in [0usize, 1, 16, 136, 137, 500] {
+            for r in 0..16u16 {
+                occ.prefetch_rank(r, i); // must never fault or panic
+                occ.prefetch_rank_pair(r, i / 2, i);
             }
         }
-        let occ = build(fixture(137, 9), 9, 16);
-        assert_eq!(occ.rank(3, 137), naive_krank(&fixture(137, 9), 3, 137));
-    }
-
-    #[test]
-    fn coarser_sampling_uses_less_memory() {
-        let codes = fixture(4096, 16);
-        let fine = build(codes.clone(), 16, 4);
-        let coarse = build(codes, 16, 256);
-        assert!(coarse.heap_bytes() < fine.heap_bytes());
+        assert_eq!(occ.rank(3, 137), naive_krank(&codes, 3, 137));
     }
 
     #[test]
     fn heap_breakdown_is_exact() {
-        // stride 4, rate 3, superblocks every 2 blocks:
-        // 8 delta bytes + 3 code bytes = 11 -> one line per block;
-        // 10 codes at rate 3 -> 4 blocks; 2 superblock groups of 4 words
-        // round to one 64-byte line; totals is 4 words.
-        let occ = KmerOccTable::new(fixture(10, 4), 4, 3, 2).unwrap();
+        // k = 1, 2000 codes: 2000 / 96 + 1 = 21 blocks of 8 delta bytes
+        // and 96 code bytes, each rounded to two lines; two superblock
+        // groups of 4 words round to one 64-byte line; totals is 4 words.
+        let occ = KmerOccTable::new(fixture(2000, 1), 1).unwrap();
         let heap = occ.heap_breakdown();
         assert_eq!(heap.k_occ_checkpoints, 64);
-        assert_eq!(heap.k_occ_deltas, 4 * 8);
-        assert_eq!(heap.k_occ_codes, 4 * 64 - 4 * 8 + 4 * 4);
+        assert_eq!(heap.k_occ_deltas, 21 * 8);
+        assert_eq!(heap.k_occ_codes, 21 * 128 - 21 * 8 + 4 * 4);
         assert_eq!(heap.other, 0);
         assert_eq!(heap.total(), occ.heap_bytes());
     }
@@ -609,14 +582,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rank_past_end_panics() {
-        let occ = build(vec![0, 1, 2], 4, 2);
+        let occ = KmerOccTable::new(vec![0, 1, 2], 1).unwrap();
         let _ = occ.rank(0, 4);
     }
 
     #[test]
     #[should_panic(expected = "out of alphabet")]
     fn rank_of_invalid_code_panics() {
-        let occ = build(vec![0, 1, 2], 4, 2);
+        let occ = KmerOccTable::new(vec![0, 1, 2], 1).unwrap();
         let _ = occ.rank(4, 2);
     }
 }

@@ -21,6 +21,13 @@
 //! widest ones, and the lookups of a whole batch are in flight at once.
 //! [`KStepFmIndex::backward_search`] does not use it: the sequential
 //! search stays the oracle the table is tested against.
+//!
+//! The C-array and the K-mer table are one routine: the C-array is the
+//! K-mer table's counting pass run at K = k over the same 2-bit text, so
+//! both are derived from the text alone and a snapshot stores neither.
+//! The layout — every sampling rate — is the constants of
+//! [`crate::layout`]; what a build chooses is `k` and the strandedness
+//! ([`KStepBuildConfig`]).
 
 use std::ops::Range;
 
@@ -29,11 +36,8 @@ use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, Kmer, Symbol};
 
 use crate::fm::FmIndex;
 use crate::kocc::KmerOccTable;
-use crate::layout::{
-    default_k_occ_sample_rate, HeapBreakdown, IndexError, DEFAULT_OCC_SAMPLE_RATE,
-    DEFAULT_SA_SAMPLE_RATE, DEFAULT_SUPERBLOCK_RATE,
-};
-use crate::lookup::{lookup_k, KmerLookup};
+use crate::layout::{HeapBreakdown, IndexError};
+use crate::lookup::{kmer_starts, lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 use crate::text::PackedText;
@@ -42,21 +46,13 @@ use crate::text::PackedText;
 /// representation (the out-of-alphabet marker needs one extra value).
 pub const MAX_STEP: usize = 7;
 
-/// Space/latency knobs for k-step index construction.
+/// What a k-step index build chooses: the step width and the
+/// strandedness. Everything else about the index is the one layout of
+/// [`crate::layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KStepBuildConfig {
     /// Symbols consumed per LF refinement. The paper evaluates k ∈ {1, 2, 4}.
     pub k: usize,
-    /// Checkpoint spacing of the embedded 1-step occurrence table.
-    pub occ_sample_rate: usize,
-    /// Text-position spacing of kept suffix-array samples.
-    pub sa_sample_rate: usize,
-    /// Checkpoint spacing of the k-mer occurrence table. Each checkpoint
-    /// stores `4^k` counters, so this rate should grow with k to keep the
-    /// table's footprint proportionate.
-    pub k_occ_sample_rate: usize,
-    /// Blocks per absolute superblock row of both occurrence tables.
-    pub superblock_rate: usize,
     /// `true` iff the indexed text is the bidirectional doubled text
     /// (`forward · revcomp(forward) · $`, see [`crate::bidir`]). Purely a
     /// recipe marker: construction is identical, but snapshot and
@@ -66,12 +62,7 @@ pub struct KStepBuildConfig {
 }
 
 impl KStepBuildConfig {
-    /// Defaults for a given step width, all read from [`crate::layout`]:
-    /// the 1-step rates [`crate::FmIndex::from_text`] builds (one full
-    /// cache line per Occ block, SA samples every 11 positions), a k-mer
-    /// checkpoint spacing of `96k` and superblocks every 16 blocks.
-    /// Every default superblock span is well inside the `u16` delta
-    /// guarantee, so these configs always build.
+    /// The forward-only build at step width `k`.
     ///
     /// # Panics
     ///
@@ -83,10 +74,6 @@ impl KStepBuildConfig {
         );
         KStepBuildConfig {
             k,
-            occ_sample_rate: DEFAULT_OCC_SAMPLE_RATE,
-            sa_sample_rate: DEFAULT_SA_SAMPLE_RATE,
-            k_occ_sample_rate: default_k_occ_sample_rate(k),
-            superblock_rate: DEFAULT_SUPERBLOCK_RATE,
             bidirectional: false,
         }
     }
@@ -112,7 +99,8 @@ pub struct KStepFmIndex {
     /// the k = 1 degenerate case.
     base: FmIndex,
     /// `kstarts[r]` = number of suffixes lexicographically smaller than the
-    /// k-mer of rank `r` — the C-array over the expanded alphabet.
+    /// k-mer of rank `r` — the C-array over the expanded alphabet, counted
+    /// from `text` by the K-mer table's routine at K = k.
     kstarts: Vec<u32>,
     /// Rank over the k-BWT (the k symbols cyclically preceding each suffix).
     kocc: KmerOccTable,
@@ -134,14 +122,13 @@ impl KStepFmIndex {
     /// # Errors
     ///
     /// Propagates [`IndexError`] from the rank tables: a text too long
-    /// for `u32` counters, or a superblock span of either table too wide
-    /// for its `u16` deltas.
+    /// for `u32` counters.
     ///
     /// # Panics
     ///
     /// Panics if `text` is not sentinel-terminated (see
-    /// [`exma_genome::suffix_array`]), a sample rate is zero, or
-    /// `config.k` is out of `1..=`[`MAX_STEP`].
+    /// [`exma_genome::suffix_array`]) or `config.k` is out of
+    /// `1..=`[`MAX_STEP`].
     pub fn from_text_with_config(
         text: &[Symbol],
         config: KStepBuildConfig,
@@ -156,8 +143,8 @@ impl KStepFmIndex {
         let bwt = bwt_from_sa(text, &sa);
         let base = FmIndex::from_parts(
             count_table(text),
-            OccTable::new(&bwt, config.occ_sample_rate, config.superblock_rate)?,
-            SampledSuffixArray::new(&sa, config.sa_sample_rate),
+            OccTable::new(&bwt)?,
+            SampledSuffixArray::new(&sa),
         );
 
         // k-BWT: the k symbols cyclically preceding each suffix, packed into
@@ -181,57 +168,13 @@ impl KStepFmIndex {
                 code as u16
             })
             .collect();
-        let kocc = KmerOccTable::new(
-            codes,
-            stride,
-            config.k_occ_sample_rate,
-            config.superblock_rate,
-        )?;
-
-        // C-array over the expanded alphabet. Each suffix's first
-        // min(k, len) symbols become a base-5 key ($ = 0 < A..T = 1..4,
-        // padded with 0 past the sentinel); `kstarts[r]` is then the number
-        // of suffix keys below the k-mer's own key, i.e. the first row of
-        // the r-th k-mer's suffix-array bucket.
-        let pow5 = 5usize.pow(k as u32);
-        let mut hist = vec![0u32; pow5];
-        for &p in &sa {
-            let mut key = 0usize;
-            for j in 0..k {
-                let idx = p as usize + j;
-                let digit = if idx < n {
-                    text[idx].code() as usize
-                } else {
-                    0
-                };
-                key = key * 5 + digit;
-            }
-            hist[key] += 1;
-        }
-        let mut below = 0u32;
-        let prefix: Vec<u32> = hist
-            .iter()
-            .map(|&c| {
-                let start = below;
-                below += c;
-                start
-            })
-            .collect();
-        let kstarts: Vec<u32> = (0..stride)
-            .map(|r| {
-                let mut key = 0usize;
-                for j in (0..k).rev() {
-                    key = key * 5 + ((r >> (2 * j)) & 3) + 1;
-                }
-                prefix[key]
-            })
-            .collect();
+        let kocc = KmerOccTable::new(codes, k)?;
 
         let text = PackedText::from_symbols(text);
         Ok(KStepFmIndex {
             k,
             base,
-            kstarts,
+            kstarts: kmer_starts(&text, k),
             kocc,
             bidirectional: config.bidirectional,
             lookup: KmerLookup::new(&text, lookup_k(n)),
@@ -239,12 +182,15 @@ impl KStepFmIndex {
         })
     }
 
-    /// Builds the index with default sampling rates for step width `k`
-    /// (which are provably buildable for any text the workspace can
-    /// address — see [`KStepBuildConfig::for_k`]).
+    /// Builds the forward-only index of step width `k`.
+    ///
+    /// # Panics
+    ///
+    /// As [`KStepFmIndex::from_text_with_config`], and if the text is too
+    /// long for `u32` counters.
     pub fn from_text(text: &[Symbol], k: usize) -> KStepFmIndex {
         KStepFmIndex::from_text_with_config(text, KStepBuildConfig::for_k(k))
-            .expect("the default layout builds for any u32-addressable text")
+            .expect("the text fits u32 counters")
     }
 
     /// Builds the index for a genome's reference sequence.
@@ -279,23 +225,13 @@ impl KStepFmIndex {
         &self.text
     }
 
-    /// The expanded-alphabet C-array, for snapshot serialization.
-    pub(crate) fn kstart_slice(&self) -> &[u32] {
-        &self.kstarts
-    }
-
-    /// The build recipe this index was constructed with, recovered from
-    /// its components (plus the stored bidirectional marker). This is the
-    /// layout-compatibility value snapshots embed: two indexes built from
-    /// the same text agree byte-for-byte exactly when their recovered
-    /// configs are equal.
+    /// The build this index was constructed with: its `k` and the stored
+    /// bidirectional marker. This is the compatibility value snapshots
+    /// embed: two indexes built from the same text agree byte-for-byte
+    /// exactly when their configs are equal.
     pub fn build_config(&self) -> KStepBuildConfig {
         KStepBuildConfig {
             k: self.k,
-            occ_sample_rate: self.base.occ().sample_rate(),
-            sa_sample_rate: self.base.sampled_sa().sample_rate(),
-            k_occ_sample_rate: self.kocc.sample_rate(),
-            superblock_rate: self.kocc.superblock_rate(),
             bidirectional: self.bidirectional,
         }
     }
@@ -488,17 +424,7 @@ mod tests {
 
     fn fig3_kstep(k: usize) -> KStepFmIndex {
         // The paper's running example: G = CATAGA$.
-        KStepFmIndex::from_text_with_config(
-            &text_from_str("CATAGA").unwrap(),
-            KStepBuildConfig {
-                k,
-                occ_sample_rate: 2,
-                sa_sample_rate: 2,
-                k_occ_sample_rate: 3,
-                ..KStepBuildConfig::for_k(k)
-            },
-        )
-        .unwrap()
+        KStepFmIndex::from_text(&text_from_str("CATAGA").unwrap(), k)
     }
 
     #[test]
@@ -551,18 +477,32 @@ mod tests {
 
     #[test]
     fn kstart_agrees_with_one_step_search() {
-        // C_k of a k-mer is the lower bound of its 1-step interval whenever
-        // the k-mer occurs at all.
-        let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap();
-        for k in [2usize, 4] {
-            let fm = KStepFmIndex::from_text(&text, k);
-            let mut kmer = Some(Kmer::first(k));
-            while let Some(km) = kmer {
-                let range = fm.base_index().backward_search(&km.to_bases());
-                if !range.is_empty() {
-                    assert_eq!(fm.kstart(km), range.start, "k={k}, kmer {km}");
+        // C_k of a k-mer is the number of suffixes that sort below it —
+        // the lower bound of its 1-step interval whenever the k-mer occurs
+        // at all — at every width, on texts shorter than k and longer.
+        let mut rng = exma_genome::SeededRng::new(0xC4);
+        let mut texts = vec![text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap()];
+        for len in [0, 1, 2, 5, 40, 101, 1001] {
+            let bases: Vec<Base> = (0..len).map(|_| rng.base()).collect();
+            texts.push(exma_genome::genome::text_from_bases(&bases));
+        }
+        for text in &texts {
+            let n = text.len();
+            let sa = suffix_array(text);
+            for k in 1..=MAX_STEP {
+                let fm = KStepFmIndex::from_text(text, k);
+                let mut kmer = Some(Kmer::first(k));
+                while let Some(km) = kmer {
+                    let symbols = km.to_bases().into_iter().map(Symbol::Base);
+                    let symbols: Vec<Symbol> = symbols.collect();
+                    let below = sa.partition_point(|&p| text[p as usize..] < symbols[..]);
+                    assert_eq!(fm.kstart(km), below, "n={n}, k={k}, kmer {km}");
+                    let range = fm.base_index().backward_search(&km.to_bases());
+                    if !range.is_empty() {
+                        assert_eq!(fm.kstart(km), range.start, "n={n}, k={k}, kmer {km}");
+                    }
+                    kmer = km.successor();
                 }
-                kmer = km.successor();
             }
         }
     }

@@ -1,27 +1,33 @@
-//! Layout types shared by the rank tables: typed construction errors,
-//! the default recipe, and per-component heap attribution.
+//! The one index layout: its sampling rates, its typed construction
+//! error, and per-component heap attribution.
 //!
 //! Both occurrence tables store a checkpoint row one way (see
 //! [`crate::KmerOccTable`]): `u16` per-block deltas relative to sparse
-//! absolute `u32` superblock rows. Construction can fail — a superblock
-//! can span more rows than a `u16` delta provably counts, a text can
-//! outgrow `u32` row ids — so builders return [`IndexError`] instead of
-//! panicking. The default sampling rates are defined here and nowhere
-//! else ([`DEFAULT_OCC_SAMPLE_RATE`] and its neighbours): the index
-//! configs read them, and through [`crate::KStepBuildConfig::for_k`] so
-//! does every index the engine's builder makes, because the SA
-//! rate is *derived* from the heap the occurrence rate frees and the two
-//! must move together. [`HeapBreakdown`] attributes an index's heap bytes
-//! to its components so benchmarks and the server STATS frame can report
+//! absolute `u32` superblock rows. The four spacings are constants, fixed
+//! here and nowhere else ([`OCC_SAMPLE_RATE`], [`SA_SAMPLE_RATE`],
+//! [`k_occ_sample_rate`] and [`SUPERBLOCK_RATE`]), as the paper fixes its
+//! table geometry at design time: every index of a given `k` has the same
+//! layout, so a snapshot stores none of it. The SA rate is *derived*
+//! from the heap the occurrence rate frees, and the two move together:
+//! to try another spacing, edit the constant and rebuild. A compile-time
+//! assertion below proves that no superblock span can overflow its
+//! `u16` deltas, so the only way a build can fail is a text too long for
+//! `u32` row ids ([`IndexError`]). Beside the sampled tables a k-step
+//! index keeps two unsampled ones, the k-step C-array and the K-mer
+//! lookup table; they are one counting routine over the 2-bit text (see
+//! [`crate::KStepFmIndex::kstart`]), so neither is stored in a snapshot
+//! either. [`HeapBreakdown`] attributes an index's heap bytes to its
+//! components so benchmarks and the server STATS frame can report
 //! *where* the bytes went.
 
 use std::fmt;
 
+use crate::kstep::MAX_STEP;
+
 /// Why an index (or one of its rank tables) could not be built.
 ///
-/// Everything here is decidable at construction time from the text and
-/// the layout knobs; queries on a successfully built index never see
-/// these.
+/// Decidable at construction time from the text's length; queries on a
+/// successfully built index never see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IndexError {
@@ -31,19 +37,6 @@ pub enum IndexError {
         /// Rows the text would need.
         rows: usize,
     },
-    /// The superblock span `sample_rate * superblock_rate` exceeds what
-    /// the `u16` deltas of a checkpoint row can be *proven* to cover
-    /// (65 535 rows: a delta counts rows since the superblock, so it
-    /// cannot exceed the span). Shrink `superblock_rate` or
-    /// `sample_rate`.
-    SuperblockSpanTooWide {
-        /// The configured checkpoint spacing.
-        sample_rate: usize,
-        /// The configured superblock spacing, in blocks.
-        superblock_rate: usize,
-        /// Largest provably safe span, in rows.
-        max_span: usize,
-    },
 }
 
 impl fmt::Display for IndexError {
@@ -52,41 +45,32 @@ impl fmt::Display for IndexError {
             IndexError::IndexTooLarge { rows } => {
                 write!(f, "text with {rows} rows is too large for u32 counters")
             }
-            IndexError::SuperblockSpanTooWide {
-                sample_rate,
-                superblock_rate,
-                max_span,
-            } => write!(
-                f,
-                "superblock span {sample_rate} x {superblock_rate} rows \
-                 exceeds the u16 delta guarantee of {max_span} rows"
-            ),
         }
     }
 }
 
 impl std::error::Error for IndexError {}
 
-/// Default checkpoint spacing of the 1-step occurrence table: the 54
-/// one-byte codes that fill a 64-byte line beside its five `u16` deltas
-/// (see [`crate::OccTable`]). A wider block still costs one line a rank,
-/// so this is the spacing at which the table is smallest for that price.
-pub const DEFAULT_OCC_SAMPLE_RATE: usize = 54;
+/// Checkpoint spacing of the 1-step occurrence table: the 54 one-byte
+/// codes that fill a 64-byte line beside its five `u16` deltas (see
+/// [`crate::OccTable`]). A wider block still costs one line a rank, so
+/// this is the spacing at which the table is smallest for that price.
+pub const OCC_SAMPLE_RATE: usize = 54;
 
-/// Default text-position spacing of kept suffix-array samples, set by a
-/// byte rule: the densest spacing at which [`HeapBreakdown::total`] of a
-/// default k = 4 index does not exceed what it was at the 44-row / 32
-/// recipe this one replaced. On the 20 Mbp picea index the ten rows a
-/// line gained free 5.49 MB of `one_step_occ`, samples every 11 positions
+/// Text-position spacing of kept suffix-array samples, set by a byte
+/// rule: the densest spacing at which [`HeapBreakdown::total`] of a
+/// k = 4 index does not exceed what it was at the 44-row / 32 layout
+/// this one replaced. On the 20 Mbp picea index the ten rows a line
+/// gained free 5.49 MB of `one_step_occ`, samples every 11 positions
 /// cost 4.77 MB more than every 32, and every 10 would cost 7.6 kB more
 /// than the blocks freed. A locate walk then averages 5 LF steps, not
 /// 15.5.
-pub const DEFAULT_SA_SAMPLE_RATE: usize = 11;
+pub const SA_SAMPLE_RATE: usize = 11;
 
-/// Default checkpoint spacing of the k-mer occurrence table at step
-/// width `k`: `96k` rows, set by a byte rule — the smallest unpadded
-/// spacing at which the table, the 2-bit text and the K-mer lookup table
-/// a [`crate::KStepFmIndex`] keeps beside it take no more heap than the
+/// Checkpoint spacing of the k-mer occurrence table at step width `k`:
+/// `96k` rows, set by a byte rule — the smallest unpadded spacing at
+/// which the table, the 2-bit text and the K-mer lookup table a
+/// [`crate::KStepFmIndex`] keeps beside it take no more heap than the
 /// table and the text alone did at the `80k` rows this replaced. At k = 4
 /// a block is 512 B of deltas and one code byte a row; 320, 384 and 448
 /// rows are the spacings near here that fill whole cache lines (13, 14
@@ -99,14 +83,22 @@ pub const DEFAULT_SA_SAMPLE_RATE: usize = 11;
 /// the widest steps (`exma-engine`'s batch engine), and the text by
 /// ending most searches early (a query leaves the lockstep search once
 /// its interval is a row or two wide).
-pub const fn default_k_occ_sample_rate(k: usize) -> usize {
+pub const fn k_occ_sample_rate(k: usize) -> usize {
     96 * k
 }
 
-/// Default blocks per absolute superblock row of both occurrence tables.
-/// The widest default span, 96 × 7 × 16 = 10 752 rows, is well inside the
-/// `u16` delta guarantee, so the default recipe builds for any text.
-pub const DEFAULT_SUPERBLOCK_RATE: usize = 16;
+/// Blocks per absolute superblock row of both occurrence tables.
+pub const SUPERBLOCK_RATE: usize = 16;
+
+// The one overflow rule of the checkpoint format: a delta counts rows
+// since its superblock row, one a row at most, so a superblock span
+// within `u16` proves every delta fits whatever the text. The widest
+// span is the k-occ table's at `MAX_STEP`: 96 × 7 × 16 = 10 752 rows.
+const _: () = assert!(
+    OCC_SAMPLE_RATE * SUPERBLOCK_RATE <= u16::MAX as usize
+        && k_occ_sample_rate(MAX_STEP) * SUPERBLOCK_RATE <= u16::MAX as usize,
+    "a superblock span outgrows the u16 deltas"
+);
 
 /// Heap bytes of an index attributed to its components.
 ///
@@ -175,18 +167,14 @@ mod tests {
 
     #[test]
     fn errors_render_their_knobs() {
-        let e = IndexError::SuperblockSpanTooWide {
-            sample_rate: 44,
-            superblock_rate: 4096,
-            max_span: 65_535,
-        };
-        let text = e.to_string();
-        assert!(text.contains("44 x 4096") && text.contains("65535 rows"));
-        assert!(IndexError::IndexTooLarge {
-            rows: 5_000_000_000
+        let text = IndexError::IndexTooLarge {
+            rows: 5_000_000_000,
         }
-        .to_string()
-        .contains("5000000000"));
+        .to_string();
+        assert!(
+            text.contains("5000000000") && text.contains("u32"),
+            "{text}"
+        );
     }
 
     #[test]

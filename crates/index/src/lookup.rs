@@ -25,9 +25,11 @@
 //! `x + 1`.
 //!
 //! The table is derived from the text a [`crate::KStepFmIndex`] already
-//! keeps — one counting pass over its packed words and a prefix sum — so
-//! a snapshot does not store it: the loader rebuilds it beside the other
-//! sections' decoding.
+//! keeps — one counting pass over its packed words and a prefix sum
+//! ([`count_below`]) — so a snapshot does not store it: the loader
+//! rebuilds it beside the other sections' decoding. The k-step index's
+//! C-array is the same routine at K = k ([`kmer_starts`]): `lb[x]` for a
+//! k-mer `x` is where its bucket starts, so it is not stored either.
 
 use std::ops::Range;
 
@@ -64,6 +66,85 @@ pub(crate) struct KmerLookup {
     gaps: [u32; MAX_LOOKUP_K],
 }
 
+/// The counting routine of the table: fills `lb` (`4^k + 1` counters,
+/// zeroed) so that `lb[x]` suffixes of `text` sort below K-mer `x` and
+/// `lb[4^k]` is the text length, and returns the buckets the short
+/// suffixes sit right before, ascending, then [`NO_GAP`]s.
+///
+/// # Panics
+///
+/// Panics if `k` exceeds [`MAX_LOOKUP_K`] or `lb` is not `4^k + 1` long.
+fn count_below(text: &PackedText, k: usize, lb: &mut [u32]) -> [u32; MAX_LOOKUP_K] {
+    assert!(k <= MAX_LOOKUP_K, "lookup width {k} over {MAX_LOOKUP_K}");
+    let n = text.len();
+    let buckets = 1usize << (2 * k);
+    assert_eq!(lb.len(), buckets + 1, "K={k}");
+    let mut gaps = [NO_GAP; MAX_LOOKUP_K];
+    if k == 0 {
+        // The empty K-mer's one bucket holds every suffix.
+        lb[1] = n as u32;
+        return gaps;
+    }
+
+    // Every window of K bases, rolled a base at a time along the packed
+    // words: the suffix starting there is in bucket `x`, which is counted
+    // in `lb` from `x + 1` on.
+    let mask = buckets as u32 - 1;
+    let mut x = 0u32;
+    let mut left = n - 1;
+    for &word in text.image() {
+        let take = left.min(WORD_BASES);
+        let mut word = word;
+        for _ in 0..take {
+            x = (x << 2 | word & 3) & mask;
+            word >>= 2;
+            lb[x as usize + 1] += 1;
+        }
+        left -= take;
+    }
+    // The first K - 1 windows were still filling: take them back out.
+    x = 0;
+    for i in 0..(k - 1).min(n - 1) {
+        x = x << 2 | u32::from(text.code(i));
+        lb[x as usize + 1] -= 1;
+    }
+
+    // The suffixes with fewer than K bases before the sentinel, each
+    // counted from the bucket its A-padded bases name.
+    let short = k.min(n);
+    for (slot, p) in gaps.iter_mut().zip(n - short..n) {
+        let bases = n - 1 - p;
+        let mut gap = 0u32;
+        for i in p..n - 1 {
+            gap = gap << 2 | u32::from(text.code(i));
+        }
+        gap <<= 2 * (k - bases);
+        lb[gap as usize] += 1;
+        *slot = gap;
+    }
+    gaps[..short].sort_unstable();
+
+    let mut below = 0u32;
+    for count in lb.iter_mut() {
+        below += *count;
+        *count = below;
+    }
+    debug_assert_eq!(below as usize, n);
+    gaps
+}
+
+/// The C-array of the k-step index over `text`: for each of the `4^k`
+/// k-mers, the number of suffixes that sort below it — the first row of
+/// its suffix-array bucket. [`count_below`] at K = k, less the last
+/// counter; exactly `4^k` words.
+pub(crate) fn kmer_starts(text: &PackedText, k: usize) -> Vec<u32> {
+    let mut starts = vec![0; (1 << (2 * k)) + 1];
+    count_below(text, k, &mut starts);
+    starts.pop();
+    starts.shrink_to_fit();
+    starts
+}
+
 impl KmerLookup {
     /// Counts every K-mer of `text` and sums the counts up.
     ///
@@ -71,62 +152,9 @@ impl KmerLookup {
     ///
     /// Panics if `k` exceeds [`MAX_LOOKUP_K`].
     pub(crate) fn new(text: &PackedText, k: usize) -> KmerLookup {
-        assert!(k <= MAX_LOOKUP_K, "lookup width {k} over {MAX_LOOKUP_K}");
-        let n = text.len();
-        let buckets = 1usize << (2 * k);
+        let buckets = 1 << (2 * k);
         let mut lb = AlignedWords::zeroed(buckets + 1);
-        let counts = &mut lb.words_mut()[..=buckets];
-        let mut gaps = [NO_GAP; MAX_LOOKUP_K];
-        if k == 0 {
-            // The empty K-mer's one bucket holds every suffix.
-            counts[1] = n as u32;
-            return KmerLookup { k, lb, gaps };
-        }
-
-        // Every window of K bases, rolled a base at a time along the
-        // packed words: the suffix starting there is in bucket `x`, which
-        // is counted in `lb` from `x + 1` on.
-        let mask = buckets as u32 - 1;
-        let mut x = 0u32;
-        let mut left = n - 1;
-        for &word in text.image() {
-            let take = left.min(WORD_BASES);
-            let mut word = word;
-            for _ in 0..take {
-                x = (x << 2 | word & 3) & mask;
-                word >>= 2;
-                counts[x as usize + 1] += 1;
-            }
-            left -= take;
-        }
-        // The first K - 1 windows were still filling: take them back out.
-        x = 0;
-        for i in 0..(k - 1).min(n - 1) {
-            x = x << 2 | u32::from(text.code(i));
-            counts[x as usize + 1] -= 1;
-        }
-
-        // The suffixes with fewer than K bases before the sentinel, each
-        // counted from the bucket its A-padded bases name.
-        let short = k.min(n);
-        for (slot, p) in gaps.iter_mut().zip(n - short..n) {
-            let bases = n - 1 - p;
-            let mut gap = 0u32;
-            for i in p..n - 1 {
-                gap = gap << 2 | u32::from(text.code(i));
-            }
-            gap <<= 2 * (k - bases);
-            counts[gap as usize] += 1;
-            *slot = gap;
-        }
-        gaps[..short].sort_unstable();
-
-        let mut below = 0u32;
-        for count in counts.iter_mut() {
-            below += *count;
-            *count = below;
-        }
-        debug_assert_eq!(below as usize, n);
+        let gaps = count_below(text, k, &mut lb.words_mut()[..=buckets]);
         KmerLookup { k, lb, gaps }
     }
 

@@ -10,19 +10,19 @@
 //! DRAM-unfriendly scan this table forces on a CPU.
 //!
 //! The table is interleaved (see [`crate::interleave`]): block `b` packs
-//! the checkpoint counters for prefix `b * sample_rate` together with the
-//! `sample_rate` BWT codes they cover in one cache-line-aligned region, so
+//! the checkpoint counters for prefix `b * OCC_SAMPLE_RATE` together with
+//! the `OCC_SAMPLE_RATE` BWT codes they cover in one cache-line-aligned region, so
 //! a `rank` touches one contiguous block, and counts the block's codes
 //! with the branch-free kernel the k-step table uses too: at the default
 //! spacing one 64-byte line, four vector compares, and no division by the
 //! spacing. A checkpoint row is stored the one way both tables store it:
 //! five `u16` deltas relative to an absolute `u32` superblock row kept
-//! every `superblock_rate` blocks in a separate small array. The ten
-//! header bytes leave one line room for 54 codes, and 54 is the default
-//! spacing ([`crate::layout::DEFAULT_OCC_SAMPLE_RATE`]): a full line costs
+//! every [`crate::layout::SUPERBLOCK_RATE`] blocks in a separate small
+//! array. The ten header bytes leave one line room for 54 codes, and 54
+//! is the spacing ([`crate::layout::OCC_SAMPLE_RATE`]): a full line costs
 //! a rank what a 44-code one did, and the fifth of the table it saves is
-//! spent on denser suffix-array samples. Bounding the superblock span at
-//! construction proves no delta can overflow.
+//! spent on denser suffix-array samples. The layout's compile-time span
+//! rule proves no delta can overflow.
 //!
 //! A code byte holds more than the symbol: bit 7 says whether the row is
 //! one the sampled suffix array keeps (set when the index is assembled,
@@ -34,7 +34,7 @@
 use exma_genome::Symbol;
 
 use crate::interleave::BlockStore;
-use crate::layout::{HeapBreakdown, IndexError};
+use crate::layout::{HeapBreakdown, IndexError, OCC_SAMPLE_RATE};
 
 /// Symbol codes per checkpoint row (one counter per alphabet symbol).
 const HEADER_LANES: usize = 5;
@@ -47,19 +47,18 @@ const MARK_BIT: u8 = 0x80;
 
 /// Checkpointed rank structure over a BWT, interleaved per block.
 ///
-/// Block `b` covers BWT positions `b * sample_rate ..` and lays out, in
-/// bytes:
+/// Block `b` covers BWT positions `b * OCC_SAMPLE_RATE ..` and lays out,
+/// in bytes:
 ///
 /// ```text
-/// [ 5 u16 delta counters | sample_rate codes | pad ]
+/// [ 5 u16 delta counters | 54 codes ]
 /// code byte: bit 7 = SA-sampled row, bits 0–2 = symbol
 /// ```
 ///
-/// padded so every block starts on a 64-byte cache-line boundary. Deltas
-/// are relative to the nearest preceding absolute `u32` superblock row
-/// (the workspace addresses texts through `u32` suffix-array positions,
-/// so per-symbol counts always fit); [`OccTable::new`] proves at
-/// construction that one superblock span cannot overflow them.
+/// one 64-byte cache line. Deltas are relative to the nearest preceding
+/// absolute `u32` superblock row (the workspace addresses texts through
+/// `u32` suffix-array positions, so per-symbol counts always fit); the
+/// layout's span rule proves one superblock span cannot overflow them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccTable {
     store: BlockStore,
@@ -69,30 +68,17 @@ pub struct OccTable {
 }
 
 impl OccTable {
-    /// Builds the table from a BWT with checkpoints every `sample_rate`
-    /// symbols and absolute superblock rows every `superblock_rate`
-    /// blocks.
+    /// Builds the table from a BWT, checkpointed every
+    /// [`OCC_SAMPLE_RATE`] symbols.
     ///
     /// # Errors
     ///
-    /// [`IndexError::SuperblockSpanTooWide`] if
-    /// `sample_rate * superblock_rate` exceeds 65 535 rows — the bound
-    /// that *proves* no delta can overflow, whatever the text — and
     /// [`IndexError::IndexTooLarge`] if the BWT outgrows `u32` counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate == 0` or `superblock_rate == 0`.
-    pub fn new(
-        bwt: &[Symbol],
-        sample_rate: usize,
-        superblock_rate: usize,
-    ) -> Result<OccTable, IndexError> {
+    pub fn new(bwt: &[Symbol]) -> Result<OccTable, IndexError> {
         let rows = bwt
             .iter()
             .map(|s| (u16::from(s.code()), usize::from(s.code())));
-        let (store, totals) =
-            BlockStore::build(HEADER_LANES, 1, sample_rate, superblock_rate, rows)?;
+        let (store, totals) = BlockStore::build(HEADER_LANES, 1, OCC_SAMPLE_RATE, rows)?;
         Ok(OccTable {
             store,
             totals: totals.try_into().expect("one total per symbol"),
@@ -109,17 +95,7 @@ impl OccTable {
         self.len() == 0
     }
 
-    /// The checkpoint spacing this table was built with.
-    pub fn sample_rate(&self) -> usize {
-        self.store.sample_rate()
-    }
-
-    /// Blocks per absolute superblock row.
-    pub fn superblock_rate(&self) -> usize {
-        self.store.superblock_rate()
-    }
-
-    /// `Occ(code, block * sample_rate + offset)`: the block's checkpoint
+    /// `Occ(code, block * OCC_SAMPLE_RATE + offset)`: the block's checkpoint
     /// plus one pass of the rank kernel over its code lanes.
     #[inline]
     fn block_rank(&self, block: usize, code: u8, offset: usize) -> u64 {
@@ -210,8 +186,8 @@ impl OccTable {
     }
 
     /// Hints the CPU to pull every line a later `rank(s, i)` will read
-    /// toward L1: the block's delta row and all of its code lines — at
-    /// the default spacing one line holds both — plus the superblock row
+    /// toward L1: the block's delta row and its code line — one line
+    /// holds both — plus the superblock row
     /// it is relative to. Never faults; a no-op off x86-64 and for the
     /// `i == len` totals fast path.
     #[inline]
@@ -247,8 +223,9 @@ pub fn naive_rank(bwt: &[Symbol], s: Symbol, i: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exma_genome::genome::text_from_str;
-    use exma_genome::{bwt_from_sa, suffix_array, SYMBOL_ALPHABET};
+    use crate::layout::SUPERBLOCK_RATE;
+    use exma_genome::genome::{text_from_bases, text_from_str};
+    use exma_genome::{bwt_from_sa, suffix_array, SeededRng, SYMBOL_ALPHABET};
 
     fn bwt_of(s: &str) -> Vec<Symbol> {
         let text = text_from_str(s).unwrap();
@@ -256,27 +233,38 @@ mod tests {
         bwt_from_sa(&text, &sa)
     }
 
-    /// The table at a given spacing under a few superblock rates.
-    fn layouts(bwt: &[Symbol], rate: usize) -> Vec<OccTable> {
-        [2, 8, 64]
-            .map(|sb| OccTable::new(bwt, rate, sb).unwrap())
-            .to_vec()
+    /// The BWT of a random text long enough to cross two superblocks.
+    fn long_bwt() -> Vec<Symbol> {
+        let mut rng = SeededRng::new(0x0CC);
+        let len = 2 * OCC_SAMPLE_RATE * SUPERBLOCK_RATE + 100;
+        let bases: Vec<_> = (0..len).map(|_| rng.base()).collect();
+        let text = text_from_bases(&bases);
+        bwt_from_sa(&text, &suffix_array(&text))
+    }
+
+    /// The BWTs the property tests cross: one shorter than a block, and
+    /// one over two superblocks.
+    fn bwts() -> [Vec<Symbol>; 2] {
+        [bwt_of("CATAGACATTAGACCATAGGA"), long_bwt()]
+    }
+
+    /// [`naive_rank`] of `s` at every `i` in `0..=bwt.len()`.
+    fn naive_ranks(bwt: &[Symbol], s: Symbol) -> Vec<u64> {
+        (0..=bwt.len()).map(|i| naive_rank(bwt, s, i)).collect()
     }
 
     #[test]
     fn rank_matches_naive_at_every_position() {
-        let bwt = bwt_of("CATAGACATTAGACCATAGGA");
-        for rate in [1, 2, 3, 5, 7, 16, 44, 54, 64, 200] {
-            for occ in layouts(&bwt, rate) {
-                let sb = occ.superblock_rate();
-                for i in 0..=bwt.len() {
-                    for &s in &SYMBOL_ALPHABET {
-                        assert_eq!(
-                            occ.rank(s, i),
-                            naive_rank(&bwt, s, i),
-                            "rate {rate}, sb {sb}, symbol {s}, prefix {i}"
-                        );
-                    }
+        for bwt in bwts() {
+            let occ = OccTable::new(&bwt).unwrap();
+            for &s in &SYMBOL_ALPHABET {
+                for (i, &rank) in naive_ranks(&bwt, s).iter().enumerate() {
+                    assert_eq!(
+                        occ.rank(s, i),
+                        rank,
+                        "n {}, symbol {s}, prefix {i}",
+                        bwt.len()
+                    );
                 }
             }
         }
@@ -284,49 +272,46 @@ mod tests {
 
     #[test]
     fn lf_data_fuses_symbol_and_rank() {
-        let bwt = bwt_of("CATAGACATTAGACCATAGGA");
-        for rate in [1, 3, 7, 44, 54, 200] {
-            for occ in layouts(&bwt, rate) {
-                let sb = occ.superblock_rate();
-                for i in 0..bwt.len() {
-                    let (s, rank, marked) = occ.lf_data(i);
-                    assert_eq!(s, occ.symbol(i), "rate {rate}, sb {sb}, position {i}");
-                    assert_eq!(rank, occ.rank(s, i), "rate {rate}, sb {sb}, position {i}");
-                    assert!(!marked, "rate {rate}, sb {sb}: nothing marked row {i}");
-                }
+        for bwt in bwts() {
+            let occ = OccTable::new(&bwt).unwrap();
+            for i in 0..bwt.len() {
+                let (s, rank, marked) = occ.lf_data(i);
+                assert_eq!(s, occ.symbol(i), "position {i}");
+                assert_eq!(rank, occ.rank(s, i), "position {i}");
+                assert!(!marked, "nothing marked row {i}");
             }
         }
     }
 
     #[test]
     fn marks_show_in_lf_data_and_nowhere_else() {
-        let bwt = bwt_of("CATAGACATTAGACCATAGGACATAGACCTTAGGACAT");
         // No row, every third, a block's worth in a run, and every row:
         // the last puts bit 7 on every code byte a rank scans.
         let row_sets: [&dyn Fn(usize) -> bool; 4] = [
             &|_| false,
             &|i| i % 3 == 1,
-            &|i| (5..12).contains(&i),
+            &|i| (5..5 + OCC_SAMPLE_RATE).contains(&i),
             &|_| true,
         ];
-        for rate in [1, 7, 44, 54, 200] {
-            for plain in layouts(&bwt, rate) {
-                let sb = plain.superblock_rate();
-                for (set, is_marked) in row_sets.iter().enumerate() {
-                    let mut occ = plain.clone();
-                    occ.mark_rows((0..bwt.len()).filter(|&i| is_marked(i)));
-                    let at = format!("rate {rate}, sb {sb}, row set {set}");
-                    for i in 0..=bwt.len() {
-                        assert_eq!(occ.rank_all(i), plain.rank_all(i), "{at}, prefix {i}");
-                        for &s in &SYMBOL_ALPHABET {
-                            assert_eq!(occ.rank(s, i), naive_rank(&bwt, s, i), "{at}, prefix {i}");
-                        }
+        for bwt in bwts() {
+            let plain = OccTable::new(&bwt).unwrap();
+            let ranks = SYMBOL_ALPHABET.map(|s| naive_ranks(&bwt, s));
+            for (set, is_marked) in row_sets.iter().enumerate() {
+                let mut occ = plain.clone();
+                occ.mark_rows((0..bwt.len()).filter(|&i| is_marked(i)));
+                let at = format!("n {}, row set {set}", bwt.len());
+                for i in 0..=bwt.len() {
+                    assert_eq!(occ.rank_all(i), plain.rank_all(i), "{at}, prefix {i}");
+                }
+                for (&s, ranks) in SYMBOL_ALPHABET.iter().zip(&ranks) {
+                    for (i, &rank) in ranks.iter().enumerate() {
+                        assert_eq!(occ.rank(s, i), rank, "{at}, prefix {i}");
                     }
-                    for (i, &s) in bwt.iter().enumerate() {
-                        assert_eq!(occ.symbol(i), s, "{at}, row {i}");
-                        let expect = (s, naive_rank(&bwt, s, i), is_marked(i));
-                        assert_eq!(occ.lf_data(i), expect, "{at}, row {i}");
-                    }
+                }
+                for (i, &s) in bwt.iter().enumerate() {
+                    assert_eq!(occ.symbol(i), s, "{at}, row {i}");
+                    let expect = (s, ranks[s.code() as usize][i], is_marked(i));
+                    assert_eq!(occ.lf_data(i), expect, "{at}, row {i}");
                 }
             }
         }
@@ -334,8 +319,8 @@ mod tests {
 
     #[test]
     fn rank_all_agrees_with_rank() {
-        let bwt = bwt_of("GGGCCCAAATTTGGGCCCAAATTT");
-        for occ in layouts(&bwt, 4) {
+        for bwt in bwts() {
+            let occ = OccTable::new(&bwt).unwrap();
             for i in 0..=bwt.len() {
                 let all = occ.rank_all(i);
                 for &s in &SYMBOL_ALPHABET {
@@ -347,8 +332,8 @@ mod tests {
 
     #[test]
     fn symbols_round_trip() {
-        let bwt = bwt_of("GATTACA");
-        for occ in layouts(&bwt, 3) {
+        for bwt in [bwt_of("GATTACA"), long_bwt()] {
+            let occ = OccTable::new(&bwt).unwrap();
             assert_eq!(occ.len(), bwt.len());
             for (i, &s) in bwt.iter().enumerate() {
                 assert_eq!(occ.symbol(i), s);
@@ -358,58 +343,38 @@ mod tests {
 
     #[test]
     fn default_rate_blocks_are_one_cache_line() {
-        // 10 header bytes + 54 codes = 64: the default spacing is the
-        // widest one-line block, and 44 codes fit it with room to spare.
-        let bwt = bwt_of(&"ACGT".repeat(100));
-        for (rate, sb) in [(44, 16), (54, 16), (54, 32)] {
-            let occ = OccTable::new(&bwt, rate, sb).unwrap();
-            let blocks = bwt.len() / rate + 1;
-            let sb_lines = (blocks.div_ceil(sb) * HEADER_LANES).div_ceil(16);
-            assert_eq!(occ.heap_bytes(), blocks * 64 + sb_lines * 64, "rate {rate}");
+        // 10 header bytes + 54 codes = 64: the spacing is the widest
+        // one-line block.
+        assert_eq!(HEADER_LANES * 2 + OCC_SAMPLE_RATE, 64);
+        for bwt in [bwt_of(&"ACGT".repeat(100)), long_bwt()] {
+            let occ = OccTable::new(&bwt).unwrap();
+            let blocks = bwt.len() / OCC_SAMPLE_RATE + 1;
+            let sb_lines = (blocks.div_ceil(SUPERBLOCK_RATE) * HEADER_LANES).div_ceil(16);
+            assert_eq!(
+                occ.heap_bytes(),
+                blocks * 64 + sb_lines * 64,
+                "n {}",
+                bwt.len()
+            );
         }
-    }
-
-    #[test]
-    fn too_wide_superblock_span_is_a_typed_error() {
-        let bwt = bwt_of("ACGT");
-        let err = OccTable::new(&bwt, 44, 4096).unwrap_err();
-        assert_eq!(
-            err,
-            IndexError::SuperblockSpanTooWide {
-                sample_rate: 44,
-                superblock_rate: 4096,
-                max_span: 65_535,
-            }
-        );
-        // 44 * 1489 = 65516 <= 65535: the widest legal spacing builds.
-        assert!(OccTable::new(&bwt, 44, 1489).is_ok());
     }
 
     #[test]
     fn prefetch_is_a_safe_no_op_everywhere() {
         let bwt = bwt_of("CATAGACATTAGACCATAGGA");
-        for occ in layouts(&bwt, 7) {
-            for i in [0usize, 3, 21, 22, 1000] {
-                for &s in &SYMBOL_ALPHABET {
-                    occ.prefetch_rank(s, i); // must never fault or panic
-                }
+        let occ = OccTable::new(&bwt).unwrap();
+        for i in [0usize, 3, 21, 22, 1000] {
+            for &s in &SYMBOL_ALPHABET {
+                occ.prefetch_rank(s, i); // must never fault or panic
             }
         }
-    }
-
-    #[test]
-    fn coarser_sampling_uses_less_memory() {
-        let bwt = bwt_of(&"ACGT".repeat(1000));
-        let fine = OccTable::new(&bwt, 4, 16).unwrap();
-        let coarse = OccTable::new(&bwt, 128, 16).unwrap();
-        assert!(coarse.heap_bytes() < fine.heap_bytes());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rank_past_end_panics() {
         let bwt = bwt_of("ACGT");
-        let occ = OccTable::new(&bwt, 2, 16).unwrap();
+        let occ = OccTable::new(&bwt).unwrap();
         let _ = occ.rank(Symbol::Sentinel, bwt.len() + 1);
     }
 }

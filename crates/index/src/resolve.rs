@@ -83,10 +83,10 @@ impl ResolveConfig {
 /// harness's `BatchStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResolveStats {
-    /// Lockstep rounds executed — at most the SA sampling rate (11 at
-    /// the default recipe), since every cursor resolves within
-    /// `sa_sample_rate - 1` LF steps; fewer when caps close every
-    /// interval early.
+    /// Lockstep rounds executed — at most the SA sampling rate
+    /// ([`crate::layout::SA_SAMPLE_RATE`], 11), since every cursor
+    /// resolves within `SA_SAMPLE_RATE - 1` LF steps; fewer when caps
+    /// close every interval early.
     pub rounds: usize,
     /// LF steps issued across all cursors and rounds.
     pub lf_steps: usize,
@@ -350,16 +350,11 @@ impl<'a> BatchResolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fm::tests::with_rates;
-    use crate::layout::DEFAULT_OCC_SAMPLE_RATE;
+    use crate::layout::SA_SAMPLE_RATE;
     use exma_genome::genome::text_from_str;
 
     fn small_index() -> FmIndex {
-        with_rates(
-            &text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap(),
-            7,
-            5,
-        )
+        FmIndex::from_text(&text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap())
     }
 
     /// Every schedule the benchmarks exercise, plus a short look-ahead.
@@ -475,85 +470,80 @@ mod tests {
             .collect();
         let text = text_from_str(&genome).unwrap();
         let cap_set = [0, 1, 2, 31, 32, 33, UNCAPPED];
-        for sa_sample_rate in [1, 5, 32] {
-            let fm = with_rates(&text, DEFAULT_OCC_SAMPLE_RATE, sa_sample_rate);
-            let search = |start: usize, len: usize| {
-                let pattern = &genome[start..start + len];
-                fm.backward_search(&exma_genome::alphabet::parse_bases(pattern).unwrap())
-            };
-            // Wide, cap 0, wide: a closed interval between two live ones;
-            // then empties, the whole text, and a spread of widths under
-            // every cap in turn.
-            let mut intervals = vec![search(3, 2), search(11, 1), search(40, 3), 0..0, 9..9];
-            let mut caps = vec![2, 0, UNCAPPED, 1, 0];
-            for (i, len) in [1usize, 2, 3, 8, 12, 20, 30]
-                .iter()
-                .cycle()
-                .take(49)
-                .enumerate()
-            {
-                intervals.push(search(i * 53 % 3000, *len));
-                caps.push(cap_set[(i + i / 7 + sa_sample_rate) % cap_set.len()]);
-            }
-            for cap in [31, UNCAPPED] {
-                intervals.push(0..fm.text_len());
-                caps.push(cap);
-            }
-            assert!(intervals
-                .iter()
-                .zip(&caps)
-                .any(|(r, &c)| r.len() > 100 && c == 1));
+        let fm = FmIndex::from_text(&text);
+        let search = |start: usize, len: usize| {
+            let pattern = &genome[start..start + len];
+            fm.backward_search(&exma_genome::alphabet::parse_bases(pattern).unwrap())
+        };
+        // Wide, cap 0, wide: a closed interval between two live ones;
+        // then empties, the whole text, and a spread of widths under
+        // every cap in turn.
+        let mut intervals = vec![search(3, 2), search(11, 1), search(40, 3), 0..0, 9..9];
+        let mut caps = vec![2, 0, UNCAPPED, 1, 0];
+        for (i, len) in [1usize, 2, 3, 8, 12, 20, 30]
+            .iter()
+            .cycle()
+            .take(49)
+            .enumerate()
+        {
+            intervals.push(search(i * 53 % 3000, *len));
+            caps.push(cap_set[(i + i / 7) % cap_set.len()]);
+        }
+        for cap in [31, UNCAPPED] {
+            intervals.push(0..fm.text_len());
+            caps.push(cap);
+        }
+        assert!(intervals
+            .iter()
+            .zip(&caps)
+            .any(|(r, &c)| r.len() > 100 && c == 1));
 
-            let expect = reference_stats(&fm, &intervals, &caps);
-            assert_eq!(expect.dropped > 0, sa_sample_rate > 1, "{expect:?}");
-            assert_eq!(expect.rounds, sa_sample_rate, "{expect:?}");
-            for prefetch_distance in [0, 3, 16] {
-                let at = format!("SA rate {sa_sample_rate}, distance {prefetch_distance}");
-                let mut resolver =
-                    BatchResolver::with_config(&fm, ResolveConfig { prefetch_distance });
-                let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-                let stats =
-                    resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
-                assert_eq!(stats, expect, "{at}");
-                let mut buf = Vec::new();
-                for (i, interval) in intervals.iter().enumerate() {
-                    fm.resolve_range_capped_into(interval.clone(), caps[i], &mut buf);
-                    let got = &flat[offsets[i]..offsets[i + 1]];
-                    assert_eq!(
-                        got,
-                        &buf[..],
-                        "{at}, interval {i} {interval:?} cap {}",
-                        caps[i]
-                    );
-                }
+        let expect = reference_stats(&fm, &intervals, &caps);
+        assert!(expect.dropped > 0, "{expect:?}");
+        assert_eq!(expect.rounds, SA_SAMPLE_RATE, "{expect:?}");
+        for prefetch_distance in [0, 3, 16] {
+            let at = format!("distance {prefetch_distance}");
+            let mut resolver = BatchResolver::with_config(&fm, ResolveConfig { prefetch_distance });
+            let (mut flat, mut offsets) = (Vec::new(), Vec::new());
+            let stats =
+                resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
+            assert_eq!(stats, expect, "{at}");
+            let mut buf = Vec::new();
+            for (i, interval) in intervals.iter().enumerate() {
+                fm.resolve_range_capped_into(interval.clone(), caps[i], &mut buf);
+                let got = &flat[offsets[i]..offsets[i + 1]];
+                assert_eq!(
+                    got,
+                    &buf[..],
+                    "{at}, interval {i} {interval:?} cap {}",
+                    caps[i]
+                );
             }
         }
     }
 
     #[test]
     fn a_period_the_sa_rate_divides_crowds_a_capped_interval_into_one_round() {
-        // 64 exact copies of a 30-base unit, one every 40 bases over
+        // 64 exact copies of a 30-base unit, one every `period` bases over
         // random filler — the grid `Genome::synthesize` lays repeat
         // copies on. A 12-mer at offset 1 of the unit then occurs at
-        // 40 i + 1, and a row's walk length is that modulo the SA rate.
-        const PERIOD: usize = 40;
+        // period · i + 1, and a row's walk length is that modulo the SA
+        // rate.
         const COPIES: usize = 64;
         const CAP: u32 = 8;
-        let mut rng = exma_genome::SeededRng::new(0x9e1d);
-        let mut base = || b"ACGT"[rng.range(0, 4)] as char;
-        let unit: String = (0..30).map(|_| base()).collect();
-        let genome: String = (0..COPIES)
-            .flat_map(|_| {
-                let filler: String = (0..PERIOD - unit.len()).map(|_| base()).collect();
-                [unit.clone(), filler]
-            })
-            .collect();
-        let text = text_from_str(&genome).unwrap();
-        let seed = exma_genome::alphabet::parse_bases(&unit[1..13]).unwrap();
-        let truth: Vec<u32> = (0..COPIES).map(|i| (PERIOD * i + 1) as u32).collect();
-
-        let resolve = |sa_sample_rate: usize| {
-            let fm = with_rates(&text, DEFAULT_OCC_SAMPLE_RATE, sa_sample_rate);
+        let resolve = |period: usize| {
+            let mut rng = exma_genome::SeededRng::new(0x9e1d);
+            let mut base = || b"ACGT"[rng.range(0, 4)] as char;
+            let unit: String = (0..30).map(|_| base()).collect();
+            let genome: String = (0..COPIES)
+                .flat_map(|_| {
+                    let filler: String = (0..period - unit.len()).map(|_| base()).collect();
+                    [unit.clone(), filler]
+                })
+                .collect();
+            let fm = FmIndex::from_text(&text_from_str(&genome).unwrap());
+            let seed = exma_genome::alphabet::parse_bases(&unit[1..13]).unwrap();
+            let truth: Vec<u32> = (0..COPIES).map(|i| (period * i + 1) as u32).collect();
             let intervals = [fm.backward_search(&seed)];
             assert_eq!(intervals[0].len(), COPIES);
             let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
@@ -562,29 +552,29 @@ mod tests {
                 resolver.resolve_intervals_capped(&intervals, &[CAP], &mut flat, &mut offsets);
             assert_eq!(stats, reference_stats(&fm, &intervals, &[CAP]));
             // Either way the cap keeps `CAP` true positions.
-            assert_eq!(flat.len(), CAP as usize, "SA rate {sa_sample_rate}");
+            assert_eq!(flat.len(), CAP as usize, "period {period}");
             assert!(flat.windows(2).all(|w| w[0] < w[1]));
             assert!(flat.iter().all(|p| truth.binary_search(p).is_ok()));
             stats
         };
 
-        // Rates dividing the period: every row is one step from a mark,
+        // Periods the rate divides: every row is one step from a mark,
         // so all 64 retire together in round 2 and the cap, checked at
         // the round boundary, finds nothing left to drop.
-        for rate in [8, 10] {
-            assert_eq!(PERIOD % rate, 0);
-            let stats = resolve(rate);
-            assert_eq!((stats.rounds, stats.dropped), (2, 0), "SA rate {rate}");
-            assert_eq!(stats.retired, COPIES, "SA rate {rate}");
+        for period in [44, 55] {
+            assert_eq!(period % SA_SAMPLE_RATE, 0);
+            let stats = resolve(period);
+            assert_eq!((stats.rounds, stats.dropped), (2, 0), "period {period}");
+            assert_eq!(stats.retired, COPIES, "period {period}");
         }
-        // Rates coprime to it: 40 i + 1 visits every residue class, five
-        // or six rows each, so the second round reaches the cap and the
-        // rest of the worklist is dropped there.
-        for rate in [11, 13] {
-            let stats = resolve(rate);
-            assert_eq!(stats.rounds, 2, "SA rate {rate}");
+        // Periods coprime to it: period · i + 1 visits every residue
+        // class, five or six rows each, so the second round reaches the
+        // cap and the rest of the worklist is dropped there.
+        for period in [40, 39] {
+            let stats = resolve(period);
+            assert_eq!(stats.rounds, 2, "period {period}");
             assert!(stats.retired >= CAP as usize && stats.retired < 2 * CAP as usize);
-            assert_eq!(stats.dropped, COPIES - stats.retired, "SA rate {rate}");
+            assert_eq!(stats.dropped, COPIES - stats.retired, "period {period}");
         }
     }
 
@@ -633,11 +623,11 @@ mod tests {
         let stats = resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         assert_eq!(stats.retired, total);
         assert_eq!(stats.peak_live, total);
-        assert!(stats.rounds <= fm.sampled_sa().sample_rate());
+        assert!(stats.rounds <= SA_SAMPLE_RATE);
         assert!(stats.rounds >= 1);
         // Every LF step belongs to a cursor that survived a round; a
         // cursor takes at most rate - 1 steps.
-        assert!(stats.lf_steps <= total * (fm.sampled_sa().sample_rate() - 1));
+        assert!(stats.lf_steps <= total * (SA_SAMPLE_RATE - 1));
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! Storing the full suffix array costs 4 bytes/base — more than the 2-bit
 //! reference itself. Instead we keep only entries whose *text position* is a
-//! multiple of `sample_rate` ("SA-value sampling", the BWA scheme): any row
-//! can then be resolved by walking LF at most `sample_rate - 1` steps until
+//! multiple of the sampling rate ("SA-value sampling", the BWA scheme): any
+//! row can then be resolved by walking LF at most `rate - 1` steps until
 //! a marked row is hit, adding the step count back. A rank-enabled bitset
 //! maps marked rows to their slot in the compact sample vector.
 //!
 //! The rate is where an index's spare bytes buy the most: a walk averages
-//! `(sample_rate - 1) / 2` dependent cache misses and the samples cost
-//! `4 / sample_rate` bytes a base. The default
-//! ([`crate::layout::DEFAULT_SA_SAMPLE_RATE`], 11) is the densest rate
-//! the bytes freed by filling the occurrence table's lines pay for.
+//! `(rate - 1) / 2` dependent cache misses and the samples cost
+//! `4 / rate` bytes a base. The layout's rate
+//! ([`crate::layout::SA_SAMPLE_RATE`], 11) is the densest the bytes freed
+//! by filling the occurrence table's lines pay for.
 
 use crate::interleave::prefetch_element;
+use crate::layout::SA_SAMPLE_RATE;
 
 /// A bitset over suffix-array rows with O(1) popcount rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,37 +159,26 @@ impl RankBits {
     }
 }
 
-/// Suffix-array samples at text positions divisible by the sampling rate.
+/// Suffix-array samples at text positions divisible by
+/// [`SA_SAMPLE_RATE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampledSuffixArray {
     marks: RankBits,
     /// SA values of marked rows, in row order.
     samples: Vec<u32>,
-    sample_rate: usize,
 }
 
 impl SampledSuffixArray {
-    /// Samples `sa`, keeping entries whose value is `0 (mod sample_rate)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate == 0`.
-    pub fn new(sa: &[u32], sample_rate: usize) -> SampledSuffixArray {
-        assert!(sample_rate > 0, "sample rate must be positive");
-        let marks = RankBits::from_fn(sa.len(), |row| sa[row] as usize % sample_rate == 0);
+    /// Samples `sa`, keeping entries whose value is
+    /// `0 (mod SA_SAMPLE_RATE)`.
+    pub fn new(sa: &[u32]) -> SampledSuffixArray {
+        let sampled = |v: u32| v as usize % SA_SAMPLE_RATE == 0;
+        let marks = RankBits::from_fn(sa.len(), |row| sampled(sa[row]));
         // `filter` hides the exact size from `collect`, which can nearly
         // double the allocation; shrink so `heap_bytes` reports true cost.
-        let mut samples: Vec<u32> = sa
-            .iter()
-            .copied()
-            .filter(|&v| v as usize % sample_rate == 0)
-            .collect();
+        let mut samples: Vec<u32> = sa.iter().copied().filter(|&v| sampled(v)).collect();
         samples.shrink_to_fit();
-        SampledSuffixArray {
-            marks,
-            samples,
-            sample_rate,
-        }
+        SampledSuffixArray { marks, samples }
     }
 
     /// Number of rows in the (full) suffix array this samples.
@@ -199,11 +189,6 @@ impl SampledSuffixArray {
     /// `true` iff the underlying suffix array is empty.
     pub fn is_empty(&self) -> bool {
         self.marks.is_empty()
-    }
-
-    /// The text-position spacing of kept samples.
-    pub fn sample_rate(&self) -> usize {
-        self.sample_rate
     }
 
     /// The SA value at `row` if that row is sampled, else `None`.
@@ -262,18 +247,9 @@ impl SampledSuffixArray {
     /// Reassembles the structure from snapshot-verified parts. The
     /// caller (the snapshot loader) has already validated that the
     /// sample count equals the number of marked rows and that every
-    /// sample is a `sample_rate`-aligned in-range text position.
-    pub(crate) fn from_parts(
-        marks: RankBits,
-        samples: Vec<u32>,
-        sample_rate: usize,
-    ) -> SampledSuffixArray {
-        assert!(sample_rate > 0, "sample rate must be positive");
-        SampledSuffixArray {
-            marks,
-            samples,
-            sample_rate,
-        }
+    /// sample is an [`SA_SAMPLE_RATE`]-aligned in-range text position.
+    pub(crate) fn from_parts(marks: RankBits, samples: Vec<u32>) -> SampledSuffixArray {
+        SampledSuffixArray { marks, samples }
     }
 
     /// The mark bitset, for snapshot serialization.
@@ -345,40 +321,21 @@ mod tests {
 
     #[test]
     fn sampled_sa_returns_exactly_the_marked_rows() {
-        let text = text_from_str("CATAGACATTAGACCATAGGA").unwrap();
+        let text = text_from_str(&"CATAGACATTAGACCATAGGA".repeat(5)).unwrap();
         let sa = suffix_array(&text);
-        for rate in [1usize, 2, 4, 8] {
-            let ssa = SampledSuffixArray::new(&sa, rate);
-            assert_eq!(ssa.len(), sa.len());
-            for (row, &value) in sa.iter().enumerate() {
-                let expect = (value as usize % rate == 0).then_some(value);
-                assert_eq!(ssa.get(row), expect, "rate {rate}, row {row}");
-                if expect.is_some() {
-                    // The same read in the two halves the resolver uses.
-                    assert_eq!(ssa.sample(ssa.slot(row)), value, "rate {rate}, row {row}");
-                }
+        let ssa = SampledSuffixArray::new(&sa);
+        assert_eq!(ssa.len(), sa.len());
+        for (row, &value) in sa.iter().enumerate() {
+            let expect = (value as usize % SA_SAMPLE_RATE == 0).then_some(value);
+            assert_eq!(ssa.get(row), expect, "row {row}");
+            if expect.is_some() {
+                // The same read in the two halves the resolver uses.
+                assert_eq!(ssa.sample(ssa.slot(row)), value, "row {row}");
             }
-            let marked: Vec<usize> = ssa.marks().ones().collect();
-            let sampled = (0..sa.len()).filter(|&row| sa[row] as usize % rate == 0);
-            assert_eq!(marked, sampled.collect::<Vec<_>>(), "rate {rate}");
         }
-    }
-
-    #[test]
-    fn rate_one_stores_everything() {
-        let text = text_from_str("GATTACA").unwrap();
-        let sa = suffix_array(&text);
-        let ssa = SampledSuffixArray::new(&sa, 1);
-        assert_eq!(ssa.stored(), sa.len());
-    }
-
-    #[test]
-    fn coarser_rate_stores_less() {
-        let text = text_from_str(&"ACGTTGCA".repeat(100)).unwrap();
-        let sa = suffix_array(&text);
-        let fine = SampledSuffixArray::new(&sa, 2);
-        let coarse = SampledSuffixArray::new(&sa, 32);
-        assert!(coarse.stored() < fine.stored());
-        assert!(coarse.heap_bytes() < fine.heap_bytes());
+        let marked: Vec<usize> = ssa.marks().ones().collect();
+        let sampled = (0..sa.len()).filter(|&row| sa[row] as usize % SA_SAMPLE_RATE == 0);
+        assert_eq!(marked, sampled.collect::<Vec<_>>());
+        assert_eq!(ssa.stored(), sa.len().div_ceil(SA_SAMPLE_RATE));
     }
 }

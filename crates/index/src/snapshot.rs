@@ -5,70 +5,65 @@
 //! array *produced* is linear to re-derive. A snapshot therefore
 //! persists the text-derived components the index cannot cheaply
 //! recover (the BWT symbol stream, the k-BWT code stream, the sampled
-//! suffix array, the expanded-alphabet C-array and the 2-bit text)
-//! together with the full build recipe, and a load replays the
-//! deterministic linear constructors over them. The K-mer lookup table is
-//! not stored at all: one counting pass over the decoded text rebuilds
-//! it, on a second thread while the other four sections decode. That
-//! buys three guarantees for free: every
-//! structural invariant holds because the ordinary constructors enforce
-//! it, the [`AlignedWords`](crate::interleave::AlignedWords) placement —
+//! suffix array and the 2-bit text) together with the build (`k` and
+//! the strandedness — the layout is the constants of [`crate::layout`]),
+//! and a load replays the deterministic linear constructors over them.
+//! Neither the K-mer lookup table nor the expanded-alphabet C-array is
+//! stored: they are one counting routine over the text, run at K and at
+//! k, and a load runs it over the decoded text on a second thread while
+//! the other three sections decode. That buys three guarantees for free:
+//! every structural invariant holds because the ordinary constructors
+//! enforce it, the [`AlignedWords`](crate::interleave::AlignedWords) placement —
 //! cache-line-aligned, and 2 MiB-aligned and advised onto huge pages from
 //! 2 MiB up — is the cold build's because the same one allocation path
 //! produces it, and the reloaded index is *equal* to a cold build —
 //! byte-identical query results and an allocation-exact
 //! [`HeapBreakdown`](crate::HeapBreakdown).
 //!
-//! # On-disk format (version 3, all integers little-endian)
+//! # On-disk format (version 4, all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"EXMASNAP"
-//!      8     4  format version (= 3)
+//!      8     4  format version (= 4)
 //!     12     4  k
-//!     16     4  occ_sample_rate
-//!     20     4  sa_sample_rate
-//!     24     4  k_occ_sample_rate
-//!     28     4  delta width code (always 1 = u16; 0 and 2 named widths
-//!               this build no longer reads)
-//!     32     4  superblock_rate
-//!     36     8  text length n (sentinel included)
-//!     44     4  section count (= 5)
-//!     48     4  recipe flags (bit 0 = bidirectional)
-//!     52     …  5 sections, each:
+//!     16     8  text length n (sentinel included)
+//!     24     4  section count (= 4)
+//!     28     4  flags (bit 0 = bidirectional)
+//!     32     …  4 sections, each:
 //!                 tag u32 | payload length u64 | payload CRC32 | payload
 //!      …     4  whole-file CRC32 over every preceding byte
 //! ```
 //!
-//! The flags word carries the bidirectional recipe marker (a
-//! doubled-text index is table-identical to a forward-only one, so the
-//! flag cannot be recovered from the payloads). There is one format:
-//! every index is written this way, and an image of any other version —
-//! the two earlier formats had no text section — is refused with
-//! [`SnapshotError::VersionMismatch`], which a server answers by
-//! rebuilding.
+//! The flags word carries the bidirectional marker (a doubled-text index
+//! is table-identical to a forward-only one, so the flag cannot be
+//! recovered from the payloads). There is one format: every index is
+//! written this way, and an image of any other version — the first two
+//! had no text section, the third stored the four sampling rates and the
+//! C-array — is refused with [`SnapshotError::VersionMismatch`], which a
+//! server answers by rebuilding.
 //!
 //! Sections, in order: `1` BWT (n one-byte symbol codes), `2` k-BWT
 //! codes (n u16 k-mer codes), `3` sampled suffix array (sample count
-//! u64, then `⌈n/64⌉` mark words, then the u32 samples), `4` the
-//! expanded C-array (`4^k` u32 bucket starts), `5` the text (`⌈n/32⌉`
-//! u64 words, base `i` in bits `2 (i mod 32)` of word `i / 32`, the
-//! sentinel and the padding behind it zero).
+//! u64, then `⌈n/64⌉` mark words, then the u32 samples), `4` the text
+//! (`⌈n/32⌉` u64 words, base `i` in bits `2 (i mod 32)` of word `i / 32`,
+//! the sentinel and the padding behind it zero).
 //!
 //! # Verification before construction
 //!
 //! A load verifies *everything* before building anything: magic,
-//! version, recipe sanity, structural bounds, every section checksum,
+//! version, header sanity, structural bounds, every section checksum,
 //! the whole-file checksum (which covers the header and section
 //! framing), and finally the semantic range/consistency of each decoded
 //! payload — the text against what was verified before it: its per-base
-//! counts are the BWT's, and every sampled row's BWT symbol is the base
-//! in front of its sampled position (n / `sa_sample_rate` probes). The
-//! one thing built alongside is the K-mer table, counted from the text
-//! once its length and padding check out; a load that fails drops it
-//! with everything else. Every failure is a typed [`SnapshotError`]; a
-//! corrupted
-//! file can never panic the loader and never yields an index. The
+//! counts are the BWT's, every sampled row's BWT symbol is the base in
+//! front of its sampled position (n / [`crate::layout::SA_SAMPLE_RATE`]
+//! probes), and every k-mer bucket the counted C-array opens holds the
+//! rows the k-BWT gives it. The one thing built alongside is the counting
+//! pass, run once the text's length and padding check out; a load that
+//! fails drops its tables with everything else. Every failure is a typed
+//! [`SnapshotError`]; a corrupted file can never panic the loader and
+//! never yields an index. The
 //! checksums are the corruption defense — a file that collides CRC32 on
 //! every region it mutated is outside the threat model (that is an
 //! adversarially *crafted* file, not a corrupted one), and even then
@@ -96,10 +91,10 @@ use std::path::{Path, PathBuf};
 use exma_genome::{count_table, Base, Symbol};
 
 use crate::fm::FmIndex;
-use crate::interleave::check_superblock_span;
 use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
-use crate::lookup::{lookup_k, KmerLookup};
+use crate::layout::SA_SAMPLE_RATE;
+use crate::lookup::{kmer_starts, lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa::{RankBits, SampledSuffixArray};
 use crate::text::PackedText;
@@ -108,20 +103,16 @@ use crate::text::PackedText;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EXMASNAP";
 
 /// The one on-disk format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
-/// Magic, version, recipe, text length, section count, recipe flags.
-const HEADER_LEN: usize = 52;
-/// Bit 0 of the recipe-flags word: the index covers the bidirectional
-/// doubled text.
+/// Magic, version, k, text length, section count, flags.
+const HEADER_LEN: usize = 32;
+/// Bit 0 of the flags word: the index covers the bidirectional doubled
+/// text.
 const FLAG_BIDIRECTIONAL: u32 = 1;
-/// Header word 28: checkpoint deltas are `u16`, the one width there is.
-/// Codes 0 and 2 named the `u8` and absolute-`u32` layouts of earlier
-/// builds.
-const DELTA_WIDTH_U16: u32 = 1;
 const SECTION_HEADER_LEN: usize = 16;
-const SECTION_COUNT: usize = 5;
-const SECTION_NAMES: [&str; SECTION_COUNT] = ["bwt", "k-codes", "sampled-sa", "k-starts", "text"];
+const SECTION_COUNT: usize = 4;
+const SECTION_NAMES: [&str; SECTION_COUNT] = ["bwt", "k-codes", "sampled-sa", "text"];
 
 /// Why a snapshot could not be written or loaded. Every load-side
 /// failure is typed and total: corrupted input yields an error, never a
@@ -138,8 +129,8 @@ pub enum SnapshotError {
     ChecksumMismatch { section: &'static str },
     /// The file ends before the bytes its own framing promises.
     Truncated { needed: u64, len: u64 },
-    /// The snapshot's build recipe differs from the one the caller
-    /// requires (e.g. the serving builder's layout).
+    /// The snapshot's build (`k`, strandedness) differs from the one the
+    /// caller requires (e.g. the serving builder's).
     LayoutMismatch {
         expected: KStepBuildConfig,
         found: KStepBuildConfig,
@@ -152,11 +143,7 @@ pub enum SnapshotError {
 }
 
 fn write_config(f: &mut fmt::Formatter<'_>, c: &KStepBuildConfig) -> fmt::Result {
-    write!(
-        f,
-        "k{}_occ{}_sa{}_kocc{}_sb{}",
-        c.k, c.occ_sample_rate, c.sa_sample_rate, c.k_occ_sample_rate, c.superblock_rate
-    )?;
+    write!(f, "k{}", c.k)?;
     if c.bidirectional {
         write!(f, "_bidir")?;
     }
@@ -287,7 +274,6 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
         0
     };
     let n = index.text_len();
-    let stride = 1usize << (2 * config.k);
     let occ = index.base_index().occ();
     let kocc = index.kmer_occ();
     let ssa = index.base_index().sampled_sa();
@@ -312,10 +298,6 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
     for &s in samples {
         ssa_payload.extend_from_slice(&s.to_le_bytes());
     }
-    let mut kstarts = Vec::with_capacity(4 * stride);
-    for &start in index.kstart_slice() {
-        kstarts.extend_from_slice(&start.to_le_bytes());
-    }
 
     let text = index.packed_text().image();
     let mut text_payload = Vec::with_capacity(4 * text.len());
@@ -323,7 +305,7 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
         text_payload.extend_from_slice(&word.to_le_bytes());
     }
 
-    let sections = [bwt, kcodes, ssa_payload, kstarts, text_payload];
+    let sections = [bwt, kcodes, ssa_payload, text_payload];
     let total = HEADER_LEN
         + sections
             .iter()
@@ -334,11 +316,6 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(config.k as u32).to_le_bytes());
-    out.extend_from_slice(&(config.occ_sample_rate as u32).to_le_bytes());
-    out.extend_from_slice(&(config.sa_sample_rate as u32).to_le_bytes());
-    out.extend_from_slice(&(config.k_occ_sample_rate as u32).to_le_bytes());
-    out.extend_from_slice(&DELTA_WIDTH_U16.to_le_bytes());
-    out.extend_from_slice(&(config.superblock_rate as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
     out.extend_from_slice(&flags.to_le_bytes());
@@ -396,8 +373,8 @@ pub fn load_snapshot(path: &Path) -> Result<KStepFmIndex, SnapshotError> {
 }
 
 /// [`load_snapshot`], additionally requiring the snapshot's embedded
-/// build recipe to equal `expected` — the warm-start compatibility
-/// check, performed on the header before any payload work.
+/// build (`k`, strandedness) to equal `expected` — the warm-start
+/// compatibility check, performed on the header before any payload work.
 pub fn load_snapshot_expecting(
     path: &Path,
     expected: Option<&KStepBuildConfig>,
@@ -407,7 +384,7 @@ pub fn load_snapshot_expecting(
 }
 
 /// Decodes a snapshot image, verifying everything before constructing
-/// anything: magic, version, recipe sanity, structural bounds, the five
+/// anything: magic, version, header sanity, structural bounds, the four
 /// section checksums, the whole-file checksum, and the semantic
 /// consistency of every decoded payload. Returns a typed error — never
 /// panics, never yields a partially-verified index.
@@ -429,14 +406,9 @@ pub fn decode_snapshot(
     }
     need(bytes, HEADER_LEN)?;
     let k = u32_at(bytes, 12) as usize;
-    let occ_rate = u32_at(bytes, 16) as usize;
-    let sa_rate = u32_at(bytes, 20) as usize;
-    let kocc_rate = u32_at(bytes, 24) as usize;
-    let width_code = u32_at(bytes, 28);
-    let superblock_rate = u32_at(bytes, 32) as usize;
-    let text_len = u64_at(bytes, 36);
-    let section_count = u32_at(bytes, 44) as usize;
-    let flags = u32_at(bytes, 48);
+    let text_len = u64_at(bytes, 16);
+    let section_count = u32_at(bytes, 24) as usize;
+    let flags = u32_at(bytes, 28);
     if flags & !FLAG_BIDIRECTIONAL != 0 {
         return Err(malformed("recipe flags"));
     }
@@ -445,34 +417,13 @@ pub fn decode_snapshot(
     if !(1..=MAX_STEP).contains(&k) {
         return Err(malformed("step width k"));
     }
-    if width_code != DELTA_WIDTH_U16 {
-        return Err(malformed("delta width code"));
-    }
-    if occ_rate == 0 || sa_rate == 0 || kocc_rate == 0 || superblock_rate == 0 {
-        return Err(malformed("zero sample rate"));
-    }
     if text_len == 0 || text_len >= u64::from(u32::MAX) {
         return Err(malformed("text length"));
     }
     if section_count != SECTION_COUNT {
         return Err(malformed("section count"));
     }
-    // The one overflow rule, on both tables, before anything is sized
-    // by these rates.
-    for (rate, field) in [
-        (occ_rate, "occ superblock span"),
-        (kocc_rate, "k-occ superblock span"),
-    ] {
-        check_superblock_span(rate, superblock_rate).map_err(|_| malformed(field))?;
-    }
-    let config = KStepBuildConfig {
-        k,
-        occ_sample_rate: occ_rate,
-        sa_sample_rate: sa_rate,
-        k_occ_sample_rate: kocc_rate,
-        superblock_rate,
-        bidirectional,
-    };
+    let config = KStepBuildConfig { k, bidirectional };
     if let Some(expected) = expected {
         if *expected != config {
             return Err(SnapshotError::LayoutMismatch {
@@ -526,8 +477,7 @@ pub fn decode_snapshot(
 
     // Integrity: each section's own checksum, then the whole-file
     // checksum (which also covers the header and section framing — a
-    // flipped sample rate must never silently rebuild a different
-    // index).
+    // flipped k must never silently rebuild a different index).
     for (i, &(start, end)) in sections.iter().enumerate() {
         if crc32(&bytes[start..end]) != section_crcs[i] {
             return Err(SnapshotError::ChecksumMismatch {
@@ -540,28 +490,38 @@ pub fn decode_snapshot(
     }
 
     // Semantic decode, every value range-checked before any constructor
-    // that could assert sees it. The text leads: the K-mer table is
-    // derived from it alone, so it is counted on a second thread while
-    // this one decodes the four other sections — and joined before
-    // either the index or an error is returned. Its size is set by `n`,
-    // which the BWT section's length has just vouched for: the table is
-    // `4 (4^K + 1)` bytes with `16 · 4^K ≤ n` (two words when K is 0), at
-    // most `n / 4 + 8`, so no header can make it ask for more than the
-    // file justifies.
+    // that could assert sees it. The text leads: the K-mer table and the
+    // C-array are derived from it alone, so they are counted on a second
+    // thread while this one decodes the three other sections — and
+    // joined before either the index or an error is returned. The
+    // table's size is set by `n`, which the BWT section's length has
+    // just vouched for: it is `4 (4^K + 1)` bytes with `16 · 4^K ≤ n`
+    // (two words when K is 0), at most `n / 4 + 8`, so no header can make
+    // it ask for more than the file justifies; the C-array is `4^k` words,
+    // 64 KiB at most.
     let (bwt_start, bwt_end) = sections[0];
     if bwt_end - bwt_start != n {
         return Err(malformed("bwt length"));
     }
-    let (text_start, text_end) = sections[4];
+    let (text_start, text_end) = sections[3];
     let text = PackedText::from_image(&bytes[text_start..text_end], n)
         .ok_or(malformed("text length or padding"))?;
-    let (tables, lookup) = std::thread::scope(|scope| {
-        let lookup = scope.spawn(|| KmerLookup::new(&text, lookup_k(n)));
-        let tables = decode_tables(bytes, &sections, &config, &text);
-        (tables, lookup.join())
+    let (tables, counted) = std::thread::scope(|scope| {
+        let counted = scope.spawn(|| (KmerLookup::new(&text, lookup_k(n)), kmer_starts(&text, k)));
+        let tables = decode_tables(bytes, &sections, k, &text);
+        (tables, counted.join())
     });
-    let lookup = lookup.expect("counting the K-mers of a decoded text cannot panic");
-    let (base, kstarts, kocc) = tables?;
+    let (lookup, kstarts) = counted.expect("counting the K-mers of a decoded text cannot panic");
+    let (base, kocc) = tables?;
+    // Bucket bounds: `kstart(r) + rank(r, n) <= n` keeps every interval
+    // a k-step refinement can produce inside `0..n`, so no later rank
+    // call can assert out of range even on a checksummed file whose
+    // k-codes disagree with its text.
+    for (r, &start) in kstarts.iter().enumerate() {
+        if start as usize + kocc.rank(r as u16, n) as usize > n {
+            return Err(malformed("k-starts bucket"));
+        }
+    }
     Ok(KStepFmIndex::from_parts(
         k,
         base,
@@ -573,17 +533,17 @@ pub fn decode_snapshot(
     ))
 }
 
-/// Decodes sections 1–4 against the already-decoded `text` (section 5)
-/// and replays the cold-build constructors over them: the 1-step index,
-/// the expanded C-array and the k-mer occurrence table.
+/// Decodes sections 1–3 against the already-decoded `text` (section 4)
+/// and replays the cold-build constructors over them: the 1-step index
+/// and the k-mer occurrence table.
 fn decode_tables(
     bytes: &[u8],
     sections: &[(usize, usize); SECTION_COUNT],
-    config: &KStepBuildConfig,
+    k: usize,
     text: &PackedText,
-) -> Result<(FmIndex, Vec<u32>, KmerOccTable), SnapshotError> {
+) -> Result<(FmIndex, KmerOccTable), SnapshotError> {
     let n = text.len();
-    let stride = 1usize << (2 * config.k);
+    let stride = 1usize << (2 * k);
     let (bwt_start, bwt_end) = sections[0];
     let mut bwt = Vec::with_capacity(n);
     for &b in &bytes[bwt_start..bwt_end] {
@@ -641,27 +601,12 @@ fn decode_tables(
     let mut samples = Vec::with_capacity(sample_count);
     for chunk in bytes[ssa_start + 8 + 8 * word_count..ssa_end].chunks_exact(4) {
         let v = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        if v as usize >= n || v as usize % config.sa_sample_rate != 0 {
+        if v as usize >= n || v as usize % SA_SAMPLE_RATE != 0 {
             return Err(malformed("suffix-array sample"));
         }
         samples.push(v);
     }
-    let ssa = SampledSuffixArray::from_parts(marks, samples, config.sa_sample_rate);
-
-    let (ks_start, ks_end) = sections[3];
-    if ks_end - ks_start != 4 * stride {
-        return Err(malformed("k-starts length"));
-    }
-    let mut kstarts = Vec::with_capacity(stride);
-    let mut previous = 0u32;
-    for chunk in bytes[ks_start..ks_end].chunks_exact(4) {
-        let v = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        if v < previous || v as usize > n {
-            return Err(malformed("k-starts entry"));
-        }
-        kstarts.push(v);
-        previous = v;
-    }
+    let ssa = SampledSuffixArray::from_parts(marks, samples);
 
     // The text, against what is already verified: the BWT is a
     // permutation of it, and a sampled row's BWT symbol is the base in
@@ -688,29 +633,13 @@ fn decode_tables(
     }
 
     // Replay the cold-build constructors over the verified inputs; the
-    // recipe checks above already rule their errors out.
-    let occ = OccTable::new(&bwt, config.occ_sample_rate, config.superblock_rate)
-        .map_err(|_| malformed("occ layout"))?;
+    // text-length check above already rules their error out.
+    let occ = OccTable::new(&bwt).map_err(|_| malformed("occ layout"))?;
     // Symbol frequencies — all the C-array depends on — are the text's:
     // `counts` was taken from the BWT, a permutation of it.
     let base = FmIndex::from_parts(counts, occ, ssa);
-    let kocc = KmerOccTable::new(
-        codes,
-        stride,
-        config.k_occ_sample_rate,
-        config.superblock_rate,
-    )
-    .map_err(|_| malformed("k-occ layout"))?;
-    // Bucket bounds: `kstart(r) + rank(r, n) <= n` keeps every interval
-    // a k-step refinement can produce inside `0..n`, so no later rank
-    // call can assert out of range even on a crafted-but-checksummed
-    // file.
-    for (r, &start) in kstarts.iter().enumerate() {
-        if start as usize + kocc.rank(r as u16, n) as usize > n {
-            return Err(malformed("k-starts bucket"));
-        }
-    }
-    Ok((base, kstarts, kocc))
+    let kocc = KmerOccTable::new(codes, k).map_err(|_| malformed("k-occ layout"))?;
+    Ok((base, kocc))
 }
 
 #[cfg(test)]
@@ -763,32 +692,11 @@ mod tests {
 
     #[test]
     fn sa_marks_in_the_occurrence_lines_never_reach_the_image() {
-        // The trailing whole-file CRC32 of the first two images, pinned:
-        // a mark that leaked into the BWT section would move it. Pinned
-        // at occ 44 / sa 32 — the recipe these two have been held at since
-        // before the occurrence lines carried SA marks — and re-pinned
-        // once, when the format gained its text section and the flags
-        // word became unconditional (and the k-occ default under them
-        // moved to 80k), and once more when that default moved to 96k.
-        // Today's default images hold to everything but a pinned
-        // constant.
-        let old_default = |k: usize, bidirectional: bool| KStepBuildConfig {
-            occ_sample_rate: 44,
-            sa_sample_rate: 32,
-            bidirectional,
-            ..KStepBuildConfig::for_k(k)
-        };
+        // The trailing whole-file CRC32 of two images, pinned: a mark that
+        // leaked into the BWT section would move it.
         for (index, crc) in [
-            (
-                toy_index_with(3000, old_default(4, false)),
-                Some(0x9a71_0894),
-            ),
-            (
-                toy_index_with(1500, old_default(2, true)),
-                Some(0x56ec_1d7e),
-            ),
-            (toy_index(4), None),
-            (toy_bidir_index(2), None),
+            (toy_index(4), 0x6cb4_15a5),
+            (toy_bidir_index(2), 0xe143_9a1c),
         ] {
             let occ = index.base_index().occ();
             let n = index.text_len();
@@ -799,9 +707,7 @@ mod tests {
             let bwt_start = HEADER_LEN + SECTION_HEADER_LEN;
             assert_eq!(u64_at(&bytes, bwt_start - 12), n as u64);
             assert!(bytes[bwt_start..bwt_start + n].iter().all(|&b| b < 5));
-            if let Some(crc) = crc {
-                assert_eq!(u32_at(&bytes, bytes.len() - 4), crc);
-            }
+            assert_eq!(u32_at(&bytes, bytes.len() - 4), crc);
             // And it loads to the index a cold build makes, marks and all.
             assert_eq!(
                 decode_snapshot(&bytes, None).expect("valid snapshot"),
@@ -853,9 +759,10 @@ mod tests {
                 supported: SNAPSHOT_FORMAT_VERSION
             }
         );
-        // The two formats earlier builds wrote had no text section: they
-        // are refused by number, whatever follows the version word.
-        for old in [0u32, 1, 2] {
+        // The three formats earlier builds wrote (no text section, then
+        // the layout words and the C-array) are refused by number,
+        // whatever follows the version word.
+        for old in [0u32, 1, 2, 3] {
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
                 decode_snapshot(&stale, None).unwrap_err(),
@@ -903,13 +810,13 @@ mod tests {
             decode_snapshot(&corrupt, None).unwrap_err(),
             SnapshotError::ChecksumMismatch { section: "bwt" }
         );
-        // A header flip that stays structurally sane (the occ sample
-        // rate) is caught by the whole-file checksum — it must never
-        // silently rebuild a differently-shaped index.
-        let mut resampled = bytes.clone();
-        resampled[16] ^= 0x01;
+        // A header flip that stays structurally sane (k = 2 read as 3)
+        // is caught by the whole-file checksum — it must never silently
+        // rebuild a differently-shaped index.
+        let mut rewidened = bytes.clone();
+        rewidened[12] ^= 0x01;
         assert_eq!(
-            decode_snapshot(&resampled, None).unwrap_err(),
+            decode_snapshot(&rewidened, None).unwrap_err(),
             SnapshotError::ChecksumMismatch { section: "file" }
         );
         // One byte inside the last section's payload: the text.
@@ -937,7 +844,6 @@ mod tests {
         let bytes = encode_snapshot(&index);
         let mut expected = index.build_config();
         expected.k = 2;
-        expected.k_occ_sample_rate = 128;
         let err = decode_snapshot(&bytes, Some(&expected)).unwrap_err();
         assert_eq!(
             err,
@@ -963,11 +869,11 @@ mod tests {
         for k in [1, 2, 4] {
             let forward = encode_snapshot(&toy_index(k));
             assert_eq!(u32_at(&forward, 8), SNAPSHOT_FORMAT_VERSION, "k={k}");
-            assert_eq!(u32_at(&forward, 48), 0, "k={k}");
+            assert_eq!(u32_at(&forward, 28), 0, "k={k}");
             let index = toy_bidir_index(k);
             let bytes = encode_snapshot(&index);
             assert_eq!(u32_at(&bytes, 8), SNAPSHOT_FORMAT_VERSION, "k={k}");
-            assert_eq!(u32_at(&bytes, 48), FLAG_BIDIRECTIONAL, "k={k}");
+            assert_eq!(u32_at(&bytes, 28), FLAG_BIDIRECTIONAL, "k={k}");
             // The first section tag sits right behind the flags word.
             assert_eq!(u32_at(&bytes, HEADER_LEN), 1, "k={k}");
             let loaded = decode_snapshot(&bytes, None).expect("valid snapshot");
@@ -994,7 +900,7 @@ mod tests {
     #[test]
     fn unknown_recipe_flags_are_malformed() {
         let mut bytes = encode_snapshot(&toy_bidir_index(2));
-        bytes[48..52].copy_from_slice(&0b110u32.to_le_bytes());
+        bytes[28..32].copy_from_slice(&0b110u32.to_le_bytes());
         assert_eq!(
             decode_snapshot(&bytes, None).unwrap_err(),
             SnapshotError::Malformed {

@@ -7,7 +7,7 @@
 //! in one line, as soon as the row's text position is known. A
 //! [`KStepFmIndex`](crate::KStepFmIndex) therefore keeps the text it was
 //! built over: a quarter of a byte a base, paid for by the k-mer table's
-//! wider default blocks ([`crate::layout::default_k_occ_sample_rate`]).
+//! wider blocks ([`crate::layout::k_occ_sample_rate`]).
 //!
 //! Base `i` sits in bits `2 (i mod 16)` of `u32` word `i / 16` — two
 //! adjacent words read as one little-endian `u64` hold 32 consecutive
@@ -350,7 +350,7 @@ mod tests {
             // The text's share of `other` is its buffer, whole lines.
             let elsewhere = index.base_index().heap_breakdown().other
                 + index.kmer_occ().heap_breakdown().other
-                + 4 * index.kstart_slice().len()
+                + 4 * (1 << (2 * k))
                 + index.lookup.heap_bytes();
             assert_eq!(
                 index.heap_breakdown().other - elsewhere,

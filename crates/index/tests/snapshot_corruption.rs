@@ -8,8 +8,9 @@
 //! seeded mutations — single-bit flips, truncations at arbitrary
 //! offsets, torn tmp-style prefixes, and stale-version headers — over
 //! valid snapshot images. Checksums stop corruption, not a consistent
-//! file that states an impossible recipe, so header words the loader
-//! sizes tables by are also rewritten *with* the file checksum redone,
+//! file that states an impossible header, so the header words the loader
+//! sizes tables by (k and the text length) are also rewritten *with* the
+//! file checksum redone,
 //! under an allocator that records how much was asked of it — and so is
 //! the text section, which no checksum ties to the tables beside it.
 
@@ -207,26 +208,26 @@ fn assert_cold_build_serves(genome: &Genome, patterns: &[Vec<Base>], expected: &
 #[test]
 fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_sized() {
     // Header words rewritten and the file checksum redone: the image is
-    // consistent, so only the recipe checks stand between these rates
-    // and the tables sized by them (`k_occ_sample_rate = u32::MAX` once
-    // asked the allocator for 4 GiB of block).
+    // consistent, so only the header checks stand between these values
+    // and the tables sized by them (k sizes the k-mer tables, the text
+    // length the K-mer lookup table).
     let _turn = one_at_a_time();
     let genome = toy_genome(14);
     let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
     let pristine = encode_snapshot(&index);
     for (offset, value, field) in [
-        (16, u32::MAX, "occ superblock span"),
-        (24, u32::MAX, "k-occ superblock span"),
-        // 4096 x 16 = 65 536 rows: one more than a u16 delta counts.
-        (24, 4096, "k-occ superblock span"),
-        // The u8 and the flat u32 width codes of earlier builds.
-        (28, 0, "delta width code"),
-        (28, 2, "delta width code"),
+        // Step widths the k-mer tables have no codes for: 4^k counters
+        // a row at k = 8 would be 64 Ki, at u32::MAX unbounded.
+        (12, 0, "step width k"),
+        (12, 8, "step width k"),
+        (12, u32::MAX, "step width k"),
         // A text length the sections do not hold. The K-mer table is
         // sized by it (at this length K = 13: 256 MiB of counters), so
         // the loader checks it against the BWT section's length before
         // the table is counted.
-        (36, u32::MAX - 1, "bwt length"),
+        (16, u32::MAX - 1, "bwt length"),
+        (24, 5, "section count"),
+        (28, 2, "recipe flags"),
     ] {
         let mut image = pristine.clone();
         image[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
@@ -262,7 +263,7 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
 /// Where each section's payload lies in a pristine image.
 fn section_payloads(image: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut payloads = Vec::new();
-    let mut offset = 52;
+    let mut offset = 32;
     while offset + 16 <= image.len() - 4 {
         let len = u64::from_le_bytes(image[offset + 4..offset + 12].try_into().unwrap()) as usize;
         payloads.push(offset + 16..offset + 16 + len);
@@ -281,15 +282,15 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
     let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
     let pristine = encode_snapshot(&index);
     let payloads = section_payloads(&pristine);
-    assert_eq!(payloads.len(), 5);
-    let text = payloads[4].clone();
+    assert_eq!(payloads.len(), 4);
+    let text = payloads[3].clone();
     assert_eq!(text.len(), 8 * (genome.len() + 1).div_ceil(32));
     let base_at = |image: &[u8], i: usize| (image[text.start + i / 4] >> (2 * (i % 4))) & 3;
     let set_base = |image: &mut [u8], i: usize, code: u8| {
         let byte = &mut image[text.start + i / 4];
         *byte = (*byte & !(3 << (2 * (i % 4)))) | code << (2 * (i % 4));
     };
-    // Two positions in front of sampled ones (the default recipe samples
+    // Two positions in front of sampled ones (the layout samples
     // every 11th) that hold different bases, to swap.
     let first = 10;
     let second = (1..)
@@ -357,16 +358,16 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
 
 #[test]
 fn every_single_byte_flip_in_the_header_is_rejected() {
-    // Exhaustive over the 52-byte header: whatever byte corruption
-    // lands on — magic, version, recipe, text length, section count,
-    // recipe flags — the load fails typed. This is the region where a silent
-    // acceptance would be worst: a flipped recipe rebuilds a
-    // *different* index that would serve wrong-geometry answers.
+    // Exhaustive over the 32-byte header: whatever byte corruption
+    // lands on — magic, version, k, text length, section count, flags —
+    // the load fails typed. This is the region where a silent acceptance
+    // would be worst: a flipped k rebuilds a *different* index that
+    // would serve wrong-geometry answers.
     let _turn = one_at_a_time();
     let text = toy_genome(12).text_with_sentinel();
     let index = KStepFmIndex::from_text(&text, 3);
     let pristine = encode_snapshot(&index);
-    for offset in 0..52 {
+    for offset in 0..32 {
         for bit in 0..8 {
             let mut corrupt = pristine.clone();
             corrupt[offset] ^= 1 << bit;

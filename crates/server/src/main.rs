@@ -261,7 +261,6 @@ fn run(args: &Args) -> ExitCode {
         profile.name, profile.len, args.seed
     );
     let genome = Genome::synthesize(&profile, args.seed);
-    let text = genome.text_with_sentinel();
 
     // Warm path: a verified snapshot skips the index rebuild entirely.
     // Any rejection — corruption, truncation, stale version, layout or
@@ -302,6 +301,9 @@ fn run(args: &Args) -> ExitCode {
             )
         }
         None => {
+            // Only a cold build reads the symbol text: a warm start never
+            // makes this n-byte copy of the reference.
+            let text = genome.text_with_sentinel();
             let build_start = Instant::now();
             let index = match builder.build_index(&text) {
                 Ok(index) => index,
