@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn the_widest_legal_span_builds_and_ranks_like_naive() {
         // The widest superblock span of the layout is the k-occ table's
-        // at k = MAX_STEP: 672 x 16 = 10 752 rows. A text whose k-BWT is
+        // at k = MAX_STEP: 384 x 16 = 6 144 rows. A text whose k-BWT is
         // one run of the A-mer longer than two of them drives each
         // superblock's deltas as high as they go and crosses into the
         // third.
@@ -462,10 +462,11 @@ mod tests {
         let codes: Vec<u16> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
         assert!(codes[..=len - k].iter().all(|&c| c == 0));
         // Every block boundary and its neighbours, the superblock
-        // boundaries at rows 10 752 and 21 504 among them.
+        // boundaries at rows 6 144 and 12 288 among them.
+        let stride = kocc.stride() as u16;
         for boundary in (0..=kocc.len()).step_by(rate) {
             for i in boundary.saturating_sub(1)..=(boundary + 1).min(kocc.len()) {
-                for r in [0u16, 1, 4095] {
+                for r in [0, 1, stride - 1] {
                     assert_eq!(
                         kocc.rank(r, i),
                         naive_krank(&codes, r, i),
@@ -587,6 +588,14 @@ mod tests {
         assert_eq!(
             EngineBuilder::new().k(99).build_config().err(),
             Some(EngineError::InvalidK { k: 99 })
+        );
+        // One past the widest step a one-byte code lane holds.
+        assert_eq!(
+            EngineBuilder::new()
+                .k(exma_index::MAX_STEP + 1)
+                .build_index(&text)
+                .err(),
+            Some(EngineError::InvalidK { k: 5 })
         );
         assert_eq!(
             EngineBuilder::new().k(2).threads(0).attach(&index).err(),

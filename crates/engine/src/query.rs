@@ -399,12 +399,6 @@ impl QueryResults {
         }
     }
 
-    /// The pooled buffer itself: every located position in query order.
-    /// Checksum and aggregation passes can fold this directly.
-    pub fn all_positions(&self) -> &[u32] {
-        &self.flat
-    }
-
     /// Total located positions across all queries.
     pub fn total_positions(&self) -> usize {
         self.flat.len()
@@ -655,7 +649,6 @@ mod tests {
         assert_eq!(results.interval(1), None);
         assert_eq!(results.output(3), QueryOutput::Located { truncated: true });
         assert_eq!(results.count(3), 1);
-        assert_eq!(results.all_positions(), &[3, 9, 1]);
         assert_eq!(results.total_positions(), 3);
     }
 

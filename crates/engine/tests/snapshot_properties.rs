@@ -91,7 +91,7 @@ fn a_snapshot_only_loads_under_the_recipe_that_wrote_it() {
     }
     // So is every other build at the index layer.
     for expected in [
-        KStepBuildConfig::for_k(7),
+        KStepBuildConfig::for_k(1),
         KStepBuildConfig {
             bidirectional: true,
             ..written

@@ -6,7 +6,7 @@
 //! symbols lexicographically smaller than `s` (Fig. 3c) — seeds every
 //! backward-search iteration.
 
-use crate::alphabet::{Symbol, SYMBOL_ALPHABET};
+use crate::alphabet::Symbol;
 
 /// Derives the BWT from a text and its suffix array.
 ///
@@ -106,18 +106,6 @@ impl CountTable {
     pub fn text_len(&self) -> u64 {
         self.starts[5]
     }
-
-    /// The symbol whose suffix-array bucket contains `row`, i.e. the first
-    /// symbol of the `row`-th smallest suffix.
-    pub fn symbol_at_row(&self, row: u64) -> Symbol {
-        assert!(row < self.text_len(), "row {row} out of range");
-        for &s in SYMBOL_ALPHABET.iter().rev() {
-            if self.starts[s.code() as usize] <= row {
-                return s;
-            }
-        }
-        unreachable!("row 0 is always in the sentinel bucket")
-    }
 }
 
 /// Convenience wrapper building the `Count` table directly from a text.
@@ -128,6 +116,7 @@ pub fn count_table(text: &[Symbol]) -> CountTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SYMBOL_ALPHABET;
     use crate::genome::text_from_str;
     use crate::suffix::suffix_array;
 
@@ -172,16 +161,6 @@ mod tests {
         let isa = inverse_suffix_array(&sa);
         for (row, &pos) in sa.iter().enumerate() {
             assert_eq!(isa[pos as usize] as usize, row);
-        }
-    }
-
-    #[test]
-    fn symbol_at_row_matches_first_symbol() {
-        let text = text_from_str("GATTACA").unwrap();
-        let sa = suffix_array(&text);
-        let table = count_table(&text);
-        for (row, &pos) in sa.iter().enumerate() {
-            assert_eq!(table.symbol_at_row(row as u64), text[pos as usize]);
         }
     }
 

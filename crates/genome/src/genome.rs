@@ -13,9 +13,6 @@ use crate::alphabet::{parse_bases, Base, Symbol};
 use crate::rng::SeededRng;
 use crate::seq::PackedSeq;
 
-/// Scale factor between a `*_rel()` profile and the genome it models.
-pub const REL_SCALE: usize = 1000;
-
 /// A recipe for synthesizing a reference genome.
 ///
 /// `repeat_fraction` of the genome (approximately) is covered by diverged
@@ -363,13 +360,14 @@ mod tests {
         // With 30% repeat coverage from 4 families of 200 bp units, many
         // 32-mers must occur more than once; a repeat-free random genome of
         // the same size has essentially none.
-        use crate::kmer::kmers_of;
+        use crate::kmer::Kmer;
         use std::collections::HashMap;
 
         let count_dups = |g: &Genome| {
             let mut seen: HashMap<u64, u32> = HashMap::new();
-            for km in kmers_of(g.seq(), 31) {
-                *seen.entry(km.rank()).or_insert(0) += 1;
+            let bases = g.seq().to_vec();
+            for window in bases.windows(31) {
+                *seen.entry(Kmer::from_bases(window).rank()).or_insert(0) += 1;
             }
             seen.values().filter(|&&c| c > 1).count()
         };

@@ -7,7 +7,6 @@
 //! for contiguous, row-buffer-friendly layout.
 
 use crate::alphabet::Base;
-use crate::seq::PackedSeq;
 use std::fmt;
 
 /// Maximum supported k (bases fit in a `u64` with 2 bits each).
@@ -67,20 +66,6 @@ impl Kmer {
         Kmer { rank, k: k as u8 }
     }
 
-    /// Reads the k-mer starting at `pos` in `seq` (non-cyclic).
-    ///
-    /// Returns `None` if fewer than `k` bases remain.
-    pub fn from_seq(seq: &PackedSeq, pos: usize, k: usize) -> Option<Kmer> {
-        if pos + k > seq.len() {
-            return None;
-        }
-        let mut rank = 0u64;
-        for i in pos..pos + k {
-            rank = (rank << 2) | seq.get(i).code() as u64;
-        }
-        Some(Kmer { rank, k: k as u8 })
-    }
-
     /// Lexicographic rank in `0..4^k`.
     #[inline]
     pub fn rank(self) -> u64 {
@@ -114,16 +99,6 @@ impl Kmer {
         (0..self.k as usize).map(|i| self.base(i)).collect()
     }
 
-    /// Drops the last base, keeping the leading `k-1` bases.
-    ///
-    /// Returns `None` when `k == 1`.
-    pub fn prefix(self) -> Option<Kmer> {
-        (self.k > 1).then(|| Kmer {
-            rank: self.rank >> 2,
-            k: self.k - 1,
-        })
-    }
-
     /// The next k-mer in lexicographic order, or `None` at `T...T`.
     pub fn successor(self) -> Option<Kmer> {
         (self.rank + 1 < count(self.k as usize)).then(|| Kmer {
@@ -135,11 +110,6 @@ impl Kmer {
     /// The lexicographically smallest k-mer (`A...A`).
     pub fn first(k: usize) -> Kmer {
         Kmer::from_rank(0, k)
-    }
-
-    /// The lexicographically largest k-mer (`T...T`).
-    pub fn last(k: usize) -> Kmer {
-        Kmer::from_rank(count(k) - 1, k)
     }
 }
 
@@ -172,37 +142,6 @@ impl std::str::FromStr for Kmer {
     }
 }
 
-/// Iterator over all k-mer windows of a sequence, produced by [`kmers_of`].
-#[derive(Debug, Clone)]
-pub struct KmerIter<'a> {
-    seq: &'a PackedSeq,
-    pos: usize,
-    k: usize,
-}
-
-impl Iterator for KmerIter<'_> {
-    type Item = Kmer;
-
-    fn next(&mut self) -> Option<Kmer> {
-        let kmer = Kmer::from_seq(self.seq, self.pos, self.k)?;
-        self.pos += 1;
-        Some(kmer)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = (self.seq.len() + 1).saturating_sub(self.pos + self.k);
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for KmerIter<'_> {}
-
-/// All overlapping k-mer windows of `seq`, left to right.
-pub fn kmers_of(seq: &PackedSeq, k: usize) -> KmerIter<'_> {
-    assert!((1..=MAX_K).contains(&k));
-    KmerIter { seq, pos: 0, k }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,31 +169,10 @@ mod tests {
     #[test]
     fn first_and_last() {
         assert_eq!(Kmer::first(4).to_string(), "AAAA");
-        assert_eq!(Kmer::last(4).to_string(), "TTTT");
-        assert_eq!(Kmer::last(4).successor(), None);
+        let last = Kmer::from_rank(count(4) - 1, 4);
+        assert_eq!(last.to_string(), "TTTT");
+        assert_eq!(last.successor(), None);
         assert_eq!(Kmer::first(4).successor().unwrap().to_string(), "AAAC");
-    }
-
-    #[test]
-    fn prefix_drops_trailing_base() {
-        let km: Kmer = "ACGT".parse().unwrap();
-        assert_eq!(km.prefix().unwrap().to_string(), "ACG");
-        assert_eq!("A".parse::<Kmer>().unwrap().prefix(), None);
-    }
-
-    #[test]
-    fn windows_over_sequence() {
-        let seq: PackedSeq = "ACGTA".parse().unwrap();
-        let kmers: Vec<String> = kmers_of(&seq, 3).map(|k| k.to_string()).collect();
-        assert_eq!(kmers, ["ACG", "CGT", "GTA"]);
-        assert_eq!(kmers_of(&seq, 3).len(), 3);
-    }
-
-    #[test]
-    fn from_seq_out_of_range_is_none() {
-        let seq: PackedSeq = "ACGT".parse().unwrap();
-        assert!(Kmer::from_seq(&seq, 2, 3).is_none());
-        assert!(Kmer::from_seq(&seq, 1, 3).is_some());
     }
 
     #[test]

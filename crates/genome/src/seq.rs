@@ -83,12 +83,6 @@ impl PackedSeq {
         Base::from_code(code as u8)
     }
 
-    /// The base at position `i`, or `None` past the end.
-    #[inline]
-    pub fn try_get(&self, i: usize) -> Option<Base> {
-        (i < self.len).then(|| self.get(i))
-    }
-
     /// Copies bases `start..start + len` into a fresh `Vec`.
     ///
     /// # Panics
@@ -117,15 +111,6 @@ impl PackedSeq {
     /// Heap bytes used by the packed representation.
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * 8
-    }
-
-    /// Reverse complement of the sequence.
-    pub fn reverse_complement(&self) -> PackedSeq {
-        let mut out = PackedSeq::with_capacity(self.len);
-        for i in (0..self.len).rev() {
-            out.push(self.get(i).complement());
-        }
-        out
     }
 }
 
@@ -196,13 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_complement_round_trip() {
-        let seq: PackedSeq = "GATTACA".parse().unwrap();
-        assert_eq!(seq.reverse_complement().to_string(), "TGTAATC");
-        assert_eq!(seq.reverse_complement().reverse_complement(), seq);
-    }
-
-    #[test]
     fn slice_extracts_window() {
         let seq: PackedSeq = "ACGTACGT".parse().unwrap();
         assert_eq!(crate::alphabet::bases_to_string(&seq.slice(2, 4)), "GTAC");
@@ -213,13 +191,6 @@ mod tests {
     fn get_past_end_panics() {
         let seq: PackedSeq = "ACGT".parse().unwrap();
         let _ = seq.get(4);
-    }
-
-    #[test]
-    fn try_get_past_end_is_none() {
-        let seq: PackedSeq = "ACGT".parse().unwrap();
-        assert_eq!(seq.try_get(3), Some(Base::T));
-        assert_eq!(seq.try_get(4), None);
     }
 
     #[test]

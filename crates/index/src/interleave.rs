@@ -29,17 +29,18 @@
 //! line's matches with four aligned 16-byte compares and adding them to
 //! each prefix that covers the whole line, selected by an arithmetic
 //! mask; the one line a prefix ends in is then compared once more into a
-//! 64-bit match mask and cut at the offset. Several offsets share the
-//! pass, so both ends of an interval come out of one forward walk from
-//! the block's own checkpoint. The compares go through a lane mask fixed
-//! at compile time: the 1-step table keeps a flag in bit 7 of each code
-//! byte and counts `lane & 0x07`; the k-mer table's codes use the whole
-//! byte, and its all-ones mask compiles away. The price is that the
-//! whole code region is read every time, which is why the prefetch hints
-//! cover all of it (`BlockStore::prefetch_block`). Reading only up to
-//! the furthest offset's line — re-reading that line in place of the
-//! later ones, to keep the trip count — measured 2.5 % slower on the
-//! 20 Mbp index than reading them all.
+//! 64-bit match mask and cut at the offset. Every code lane is one byte:
+//! the k-mer table's widest codes, at k = 4, are 256 values. Several
+//! offsets share the pass, so both ends of an interval come out of one
+//! forward walk from the block's own checkpoint. The compares go through
+//! a lane mask fixed at compile time: the 1-step table keeps a flag in
+//! bit 7 of each code byte and counts `lane & 0x07`; the k-mer table's
+//! codes use the whole byte, and its all-ones mask compiles away. The
+//! price is that the whole code region is read every time, which is why
+//! the prefetch hints cover all of it (`BlockStore::prefetch_block`).
+//! Reading only up to the furthest offset's line — re-reading that line
+//! in place of the later ones, to keep the trip count — measured 2.5 %
+//! slower on the 20 Mbp index than reading them all.
 //!
 //! # Translation
 //!
@@ -221,10 +222,9 @@ impl AlignedWords {
         self.lanes_mut::<u32>()
     }
 
-    /// The buffer as `u16` half-word lanes (two per word). Word `w` spans
-    /// lanes `2w .. 2w + 2`; regions written through this view must be
-    /// read through it too. The plain-slice element type is what lets
-    /// rank scans over packed codes autovectorize.
+    /// The buffer as `u16` half-word lanes (two per word): how the
+    /// checkpoint deltas are stored. Word `w` spans lanes `2w .. 2w + 2`;
+    /// regions written through this view must be read through it too.
     #[inline]
     pub fn halves(&self) -> &[u16] {
         self.lanes::<u16>()
@@ -336,10 +336,7 @@ fn anon_huge_bytes(line: &str) -> Option<u64> {
 ///
 /// Implementors must have no padding and no invalid bit patterns, a
 /// size that divides a cache line, and an alignment of at most 64.
-pub(crate) unsafe trait Lane:
-    Copy + PartialEq + std::ops::BitAnd<Output = Self>
-{
-}
+pub(crate) unsafe trait Lane: Copy {}
 // SAFETY: plain integers of 1, 2 and 4 bytes.
 unsafe impl Lane for u8 {}
 unsafe impl Lane for u16 {}
@@ -375,19 +372,19 @@ pub(crate) struct CodeSpan {
 }
 
 impl CodeSpan {
-    /// The span of `code_bytes` bytes of code lanes that follow
+    /// The span of `codes` one-byte code lanes that follow
     /// `header_bytes` of counters in blocks of `block_words` words.
-    pub(crate) fn new(block_words: usize, header_bytes: usize, code_bytes: usize) -> CodeSpan {
-        assert!(code_bytes > 0, "a block holds at least one code lane");
+    pub(crate) fn new(block_words: usize, header_bytes: usize, codes: usize) -> CodeSpan {
+        assert!(codes > 0, "a block holds at least one code lane");
         assert!(
-            block_words % WORDS_PER_LINE == 0 && header_bytes + code_bytes <= block_words * 4,
+            block_words % WORDS_PER_LINE == 0 && header_bytes + codes <= block_words * 4,
             "code lanes must lie inside a line-rounded block"
         );
         let head = header_bytes % LINE_BYTES;
         CodeSpan {
             block_lines: block_words / WORDS_PER_LINE,
             first: header_bytes / LINE_BYTES,
-            lines: (head + code_bytes).div_ceil(LINE_BYTES),
+            lines: (head + codes).div_ceil(LINE_BYTES),
             head,
         }
     }
@@ -406,7 +403,7 @@ impl CodeSpan {
 /// rows it covers, in bytes:
 ///
 /// ```text
-/// [ lanes u16 deltas | sample_rate code lanes (1 or 2 bytes each) | pad ]
+/// [ lanes u16 deltas | sample_rate one-byte code lanes | pad ]
 /// ```
 ///
 /// padded so every block starts on a 64-byte cache-line boundary. A delta
@@ -435,10 +432,9 @@ pub(crate) struct BlockStore {
 }
 
 impl BlockStore {
-    /// Lays `rows` out in blocks. Each row is its code lane as stored
-    /// (`code_bytes` wide, 1 or 2) and the counter it bumps, `lanes` or
-    /// more for a lane no rank counts. Returns the store and the counters'
-    /// totals over all rows.
+    /// Lays `rows` out in blocks. Each row is its code lane as stored and
+    /// the counter it bumps, `lanes` or more for a lane no rank counts.
+    /// Returns the store and the counters' totals over all rows.
     ///
     /// # Errors
     ///
@@ -446,14 +442,12 @@ impl BlockStore {
     ///
     /// # Panics
     ///
-    /// Panics if `sample_rate == 0` or a code does not fit a one-byte
-    /// lane. The layout's spacings are proven narrow enough for the
-    /// deltas at compile time ([`crate::layout`]).
+    /// Panics if `sample_rate == 0`. The layout's spacings are proven
+    /// narrow enough for the deltas at compile time ([`crate::layout`]).
     pub(crate) fn build(
         lanes: usize,
-        code_bytes: usize,
         sample_rate: usize,
-        mut rows: impl ExactSizeIterator<Item = (u16, usize)>,
+        mut rows: impl ExactSizeIterator<Item = (u8, usize)>,
     ) -> Result<(BlockStore, Vec<u32>), IndexError> {
         assert!(sample_rate > 0, "sample rate must be positive");
         let len = rows.len();
@@ -462,7 +456,7 @@ impl BlockStore {
         }
         let blocks = len / sample_rate + 1;
         let delta_bytes = lanes * 2;
-        let block_words = (delta_bytes + sample_rate * code_bytes)
+        let block_words = (delta_bytes + sample_rate)
             .div_ceil(4)
             .next_multiple_of(WORDS_PER_LINE);
         let mut data = AlignedWords::zeroed(blocks * block_words);
@@ -482,16 +476,12 @@ impl BlockStore {
             for ((delta, &now), &at_group) in deltas.iter_mut().zip(&running).zip(&group_row) {
                 *delta = u16::try_from(now - at_group).expect("the span rule bounds every delta");
             }
-            // The codes this block covers, as plain narrow lanes behind
-            // the delta row.
+            // The codes this block covers, as plain byte lanes behind the
+            // delta row.
             let code_base = base * 4 + delta_bytes;
-            let slots = &mut data.bytes_mut()[code_base..code_base + sample_rate * code_bytes];
-            for (slot, (code, lane)) in slots.chunks_exact_mut(code_bytes).zip(rows.by_ref()) {
-                match slot {
-                    [byte] => *byte = u8::try_from(code).expect("code fits a one-byte lane"),
-                    // Native order: what the `u16` view of these bytes reads.
-                    _ => slot.copy_from_slice(&code.to_ne_bytes()),
-                }
+            let slots = &mut data.bytes_mut()[code_base..code_base + sample_rate];
+            for (slot, (code, lane)) in slots.iter_mut().zip(rows.by_ref()) {
+                *slot = code;
                 if let Some(count) = running.get_mut(lane) {
                     *count += 1;
                 }
@@ -502,7 +492,7 @@ impl BlockStore {
             superblocks,
             lanes,
             block_words,
-            span: CodeSpan::new(block_words, delta_bytes, sample_rate * code_bytes),
+            span: CodeSpan::new(block_words, delta_bytes, sample_rate),
             len,
             sample_rate: Divisor::new(sample_rate),
         };
@@ -603,20 +593,6 @@ impl BlockStore {
         ]
     }
 
-    /// [`BlockStore::prefix_counts`] over two-byte code lanes (offsets
-    /// count lanes, not bytes): the portable kernel on every
-    /// architecture.
-    #[inline]
-    pub(crate) fn prefix_counts_wide<const N: usize>(
-        &self,
-        block: usize,
-        needle: u16,
-        offsets: [usize; N],
-    ) -> [u32; N] {
-        let lanes = lanes_of::<u16>(self.code_lines(block));
-        prefix_counts_scalar(lanes, self.span.head / 2, u16::MAX, needle, offsets)
-    }
-
     /// Hints the line of counter `lane`'s delta in `block`. Only a table
     /// whose delta row outgrows the block's first code line needs it;
     /// [`BlockStore::prefetch_block`] reaches that line anyway. Never
@@ -663,11 +639,6 @@ impl BlockStore {
     pub(crate) fn byte_lane_mut(&mut self, block: usize, offset: usize) -> &mut u8 {
         let index = self.code_base(block) + offset;
         &mut self.data.bytes_mut()[index]
-    }
-
-    /// The two-byte code lane `offset` rows into `block`.
-    pub(crate) fn half_lane(&self, block: usize, offset: usize) -> u16 {
-        self.data.halves()[self.code_base(block) / 2 + offset]
     }
 
     /// Heap bytes of the absolute superblock rows, of the per-block delta
@@ -816,18 +787,19 @@ fn prefix_counts_sse2<const MASK: u8, const N: usize>(
     counts
 }
 
-/// The portable rank kernel, over lanes of any width: for each of
-/// `offsets`, the lanes equal to `needle` under `mask` among
-/// `lanes[head .. head + offset]` (every caller passes a constant mask,
-/// and an all-ones one folds away). Like the SSE2 kernel it visits every
-/// lane and selects by comparison instead of by loop bound, so it has a
-/// fixed trip count and autovectorizes.
+/// The portable rank kernel: for each of `offsets`, the byte lanes equal
+/// to `needle` under `mask` among `lanes[head .. head + offset]` (every
+/// caller passes a constant mask, and an all-ones one folds away). Like
+/// the SSE2 kernel it visits every lane and selects by comparison instead
+/// of by loop bound, so it has a fixed trip count and autovectorizes. On
+/// x86-64 only the tests call it, to hold the SSE2 kernel to it.
+#[cfg(any(test, not(target_arch = "x86_64")))]
 #[inline]
-fn prefix_counts_scalar<T: Lane, const N: usize>(
-    lanes: &[T],
+fn prefix_counts_scalar<const N: usize>(
+    lanes: &[u8],
     head: usize,
-    mask: T,
-    needle: T,
+    mask: u8,
+    needle: u8,
     offsets: [usize; N],
 ) -> [u32; N] {
     debug_assert!(
@@ -1060,12 +1032,12 @@ mod tests {
     }
 
     /// A store over `buf` as it is: blocks of `block_lines` lines whose
-    /// code lanes start `header` bytes in and run for `code_bytes`.
+    /// code lanes start `header` bytes in and run for `codes` bytes.
     fn store_over(
         buf: AlignedWords,
         block_lines: usize,
         header: usize,
-        code_bytes: usize,
+        codes: usize,
     ) -> BlockStore {
         let block_words = block_lines * WORDS_PER_LINE;
         BlockStore {
@@ -1073,7 +1045,7 @@ mod tests {
             superblocks: AlignedWords::zeroed(0),
             lanes: 0,
             block_words,
-            span: CodeSpan::new(block_words, header, code_bytes),
+            span: CodeSpan::new(block_words, header, codes),
             len: 0,
             sample_rate: Divisor::new(1),
         }
@@ -1089,17 +1061,17 @@ mod tests {
     fn kernels_count_like_a_plain_scan<const MASK: u8>(flags: u8) {
         for (block_lines, header) in [(1, 0), (1, 10), (1, 20), (2, 18), (4, 0), (5, 63), (3, 130)]
         {
-            let code_bytes = block_lines * LINE_BYTES - header;
+            let span = block_lines * LINE_BYTES - header;
             let buf = noisy_buffer(3 * block_lines, flags);
-            let store = store_over(buf, block_lines, header, code_bytes);
+            let store = store_over(buf, block_lines, header, span);
             for block in 0..3 {
-                let codes = store.byte_lanes(block, code_bytes);
+                let codes = store.byte_lanes(block, span);
                 for needle in [0u8, 3] {
                     let scan = |n: usize| {
                         codes[..n].iter().filter(|&&c| c & MASK == needle).count() as u32
                     };
-                    for lo in (0..=code_bytes).step_by(7).chain([code_bytes]) {
-                        for hi in (lo..=code_bytes).step_by(5).chain([code_bytes]) {
+                    for lo in (0..=span).step_by(7).chain([span]) {
+                        for hi in (lo..=span).step_by(5).chain([span]) {
                             let expect = [scan(lo), scan(hi)];
                             assert_eq!(
                                 store.prefix_counts::<MASK, 2>(block, needle, [lo, hi]),
@@ -1118,7 +1090,7 @@ mod tests {
                         }
                     }
                     // One offset alone, at every lane.
-                    for offset in 0..=code_bytes {
+                    for offset in 0..=span {
                         for (kernel, got) in
                             store.prefix_counts_by_kernel::<MASK, 1>(block, needle, [offset])
                         {
@@ -1145,29 +1117,6 @@ mod tests {
         kernels_count_like_a_plain_scan::<0x07>(0x80);
         kernels_count_like_a_plain_scan::<0x07>(0xF8);
         kernels_count_like_a_plain_scan::<{ u8::MAX }>(0x80);
-    }
-
-    #[test]
-    fn wide_lanes_count_like_a_plain_scan() {
-        let mut buf = AlignedWords::zeroed(4 * WORDS_PER_LINE);
-        for (i, half) in buf.halves_mut().iter_mut().enumerate() {
-            *half = ((i * 7 + i / 3) % 5 + 300) as u16;
-        }
-        // Two blocks of two lines: 6 counter bytes, then 61 two-byte lanes.
-        let store = store_over(buf, 2, 6, 122);
-        for block in 0..2 {
-            let codes = &store.data.halves()[block * 64 + 3..block * 64 + 64];
-            for lo in 0..=61 {
-                for hi in lo..=61 {
-                    let scan = |n: usize| codes[..n].iter().filter(|&&c| c == 302).count() as u32;
-                    assert_eq!(
-                        store.prefix_counts_wide(block, 302, [lo, hi]),
-                        [scan(lo), scan(hi)],
-                        "block {block}, offsets {lo}..{hi}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

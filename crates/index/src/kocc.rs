@@ -5,7 +5,9 @@
 //! cyclically precede suffix `SA[i]`, packed into one code over the
 //! expanded alphabet of `4^k` base-only k-mers. Contexts that cross the
 //! sentinel cannot equal any query k-mer, so they all share a single
-//! out-of-alphabet code.
+//! out-of-alphabet code. The step width stops at [`MAX_STEP`] = 4, so a
+//! code is one byte in the table and the C-array over the expanded
+//! alphabet is at most 256 words (1 KiB).
 //!
 //! Rank is checkpointed every `96k` rows
 //! ([`crate::layout::k_occ_sample_rate`]) inside cache-line-aligned
@@ -40,9 +42,9 @@ use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError};
 /// ```
 ///
 /// padded so every block starts on a 64-byte cache-line boundary. Code
-/// lanes are one byte when `stride <= 256` and two bytes otherwise.
-/// Absolute rows live in a separate superblock array, one `stride`-word
-/// row per [`crate::layout::SUPERBLOCK_RATE`] blocks.
+/// lanes are one byte: `k` is at most [`MAX_STEP`] = 4, so every k-mer
+/// code is below 256. Absolute rows live in a separate superblock array,
+/// one `stride`-word row per [`crate::layout::SUPERBLOCK_RATE`] blocks.
 ///
 /// One wrinkle at `stride == 256` exactly: the sentinel-crossing marker
 /// code (`stride`) does not fit a one-byte lane. Those rows — at most
@@ -101,12 +103,11 @@ impl KmerOccTable {
                 exceptions.push(row as u32);
                 (0, 0)
             } else {
-                (c, c as usize)
+                // Below 256: the marker of every stride under 256 fits.
+                (c as u8, c as usize)
             }
         });
-        let code_bytes = if stride > 256 { 2 } else { 1 };
-        let (store, mut totals) =
-            BlockStore::build(stride, code_bytes, k_occ_sample_rate(k), rows)?;
+        let (store, mut totals) = BlockStore::build(stride, k_occ_sample_rate(k), rows)?;
         exceptions.shrink_to_fit();
         // `totals` answers rank(r, len) directly, so it stores *true*
         // counts: placeholders are not occurrences of code 0.
@@ -134,12 +135,6 @@ impl KmerOccTable {
         self.store.lanes()
     }
 
-    /// `true` iff code lanes are two bytes wide (`stride > 256`).
-    #[inline]
-    fn wide_codes(&self) -> bool {
-        self.stride() > 256
-    }
-
     /// The k-BWT code at row `i` (`stride` for sentinel-crossing contexts).
     ///
     /// # Panics
@@ -151,11 +146,7 @@ impl KmerOccTable {
             return self.stride() as u16;
         }
         let (block, offset) = self.store.split(i);
-        if self.wide_codes() {
-            self.store.half_lane(block, offset)
-        } else {
-            u16::from(self.store.byte_lane(block, offset))
-        }
+        u16::from(self.store.byte_lane(block, offset))
     }
 
     /// For each of `offsets`, the physical count of code `r` in rows
@@ -163,14 +154,11 @@ impl KmerOccTable {
     /// pass of the rank kernel over its code lanes.
     #[inline]
     fn block_ranks<const N: usize>(&self, block: usize, r: u16, offsets: [usize; N]) -> [u32; N] {
-        let below = if self.wide_codes() {
-            self.store.prefix_counts_wide(block, r, offsets)
-        } else {
-            // r < stride <= 256, and at stride 256 a code uses all eight
-            // bits of its lane: no mask.
-            self.store
-                .prefix_counts::<{ u8::MAX }, N>(block, r as u8, offsets)
-        };
+        // r < stride <= 256, and at stride 256 a code uses all eight bits
+        // of its lane: no mask.
+        let below = self
+            .store
+            .prefix_counts::<{ u8::MAX }, N>(block, r as u8, offsets);
         let checkpoint = self.store.checkpoint(block, r as usize);
         below.map(|count| checkpoint + count)
     }
@@ -315,7 +303,7 @@ mod tests {
 
     #[test]
     fn rank_matches_naive_across_widths_spacings_and_rates() {
-        // Every width, each at its own spacing: two blocks at k = 7, ten
+        // Every width, each at its own spacing: three blocks at k = 4, ten
         // at k = 1.
         for k in 1..=MAX_STEP {
             let codes = fixture(900, k);
@@ -455,21 +443,6 @@ mod tests {
             let occ = KmerOccTable::new(codes.clone(), k).unwrap();
             for (i, &c) in codes.iter().enumerate() {
                 assert_eq!(occ.code(i), c, "k {k}, position {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_strides_use_two_byte_code_lanes() {
-        // k = 5 (stride 1024) forces u16 lanes; markers store literally.
-        let codes: Vec<u16> = (0..1300).map(|i| (i * 37) % 1025).collect();
-        let occ = KmerOccTable::new(codes.clone(), 5).unwrap();
-        for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(occ.code(i), c, "position {i}");
-        }
-        for r in [0u16, 36, 1023] {
-            for (i, &rank) in naive_kranks(&codes, r).iter().enumerate() {
-                assert_eq!(occ.rank(r, i), rank, "code {r}, prefix {i}");
             }
         }
     }

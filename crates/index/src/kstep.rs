@@ -42,9 +42,12 @@ use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 use crate::text::PackedText;
 
-/// Largest supported step width: `4^7` codes still fit the `u16` k-BWT
-/// representation (the out-of-alphabet marker needs one extra value).
-pub const MAX_STEP: usize = 7;
+/// Largest supported step width: the `4^4` = 256 k-mer codes of k = 4
+/// are the most a one-byte code lane of the k-step table holds. Each wider
+/// step would double the table's heap or more (its checkpoint rows hold
+/// `4^k` counters) for no faster search. The k-BWT itself stays `u16`:
+/// k = 4's out-of-alphabet marker is 256.
+pub const MAX_STEP: usize = 4;
 
 /// What a k-step index build chooses: the step width and the
 /// strandedness. Everything else about the index is the one layout of

@@ -13,8 +13,9 @@
 //! assertion below proves that no superblock span can overflow its
 //! `u16` deltas, so the only way a build can fail is a text too long for
 //! `u32` row ids ([`IndexError`]). Beside the sampled tables a k-step
-//! index keeps two unsampled ones, the k-step C-array and the K-mer
-//! lookup table; they are one counting routine over the 2-bit text (see
+//! index keeps two unsampled ones, the k-step C-array (`4^k` words, 1 KiB
+//! at most) and the K-mer lookup table; they are one counting routine
+//! over the 2-bit text (see
 //! [`crate::KStepFmIndex::kstart`]), so neither is stored in a snapshot
 //! either. [`HeapBreakdown`] attributes an index's heap bytes to its
 //! components so benchmarks and the server STATS frame can report
@@ -93,7 +94,7 @@ pub const SUPERBLOCK_RATE: usize = 16;
 // The one overflow rule of the checkpoint format: a delta counts rows
 // since its superblock row, one a row at most, so a superblock span
 // within `u16` proves every delta fits whatever the text. The widest
-// span is the k-occ table's at `MAX_STEP`: 96 × 7 × 16 = 10 752 rows.
+// span is the k-occ table's at `MAX_STEP`: 96 × 4 × 16 = 6 144 rows.
 const _: () = assert!(
     OCC_SAMPLE_RATE * SUPERBLOCK_RATE <= u16::MAX as usize
         && k_occ_sample_rate(MAX_STEP) * SUPERBLOCK_RATE <= u16::MAX as usize,

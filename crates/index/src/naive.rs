@@ -55,11 +55,6 @@ pub fn occurrences_both(seq: &PackedSeq, pattern: &[Base]) -> Vec<u32> {
     hits
 }
 
-/// Number of strand-agnostic occurrences of `pattern` in `seq`.
-pub fn count_both(seq: &PackedSeq, pattern: &[Base]) -> usize {
-    occurrences_both(seq, pattern).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +127,9 @@ mod tests {
         let seq: PackedSeq = "ACGTAC".parse().unwrap();
         let p = parse_bases("AC").unwrap();
         let rc = crate::bidir::revcomp(&p);
-        assert_eq!(count_both(&seq, &p), count(&seq, &p) + count(&seq, &rc));
+        assert_eq!(
+            occurrences_both(&seq, &p).len(),
+            count(&seq, &p) + count(&seq, &rc)
+        );
     }
 }

@@ -75,10 +75,8 @@ impl OccTable {
     ///
     /// [`IndexError::IndexTooLarge`] if the BWT outgrows `u32` counters.
     pub fn new(bwt: &[Symbol]) -> Result<OccTable, IndexError> {
-        let rows = bwt
-            .iter()
-            .map(|s| (u16::from(s.code()), usize::from(s.code())));
-        let (store, totals) = BlockStore::build(HEADER_LANES, 1, OCC_SAMPLE_RATE, rows)?;
+        let rows = bwt.iter().map(|s| (s.code(), usize::from(s.code())));
+        let (store, totals) = BlockStore::build(HEADER_LANES, OCC_SAMPLE_RATE, rows)?;
         Ok(OccTable {
             store,
             totals: totals.try_into().expect("one total per symbol"),

@@ -8,9 +8,10 @@
 //! suffix array and the 2-bit text) together with the build (`k` and
 //! the strandedness — the layout is the constants of [`crate::layout`]),
 //! and a load replays the deterministic linear constructors over them.
-//! Neither the K-mer lookup table nor the expanded-alphabet C-array is
-//! stored: they are one counting routine over the text, run at K and at
-//! k, and a load runs it over the decoded text on a second thread while
+//! Neither the K-mer lookup table nor the expanded-alphabet C-array
+//! (`4^k` words, 1 KiB at most) is stored: they are one counting routine
+//! over the text, run at K and at k, and a load runs it over the decoded
+//! text on a second thread while
 //! the other three sections decode. That buys three guarantees for free:
 //! every structural invariant holds because the ordinary constructors
 //! enforce it, the [`AlignedWords`](crate::interleave::AlignedWords) placement —
@@ -44,7 +45,8 @@
 //! server answers by rebuilding.
 //!
 //! Sections, in order: `1` BWT (n one-byte symbol codes), `2` k-BWT
-//! codes (n u16 k-mer codes), `3` sampled suffix array (sample count
+//! codes (n u16 k-mer codes: k = 4's sentinel-crossing marker, 256, does
+//! not fit a byte), `3` sampled suffix array (sample count
 //! u64, then `⌈n/64⌉` mark words, then the u32 samples), `4` the text
 //! (`⌈n/32⌉` u64 words, base `i` in bits `2 (i mod 32)` of word `i / 32`,
 //! the sentinel and the padding behind it zero).
@@ -498,7 +500,7 @@ pub fn decode_snapshot(
     // just vouched for: it is `4 (4^K + 1)` bytes with `16 · 4^K ≤ n`
     // (two words when K is 0), at most `n / 4 + 8`, so no header can make
     // it ask for more than the file justifies; the C-array is `4^k` words,
-    // 64 KiB at most.
+    // 1 KiB at most.
     let (bwt_start, bwt_end) = sections[0];
     if bwt_end - bwt_start != n {
         return Err(malformed("bwt length"));

@@ -216,9 +216,11 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
     let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
     let pristine = encode_snapshot(&index);
     for (offset, value, field) in [
-        // Step widths the k-mer tables have no codes for: 4^k counters
-        // a row at k = 8 would be 64 Ki, at u32::MAX unbounded.
+        // Step widths the k-mer tables have no codes for: k = 5's codes
+        // outgrow a one-byte lane, and 4^k counters a row at k = 8 would
+        // be 64 Ki, at u32::MAX unbounded.
         (12, 0, "step width k"),
+        (12, 5, "step width k"),
         (12, 8, "step width k"),
         (12, u32::MAX, "step width k"),
         // A text length the sections do not hold. The K-mer table is

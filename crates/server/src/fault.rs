@@ -64,14 +64,6 @@ impl Fault {
     pub fn stalls(&self) -> bool {
         matches!(self, Fault::Stall { .. })
     }
-
-    /// Whether a byte-verified RESULTS frame can still be expected.
-    /// Only an untouched frame qualifies: a corrupted one may draw
-    /// ERROR, BUSY, or a perfectly framed answer to a *different*
-    /// question.
-    pub fn expects_results(&self) -> bool {
-        matches!(self, Fault::Deliver)
-    }
 }
 
 /// A seeded stream of [`Fault`] decisions. Identical `(seed, rate)`
@@ -179,14 +171,6 @@ mod tests {
 
     #[test]
     fn fault_predicates_partition_behaviors() {
-        assert!(Fault::Deliver.expects_results());
-        for fault in [
-            Fault::Truncate { keep: 3 },
-            Fault::Stall { keep: 3 },
-            Fault::Corrupt { offset: 0, mask: 1 },
-        ] {
-            assert!(!fault.expects_results());
-        }
         assert!(Fault::Truncate { keep: 3 }.disconnects());
         assert!(Fault::Stall { keep: 3 }.stalls());
         assert!(!Fault::Corrupt { offset: 0, mask: 1 }.disconnects());

@@ -48,7 +48,6 @@ OPTIONS:
     --k N                 step width of the index (default: 4)
     --bidirectional       index both strands (doubled text) so clients
                           can send strand-agnostic search-both queries
-    --threads N           sharded-engine worker threads (default: 1)
     --host HOST           bind address (default: 127.0.0.1)
     --port N              bind port, 0 = ephemeral (default: 7878)
     --queue-depth N       admission-queue capacity (default: 1024)
@@ -80,7 +79,6 @@ struct Args {
     seed: u64,
     k: usize,
     bidirectional: bool,
-    threads: usize,
     host: String,
     port: u16,
     snapshot_path: Option<PathBuf>,
@@ -94,7 +92,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
         seed: 42,
         k: 4,
         bidirectional: false,
-        threads: 1,
         host: "127.0.0.1".to_string(),
         port: 7878,
         snapshot_path: None,
@@ -109,7 +106,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Args>, String
             "--seed" => args.seed = parse_num(&value("--seed")?)?,
             "--k" => args.k = parse_num(&value("--k")?)?,
             "--bidirectional" => args.bidirectional = true,
-            "--threads" => args.threads = parse_num(&value("--threads")?)?,
             "--host" => args.host = value("--host")?,
             "--port" => args.port = parse_num(&value("--port")?)?,
             "--queue-depth" => args.config.queue_depth = parse_num(&value("--queue-depth")?)?,
@@ -253,7 +249,6 @@ fn run(args: &Args) -> ExitCode {
     };
     let builder = EngineBuilder::new()
         .k(args.k)
-        .threads(args.threads)
         .bidirectional(args.bidirectional);
 
     eprintln!(

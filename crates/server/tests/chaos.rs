@@ -10,128 +10,20 @@
 //! server spawned has been joined (a leak would hang `stop()` and fail
 //! the suite by timeout).
 
+mod common;
+
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use exma_engine::{EngineBuilder, QueryBatch, QueryRequest};
-use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_index::KStepFmIndex;
-use exma_server::wire::{self, FrameHeader, Opcode, HEADER_LEN};
-use exma_server::{FaultPlan, Server, ServerConfig, ServerHandle};
+use exma_genome::Base;
+use exma_server::wire::{self, Opcode};
+use exma_server::{FaultPlan, Server, ServerConfig};
 
-/// A bound server on its own thread. `stop()` performs the graceful
-/// drain and joins — it must complete even with clients still
-/// connected, which is itself the no-deadlock assertion.
-struct TestServer {
-    handle: ServerHandle,
-    thread: thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl TestServer {
-    fn start(index: Arc<KStepFmIndex>, builder: EngineBuilder, config: ServerConfig) -> TestServer {
-        let server = Server::bind("127.0.0.1:0", index, builder, config).expect("bind loopback");
-        let handle = server.handle().expect("local addr");
-        let thread = thread::spawn(move || server.run());
-        TestServer { handle, thread }
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().expect("server thread").expect("serve");
-    }
-}
-
-/// A blocking test client speaking one frame at a time.
-struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    fn connect(server: &TestServer) -> Client {
-        let stream = TcpStream::connect(server.handle.addr()).expect("connect loopback");
-        stream.set_nodelay(true).expect("set TCP_NODELAY");
-        Client { stream }
-    }
-
-    /// A v2 QUERY frame carrying `deadline_us` (0 = none).
-    fn send_query(&mut self, request_id: u64, deadline_us: u32, batch: &QueryBatch) {
-        let mut payload = Vec::new();
-        wire::encode_query_batch(batch, &mut payload).expect("encodable batch");
-        self.send_raw(&wire::query_frame(request_id, deadline_us, &payload));
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.stream.write_all(bytes).expect("write frame");
-    }
-
-    /// Reads one frame; `None` on a server-side close.
-    fn read_frame(&mut self) -> Option<(FrameHeader, Vec<u8>)> {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        let mut filled = 0;
-        while filled < HEADER_LEN {
-            match self.stream.read(&mut header_bytes[filled..]) {
-                Ok(0) => return None,
-                Ok(n) => filled += n,
-                Err(_) => return None,
-            }
-        }
-        let header =
-            wire::decode_header(&header_bytes, usize::MAX).expect("server frames well-formed");
-        let mut payload = vec![0u8; header.payload_len as usize];
-        self.stream.read_exact(&mut payload).ok()?;
-        Some((header, payload))
-    }
-
-    fn stats_snapshot(&mut self, request_id: u64) -> wire::StatsSnapshot {
-        self.send_raw(&wire::frame(Opcode::Stats, request_id, &[]));
-        let (header, payload) = self.read_frame().expect("stats reply");
-        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::StatsReply));
-        wire::decode_stats(&payload).expect("stats payload")
-    }
-}
-
-fn toy_genome() -> Genome {
-    Genome::synthesize(&GenomeProfile::toy(), 42)
-}
-
-/// A mixed-op batch in the property suites' style.
-fn mixed_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
-    let mut rng = SeededRng::new(seed);
-    let mut batch = QueryBatch::new();
-    for i in 0..total {
-        let pattern: Vec<Base> = if i % 17 == 0 {
-            Vec::new()
-        } else {
-            let len = rng.range(1, 30);
-            if i % 2 == 0 {
-                let start = rng.range(0, genome.len() - len + 1);
-                genome.seq().slice(start, len)
-            } else {
-                (0..len).map(|_| rng.base()).collect()
-            }
-        };
-        match i % 4 {
-            0 => batch.push(QueryRequest::Count, pattern),
-            1 => batch.push(QueryRequest::locate(), pattern),
-            2 => batch.push(QueryRequest::locate_capped(rng.range(0, 8) as u32), pattern),
-            _ => batch.push(QueryRequest::Interval, pattern),
-        }
-    }
-    batch
-}
-
-/// The byte-exact RESULTS payload a direct executor run produces.
-fn expected_payload(builder: &EngineBuilder, index: &KStepFmIndex, batch: &QueryBatch) -> Vec<u8> {
-    let engine = builder.attach(index).expect("attach oracle");
-    let (results, _) = engine.run(batch);
-    let mut payload = Vec::new();
-    wire::encode_results_range(&results, 0, results.len(), &mut payload);
-    payload
-}
+use common::{expected_payload, mixed_batch, toy_genome, Client, TestServer};
 
 #[test]
 fn expired_submissions_answer_late_without_an_engine_run() {
@@ -145,7 +37,7 @@ fn expired_submissions_answer_late_without_an_engine_run() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     let batch = mixed_batch(&genome, 12, 1);
     client.send_query(1, 1_000, &batch);
@@ -188,7 +80,7 @@ fn server_deadline_ceiling_applies_to_deadline_free_clients() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // The client asked for no deadline at all; the server's ceiling
     // still sheds it once the linger window outlives 1 ms.
@@ -207,7 +99,7 @@ fn v1_frames_are_refused_by_version_and_the_stream_closes() {
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // A well-formed QUERY frame stamped version 1: the server speaks
     // only version 2, so the header cannot be trusted to frame what
@@ -223,7 +115,7 @@ fn v1_frames_are_refused_by_version_and_the_stream_closes() {
     let message = String::from_utf8(payload).expect("UTF-8 error message");
     assert!(message.contains("version 1"), "{message}");
     assert!(client.read_frame().is_none(), "stream stayed open");
-    let stats = Client::connect(&server).stats_snapshot(8);
+    let stats = Client::connect(server.addr()).stats_snapshot(8);
     assert_eq!(stats.errors, 1);
     assert_eq!(stats.queries_executed, 0);
     drop(client);
@@ -242,7 +134,7 @@ fn shutdown_drains_in_flight_work_and_goaways_new_queries() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     let batch = mixed_batch(&genome, 25, 4);
     client.send_query(1, 0, &batch);
@@ -308,14 +200,14 @@ fn slow_readers_are_shed_and_disconnected_not_buffered() {
     // kernel's socket buffers can absorb. The victim never reads: the
     // buffers fill, the writer blocks, the one-slot queue fills, and
     // the next route send sheds.
-    let mut victim = Client::connect(&server);
+    let mut victim = Client::connect(server.addr());
     let heavy = QueryBatch::uniform(QueryRequest::locate(), vec![Vec::<Base>::new(); 20]);
     for id in 0..40u64 {
         victim.send_query(id, 0, &heavy);
     }
 
     // Healthy clients keep verifying byte-exactly while the victim rots.
-    let mut healthy = Client::connect(&server);
+    let mut healthy = Client::connect(server.addr());
     let batch = mixed_batch(&genome, 15, 5);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -358,7 +250,7 @@ fn injected_faults_never_disturb_healthy_clients() {
             let genome = &genome;
             let index = &index;
             scope.spawn(move || {
-                let mut client = Client::connect(server);
+                let mut client = Client::connect(server.addr());
                 for round in 0..12u64 {
                     let batch = mixed_batch(genome, 20, client_id * 100 + round);
                     let id = (client_id << 32) | round;
@@ -389,7 +281,7 @@ fn injected_faults_never_disturb_healthy_clients() {
                 wire::encode_query_batch(&batch, &mut payload).expect("encodable");
                 let frame = wire::query_frame(i, 0, &payload);
                 let fault = plan.decide(frame.len());
-                let mut chaos = Client::connect(server_ref);
+                let mut chaos = Client::connect(server_ref.addr());
                 let _ = chaos.stream.write_all(&fault.wire_bytes(&frame));
                 if fault.stalls() {
                     stalled.push(chaos); // park it for the reaper
@@ -425,7 +317,7 @@ fn injected_faults_never_disturb_healthy_clients() {
     });
 
     // The storm reaped stalls and the server is still fully coherent.
-    let mut probe = Client::connect(&server);
+    let mut probe = Client::connect(server.addr());
     let stats = probe.stats_snapshot(999);
     assert!(
         stats.conns_reaped >= 1,
@@ -456,7 +348,7 @@ fn partial_writes_and_short_reads_hit_typed_wire_errors() {
     // A header split across three TCP segments with pauses between
     // them must reassemble into a normal byte-exact response — the
     // poll-read path cannot mistake a slow segment for a torn frame.
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
     let batch = mixed_batch(&genome, 10, 6);
     let mut payload = Vec::new();
     wire::encode_query_batch(&batch, &mut payload).expect("encodable");
@@ -474,7 +366,7 @@ fn partial_writes_and_short_reads_hit_typed_wire_errors() {
     // payload_len larger than the stream ever delivers: the reader
     // waits, the idle timeout reaps, the client sees EOF — and the
     // reap is counted.
-    let mut short = Client::connect(&server);
+    let mut short = Client::connect(server.addr());
     short.send_raw(&wire::encode_header(Opcode::Stats, 8, 64));
     short.send_raw(&[0u8; 10]); // 54 promised bytes never arrive
     let mut byte = [0u8; 1];
@@ -487,11 +379,11 @@ fn partial_writes_and_short_reads_hit_typed_wire_errors() {
 
     // A header truncated by a hangup (partial write then close) kills
     // only that connection.
-    let mut torn = Client::connect(&server);
+    let mut torn = Client::connect(server.addr());
     torn.send_raw(&wire::encode_header(Opcode::Query, 9, 4)[..7]);
     drop(torn);
 
-    let mut probe = Client::connect(&server);
+    let mut probe = Client::connect(server.addr());
     let stats = probe.stats_snapshot(999);
     assert!(stats.conns_reaped >= 1, "short read was not reaped");
     probe.send_query(10, 0, &batch);
@@ -514,7 +406,7 @@ fn busy_storm_answers_every_frame_and_recovers() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // A burst far past the 1-slot queue: every frame must draw either
     // RESULTS or BUSY — nothing dropped silently, no disconnect.
@@ -568,7 +460,7 @@ fn stats_opcode_survives_the_fault_storm() {
         // connection can never bleed into this one.
         let server_ref = &server;
         scope.spawn(move || {
-            let mut monitor = Client::connect(server_ref);
+            let mut monitor = Client::connect(server_ref.addr());
             let mut last = monitor.stats_snapshot(0);
             for round in 1..=12u64 {
                 thread::sleep(Duration::from_millis(25));
@@ -608,7 +500,7 @@ fn stats_opcode_survives_the_fault_storm() {
             for i in 0..40u64 {
                 let frame = wire::frame(Opcode::Stats, i, &[]);
                 let fault = plan.decide(frame.len());
-                let mut chaos = Client::connect(server_ref);
+                let mut chaos = Client::connect(server_ref.addr());
                 let _ = chaos.stream.write_all(&fault.wire_bytes(&frame));
                 if fault.stalls() {
                     stalled.push(chaos); // park it for the reaper
@@ -621,7 +513,7 @@ fn stats_opcode_survives_the_fault_storm() {
             }
             // A STATS frame towing an unexpected payload still answers
             // (the payload is ignored), rather than wedging the reader.
-            let mut junk = Client::connect(server_ref);
+            let mut junk = Client::connect(server_ref.addr());
             junk.send_raw(&wire::frame(Opcode::Stats, 999, b"junk payload"));
             let (header, payload) = junk.read_frame().expect("stats reply to junk");
             assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::StatsReply));
@@ -635,7 +527,7 @@ fn stats_opcode_survives_the_fault_storm() {
 
     // Post-storm coherence: STATS still serves, and so do queries,
     // byte-verified.
-    let mut probe = Client::connect(&server);
+    let mut probe = Client::connect(server.addr());
     let stats = probe.stats_snapshot(5000);
     assert!(stats.connections >= 40, "storm connections unaccounted");
     let batch = mixed_batch(&genome, 10, 91);
@@ -666,9 +558,7 @@ fn concurrent_shutdowns_are_idempotent_and_join_cleanly() {
 
     // Traffic before the race, so the drain has a live connection and
     // verified in-flight state to finish.
-    let mut client = Client {
-        stream: TcpStream::connect(addr).expect("connect loopback"),
-    };
+    let mut client = Client::connect(addr);
     let batch = mixed_batch(&genome, 20, 17);
     client.send_query(1, 0, &batch);
     let (header, payload) = client.read_frame().expect("pre-drain results");
@@ -724,7 +614,7 @@ fn pipelining_connections_get_one_terminal_frame_per_request() {
             .map(|c| {
                 let (server, genome, index, barrier) = (&server, &genome, &index, &barrier);
                 scope.spawn(move || {
-                    let mut client = Client::connect(server);
+                    let mut client = Client::connect(server.addr());
                     let batches: Vec<QueryBatch> = (0..FRAMES)
                         .map(|i| mixed_batch(genome, 5, c * 1000 + i))
                         .collect();
@@ -769,7 +659,7 @@ fn pipelining_connections_get_one_terminal_frame_per_request() {
     assert!(results >= 1, "nothing was admitted");
     assert!(busy >= 1, "a 2-slot queue never filled");
 
-    let mut probe = Client::connect(&server);
+    let mut probe = Client::connect(server.addr());
     let stats = probe.stats_snapshot(999);
     assert_eq!(stats.submissions_admitted, results);
     assert_eq!(stats.submissions_busy, busy);
@@ -790,8 +680,8 @@ fn shutdown_waits_for_the_run_a_leader_is_inside() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
-    let mut probe = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
+    let mut probe = Client::connect(server.addr());
 
     // Forty uncapped empty-pattern locates resolve the whole text forty
     // times over: a run long enough for the drain to land inside it.

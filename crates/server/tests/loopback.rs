@@ -4,133 +4,20 @@
 //! batches, continuous batching, backpressure, and every rejection
 //! path (malformed, truncated, oversized frames).
 
+mod common;
+
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use exma_engine::{EngineBuilder, QueryBatch, QueryRequest};
-use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_index::KStepFmIndex;
-use exma_server::wire::{self, FrameHeader, Opcode, HEADER_LEN};
-use exma_server::{Server, ServerConfig, ServerHandle};
+use exma_genome::Base;
+use exma_server::wire::{self, Opcode};
+use exma_server::ServerConfig;
 
-/// A bound server running on its own thread, torn down explicitly.
-struct TestServer {
-    handle: ServerHandle,
-    thread: thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl TestServer {
-    fn start(index: Arc<KStepFmIndex>, builder: EngineBuilder, config: ServerConfig) -> TestServer {
-        let server = Server::bind("127.0.0.1:0", index, builder, config).expect("bind loopback");
-        let handle = server.handle().expect("local addr");
-        let thread = thread::spawn(move || server.run());
-        TestServer { handle, thread }
-    }
-
-    /// Stops the accept loop and joins; callers drop their clients
-    /// first so the batcher can drain.
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().expect("server thread").expect("serve");
-    }
-}
-
-/// A blocking test client speaking one frame at a time.
-struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    fn connect(server: &TestServer) -> Client {
-        let stream = TcpStream::connect(server.handle.addr()).expect("connect loopback");
-        stream.set_nodelay(true).expect("set TCP_NODELAY");
-        Client { stream }
-    }
-
-    fn send_query(&mut self, request_id: u64, batch: &QueryBatch) {
-        let mut payload = Vec::new();
-        wire::encode_query_batch(batch, &mut payload).expect("encodable batch");
-        self.send_raw(&wire::frame(Opcode::Query, request_id, &payload));
-    }
-
-    fn send_stats(&mut self, request_id: u64) {
-        self.send_raw(&wire::frame(Opcode::Stats, request_id, &[]));
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.stream.write_all(bytes).expect("write frame");
-    }
-
-    /// Reads one frame; `None` on a server-side close.
-    fn read_frame(&mut self) -> Option<(FrameHeader, Vec<u8>)> {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        let mut filled = 0;
-        while filled < HEADER_LEN {
-            match self.stream.read(&mut header_bytes[filled..]) {
-                Ok(0) => return None,
-                Ok(n) => filled += n,
-                Err(_) => return None,
-            }
-        }
-        let header =
-            wire::decode_header(&header_bytes, usize::MAX).expect("server frames well-formed");
-        let mut payload = vec![0u8; header.payload_len as usize];
-        self.stream.read_exact(&mut payload).expect("payload");
-        Some((header, payload))
-    }
-
-    fn stats_snapshot(&mut self, request_id: u64) -> wire::StatsSnapshot {
-        self.send_stats(request_id);
-        let (header, payload) = self.read_frame().expect("stats reply");
-        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::StatsReply));
-        assert_eq!(header.request_id, request_id);
-        wire::decode_stats(&payload).expect("stats payload")
-    }
-}
-
-fn toy_genome() -> Genome {
-    Genome::synthesize(&GenomeProfile::toy(), 42)
-}
-
-/// A mixed-op batch in the property suites' style: counts, capped and
-/// uncapped locates, intervals, hit and miss and empty patterns.
-fn mixed_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
-    let mut rng = SeededRng::new(seed);
-    let mut batch = QueryBatch::new();
-    for i in 0..total {
-        let pattern: Vec<Base> = if i % 17 == 0 {
-            Vec::new()
-        } else {
-            let len = rng.range(1, 30);
-            if i % 2 == 0 {
-                let start = rng.range(0, genome.len() - len + 1);
-                genome.seq().slice(start, len)
-            } else {
-                (0..len).map(|_| rng.base()).collect()
-            }
-        };
-        match i % 4 {
-            0 => batch.push(QueryRequest::Count, pattern),
-            1 => batch.push(QueryRequest::locate(), pattern),
-            2 => batch.push(QueryRequest::locate_capped(rng.range(0, 8) as u32), pattern),
-            _ => batch.push(QueryRequest::Interval, pattern),
-        }
-    }
-    batch
-}
-
-/// The byte-exact RESULTS payload a direct executor run produces.
-fn expected_payload(builder: &EngineBuilder, index: &KStepFmIndex, batch: &QueryBatch) -> Vec<u8> {
-    let engine = builder.attach(index).expect("attach oracle");
-    let (results, _) = engine.run(batch);
-    let mut payload = Vec::new();
-    wire::encode_results_range(&results, 0, results.len(), &mut payload);
-    payload
-}
+use common::{expected_payload, mixed_batch, toy_genome, Client, TestServer};
 
 #[test]
 fn concurrent_clients_get_byte_exact_executor_results() {
@@ -145,12 +32,12 @@ fn concurrent_clients_get_byte_exact_executor_results() {
             let genome = &genome;
             let index = &index;
             scope.spawn(move || {
-                let mut client = Client::connect(server);
+                let mut client = Client::connect(server.addr());
                 for round in 0..5u64 {
                     let seed = client_id * 100 + round;
                     let batch = mixed_batch(genome, 40, seed);
                     let request_id = (client_id << 32) | round;
-                    client.send_query(request_id, &batch);
+                    client.send_query(request_id, 0, &batch);
                     let (header, payload) = client.read_frame().expect("response");
                     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
                     assert_eq!(header.request_id, request_id);
@@ -166,7 +53,7 @@ fn concurrent_clients_get_byte_exact_executor_results() {
 
     // Everything the clients sent was admitted and executed; the
     // coalescing counters stay consistent with the run count.
-    let mut probe = Client::connect(&server);
+    let mut probe = Client::connect(server.addr());
     let stats = probe.stats_snapshot(999);
     assert_eq!(stats.submissions_admitted, 20);
     assert_eq!(stats.queries_executed, 20 * 40);
@@ -197,7 +84,7 @@ fn malformed_payloads_answer_error_and_keep_the_connection() {
     let builder = EngineBuilder::new().k(2);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // A pattern byte outside the 2-bit alphabet: typed rejection, id
     // echoed, stream still in sync.
@@ -229,7 +116,7 @@ fn malformed_payloads_answer_error_and_keep_the_connection() {
 
     // The same connection still answers real queries byte-exactly.
     let batch = mixed_batch(&genome, 10, 5);
-    client.send_query(10, &batch);
+    client.send_query(10, 0, &batch);
     let (header, payload) = client.read_frame().expect("results after errors");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(payload, expected_payload(&builder, &index, &batch));
@@ -253,7 +140,7 @@ fn bad_magic_and_oversized_frames_close_the_connection() {
 
     // Garbage magic: one ERROR frame, then EOF — the stream cannot be
     // re-synchronized, so the server hangs up.
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
     let mut frame = wire::frame(Opcode::Query, 1, &[0, 0, 0, 0]);
     frame[0] = 0xAA;
     client.send_raw(&frame);
@@ -268,7 +155,7 @@ fn bad_magic_and_oversized_frames_close_the_connection() {
 
     // A length prefix over the frame cap is refused before any payload
     // is read — no 4 GiB allocation on a hostile header.
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
     client.send_raw(&wire::encode_header(Opcode::Query, 2, 1 << 30));
     let (header, payload) = client.read_frame().expect("error frame");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Error));
@@ -282,14 +169,14 @@ fn bad_magic_and_oversized_frames_close_the_connection() {
     // A truncated frame (header promises more than the peer sends)
     // must not wedge the server: the victim connection dies quietly
     // and fresh connections still work.
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
     client.send_raw(&wire::encode_header(Opcode::Query, 3, 100));
     client.send_raw(&[0u8; 10]); // then hang up mid-payload
     drop(client);
 
-    let mut healthy = Client::connect(&server);
+    let mut healthy = Client::connect(server.addr());
     let batch = mixed_batch(&genome, 8, 3);
-    healthy.send_query(4, &batch);
+    healthy.send_query(4, 0, &batch);
     let (header, payload) = healthy.read_frame().expect("results");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(payload, expected_payload(&builder, &index, &batch));
@@ -312,13 +199,13 @@ fn full_admission_queue_answers_busy_not_buffering() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     let slow = QueryBatch::uniform(QueryRequest::locate(), vec![Vec::<Base>::new(); 60]);
-    client.send_query(0, &slow);
+    client.send_query(0, 0, &slow);
     let quick = QueryBatch::new().count(genome.seq().slice(0, 8));
     for id in 1..=9u64 {
-        client.send_query(id, &quick);
+        client.send_query(id, 0, &quick);
     }
 
     let mut outcomes: HashMap<u64, Opcode> = HashMap::new();
@@ -367,9 +254,9 @@ fn linger_window_coalesces_concurrent_submissions() {
             let genome = &genome;
             let index = &index;
             scope.spawn(move || {
-                let mut client = Client::connect(server);
+                let mut client = Client::connect(server.addr());
                 let batch = mixed_batch(genome, 10, client_id);
-                client.send_query(client_id, &batch);
+                client.send_query(client_id, 0, &batch);
                 let (header, payload) = client.read_frame().expect("response");
                 assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
                 assert_eq!(payload, expected_payload(&builder, index, &batch));
@@ -377,7 +264,7 @@ fn linger_window_coalesces_concurrent_submissions() {
         }
     });
 
-    let mut probe = Client::connect(&server);
+    let mut probe = Client::connect(server.addr());
     let stats = probe.stats_snapshot(999);
     assert_eq!(stats.submissions_admitted, 6);
     // Six near-simultaneous one-batch clients against a 150 ms linger
@@ -400,7 +287,7 @@ fn bidirectional_server_answers_search_both_byte_exactly() {
     let builder = EngineBuilder::new().k(4).bidirectional(true);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // SearchBoth interleaved with the plain operations: forward
     // windows, reverse-complement windows (a client that never
@@ -416,7 +303,7 @@ fn bidirectional_server_answers_search_both_byte_exactly() {
         .search_both_capped(&frequent, 5)
         .count(&window)
         .locate_capped(&window, 8);
-    client.send_query(21, &batch);
+    client.send_query(21, 0, &batch);
     let (header, payload) = client.read_frame().expect("results");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(header.request_id, 21);
@@ -461,13 +348,13 @@ fn forward_only_server_refuses_search_both_and_keeps_the_connection() {
     let builder = EngineBuilder::new().k(4);
     let index = Arc::new(builder.build_index(&genome.text_with_sentinel()).unwrap());
     let server = TestServer::start(Arc::clone(&index), builder, ServerConfig::default());
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // A kind-3 query against a forward-only index would return
     // deterministic nonsense — the server must refuse it at the
     // payload level instead, like a bad kind byte.
     let window = genome.seq().slice(100, 24);
-    client.send_query(31, &QueryBatch::new().search_both(&window));
+    client.send_query(31, 0, &QueryBatch::new().search_both(&window));
     let (header, payload) = client.read_frame().expect("error reply");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Error));
     assert_eq!(header.request_id, 31);
@@ -477,7 +364,7 @@ fn forward_only_server_refuses_search_both_and_keeps_the_connection() {
     // Payload-level rejection: the connection survives and plain
     // queries on it still answer byte-exactly.
     let batch = mixed_batch(&genome, 12, 7);
-    client.send_query(32, &batch);
+    client.send_query(32, 0, &batch);
     let (header, payload) = client.read_frame().expect("results");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(header.request_id, 32);
@@ -501,7 +388,7 @@ fn max_hits_ceiling_caps_every_locate() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
 
     // An uncapped locate of a 1-base pattern has thousands of hits;
     // under the ceiling the server must answer as if the client had
@@ -516,7 +403,7 @@ fn max_hits_ceiling_caps_every_locate() {
         .locate_capped(&frequent, 3)
         .locate_capped(&frequent, 2)
         .count(&frequent);
-    client.send_query(1, &sent);
+    client.send_query(1, 0, &sent);
     let (header, payload) = client.read_frame().expect("results");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(payload, expected_payload(&builder, &index, &clamped));
@@ -562,7 +449,7 @@ fn a_pipelined_burst_on_one_connection_is_one_engine_run() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(Arc::clone(&index), builder, config);
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.addr());
     let before = client.stats_snapshot(1000);
 
     // Sixteen small frames in a single write: the reader admits every
@@ -603,7 +490,7 @@ fn a_pipelined_burst_on_one_connection_is_one_engine_run() {
     assert!(after.batches_run - before.batches_run < 16);
 
     // A frame of zero queries, alone in its batch, is still answered.
-    client.send_query(2000, &QueryBatch::new());
+    client.send_query(2000, 0, &QueryBatch::new());
     let (header, payload) = client.read_frame().expect("empty results");
     assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
     assert_eq!(header.request_id, 2000);

@@ -10,8 +10,9 @@
 //! `snapshot_loaded`/`snapshot_rejected` truthfully, and SIGTERM —
 //! even racing a second SIGTERM — drains to exit code 0.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+mod common;
+
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,9 +21,11 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use exma_engine::{EngineBuilder, QueryBatch, QueryRequest};
-use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_server::wire::{self, FrameHeader, Opcode, HEADER_LEN};
+use exma_engine::{EngineBuilder, QueryBatch};
+use exma_genome::{Genome, GenomeProfile};
+use exma_server::wire;
+
+use common::{mixed_batch, Client};
 
 const SIGTERM: i32 = 15;
 
@@ -129,85 +132,12 @@ fn startup_ms(startup: &str) -> f64 {
         .unwrap_or_else(|| panic!("unparseable startup suffix {startup:?}"))
 }
 
-/// A blocking one-frame-at-a-time client, as in the loopback suites.
-struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to server process");
-        stream.set_nodelay(true).expect("set TCP_NODELAY");
-        Client { stream }
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.stream.write_all(bytes).expect("write frame");
-    }
-
-    fn read_frame(&mut self) -> (FrameHeader, Vec<u8>) {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        self.stream
-            .read_exact(&mut header_bytes)
-            .expect("frame header");
-        let header =
-            wire::decode_header(&header_bytes, usize::MAX).expect("server frames well-formed");
-        let mut payload = vec![0u8; header.payload_len as usize];
-        self.stream.read_exact(&mut payload).expect("frame payload");
-        (header, payload)
-    }
-
-    /// Runs `batch` and returns the raw RESULTS payload bytes.
-    fn results_payload(&mut self, request_id: u64, batch: &QueryBatch) -> Vec<u8> {
-        let mut payload = Vec::new();
-        wire::encode_query_batch(batch, &mut payload).expect("encodable batch");
-        self.send_raw(&wire::query_frame(request_id, 0, &payload));
-        let (header, payload) = self.read_frame();
-        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::Results));
-        assert_eq!(header.request_id, request_id);
-        payload
-    }
-
-    fn stats(&mut self, request_id: u64) -> wire::StatsSnapshot {
-        self.send_raw(&wire::frame(Opcode::Stats, request_id, &[]));
-        let (header, payload) = self.read_frame();
-        assert_eq!(Opcode::from_byte(header.opcode), Ok(Opcode::StatsReply));
-        wire::decode_stats(&payload).expect("stats payload")
-    }
-}
-
 /// The genome the spawned servers synthesize (`--profile toy --len
 /// 120000`, default seed), for building oracle batches and indexes.
 fn server_genome() -> Genome {
     let mut profile = GenomeProfile::toy();
     profile.len = 120_000;
     Genome::synthesize(&profile, 42)
-}
-
-/// A mixed-op batch in the loopback suites' style.
-fn mixed_batch(genome: &Genome, total: usize, seed: u64) -> QueryBatch {
-    let mut rng = SeededRng::new(seed);
-    let mut batch = QueryBatch::new();
-    for i in 0..total {
-        let pattern: Vec<Base> = if i % 17 == 0 {
-            Vec::new()
-        } else {
-            let len = rng.range(1, 30);
-            if i % 2 == 0 {
-                let start = rng.range(0, genome.len() - len + 1);
-                genome.seq().slice(start, len)
-            } else {
-                (0..len).map(|_| rng.base()).collect()
-            }
-        };
-        match i % 4 {
-            0 => batch.push(QueryRequest::Count, pattern),
-            1 => batch.push(QueryRequest::locate(), pattern),
-            2 => batch.push(QueryRequest::locate_capped(rng.range(0, 8) as u32), pattern),
-            _ => batch.push(QueryRequest::Interval, pattern),
-        }
-    }
-    batch
 }
 
 #[test]
@@ -232,7 +162,7 @@ fn warm_restart_skips_the_rebuild_and_serves_identical_bytes() {
         .enumerate()
         .map(|(i, b)| client.results_payload(i as u64, b))
         .collect();
-    let stats = client.stats(50);
+    let stats = client.stats_snapshot(50);
     assert_eq!(stats.snapshot_loaded, 0, "cold start claimed a load");
     assert_eq!(stats.snapshot_rejected, 0);
     let cold_heap = stats.heap_total;
@@ -264,7 +194,7 @@ fn warm_restart_skips_the_rebuild_and_serves_identical_bytes() {
             "warm batch #{i} diverged from the cold server"
         );
     }
-    let stats = client.stats(150);
+    let stats = client.stats_snapshot(150);
     assert_eq!(stats.snapshot_loaded, 1, "warm start not counted");
     assert_eq!(stats.snapshot_rejected, 0);
     assert_eq!(
@@ -320,7 +250,7 @@ fn corrupted_snapshot_is_rejected_and_the_rebuild_still_serves() {
     let mut expected = Vec::new();
     wire::encode_results_range(&results, 0, results.len(), &mut expected);
     assert_eq!(payload, expected, "fallback rebuild served wrong bytes");
-    let stats = client.stats(2);
+    let stats = client.stats_snapshot(2);
     assert_eq!(stats.snapshot_rejected, 1, "rejection not counted");
     assert_eq!(stats.snapshot_loaded, 0);
     drop(client);
@@ -374,7 +304,7 @@ fn a_snapshot_of_another_reference_is_rejected_and_rebuilt() {
         expected,
         "the rebuild did not serve the seed-43 genome"
     );
-    let stats = client.stats(2);
+    let stats = client.stats_snapshot(2);
     assert_eq!(stats.snapshot_rejected, 1, "rejection not counted");
     assert_eq!(stats.snapshot_loaded, 0);
     drop(client);
@@ -401,7 +331,7 @@ fn a_snapshot_of_another_reference_is_rejected_and_rebuilt() {
         "a 120 kbp snapshot warm-started a 100 kbp server: {:?}",
         shorter.startup
     );
-    let stats = Client::connect(&shorter.addr).stats(3);
+    let stats = Client::connect(&shorter.addr).stats_snapshot(3);
     assert_eq!(stats.snapshot_rejected, 1, "rejection not counted");
     assert_eq!(stats.snapshot_loaded, 0);
     let stderr = shorter.terminate();
