@@ -29,26 +29,6 @@ pub fn bwt_from_sa(text: &[Symbol], sa: &[u32]) -> Vec<Symbol> {
         .collect()
 }
 
-/// The inverse permutation of the suffix array: `isa[sa[i]] = i`.
-///
-/// Used by the LISA IP-BWT construction, where each entry needs the matrix
-/// row of the rotation starting `k` positions later.
-///
-/// # Panics
-///
-/// Panics if `sa` is not a permutation of `0..sa.len()`.
-pub fn inverse_suffix_array(sa: &[u32]) -> Vec<u32> {
-    let mut isa = vec![u32::MAX; sa.len()];
-    for (row, &pos) in sa.iter().enumerate() {
-        assert!(
-            (pos as usize) < sa.len() && isa[pos as usize] == u32::MAX,
-            "suffix array is not a permutation"
-        );
-        isa[pos as usize] = row as u32;
-    }
-    isa
-}
-
 /// The `Count` table over the 5-symbol alphabet `{$, A, C, G, T}`.
 ///
 /// `Count(s)` is the number of symbols in the text strictly smaller than `s`
@@ -152,16 +132,6 @@ mod tests {
         let total: u64 = SYMBOL_ALPHABET.iter().map(|&s| table.frequency(s)).sum();
         assert_eq!(total, text.len() as u64);
         assert_eq!(table.text_len(), text.len() as u64);
-    }
-
-    #[test]
-    fn inverse_sa_round_trip() {
-        let text = text_from_str("ACGTTGCAACG").unwrap();
-        let sa = suffix_array(&text);
-        let isa = inverse_suffix_array(&sa);
-        for (row, &pos) in sa.iter().enumerate() {
-            assert_eq!(isa[pos as usize] as usize, row);
-        }
     }
 
     #[test]

@@ -142,13 +142,12 @@ impl KStepFmIndex {
             "k must be in 1..={MAX_STEP}, got {k}"
         );
         let n = text.len();
+        // Each n-sized temporary is freed after its last reader: the BWT
+        // inside the 1-step table's statement, the suffix array before the
+        // k-step table is allocated.
         let sa = suffix_array(text);
-        let bwt = bwt_from_sa(text, &sa);
-        let base = FmIndex::from_parts(
-            count_table(text),
-            OccTable::new(&bwt)?,
-            SampledSuffixArray::new(&sa),
-        );
+        let occ = OccTable::new(&bwt_from_sa(text, &sa))?;
+        let base = FmIndex::from_parts(count_table(text), occ, SampledSuffixArray::new(&sa));
 
         // k-BWT: the k symbols cyclically preceding each suffix, packed into
         // a code over the 4^k expanded alphabet; contexts containing the
@@ -171,6 +170,7 @@ impl KStepFmIndex {
                 code as u16
             })
             .collect();
+        drop(sa);
         let kocc = KmerOccTable::new(codes, k)?;
 
         let text = PackedText::from_symbols(text);

@@ -79,7 +79,7 @@
 //!
 //! # Crash-safe writes
 //!
-//! [`write_snapshot`] writes the full image to `path.tmp`, fsyncs it,
+//! [`write_snapshot`] streams the image to `path.tmp`, fsyncs it,
 //! atomically renames it over `path`, and fsyncs the directory: a crash
 //! at any point leaves either the old snapshot or the new one, never a
 //! torn file at `path`. A torn `path.tmp` that somehow gets renamed by
@@ -87,7 +87,7 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use exma_genome::{count_table, Base, Symbol};
@@ -228,8 +228,14 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// step through the eight slicing tables, then the last `len % 8` one
 /// at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Folds `bytes` into a running CRC32 state: a checksum over several
+/// writes starts from `!0`, and its value is the final state inverted.
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let mut c = state;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes")) ^ u64::from(c);
@@ -241,7 +247,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
@@ -266,88 +272,139 @@ fn malformed(field: &'static str) -> SnapshotError {
     SnapshotError::Malformed { field }
 }
 
-/// Serializes `index` into its snapshot image, checksums included — the
-/// pure counterpart of [`write_snapshot`].
-pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
+/// The 32-byte file header: magic, version, k, text length, section
+/// count, flags.
+fn header(index: &KStepFmIndex) -> [u8; HEADER_LEN] {
     let config = index.build_config();
     let flags = if config.bidirectional {
         FLAG_BIDIRECTIONAL
     } else {
         0
     };
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[8..12].copy_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&(config.k as u32).to_le_bytes());
+    header[16..24].copy_from_slice(&(index.text_len() as u64).to_le_bytes());
+    header[24..28].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
+    header[28..32].copy_from_slice(&flags.to_le_bytes());
+    header
+}
+
+/// The byte length of section `section`'s payload (0-based, in file
+/// order).
+fn payload_len(index: &KStepFmIndex, section: usize) -> usize {
     let n = index.text_len();
-    let occ = index.base_index().occ();
-    let kocc = index.kmer_occ();
     let ssa = index.base_index().sampled_sa();
+    match section {
+        0 => n,
+        1 => 2 * n,
+        2 => 8 + 8 * ssa.marks().word_slice().len() + 4 * ssa.sample_slice().len(),
+        _ => 8 * index.packed_text().image().len(),
+    }
+}
 
-    // Section payloads: the canonical linear inputs the constructors
-    // replay on load.
-    let mut bwt = Vec::with_capacity(n);
-    for i in 0..n {
-        bwt.push(occ.symbol(i).code());
+/// Appends section `section`'s payload (0-based, in file order) to
+/// `out`: the canonical linear inputs the constructors replay on load.
+fn encode_payload(index: &KStepFmIndex, section: usize, out: &mut Vec<u8>) {
+    let n = index.text_len();
+    match section {
+        0 => {
+            let occ = index.base_index().occ();
+            out.extend((0..n).map(|i| occ.symbol(i).code()));
+        }
+        1 => {
+            let kocc = index.kmer_occ();
+            for i in 0..n {
+                out.extend_from_slice(&kocc.code(i).to_le_bytes());
+            }
+        }
+        2 => {
+            let ssa = index.base_index().sampled_sa();
+            let samples = ssa.sample_slice();
+            out.extend_from_slice(&(samples.len() as u64).to_le_bytes());
+            for &w in ssa.marks().word_slice() {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            for &s in samples {
+                out.extend_from_slice(&s.to_le_bytes());
+            }
+        }
+        _ => {
+            for &word in index.packed_text().image() {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
     }
-    let mut kcodes = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        kcodes.extend_from_slice(&kocc.code(i).to_le_bytes());
-    }
-    let words = ssa.marks().word_slice();
-    let samples = ssa.sample_slice();
-    let mut ssa_payload = Vec::with_capacity(8 + 8 * words.len() + 4 * samples.len());
-    ssa_payload.extend_from_slice(&(samples.len() as u64).to_le_bytes());
-    for &w in words {
-        ssa_payload.extend_from_slice(&w.to_le_bytes());
-    }
-    for &s in samples {
-        ssa_payload.extend_from_slice(&s.to_le_bytes());
-    }
+}
 
-    let text = index.packed_text().image();
-    let mut text_payload = Vec::with_capacity(4 * text.len());
-    for &word in text {
-        text_payload.extend_from_slice(&word.to_le_bytes());
-    }
+/// A section's framing: tag, payload length, payload CRC32.
+fn section_header(section: usize, payload: &[u8]) -> [u8; SECTION_HEADER_LEN] {
+    let mut framing = [0u8; SECTION_HEADER_LEN];
+    framing[..4].copy_from_slice(&(section as u32 + 1).to_le_bytes());
+    framing[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    framing[12..].copy_from_slice(&crc32(payload).to_le_bytes());
+    framing
+}
 
-    let sections = [bwt, kcodes, ssa_payload, text_payload];
+/// Serializes `index` into its snapshot image, checksums included — the
+/// pure counterpart of [`write_snapshot`]. Each payload is encoded in
+/// place behind its framing, which is filled in once the payload's
+/// checksum is known.
+pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
     let total = HEADER_LEN
-        + sections
-            .iter()
-            .map(|s| SECTION_HEADER_LEN + s.len())
+        + (0..SECTION_COUNT)
+            .map(|section| SECTION_HEADER_LEN + payload_len(index, section))
             .sum::<usize>()
         + 4;
     let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(config.k as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-    out.extend_from_slice(&flags.to_le_bytes());
-    for (i, payload) in sections.iter().enumerate() {
-        out.extend_from_slice(&(i as u32 + 1).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+    out.extend_from_slice(&header(index));
+    for section in 0..SECTION_COUNT {
+        let framing = out.len();
+        out.resize(framing + SECTION_HEADER_LEN, 0);
+        encode_payload(index, section, &mut out);
+        let header = section_header(section, &out[framing + SECTION_HEADER_LEN..]);
+        out[framing..framing + SECTION_HEADER_LEN].copy_from_slice(&header);
     }
     let file_crc = crc32(&out);
     out.extend_from_slice(&file_crc.to_le_bytes());
     out
 }
 
-/// Writes `index` to `path` crash-safely: full image to `path.tmp`,
+/// Writes `index` to `path` crash-safely: the image to `path.tmp`,
 /// fsync, atomic rename over `path`, directory fsync. A crash at any
 /// point leaves either the previous snapshot or the complete new one.
+/// The image is streamed — the header, then each section through one
+/// reused payload buffer, under a running file checksum — so a write
+/// holds one payload (at most 2 bytes a base, the k-BWT codes) beside
+/// the index, never the whole image.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Io`] if any filesystem step fails; the partial
 /// `path.tmp` is best-effort removed on failure.
 pub fn write_snapshot(index: &KStepFmIndex, path: &Path) -> Result<(), SnapshotError> {
-    let bytes = encode_snapshot(index);
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
     let result = (|| -> io::Result<()> {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        let mut file_crc = !0;
+        let mut put = |file: &mut BufWriter<File>, bytes: &[u8]| {
+            file_crc = crc32_update(file_crc, bytes);
+            file.write_all(bytes)
+        };
+        put(&mut file, &header(index))?;
+        let largest = (0..SECTION_COUNT).map(|section| payload_len(index, section));
+        let mut payload = Vec::with_capacity(largest.max().unwrap_or(0));
+        for section in 0..SECTION_COUNT {
+            payload.clear();
+            encode_payload(index, section, &mut payload);
+            put(&mut file, &section_header(section, &payload))?;
+            put(&mut file, &payload)?;
+        }
+        file.write_all(&(!file_crc).to_le_bytes())?;
+        let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)?;
@@ -733,6 +790,14 @@ mod tests {
         // refresh path.
         write_snapshot(&index, &path).expect("rewrite");
         assert_eq!(load_snapshot(&path).expect("reload"), index);
+        // The streamed file is the image encode_snapshot builds, at every
+        // k and on both strandednesses.
+        for k in 1..=MAX_STEP {
+            for index in [toy_index(k), toy_bidir_index(k)] {
+                write_snapshot(&index, &path).expect("write");
+                assert_eq!(fs::read(&path).expect("read"), encode_snapshot(&index));
+            }
+        }
         let _ = fs::remove_file(&path);
     }
 

@@ -206,6 +206,20 @@ fn huge_page_share(heap_bytes: usize) -> String {
     }
 }
 
+/// `, peak N MiB`: this process's resident high-water mark so far (the
+/// `VmHWM` line of `/proc/self/status`); empty off Linux and wherever the
+/// file cannot be read.
+fn peak_rss() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status.lines().find_map(|line| {
+        let kib = line.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?;
+        kib.trim().parse::<u64>().ok()
+    });
+    kib.map_or(String::new(), |kib| {
+        format!(", peak {:.0} MiB", kib as f64 / 1024.0)
+    })
+}
+
 /// Bases compared per [`KStepFmIndex::text_ends_with`] call when a
 /// snapshot's reference is checked, so no whole-genome copy is made.
 const CHECK_CHUNK: usize = 1 << 20;
@@ -292,7 +306,7 @@ fn run(args: &Args) -> ExitCode {
             );
             (
                 Arc::new(index),
-                format!("(warm start, snapshot loaded in {load_ms:.1} ms)"),
+                format!("warm start, snapshot loaded in {load_ms:.1} ms"),
             )
         }
         None => {
@@ -324,7 +338,7 @@ fn run(args: &Args) -> ExitCode {
             }
             (
                 Arc::new(index),
-                format!("(cold start, index built in {build_ms:.1} ms)"),
+                format!("cold start, index built in {build_ms:.1} ms"),
             )
         }
     };
@@ -355,9 +369,10 @@ fn run(args: &Args) -> ExitCode {
     match server.local_addr() {
         // The readiness line scripts wait for — keep its prefix stable.
         // It follows the signal handlers, so a SIGTERM sent on it drains.
-        // The parenthesized suffix reports cold vs warm startup and how
-        // long the build or verified load took.
-        Ok(addr) => println!("exma-server listening on {addr} {startup}"),
+        // The parenthesized suffix reports cold vs warm startup, how long
+        // the build or verified load took, and the resident peak the
+        // startup reached.
+        Ok(addr) => println!("exma-server listening on {addr} ({startup}{})", peak_rss()),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

@@ -13,7 +13,7 @@
 mod common;
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -55,7 +55,8 @@ struct ServerProcess {
     child: Child,
     addr: String,
     /// The parenthesized readiness suffix: `cold start, index built in
-    /// 12.3 ms` or `warm start, snapshot loaded in 4.5 ms`.
+    /// 12.3 ms, peak 45 MiB` or `warm start, snapshot loaded in 4.5 ms,
+    /// peak 30 MiB` (no peak where `/proc/self/status` is unreadable).
     startup: String,
     stderr: mpsc::Receiver<String>,
 }
@@ -123,12 +124,12 @@ impl ServerProcess {
     }
 }
 
-/// The startup suffix's timing: the trailing `NNN.N ms` float.
+/// The startup suffix's timing: the `NNN.N` of `… in NNN.N ms`.
 fn startup_ms(startup: &str) -> f64 {
     startup
-        .strip_suffix(" ms")
-        .and_then(|s| s.rsplit(' ').next())
-        .and_then(|s| s.parse().ok())
+        .split_once(" in ")
+        .and_then(|(_, rest)| rest.split_once(" ms"))
+        .and_then(|(ms, _)| ms.parse().ok())
         .unwrap_or_else(|| panic!("unparseable startup suffix {startup:?}"))
 }
 
@@ -156,6 +157,18 @@ fn warm_restart_skips_the_rebuild_and_serves_identical_bytes() {
         cold.startup
     );
     let build_ms = startup_ms(&cold.startup);
+    // Where the kernel reports it, the suffix ends with the resident peak.
+    if Path::new("/proc/self/status").exists() {
+        let peak_mib = cold
+            .startup
+            .rsplit_once(", peak ")
+            .and_then(|(_, peak)| peak.strip_suffix(" MiB")?.parse::<u64>().ok());
+        assert!(
+            peak_mib.is_some_and(|mib| mib > 0),
+            "no resident peak in {:?}",
+            cold.startup
+        );
+    }
     let mut client = Client::connect(&cold.addr);
     let cold_payloads: Vec<Vec<u8>> = batches
         .iter()
