@@ -1,6 +1,6 @@
 //! The build's memory bound: a cold index build peaks at a few bytes a
-//! base above what its caller holds, and a snapshot write streams its
-//! image instead of holding it.
+//! base above what its caller holds, and a snapshot write and a snapshot
+//! load stream the image instead of holding it.
 //!
 //! A counting global allocator keeps the live heap and its high-water
 //! mark. The binary holds one test, so no other test's allocations land
@@ -106,7 +106,6 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     let mut path = std::env::temp_dir();
     path.push(format!("exma_build_memory_{}.snap", std::process::id()));
     let (written, peak) = peak_above(|| builder.snapshot_to(&forward, &path));
-    let _ = std::fs::remove_file(&path);
     written.expect("writes the snapshot");
     let per_base = peak as f64 / bases;
     assert!(
@@ -114,6 +113,18 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
         "a snapshot write held {per_base:.2} B/base beside the index (bound 2.5)"
     );
     drop(forward);
+
+    // The load decodes each section straight into the buffer it becomes:
+    // beside the index it holds the staged inputs its tables are built
+    // from, never the image.
+    let (loaded, peak) = peak_above(|| builder.attach_from_snapshot(&path));
+    let loaded = loaded.expect("loads the snapshot");
+    let per_base = (peak - loaded.heap_bytes()) as f64 / bases;
+    assert!(
+        per_base <= 2.5,
+        "a snapshot load held {per_base:.2} B/base beside the index it built (bound 2.5)"
+    );
+    drop(loaded);
 
     // Doubled: the same build over the 2n + 1 doubled text, which the
     // build itself makes.
@@ -124,5 +135,17 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     assert!(
         per_base <= 20.0,
         "a doubled build peaked at {per_base:.2} B per forward base above its caller (bound 20)"
+    );
+    builder
+        .snapshot_to(&doubled, &path)
+        .expect("writes the doubled snapshot");
+    drop(doubled);
+    let (loaded, peak) = peak_above(|| builder.attach_from_snapshot(&path));
+    let _ = std::fs::remove_file(&path);
+    let loaded = loaded.expect("loads the doubled snapshot");
+    let per_base = (peak - loaded.heap_bytes()) as f64 / bases;
+    assert!(
+        per_base <= 5.0,
+        "a doubled snapshot load held {per_base:.2} B per forward base beside the index (bound 5)"
     );
 }

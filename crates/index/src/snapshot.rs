@@ -11,14 +11,13 @@
 //! Neither the K-mer lookup table nor the expanded-alphabet C-array
 //! (`4^k` words, 1 KiB at most) is stored: they are one counting routine
 //! over the text, run at K and at k, and a load runs it over the decoded
-//! text on a second thread while
-//! the other three sections decode. That buys three guarantees for free:
-//! every structural invariant holds because the ordinary constructors
-//! enforce it, the [`AlignedWords`](crate::interleave::AlignedWords) placement —
-//! cache-line-aligned, and 2 MiB-aligned and advised onto huge pages from
-//! 2 MiB up — is the cold build's because the same one allocation path
-//! produces it, and the reloaded index is *equal* to a cold build —
-//! byte-identical query results and an allocation-exact
+//! text on a second thread while the tables are checked and built. That
+//! buys three guarantees for free: every structural invariant holds
+//! because the ordinary constructors enforce it, the [`AlignedWords`]
+//! placement — cache-line-aligned, and 2 MiB-aligned and advised onto huge
+//! pages from 2 MiB up — is the cold build's because the same one
+//! allocation path produces it, and the reloaded index is *equal* to a
+//! cold build — byte-identical query results and an allocation-exact
 //! [`HeapBreakdown`](crate::HeapBreakdown).
 //!
 //! # On-disk format (version 4, all integers little-endian)
@@ -51,31 +50,56 @@
 //! (`⌈n/32⌉` u64 words, base `i` in bits `2 (i mod 32)` of word `i / 32`,
 //! the sentinel and the padding behind it zero).
 //!
+//! # One decoder, read front to back
+//!
+//! [`load_snapshot`] and [`decode_snapshot`] are one decoder over two
+//! sources — a file, whose length its metadata gives, and a slice — so
+//! the same bytes give the same index or the same error either way. It
+//! reads the image once, front to back, and never holds it whole: every
+//! payload passes through one staging chunk of at most 64 KiB straight
+//! into the buffer it becomes — the BWT codes into the allocation that
+//! turns into the `Vec<Symbol>` the 1-step table is built from, the k-BWT
+//! codes into the `Vec<u16>` the k-step table takes, the mark words and
+//! the samples into their own vectors, the text words into the
+//! [`AlignedWords`] the index keeps. Each piece is folded into its
+//! section's CRC32 and the file's as it passes. Every read is checked
+//! against the source's length before it is made, and every buffer is
+//! sized by a length so checked, so no header or framing can make a load
+//! ask for more memory than the file's own size. A load therefore holds,
+//! beside the index it builds, only the staged inputs its tables are
+//! built from, each freed once its last reader is done: the BWT after the
+//! 1-step table and the sampled-row check, the k-BWT codes inside the
+//! k-step table's constructor.
+//!
 //! # Verification before construction
 //!
-//! A load verifies *everything* before building anything: magic,
-//! version, header sanity, structural bounds, every section checksum,
-//! the whole-file checksum (which covers the header and section
-//! framing), and finally the semantic range/consistency of each decoded
-//! payload — the text against what was verified before it: its per-base
-//! counts are the BWT's, every sampled row's BWT symbol is the base in
-//! front of its sampled position (n / [`crate::layout::SA_SAMPLE_RATE`]
-//! probes), and every k-mer bucket the counted C-array opens holds the
-//! rows the k-BWT gives it. The one thing built alongside is the counting
-//! pass, run once the text's length and padding check out; a load that
-//! fails drops its tables with everything else. Every failure is a typed
-//! [`SnapshotError`]; a corrupted file can never panic the loader and
-//! never yields an index. The
-//! checksums are the corruption defense — a file that collides CRC32 on
-//! every region it mutated is outside the threat model (that is an
-//! adversarially *crafted* file, not a corrupted one), and even then
-//! the semantic validation keeps every table access in bounds. The
-//! checksum kernel is slicing-by-8 ([`crc32`]: eight table lookups per
-//! eight bytes, none waiting on another), because a load walks every
-//! byte of the image twice — each section, then the whole file — and at
-//! a byte a step those two walks were a quarter to a half of a warm
-//! start; the values, and so every file, are those of the bytewise
-//! definition the tests keep as the oracle.
+//! A load verifies *everything* before building anything. As it reads,
+//! it checks the magic, the version, the header's sanity and every
+//! structural bound. Once the trailer is in, it compares every section
+//! checksum and the whole-file checksum (which covers the header and
+//! section framing). Then, in a fixed order, it checks the semantic
+//! range/consistency of each decoded payload — a payload whose length is
+//! not the one the header implies was read into nothing, and fails here
+//! as malformed — and the text against what was verified before it: its
+//! per-base counts are the BWT's, every sampled row's BWT
+//! symbol is the base in front of its sampled position
+//! (n / [`crate::layout::SA_SAMPLE_RATE`] probes), and every k-mer bucket
+//! the counted C-array opens holds the rows the k-BWT gives it. The one
+//! thing built alongside is the counting pass, run once the text's length
+//! and padding check out; a load that fails drops its tables with
+//! everything else. Every failure is a typed [`SnapshotError`]; a
+//! corrupted file can never panic the loader and never yields an index,
+//! and a path that is not a regular file is refused before it is opened.
+//! The checksums are the corruption defense — a file that collides CRC32
+//! on every region it mutated is outside the threat model (that is an
+//! adversarially *crafted* file, not a corrupted one), and even then the
+//! semantic validation keeps every table access in bounds. The checksum
+//! kernel is slicing-by-8 ([`crc32`]: eight table lookups per eight
+//! bytes, none waiting on another), because a load folds every payload
+//! byte twice — into its section's checksum and the file's — and at a
+//! byte a step those two passes were a quarter to a half of a warm start;
+//! the values, and so every file, are those of the bytewise definition
+//! the tests keep as the oracle.
 //!
 //! # Crash-safe writes
 //!
@@ -84,15 +108,19 @@
 //! at any point leaves either the old snapshot or the new one, never a
 //! torn file at `path`. A torn `path.tmp` that somehow gets renamed by
 //! hand is still caught by the length and checksum verification above.
+//! A `path` or `path.tmp` that names an existing node other than a
+//! regular file — a FIFO, a device, a socket, a directory — is refused,
+//! never replaced or written into.
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use exma_genome::{count_table, Base, Symbol};
 
 use crate::fm::FmIndex;
+use crate::interleave::AlignedWords;
 use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
 use crate::layout::SA_SAMPLE_RATE;
@@ -258,16 +286,6 @@ fn u64_at(bytes: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
-fn need(bytes: &[u8], needed: usize) -> Result<(), SnapshotError> {
-    if bytes.len() < needed {
-        return Err(SnapshotError::Truncated {
-            needed: needed as u64,
-            len: bytes.len() as u64,
-        });
-    }
-    Ok(())
-}
-
 fn malformed(field: &'static str) -> SnapshotError {
     SnapshotError::Malformed { field }
 }
@@ -382,11 +400,20 @@ pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
 /// # Errors
 ///
 /// [`SnapshotError::Io`] if any filesystem step fails; the partial
-/// `path.tmp` is best-effort removed on failure.
+/// `path.tmp` is best-effort removed on failure. A `path` or `path.tmp`
+/// that names an existing node other than a regular file is refused,
+/// before anything is written, with kind [`io::ErrorKind::InvalidInput`].
 pub fn write_snapshot(index: &KStepFmIndex, path: &Path) -> Result<(), SnapshotError> {
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
+    // The rename replaces whatever node `path` names, and creating `tmp`
+    // over a FIFO blocks until a reader comes: a FIFO or a device under
+    // either name is left as it is.
+    let occupied = |p: &Path| fs::metadata(p).is_ok_and(|meta| !meta.is_file());
+    if occupied(path) || occupied(&tmp) {
+        return Err(NOT_A_REGULAR_FILE);
+    }
     let result = (|| -> io::Result<()> {
         let mut file = BufWriter::new(File::create(&tmp)?);
         let mut file_crc = !0;
@@ -434,40 +461,261 @@ pub fn load_snapshot(path: &Path) -> Result<KStepFmIndex, SnapshotError> {
 /// [`load_snapshot`], additionally requiring the snapshot's embedded
 /// build (`k`, strandedness) to equal `expected` — the warm-start
 /// compatibility check, performed on the header before any payload work.
+/// The file goes through [`decode_snapshot`]'s decoder as it is read, so
+/// the load never holds the whole image.
+///
+/// # Errors
+///
+/// As [`decode_snapshot`]; and a path that names anything but a regular
+/// file (a FIFO would block the open, a device could read forever) is
+/// refused before it is opened, as [`SnapshotError::Io`] of kind
+/// [`io::ErrorKind::InvalidInput`].
 pub fn load_snapshot_expecting(
     path: &Path,
     expected: Option<&KStepBuildConfig>,
 ) -> Result<KStepFmIndex, SnapshotError> {
-    let bytes = fs::read(path)?;
-    decode_snapshot(&bytes, expected)
+    regular_file_len(&fs::metadata(path)?)?;
+    let mut file = File::open(path)?;
+    let len = regular_file_len(&file.metadata()?)?;
+    decode(Image::new(&mut file, len), expected)
+}
+
+/// What a load or a write answers for a path that names something other
+/// than a regular file.
+const NOT_A_REGULAR_FILE: SnapshotError = SnapshotError::Io {
+    kind: io::ErrorKind::InvalidInput,
+};
+
+/// The length of a regular file; any other kind of node is refused.
+fn regular_file_len(meta: &fs::Metadata) -> Result<u64, SnapshotError> {
+    if meta.is_file() {
+        Ok(meta.len())
+    } else {
+        Err(NOT_A_REGULAR_FILE)
+    }
 }
 
 /// Decodes a snapshot image, verifying everything before constructing
 /// anything: magic, version, header sanity, structural bounds, the four
 /// section checksums, the whole-file checksum, and the semantic
 /// consistency of every decoded payload. Returns a typed error — never
-/// panics, never yields a partially-verified index.
+/// panics, never yields a partially-verified index. The slice is read by
+/// the one decoder a file load uses, so the same bytes give the same
+/// index or the same error either way.
 pub fn decode_snapshot(
     bytes: &[u8],
     expected: Option<&KStepBuildConfig>,
 ) -> Result<KStepFmIndex, SnapshotError> {
-    need(bytes, 8)?;
-    if bytes[..8] != SNAPSHOT_MAGIC {
+    let mut source = bytes;
+    decode(Image::new(&mut source, bytes.len() as u64), expected)
+}
+
+/// Bytes a load stages at a time between its source and a payload's
+/// destination buffer. A multiple of 8, so no value of any section — the
+/// widest is a `u64` mark word, and every value sits at a multiple of its
+/// own width — straddles two pieces.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// A snapshot image read front to back from a source of known length.
+/// Every read is checked against that length before it is made, so no
+/// buffer a load sizes by what it reads can be larger than the image, and
+/// every byte before the trailer is folded into the running whole-file
+/// checksum.
+struct Image<'a> {
+    /// Read through a trait object, so the decoder is compiled once for
+    /// both sources.
+    source: &'a mut dyn Read,
+    len: u64,
+    /// Bytes read so far.
+    offset: u64,
+    /// The whole-file CRC32 state over those bytes.
+    file_crc: u32,
+    /// The staging chunk payloads pass through: [`CHUNK_BYTES`], or the
+    /// image's length in whole 8-byte words if that is less. Allocated by
+    /// the first payload read, when at least the 48 bytes of the header
+    /// and the first framing are known to be there.
+    chunk: Vec<u8>,
+}
+
+/// A section payload read into the buffer it becomes or, when its length
+/// is not the one the header implies, the field that names it: reported
+/// once every checksum has passed, in the order the semantic checks run.
+type Staged<T> = Result<T, &'static str>;
+
+/// Section 3 as read: the mark words, then the samples.
+type Samples = (Vec<u64>, Vec<u32>);
+
+impl<'a> Image<'a> {
+    fn new(source: &'a mut dyn Read, len: u64) -> Image<'a> {
+        Image {
+            source,
+            len,
+            offset: 0,
+            file_crc: !0,
+            chunk: Vec::new(),
+        }
+    }
+
+    /// Fails unless `bytes` more bytes follow the ones read.
+    fn need(&self, bytes: u64) -> Result<(), SnapshotError> {
+        let needed = self.offset.saturating_add(bytes);
+        if needed > self.len {
+            return Err(SnapshotError::Truncated {
+                needed,
+                len: self.len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Fills `buf` with the next bytes of the image.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
+        self.need(buf.len() as u64)?;
+        self.source.read_exact(buf)?;
+        self.offset += buf.len() as u64;
+        Ok(())
+    }
+
+    /// The next `N` bytes, folded into the file checksum.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut bytes = [0; N];
+        self.fill(&mut bytes)?;
+        self.file_crc = crc32_update(self.file_crc, &bytes);
+        Ok(bytes)
+    }
+
+    /// Reads the next `len` payload bytes through the staging chunk,
+    /// folding each piece into the file checksum and into `crc`, the
+    /// section's, and handing it to `sink`. Every piece but the last is a
+    /// whole number of 8-byte words.
+    fn stream(
+        &mut self,
+        len: usize,
+        crc: &mut u32,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), SnapshotError> {
+        self.need(len as u64)?;
+        if self.chunk.is_empty() {
+            let bytes = self.len.min(CHUNK_BYTES as u64) as usize & !7;
+            self.chunk = vec![0; bytes];
+        }
+        let mut chunk = std::mem::take(&mut self.chunk);
+        let mut left = len;
+        while left > 0 {
+            let piece = left.min(chunk.len());
+            let piece = &mut chunk[..piece];
+            self.fill(piece)?;
+            self.file_crc = crc32_update(self.file_crc, piece);
+            *crc = crc32_update(*crc, piece);
+            sink(piece);
+            left -= piece.len();
+        }
+        self.chunk = chunk;
+        Ok(())
+    }
+
+    /// Reads `count` little-endian values of `W` bytes each into a vector
+    /// of exactly that capacity.
+    fn values<T, const W: usize>(
+        &mut self,
+        count: usize,
+        crc: &mut u32,
+        value: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        self.need((count * W) as u64)?;
+        let mut values = Vec::with_capacity(count);
+        self.stream(count * W, crc, |piece| {
+            let each = piece.chunks_exact(W);
+            values.extend(each.map(|bytes| value(bytes.try_into().expect("W bytes"))));
+        })?;
+        Ok(values)
+    }
+
+    /// Section 3's payload — the sample count, then `⌈n/64⌉` mark words,
+    /// then the samples — into the mark and sample vectors.
+    fn samples(
+        &mut self,
+        len: usize,
+        n: usize,
+        crc: &mut u32,
+    ) -> Result<Staged<Samples>, SnapshotError> {
+        let words = n.div_ceil(64);
+        let mut left = len;
+        let mut count = Err("sampled-sa length");
+        if len >= 8 {
+            let mut word = [0; 8];
+            self.stream(8, crc, |piece| word.copy_from_slice(piece))?;
+            left -= 8;
+            count = usize::try_from(u64::from_le_bytes(word))
+                .map_err(|_| "sample count")
+                .and_then(|count| {
+                    let body = count.checked_mul(4).and_then(|b| b.checked_add(8 * words));
+                    (body == Some(left))
+                        .then_some(count)
+                        .ok_or("sampled-sa length")
+                });
+        }
+        Ok(match count {
+            Ok(count) => Ok((
+                self.values(words, crc, u64::from_le_bytes)?,
+                self.values(count, crc, u32::from_le_bytes)?,
+            )),
+            Err(field) => {
+                self.stream(left, crc, |_| {})?;
+                Err(field)
+            }
+        })
+    }
+
+    /// Section 4's payload, the 2-bit text of `n` symbols, into the
+    /// buffer [`PackedText`] keeps.
+    fn text(
+        &mut self,
+        len: usize,
+        n: usize,
+        crc: &mut u32,
+    ) -> Result<Staged<AlignedWords>, SnapshotError> {
+        let Some(mut buffer) = PackedText::image_buffer(n, len) else {
+            self.stream(len, crc, |_| {})?;
+            return Ok(Err("text length or padding"));
+        };
+        let words = buffer.words_mut();
+        let mut at = 0;
+        self.stream(len, crc, |piece| {
+            for (word, bytes) in words[at..].iter_mut().zip(piece.chunks_exact(4)) {
+                *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+            }
+            at += piece.len() / 4;
+        })?;
+        Ok(Ok(buffer))
+    }
+}
+
+/// The one decoder behind [`decode_snapshot`] and [`load_snapshot`]:
+/// the header, then each section's framing and payload in file order,
+/// then the trailer. Structural failures stop it where they are read;
+/// the checksums are compared once the trailer is in; the semantic
+/// checks then run over the staged payloads; and only then does anything
+/// get constructed.
+fn decode(
+    mut image: Image<'_>,
+    expected: Option<&KStepBuildConfig>,
+) -> Result<KStepFmIndex, SnapshotError> {
+    if image.array()? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    need(bytes, 12)?;
-    let version = u32_at(bytes, 8);
+    let version = u32::from_le_bytes(image.array()?);
     if version != SNAPSHOT_FORMAT_VERSION {
         return Err(SnapshotError::VersionMismatch {
             found: version,
             supported: SNAPSHOT_FORMAT_VERSION,
         });
     }
-    need(bytes, HEADER_LEN)?;
-    let k = u32_at(bytes, 12) as usize;
-    let text_len = u64_at(bytes, 16);
-    let section_count = u32_at(bytes, 24) as usize;
-    let flags = u32_at(bytes, 28);
+    let header: [u8; HEADER_LEN - 12] = image.array()?;
+    let k = u32_at(&header, 0) as usize;
+    let text_len = u64_at(&header, 4);
+    let section_count = u32_at(&header, 12) as usize;
+    let flags = u32_at(&header, 16);
     if flags & !FLAG_BIDIRECTIONAL != 0 {
         return Err(malformed("recipe flags"));
     }
@@ -494,80 +742,86 @@ pub fn decode_snapshot(
 
     let n = text_len as usize;
 
-    // Structural walk: every section header and payload must lie within
-    // the buffer, in tag order, with exactly the 4-byte file checksum
-    // after the last.
-    let mut offset = HEADER_LEN;
-    let mut sections: [(usize, usize); SECTION_COUNT] = [(0, 0); SECTION_COUNT];
-    let mut section_crcs = [0u32; SECTION_COUNT];
-    for (i, span) in sections.iter_mut().enumerate() {
-        need(bytes, offset + SECTION_HEADER_LEN)?;
-        let tag = u32_at(bytes, offset) as usize;
-        let payload_len = u64_at(bytes, offset + 4);
-        section_crcs[i] = u32_at(bytes, offset + 12);
-        if tag != i + 1 {
+    // The sections in tag order, each framing checked against the image's
+    // length before its payload is read, and each payload read straight
+    // into the buffer it becomes — sized by its own length, which the
+    // image's has vouched for. A payload whose length is not the one `n`
+    // implies is still read and checksummed, into nothing.
+    let mut bwt = Err("bwt length");
+    let mut codes = Err("k-codes length");
+    let mut samples = Err("sampled-sa length");
+    let mut text = Err("text length or padding");
+    // Each section's stored checksum and the one its payload read to.
+    let mut crcs = [(0u32, 0u32); SECTION_COUNT];
+    for (section, slot) in crcs.iter_mut().enumerate() {
+        let framing: [u8; SECTION_HEADER_LEN] = image.array()?;
+        if u32_at(&framing, 0) as usize != section + 1 {
             return Err(malformed("section tag"));
         }
-        let payload_len = usize::try_from(payload_len).map_err(|_| SnapshotError::Truncated {
+        let len = usize::try_from(u64_at(&framing, 4)).map_err(|_| SnapshotError::Truncated {
             needed: u64::MAX,
-            len: bytes.len() as u64,
+            len: image.len,
         })?;
-        let start = offset + SECTION_HEADER_LEN;
-        let end = start
-            .checked_add(payload_len)
-            .ok_or(SnapshotError::Truncated {
-                needed: u64::MAX,
-                len: bytes.len() as u64,
-            })?;
-        need(bytes, end)?;
-        *span = (start, end);
-        offset = end;
+        image.need(len as u64)?;
+        let mut crc = !0;
+        match section {
+            0 if len == n => bwt = Ok(image.values(n, &mut crc, |[b]: [u8; 1]| b)?),
+            1 if len as u64 == 2 * text_len => {
+                codes = Ok(image.values(n, &mut crc, u16::from_le_bytes)?);
+            }
+            2 => samples = image.samples(len, n, &mut crc)?,
+            3 => text = image.text(len, n, &mut crc)?,
+            _ => image.stream(len, &mut crc, |_| {})?,
+        }
+        *slot = (u32_at(&framing, 12), !crc);
     }
-    match bytes.len().cmp(&(offset + 4)) {
+    let body = image.offset;
+    match image.len.cmp(&(body + 4)) {
         std::cmp::Ordering::Less => {
             return Err(SnapshotError::Truncated {
-                needed: (offset + 4) as u64,
-                len: bytes.len() as u64,
+                needed: body + 4,
+                len: image.len,
             })
         }
         std::cmp::Ordering::Greater => return Err(malformed("file length")),
         std::cmp::Ordering::Equal => {}
     }
+    let file_crc = !image.file_crc;
+    let mut trailer = [0; 4];
+    image.fill(&mut trailer)?;
 
     // Integrity: each section's own checksum, then the whole-file
     // checksum (which also covers the header and section framing — a
     // flipped k must never silently rebuild a different index).
-    for (i, &(start, end)) in sections.iter().enumerate() {
-        if crc32(&bytes[start..end]) != section_crcs[i] {
+    for (section, &(stored, read)) in crcs.iter().enumerate() {
+        if stored != read {
             return Err(SnapshotError::ChecksumMismatch {
-                section: SECTION_NAMES[i],
+                section: SECTION_NAMES[section],
             });
         }
     }
-    if crc32(&bytes[..offset]) != u32_at(bytes, offset) {
+    if u32::from_le_bytes(trailer) != file_crc {
         return Err(SnapshotError::ChecksumMismatch { section: "file" });
     }
 
-    // Semantic decode, every value range-checked before any constructor
+    // Semantic checks, every value range-checked before any constructor
     // that could assert sees it. The text leads: the K-mer table and the
     // C-array are derived from it alone, so they are counted on a second
-    // thread while this one decodes the three other sections — and
-    // joined before either the index or an error is returned. The
-    // table's size is set by `n`, which the BWT section's length has
-    // just vouched for: it is `4 (4^K + 1)` bytes with `16 · 4^K ≤ n`
-    // (two words when K is 0), at most `n / 4 + 8`, so no header can make
-    // it ask for more than the file justifies; the C-array is `4^k` words,
-    // 1 KiB at most.
-    let (bwt_start, bwt_end) = sections[0];
-    if bwt_end - bwt_start != n {
-        return Err(malformed("bwt length"));
-    }
-    let (text_start, text_end) = sections[3];
-    let text = PackedText::from_image(&bytes[text_start..text_end], n)
+    // thread while this one checks the three other sections and builds
+    // the tables — and joined before either the index or an error is
+    // returned. The table's size is set by `n`, which the BWT section's
+    // length has just vouched for: it is `4 (4^K + 1)` bytes with
+    // `16 · 4^K ≤ n` (two words when K is 0), at most `n / 4 + 8`, so no
+    // header can make it ask for more than the file justifies; the
+    // C-array is `4^k` words, 1 KiB at most.
+    let bwt = bwt.map_err(malformed)?;
+    let text = text
+        .ok()
+        .and_then(|words| PackedText::from_image(words, n))
         .ok_or(malformed("text length or padding"))?;
     let (tables, counted) = std::thread::scope(|scope| {
         let counted = scope.spawn(|| (KmerLookup::new(&text, lookup_k(n)), kmer_starts(&text, k)));
-        let tables = decode_tables(bytes, &sections, k, &text);
+        let tables = build_tables(bwt, codes, samples, k, &text);
         (tables, counted.join())
     });
     let (lookup, kstarts) = counted.expect("counting the K-mers of a decoded text cannot panic");
@@ -592,59 +846,37 @@ pub fn decode_snapshot(
     ))
 }
 
-/// Decodes sections 1–3 against the already-decoded `text` (section 4)
-/// and replays the cold-build constructors over them: the 1-step index
-/// and the k-mer occurrence table.
-fn decode_tables(
-    bytes: &[u8],
-    sections: &[(usize, usize); SECTION_COUNT],
+/// Checks sections 1–3, as read, against each other and the
+/// already-checked `text` (section 4), then replays the cold-build
+/// constructors over them — the 1-step index and the k-mer occurrence
+/// table — freeing each input once its last reader is done.
+fn build_tables(
+    bwt: Vec<u8>,
+    codes: Staged<Vec<u16>>,
+    samples: Staged<Samples>,
     k: usize,
     text: &PackedText,
 ) -> Result<(FmIndex, KmerOccTable), SnapshotError> {
     let n = text.len();
     let stride = 1usize << (2 * k);
-    let (bwt_start, bwt_end) = sections[0];
-    let mut bwt = Vec::with_capacity(n);
-    for &b in &bytes[bwt_start..bwt_end] {
-        if b > 4 {
-            return Err(malformed("bwt symbol code"));
-        }
-        bwt.push(Symbol::from_code(b));
+    if bwt.iter().any(|&b| b > 4) {
+        return Err(malformed("bwt symbol code"));
+    }
+    // A `Symbol` is one byte, so the codes become symbols in the
+    // allocation they were read into.
+    let bwt: Vec<Symbol> = bwt.into_iter().map(Symbol::from_code).collect();
+
+    let codes = codes.map_err(malformed)?;
+    if codes.iter().any(|&c| usize::from(c) > stride) {
+        return Err(malformed("k-mer code"));
     }
 
-    let (kc_start, kc_end) = sections[1];
-    if kc_end - kc_start != 2 * n {
-        return Err(malformed("k-codes length"));
-    }
-    let mut codes = Vec::with_capacity(n);
-    for pair in bytes[kc_start..kc_end].chunks_exact(2) {
-        let c = u16::from_le_bytes([pair[0], pair[1]]);
-        if usize::from(c) > stride {
-            return Err(malformed("k-mer code"));
-        }
-        codes.push(c);
-    }
-
-    let (ssa_start, ssa_end) = sections[2];
-    let word_count = n.div_ceil(64);
-    if ssa_end - ssa_start < 8 {
-        return Err(malformed("sampled-sa length"));
-    }
-    let sample_count = u64_at(bytes, ssa_start);
-    let sample_count = usize::try_from(sample_count).map_err(|_| malformed("sample count"))?;
-    if ssa_end - ssa_start != 8 + 8 * word_count + 4 * sample_count {
-        return Err(malformed("sampled-sa length"));
-    }
-    if sample_count == 0 {
+    let (words, samples) = samples.map_err(malformed)?;
+    if samples.is_empty() {
         // Text position 0 is always 0 (mod rate), so a real index
         // always marks at least one row; zero marks would make locate's
         // LF walk endless.
         return Err(malformed("sample count"));
-    }
-    let words_bytes = &bytes[ssa_start + 8..ssa_start + 8 + 8 * word_count];
-    let mut words = Vec::with_capacity(word_count);
-    for chunk in words_bytes.chunks_exact(8) {
-        words.push(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
     }
     if n % 64 != 0 {
         if let Some(&last) = words.last() {
@@ -654,16 +886,14 @@ fn decode_tables(
         }
     }
     let marks = RankBits::from_words(words, n);
-    if marks.rank(n) != sample_count {
+    if marks.rank(n) != samples.len() {
         return Err(malformed("sample count"));
     }
-    let mut samples = Vec::with_capacity(sample_count);
-    for chunk in bytes[ssa_start + 8 + 8 * word_count..ssa_end].chunks_exact(4) {
-        let v = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        if v as usize >= n || v as usize % SA_SAMPLE_RATE != 0 {
-            return Err(malformed("suffix-array sample"));
-        }
-        samples.push(v);
+    if samples
+        .iter()
+        .any(|&v| v as usize >= n || v as usize % SA_SAMPLE_RATE != 0)
+    {
+        return Err(malformed("suffix-array sample"));
     }
     let ssa = SampledSuffixArray::from_parts(marks, samples);
 
@@ -694,6 +924,7 @@ fn decode_tables(
     // Replay the cold-build constructors over the verified inputs; the
     // text-length check above already rules their error out.
     let occ = OccTable::new(&bwt).map_err(|_| malformed("occ layout"))?;
+    drop(bwt);
     // Symbol frequencies — all the C-array depends on — are the text's:
     // `counts` was taken from the BWT, a permutation of it.
     let base = FmIndex::from_parts(counts, occ, ssa);
@@ -805,6 +1036,45 @@ mod tests {
     fn missing_file_is_a_typed_io_error() {
         let err = load_snapshot(Path::new("/nonexistent/dir/snap.exma")).unwrap_err();
         assert!(matches!(err, SnapshotError::Io { .. }), "{err}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_node_that_is_not_a_regular_file_is_left_as_it_is() {
+        use std::os::unix::fs::FileTypeExt;
+        // A socket inode stands in for a FIFO or a device: a load must not
+        // open any of them (a FIFO blocks the open, a device may read
+        // forever), and a write must neither stage into them nor rename a
+        // file over them.
+        let dir = temp_path("socket_dir");
+        fs::create_dir(&dir).expect("make the directory");
+        let socket = dir.join("snap");
+        let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
+        let refused = SnapshotError::Io {
+            kind: io::ErrorKind::InvalidInput,
+        };
+        let index = toy_index(2);
+        assert_eq!(load_snapshot(&socket).unwrap_err(), refused);
+        assert_eq!(write_snapshot(&index, &socket).unwrap_err(), refused);
+        let kind = fs::metadata(&socket).expect("still there").file_type();
+        assert!(kind.is_socket(), "{kind:?}");
+        // Nothing was staged beside it.
+        assert_eq!(fs::read_dir(&dir).expect("list").count(), 1);
+        // Nor is the staging name written into, or removed, when it is
+        // the node.
+        drop(listener);
+        fs::remove_file(&socket).expect("unlink the socket");
+        let staged = dir.join("snap.tmp");
+        let listener = std::os::unix::net::UnixListener::bind(&staged).expect("bind");
+        assert_eq!(write_snapshot(&index, &socket).unwrap_err(), refused);
+        assert!(!socket.exists());
+        let kind = fs::metadata(&staged).expect("still there").file_type();
+        assert!(kind.is_socket(), "{kind:?}");
+        // A directory is refused the same way, both ways.
+        assert_eq!(load_snapshot(&dir).unwrap_err(), refused);
+        assert_eq!(write_snapshot(&index, &dir).unwrap_err(), refused);
+        drop(listener);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -92,18 +92,19 @@ impl PackedText {
         }
     }
 
-    /// Rebuilds the text of `len` symbols from its snapshot image (see
-    /// [`PackedText::image`]); `None` unless the image is exactly as long
-    /// as such a text packs to and every bit from the sentinel's on is
-    /// zero.
-    pub(crate) fn from_image(image: &[u8], len: usize) -> Option<PackedText> {
-        if len == 0 || image.len() != 4 * image_words(len) {
-            return None;
-        }
-        let mut words = AlignedWords::zeroed(image_words(len) + 2);
-        for (word, bytes) in words.words_mut().iter_mut().zip(image.chunks_exact(4)) {
-            *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-        }
+    /// The all-zero buffer a `len`-symbol text is read into from its
+    /// `image_bytes`-byte snapshot image (see [`PackedText::image`]): the
+    /// image's words lead, the spare window follows. `None` unless the
+    /// image is exactly as long as such a text packs to.
+    pub(crate) fn image_buffer(len: usize, image_bytes: usize) -> Option<AlignedWords> {
+        (len != 0 && image_bytes == 4 * image_words(len))
+            .then(|| AlignedWords::zeroed(image_words(len) + 2))
+    }
+
+    /// The text of `len` symbols whose image has been read into `words`,
+    /// a buffer from [`PackedText::image_buffer`]; `None` unless every bit
+    /// from the sentinel's on is zero.
+    pub(crate) fn from_image(words: AlignedWords, len: usize) -> Option<PackedText> {
         let text = PackedText { words, len };
         // The sentinel and the padding behind it are stored as zeros, and
         // so is the spare window: the 32 bases from the sentinel on cover
@@ -300,24 +301,24 @@ mod tests {
             let bases = noise(n, 3 * n as u64);
             let text = PackedText::from_symbols(&text_of(&bases));
             let image: Vec<u8> = text.image().iter().flat_map(|w| w.to_le_bytes()).collect();
+            let from_image = |image: &[u8], len: usize| {
+                let mut words = PackedText::image_buffer(len, image.len())?;
+                for (word, bytes) in words.words_mut().iter_mut().zip(image.chunks_exact(4)) {
+                    *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+                }
+                PackedText::from_image(words, len)
+            };
             assert_eq!(image.len(), 8 * (n + 1).div_ceil(32));
-            assert_eq!(PackedText::from_image(&image, n + 1), Some(text.clone()));
+            assert_eq!(from_image(&image, n + 1), Some(text.clone()));
             // Wrong length, either way.
-            assert_eq!(
-                PackedText::from_image(&image[..image.len() - 1], n + 1),
-                None
-            );
-            assert_eq!(PackedText::from_image(&image, n + 1 + 32), None);
-            assert_eq!(PackedText::from_image(&image, 0), None);
+            assert_eq!(from_image(&image[..image.len() - 1], n + 1), None);
+            assert_eq!(from_image(&image, n + 1 + 32), None);
+            assert_eq!(from_image(&image, 0), None);
             // Any bit from the sentinel's on.
             for bit in 2 * n..8 * image.len() {
                 let mut dirty = image.clone();
                 dirty[bit / 8] |= 1 << (bit % 8);
-                assert_eq!(
-                    PackedText::from_image(&dirty, n + 1),
-                    None,
-                    "n {n}, bit {bit}"
-                );
+                assert_eq!(from_image(&dirty, n + 1), None, "n {n}, bit {bit}");
             }
             let mut counts = [0u64; 4];
             for base in &bases {

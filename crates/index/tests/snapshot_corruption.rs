@@ -20,7 +20,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
 use exma_index::snapshot::crc32;
-use exma_index::{decode_snapshot, encode_snapshot, naive, KStepFmIndex, SnapshotError};
+use exma_index::{
+    decode_snapshot, encode_snapshot, load_snapshot, naive, KStepFmIndex, SnapshotError,
+};
 
 /// The largest single request any thread of the process has made of the
 /// allocator since it was last zeroed. Process-wide, not per thread: a
@@ -406,4 +408,75 @@ fn every_truncation_length_is_rejected() {
     // And the pristine image still loads — the sweep did not depend on
     // a broken baseline.
     assert_eq!(decode_snapshot(&pristine, None).unwrap(), index);
+}
+
+#[test]
+fn a_file_and_a_slice_of_the_same_bytes_load_alike() {
+    // One decoder reads both sources, so a file cut anywhere — on either
+    // side of every boundary the framing draws, inside a payload, inside
+    // the trailer — or corrupted any way answers what the same bytes
+    // answer as a slice.
+    let _turn = one_at_a_time();
+    let genome = toy_genome(16);
+    let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
+    let pristine = encode_snapshot(&index);
+    let mut path = std::env::temp_dir();
+    path.push(format!("exma_two_sources_{}.snap", std::process::id()));
+    let agree = |bytes: &[u8], what: &dyn std::fmt::Debug| {
+        std::fs::write(&path, bytes).expect("write the cut file");
+        let from_file = load_snapshot(&path);
+        assert_eq!(from_file, decode_snapshot(bytes, None), "{what:?}");
+        from_file
+    };
+
+    let mut cuts = vec![0, 7, 8, 9, 11, 12, 13, 31, 32, 33];
+    for payload in section_payloads(&pristine) {
+        let framing = payload.start - 16;
+        for edge in [framing, payload.start, payload.end] {
+            cuts.extend([edge - 1, edge, edge + 1]);
+        }
+        cuts.push(payload.start + payload.len() / 2);
+    }
+    cuts.retain(|&keep| keep < pristine.len());
+    cuts.extend((1..4).map(|back| pristine.len() - back));
+    for keep in cuts {
+        let err = agree(&pristine[..keep], &format!("cut at {keep}"));
+        assert!(
+            matches!(
+                err,
+                Err(SnapshotError::Truncated { .. }
+                    | SnapshotError::BadMagic
+                    | SnapshotError::Malformed { .. })
+            ),
+            "cut at {keep}: {err:?}"
+        );
+    }
+
+    let mut rng = SeededRng::new(0x534E_4150 ^ 16);
+    let mut cases = 0;
+    while cases < 60 {
+        let mutation = Mutation::draw(&mut rng, pristine.len());
+        let Some(corrupt) = mutation.apply(&pristine) else {
+            continue;
+        };
+        cases += 1;
+        assert!(agree(&corrupt, &mutation).is_err(), "{mutation:?}");
+    }
+    // Consistent images, the file checksum redone, whose checks fail past
+    // the checksums: a text length the BWT section does not hold, and a
+    // k the stored k-mer codes overflow.
+    for (offset, value) in [(16, u32::MAX - 1), (12, 2)] {
+        let mut image = pristine.clone();
+        image[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        let body = image.len() - 4;
+        let checksum = crc32(&image[..body]);
+        image[body..].copy_from_slice(&checksum.to_le_bytes());
+        let err = agree(&image, &(offset, value));
+        assert!(
+            matches!(err, Err(SnapshotError::Malformed { .. })),
+            "{err:?}"
+        );
+    }
+    assert_eq!(agree(&pristine, &"pristine"), Ok(index));
+    let _ = std::fs::remove_file(&path);
 }

@@ -357,6 +357,37 @@ fn a_snapshot_of_another_reference_is_rejected_and_rebuilt() {
     let _ = std::fs::remove_file(&snapshot);
 }
 
+#[cfg(unix)]
+#[test]
+fn a_snapshot_path_that_is_not_a_regular_file_is_left_as_it_is() {
+    use std::os::unix::fs::FileTypeExt;
+    // A socket inode stands in for a FIFO or a device: the server must
+    // neither block nor read forever on it, and must not replace it with
+    // the snapshot it writes after the rebuild.
+    let dir = temp_path("socket_dir");
+    std::fs::create_dir(&dir).expect("make the directory");
+    let socket = dir.join("snap");
+    let _listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
+    let server = ServerProcess::start(&["--snapshot-path", socket.to_str().expect("utf-8")]);
+    assert!(
+        server.startup.starts_with("cold start"),
+        "a socket warm-started the server: {:?}",
+        server.startup
+    );
+    let stats = Client::connect(&server.addr).stats_snapshot(1);
+    assert_eq!(stats.snapshot_rejected, 1, "rejection not counted");
+    let stderr = server.terminate();
+    for expected in ["snapshot rejected: ", "warning: cannot write snapshot: "] {
+        assert!(
+            stderr.iter().any(|l| l.starts_with(expected)),
+            "no {expected:?} on stderr: {stderr:?}"
+        );
+    }
+    let kind = std::fs::metadata(&socket).expect("still there").file_type();
+    assert!(kind.is_socket(), "the snapshot path became {kind:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn racing_sigterms_still_drain_to_exit_zero() {
     // Two SIGTERMs land back to back — the second racing the drain the
