@@ -459,8 +459,8 @@ mod tests {
             .run(&QueryBatch::new().count(parse_bases(&"A".repeat(20)).unwrap()));
         assert_eq!(results.count(0), len - 19);
         let kocc = index.kmer_occ();
-        let codes: Vec<u16> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
-        assert!(codes[..=len - k].iter().all(|&c| c == 0));
+        let codes: Vec<Option<u8>> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
+        assert!(codes[..=len - k].iter().all(|&c| c == Some(0)));
         // Every block boundary and its neighbours, the superblock
         // boundaries at rows 6 144 and 12 288 among them.
         let stride = kocc.stride() as u16;

@@ -62,6 +62,12 @@ impl CountTable {
                 *total += count;
             }
         }
+        CountTable::from_frequencies(freq)
+    }
+
+    /// The table of a text in which the symbol of code `c` occurs
+    /// `freq[c]` times: all a `Count` table depends on.
+    pub fn from_frequencies(freq: [u64; 5]) -> CountTable {
         let mut starts = [0u64; 6];
         for c in 0..5 {
             starts[c + 1] = starts[c] + freq[c];

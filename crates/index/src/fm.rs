@@ -10,7 +10,7 @@
 use std::ops::Range;
 
 use exma_genome::genome::Genome;
-use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, CountTable, Symbol};
+use exma_genome::{count_table, suffix_array, Base, CountTable, Symbol};
 
 use crate::layout::HeapBreakdown;
 use crate::occ::OccTable;
@@ -49,10 +49,11 @@ impl FmIndex {
     /// [`exma_genome::suffix_array`]) or too long for `u32` counters.
     pub fn from_text(text: &[Symbol]) -> FmIndex {
         let sa = suffix_array(text);
-        let bwt = bwt_from_sa(text, &sa);
+        let n = text.len();
+        let bwt = sa.iter().map(|&p| text[(p as usize + n - 1) % n]);
         FmIndex::from_parts(
             count_table(text),
-            OccTable::new(&bwt).expect("the text fits u32 counters"),
+            OccTable::new(bwt).expect("the text fits u32 counters"),
             SampledSuffixArray::new(&sa),
         )
     }
@@ -287,6 +288,7 @@ mod tests {
     use crate::layout::SA_SAMPLE_RATE;
     use crate::{naive, KStepFmIndex, MAX_STEP};
     use exma_genome::alphabet::parse_bases;
+    use exma_genome::bwt_from_sa;
     use exma_genome::genome::text_from_str;
 
     fn fig3_index() -> FmIndex {
@@ -358,7 +360,7 @@ mod tests {
             let bwt = bwt_from_sa(&text, &suffix_array(&text));
             let counts = count_table(&text);
             // The same table before `from_parts` marked it.
-            let unmarked = OccTable::new(&bwt).unwrap();
+            let unmarked = OccTable::new(bwt.iter().copied()).unwrap();
             let fm = FmIndex::from_text(&text);
             let n = text.len();
             for i in 0..=n {

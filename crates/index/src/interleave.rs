@@ -628,6 +628,14 @@ impl BlockStore {
         &self.data.bytes()[base..base + count]
     }
 
+    /// Every row's one-byte code lane in row order, a block's run at a
+    /// time.
+    pub(crate) fn lane_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let rate = self.sample_rate.divisor;
+        let runs = self.len.div_ceil(rate);
+        (0..runs).map(move |block| self.byte_lanes(block, rate.min(self.len - block * rate)))
+    }
+
     /// The one-byte code lane `offset` rows into `block`.
     #[inline]
     pub(crate) fn byte_lane(&self, block: usize, offset: usize) -> u8 {

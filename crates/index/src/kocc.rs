@@ -4,10 +4,11 @@
 //! symbols to k-mers: row `i` of the k-BWT holds the k symbols that
 //! cyclically precede suffix `SA[i]`, packed into one code over the
 //! expanded alphabet of `4^k` base-only k-mers. Contexts that cross the
-//! sentinel cannot equal any query k-mer, so they all share a single
-//! out-of-alphabet code. The step width stops at [`MAX_STEP`] = 4, so a
-//! code is one byte in the table and the C-array over the expanded
-//! alphabet is at most 256 words (1 KiB).
+//! sentinel cannot equal any query k-mer: they are the rows of the text
+//! positions below k — the *marker rows*, at most k of them — which the
+//! table keeps as a side list and never counts. The step width stops at
+//! [`MAX_STEP`] = 4, so every other code is one byte in the table and the
+//! C-array over the expanded alphabet is at most 256 words (1 KiB).
 //!
 //! Rank is checkpointed every `96k` rows
 //! ([`crate::layout::k_occ_sample_rate`]) inside cache-line-aligned
@@ -31,8 +32,8 @@ use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError};
 
 /// Checkpointed rank structure over k-BWT codes, interleaved per block.
 ///
-/// Valid codes are `0 .. stride` (k-mer lexicographic ranks); the value
-/// `stride` itself marks a sentinel-crossing context and is never ranked.
+/// Codes are `0 .. stride` (k-mer lexicographic ranks, `stride` = `4^k`);
+/// the marker rows hold no code.
 ///
 /// With `rate` = `96k`, block `b` covers code positions `b * rate ..` and
 /// lays out, in bytes:
@@ -46,21 +47,18 @@ use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError};
 /// code is below 256. Absolute rows live in a separate superblock array,
 /// one `stride`-word row per [`crate::layout::SUPERBLOCK_RATE`] blocks.
 ///
-/// One wrinkle at `stride == 256` exactly: the sentinel-crossing marker
-/// code (`stride`) does not fit a one-byte lane. Those rows — at most
-/// k of them exist — store a placeholder `0` lane and are remembered in
-/// a sorted side list; the table counts placeholders like real zeros
-/// internally and subtracts the side list from every `rank(0, ..)`
-/// answer, keeping checkpoints, scans, and answers consistent.
+/// A marker row's lane holds a placeholder `0`: the table counts it like
+/// a real zero internally and subtracts the marker rows below `i` from
+/// every `rank(0, i)` answer, keeping checkpoints, scans, and answers
+/// consistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KmerOccTable {
     /// Checkpoint rows of `stride` counters (the expanded alphabet,
     /// `4^k`) over the code lanes.
     store: BlockStore,
-    /// Rows whose one-byte code lane holds a placeholder `0` because the
-    /// sentinel marker `256` does not fit it (`stride == 256` only).
-    /// Sorted; at most k entries.
-    exceptions: Vec<u32>,
+    /// The marker rows, whose lane holds a placeholder `0`. Sorted; at
+    /// most k entries.
+    markers: Vec<u32>,
     /// Occurrences of every code in the full table: the O(1) answer to
     /// `rank(r, len)`, which every backward search issues on its first
     /// refinement (`hi = n`).
@@ -68,11 +66,11 @@ pub struct KmerOccTable {
 }
 
 impl KmerOccTable {
-    /// Builds the table over the k-BWT `codes` of step width `k` (valid
-    /// codes `0 .. 4^k`, the marker `4^k`), checkpointed every
-    /// [`k_occ_sample_rate`]`(k)` rows. Takes the codes by value: at
-    /// reference scale they are tens of megabytes, and the sole builder
-    /// has no further use for them.
+    /// Builds the table of step width `k` over the k-BWT `codes` (each
+    /// below `4^k`, a placeholder `0` at every marker row) and the sorted
+    /// `markers`, checkpointed every [`k_occ_sample_rate`]`(k)` rows.
+    /// Takes both by value: at reference scale the codes are tens of
+    /// megabytes, and the sole builders have no further use for them.
     ///
     /// # Errors
     ///
@@ -81,40 +79,39 @@ impl KmerOccTable {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or greater than [`MAX_STEP`], or any code
-    /// exceeds `4^k` — programming errors of the (internal) caller, not
+    /// Panics if `k` is zero or greater than [`MAX_STEP`], a code is not
+    /// below `4^k`, or a marker row is out of order, out of range or not
+    /// a placeholder — programming errors of the (internal) callers, not
     /// data-dependent conditions.
-    pub fn new(codes: Vec<u16>, k: usize) -> Result<KmerOccTable, IndexError> {
+    pub fn new(
+        codes: Vec<u8>,
+        mut markers: Vec<u32>,
+        k: usize,
+    ) -> Result<KmerOccTable, IndexError> {
         assert!(
             (1..=MAX_STEP).contains(&k),
             "k must be in 1..={MAX_STEP}, got {k}"
         );
         let stride = 1usize << (2 * k);
-        // `stride` (the sentinel marker) does not fit a one-byte lane
-        // only when stride == 256 exactly; see the struct docs.
-        let masked_marker = stride == 256;
-        let mut exceptions: Vec<u32> = Vec::new();
-        let rows = codes.iter().enumerate().map(|(row, &c)| {
-            assert!((c as usize) <= stride, "code {c} exceeds stride {stride}");
-            if masked_marker && c as usize == stride {
-                // Placeholder 0 lane, counted like a real zero so stored
-                // counts match what scans see. (Rows fit `u32`: `build`
-                // refuses a longer input before it takes a row.)
-                exceptions.push(row as u32);
-                (0, 0)
-            } else {
-                // Below 256: the marker of every stride under 256 fits.
-                (c as u8, c as usize)
-            }
+        assert!(
+            markers.windows(2).all(|pair| pair[0] < pair[1])
+                && markers
+                    .iter()
+                    .all(|&row| codes.get(row as usize) == Some(&0)),
+            "marker rows {markers:?} are not sorted placeholder rows"
+        );
+        let rows = codes.iter().map(|&c| {
+            assert!(usize::from(c) < stride, "code {c} exceeds stride {stride}");
+            (c, usize::from(c))
         });
         let (store, mut totals) = BlockStore::build(stride, k_occ_sample_rate(k), rows)?;
-        exceptions.shrink_to_fit();
         // `totals` answers rank(r, len) directly, so it stores *true*
         // counts: placeholders are not occurrences of code 0.
-        totals[0] -= exceptions.len() as u32;
+        totals[0] -= markers.len() as u32;
+        markers.shrink_to_fit();
         Ok(KmerOccTable {
             store,
-            exceptions,
+            markers,
             totals,
         })
     }
@@ -135,18 +132,30 @@ impl KmerOccTable {
         self.store.lanes()
     }
 
-    /// The k-BWT code at row `i` (`stride` for sentinel-crossing contexts).
+    /// The k-BWT code at row `i`, `None` at a marker row.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
-    pub fn code(&self, i: usize) -> u16 {
+    pub fn code(&self, i: usize) -> Option<u8> {
         assert!(i < self.len(), "code position {i} out of range");
-        if !self.exceptions.is_empty() && self.exceptions.binary_search(&(i as u32)).is_ok() {
-            return self.stride() as u16;
+        if self.markers.contains(&(i as u32)) {
+            return None;
         }
         let (block, offset) = self.store.split(i);
-        u16::from(self.store.byte_lane(block, offset))
+        Some(self.store.byte_lane(block, offset))
+    }
+
+    /// The sorted marker rows (the rows of the text positions below k).
+    pub(crate) fn markers(&self) -> &[u32] {
+        &self.markers
+    }
+
+    /// Every row's code in row order, a block's run at a time, with the
+    /// placeholder `0` at the marker rows: the stream the table was built
+    /// from.
+    pub(crate) fn code_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.store.lane_runs()
     }
 
     /// For each of `offsets`, the physical count of code `r` in rows
@@ -164,12 +173,11 @@ impl KmerOccTable {
     }
 
     /// Corrects a physical count (which treats placeholder lanes as code
-    /// 0) down to the true rank of `r` in `0..i`. Free unless `r == 0`
-    /// on a table that actually has exceptions.
+    /// 0) down to the true rank of `r` in `0..i`. Free unless `r == 0`.
     #[inline]
     fn corrected(&self, physical: u32, r: u16, i: usize) -> u32 {
-        if r == 0 && !self.exceptions.is_empty() {
-            physical - self.exceptions.partition_point(|&e| (e as usize) < i) as u32
+        if r == 0 {
+            physical - self.markers.partition_point(|&e| (e as usize) < i) as u32
         } else {
             physical
         }
@@ -253,7 +261,7 @@ impl KmerOccTable {
             k_occ_checkpoints: checkpoints,
             k_occ_deltas: deltas,
             k_occ_codes: codes + self.totals.capacity() * 4,
-            other: self.exceptions.capacity() * 4,
+            other: self.markers.capacity() * 4,
             ..HeapBreakdown::default()
         }
     }
@@ -265,9 +273,13 @@ impl KmerOccTable {
     }
 }
 
-/// Reference O(n) rank used to validate the checkpointed table in tests.
-pub fn naive_krank(codes: &[u16], r: u16, i: usize) -> u32 {
-    codes[..i].iter().filter(|&&c| c == r).count() as u32
+/// Reference O(n) rank used to validate the checkpointed table in tests:
+/// the rows below `i` whose code is `r` (`None` marks a marker row).
+pub fn naive_krank(codes: &[Option<u8>], r: u16, i: usize) -> u32 {
+    codes[..i]
+        .iter()
+        .filter(|&&c| c.map(u16::from) == Some(r))
+        .count() as u32
 }
 
 #[cfg(test)]
@@ -276,20 +288,29 @@ mod tests {
     use crate::layout::SUPERBLOCK_RATE;
 
     /// A small deterministic code stream over the `4^k` codes of width
-    /// `k` and the out-of-alphabet (sentinel-crossing) marker.
-    fn fixture(len: usize, k: usize) -> Vec<u16> {
+    /// `k` and marker rows (`None`).
+    fn fixture(len: usize, k: usize) -> Vec<Option<u8>> {
         let stride = 1 << (2 * k);
         (0..len)
-            .map(|i| ((i * 7 + i / 3) % (stride + 1)) as u16)
+            .map(|i| u8::try_from((i * 7 + i / 3) % (stride + 1)).ok())
+            .map(|c| c.filter(|&c| usize::from(c) < stride))
             .collect()
+    }
+
+    /// The table over `codes`: a placeholder `0` and a side-list entry at
+    /// every marker row.
+    fn table(codes: &[Option<u8>], k: usize) -> KmerOccTable {
+        let lanes = codes.iter().map(|c| c.unwrap_or(0)).collect();
+        let markers = (0..codes.len() as u32).filter(|&i| codes[i as usize].is_none());
+        KmerOccTable::new(lanes, markers.collect(), k).unwrap()
     }
 
     /// [`naive_krank`] of `r` at every `i` in `0..=codes.len()`, counted
     /// in one pass.
-    fn naive_kranks(codes: &[u16], r: u16) -> Vec<u32> {
+    fn naive_kranks(codes: &[Option<u8>], r: u16) -> Vec<u32> {
         let mut ranks = vec![0];
         for &c in codes {
-            ranks.push(ranks.last().unwrap() + u32::from(c == r));
+            ranks.push(ranks.last().unwrap() + u32::from(c.map(u16::from) == Some(r)));
         }
         ranks
     }
@@ -307,7 +328,7 @@ mod tests {
         // at k = 1.
         for k in 1..=MAX_STEP {
             let codes = fixture(900, k);
-            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            let occ = table(&codes, k);
             for r in probe_codes(k) {
                 for (i, &rank) in naive_kranks(&codes, r).iter().enumerate() {
                     assert_eq!(occ.rank(r, i), rank, "k {k}, code {r}, prefix {i}");
@@ -320,7 +341,7 @@ mod tests {
     fn rank_pair_matches_naive_across_widths_spacings_and_rates() {
         for k in 1..=MAX_STEP {
             let codes = fixture(400, k);
-            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            let occ = table(&codes, k);
             for r in probe_codes(k) {
                 let ranks = naive_kranks(&codes, r);
                 for lo in 0..=codes.len() {
@@ -360,8 +381,8 @@ mod tests {
         // block (the last one short, its zero padding lanes never counted
         // for code 0) at the one-byte widths — code regions of two to six
         // lines, unaligned behind 8-, 32- and 128-byte delta rows and
-        // aligned behind k = 4's 512 — and at k = 4 the placeholder lanes
-        // of the marker rows.
+        // aligned behind k = 4's 512 — and the placeholder lanes of the
+        // marker rows.
         for k in 1..=4 {
             let stride = 1usize << (2 * k);
             let rate = k_occ_sample_rate(k);
@@ -369,20 +390,14 @@ mod tests {
             // other row's code differs from a low one only in bit 7, the
             // bit the 1-step table's readers mask off, so a mask that
             // leaked into this table's kernel would merge the two.
-            let codes: Vec<u16> = if k == 4 {
+            let codes: Vec<Option<u8>> = if k == 4 {
                 (0..1100)
-                    .map(|i| {
-                        if i % 151 == 3 {
-                            256
-                        } else {
-                            (i * 31 + i / 7) % 3 + (i % 2) * 128
-                        }
-                    })
+                    .map(|i| (i % 151 != 3).then_some(((i * 31 + i / 7) % 3 + (i % 2) * 128) as u8))
                     .collect()
             } else {
                 fixture(1100, k)
             };
-            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            let occ = table(&codes, k);
             // 130 is 2 with bit 7 set (a no-op repeat of the last code
             // on the small strides).
             for r in [0, 2, 130.min(stride - 1), stride - 1].map(|r| r as u16) {
@@ -409,7 +424,7 @@ mod tests {
             let rate = k_occ_sample_rate(k);
             // Past the second superblock boundary.
             let codes = fixture(2 * rate * SUPERBLOCK_RATE + 100, k);
-            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            let occ = table(&codes, k);
             for r in probe_codes(k) {
                 let ranks = naive_kranks(&codes, r);
                 // Every block boundary, hence every superblock boundary:
@@ -440,17 +455,21 @@ mod tests {
     fn codes_round_trip_through_the_interleaved_layout() {
         for k in 1..=MAX_STEP {
             let codes = fixture(1500, k);
-            let occ = KmerOccTable::new(codes.clone(), k).unwrap();
+            let occ = table(&codes, k);
             for (i, &c) in codes.iter().enumerate() {
                 assert_eq!(occ.code(i), c, "k {k}, position {i}");
             }
+            let stream: Vec<u8> = occ.code_runs().flatten().copied().collect();
+            let lanes: Vec<u8> = codes.iter().map(|c| c.unwrap_or(0)).collect();
+            assert_eq!(stream, lanes, "k {k}");
         }
     }
 
     #[test]
     fn invalid_codes_are_stored_but_never_counted() {
-        let occ = KmerOccTable::new(vec![0u16, 4, 1, 4, 2], 1).unwrap();
-        assert_eq!(occ.code(1), 4);
+        // Marker rows hold a placeholder lane and answer no code.
+        let occ = table(&[Some(0), None, Some(1), None, Some(2)], 1);
+        assert_eq!(occ.code(1), None);
         assert_eq!(occ.rank(0, 5), 1);
         assert_eq!(occ.rank(1, 5), 1);
         assert_eq!(occ.rank(2, 5), 1);
@@ -459,19 +478,13 @@ mod tests {
 
     #[test]
     fn stride_256_markers_round_trip_and_never_count() {
-        // At k = 4 the marker (256) does not fit a byte lane and takes
-        // the exception path: placeholder-0 lanes, corrected ranks. Past
-        // the first superblock boundary (16 blocks of 384 rows).
-        let codes: Vec<u16> = (0..6500)
-            .map(|i| {
-                if i % 151 == 3 {
-                    256
-                } else {
-                    (i * 31 % 256) as u16
-                }
-            })
+        // Placeholder-0 lanes, corrected ranks, at the full one-byte
+        // alphabet. Past the first superblock boundary (16 blocks of 384
+        // rows).
+        let codes: Vec<Option<u8>> = (0..6500)
+            .map(|i| (i % 151 != 3).then_some((i * 31 % 256) as u8))
             .collect();
-        let occ = KmerOccTable::new(codes.clone(), 4).unwrap();
+        let occ = table(&codes, 4);
         for (i, &c) in codes.iter().enumerate() {
             assert_eq!(occ.code(i), c, "position {i}");
         }
@@ -496,11 +509,18 @@ mod tests {
     #[test]
     fn all_marker_rows_still_build() {
         // A text shorter than k makes *every* row sentinel-crossing.
-        let occ = KmerOccTable::new(vec![256, 256, 256], 4).unwrap();
-        assert_eq!(occ.code(1), 256);
+        let occ = table(&[None; 3], 4);
+        assert_eq!(occ.code(1), None);
         for r in [0u16, 255] {
             assert_eq!(occ.rank(r, 3), 0);
+            assert_eq!(occ.rank_pair(r, 1, 2), (0, 0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not sorted placeholder rows")]
+    fn a_marker_row_must_hold_the_placeholder() {
+        let _ = KmerOccTable::new(vec![0, 1, 2], vec![1], 1);
     }
 
     #[test]
@@ -509,18 +529,21 @@ mod tests {
         // superblocks the deltas of its last blocks would overflow; every
         // 16 blocks of 96 rows (k = 1) the absolute row resets them, so
         // none exceeds 15 x 96.
-        let mut codes = vec![0u16; 70_000];
-        codes.extend([1, 4, 1, 1]);
-        let occ = KmerOccTable::new(codes.clone(), 1).unwrap();
+        let mut codes = vec![Some(0u8); 70_000];
+        codes.extend([Some(1), None, Some(1), Some(1)]);
+        let occ = table(&codes, 1);
         let rate = k_occ_sample_rate(1);
         // Around every block boundary, hence every superblock boundary.
         let mut zeros = 0;
         for (i, &c) in codes.iter().enumerate() {
             if i % rate <= 1 || i % rate == rate - 1 {
                 assert_eq!(occ.rank(0, i), zeros, "prefix {i}");
-                assert_eq!(occ.rank_pair(0, i, i + 1).1, zeros + u32::from(c == 0));
+                assert_eq!(
+                    occ.rank_pair(0, i, i + 1).1,
+                    zeros + u32::from(c == Some(0))
+                );
             }
-            zeros += u32::from(c == 0);
+            zeros += u32::from(c == Some(0));
         }
         assert_eq!(occ.rank(0, codes.len()), zeros);
     }
@@ -528,7 +551,7 @@ mod tests {
     #[test]
     fn prefetch_is_a_safe_no_op_everywhere() {
         let codes = fixture(137, 2);
-        let occ = KmerOccTable::new(codes.clone(), 2).unwrap();
+        let occ = table(&codes, 2);
         for i in [0usize, 1, 16, 136, 137, 500] {
             for r in 0..16u16 {
                 occ.prefetch_rank(r, i); // must never fault or panic
@@ -542,27 +565,30 @@ mod tests {
     fn heap_breakdown_is_exact() {
         // k = 1, 2000 codes: 2000 / 96 + 1 = 21 blocks of 8 delta bytes
         // and 96 code bytes, each rounded to two lines; two superblock
-        // groups of 4 words round to one 64-byte line; totals is 4 words.
-        let occ = KmerOccTable::new(fixture(2000, 1), 1).unwrap();
+        // groups of 4 words round to one 64-byte line; totals is 4 words,
+        // and the side list a word a marker row.
+        let codes = fixture(2000, 1);
+        let markers = codes.iter().filter(|c| c.is_none()).count();
+        let occ = table(&codes, 1);
         let heap = occ.heap_breakdown();
         assert_eq!(heap.k_occ_checkpoints, 64);
         assert_eq!(heap.k_occ_deltas, 21 * 8);
         assert_eq!(heap.k_occ_codes, 21 * 128 - 21 * 8 + 4 * 4);
-        assert_eq!(heap.other, 0);
+        assert_eq!(heap.other, 4 * markers);
         assert_eq!(heap.total(), occ.heap_bytes());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rank_past_end_panics() {
-        let occ = KmerOccTable::new(vec![0, 1, 2], 1).unwrap();
+        let occ = table(&[Some(0), Some(1), Some(2)], 1);
         let _ = occ.rank(0, 4);
     }
 
     #[test]
     #[should_panic(expected = "out of alphabet")]
     fn rank_of_invalid_code_panics() {
-        let occ = KmerOccTable::new(vec![0, 1, 2], 1).unwrap();
+        let occ = table(&[Some(0), Some(1), Some(2)], 1);
         let _ = occ.rank(4, 2);
     }
 }

@@ -32,21 +32,21 @@
 use std::ops::Range;
 
 use exma_genome::genome::Genome;
-use exma_genome::{bwt_from_sa, count_table, suffix_array, Base, Kmer, Symbol};
+use exma_genome::{count_table, suffix_array, Base, Kmer, Symbol};
 
 use crate::fm::FmIndex;
 use crate::kocc::KmerOccTable;
 use crate::layout::{HeapBreakdown, IndexError};
-use crate::lookup::{kmer_starts, lookup_k, KmerLookup};
+use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa::SampledSuffixArray;
 use crate::text::PackedText;
 
 /// Largest supported step width: the `4^4` = 256 k-mer codes of k = 4
-/// are the most a one-byte code lane of the k-step table holds. Each wider
-/// step would double the table's heap or more (its checkpoint rows hold
-/// `4^k` counters) for no faster search. The k-BWT itself stays `u16`:
-/// k = 4's out-of-alphabet marker is 256.
+/// are the most a one-byte code lane of the k-step table holds, and the
+/// k-BWT is built, stored and loaded as those bytes. Each wider step
+/// would double the table's heap or more (its checkpoint rows hold `4^k`
+/// counters) for no faster search.
 pub const MAX_STEP: usize = 4;
 
 /// What a k-step index build chooses: the step width and the
@@ -80,6 +80,54 @@ impl KStepBuildConfig {
             bidirectional: false,
         }
     }
+}
+
+/// The k-BWT of `text` from its suffix array `sa`, one byte a row: the k
+/// bases cyclically in front of each suffix packed into a code, the last
+/// one in the low two bits — so a code's low bits are the row's BWT
+/// symbol. The window crosses the sentinel exactly at the rows of the
+/// text positions below k, the *marker rows*: they take a placeholder
+/// `0` and are returned in row order, with their BWT symbols.
+fn k_bwt(text: &[Symbol], sa: &[u32], k: usize) -> (Vec<u8>, Vec<u32>, Vec<Symbol>) {
+    let n = text.len();
+    let mut markers = Vec::with_capacity(k.min(n));
+    let mut symbols = Vec::with_capacity(k.min(n));
+    let codes = sa
+        .iter()
+        .enumerate()
+        .map(|(row, &p)| {
+            let p = p as usize;
+            if p < k {
+                markers.push(row as u32);
+                symbols.push(text[(p + n - 1) % n]);
+                return 0;
+            }
+            // The window `T[p - k..p]` ends before the sentinel, the
+            // text's last symbol: k bases.
+            text[p - k..p]
+                .iter()
+                .fold(0, |code, s| code << 2 | (s.code() - 1))
+        })
+        .collect();
+    (codes, markers, symbols)
+}
+
+/// The BWT, row by row, read off the k-BWT: the last base of each row's
+/// code, and at the marker rows `symbols`, one a marker row in order.
+pub(crate) fn bwt_of_codes<'a>(
+    codes: &'a [u8],
+    markers: &'a [u32],
+    symbols: &'a [Symbol],
+) -> impl ExactSizeIterator<Item = Symbol> + 'a {
+    let mut next = 0;
+    codes.iter().enumerate().map(move |(row, &code)| {
+        if markers.get(next) == Some(&(row as u32)) {
+            next += 1;
+            symbols[next - 1]
+        } else {
+            Symbol::Base(Base::from_code(code & 3))
+        }
+    })
 }
 
 /// A k-step FM-index over a sentinel-terminated text.
@@ -142,42 +190,23 @@ impl KStepFmIndex {
             "k must be in 1..={MAX_STEP}, got {k}"
         );
         let n = text.len();
-        // Each n-sized temporary is freed after its last reader: the BWT
-        // inside the 1-step table's statement, the suffix array before the
-        // k-step table is allocated.
+        // One pass over the suffix array gives the k-BWT codes and the
+        // marker rows; the suffix array is sampled and freed before either
+        // occurrence table is allocated, and the 1-step table reads its
+        // symbols off the codes.
         let sa = suffix_array(text);
-        let occ = OccTable::new(&bwt_from_sa(text, &sa))?;
-        let base = FmIndex::from_parts(count_table(text), occ, SampledSuffixArray::new(&sa));
-
-        // k-BWT: the k symbols cyclically preceding each suffix, packed into
-        // a code over the 4^k expanded alphabet; contexts containing the
-        // sentinel take the single out-of-alphabet code `stride`. Stepping
-        // back k positions as `n - (k % n)` keeps the arithmetic in range
-        // even when the text is shorter than k (where every window crosses
-        // the sentinel and the code is out-of-alphabet anyway).
-        let stride = 1usize << (2 * k);
-        let back = n - k % n;
-        let codes: Vec<u16> = sa
-            .iter()
-            .map(|&p| {
-                let mut code = 0usize;
-                for j in 0..k {
-                    match text[(p as usize + back + j) % n].base() {
-                        Some(b) => code = (code << 2) | b.code() as usize,
-                        None => return stride as u16,
-                    }
-                }
-                code as u16
-            })
-            .collect();
+        let (codes, markers, marker_symbols) = k_bwt(text, &sa, k);
+        let ssa = SampledSuffixArray::new(&sa);
         drop(sa);
-        let kocc = KmerOccTable::new(codes, k)?;
+        let occ = OccTable::new(bwt_of_codes(&codes, &markers, &marker_symbols))?;
+        let base = FmIndex::from_parts(count_table(text), occ, ssa);
+        let kocc = KmerOccTable::new(codes, markers, k)?;
 
         let text = PackedText::from_symbols(text);
         Ok(KStepFmIndex {
             k,
             base,
-            kstarts: kmer_starts(&text, k),
+            kstarts: kmer_buckets(&text, k).0,
             kocc,
             bidirectional: config.bidirectional,
             lookup: KmerLookup::new(&text, lookup_k(n)),

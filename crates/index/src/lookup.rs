@@ -28,7 +28,7 @@
 //! keeps — one counting pass over its packed words and a prefix sum
 //! ([`count_below`]) — so a snapshot does not store it: the loader
 //! rebuilds it beside the other sections' decoding. The k-step index's
-//! C-array is the same routine at K = k ([`kmer_starts`]): `lb[x]` for a
+//! C-array is the same routine at K = k ([`kmer_buckets`]): `lb[x]` for a
 //! k-mer `x` is where its bucket starts, so it is not stored either.
 
 use std::ops::Range;
@@ -133,16 +133,22 @@ fn count_below(text: &PackedText, k: usize, lb: &mut [u32]) -> [u32; MAX_LOOKUP_
     gaps
 }
 
-/// The C-array of the k-step index over `text`: for each of the `4^k`
-/// k-mers, the number of suffixes that sort below it — the first row of
-/// its suffix-array bucket. [`count_below`] at K = k, less the last
-/// counter; exactly `4^k` words.
-pub(crate) fn kmer_starts(text: &PackedText, k: usize) -> Vec<u32> {
+/// The C-array of the k-step index over `text` — for each of the `4^k`
+/// k-mers, the number of suffixes that sort below it, the first row of its
+/// suffix-array bucket — and each bucket's size: the suffixes that start
+/// with the k-mer, which is how often the k-BWT holds its code.
+/// [`count_below`] at K = k, less the last counter and the short suffixes
+/// sitting between buckets; exactly `4^k` words each.
+pub(crate) fn kmer_buckets(text: &PackedText, k: usize) -> (Vec<u32>, Vec<u32>) {
     let mut starts = vec![0; (1 << (2 * k)) + 1];
-    count_below(text, k, &mut starts);
+    let gaps = count_below(text, k, &mut starts);
+    let mut sizes: Vec<u32> = starts.windows(2).map(|pair| pair[1] - pair[0]).collect();
+    for &gap in gaps.iter().filter(|&&gap| gap != NO_GAP && gap > 0) {
+        sizes[gap as usize - 1] -= 1;
+    }
     starts.pop();
     starts.shrink_to_fit();
-    starts
+    (starts, sizes)
 }
 
 impl KmerLookup {

@@ -68,14 +68,16 @@ pub struct OccTable {
 }
 
 impl OccTable {
-    /// Builds the table from a BWT, checkpointed every
-    /// [`OCC_SAMPLE_RATE`] symbols.
+    /// Builds the table from the BWT's symbols in row order,
+    /// checkpointed every [`OCC_SAMPLE_RATE`] symbols. An iterator, so a
+    /// build can derive them as it goes (from the suffix array, or from
+    /// the k-BWT codes) instead of holding a BWT beside the table.
     ///
     /// # Errors
     ///
     /// [`IndexError::IndexTooLarge`] if the BWT outgrows `u32` counters.
-    pub fn new(bwt: &[Symbol]) -> Result<OccTable, IndexError> {
-        let rows = bwt.iter().map(|s| (s.code(), usize::from(s.code())));
+    pub fn new(bwt: impl ExactSizeIterator<Item = Symbol>) -> Result<OccTable, IndexError> {
+        let rows = bwt.map(|s| (s.code(), usize::from(s.code())));
         let (store, totals) = BlockStore::build(HEADER_LANES, OCC_SAMPLE_RATE, rows)?;
         Ok(OccTable {
             store,
@@ -254,7 +256,7 @@ mod tests {
     #[test]
     fn rank_matches_naive_at_every_position() {
         for bwt in bwts() {
-            let occ = OccTable::new(&bwt).unwrap();
+            let occ = OccTable::new(bwt.iter().copied()).unwrap();
             for &s in &SYMBOL_ALPHABET {
                 for (i, &rank) in naive_ranks(&bwt, s).iter().enumerate() {
                     assert_eq!(
@@ -271,7 +273,7 @@ mod tests {
     #[test]
     fn lf_data_fuses_symbol_and_rank() {
         for bwt in bwts() {
-            let occ = OccTable::new(&bwt).unwrap();
+            let occ = OccTable::new(bwt.iter().copied()).unwrap();
             for i in 0..bwt.len() {
                 let (s, rank, marked) = occ.lf_data(i);
                 assert_eq!(s, occ.symbol(i), "position {i}");
@@ -292,7 +294,7 @@ mod tests {
             &|_| true,
         ];
         for bwt in bwts() {
-            let plain = OccTable::new(&bwt).unwrap();
+            let plain = OccTable::new(bwt.iter().copied()).unwrap();
             let ranks = SYMBOL_ALPHABET.map(|s| naive_ranks(&bwt, s));
             for (set, is_marked) in row_sets.iter().enumerate() {
                 let mut occ = plain.clone();
@@ -318,7 +320,7 @@ mod tests {
     #[test]
     fn rank_all_agrees_with_rank() {
         for bwt in bwts() {
-            let occ = OccTable::new(&bwt).unwrap();
+            let occ = OccTable::new(bwt.iter().copied()).unwrap();
             for i in 0..=bwt.len() {
                 let all = occ.rank_all(i);
                 for &s in &SYMBOL_ALPHABET {
@@ -331,7 +333,7 @@ mod tests {
     #[test]
     fn symbols_round_trip() {
         for bwt in [bwt_of("GATTACA"), long_bwt()] {
-            let occ = OccTable::new(&bwt).unwrap();
+            let occ = OccTable::new(bwt.iter().copied()).unwrap();
             assert_eq!(occ.len(), bwt.len());
             for (i, &s) in bwt.iter().enumerate() {
                 assert_eq!(occ.symbol(i), s);
@@ -345,7 +347,7 @@ mod tests {
         // one-line block.
         assert_eq!(HEADER_LANES * 2 + OCC_SAMPLE_RATE, 64);
         for bwt in [bwt_of(&"ACGT".repeat(100)), long_bwt()] {
-            let occ = OccTable::new(&bwt).unwrap();
+            let occ = OccTable::new(bwt.iter().copied()).unwrap();
             let blocks = bwt.len() / OCC_SAMPLE_RATE + 1;
             let sb_lines = (blocks.div_ceil(SUPERBLOCK_RATE) * HEADER_LANES).div_ceil(16);
             assert_eq!(
@@ -360,7 +362,7 @@ mod tests {
     #[test]
     fn prefetch_is_a_safe_no_op_everywhere() {
         let bwt = bwt_of("CATAGACATTAGACCATAGGA");
-        let occ = OccTable::new(&bwt).unwrap();
+        let occ = OccTable::new(bwt.iter().copied()).unwrap();
         for i in [0usize, 3, 21, 22, 1000] {
             for &s in &SYMBOL_ALPHABET {
                 occ.prefetch_rank(s, i); // must never fault or panic
@@ -372,7 +374,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rank_past_end_panics() {
         let bwt = bwt_of("ACGT");
-        let occ = OccTable::new(&bwt).unwrap();
+        let occ = OccTable::new(bwt.iter().copied()).unwrap();
         let _ = occ.rank(Symbol::Sentinel, bwt.len() + 1);
     }
 }

@@ -1,31 +1,22 @@
 //! Crash-safe, checksummed snapshots of a built [`KStepFmIndex`].
 //!
-//! Rebuilding an FM-index costs a suffix-array construction — the bulk
-//! of a server's startup on real genomes — while everything the suffix
-//! array *produced* is linear to re-derive. A snapshot therefore
-//! persists the text-derived components the index cannot cheaply
-//! recover (the BWT symbol stream, the k-BWT code stream, the sampled
-//! suffix array and the 2-bit text) together with the build (`k` and
-//! the strandedness — the layout is the constants of [`crate::layout`]),
-//! and a load replays the deterministic linear constructors over them.
-//! Neither the K-mer lookup table nor the expanded-alphabet C-array
-//! (`4^k` words, 1 KiB at most) is stored: they are one counting routine
-//! over the text, run at K and at k, and a load runs it over the decoded
-//! text on a second thread while the tables are checked and built. That
-//! buys three guarantees for free: every structural invariant holds
-//! because the ordinary constructors enforce it, the [`AlignedWords`]
-//! placement — cache-line-aligned, and 2 MiB-aligned and advised onto huge
-//! pages from 2 MiB up — is the cold build's because the same one
-//! allocation path produces it, and the reloaded index is *equal* to a
-//! cold build — byte-identical query results and an allocation-exact
-//! [`HeapBreakdown`](crate::HeapBreakdown).
+//! A snapshot stores what an index cannot cheaply recover without its
+//! suffix array — the k-BWT, one byte a row, its marker rows, the sampled
+//! suffix array and the 2-bit text — with the build (`k`, strandedness),
+//! and a load replays the linear constructors over them: the reloaded
+//! index *equals* a cold build, down to its [`AlignedWords`] placement and
+//! an allocation-exact [`HeapBreakdown`](crate::HeapBreakdown). The 1-step
+//! BWT is not stored: a code's low two bits are its row's BWT symbol, and
+//! at the marker rows — those of text positions `p < k`, whose window
+//! crosses the sentinel — it is `T[p − 1]` or `$`, read off the text. Nor
+//! are the K-mer table and the C-array, counted from the text.
 //!
-//! # On-disk format (version 4, all integers little-endian)
+//! # On-disk format (version 5, all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"EXMASNAP"
-//!      8     4  format version (= 4)
+//!      8     4  format version (= 5)
 //!     12     4  k
 //!     16     8  text length n (sentinel included)
 //!     24     4  section count (= 4)
@@ -33,98 +24,60 @@
 //!     32     …  4 sections, each:
 //!                 tag u32 | payload length u64 | payload CRC32 | payload
 //!      …     4  whole-file CRC32 over every preceding byte
+//! sections: 1 k-BWT    n bytes, a placeholder 0 at each marker row
+//!           2 markers  min(k, n) u32 rows, ascending
+//!           3 samples  count u64 | ⌈n/64⌉ u64 mark words | count u32
+//!           4 text     ⌈n/32⌉ u64 words, base i in bits 2 (i mod 32) of
+//!                      word i / 32, the sentinel and padding zero
 //! ```
 //!
-//! The flags word carries the bidirectional marker (a doubled-text index
-//! is table-identical to a forward-only one, so the flag cannot be
-//! recovered from the payloads). There is one format: every index is
-//! written this way, and an image of any other version — the first two
-//! had no text section, the third stored the four sampling rates and the
-//! C-array — is refused with [`SnapshotError::VersionMismatch`], which a
-//! server answers by rebuilding.
+//! Any other version (v4 held the BWT beside `u16` k-codes) is refused as
+//! [`SnapshotError::VersionMismatch`]; a server answers by rebuilding.
 //!
-//! Sections, in order: `1` BWT (n one-byte symbol codes), `2` k-BWT
-//! codes (n u16 k-mer codes: k = 4's sentinel-crossing marker, 256, does
-//! not fit a byte), `3` sampled suffix array (sample count
-//! u64, then `⌈n/64⌉` mark words, then the u32 samples), `4` the text
-//! (`⌈n/32⌉` u64 words, base `i` in bits `2 (i mod 32)` of word `i / 32`,
-//! the sentinel and the padding behind it zero).
+//! # One decoder, read front to back, verified before construction
 //!
-//! # One decoder, read front to back
+//! [`load_snapshot`] and [`decode_snapshot`] are one decoder over a file
+//! and a slice, so the same bytes give the same index or error. It reads
+//! the image once through a 64 KiB chunk into the buffers the payloads
+//! become, each read checked against the source's length first, so no
+//! header can make a load ask for more memory than the file's size.
+//! Beside the index, a load stages the k-codes: one byte a base.
 //!
-//! [`load_snapshot`] and [`decode_snapshot`] are one decoder over two
-//! sources — a file, whose length its metadata gives, and a slice — so
-//! the same bytes give the same index or the same error either way. It
-//! reads the image once, front to back, and never holds it whole: every
-//! payload passes through one staging chunk of at most 64 KiB straight
-//! into the buffer it becomes — the BWT codes into the allocation that
-//! turns into the `Vec<Symbol>` the 1-step table is built from, the k-BWT
-//! codes into the `Vec<u16>` the k-step table takes, the mark words and
-//! the samples into their own vectors, the text words into the
-//! [`AlignedWords`] the index keeps. Each piece is folded into its
-//! section's CRC32 and the file's as it passes. Every read is checked
-//! against the source's length before it is made, and every buffer is
-//! sized by a length so checked, so no header or framing can make a load
-//! ask for more memory than the file's own size. A load therefore holds,
-//! beside the index it builds, only the staged inputs its tables are
-//! built from, each freed once its last reader is done: the BWT after the
-//! 1-step table and the sampled-row check, the k-BWT codes inside the
-//! k-step table's constructor.
-//!
-//! # Verification before construction
-//!
-//! A load verifies *everything* before building anything. As it reads,
-//! it checks the magic, the version, the header's sanity and every
-//! structural bound. Once the trailer is in, it compares every section
-//! checksum and the whole-file checksum (which covers the header and
-//! section framing). Then, in a fixed order, it checks the semantic
-//! range/consistency of each decoded payload — a payload whose length is
-//! not the one the header implies was read into nothing, and fails here
-//! as malformed — and the text against what was verified before it: its
-//! per-base counts are the BWT's, every sampled row's BWT
-//! symbol is the base in front of its sampled position
-//! (n / [`crate::layout::SA_SAMPLE_RATE`] probes), and every k-mer bucket
-//! the counted C-array opens holds the rows the k-BWT gives it. The one
-//! thing built alongside is the counting pass, run once the text's length
-//! and padding check out; a load that fails drops its tables with
-//! everything else. Every failure is a typed [`SnapshotError`]; a
-//! corrupted file can never panic the loader and never yields an index,
-//! and a path that is not a regular file is refused before it is opened.
-//! The checksums are the corruption defense — a file that collides CRC32
-//! on every region it mutated is outside the threat model (that is an
-//! adversarially *crafted* file, not a corrupted one), and even then the
-//! semantic validation keeps every table access in bounds. The checksum
-//! kernel is slicing-by-8 ([`crc32`]: eight table lookups per eight
-//! bytes, none waiting on another), because a load folds every payload
-//! byte twice — into its section's checksum and the file's — and at a
-//! byte a step those two passes were a quarter to a half of a warm start;
-//! the values, and so every file, are those of the bytewise definition
-//! the tests keep as the oracle.
+//! Nothing is built before everything is verified: magic, version,
+//! header and framing as read; then every checksum; then, in a fixed
+//! order, each payload's length, the codes (below `4^k`), the marker rows
+//! (distinct, ascending, in range, placeholders), the samples, the base
+//! counts of the BWT the codes hold against the text's, every sampled
+//! row's symbol against the base in front of its position, the marker
+//! rows' suffix order (an LF step from the row of `T[p..]` lands on that
+//! of `T[p − 1..]`), and each code's count against its k-mer's in the
+//! text. As the BWT *is* the codes' low bits, the k-steps and the 1-step
+//! walks of a loaded index answer from one text. Every failure is a typed
+//! [`SnapshotError`], never a panic or an index. The checksums are the
+//! corruption defense (a file that collides CRC32 on every region it
+//! changed is crafted, outside the threat model); the semantic checks keep
+//! every table access in bounds.
 //!
 //! # Crash-safe writes
 //!
-//! [`write_snapshot`] streams the image to `path.tmp`, fsyncs it,
-//! atomically renames it over `path`, and fsyncs the directory: a crash
-//! at any point leaves either the old snapshot or the new one, never a
-//! torn file at `path`. A torn `path.tmp` that somehow gets renamed by
-//! hand is still caught by the length and checksum verification above.
-//! A `path` or `path.tmp` that names an existing node other than a
-//! regular file — a FIFO, a device, a socket, a directory — is refused,
-//! never replaced or written into.
+//! [`write_snapshot`] streams the image off the tables to `path.tmp`,
+//! fsyncs it, renames it over `path` and fsyncs the directory: a crash
+//! leaves the old snapshot or the new one. A `path` or `path.tmp` naming
+//! a FIFO, a device, a socket or a directory is refused, left as it is.
 
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use exma_genome::{count_table, Base, Symbol};
+use exma_genome::{Base, CountTable, Symbol};
 
 use crate::fm::FmIndex;
 use crate::interleave::AlignedWords;
 use crate::kocc::KmerOccTable;
-use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
+use crate::kstep::{bwt_of_codes, KStepBuildConfig, KStepFmIndex, MAX_STEP};
 use crate::layout::SA_SAMPLE_RATE;
-use crate::lookup::{kmer_starts, lookup_k, KmerLookup};
+use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa::{RankBits, SampledSuffixArray};
 use crate::text::PackedText;
@@ -133,7 +86,7 @@ use crate::text::PackedText;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EXMASNAP";
 
 /// The one on-disk format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// Magic, version, k, text length, section count, flags.
 const HEADER_LEN: usize = 32;
@@ -142,7 +95,7 @@ const HEADER_LEN: usize = 32;
 const FLAG_BIDIRECTIONAL: u32 = 1;
 const SECTION_HEADER_LEN: usize = 16;
 const SECTION_COUNT: usize = 4;
-const SECTION_NAMES: [&str; SECTION_COUNT] = ["bwt", "k-codes", "sampled-sa", "text"];
+const SECTION_NAMES: [&str; SECTION_COUNT] = ["k-codes", "marker-rows", "sampled-sa", "text"];
 
 /// Why a snapshot could not be written or loaded. Every load-side
 /// failure is typed and total: corrupted input yields an error, never a
@@ -173,11 +126,7 @@ pub enum SnapshotError {
 }
 
 fn write_config(f: &mut fmt::Formatter<'_>, c: &KStepBuildConfig) -> fmt::Result {
-    write!(f, "k{}", c.k)?;
-    if c.bidirectional {
-        write!(f, "_bidir")?;
-    }
-    Ok(())
+    write!(f, "k{}{}", c.k, if c.bidirectional { "_bidir" } else { "" })
 }
 
 impl fmt::Display for SnapshotError {
@@ -290,112 +239,81 @@ fn malformed(field: &'static str) -> SnapshotError {
     SnapshotError::Malformed { field }
 }
 
-/// The 32-byte file header: magic, version, k, text length, section
-/// count, flags.
-fn header(index: &KStepFmIndex) -> [u8; HEADER_LEN] {
-    let config = index.build_config();
-    let flags = if config.bidirectional {
-        FLAG_BIDIRECTIONAL
-    } else {
-        0
-    };
-    let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-    header[8..12].copy_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&(config.k as u32).to_le_bytes());
-    header[16..24].copy_from_slice(&(index.text_len() as u64).to_le_bytes());
-    header[24..28].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-    header[28..32].copy_from_slice(&flags.to_le_bytes());
-    header
-}
+/// What a section's payload is handed to, a piece at a time.
+type Sink<'a> = dyn FnMut(&[u8]) -> io::Result<()> + 'a;
 
-/// The byte length of section `section`'s payload (0-based, in file
-/// order).
-fn payload_len(index: &KStepFmIndex, section: usize) -> usize {
-    let n = index.text_len();
+/// Hands section `section`'s payload (0-based, in file order) to `sink`,
+/// read off the index's tables, words 4 KiB at a time.
+fn payload(index: &KStepFmIndex, section: usize, sink: &mut Sink<'_>) -> io::Result<()> {
+    fn words<T: Copy, const W: usize>(
+        words: &[T],
+        le: fn(T) -> [u8; W],
+        sink: &mut Sink<'_>,
+    ) -> io::Result<()> {
+        let mut chunk = [0; 4096];
+        words.chunks(4096 / W).try_for_each(|some| {
+            for (bytes, &word) in chunk.chunks_exact_mut(W).zip(some) {
+                bytes.copy_from_slice(&le(word));
+            }
+            sink(&chunk[..some.len() * W])
+        })
+    }
     let ssa = index.base_index().sampled_sa();
     match section {
-        0 => n,
-        1 => 2 * n,
-        2 => 8 + 8 * ssa.marks().word_slice().len() + 4 * ssa.sample_slice().len(),
-        _ => 8 * index.packed_text().image().len(),
-    }
-}
-
-/// Appends section `section`'s payload (0-based, in file order) to
-/// `out`: the canonical linear inputs the constructors replay on load.
-fn encode_payload(index: &KStepFmIndex, section: usize, out: &mut Vec<u8>) {
-    let n = index.text_len();
-    match section {
-        0 => {
-            let occ = index.base_index().occ();
-            out.extend((0..n).map(|i| occ.symbol(i).code()));
-        }
-        1 => {
-            let kocc = index.kmer_occ();
-            for i in 0..n {
-                out.extend_from_slice(&kocc.code(i).to_le_bytes());
-            }
-        }
+        0 => index.kmer_occ().code_runs().try_for_each(sink),
+        1 => words(index.kmer_occ().markers(), u32::to_le_bytes, sink),
         2 => {
-            let ssa = index.base_index().sampled_sa();
-            let samples = ssa.sample_slice();
-            out.extend_from_slice(&(samples.len() as u64).to_le_bytes());
-            for &w in ssa.marks().word_slice() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            for &s in samples {
-                out.extend_from_slice(&s.to_le_bytes());
-            }
+            sink(&(ssa.stored() as u64).to_le_bytes())?;
+            words(ssa.marks().word_slice(), u64::to_le_bytes, sink)?;
+            words(ssa.sample_slice(), u32::to_le_bytes, sink)
         }
-        _ => {
-            for &word in index.packed_text().image() {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        }
+        _ => words(index.packed_text().image(), u32::to_le_bytes, sink),
     }
 }
 
-/// A section's framing: tag, payload length, payload CRC32.
-fn section_header(section: usize, payload: &[u8]) -> [u8; SECTION_HEADER_LEN] {
-    let mut framing = [0u8; SECTION_HEADER_LEN];
-    framing[..4].copy_from_slice(&(section as u32 + 1).to_le_bytes());
-    framing[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    framing[12..].copy_from_slice(&crc32(payload).to_le_bytes());
-    framing
+/// Streams `index`'s image into `out`: the header, each section's framing
+/// (from a first pass over its payload) and payload, and the checksum.
+fn write_image(index: &KStepFmIndex, out: &mut impl Write) -> io::Result<()> {
+    let mut file_crc = !0;
+    let mut put = |bytes: &[u8]| {
+        file_crc = crc32_update(file_crc, bytes);
+        out.write_all(bytes)
+    };
+    let config = index.build_config();
+    let flags = FLAG_BIDIRECTIONAL * u32::from(config.bidirectional);
+    put(&SNAPSHOT_MAGIC)?;
+    put(&SNAPSHOT_FORMAT_VERSION.to_le_bytes())?;
+    put(&(config.k as u32).to_le_bytes())?;
+    put(&(index.text_len() as u64).to_le_bytes())?;
+    put(&(SECTION_COUNT as u32).to_le_bytes())?;
+    put(&flags.to_le_bytes())?;
+    for section in 0..SECTION_COUNT {
+        let (mut len, mut crc) = (0u64, !0);
+        payload(index, section, &mut |piece| {
+            (len, crc) = (len + piece.len() as u64, crc32_update(crc, piece));
+            Ok(())
+        })?;
+        put(&(section as u32 + 1).to_le_bytes())?;
+        put(&len.to_le_bytes())?;
+        put(&(!crc).to_le_bytes())?;
+        payload(index, section, &mut put)?;
+    }
+    out.write_all(&(!file_crc).to_le_bytes())
 }
 
 /// Serializes `index` into its snapshot image, checksums included — the
-/// pure counterpart of [`write_snapshot`]. Each payload is encoded in
-/// place behind its framing, which is filled in once the payload's
-/// checksum is known.
+/// pure counterpart of [`write_snapshot`], through the same writer.
 pub fn encode_snapshot(index: &KStepFmIndex) -> Vec<u8> {
-    let total = HEADER_LEN
-        + (0..SECTION_COUNT)
-            .map(|section| SECTION_HEADER_LEN + payload_len(index, section))
-            .sum::<usize>()
-        + 4;
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&header(index));
-    for section in 0..SECTION_COUNT {
-        let framing = out.len();
-        out.resize(framing + SECTION_HEADER_LEN, 0);
-        encode_payload(index, section, &mut out);
-        let header = section_header(section, &out[framing + SECTION_HEADER_LEN..]);
-        out[framing..framing + SECTION_HEADER_LEN].copy_from_slice(&header);
-    }
-    let file_crc = crc32(&out);
-    out.extend_from_slice(&file_crc.to_le_bytes());
-    out
+    let mut image = Vec::new();
+    write_image(index, &mut image).expect("a Vec takes every write");
+    image
 }
 
 /// Writes `index` to `path` crash-safely: the image to `path.tmp`,
 /// fsync, atomic rename over `path`, directory fsync. A crash at any
 /// point leaves either the previous snapshot or the complete new one.
-/// The image is streamed — the header, then each section through one
-/// reused payload buffer, under a running file checksum — so a write
-/// holds one payload (at most 2 bytes a base, the k-BWT codes) beside
-/// the index, never the whole image.
+/// The image is streamed off the index's tables, so a write holds
+/// nothing beside the index but fixed-size chunks.
 ///
 /// # Errors
 ///
@@ -416,21 +334,7 @@ pub fn write_snapshot(index: &KStepFmIndex, path: &Path) -> Result<(), SnapshotE
     }
     let result = (|| -> io::Result<()> {
         let mut file = BufWriter::new(File::create(&tmp)?);
-        let mut file_crc = !0;
-        let mut put = |file: &mut BufWriter<File>, bytes: &[u8]| {
-            file_crc = crc32_update(file_crc, bytes);
-            file.write_all(bytes)
-        };
-        put(&mut file, &header(index))?;
-        let largest = (0..SECTION_COUNT).map(|section| payload_len(index, section));
-        let mut payload = Vec::with_capacity(largest.max().unwrap_or(0));
-        for section in 0..SECTION_COUNT {
-            payload.clear();
-            encode_payload(index, section, &mut payload);
-            put(&mut file, &section_header(section, &payload))?;
-            put(&mut file, &payload)?;
-        }
-        file.write_all(&(!file_crc).to_le_bytes())?;
+        write_image(index, &mut file)?;
         let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
         drop(file);
@@ -452,8 +356,7 @@ pub fn write_snapshot(index: &KStepFmIndex, path: &Path) -> Result<(), SnapshotE
 ///
 /// # Errors
 ///
-/// Any [`SnapshotError`]; see [`decode_snapshot`] for the verification
-/// contract.
+/// As [`load_snapshot_expecting`].
 pub fn load_snapshot(path: &Path) -> Result<KStepFmIndex, SnapshotError> {
     load_snapshot_expecting(path, None)
 }
@@ -461,8 +364,6 @@ pub fn load_snapshot(path: &Path) -> Result<KStepFmIndex, SnapshotError> {
 /// [`load_snapshot`], additionally requiring the snapshot's embedded
 /// build (`k`, strandedness) to equal `expected` — the warm-start
 /// compatibility check, performed on the header before any payload work.
-/// The file goes through [`decode_snapshot`]'s decoder as it is read, so
-/// the load never holds the whole image.
 ///
 /// # Errors
 ///
@@ -477,50 +378,38 @@ pub fn load_snapshot_expecting(
     regular_file_len(&fs::metadata(path)?)?;
     let mut file = File::open(path)?;
     let len = regular_file_len(&file.metadata()?)?;
-    decode(Image::new(&mut file, len), expected)
+    decode(&mut file, len, expected)
 }
 
-/// What a load or a write answers for a path that names something other
-/// than a regular file.
+/// What a load or a write answers for a path that is not a regular file.
 const NOT_A_REGULAR_FILE: SnapshotError = SnapshotError::Io {
     kind: io::ErrorKind::InvalidInput,
 };
 
 /// The length of a regular file; any other kind of node is refused.
 fn regular_file_len(meta: &fs::Metadata) -> Result<u64, SnapshotError> {
-    if meta.is_file() {
-        Ok(meta.len())
-    } else {
-        Err(NOT_A_REGULAR_FILE)
-    }
+    meta.is_file()
+        .then_some(meta.len())
+        .ok_or(NOT_A_REGULAR_FILE)
 }
 
-/// Decodes a snapshot image, verifying everything before constructing
-/// anything: magic, version, header sanity, structural bounds, the four
-/// section checksums, the whole-file checksum, and the semantic
-/// consistency of every decoded payload. Returns a typed error — never
-/// panics, never yields a partially-verified index. The slice is read by
-/// the one decoder a file load uses, so the same bytes give the same
-/// index or the same error either way.
+/// Decodes a snapshot image, verifying everything (see the module docs)
+/// before constructing anything: a typed error, never a panic or a
+/// partially-verified index, and what a file of the same bytes gives.
 pub fn decode_snapshot(
     bytes: &[u8],
     expected: Option<&KStepBuildConfig>,
 ) -> Result<KStepFmIndex, SnapshotError> {
-    let mut source = bytes;
-    decode(Image::new(&mut source, bytes.len() as u64), expected)
+    decode(&mut { bytes }, bytes.len() as u64, expected)
 }
 
-/// Bytes a load stages at a time between its source and a payload's
-/// destination buffer. A multiple of 8, so no value of any section — the
-/// widest is a `u64` mark word, and every value sits at a multiple of its
-/// own width — straddles two pieces.
+/// Bytes a load stages at a time: a multiple of 8, so no value (a `u64`
+/// at most, each at a multiple of its width) straddles two pieces.
 const CHUNK_BYTES: usize = 64 << 10;
 
-/// A snapshot image read front to back from a source of known length.
-/// Every read is checked against that length before it is made, so no
-/// buffer a load sizes by what it reads can be larger than the image, and
-/// every byte before the trailer is folded into the running whole-file
-/// checksum.
+/// A snapshot image read front to back from a source of known length,
+/// which every read is checked against before it is made; every byte
+/// before the trailer is folded into the whole-file checksum.
 struct Image<'a> {
     /// Read through a trait object, so the decoder is compiled once for
     /// both sources.
@@ -530,42 +419,24 @@ struct Image<'a> {
     offset: u64,
     /// The whole-file CRC32 state over those bytes.
     file_crc: u32,
-    /// The staging chunk payloads pass through: [`CHUNK_BYTES`], or the
-    /// image's length in whole 8-byte words if that is less. Allocated by
-    /// the first payload read, when at least the 48 bytes of the header
-    /// and the first framing are known to be there.
+    /// The staging chunk: [`CHUNK_BYTES`], or the image's length in whole
+    /// 8-byte words if that is less, allocated by the first payload read.
     chunk: Vec<u8>,
 }
 
 /// A section payload read into the buffer it becomes or, when its length
-/// is not the one the header implies, the field that names it: reported
-/// once every checksum has passed, in the order the semantic checks run.
+/// is not the one the header implies, the field that names it.
 type Staged<T> = Result<T, &'static str>;
 
 /// Section 3 as read: the mark words, then the samples.
 type Samples = (Vec<u64>, Vec<u32>);
 
-impl<'a> Image<'a> {
-    fn new(source: &'a mut dyn Read, len: u64) -> Image<'a> {
-        Image {
-            source,
-            len,
-            offset: 0,
-            file_crc: !0,
-            chunk: Vec::new(),
-        }
-    }
-
+impl Image<'_> {
     /// Fails unless `bytes` more bytes follow the ones read.
     fn need(&self, bytes: u64) -> Result<(), SnapshotError> {
-        let needed = self.offset.saturating_add(bytes);
-        if needed > self.len {
-            return Err(SnapshotError::Truncated {
-                needed,
-                len: self.len,
-            });
-        }
-        Ok(())
+        let (needed, len) = (self.offset.saturating_add(bytes), self.len);
+        let truncated = SnapshotError::Truncated { needed, len };
+        (needed <= len).then_some(()).ok_or(truncated)
     }
 
     /// Fills `buf` with the next bytes of the image.
@@ -639,32 +510,23 @@ impl<'a> Image<'a> {
         n: usize,
         crc: &mut u32,
     ) -> Result<Staged<Samples>, SnapshotError> {
-        let words = n.div_ceil(64);
-        let mut left = len;
-        let mut count = Err("sampled-sa length");
+        let (words, body) = (n.div_ceil(64), len.saturating_sub(8));
+        let mut count = [0; 8];
         if len >= 8 {
-            let mut word = [0; 8];
-            self.stream(8, crc, |piece| word.copy_from_slice(piece))?;
-            left -= 8;
-            count = usize::try_from(u64::from_le_bytes(word))
-                .map_err(|_| "sample count")
-                .and_then(|count| {
-                    let body = count.checked_mul(4).and_then(|b| b.checked_add(8 * words));
-                    (body == Some(left))
-                        .then_some(count)
-                        .ok_or("sampled-sa length")
-                });
+            self.stream(8, crc, |piece| count.copy_from_slice(piece))?;
         }
-        Ok(match count {
-            Ok(count) => Ok((
-                self.values(words, crc, u64::from_le_bytes)?,
-                self.values(count, crc, u32::from_le_bytes)?,
-            )),
-            Err(field) => {
-                self.stream(left, crc, |_| {})?;
-                Err(field)
-            }
-        })
+        let count = usize::try_from(u64::from_le_bytes(count))
+            .ok()
+            .filter(|&count| {
+                len >= 8
+                    && count.checked_mul(4).and_then(|b| b.checked_add(8 * words)) == Some(body)
+            });
+        let Some(count) = count else {
+            self.stream(body, crc, |_| {})?;
+            return Ok(Err("sampled-sa length"));
+        };
+        let marks = self.values(words, crc, u64::from_le_bytes)?;
+        Ok(Ok((marks, self.values(count, crc, u32::from_le_bytes)?)))
     }
 
     /// Section 4's payload, the 2-bit text of `n` symbols, into the
@@ -698,9 +560,17 @@ impl<'a> Image<'a> {
 /// checks then run over the staged payloads; and only then does anything
 /// get constructed.
 fn decode(
-    mut image: Image<'_>,
+    source: &mut dyn Read,
+    len: u64,
     expected: Option<&KStepBuildConfig>,
 ) -> Result<KStepFmIndex, SnapshotError> {
+    let mut image = Image {
+        source,
+        len,
+        offset: 0,
+        file_crc: !0,
+        chunk: Vec::new(),
+    };
     if image.array()? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
@@ -712,34 +582,25 @@ fn decode(
         });
     }
     let header: [u8; HEADER_LEN - 12] = image.array()?;
-    let k = u32_at(&header, 0) as usize;
-    let text_len = u64_at(&header, 4);
-    let section_count = u32_at(&header, 12) as usize;
+    let (k, text_len) = (u32_at(&header, 0) as usize, u64_at(&header, 4));
     let flags = u32_at(&header, 16);
     if flags & !FLAG_BIDIRECTIONAL != 0 {
         return Err(malformed("recipe flags"));
     }
-    let bidirectional = flags & FLAG_BIDIRECTIONAL != 0;
-
     if !(1..=MAX_STEP).contains(&k) {
         return Err(malformed("step width k"));
     }
     if text_len == 0 || text_len >= u64::from(u32::MAX) {
         return Err(malformed("text length"));
     }
-    if section_count != SECTION_COUNT {
+    if u32_at(&header, 12) as usize != SECTION_COUNT {
         return Err(malformed("section count"));
     }
-    let config = KStepBuildConfig { k, bidirectional };
-    if let Some(expected) = expected {
-        if *expected != config {
-            return Err(SnapshotError::LayoutMismatch {
-                expected: *expected,
-                found: config,
-            });
-        }
+    let bidirectional = flags & FLAG_BIDIRECTIONAL != 0;
+    let found = KStepBuildConfig { k, bidirectional };
+    if let Some(&expected) = expected.filter(|&&expected| expected != found) {
+        return Err(SnapshotError::LayoutMismatch { expected, found });
     }
-
     let n = text_len as usize;
 
     // The sections in tag order, each framing checked against the image's
@@ -747,8 +608,8 @@ fn decode(
     // into the buffer it becomes — sized by its own length, which the
     // image's has vouched for. A payload whose length is not the one `n`
     // implies is still read and checksummed, into nothing.
-    let mut bwt = Err("bwt length");
     let mut codes = Err("k-codes length");
+    let mut markers = Err("marker rows");
     let mut samples = Err("sampled-sa length");
     let mut text = Err("text length or padding");
     // Each section's stored checksum and the one its payload read to.
@@ -765,9 +626,9 @@ fn decode(
         image.need(len as u64)?;
         let mut crc = !0;
         match section {
-            0 if len == n => bwt = Ok(image.values(n, &mut crc, |[b]: [u8; 1]| b)?),
-            1 if len as u64 == 2 * text_len => {
-                codes = Ok(image.values(n, &mut crc, u16::from_le_bytes)?);
+            0 if len == n => codes = Ok(image.values(n, &mut crc, u8::from_le_bytes)?),
+            1 if len == 4 * k.min(n) => {
+                markers = Ok(image.values(k.min(n), &mut crc, u32::from_le_bytes)?);
             }
             2 => samples = image.samples(len, n, &mut crc)?,
             3 => text = image.text(len, n, &mut crc)?,
@@ -775,65 +636,47 @@ fn decode(
         }
         *slot = (u32_at(&framing, 12), !crc);
     }
-    let body = image.offset;
-    match image.len.cmp(&(body + 4)) {
-        std::cmp::Ordering::Less => {
-            return Err(SnapshotError::Truncated {
-                needed: body + 4,
-                len: image.len,
-            })
-        }
-        std::cmp::Ordering::Greater => return Err(malformed("file length")),
-        std::cmp::Ordering::Equal => {}
+    if image.len > image.offset + 4 {
+        return Err(malformed("file length"));
     }
-    let file_crc = !image.file_crc;
     let mut trailer = [0; 4];
     image.fill(&mut trailer)?;
 
     // Integrity: each section's own checksum, then the whole-file
     // checksum (which also covers the header and section framing — a
     // flipped k must never silently rebuild a different index).
-    for (section, &(stored, read)) in crcs.iter().enumerate() {
-        if stored != read {
-            return Err(SnapshotError::ChecksumMismatch {
-                section: SECTION_NAMES[section],
-            });
-        }
+    if let Some(section) = crcs.iter().position(|(stored, read)| stored != read) {
+        let section = SECTION_NAMES[section];
+        return Err(SnapshotError::ChecksumMismatch { section });
     }
-    if u32::from_le_bytes(trailer) != file_crc {
+    if u32::from_le_bytes(trailer) != !image.file_crc {
         return Err(SnapshotError::ChecksumMismatch { section: "file" });
     }
 
-    // Semantic checks, every value range-checked before any constructor
-    // that could assert sees it. The text leads: the K-mer table and the
-    // C-array are derived from it alone, so they are counted on a second
-    // thread while this one checks the three other sections and builds
-    // the tables — and joined before either the index or an error is
-    // returned. The table's size is set by `n`, which the BWT section's
-    // length has just vouched for: it is `4 (4^K + 1)` bytes with
-    // `16 · 4^K ≤ n` (two words when K is 0), at most `n / 4 + 8`, so no
-    // header can make it ask for more than the file justifies; the
-    // C-array is `4^k` words, 1 KiB at most.
-    let bwt = bwt.map_err(malformed)?;
+    // Semantic checks, every value range-checked before a constructor
+    // that could assert sees it. The K-mer table and the k-mer buckets
+    // are counted from the text on a second thread, joined before the
+    // index or an error is returned; the table is `4 (4^K + 1)` bytes with
+    // `16 · 4^K ≤ n`, at most `n / 4 + 8`, and `n` has just been vouched
+    // for by the k-codes section's length.
+    let codes = codes.map_err(malformed)?;
     let text = text
         .ok()
         .and_then(|words| PackedText::from_image(words, n))
         .ok_or(malformed("text length or padding"))?;
     let (tables, counted) = std::thread::scope(|scope| {
-        let counted = scope.spawn(|| (KmerLookup::new(&text, lookup_k(n)), kmer_starts(&text, k)));
-        let tables = build_tables(bwt, codes, samples, k, &text);
+        let counted = scope.spawn(|| (KmerLookup::new(&text, lookup_k(n)), kmer_buckets(&text, k)));
+        let tables = build_tables(codes, markers, samples, k, &text);
         (tables, counted.join())
     });
-    let (lookup, kstarts) = counted.expect("counting the K-mers of a decoded text cannot panic");
+    let (lookup, (kstarts, sizes)) =
+        counted.expect("counting the K-mers of a decoded text cannot panic");
     let (base, kocc) = tables?;
-    // Bucket bounds: `kstart(r) + rank(r, n) <= n` keeps every interval
-    // a k-step refinement can produce inside `0..n`, so no later rank
-    // call can assert out of range even on a checksummed file whose
-    // k-codes disagree with its text.
-    for (r, &start) in kstarts.iter().enumerate() {
-        if start as usize + kocc.rank(r as u16, n) as usize > n {
-            return Err(malformed("k-starts bucket"));
-        }
+    // Each code occurs as often as the text holds its k-mer: every k-step
+    // interval lies inside `0..n`, and a code rewritten to another k-mer
+    // with the same last base (the BWT as it was) is refused.
+    if (0..kstarts.len()).any(|r| kocc.rank(r as u16, n) != sizes[r]) {
+        return Err(malformed("k-mer totals"));
     }
     Ok(KStepFmIndex::from_parts(
         k,
@@ -846,30 +689,45 @@ fn decode(
     ))
 }
 
-/// Checks sections 1–3, as read, against each other and the
-/// already-checked `text` (section 4), then replays the cold-build
-/// constructors over them — the 1-step index and the k-mer occurrence
-/// table — freeing each input once its last reader is done.
+/// Checks the k-BWT `codes`, the marker rows and the samples, as read,
+/// against each other and the already-checked `text`, then replays the
+/// cold-build constructors over them — the 1-step index over the BWT the
+/// codes hold, and the k-mer occurrence table, which consumes them.
 fn build_tables(
-    bwt: Vec<u8>,
-    codes: Staged<Vec<u16>>,
+    codes: Vec<u8>,
+    markers: Staged<Vec<u32>>,
     samples: Staged<Samples>,
     k: usize,
     text: &PackedText,
 ) -> Result<(FmIndex, KmerOccTable), SnapshotError> {
     let n = text.len();
-    let stride = 1usize << (2 * k);
-    if bwt.iter().any(|&b| b > 4) {
-        return Err(malformed("bwt symbol code"));
+    // How often each byte occurs, in four histograms side by side (equal
+    // neighbours would otherwise wait on each other's stores): the codes'
+    // range, and the base counts of the BWT they hold.
+    let mut lanes = [[0u64; 256]; 4];
+    for (i, &code) in codes.iter().enumerate() {
+        lanes[i % 4][usize::from(code)] += 1;
     }
-    // A `Symbol` is one byte, so the codes become symbols in the
-    // allocation they were read into.
-    let bwt: Vec<Symbol> = bwt.into_iter().map(Symbol::from_code).collect();
-
-    let codes = codes.map_err(malformed)?;
-    if codes.iter().any(|&c| usize::from(c) > stride) {
+    let seen = |code: usize| lanes.iter().map(|lane| lane[code]).sum::<u64>();
+    if (1 << (2 * k)..256).any(|code| seen(code) != 0) {
         return Err(malformed("k-mer code"));
     }
+
+    let markers = markers.map_err(malformed)?;
+    let placeholders = markers
+        .iter()
+        .all(|&row| codes.get(row as usize) == Some(&0));
+    if !placeholders || markers.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err(malformed("marker rows"));
+    }
+    // Marker row `j` is the row of the `j`-th smallest suffix `T[p..]`,
+    // `p < k`; its BWT symbol is the one in front of `p`.
+    let mut positions: Vec<usize> = (0..markers.len()).collect();
+    positions.sort_by(|&a, &b| text.cmp_suffixes(a, b));
+    let symbols: Vec<Symbol> = positions
+        .iter()
+        .map(|&p| text.symbol((p + n - 1) % n))
+        .collect();
 
     let (words, samples) = samples.map_err(malformed)?;
     if samples.is_empty() {
@@ -878,12 +736,8 @@ fn build_tables(
         // LF walk endless.
         return Err(malformed("sample count"));
     }
-    if n % 64 != 0 {
-        if let Some(&last) = words.last() {
-            if last >> (n % 64) != 0 {
-                return Err(malformed("mark padding bits"));
-            }
-        }
+    if n % 64 != 0 && words.last().is_some_and(|&last| last >> (n % 64) != 0) {
+        return Err(malformed("mark padding bits"));
     }
     let marks = RankBits::from_words(words, n);
     if marks.rank(n) != samples.len() {
@@ -897,38 +751,47 @@ fn build_tables(
     }
     let ssa = SampledSuffixArray::from_parts(marks, samples);
 
-    // The text, against what is already verified: the BWT is a
-    // permutation of it, and a sampled row's BWT symbol is the base in
-    // front of the row's sampled position.
-    let counts = count_table(&bwt);
-    for (base, count) in Base::ALL.into_iter().zip(text.base_counts()) {
-        if count != counts.frequency(Symbol::Base(base)) {
-            return Err(malformed("text base counts"));
-        }
+    // The text, against the BWT the codes hold: the same base counts, and
+    // at a sampled row the base in front of the row's sampled position.
+    let mut counts = [0u64; 5];
+    for code in 0..256 {
+        counts[code % 4 + 1] += seen(code);
     }
+    counts[1] -= markers.len() as u64; // the placeholders
+    for symbol in &symbols {
+        counts[usize::from(symbol.code())] += 1;
+    }
+    if counts[1..] != text.base_counts() {
+        return Err(malformed("text base counts"));
+    }
+    let symbol_at = |row: usize| match markers.binary_search(&(row as u32)) {
+        Ok(j) => symbols[j],
+        Err(_) => Symbol::Base(Base::from_code(codes[row] & 3)),
+    };
     let samples = ssa.sample_slice();
     for (i, (row, &position)) in ssa.marks().ones().zip(samples).enumerate() {
         // The samples are in row order, their positions anywhere.
         if let Some(&ahead) = samples.get(i + 16) {
             text.prefetch(ahead as usize);
         }
-        let agrees = position == 0
-            || bwt[row]
-                .base()
-                .is_some_and(|before| text.code(position as usize - 1) == before.code());
-        if !agrees {
+        let position = position as usize;
+        if symbol_at(row) != text.symbol((position + n - 1) % n) {
             return Err(malformed("text against the sampled rows"));
         }
     }
 
     // Replay the cold-build constructors over the verified inputs; the
     // text-length check above already rules their error out.
-    let occ = OccTable::new(&bwt).map_err(|_| malformed("occ layout"))?;
-    drop(bwt);
-    // Symbol frequencies — all the C-array depends on — are the text's:
-    // `counts` was taken from the BWT, a permutation of it.
-    let base = FmIndex::from_parts(counts, occ, ssa);
-    let kocc = KmerOccTable::new(codes, k).map_err(|_| malformed("k-occ layout"))?;
+    let occ = OccTable::new(bwt_of_codes(&codes, &markers, &symbols))
+        .map_err(|_| malformed("occ layout"))?;
+    let base = FmIndex::from_parts(CountTable::from_frequencies(counts), occ, ssa);
+    // The sampled row of position 0 pinned its marker row (the one `$`);
+    // an LF step from the row of `T[p..]` lands on the row of `T[p - 1..]`.
+    let row_of = |p: usize| markers[positions.iter().position(|&q| q == p).expect("p < k")];
+    if (1..markers.len()).any(|p| base.lf(row_of(p) as usize) != row_of(p - 1) as usize) {
+        return Err(malformed("marker rows against the suffix order"));
+    }
+    let kocc = KmerOccTable::new(codes, markers, k).map_err(|_| malformed("k-occ layout"))?;
     Ok((base, kocc))
 }
 
@@ -983,20 +846,24 @@ mod tests {
     #[test]
     fn sa_marks_in_the_occurrence_lines_never_reach_the_image() {
         // The trailing whole-file CRC32 of two images, pinned: a mark that
-        // leaked into the BWT section would move it.
+        // leaked into the k-codes section would move it.
         for (index, crc) in [
-            (toy_index(4), 0x6cb4_15a5),
-            (toy_bidir_index(2), 0xe143_9a1c),
+            (toy_index(4), 0x1ef9_805e),
+            (toy_bidir_index(2), 0x3812_5bc0),
         ] {
             let occ = index.base_index().occ();
             let n = index.text_len();
             let marked = (0..n).filter(|&row| occ.lf_data(row).2).count();
             assert_eq!(marked, index.base_index().sampled_sa().stored());
             let bytes = encode_snapshot(&index);
-            // The BWT section leads, right behind the header.
-            let bwt_start = HEADER_LEN + SECTION_HEADER_LEN;
-            assert_eq!(u64_at(&bytes, bwt_start - 12), n as u64);
-            assert!(bytes[bwt_start..bwt_start + n].iter().all(|&b| b < 5));
+            // The k-codes section leads, right behind the header: each
+            // row's code, a placeholder 0 at the marker rows.
+            let codes = HEADER_LEN + SECTION_HEADER_LEN;
+            assert_eq!(u64_at(&bytes, codes - 12), n as u64);
+            let kocc = index.kmer_occ();
+            for (row, &code) in bytes[codes..codes + n].iter().enumerate() {
+                assert_eq!(kocc.code(row).unwrap_or(0), code, "row {row}");
+            }
             assert_eq!(u32_at(&bytes, bytes.len() - 4), crc);
             // And it loads to the index a cold build makes, marks and all.
             assert_eq!(
@@ -1145,7 +1012,7 @@ mod tests {
         corrupt[HEADER_LEN + SECTION_HEADER_LEN] ^= 0x40;
         assert_eq!(
             decode_snapshot(&corrupt, None).unwrap_err(),
-            SnapshotError::ChecksumMismatch { section: "bwt" }
+            SnapshotError::ChecksumMismatch { section: "k-codes" }
         );
         // A header flip that stays structurally sane (k = 2 read as 3)
         // is caught by the whole-file checksum — it must never silently

@@ -18,6 +18,8 @@
 //! [`AlignedWords`], so a text of 2 MiB or more takes the same huge-page
 //! path as the occurrence tables.
 
+use std::cmp::Ordering;
+
 use exma_genome::{Base, Symbol};
 
 use crate::interleave::AlignedWords;
@@ -127,6 +129,21 @@ impl PackedText {
     pub(crate) fn code(&self, i: usize) -> u8 {
         assert!(i < self.len, "text position {i} out of range");
         (self.words.words()[i / WORD_BASES] >> (2 * (i % WORD_BASES))) as u8 & 3
+    }
+
+    /// The symbol at text position `i`.
+    pub(crate) fn symbol(&self, i: usize) -> Symbol {
+        if i + 1 == self.len {
+            Symbol::Sentinel
+        } else {
+            Symbol::Base(Base::from_code(self.code(i)))
+        }
+    }
+
+    /// The lexicographic order of the suffixes starting at `a` and `b`.
+    pub(crate) fn cmp_suffixes(&self, a: usize, b: usize) -> Ordering {
+        let suffix = |from: usize| (from..self.len).map(|i| self.symbol(i));
+        suffix(a).cmp(suffix(b))
     }
 
     /// Occurrences of each base in the text, counted a window at a time.

@@ -11,8 +11,9 @@
 //! file that states an impossible header, so the header words the loader
 //! sizes tables by (k and the text length) are also rewritten *with* the
 //! file checksum redone,
-//! under an allocator that records how much was asked of it — and so is
-//! the text section, which no checksum ties to the tables beside it.
+//! under an allocator that records how much was asked of it — and so are
+//! the text section, which no checksum ties to the tables beside it, the
+//! k-codes and the marker rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -227,9 +228,9 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
         (12, u32::MAX, "step width k"),
         // A text length the sections do not hold. The K-mer table is
         // sized by it (at this length K = 13: 256 MiB of counters), so
-        // the loader checks it against the BWT section's length before
-        // the table is counted.
-        (16, u32::MAX - 1, "bwt length"),
+        // the loader checks it against the k-codes section's length
+        // before the table is counted.
+        (16, u32::MAX - 1, "k-codes length"),
         (24, 5, "section count"),
         (28, 2, "recipe flags"),
     ] {
@@ -253,7 +254,8 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
     }
     // Past that check, the largest thing a load sizes by `n` alone is
     // the K-mer table: `4 (4^K + 1)` bytes with `16 · 4^K ≤ n`, so at
-    // most `n / 4 + 8` — less than the BWT section that vouched for `n`.
+    // most `n / 4 + 8` — less than the k-codes section that vouched for
+    // `n`.
     let (loaded, largest) = largest_request(|| decode_snapshot(&pristine, None));
     let loaded = loaded.expect("the pristine image loads");
     let n = loaded.text_len();
@@ -279,7 +281,7 @@ fn section_payloads(image: &[u8]) -> Vec<std::ops::Range<usize>> {
 #[test]
 fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
     // The text section rewritten, its checksum and the file's redone: a
-    // text that is not the one the BWT and the samples were made from
+    // text that is not the one the k-BWT and the samples were made from
     // would verify every cut query against the wrong reference.
     let _turn = one_at_a_time();
     let genome = toy_genome(15);
@@ -304,7 +306,7 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
 
     type Rewrite<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
     let rewrites: [(&str, Rewrite); 4] = [
-        // One base changed: the counts no longer match the BWT's.
+        // One base changed: the counts no longer match the k-BWT's.
         (
             "text base counts",
             Box::new(|image| {
@@ -430,7 +432,11 @@ fn a_file_and_a_slice_of_the_same_bytes_load_alike() {
     };
 
     let mut cuts = vec![0, 7, 8, 9, 11, 12, 13, 31, 32, 33];
-    for payload in section_payloads(&pristine) {
+    let payloads = section_payloads(&pristine);
+    // The k-codes, a byte a row, then the k = 4 marker rows, four words.
+    assert_eq!(payloads[0].len(), index.text_len());
+    assert_eq!(payloads[1].len(), 16);
+    for payload in payloads {
         let framing = payload.start - 16;
         for edge in [framing, payload.start, payload.end] {
             cuts.extend([edge - 1, edge, edge + 1]);
@@ -463,8 +469,8 @@ fn a_file_and_a_slice_of_the_same_bytes_load_alike() {
         assert!(agree(&corrupt, &mutation).is_err(), "{mutation:?}");
     }
     // Consistent images, the file checksum redone, whose checks fail past
-    // the checksums: a text length the BWT section does not hold, and a
-    // k the stored k-mer codes overflow.
+    // the checksums: a text length the k-codes section does not hold, and
+    // a k the stored k-mer codes overflow.
     for (offset, value) in [(16, u32::MAX - 1), (12, 2)] {
         let mut image = pristine.clone();
         image[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
@@ -479,4 +485,175 @@ fn a_file_and_a_slice_of_the_same_bytes_load_alike() {
     }
     assert_eq!(agree(&pristine, &"pristine"), Ok(index));
     let _ = std::fs::remove_file(&path);
+}
+
+/// Redoes every section checksum and the file checksum of `image`.
+fn redo_checksums(image: &mut [u8]) {
+    for payload in section_payloads(image) {
+        let crc = crc32(&image[payload.clone()]);
+        image[payload.start - 4..payload.start].copy_from_slice(&crc.to_le_bytes());
+    }
+    let body = image.len() - 4;
+    let checksum = crc32(&image[..body]);
+    image[body..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// The k-mers on which `index`'s k-steps and its 1-step walks count
+/// differently.
+fn disagreements(index: &KStepFmIndex) -> usize {
+    let k = index.k();
+    (0..1usize << (2 * k))
+        .filter(|&code| {
+            let kmer: Vec<Base> = (0..k)
+                .map(|j| Base::from_code((code >> (2 * (k - 1 - j))) as u8 & 3))
+                .collect();
+            index.count(&kmer) != index.base_index().count(&kmer)
+        })
+        .count()
+}
+
+#[test]
+fn a_consistent_image_cannot_make_the_k_steps_and_the_one_step_walks_disagree() {
+    // The 1-step BWT is the k-codes' low bits, so one rewritten code byte,
+    // checksums redone, moves both tables at once: the loader refuses it
+    // (the base counts, the sampled rows, the k-mer totals or the marker
+    // rows no longer hold), or what it loads answers alike both ways. In
+    // the two-stream format before it, a checksum-consistent rewrite of a
+    // code byte or a swap of two BWT bytes loaded and disagreed.
+    let _turn = one_at_a_time();
+    let genome = toy_genome(17);
+    let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
+    let pristine = encode_snapshot(&index);
+    let codes = section_payloads(&pristine)[0].clone();
+    let kocc = index.kmer_occ();
+    let ssa = index.base_index().sampled_sa();
+    let mut rows: Vec<usize> = (0..codes.len()).step_by(97).collect();
+    rows.extend((0..codes.len()).filter(|&row| kocc.code(row).is_none()));
+    rows.extend(
+        (0..codes.len())
+            .filter(|&row| ssa.get(row).is_some())
+            .take(8),
+    );
+    let mut refused = 0;
+    for row in rows {
+        // Another first base with the last one kept (the BWT as it was),
+        // another last base, and every bit of the byte.
+        let flips = [0b0100_0000u8, 0b0000_0001, 0b0000_0011, 0xFF];
+        for flip in flips {
+            let mut image = pristine.clone();
+            image[codes.start + row] ^= flip;
+            redo_checksums(&mut image);
+            match decode_snapshot(&image, None) {
+                Err(SnapshotError::Malformed { .. }) => refused += 1,
+                Err(other) => panic!("row {row}, flip {flip:#x}: {other:?}"),
+                Ok(loaded) => assert_eq!(disagreements(&loaded), 0, "row {row}, flip {flip:#x}"),
+            }
+        }
+    }
+    assert!(refused > 0);
+    assert_eq!(disagreements(&index), 0);
+}
+
+#[test]
+fn marker_rows_that_are_not_the_suffix_order_rows_are_malformed() {
+    // Every marker-row word rewritten, checksums redone: a duplicate, a row
+    // past the text, an order that is not ascending, and a move to another
+    // row holding a 0, ascending still, so that the rows are no longer
+    // those of `T[0..]`, `T[1..]`, `T[2..]`, `T[3..]` in suffix order.
+    let _turn = one_at_a_time();
+    let genome = toy_genome(18);
+    let index = KStepFmIndex::from_text(&genome.text_with_sentinel(), 4);
+    let n = index.text_len() as u32;
+    let pristine = encode_snapshot(&index);
+    let payloads = section_payloads(&pristine);
+    let (codes, section) = (payloads[0].clone(), payloads[1].clone());
+    let word = |image: &[u8], j: usize| {
+        u32::from_le_bytes(image[section.start + 4 * j..][..4].try_into().unwrap())
+    };
+    let markers: Vec<u32> = (0..4).map(|j| word(&pristine, j)).collect();
+    assert!(markers.windows(2).all(|pair| pair[0] < pair[1]));
+    // The next row that also holds code 0, for each marker: an ascending
+    // list of placeholder rows that is not the marker rows.
+    let zero_after = |row: u32| {
+        (row + 1..n)
+            .find(|&r| pristine[codes.start + r as usize] == 0 && !markers.contains(&r))
+            .expect("code 0 occurs again")
+    };
+    for j in 0..4usize {
+        let neighbours = (
+            j.checked_sub(1).map(|i| markers[i]),
+            markers.get(j + 1).copied(),
+        );
+        let mut rewrites = vec![("out of range", n), ("far out of range", u32::MAX)];
+        if let Some(before) = neighbours.0 {
+            rewrites.push(("duplicate", before));
+        }
+        if let Some(after) = neighbours.1 {
+            rewrites.push(("unsorted", after + 1));
+        }
+        let moved = zero_after(markers[j]);
+        if neighbours.1.is_none_or(|after| moved < after) {
+            rewrites.push(("another placeholder row", moved));
+        }
+        for (what, value) in rewrites {
+            let mut image = pristine.clone();
+            image[section.start + 4 * j..][..4].copy_from_slice(&value.to_le_bytes());
+            redo_checksums(&mut image);
+            let err = decode_snapshot(&image, None).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Malformed { .. }),
+                "marker {j} {what} ({value}): {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_code_outside_the_alphabet_of_k_is_malformed() {
+    let _turn = one_at_a_time();
+    let text = toy_genome(19).text_with_sentinel();
+    for k in 1..=3 {
+        let index = KStepFmIndex::from_text(&text, k);
+        let mut image = encode_snapshot(&index);
+        let codes = section_payloads(&image)[0].clone();
+        for code in [1u8 << (2 * k), u8::MAX] {
+            let mut bad = image.clone();
+            bad[codes.start + 100] = code;
+            redo_checksums(&mut bad);
+            assert_eq!(
+                decode_snapshot(&bad, None).unwrap_err(),
+                SnapshotError::Malformed {
+                    field: "k-mer code"
+                },
+                "k {k}, code {code}"
+            );
+        }
+        redo_checksums(&mut image);
+        assert_eq!(decode_snapshot(&image, None).unwrap(), index);
+    }
+}
+
+#[test]
+fn a_two_stream_image_is_refused_by_its_version() {
+    // The header of the format before, by hand: version 4, k = 4, a text
+    // of 64 symbols, four sections, and the BWT section's framing behind.
+    let _turn = one_at_a_time();
+    let mut image = Vec::new();
+    image.extend_from_slice(b"EXMASNAP");
+    for word in [4u32, 4] {
+        image.extend_from_slice(&word.to_le_bytes());
+    }
+    image.extend_from_slice(&64u64.to_le_bytes());
+    for word in [4u32, 0, 1] {
+        image.extend_from_slice(&word.to_le_bytes());
+    }
+    image.extend_from_slice(&64u64.to_le_bytes());
+    image.extend_from_slice(&[0; 4 + 64 + 4]);
+    assert_eq!(
+        decode_snapshot(&image, None).unwrap_err(),
+        SnapshotError::VersionMismatch {
+            found: 4,
+            supported: exma_index::snapshot::SNAPSHOT_FORMAT_VERSION
+        }
+    );
 }
