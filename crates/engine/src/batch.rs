@@ -126,14 +126,11 @@ pub struct BatchStats {
     pub resolve_rounds: usize,
     /// LF steps the locate resolver issued across all cursors and rounds.
     pub resolve_lf_steps: usize,
-    /// Cursors the locate resolver retired by hitting a sampled mark.
-    /// Uncapped, this is the batch's total occurrence positions plus
-    /// `rows_rejected`; capped locates may retire slightly more than
-    /// they keep (the cap is checked at round boundaries).
+    /// Cursors the locate resolver retired by hitting a sampled mark,
+    /// one a row walked: a locate's kept rows (a capped one walks only
+    /// its first `max_hits`), and every row of a strand search or a cut
+    /// query.
     pub cursors_retired: usize,
-    /// Resolver cursors dropped un-walked because their query hit its
-    /// `max_hits` cap — the LF work the cap saved.
-    pub cursors_dropped: usize,
     /// Queries that left the lockstep search early, to be finished
     /// against the text (see the module docs).
     pub cut_queries: usize,
@@ -145,7 +142,7 @@ pub struct BatchStats {
 
 impl BatchStats {
     /// Folds a shard's counters into a batch-wide total: work counters
-    /// (`steps`, `peak_live`, resolver steps, retirements, drops, cuts and
+    /// (`steps`, `peak_live`, resolver steps, retirements, cuts and
     /// rejected rows) add up across concurrent workers, while the round
     /// counters — each the
     /// depth of the longest shard's lockstep schedule — take the maximum,
@@ -156,7 +153,6 @@ impl BatchStats {
         self.rounds = self.rounds.max(shard.rounds);
         self.resolve_lf_steps += shard.resolve_lf_steps;
         self.cursors_retired += shard.cursors_retired;
-        self.cursors_dropped += shard.cursors_dropped;
         self.cut_queries += shard.cut_queries;
         self.rows_rejected += shard.rows_rejected;
         self.resolve_rounds = self.resolve_rounds.max(shard.resolve_rounds);
@@ -258,7 +254,7 @@ impl std::fmt::Debug for SearchScratch {
 /// ordering matters to the paper. While refining one query the engine
 /// software-prefetches the table lines of the query `PREFETCH_DISTANCE`
 /// (8) places ahead of it, and the resolver hints its cursors the same way
-/// ([`exma_index::ResolveConfig::locality`]), turning a round's
+/// (`exma_index::resolve`), turning a round's
 /// dependent memory round-trips into overlapped fetches. Live queries
 /// are refined in input order: with every line of the next refinements
 /// prefetched, sorting a round by interval costs more than the address
@@ -472,7 +468,6 @@ mod tests {
         // Every interval row becomes exactly one retired cursor.
         let total: usize = expected.iter().map(Vec::len).sum();
         assert_eq!(stats.cursors_retired, total);
-        assert_eq!(stats.cursors_dropped, 0);
         assert!(stats.resolve_rounds >= 1);
     }
 
@@ -484,7 +479,6 @@ mod tests {
         assert_eq!(stats.resolve_rounds, 0);
         assert_eq!(stats.resolve_lf_steps, 0);
         assert_eq!(stats.cursors_retired, 0);
-        assert_eq!(stats.cursors_dropped, 0);
     }
 
     #[test]

@@ -21,9 +21,7 @@ use std::ops::Range;
 
 use exma_genome::Base;
 use exma_index::bidir::{forward_len, map_hits_in_place};
-use exma_index::{
-    resolve_capped_with_arena, FmIndex, HeapBreakdown, KStepFmIndex, ResolveConfig, UNCAPPED,
-};
+use exma_index::{resolve_capped_with_arena, FmIndex, HeapBreakdown, KStepFmIndex, UNCAPPED};
 
 use crate::batch::{BatchEngine, BatchStats};
 use crate::query::{QueryArena, QueryBatch, QueryOutput, QueryRequest, QueryResults};
@@ -80,9 +78,8 @@ impl<E: Executor + ?Sized> Executor for &E {
 
 /// Sequential execution: one query at a time through `search`, locates
 /// resolved per-row through `fm`. The reference semantics every
-/// lockstep executor must reproduce — including the capped-locate
-/// selection rule, which [`FmIndex::resolve_range_capped_into`]
-/// defines.
+/// lockstep executor must reproduce: a locate capped at `h` resolves its
+/// interval's first `h` rows (see [`QueryRequest::Locate`]).
 fn run_sequential(
     batch: &QueryBatch,
     arena: &mut QueryArena,
@@ -102,8 +99,9 @@ fn run_sequential(
                 hi: interval.end as u32,
             }),
             QueryRequest::Locate { max_hits } => {
-                let truncated =
-                    fm.resolve_range_capped_into(interval, max_hits.unwrap_or(UNCAPPED), seq_buf);
+                let kept = interval.len().min(max_hits.unwrap_or(UNCAPPED) as usize);
+                let truncated = kept < interval.len();
+                fm.resolve_range_into(interval.start..interval.start + kept, seq_buf);
                 results.push_positions(seq_buf, truncated);
             }
             QueryRequest::SearchBoth { max_hits } => {
@@ -111,7 +109,7 @@ fn run_sequential(
                 // straddlers and palindrome duplicates are only known
                 // after mapping — then map, sort, and apply the cap to
                 // the smallest (position, strand) hits.
-                fm.resolve_range_capped_into(interval, UNCAPPED, seq_buf);
+                fm.resolve_range_into(interval, seq_buf);
                 let valid =
                     map_hits_in_place(seq_buf, batch.pattern(i), forward_len(fm.text_len()));
                 let kept = (max_hits.unwrap_or(UNCAPPED) as usize).min(valid);
@@ -202,7 +200,6 @@ impl BatchEngine<'_> {
         results.reset(requests.len());
         let resolved = resolve_capped_with_arena(
             self.index().base_index(),
-            ResolveConfig::locality(),
             locate_intervals,
             caps,
             results.flat_mut(),
@@ -212,7 +209,6 @@ impl BatchEngine<'_> {
         stats.resolve_rounds = resolved.rounds;
         stats.resolve_lf_steps = resolved.lf_steps;
         stats.cursors_retired = resolved.retired;
-        stats.cursors_dropped = resolved.dropped;
 
         // Phase 3 — tag every query, mapping the resolver's pooled
         // regions (in resolving-query order == query order restricted
@@ -458,14 +454,11 @@ mod tests {
     fn mixed_stats_cover_search_and_resolve() {
         let (index, batch) = fig3_batch();
         let (results, stats) = BatchEngine::new(&index).run(&batch);
-        // 5 non-empty patterns search; 3 locate queries resolve.
+        // 5 non-empty patterns search; 3 locate queries resolve, and
+        // the capped one walks only the rows it keeps.
         assert_eq!(stats.peak_live, 5);
         assert!(stats.rounds >= 1);
         assert!(stats.resolve_rounds >= 1);
-        // Cursors dropped only because of the capped locate.
-        assert!(stats.cursors_retired >= results.total_positions());
-        let uncapped = QueryBatch::new().locate(parse_bases("A").unwrap());
-        let (_, ustats) = BatchEngine::new(&index).run(&uncapped);
-        assert_eq!(ustats.cursors_dropped, 0);
+        assert_eq!(stats.cursors_retired, results.total_positions());
     }
 }

@@ -21,8 +21,8 @@
 //! locate query's interval rows, and the rows of every search that
 //! stopped early, feed one shared lockstep resolver worklist
 //! ([`exma_index::BatchResolver`]'s machinery) that retires positions
-//! into the pooled buffer, honoring per-query `max_hits` caps at round
-//! boundaries; a search that stopped early is finished by comparing the
+//! into the pooled buffer, walking only the first `max_hits` rows of a
+//! capped locate; a search that stopped early is finished by comparing the
 //! rest of its pattern with the text at those positions (the [`batch`]
 //! module docs say why the answer is the same). [`ShardedEngine`] splits a batch across scoped threads
 //! (short-circuiting to the serial path at one thread), and a reusable

@@ -34,18 +34,13 @@ use crate::batch::{SearchScratch, CUT_ROWS};
 pub enum QueryRequest {
     /// Number of occurrences of the pattern.
     Count,
-    /// Occurrence positions, optionally capped: with
-    /// `max_hits: Some(h)` at most `h` positions come back and the
-    /// resolver stops walking the query's remaining interval rows once
-    /// the cap is hit (see
-    /// [`exma_index::FmIndex::resolve_range_capped_into`] for the
-    /// deterministic selection rule). The rule is defined over LF-walk
-    /// lengths, so *which* `h` of more than `h` occurrences come back is
-    /// a function of the layout's suffix-array sampling rate
-    /// ([`exma_index::layout::SA_SAMPLE_RATE`]) — and of nothing else:
-    /// not the occurrence spacings, `k` or the thread count. Every
-    /// returned position is a true occurrence, and answers that fit
-    /// their cap would be the same at any rate.
+    /// Occurrence positions, optionally capped: with `max_hits: Some(h)`
+    /// a pattern whose suffix-array interval is `lo..hi` answers the text
+    /// positions of rows `lo .. lo + min(hi - lo, h)`, sorted ascending —
+    /// the `h` occurrences whose suffixes come first in the text — and is
+    /// flagged truncated iff `hi - lo > h`. Only those rows are walked,
+    /// so the cap bounds the work, and the rule is defined on the text:
+    /// no sampling rate, layout, `k` or thread count changes it.
     Locate {
         /// `None` resolves every occurrence.
         max_hits: Option<u32>,
@@ -59,9 +54,8 @@ pub enum QueryRequest {
     /// [`exma_index::bidir::encode_hit`] value carrying its strand bit.
     /// Palindromic patterns report each site once, tagged forward (see
     /// [`exma_index::bidir`] for the dedup rule). The cap keeps the
-    /// `max_hits` *smallest* `(position, strand)` hits after mapping —
-    /// deterministic across executors and thread counts, unlike the
-    /// resolver-order cap of [`QueryRequest::Locate`].
+    /// `max_hits` *smallest* `(position, strand)` hits after mapping, a
+    /// rule of its own: [`QueryRequest::Locate`] keeps its first rows.
     ///
     /// On a forward-only index the mapping arithmetic still runs but
     /// classifies against a half boundary that does not exist; the
@@ -116,10 +110,11 @@ impl QueryRequest {
     /// Widest interval at which the lockstep engine may stop refining
     /// this request and finish it against the text (the `batch` module
     /// docs): [`CUT_ROWS`], but never more rows than the request may
-    /// return — a locate's cap then cannot bite a cut query, and
-    /// `max_hits` 0 is never cut — and none for an interval request,
-    /// whose answer is the interval. A strand search caps after mapping,
-    /// so its cap does not bound the raw rows.
+    /// return — a cut interval's rows are in the order of the pattern's
+    /// suffix, not of the pattern, so a locate's cap must not bite a cut
+    /// query, and `max_hits` 0 is never cut — and none for an interval
+    /// request, whose answer is the interval. A strand search caps after
+    /// mapping, so its cap does not bound the raw rows.
     pub(crate) fn cut_rows(&self) -> usize {
         match *self {
             QueryRequest::Count | QueryRequest::SearchBoth { .. } => CUT_ROWS,
@@ -514,7 +509,7 @@ pub struct QueryArena {
     pub(crate) cuts: Vec<(u32, u32)>,
     /// Lockstep search worklists.
     pub(crate) search: SearchScratch,
-    /// Lockstep resolver worklists and staging.
+    /// Lockstep resolver worklists.
     pub(crate) resolve: ResolveArena,
     /// Per-query buffer of the sequential executors.
     pub(crate) seq_buf: Vec<u32>,

@@ -33,9 +33,9 @@ fn rounds_track_the_longest_survivor() {
 
 #[test]
 fn caps_bound_resolver_work_not_just_output() {
-    // A batch of tightly capped short repeats: the resolver must drop
-    // cursors (satellite contract: retire a query's remaining cursors
-    // once the cap is hit), not resolve everything and truncate.
+    // A batch of tightly capped short repeats: the resolver must walk
+    // only the rows a query keeps, not resolve everything and truncate.
+    const MAX_HITS: usize = 2;
     let genome = toy_genome();
     let index = KStepFmIndex::from_genome(&genome, 4);
     let mut rng = SeededRng::new(17);
@@ -45,26 +45,31 @@ fn caps_bound_resolver_work_not_just_output() {
         let len = rng.range(1, 3); // 1-2 bp: hundreds of occurrences
         let start = rng.range(0, genome.len() - len + 1);
         let pattern = genome.seq().slice(start, len);
-        capped.push(QueryRequest::locate_capped(2), &pattern);
+        capped.push(QueryRequest::locate_capped(MAX_HITS as u32), &pattern);
         uncapped.push(QueryRequest::locate(), &pattern);
     }
-    let engine = EngineBuilder::new().k(4);
-    let (capped_results, capped_stats) = engine.attach(&index).unwrap().run(&capped);
-    let (full_results, full_stats) = engine.attach(&index).unwrap().run(&uncapped);
-    assert!(capped_stats.cursors_dropped > 0, "{capped_stats:?}");
-    assert!(capped_stats.cursors_retired < full_stats.cursors_retired);
-    assert!(capped_stats.resolve_lf_steps < full_stats.resolve_lf_steps);
-    assert_eq!(full_stats.cursors_dropped, 0);
+    let engine = EngineBuilder::new().k(4).attach(&index).unwrap();
+    let (capped_results, capped_stats) = engine.run(&capped);
+    let (full_results, full_stats) = engine.run(&uncapped);
+    // At SA rate 1 no row takes a step, capped or not.
+    let rate_one = exma_index::layout::SA_SAMPLE_RATE == 1;
+    assert!(capped_stats.resolve_lf_steps < full_stats.resolve_lf_steps || rate_one);
+    let mut kept = 0;
     for i in 0..capped_results.len() {
-        assert_eq!(
-            capped_results.positions(i).len(),
-            2.min(full_results.count(i))
-        );
+        let expect = MAX_HITS.min(full_results.count(i));
+        assert_eq!(capped_results.positions(i).len(), expect, "#{i}");
+        kept += expect;
         // The kept positions are a subset of the full resolution.
         for p in capped_results.positions(i) {
             assert!(full_results.positions(i).contains(p), "#{i}");
         }
+        // No query retires more cursors than its cap.
+        let alone = QueryBatch::uniform(capped.request(i), [capped.pattern(i)]);
+        let (_, stats) = engine.run(&alone);
+        assert_eq!(stats.cursors_retired, expect, "#{i}");
     }
+    assert_eq!(capped_stats.cursors_retired, kept);
+    assert!(capped_stats.cursors_retired < full_stats.cursors_retired);
 }
 
 #[test]

@@ -28,11 +28,11 @@ use crate::seq::PackedSeq;
 /// only `rate / g` of its `rate` residue classes — they reach a sampled
 /// row in few, crowded lockstep rounds — where a rate coprime to the
 /// period spreads them over all classes, as an aperiodic genome would at
-/// any rate. Uncapped `locate` answers are unaffected; how early a
-/// `max_hits` cap closes a wide interval, and so how much resolver work
-/// it saves, is not (400 against the rates 32, 11 and 10 has gcd 16, 1
-/// and 10). Compare locate throughput across sampling rates on these
-/// profiles with that in mind.
+/// any rate. No `locate` answer depends on it — a `max_hits` cap keeps
+/// the first rows of an interval, whatever their walks — but how long
+/// the kept rows' walks are does (400 against the rates 32, 11 and 10
+/// has gcd 16, 1 and 10). Compare locate throughput across sampling
+/// rates on these profiles with that in mind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenomeProfile {
     /// Human-readable profile name, carried into [`Genome`].
@@ -243,15 +243,6 @@ impl Genome {
         self.seq.is_empty()
     }
 
-    /// Observed G+C fraction of the synthesized sequence.
-    pub fn gc_fraction(&self) -> f64 {
-        if self.seq.is_empty() {
-            return 0.0;
-        }
-        let gc = self.seq.iter().filter(|b| b.is_gc()).count();
-        gc as f64 / self.seq.len() as f64
-    }
-
     /// The sentinel-terminated symbol text fed to suffix-array and BWT
     /// construction: every base as a [`Symbol`] plus a trailing `$`.
     pub fn text_with_sentinel(&self) -> Vec<Symbol> {
@@ -349,8 +340,12 @@ mod tests {
             repeat_fraction: 0.0,
             ..GenomeProfile::toy()
         };
-        let g_rich = Genome::synthesize(&rich, 5).gc_fraction();
-        let g_poor = Genome::synthesize(&poor, 5).gc_fraction();
+        let gc_share = |genome: Genome| {
+            let gc = genome.seq().iter().filter(|b| b.is_gc()).count();
+            gc as f64 / genome.len() as f64
+        };
+        let g_rich = gc_share(Genome::synthesize(&rich, 5));
+        let g_poor = gc_share(Genome::synthesize(&poor, 5));
         assert!((g_rich - 0.70).abs() < 0.03, "observed GC {g_rich}");
         assert!((g_poor - 0.20).abs() < 0.03, "observed GC {g_poor}");
     }

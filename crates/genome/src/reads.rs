@@ -3,9 +3,9 @@
 //! EXMA's workloads are seeding queries from short reads (DWGSIM-simulated
 //! Illumina) and long reads (PBSIM-simulated PacBio CLR and Oxford
 //! Nanopore). This module re-implements both simulators against our
-//! synthetic genomes with the published per-technology error rates, and
-//! records each read's true origin so mapping results can be verified
-//! against ground truth.
+//! synthetic genomes, with per-base error rates the caller gives as an
+//! [`ErrorProfile`] (Illumina's is a preset), and records each read's true
+//! origin so mapping results can be verified against ground truth.
 
 use crate::alphabet::Base;
 use crate::genome::Genome;
@@ -46,30 +46,6 @@ impl ErrorProfile {
             insertion: 0.0001,
             deletion: 0.0001,
         }
-    }
-
-    /// PacBio CLR long reads: ~15% total error, dominated by insertions
-    /// (the PBSIM CLR model).
-    pub fn pacbio() -> ErrorProfile {
-        ErrorProfile {
-            substitution: 0.014,
-            insertion: 0.110,
-            deletion: 0.040,
-        }
-    }
-
-    /// Oxford Nanopore long reads: ~13% total error, deletion-leaning.
-    pub fn ont() -> ErrorProfile {
-        ErrorProfile {
-            substitution: 0.030,
-            insertion: 0.040,
-            deletion: 0.060,
-        }
-    }
-
-    /// Sum of the three per-base error rates.
-    pub fn total(&self) -> f64 {
-        self.substitution + self.insertion + self.deletion
     }
 }
 
@@ -175,16 +151,6 @@ impl ShortReadSimulator {
         ShortReadSimulator { read_len, profile }
     }
 
-    /// Template read length.
-    pub fn read_len(&self) -> usize {
-        self.read_len
-    }
-
-    /// The error profile applied to each read.
-    pub fn profile(&self) -> &ErrorProfile {
-        &self.profile
-    }
-
     /// Simulates `count` reads from uniformly random positions and strands.
     ///
     /// # Panics
@@ -233,21 +199,6 @@ impl LongReadSimulator {
         }
     }
 
-    /// Mean template length.
-    pub fn mean_len(&self) -> usize {
-        self.mean_len
-    }
-
-    /// Shortest template length emitted.
-    pub fn min_len(&self) -> usize {
-        self.min_len
-    }
-
-    /// The error profile applied to each read.
-    pub fn profile(&self) -> &ErrorProfile {
-        &self.profile
-    }
-
     /// Draws a template length: `min_len + Exp(mean_len - min_len)`.
     fn sample_len(&self, rng: &mut SeededRng, max: usize) -> usize {
         let tail = (self.mean_len - self.min_len) as f64;
@@ -290,6 +241,14 @@ mod tests {
     use super::*;
     use crate::genome::GenomeProfile;
 
+    /// PacBio CLR long reads: ~15% total error, dominated by insertions
+    /// (the PBSIM CLR model).
+    const CLR: ErrorProfile = ErrorProfile {
+        substitution: 0.014,
+        insertion: 0.110,
+        deletion: 0.040,
+    };
+
     fn toy_genome() -> Genome {
         Genome::synthesize(&GenomeProfile::toy(), 42)
     }
@@ -315,7 +274,7 @@ mod tests {
     #[test]
     fn origins_stay_in_bounds() {
         let genome = toy_genome();
-        let sim = LongReadSimulator::new(2_000, 500, ErrorProfile::pacbio());
+        let sim = LongReadSimulator::new(2_000, 500, CLR);
         for read in sim.simulate(&genome, 50, 3) {
             assert!(read.origin.start + read.origin.template_len <= genome.len());
             assert!(read.origin.template_len >= 500);
@@ -353,7 +312,7 @@ mod tests {
         // 15%+ per-base error must leave visible length drift (insertions
         // dominate, so reads run longer than their templates on average).
         let genome = toy_genome();
-        let sim = LongReadSimulator::new(1_000, 200, ErrorProfile::pacbio());
+        let sim = LongReadSimulator::new(1_000, 200, CLR);
         let reads = sim.simulate(&genome, 100, 13);
         let grew = reads
             .iter()
@@ -390,9 +349,9 @@ mod tests {
 
     #[test]
     fn published_profiles_have_expected_magnitudes() {
-        assert!(ErrorProfile::illumina().total() < 0.01);
-        assert!((0.10..=0.20).contains(&ErrorProfile::pacbio().total()));
-        assert!((0.10..=0.20).contains(&ErrorProfile::ont().total()));
-        assert_eq!(ErrorProfile::error_free().total(), 0.0);
+        let total = |p: ErrorProfile| p.substitution + p.insertion + p.deletion;
+        assert!(total(ErrorProfile::illumina()) < 0.01);
+        assert!((0.10..=0.20).contains(&total(CLR)));
+        assert_eq!(total(ErrorProfile::error_free()), 0.0);
     }
 }

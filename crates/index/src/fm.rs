@@ -179,7 +179,8 @@ impl FmIndex {
 
     /// Resolves every row of a suffix-array interval (as returned by
     /// [`FmIndex::backward_search`]) into `out`, sorted ascending. `out` is
-    /// cleared first.
+    /// cleared first. A locate capped at `h` resolves the interval's first
+    /// `h` rows: the positions whose suffixes come first in the text.
     ///
     /// Each row LF-walks serially — one dependent cache miss per step.
     /// Batch callers with many rows in flight should use
@@ -193,82 +194,15 @@ impl FmIndex {
     }
 
     /// The suffix-array value of `row`, via the sampled suffix array.
-    pub fn resolve_row(&self, row: usize) -> u32 {
-        self.resolve_row_with_steps(row).0
-    }
-
-    /// [`FmIndex::resolve_row`] plus the LF-walk length it took — the
-    /// round number in which a lockstep resolver cursor for this row
-    /// retires, which is what the capped-locate rule below is defined
-    /// over.
-    pub fn resolve_row_with_steps(&self, mut row: usize) -> (u32, u32) {
-        let mut steps = 0u32;
+    pub fn resolve_row(&self, mut row: usize) -> u32 {
+        let mut steps = 0;
         loop {
             if let Some(pos) = self.ssa.get(row) {
-                return (pos + steps, steps);
+                return pos + steps;
             }
             row = self.lf(row);
             steps += 1;
         }
-    }
-
-    /// Capped interval resolution — the sequential reference for
-    /// `QueryRequest::Locate { max_hits }`. Keeps at most `max_hits`
-    /// positions of `rows`, chosen by the deterministic round rule the
-    /// lockstep resolver enforces: let a row's *round* be its LF-walk
-    /// length to a sampled mark, and `R` the first round by which at
-    /// least `max_hits` rows have resolved; the kept positions are the
-    /// `max_hits` smallest among the rows resolving within round `R`.
-    /// (Rows resolving in round `R` itself all still count — the cap is
-    /// checked at round boundaries — so the rule is independent of any
-    /// within-round processing order, which is what makes capped answers
-    /// identical across schedules, engines, and thread counts.)
-    ///
-    /// A walk's length is the row's text position modulo
-    /// [`crate::layout::SA_SAMPLE_RATE`], so the rule depends on that
-    /// constant: sampled at another rate, one text would keep different —
-    /// equally true — `max_hits` of an interval wider than the cap, and
-    /// reach `R` after a different amount of work (on a text whose
-    /// repeats are periodic, also on what the rate shares with the
-    /// period). Nothing else in the layout, and neither `k` nor the
-    /// strandedness, enters it.
-    ///
-    /// Returns `true` iff the cap actually truncated the output. `out`
-    /// is cleared first and left sorted ascending; with
-    /// `max_hits >= rows.len()` this is exactly
-    /// [`FmIndex::resolve_range_into`].
-    pub fn resolve_range_capped_into(
-        &self,
-        rows: Range<usize>,
-        max_hits: u32,
-        out: &mut Vec<u32>,
-    ) -> bool {
-        let total = rows.len();
-        if max_hits as usize >= total {
-            self.resolve_range_into(rows, out);
-            return false;
-        }
-        out.clear();
-        if max_hits == 0 {
-            return total > 0;
-        }
-        // (round, position) of every row; ascending sort puts the
-        // cap-th earliest retirement at index max_hits - 1, whose round
-        // is R.
-        let mut walks: Vec<(u32, u32)> = rows
-            .map(|row| {
-                let (pos, steps) = self.resolve_row_with_steps(row);
-                (steps, pos)
-            })
-            .collect();
-        walks.sort_unstable();
-        let last_round = walks[max_hits as usize - 1].0;
-        let candidates = walks.partition_point(|&(steps, _)| steps <= last_round);
-        let mut kept: Vec<u32> = walks[..candidates].iter().map(|&(_, pos)| pos).collect();
-        kept.sort_unstable();
-        kept.truncate(max_hits as usize);
-        out.extend_from_slice(&kept);
-        true
     }
 
     /// Heap bytes of all index components, attributed per component.
@@ -391,35 +325,26 @@ mod tests {
 
     #[test]
     fn capped_resolution_truncates_deterministically() {
-        let text = text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap();
-        let fm = FmIndex::from_text(&text);
-        let rows = fm.backward_search(&parse_bases("A").unwrap());
-        let full = fm.locate(&parse_bases("A").unwrap());
-        assert!(full.len() >= 4);
+        // A capped locate resolves its interval's first rows: the hits
+        // whose suffixes sort first in the text (the sentinel lowest),
+        // for every cap below, at and above every width, 0 included.
+        let body = "CCATAGACATTAGACCATAGGACATAGACC";
+        let fm = FmIndex::from_text(&text_from_str(body).unwrap());
+        let seq = exma_genome::PackedSeq::from_bases(&parse_bases(body).unwrap());
         let mut out = Vec::new();
-        // Cap at or above the hit count: identical to the uncapped path,
-        // not truncated.
-        for cap in [full.len() as u32, u32::MAX] {
-            assert!(!fm.resolve_range_capped_into(rows.clone(), cap, &mut out));
-            assert_eq!(out, full);
-        }
-        // Tight caps: exactly `cap` positions, sorted ascending, every
-        // one a real hit.
-        for cap in 0..full.len() as u32 {
-            assert!(fm.resolve_range_capped_into(rows.clone(), cap, &mut out));
-            assert_eq!(out.len(), cap as usize);
-            assert!(out.windows(2).all(|w| w[0] < w[1]));
-            assert!(out.iter().all(|p| full.contains(p)), "cap {cap}: {out:?}");
-        }
-    }
-
-    #[test]
-    fn resolve_row_with_steps_agrees_with_resolve_row() {
-        let fm = fig3_index();
-        for row in 0..fm.text_len() {
-            let (pos, steps) = fm.resolve_row_with_steps(row);
-            assert_eq!(pos, fm.resolve_row(row));
-            assert!((steps as usize) < SA_SAMPLE_RATE);
+        for pat in ["GGG", "CCATAG", "CC", "AGA", "A", ""] {
+            let p = parse_bases(pat).unwrap();
+            let rows = fm.backward_search(&p);
+            let mut by_suffix = naive::occurrences(&seq, &p);
+            assert_eq!(rows.len(), by_suffix.len());
+            by_suffix.sort_by_key(|&pos| &body[pos as usize..]);
+            for cap in (0..=rows.len() + 1).chain([usize::MAX]) {
+                let kept = rows.len().min(cap);
+                fm.resolve_range_into(rows.start..rows.start + kept, &mut out);
+                let mut expect = by_suffix[..kept].to_vec();
+                expect.sort_unstable();
+                assert_eq!(out, expect, "{pat:?} capped at {cap}");
+            }
         }
     }
 

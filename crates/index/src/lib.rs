@@ -44,8 +44,7 @@ pub use kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
 pub use layout::{HeapBreakdown, IndexError};
 pub use occ::OccTable;
 pub use resolve::{
-    resolve_capped_with_arena, BatchResolver, ResolveArena, ResolveConfig, ResolveStats,
-    DEFAULT_RESOLVE_PREFETCH_DISTANCE, UNCAPPED,
+    resolve_capped_with_arena, BatchResolver, ResolveArena, ResolveConfig, ResolveStats, UNCAPPED,
 };
 pub use sampled_sa::{RankBits, SampledSuffixArray};
 pub use snapshot::{

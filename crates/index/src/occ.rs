@@ -215,11 +215,6 @@ impl OccTable {
     }
 }
 
-/// Reference O(n) rank used to validate the checkpointed table in tests.
-pub fn naive_rank(bwt: &[Symbol], s: Symbol, i: usize) -> u64 {
-    bwt[..i].iter().filter(|&&x| x == s).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +241,11 @@ mod tests {
     /// one over two superblocks.
     fn bwts() -> [Vec<Symbol>; 2] {
         [bwt_of("CATAGACATTAGACCATAGGA"), long_bwt()]
+    }
+
+    /// Reference O(n) rank of `s` in `bwt[..i]`.
+    fn naive_rank(bwt: &[Symbol], s: Symbol, i: usize) -> u64 {
+        bwt[..i].iter().filter(|&&x| x == s).count() as u64
     }
 
     /// [`naive_rank`] of `s` at every `i` in `0..=bwt.len()`.

@@ -1,40 +1,28 @@
 //! Lockstep batched resolution of suffix-array intervals — `locate`'s
 //! counterpart to the batch engine's lockstep backward search.
 //!
-//! The per-row path ([`FmIndex::resolve_row`]) LF-walks each interval row
-//! serially: every step loads the occurrence block the previous step's
-//! answer points at, so the whole walk is one dependent cache-miss chain —
-//! the exact DRAM pattern the paper's measurements blame for FM-index
-//! latency (§II-C). This module overlaps those walks: every row of one or
-//! many intervals becomes a *cursor* `(row, steps, interval)` on a shared
-//! worklist, and a round takes every live cursor one step, in worklist
-//! order (with every line hinted ahead, sorting a round by row costs more
-//! than the address order buys).
+//! The per-row path ([`FmIndex::resolve_row`]) LF-walks each row serially,
+//! one dependent cache miss a step — the DRAM pattern the paper blames for
+//! FM-index latency (§II-C). Here every row of one or many intervals
+//! becomes a *cursor* `(row, steps, slot)` on a shared worklist, `slot`
+//! being where its position goes in the output, and a round takes every
+//! live cursor one step, in worklist order, hinting the line of the
+//! cursor sixteen places ahead (with every line hinted, sorting a round
+//! by row costs more than the address order buys). A step reads one
+//! occurrence line ([`FmIndex::lf_marked`]): the row's BWT symbol, its
+//! rank, and whether the row is SA-sampled. A marked cursor retires: its
+//! position is three dependent reads away (mark word, prefix count,
+//! sample), so the round's retirements are hinted and resolved in two
+//! passes at its end.
 //!
-//! **One line per step.** A step reads one occurrence line
-//! ([`FmIndex::lf_marked`]): the row's code byte holds its BWT symbol and,
-//! in bit 7, whether the row is SA-sampled; the counters and code lanes
-//! around it give the rank. A marked cursor retires, an unmarked one moves
-//! to its LF successor, and while the loop handles cursor `j` it hints the
-//! line cursor `j + d` will read.
-//!
-//! **Pipelined retirement.** A marked row's position is three dependent
-//! reads away — mark word, prefix count, sample — so retirements queue
-//! behind hints too: a retiring cursor claims the next free slot of its
-//! interval's staging region, joins the round's `retiring` list and hints
-//! its mark word; at the end of the round one pass turns each listed row
-//! into its sample slot and hints the sample, a second writes
-//! `sample + steps`.
-//!
-//! Intervals can carry a **hit cap** (`max_hits` of a
-//! `QueryRequest::Locate`): once an interval has retired its cap's worth
-//! of cursors, its survivors are dropped at the end of that round, which
-//! bounds both the output and the remaining LF work. The kept positions
-//! follow the round-based rule of [`FmIndex::resolve_range_capped_into`],
-//! so capped answers are identical across schedules, engines and thread
-//! counts. An uncapped interval is one capped at [`UNCAPPED`] — the same
-//! loop, a cap it cannot reach — and resolves element-identical to
-//! [`FmIndex::resolve_range_into`].
+//! **Hit caps.** An interval `lo..hi` capped at `h` (`max_hits` of a
+//! `QueryRequest::Locate`) keeps the positions of its first rows,
+//! `lo..lo + min(hi - lo, h)` — those whose suffixes come first in the
+//! text — and only those rows become cursors. The cap bounds the LF work,
+//! and no sampling rate, schedule or thread count changes what it keeps.
+//! An uncapped interval is one capped at [`UNCAPPED`]. Each output region
+//! is sorted at the end, so an interval resolves element-identical to
+//! [`FmIndex::resolve_range_into`] over its kept rows.
 
 use std::ops::Range;
 
@@ -42,40 +30,26 @@ use exma_genome::Symbol;
 
 use crate::fm::FmIndex;
 
-/// How many cursors ahead of the one being stepped the resolver hints
-/// when [`ResolveConfig::prefetch_distance`] is left to the preset.
-///
+/// How many cursors ahead of the one being stepped the resolver hints.
 /// A step costs 20–25 ns and a miss 160–265 ns (`machine.chase_ns`), so
-/// the hint must lead by ten cursors or so; it is one line and one
-/// superblock word a cursor, so a longer lead crowds nothing out. One
-/// index walked at every distance in one process reads, at d = 4, 8, 16,
-/// 32, 64, 30.9, 27.3, 25.7, 26.8, 26.8 ns a step; through the benchmark
-/// `locate_seeds` was flat from 8 to 64 within the box's noise at SA
-/// rate 32 (10th-percentile ns/query 1975, 1742, 1865, 1852, 1726;
-/// CHANGES.md, PR 18). At the default rate of 11 a batch lives at most
-/// eleven rounds and its worklist shrinks faster; re-measured there, five
-/// rotated runs each: d = 8, 16, 32 read 903, 870, 869 ns/query (8 behind
-/// in all five, 16 and 32 level; CHANGES.md, PR 20).
-pub const DEFAULT_RESOLVE_PREFETCH_DISTANCE: usize = 16;
+/// the hint must lead by ten cursors or so. One index walked at d = 4, 8,
+/// 16, 32, 64 read 30.9, 27.3, 25.7, 26.8, 26.8 ns a step; at SA rate 11,
+/// `locate_seeds` read 903, 870, 869 ns/query at d = 8, 16, 32 (both in
+/// CHANGES.md).
+const PREFETCH_DISTANCE: usize = 16;
 
 /// Hit-cap sentinel: an interval with this cap keeps every position.
 pub const UNCAPPED: u32 = u32::MAX;
 
-/// Scheduling knobs of a [`BatchResolver`] round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResolveConfig {
-    /// While stepping cursor `j`, prefetch the occurrence line cursor
-    /// `j + d` will read, and prefetch ahead of each retirement's mark
-    /// and sample reads. `0`, the default, issues no hint at all.
-    pub prefetch_distance: usize,
-}
+/// The resolver's schedule. There is one, so the type carries nothing;
+/// it stays because [`BatchResolver::with_config`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResolveConfig;
 
 impl ResolveConfig {
-    /// Software prefetch at [`DEFAULT_RESOLVE_PREFETCH_DISTANCE`].
+    /// The one schedule.
     pub fn locality() -> ResolveConfig {
-        ResolveConfig {
-            prefetch_distance: DEFAULT_RESOLVE_PREFETCH_DISTANCE,
-        }
+        ResolveConfig
     }
 }
 
@@ -85,83 +59,56 @@ impl ResolveConfig {
 pub struct ResolveStats {
     /// Lockstep rounds executed — at most the SA sampling rate
     /// ([`crate::layout::SA_SAMPLE_RATE`], 11), since every cursor
-    /// resolves within `SA_SAMPLE_RATE - 1` LF steps; fewer when caps
-    /// close every interval early.
+    /// resolves within `SA_SAMPLE_RATE - 1` LF steps.
     pub rounds: usize,
     /// LF steps issued across all cursors and rounds.
     pub lf_steps: usize,
-    /// Cursors retired by hitting a sampled mark: every row of an
-    /// uncapped interval; a capped one may retire more than its cap (the
-    /// cap is checked at round boundaries) before its output is trimmed.
+    /// Cursors retired by hitting a sampled mark: every kept row.
     pub retired: usize,
     /// Cursors live in the widest round (the initial worklist).
     pub peak_live: usize,
-    /// Cursors dropped unresolved because their interval hit its cap —
-    /// LF-walks the cap made unnecessary.
+    /// Rows past their interval's cap, never walked: the LF walks the cap
+    /// made unnecessary.
     pub dropped: usize,
 }
 
-/// In-flight state of one interval row between rounds. Rows and interval
-/// indices fit `u32` because the suffix array itself stores `u32`
-/// positions and the worklist size is asserted below it.
+/// In-flight state of one kept row. Rows fit `u32` as the suffix array's
+/// values do; slots, because the worklist size is asserted below it.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
+    /// The row reached so far; on the `retiring` list, between the two
+    /// end-of-round passes, its slot in the sample vector.
     row: u32,
     /// LF steps taken so far — added back to the sampled position.
     steps: u32,
-    /// The interval whose staging region and cap this row belongs to.
-    interval: u32,
-}
-
-/// A cursor that hit a mark this round, on its way to its staging slot.
-#[derive(Debug, Clone, Copy)]
-struct Retiring {
-    /// The marked row; then, between the two end-of-round passes, its
-    /// slot in the sample vector.
-    at: u32,
-    steps: u32,
-    /// Index into the staging buffer.
+    /// Where in the output its position goes.
     slot: u32,
 }
 
-/// Reusable scratch of the lockstep resolver: worklists, per-interval
-/// retirement counters, and the full-width staging buffer. A long-lived
-/// arena resolves many batches without reallocating — the buffers keep
-/// their high-water capacity across calls.
+/// The lockstep resolver's worklists, which keep their high-water
+/// capacity across calls: a long-lived arena stops allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ResolveArena {
     live: Vec<Cursor>,
     next: Vec<Cursor>,
-    retiring: Vec<Retiring>,
-    /// One cap per interval ([`UNCAPPED`] where the caller gave none).
-    caps: Vec<u32>,
-    /// Cursors retired so far per interval: its staging region's fill.
-    filled: Vec<u32>,
-    /// Prefix sums of *full* interval widths — the staging layout rows
-    /// resolve into before each region is trimmed to its cap.
-    full: Vec<usize>,
-    /// Full-width staging buffer; region `i` holds `filled[i]` positions.
-    staging: Vec<u32>,
+    retiring: Vec<Cursor>,
 }
 
-/// Resolves every row of every interval into one pooled output: after
-/// the call, `flat[offsets[i]..offsets[i + 1]]` holds interval `i`'s
-/// text positions sorted ascending. With an empty `caps` (or every cap at
-/// least its interval's width), output is element-identical to running
-/// [`FmIndex::resolve_range_into`] on each interval; a capped interval
-/// keeps `min(cap, len)` positions chosen by the deterministic rule of
-/// [`FmIndex::resolve_range_capped_into`]. Both buffers are cleared
-/// first; `arena` supplies every piece of scratch, so steady-state calls
-/// allocate nothing once capacities are warm.
+/// Resolves the kept rows of every interval into one pooled output:
+/// after the call, `flat[offsets[i]..offsets[i + 1]]` holds the text
+/// positions of interval `i`'s first `min(len, caps[i])` rows, sorted
+/// ascending — with an empty `caps`, of all its rows, element-identical
+/// to running [`FmIndex::resolve_range_into`] on each interval. Both
+/// buffers are cleared first; `arena` supplies every piece of scratch, so
+/// steady-state calls allocate nothing once capacities are warm.
 ///
 /// # Panics
 ///
 /// Panics if `caps` is non-empty with a length different from
-/// `intervals`, an interval extends past the text, or the total row
-/// count does not fit the `u32` cursor slots.
+/// `intervals`, an interval extends past the text, or the kept row count
+/// does not fit the `u32` cursor slots.
 pub fn resolve_capped_with_arena(
     fm: &FmIndex,
-    config: ResolveConfig,
     intervals: &[Range<usize>],
     caps: &[u32],
     flat: &mut Vec<u32>,
@@ -174,115 +121,79 @@ pub fn resolve_capped_with_arena(
         caps.len(),
         intervals.len()
     );
-    arena.caps.clear();
-    arena.caps.extend_from_slice(caps);
-    arena.caps.resize(intervals.len(), UNCAPPED);
-    arena.full.clear();
-    arena.full.push(0);
-    let mut total = 0usize;
-    for interval in intervals {
+    let ResolveArena {
+        live,
+        next,
+        retiring,
+    } = arena;
+    live.clear();
+    offsets.clear();
+    offsets.push(0);
+    let mut rows = 0;
+    for (i, interval) in intervals.iter().enumerate() {
         assert!(
             interval.end <= fm.text_len(),
             "interval {interval:?} extends past the text"
         );
-        total += interval.len();
-        arena.full.push(total);
-    }
-    assert!(
-        total < u32::MAX as usize,
-        "worklist too large for u32 slots"
-    );
-    if arena.staging.len() < total {
-        arena.staging.resize(total, 0);
-    }
-    arena.filled.clear();
-    arena.filled.resize(intervals.len(), 0);
-    arena.live.clear();
-    for (i, interval) in intervals.iter().enumerate() {
-        if arena.caps[i] == 0 {
-            continue; // nothing to keep: its rows never enter the worklist
-        }
-        arena.live.extend(interval.clone().map(|row| Cursor {
+        let cap = caps.get(i).copied().unwrap_or(UNCAPPED) as usize;
+        let kept = interval.start..interval.start + interval.len().min(cap);
+        rows += interval.len();
+        let first = live.len();
+        live.extend(kept.zip(first..).map(|(row, slot)| Cursor {
             row: row as u32,
             steps: 0,
-            interval: i as u32,
+            slot: slot as u32,
         }));
+        offsets.push(live.len());
     }
+    assert!(
+        live.len() < u32::MAX as usize,
+        "worklist too large for u32 slots"
+    );
+    flat.clear();
+    flat.resize(live.len(), 0);
 
     let mut stats = ResolveStats {
-        peak_live: arena.live.len(),
+        peak_live: live.len(),
+        dropped: rows - live.len(),
         ..ResolveStats::default()
     };
     let (occ, ssa) = (fm.occ(), fm.sampled_sa());
-    let d = config.prefetch_distance;
-    while !arena.live.is_empty() {
+    while !live.is_empty() {
         stats.rounds += 1;
-        let mut capped_round = false;
-        for j in 0..arena.live.len() {
-            if d > 0 {
-                if let Some(ahead) = arena.live.get(j + d) {
-                    // Whatever its symbol: one block holds all of a row.
-                    occ.prefetch_rank(Symbol::Sentinel, ahead.row as usize);
-                }
+        for j in 0..live.len() {
+            if let Some(ahead) = live.get(j + PREFETCH_DISTANCE) {
+                // Whatever its symbol: one block holds all of a row.
+                occ.prefetch_rank(Symbol::Sentinel, ahead.row as usize);
             }
-            let c = arena.live[j];
+            let c = live[j];
             let (successor, marked) = fm.lf_marked(c.row as usize);
-            if !marked {
-                arena.next.push(Cursor {
+            if marked {
+                ssa.prefetch(c.row as usize);
+                retiring.push(c);
+            } else {
+                next.push(Cursor {
                     row: successor as u32,
                     steps: c.steps + 1,
-                    interval: c.interval,
+                    ..c
                 });
-                continue;
-            }
-            let i = c.interval as usize;
-            arena.retiring.push(Retiring {
-                at: c.row,
-                steps: c.steps,
-                slot: (arena.full[i] + arena.filled[i] as usize) as u32,
-            });
-            arena.filled[i] += 1;
-            capped_round |= arena.filled[i] >= arena.caps[i];
-            if d > 0 {
-                ssa.prefetch(c.row as usize);
             }
         }
-        stats.lf_steps += arena.next.len();
-        stats.retired += arena.retiring.len();
-        for r in arena.retiring.iter_mut() {
-            r.at = ssa.slot(r.at as usize) as u32;
-            if d > 0 {
-                ssa.prefetch_sample(r.at as usize);
-            }
+        stats.lf_steps += next.len();
+        stats.retired += retiring.len();
+        for r in retiring.iter_mut() {
+            r.row = ssa.slot(r.row as usize) as u32;
+            ssa.prefetch_sample(r.row as usize);
         }
-        for r in arena.retiring.drain(..) {
-            arena.staging[r.slot as usize] = ssa.sample(r.at as usize) + r.steps;
+        for r in retiring.drain(..) {
+            flat[r.slot as usize] = ssa.sample(r.row as usize) + r.steps;
         }
-        // Cap enforcement happens here, at the round boundary: every
-        // cursor whose walk ends this round still retires (keeping the
-        // drop set independent of in-round processing order), and only
-        // then do capped intervals shed their survivors.
-        if capped_round {
-            let (next, filled, caps) = (&mut arena.next, &arena.filled, &arena.caps);
-            let before = next.len();
-            next.retain(|c| filled[c.interval as usize] < caps[c.interval as usize]);
-            stats.dropped += before - next.len();
-        }
-        std::mem::swap(&mut arena.live, &mut arena.next);
-        arena.next.clear();
+        std::mem::swap(live, next);
+        next.clear();
     }
-
-    // A region fills in retirement order: sort it, and its first
-    // `min(cap, len)` are the smallest positions that beat the cap.
-    offsets.clear();
-    offsets.push(0);
-    flat.clear();
-    for (i, interval) in intervals.iter().enumerate() {
-        let start = arena.full[i];
-        let region = &mut arena.staging[start..start + arena.filled[i] as usize];
-        region.sort_unstable();
-        flat.extend_from_slice(&region[..(arena.caps[i] as usize).min(interval.len())]);
-        offsets.push(flat.len());
+    // A region fills in retirement order.
+    for bounds in offsets.windows(2) {
+        flat[bounds[0]..bounds[1]].sort_unstable();
     }
     stats
 }
@@ -312,16 +223,14 @@ pub fn resolve_capped_with_arena(
 #[derive(Debug, Clone)]
 pub struct BatchResolver<'a> {
     fm: &'a FmIndex,
-    config: ResolveConfig,
     arena: ResolveArena,
 }
 
 impl<'a> BatchResolver<'a> {
-    /// A resolver borrowing `fm`'s tables, running round schedule `config`.
-    pub fn with_config(fm: &'a FmIndex, config: ResolveConfig) -> BatchResolver<'a> {
+    /// A resolver borrowing `fm`'s tables, running the one schedule.
+    pub fn with_config(fm: &'a FmIndex, _: ResolveConfig) -> BatchResolver<'a> {
         BatchResolver {
             fm,
-            config,
             arena: ResolveArena::default(),
         }
     }
@@ -335,15 +244,7 @@ impl<'a> BatchResolver<'a> {
         flat: &mut Vec<u32>,
         offsets: &mut Vec<usize>,
     ) -> ResolveStats {
-        resolve_capped_with_arena(
-            self.fm,
-            self.config,
-            intervals,
-            caps,
-            flat,
-            offsets,
-            &mut self.arena,
-        )
+        resolve_capped_with_arena(self.fm, intervals, caps, flat, offsets, &mut self.arena)
     }
 }
 
@@ -357,22 +258,38 @@ mod tests {
         FmIndex::from_text(&text_from_str("CCATAGACATTAGACCATAGGACATAGACC").unwrap())
     }
 
-    /// Every schedule the benchmarks exercise, plus a short look-ahead.
-    fn all_configs() -> [ResolveConfig; 3] {
-        [
-            ResolveConfig::default(),
-            ResolveConfig::locality(),
-            ResolveConfig {
-                prefetch_distance: 2,
-            },
-        ]
-    }
-
     fn intervals_of(fm: &FmIndex) -> Vec<std::ops::Range<usize>> {
         ["A", "CAT", "TAGA", "CCATAG", "GGG", ""]
             .iter()
             .map(|p| fm.backward_search(&exma_genome::alphabet::parse_bases(p).unwrap()))
             .collect()
+    }
+
+    fn resolve(fm: &FmIndex, intervals: &[Range<usize>], caps: &[u32]) -> (Vec<u32>, Vec<usize>) {
+        let mut resolver = BatchResolver::with_config(fm, ResolveConfig::locality());
+        let (mut flat, mut offsets) = (Vec::new(), Vec::new());
+        resolver.resolve_intervals_capped(intervals, caps, &mut flat, &mut offsets);
+        (flat, offsets)
+    }
+
+    /// What interval `rows` capped at `cap` must answer: the per-row path
+    /// over its first `min(len, cap)` rows.
+    fn first_rows(fm: &FmIndex, rows: &Range<usize>, cap: u32) -> Vec<u32> {
+        let kept = rows.len().min(cap as usize);
+        let mut out = Vec::new();
+        fm.resolve_range_into(rows.start..rows.start + kept, &mut out);
+        out
+    }
+
+    /// LF steps from `row` to a sampled row: the round, from 0, in
+    /// which its cursor retires.
+    fn walk_len(fm: &FmIndex, mut row: usize) -> usize {
+        let mut steps = 0;
+        while fm.sampled_sa().get(row).is_none() {
+            row = fm.lf(row);
+            steps += 1;
+        }
+        steps
     }
 
     #[test]
@@ -381,75 +298,56 @@ mod tests {
         let intervals = intervals_of(&fm);
         let mut expect_flat = Vec::new();
         let mut expect_offsets = vec![0usize];
-        let mut buf = Vec::new();
         for interval in &intervals {
-            fm.resolve_range_into(interval.clone(), &mut buf);
-            expect_flat.extend_from_slice(&buf);
+            expect_flat.extend(first_rows(&fm, interval, UNCAPPED));
             expect_offsets.push(expect_flat.len());
         }
-        for config in all_configs() {
-            let mut resolver = BatchResolver::with_config(&fm, config);
-            let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-            resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
-            assert_eq!(flat, expect_flat, "{config:?}");
-            assert_eq!(offsets, expect_offsets, "{config:?}");
-        }
+        assert_eq!(resolve(&fm, &intervals, &[]), (expect_flat, expect_offsets));
     }
 
     #[test]
     fn capped_resolution_matches_the_sequential_capped_rule() {
+        // Widths 0, 1, h - 1, h, h + 1 and far more than h, as prefixes
+        // of the widest interval, under h = 3 and every other cap.
         let fm = small_index();
-        let intervals = intervals_of(&fm);
+        let wide = fm.backward_search(&exma_genome::alphabet::parse_bases("A").unwrap());
+        assert!(wide.len() > 10);
+        let mut intervals: Vec<Range<usize>> = [0, 1, 2, 3, 4]
+            .iter()
+            .map(|w| wide.start..wide.start + w)
+            .collect();
+        intervals.push(wide);
+        intervals.extend(intervals_of(&fm));
         for cap in [0u32, 1, 2, 3, 100, UNCAPPED] {
             let caps = vec![cap; intervals.len()];
-            let mut expect_flat = Vec::new();
-            let mut expect_offsets = vec![0usize];
-            let mut buf = Vec::new();
-            for interval in &intervals {
-                fm.resolve_range_capped_into(interval.clone(), cap, &mut buf);
-                expect_flat.extend_from_slice(&buf);
-                expect_offsets.push(expect_flat.len());
-            }
-            for config in all_configs() {
-                let mut resolver = BatchResolver::with_config(&fm, config);
-                let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-                resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
-                assert_eq!(flat, expect_flat, "cap={cap}, {config:?}");
-                assert_eq!(offsets, expect_offsets, "cap={cap}, {config:?}");
+            let (flat, offsets) = resolve(&fm, &intervals, &caps);
+            assert_eq!(offsets.len(), intervals.len() + 1);
+            for (i, interval) in intervals.iter().enumerate() {
+                let got = &flat[offsets[i]..offsets[i + 1]];
+                assert_eq!(
+                    got,
+                    first_rows(&fm, interval, cap),
+                    "cap {cap}, {interval:?}"
+                );
             }
         }
     }
 
-    /// What the counters must read, from each row's walk length alone. A
-    /// row `w` LF steps from a mark retires in round `w` (from 0); an
-    /// interval closes at the end of the first round by which `cap` of
-    /// its rows have retired, and its other rows — stepped once in every
-    /// round so far — are dropped there.
+    /// What the counters must read, from each kept row's walk length
+    /// alone: a row `w` LF steps from a mark takes `w` steps and retires
+    /// in round `w` (from 0); the rows past an interval's cap are never
+    /// walked.
     fn reference_stats(fm: &FmIndex, intervals: &[Range<usize>], caps: &[u32]) -> ResolveStats {
         let mut stats = ResolveStats::default();
         for (interval, &cap) in intervals.iter().zip(caps) {
-            if cap == 0 {
-                continue; // its rows never enter the worklist
-            }
-            let walks: Vec<usize> = interval
-                .clone()
-                .map(|row| fm.resolve_row_with_steps(row).1 as usize)
-                .collect();
-            let mut sorted = walks.clone();
-            sorted.sort_unstable();
-            // The round that retires the cap-th row, if one does.
-            let close = sorted.get(cap as usize - 1).copied().unwrap_or(usize::MAX);
-            stats.peak_live += walks.len();
-            for w in walks {
-                let (steps, live_rounds) = if w <= close {
-                    stats.retired += 1;
-                    (w, w + 1)
-                } else {
-                    stats.dropped += 1;
-                    (close + 1, close + 1)
-                };
-                stats.lf_steps += steps;
-                stats.rounds = stats.rounds.max(live_rounds);
+            let kept = interval.len().min(cap as usize);
+            stats.dropped += interval.len() - kept;
+            stats.retired += kept;
+            stats.peak_live += kept;
+            for row in interval.start..interval.start + kept {
+                let w = walk_len(fm, row);
+                stats.lf_steps += w;
+                stats.rounds = stats.rounds.max(w + 1);
             }
         }
         stats
@@ -501,37 +399,28 @@ mod tests {
         let expect = reference_stats(&fm, &intervals, &caps);
         assert!(expect.dropped > 0, "{expect:?}");
         assert_eq!(expect.rounds, SA_SAMPLE_RATE, "{expect:?}");
-        for prefetch_distance in [0, 3, 16] {
-            let at = format!("distance {prefetch_distance}");
-            let mut resolver = BatchResolver::with_config(&fm, ResolveConfig { prefetch_distance });
-            let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-            let stats =
-                resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
-            assert_eq!(stats, expect, "{at}");
-            let mut buf = Vec::new();
-            for (i, interval) in intervals.iter().enumerate() {
-                fm.resolve_range_capped_into(interval.clone(), caps[i], &mut buf);
-                let got = &flat[offsets[i]..offsets[i + 1]];
-                assert_eq!(
-                    got,
-                    &buf[..],
-                    "{at}, interval {i} {interval:?} cap {}",
-                    caps[i]
-                );
-            }
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
+        let (mut flat, mut offsets) = (Vec::new(), Vec::new());
+        let stats = resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
+        assert_eq!(stats, expect);
+        for (i, interval) in intervals.iter().enumerate() {
+            let got = &flat[offsets[i]..offsets[i + 1]];
+            let expect = first_rows(&fm, interval, caps[i]);
+            assert_eq!(got, expect, "interval {i} {interval:?} cap {}", caps[i]);
         }
     }
 
     #[test]
-    fn a_period_the_sa_rate_divides_crowds_a_capped_interval_into_one_round() {
+    fn a_capped_interval_walks_only_its_kept_rows_at_every_period() {
         // 64 exact copies of a 30-base unit, one every `period` bases over
         // random filler — the grid `Genome::synthesize` lays repeat
         // copies on. A 12-mer at offset 1 of the unit then occurs at
         // period · i + 1, and a row's walk length is that modulo the SA
-        // rate.
+        // rate: whether the rate divides the period decides how long the
+        // walks are, and nothing else.
         const COPIES: usize = 64;
         const CAP: u32 = 8;
-        let resolve = |period: usize| {
+        for period in [44, 55, 40, 39] {
             let mut rng = exma_genome::SeededRng::new(0x9e1d);
             let mut base = || b"ACGT"[rng.range(0, 4)] as char;
             let unit: String = (0..30).map(|_| base()).collect();
@@ -543,7 +432,6 @@ mod tests {
                 .collect();
             let fm = FmIndex::from_text(&text_from_str(&genome).unwrap());
             let seed = exma_genome::alphabet::parse_bases(&unit[1..13]).unwrap();
-            let truth: Vec<u32> = (0..COPIES).map(|i| (period * i + 1) as u32).collect();
             let intervals = [fm.backward_search(&seed)];
             assert_eq!(intervals[0].len(), COPIES);
             let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
@@ -551,49 +439,47 @@ mod tests {
             let stats =
                 resolver.resolve_intervals_capped(&intervals, &[CAP], &mut flat, &mut offsets);
             assert_eq!(stats, reference_stats(&fm, &intervals, &[CAP]));
-            // Either way the cap keeps `CAP` true positions.
-            assert_eq!(flat.len(), CAP as usize, "period {period}");
-            assert!(flat.windows(2).all(|w| w[0] < w[1]));
-            assert!(flat.iter().all(|p| truth.binary_search(p).is_ok()));
-            stats
-        };
-
-        // Periods the rate divides: every row is one step from a mark,
-        // so all 64 retire together in round 2 and the cap, checked at
-        // the round boundary, finds nothing left to drop.
-        for period in [44, 55] {
-            assert_eq!(period % SA_SAMPLE_RATE, 0);
-            let stats = resolve(period);
-            assert_eq!((stats.rounds, stats.dropped), (2, 0), "period {period}");
-            assert_eq!(stats.retired, COPIES, "period {period}");
-        }
-        // Periods coprime to it: period · i + 1 visits every residue
-        // class, five or six rows each, so the second round reaches the
-        // cap and the rest of the worklist is dropped there.
-        for period in [40, 39] {
-            let stats = resolve(period);
-            assert_eq!(stats.rounds, 2, "period {period}");
-            assert!(stats.retired >= CAP as usize && stats.retired < 2 * CAP as usize);
-            assert_eq!(stats.dropped, COPIES - stats.retired, "period {period}");
+            assert_eq!(stats.retired, CAP as usize, "period {period}");
+            assert_eq!(stats.dropped, COPIES - CAP as usize, "period {period}");
+            // The kept positions are the copies whose suffixes sort
+            // first, whatever the period.
+            let mut truth: Vec<u32> = (0..COPIES).map(|i| (period * i + 1) as u32).collect();
+            truth.sort_by_key(|&p| &genome[p as usize..]);
+            truth.truncate(CAP as usize);
+            truth.sort_unstable();
+            assert_eq!(flat, truth, "period {period}");
+            // Periods the rate divides put every row `1 mod rate` steps
+            // from a mark.
+            if period % SA_SAMPLE_RATE == 0 {
+                let walk = 1 % SA_SAMPLE_RATE;
+                assert_eq!(
+                    (stats.rounds, stats.lf_steps),
+                    (walk + 1, walk * CAP as usize)
+                );
+            }
         }
     }
 
     #[test]
     fn capping_actually_drops_cursors() {
         let fm = small_index();
-        // "A" has many occurrences; cap 1 must shed the rest of its
-        // worklist instead of walking every row to a mark.
+        // "A" has many occurrences; cap 1 must walk one row, not every
+        // row to a mark.
         let intervals = vec![fm.backward_search(&exma_genome::alphabet::parse_bases("A").unwrap())];
         assert!(intervals[0].len() > 3);
-        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
         let uncapped = resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         let capped = resolver.resolve_intervals_capped(&intervals, &[1], &mut flat, &mut offsets);
         assert_eq!(flat.len(), 1);
-        assert!(capped.dropped > 0, "{capped:?}");
-        assert!(capped.retired < uncapped.retired);
+        assert_eq!(capped.retired, 1, "{capped:?}");
+        assert_eq!(capped.dropped, intervals[0].len() - 1, "{capped:?}");
         assert!(capped.lf_steps <= uncapped.lf_steps);
         assert_eq!(uncapped.dropped, 0);
+        let nothing = resolver.resolve_intervals_capped(&intervals, &[0], &mut flat, &mut offsets);
+        assert_eq!((nothing.rounds, nothing.retired), (0, 0));
+        assert_eq!(nothing.dropped, intervals[0].len());
+        assert!(flat.is_empty());
     }
 
     #[test]
@@ -603,13 +489,14 @@ mod tests {
         // Cap only interval 0; everything else keeps full output.
         let mut caps = vec![UNCAPPED; intervals.len()];
         caps[0] = 2;
-        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
-        let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
-        let mut buf = Vec::new();
+        let (flat, offsets) = resolve(&fm, &intervals, &caps);
         for (i, interval) in intervals.iter().enumerate() {
-            fm.resolve_range_capped_into(interval.clone(), caps[i], &mut buf);
-            assert_eq!(&flat[offsets[i]..offsets[i + 1]], &buf[..], "interval {i}");
+            let expect = first_rows(&fm, interval, caps[i]);
+            assert_eq!(
+                &flat[offsets[i]..offsets[i + 1]],
+                &expect[..],
+                "interval {i}"
+            );
         }
     }
 
@@ -618,7 +505,7 @@ mod tests {
         let fm = small_index();
         let intervals = intervals_of(&fm);
         let total: usize = intervals.iter().map(|r| r.len()).sum();
-        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
         let (mut flat, mut offsets) = (Vec::new(), Vec::new());
         let stats = resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         assert_eq!(stats.retired, total);
@@ -631,26 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn prefetching_changes_no_counter() {
-        let fm = small_index();
-        let intervals = intervals_of(&fm);
-        let run = |config: ResolveConfig, caps: &[u32]| {
-            let mut resolver = BatchResolver::with_config(&fm, config);
-            let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-            resolver.resolve_intervals_capped(&intervals, caps, &mut flat, &mut offsets)
-        };
-        for caps in [vec![], vec![2; intervals_of(&fm).len()]] {
-            let plain = run(ResolveConfig::default(), &caps);
-            for config in &all_configs()[1..] {
-                assert_eq!(run(*config, &caps), plain, "{config:?}, caps {caps:?}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_worklists_and_buffers_reset() {
         let fm = small_index();
-        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
+        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::locality());
         let (mut flat, mut offsets) = (vec![9u32; 4], vec![7usize; 4]);
         let stats = resolver.resolve_intervals_capped(&[], &[], &mut flat, &mut offsets);
         assert_eq!(stats, ResolveStats::default());
@@ -675,7 +545,7 @@ mod tests {
         resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
         assert_eq!(flat, first);
         // Alternating capped and uncapped calls through one arena must
-        // not leak staging state between them.
+        // not leak worklist state between them.
         let caps = vec![1u32; intervals.len()];
         resolver.resolve_intervals_capped(&intervals, &caps, &mut flat, &mut offsets);
         resolver.resolve_intervals_capped(&intervals, &[], &mut flat, &mut offsets);
@@ -686,22 +556,13 @@ mod tests {
     #[should_panic(expected = "extends past the text")]
     fn out_of_range_interval_panics() {
         let fm = small_index();
-        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
-        let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        resolver.resolve_intervals_capped(
-            &[0..1, 0..fm.text_len() + 1],
-            &[],
-            &mut flat,
-            &mut offsets,
-        );
+        resolve(&fm, &[0..1, 0..fm.text_len() + 1], &[]);
     }
 
     #[test]
     #[should_panic(expected = "does not match")]
     fn mismatched_caps_are_rejected() {
         let fm = small_index();
-        let mut resolver = BatchResolver::with_config(&fm, ResolveConfig::default());
-        let (mut flat, mut offsets) = (Vec::new(), Vec::new());
-        resolver.resolve_intervals_capped(&[0..1, 0..2], &[1], &mut flat, &mut offsets);
+        resolve(&fm, &[0..1, 0..2], &[1]);
     }
 }

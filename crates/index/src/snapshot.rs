@@ -419,7 +419,7 @@ struct Image<'a> {
     offset: u64,
     /// The whole-file CRC32 state over those bytes.
     file_crc: u32,
-    /// The staging chunk: [`CHUNK_BYTES`], or the image's length in whole
+    /// The read chunk: [`CHUNK_BYTES`], or the image's length in whole
     /// 8-byte words if that is less, allocated by the first payload read.
     chunk: Vec<u8>,
 }
@@ -455,7 +455,7 @@ impl Image<'_> {
         Ok(bytes)
     }
 
-    /// Reads the next `len` payload bytes through the staging chunk,
+    /// Reads the next `len` payload bytes through the read chunk,
     /// folding each piece into the file checksum and into `crc`, the
     /// section's, and handing it to `sink`. Every piece but the last is a
     /// whole number of 8-byte words.
@@ -878,7 +878,7 @@ mod tests {
         let index = toy_index(4);
         let path = temp_path("fs_round_trip");
         write_snapshot(&index, &path).expect("write");
-        // The tmp staging file never survives a successful write.
+        // The `.tmp` file never survives a successful write.
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
@@ -927,7 +927,7 @@ mod tests {
         assert!(kind.is_socket(), "{kind:?}");
         // Nothing was staged beside it.
         assert_eq!(fs::read_dir(&dir).expect("list").count(), 1);
-        // Nor is the staging name written into, or removed, when it is
+        // Nor is the `.tmp` name written into, or removed, when it is
         // the node.
         drop(listener);
         fs::remove_file(&socket).expect("unlink the socket");
