@@ -412,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_search_under_every_schedule() {
+    fn batch_intervals_match_sequential_backward_search() {
         let (index, patterns) = fig3_engine_input();
         let batch = QueryBatch::uniform(QueryRequest::Interval, &patterns);
         let (results, _) = BatchEngine::new(&index).run(&batch);
@@ -447,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn run_locate_matches_the_per_row_path_under_every_schedule() {
+    fn run_locate_matches_the_per_row_path() {
         let (index, patterns) = fig3_engine_input();
         let base = index.base_index();
         let batch = QueryBatch::uniform(QueryRequest::locate(), &patterns);

@@ -496,7 +496,7 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (54, 11, 384, 16);
+        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (52, 11, 384, 16);
         let index = EngineBuilder::new().build_index(&text).unwrap();
         let kocc_blocks = n / kocc_rate + 1;
         let occ_blocks = n / occ_rate + 1;
@@ -506,11 +506,13 @@ mod tests {
             // Code lanes and block padding, plus the totals row.
             k_occ_codes: kocc_blocks * (line_round(stride * 2 + kocc_rate) - stride * 2)
                 + stride * 4,
-            one_step_occ: occ_blocks * line_round(5 * 2 + occ_rate)
-                + line_round(occ_blocks.div_ceil(sb_rate) * 5 * 4),
+            // Five symbol counters and the mark counter a row, and the
+            // codes, marks in bit 7.
+            one_step_occ: occ_blocks * line_round(6 * 2 + occ_rate)
+                + line_round(occ_blocks.div_ceil(sb_rate) * 6 * 4),
             sa_samples: n.div_ceil(sa_rate) * 4,
-            // One bit per row, and a u32 running rank per 64 of them.
-            rank_bits: n.div_ceil(64) * (8 + 4),
+            // The marks live in the occurrence lines alone.
+            rank_bits: 0,
             // The k-mer C-array, the k sentinel-crossing rows, the
             // packed text (whole 32-base windows and a spare one) and
             // the K-mer lookup (16 · 4^6 ≤ n < 16 · 4^7: K = 6).

@@ -107,6 +107,35 @@ fn strandedness_is_part_of_the_attach_contract() {
     assert!(!forward.descriptor().contains("_bidir"));
 }
 
+/// LF steps from `row` to a row the sampled suffix array keeps: the walk
+/// the resolver takes from it.
+fn walk_len(fm: &FmIndex, mut row: usize) -> usize {
+    let mut steps = 0;
+    while fm.sampled_sa().get(row).is_none() {
+        row = fm.lf(row);
+        steps += 1;
+    }
+    steps
+}
+
+/// The LF steps `engine` walks for `pattern` run alone as a count: none
+/// unless it is cut, else the walks of the rows it is cut at — those of
+/// the suffix its search had consumed by then: the K-mer lookup's K
+/// symbols (none below K), k a refinement, then one a tail step.
+fn cut_walk(engine: &dyn Executor, index: &KStepFmIndex, pattern: &[Base]) -> usize {
+    let (_, stats) = engine.run(&QueryBatch::new().count(pattern));
+    if stats.cut_queries == 0 {
+        return 0;
+    }
+    let (m, k, big_k) = (pattern.len(), index.k(), index.lookup_k());
+    let seeded = if m >= big_k { big_k } else { 0 };
+    let ksteps = (m - seeded) / k;
+    let consumed = seeded + k * stats.steps.min(ksteps) + stats.steps.saturating_sub(ksteps);
+    let rows = index.backward_search(&pattern[m - consumed..]);
+    assert_eq!(rows.len(), stats.cursors_retired, "{stats:?}");
+    rows.map(|row| walk_len(index.base_index(), row)).sum()
+}
+
 // ---- The K-mer lookup: where a search starts ----------------------------
 //
 // Each runs on the lockstep engine on one thread and sharded across two
@@ -165,7 +194,10 @@ fn a_read_is_cut_straight_off_the_lookup() {
         let base = EngineBuilder::new().k(k);
         let index = base.build_index(&genome.text_with_sentinel()).unwrap();
         assert_eq!(index.lookup_k(), 4);
-        assert_eq!(index.lookup_interval(&read[24..]).len(), 1);
+        let rows = index.lookup_interval(&read[24..]);
+        assert_eq!(rows.len(), 1);
+        // Both reads are cut at that row, and each walks it to a sample.
+        let walk = walk_len(index.base_index(), rows.start);
         for builder in &executors(base)[1..3] {
             let engine = builder.attach(&index).unwrap();
             let at = format!("k={k}, {}", builder.descriptor());
@@ -179,7 +211,7 @@ fn a_read_is_cut_straight_off_the_lookup() {
                 (0, 0, 0),
                 "{at}"
             );
-            assert!(stats.resolve_lf_steps > 0, "{at}: {stats:?}");
+            assert_eq!(stats.resolve_lf_steps, 2 * walk, "{at}: {stats:?}");
         }
     }
 }
@@ -203,7 +235,11 @@ fn the_cut_stays_in_its_lane() {
         let engine = builder.attach(&index).unwrap();
         let (_, cut) = engine.run(&counts);
         assert!(cut.cut_queries > 0, "{cut:?}");
-        assert!(cut.resolve_lf_steps > 0, "{cut:?}");
+        let walked: usize = patterns
+            .iter()
+            .map(|pattern| cut_walk(&*engine, &index, pattern))
+            .sum();
+        assert_eq!(cut.resolve_lf_steps, walked, "{cut:?}");
         for (batch, what) in [(&intervals, "intervals"), (&zero, "max_hits 0")] {
             let (results, stats) = engine.run(batch);
             assert_eq!(stats.cut_queries, 0, "{what}");

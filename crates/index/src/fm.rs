@@ -14,29 +14,35 @@ use exma_genome::{count_table, suffix_array, Base, CountTable, Symbol};
 
 use crate::layout::HeapBreakdown;
 use crate::occ::OccTable;
-use crate::sampled_sa::SampledSuffixArray;
+use crate::sampled_sa::{self, SampledSuffixArray};
 
 /// An FM-index over a sentinel-terminated text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FmIndex {
     counts: CountTable,
+    /// The occurrence table, which also marks the sampled rows.
     occ: OccTable,
-    ssa: SampledSuffixArray,
+    samples: Vec<u32>,
 }
 
 impl FmIndex {
     /// Assembles an index from already-built components, so callers that
     /// hold the suffix array (e.g. the k-step builder) need not recompute
     /// it. The one funnel of cold builds and snapshot loads, and so the
-    /// place where the occurrence table learns which rows `ssa` samples
-    /// (see [`OccTable::lf_data`]).
+    /// place where the occurrence table learns which rows the `samples`
+    /// belong to: those the bitset `marks` sets.
     pub(crate) fn from_parts(
         counts: CountTable,
         mut occ: OccTable,
-        ssa: SampledSuffixArray,
+        marks: &[u64],
+        samples: Vec<u32>,
     ) -> FmIndex {
-        occ.mark_rows(ssa.marks().ones());
-        FmIndex { counts, occ, ssa }
+        occ.mark_rows(marks);
+        FmIndex {
+            counts,
+            occ,
+            samples,
+        }
     }
 
     /// Builds the index from a sentinel-terminated symbol text in the
@@ -51,10 +57,12 @@ impl FmIndex {
         let sa = suffix_array(text);
         let n = text.len();
         let bwt = sa.iter().map(|&p| text[(p as usize + n - 1) % n]);
+        let (marks, samples) = sampled_sa::sample(&sa);
         FmIndex::from_parts(
             count_table(text),
             OccTable::new(bwt).expect("the text fits u32 counters"),
-            SampledSuffixArray::new(&sa),
+            &marks,
+            samples,
         )
     }
 
@@ -89,8 +97,9 @@ impl FmIndex {
     }
 
     /// The sampled suffix array.
-    pub fn sampled_sa(&self) -> &SampledSuffixArray {
-        &self.ssa
+    pub fn sampled_sa(&self) -> SampledSuffixArray<'_> {
+        let (occ, samples) = (&self.occ, &self.samples[..]);
+        SampledSuffixArray { occ, samples }
     }
 
     /// LF-mapping: the suffix-array row of the suffix starting one text
@@ -193,21 +202,25 @@ impl FmIndex {
         out.sort_unstable();
     }
 
-    /// The suffix-array value of `row`, via the sampled suffix array.
+    /// The suffix-array value of `row`: LF steps to a sampled row, whose
+    /// sample slot the last step's occurrence line gives.
     pub fn resolve_row(&self, mut row: usize) -> u32 {
         let mut steps = 0;
         loop {
-            if let Some(pos) = self.ssa.get(row) {
-                return pos + steps;
+            let (successor, marked) = self.lf_marked(row);
+            if marked {
+                return self.samples[self.occ.mark_rank(row)] + steps;
             }
-            row = self.lf(row);
-            steps += 1;
+            (row, steps) = (successor, steps + 1);
         }
     }
 
     /// Heap bytes of all index components, attributed per component.
     pub fn heap_breakdown(&self) -> HeapBreakdown {
-        self.occ.heap_breakdown().add(&self.ssa.heap_breakdown())
+        HeapBreakdown {
+            sa_samples: self.samples.capacity() * 4,
+            ..self.occ.heap_breakdown()
+        }
     }
 
     /// Heap bytes of all index components.

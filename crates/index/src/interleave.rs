@@ -467,27 +467,24 @@ impl BlockStore {
         let block_words = (delta_bytes + sample_rate)
             .div_ceil(4)
             .next_multiple_of(WORDS_PER_LINE);
-        let mut data = AlignedWords::zeroed(blocks * block_words);
-        let mut superblocks = AlignedWords::zeroed(blocks.div_ceil(SUPERBLOCK_RATE) * lanes);
+        let mut store = BlockStore {
+            data: AlignedWords::zeroed(blocks * block_words),
+            superblocks: AlignedWords::zeroed(blocks.div_ceil(SUPERBLOCK_RATE) * lanes),
+            lanes,
+            block_words,
+            span: CodeSpan::new(block_words, delta_bytes, sample_rate),
+            len,
+            sample_rate: Divisor::new(sample_rate),
+        };
         let mut running = vec![0u32; lanes];
-        let mut group_row = vec![0u32; lanes];
         for block in 0..blocks {
             // The checkpoint row for prefix `block * sample_rate`: counts
-            // accumulated so far, relative to the superblock's.
-            let base = block * block_words;
-            if block % SUPERBLOCK_RATE == 0 {
-                let g = block / SUPERBLOCK_RATE * lanes;
-                superblocks.words_mut()[g..g + lanes].copy_from_slice(&running);
-                group_row.copy_from_slice(&running);
-            }
-            let deltas = &mut data.halves_mut()[base * 2..base * 2 + lanes];
-            for ((delta, &now), &at_group) in deltas.iter_mut().zip(&running).zip(&group_row) {
-                *delta = u16::try_from(now - at_group).expect("the span rule bounds every delta");
-            }
+            // accumulated so far.
+            store.set_checkpoints(block, 0, &running);
             // The codes this block covers, as plain byte lanes behind the
             // delta row.
-            let code_base = base * 4 + delta_bytes;
-            let slots = &mut data.bytes_mut()[code_base..code_base + sample_rate];
+            let code_base = block * block_words * 4 + delta_bytes;
+            let slots = &mut store.data.bytes_mut()[code_base..code_base + sample_rate];
             for (slot, (code, lane)) in slots.iter_mut().zip(rows.by_ref()) {
                 *slot = code;
                 if let Some(count) = running.get_mut(lane) {
@@ -495,15 +492,6 @@ impl BlockStore {
                 }
             }
         }
-        let store = BlockStore {
-            data,
-            superblocks,
-            lanes,
-            block_words,
-            span: CodeSpan::new(block_words, delta_bytes, sample_rate),
-            len,
-            sample_rate: Divisor::new(sample_rate),
-        };
         Ok((store, running))
     }
 
@@ -538,6 +526,25 @@ impl BlockStore {
     pub(crate) fn checkpoint(&self, block: usize, lane: usize) -> u32 {
         self.superblocks.words()[self.superblock_word(block, lane)]
             + u32::from(self.data.halves()[block * self.block_words * 2 + lane])
+    }
+
+    /// Sets the checkpoints of counters `first .. first + counts.len()` in
+    /// `block` to the absolute `counts`: the superblock row if `block`
+    /// starts one, and each counter's delta off it. Blocks are set in
+    /// ascending order, so a superblock row is in place before any delta
+    /// is taken from it.
+    #[inline]
+    pub(crate) fn set_checkpoints(&mut self, block: usize, first: usize, counts: &[u32]) {
+        let row = self.superblock_word(block, first);
+        let row = &mut self.superblocks.words_mut()[row..row + counts.len()];
+        if block % SUPERBLOCK_RATE == 0 {
+            row.copy_from_slice(counts);
+        }
+        let at = block * self.block_words * 2 + first;
+        let deltas = &mut self.data.halves_mut()[at..at + counts.len()];
+        for ((delta, &now), &at_group) in deltas.iter_mut().zip(counts).zip(&*row) {
+            *delta = u16::try_from(now - at_group).expect("the span rule bounds every delta");
+        }
     }
 
     /// The cache lines holding `block`'s code lanes.
@@ -650,11 +657,11 @@ impl BlockStore {
         self.data.bytes()[self.code_base(block) + offset]
     }
 
-    /// Mutable [`BlockStore::byte_lane`], for flag bits the owning table
+    /// Mutable [`BlockStore::byte_lanes`], for flag bits the owning table
     /// keeps above its codes.
-    pub(crate) fn byte_lane_mut(&mut self, block: usize, offset: usize) -> &mut u8 {
-        let index = self.code_base(block) + offset;
-        &mut self.data.bytes_mut()[index]
+    pub(crate) fn byte_lanes_mut(&mut self, block: usize, count: usize) -> &mut [u8] {
+        let base = self.code_base(block);
+        &mut self.data.bytes_mut()[base..base + count]
     }
 
     /// Heap bytes of the absolute superblock rows, of the per-block delta
@@ -837,7 +844,7 @@ fn prefix_counts_scalar<const N: usize>(
 /// Division by a divisor fixed at construction, as one multiply-high
 /// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
 /// 2019): rows split into block and offset on every rank, and the
-/// checkpoint spacings are not powers of two (54, and 96k rows for the
+/// checkpoint spacings are not powers of two (52, and 96k rows for the
 /// k-step table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Divisor {
@@ -874,7 +881,7 @@ impl Divisor {
 
 /// Hints the CPU to pull the cache line holding `slice[index]` toward L1.
 /// The unaligned sibling of [`AlignedWords::prefetch`], for structures
-/// backed by ordinary `Vec`s (e.g. the sampled suffix array's rank bitset).
+/// backed by ordinary `Vec`s (e.g. the sampled suffix array's samples).
 /// A no-op off x86-64 and for out-of-range indices; never faults.
 #[inline]
 pub fn prefetch_element<T>(slice: &[T], index: usize) {
@@ -1154,6 +1161,7 @@ mod tests {
             7,
             16,
             44,
+            52,
             54,
             200,
             256,
@@ -1175,7 +1183,7 @@ mod tests {
             }
         }
         // And densely where the tables live: every row of a small text.
-        for d in [1, 5, 44, 54, 200] {
+        for d in [1, 5, 44, 52, 54, 200] {
             let divisor = Divisor::new(d);
             for n in 0..20_000 {
                 assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");

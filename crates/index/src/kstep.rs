@@ -39,7 +39,7 @@ use crate::kocc::KmerOccTable;
 use crate::layout::{HeapBreakdown, IndexError};
 use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
-use crate::sampled_sa::SampledSuffixArray;
+use crate::sampled_sa;
 use crate::text::PackedText;
 
 /// Largest supported step width: the `4^4` = 256 k-mer codes of k = 4
@@ -192,14 +192,16 @@ impl KStepFmIndex {
         let n = text.len();
         // One pass over the suffix array gives the k-BWT codes and the
         // marker rows; the suffix array is sampled and freed before either
-        // occurrence table is allocated, and the 1-step table reads its
-        // symbols off the codes.
+        // occurrence table is allocated, the 1-step table reads its
+        // symbols off the codes, and the sampled rows' bitset is freed
+        // once that table has marked them.
         let sa = suffix_array(text);
         let (codes, markers, marker_symbols) = k_bwt(text, &sa, k);
-        let ssa = SampledSuffixArray::new(&sa);
+        let (marks, samples) = sampled_sa::sample(&sa);
         drop(sa);
         let occ = OccTable::new(bwt_of_codes(&codes, &markers, &marker_symbols))?;
-        let base = FmIndex::from_parts(count_table(text), occ, ssa);
+        let base = FmIndex::from_parts(count_table(text), occ, &marks, samples);
+        drop(marks);
         let kocc = KmerOccTable::new(codes, markers, k)?;
 
         let text = PackedText::from_symbols(text);

@@ -52,20 +52,22 @@ impl fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// Checkpoint spacing of the 1-step occurrence table: the 54 one-byte
-/// codes that fill a 64-byte line beside its five `u16` deltas (see
+/// Checkpoint spacing of the 1-step occurrence table: the 52 one-byte
+/// codes that fill a 64-byte line beside its six `u16` deltas — one per
+/// symbol, and one counting the SA-sampled rows before the block (see
 /// [`crate::OccTable`]). A wider block still costs one line a rank, so
 /// this is the spacing at which the table is smallest for that price.
-pub const OCC_SAMPLE_RATE: usize = 54;
+pub const OCC_SAMPLE_RATE: usize = 52;
 
 /// Text-position spacing of kept suffix-array samples, set by a byte
 /// rule: the densest spacing at which [`HeapBreakdown::total`] of a
-/// k = 4 index does not exceed what it was at the 44-row / 32 layout
-/// this one replaced. On the 20 Mbp picea index the ten rows a line
-/// gained free 5.49 MB of `one_step_occ`, samples every 11 positions
-/// cost 4.77 MB more than every 32, and every 10 would cost 7.6 kB more
-/// than the blocks freed. A locate walk then averages 5 LF steps, not
-/// 15.5.
+/// k = 4 index did not exceed what it was at the 44-row / 32 layout the
+/// filled 54-code lines replaced. On the 20 Mbp picea index the ten rows
+/// a line gained freed 5.49 MB of `one_step_occ`, samples every 11
+/// positions cost 4.77 MB more than every 32, and every 10 would have
+/// cost 7.6 kB more than the blocks freed. A locate walk averages 5 LF
+/// steps, not 15.5. The 2.72 MB freed since, by marking the sampled rows
+/// in the occurrence lines alone, are not spent on it yet.
 pub const SA_SAMPLE_RATE: usize = 11;
 
 /// Checkpoint spacing of the k-mer occurrence table at step width `k`:
@@ -119,12 +121,15 @@ pub struct HeapBreakdown {
     /// Interleaved k-BWT code lanes (including block padding) and the
     /// totals row of the k-step table.
     pub k_occ_codes: usize,
-    /// The 1-step Occ table: superblock rows, delta rows, and BWT code
-    /// lanes together.
+    /// The 1-step Occ table: superblock rows, delta rows (the SA-sampled
+    /// rows' counter among them), and BWT code lanes with their marks,
+    /// together.
     pub one_step_occ: usize,
     /// Sampled suffix-array positions.
     pub sa_samples: usize,
-    /// The rank-bits membership structure marking sampled rows.
+    /// Always 0: the sampled rows are marked and counted in the 1-step
+    /// occurrence lines alone. Kept because the benchmark's
+    /// `index.heap.rank_bits_bytes` and the STATS field order name it.
     pub rank_bits: usize,
     /// Everything else: symbol count tables, k-mer interval starts,
     /// sentinel-exception rows, and two structures a k-step index keeps

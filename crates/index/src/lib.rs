@@ -46,7 +46,7 @@ pub use occ::OccTable;
 pub use resolve::{
     resolve_capped_with_arena, BatchResolver, ResolveArena, ResolveConfig, ResolveStats, UNCAPPED,
 };
-pub use sampled_sa::{RankBits, SampledSuffixArray};
+pub use sampled_sa::SampledSuffixArray;
 pub use snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot, load_snapshot_expecting, write_snapshot,
     SnapshotError, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,

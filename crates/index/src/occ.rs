@@ -16,28 +16,31 @@
 //! with the branch-free kernel the k-step table uses too: at the default
 //! spacing one 64-byte line, four vector compares, and no division by the
 //! spacing. A checkpoint row is stored the one way both tables store it:
-//! five `u16` deltas relative to an absolute `u32` superblock row kept
-//! every [`crate::layout::SUPERBLOCK_RATE`] blocks in a separate small
-//! array. The ten header bytes leave one line room for 54 codes, and 54
-//! is the spacing ([`crate::layout::OCC_SAMPLE_RATE`]): a full line costs
-//! a rank what a 44-code one did, and the fifth of the table it saves is
-//! spent on denser suffix-array samples. The layout's compile-time span
-//! rule proves no delta can overflow.
+//! `u16` deltas relative to an absolute `u32` superblock row kept every
+//! [`crate::layout::SUPERBLOCK_RATE`] blocks in a separate small array.
+//! The twelve header bytes leave one line room for 52 codes, and 52 is
+//! the spacing ([`crate::layout::OCC_SAMPLE_RATE`]): a full line costs a
+//! rank what a 44-code one did. The layout's compile-time span rule
+//! proves no delta can overflow.
 //!
 //! A code byte holds more than the symbol: bit 7 says whether the row is
-//! one the sampled suffix array keeps (set when the index is assembled,
-//! see [`crate::FmIndex::lf_marked`]), so the one line an LF step reads
-//! ([`OccTable::lf_data`]) also decides whether the walk ends there.
-//! Every reader of a code byte masks it down to the symbol bits, the rank
-//! kernel included.
+//! one the sampled suffix array keeps, and a checkpoint row's sixth
+//! counter counts the marked rows before the block. So the one line an
+//! LF step reads ([`OccTable::lf_data`]) also decides whether the walk
+//! ends there and, through `OccTable::mark_rank`, in which sample slot;
+//! the marks live nowhere else. Every reader of a code byte masks it
+//! down to the bits it asks about, the rank kernel included.
 
 use exma_genome::Symbol;
 
 use crate::interleave::BlockStore;
 use crate::layout::{HeapBreakdown, IndexError, OCC_SAMPLE_RATE};
 
-/// Symbol codes per checkpoint row (one counter per alphabet symbol).
-const HEADER_LANES: usize = 5;
+/// Counters per checkpoint row: one per alphabet symbol, then the marks.
+const HEADER_LANES: usize = 6;
+
+/// The checkpoint counter of the SA-sampled rows before a block.
+const MARK_LANE: usize = 5;
 
 /// The bits of a code byte that hold the symbol code (0–4).
 const SYMBOL_MASK: u8 = 0x07;
@@ -51,7 +54,7 @@ const MARK_BIT: u8 = 0x80;
 /// in bytes:
 ///
 /// ```text
-/// [ 5 u16 delta counters | 54 codes ]
+/// [ 5 u16 symbol deltas | u16 mark delta | 52 codes ]
 /// code byte: bit 7 = SA-sampled row, bits 0–2 = symbol
 /// ```
 ///
@@ -69,9 +72,10 @@ pub struct OccTable {
 
 impl OccTable {
     /// Builds the table from the BWT's symbols in row order,
-    /// checkpointed every [`OCC_SAMPLE_RATE`] symbols. An iterator, so a
-    /// build can derive them as it goes (from the suffix array, or from
-    /// the k-BWT codes) instead of holding a BWT beside the table.
+    /// checkpointed every [`OCC_SAMPLE_RATE`] symbols, with no row marked.
+    /// An iterator, so a build can derive them as it goes (from the suffix
+    /// array, or from the k-BWT codes) instead of holding a BWT beside the
+    /// table.
     ///
     /// # Errors
     ///
@@ -81,7 +85,7 @@ impl OccTable {
         let (store, totals) = BlockStore::build(HEADER_LANES, OCC_SAMPLE_RATE, rows)?;
         Ok(OccTable {
             store,
-            totals: totals.try_into().expect("one total per symbol"),
+            totals: std::array::from_fn(|code| totals[code]),
         })
     }
 
@@ -95,28 +99,90 @@ impl OccTable {
         self.len() == 0
     }
 
-    /// `Occ(code, block * OCC_SAMPLE_RATE + offset)`: the block's checkpoint
-    /// plus one pass of the rank kernel over its code lanes.
+    /// Counter `counter` at row `block * OCC_SAMPLE_RATE + offset`: the
+    /// block's checkpoint plus one pass of the rank kernel over its code
+    /// lanes, counting those whose bits under `MASK` are `needle`.
     #[inline]
-    fn block_rank(&self, block: usize, code: u8, offset: usize) -> u64 {
-        let [below] = self
-            .store
-            .prefix_counts::<SYMBOL_MASK, 1>(block, code, [offset]);
-        u64::from(self.store.checkpoint(block, code as usize) + below)
+    fn block_rank<const MASK: u8>(
+        &self,
+        block: usize,
+        counter: usize,
+        needle: u8,
+        offset: usize,
+    ) -> u32 {
+        let [below] = self.store.prefix_counts::<MASK, 1>(block, needle, [offset]);
+        self.store.checkpoint(block, counter) + below
     }
 
-    /// Sets the SA-sampled bit of every row in `rows`. Symbols and ranks
-    /// are unchanged; only [`OccTable::lf_data`] reports the bit.
+    /// Marks the rows `marks` sets (row `i` at bit `i % 64` of word
+    /// `i / 64`) as SA-sampled, on a table that has none yet: sets each
+    /// one's bit 7 and writes every block's mark counter, in one pass over
+    /// the blocks. Ranks are unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if a row is not below `self.len()`.
-    pub(crate) fn mark_rows(&mut self, rows: impl Iterator<Item = usize>) {
-        for row in rows {
-            assert!(row < self.len(), "marked row {row} out of range");
-            let (block, offset) = self.store.split(row);
-            *self.store.byte_lane_mut(block, offset) |= MARK_BIT;
+    /// Panics if `marks` does not hold one bit a row.
+    pub(crate) fn mark_rows(&mut self, marks: &[u64]) {
+        let len = self.len();
+        assert_eq!(marks.len(), len.div_ceil(64), "not one mark bit a row");
+        let mut marked = 0;
+        for block in 0..=self.store.split(len).0 {
+            self.store.set_checkpoints(block, MARK_LANE, &[marked]);
+            let first = block * OCC_SAMPLE_RATE;
+            let lanes = self
+                .store
+                .byte_lanes_mut(block, OCC_SAMPLE_RATE.min(len - first));
+            // The block's marks, from the one or two words they span.
+            let (word, shift) = (first / 64, first % 64);
+            let spill = marks
+                .get(word + 1)
+                .map_or(0, |&next| next << 1 << (63 - shift));
+            let bits = marks.get(word).map_or(0, |&w| w >> shift | spill);
+            let mut bits = bits & !(u64::MAX << lanes.len());
+            marked += bits.count_ones();
+            while bits != 0 {
+                lanes[bits.trailing_zeros() as usize] |= MARK_BIT;
+                bits &= bits - 1;
+            }
         }
+    }
+
+    /// The marked rows in `0..i`: the block's mark counter plus the rank
+    /// kernel over its codes' bit 7.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > self.len()`.
+    #[inline]
+    pub(crate) fn mark_rank(&self, i: usize) -> usize {
+        assert!(i <= self.len(), "mark rank position {i} out of range");
+        let (block, offset) = self.store.split(i);
+        self.block_rank::<MARK_BIT>(block, MARK_LANE, MARK_BIT, offset) as usize
+    }
+
+    /// The marks as a bitset, one bit a row (row `i` at bit `i % 64` of
+    /// word `i / 64`), read off the code bytes: what a snapshot stores.
+    pub(crate) fn mark_words(&self) -> impl Iterator<Item = u64> + '_ {
+        // Each block's marks, 52 bits at most, packed into whole words
+        // (the last one padded with zero bits).
+        let runs = self.store.lane_runs().map(|run| {
+            let bits = run
+                .iter()
+                .rev()
+                .fold(0, |bits, &b| bits << 1 | u128::from(b >> 7));
+            (bits, run.len())
+        });
+        let mut runs = runs.chain(std::iter::repeat((0, 64)));
+        let (mut pending, mut have) = (0u128, 0);
+        (0..self.len().div_ceil(64)).map(move |_| {
+            while have < 64 {
+                let (bits, len) = runs.next().expect("the zero padding never ends");
+                (pending, have) = (pending | bits << have, have + len);
+            }
+            let word = pending as u64;
+            (pending, have) = (pending >> 64, have - 64);
+            word
+        })
     }
 
     /// The BWT symbol at position `i`.
@@ -143,7 +209,7 @@ impl OccTable {
             return u64::from(self.totals[code as usize]);
         }
         let (block, offset) = self.store.split(i);
-        self.block_rank(block, code, offset)
+        u64::from(self.block_rank::<SYMBOL_MASK>(block, code.into(), code, offset))
     }
 
     /// The BWT symbol at `i`, `Occ(symbol, i)`, and whether row `i` is
@@ -163,7 +229,7 @@ impl OccTable {
         let code = byte & SYMBOL_MASK;
         (
             Symbol::from_code(code),
-            self.block_rank(block, code, offset),
+            u64::from(self.block_rank::<SYMBOL_MASK>(block, code.into(), code, offset)),
             byte & MARK_BIT != 0,
         )
     }
@@ -195,8 +261,8 @@ impl OccTable {
         if i >= self.len() {
             return; // answered from `totals`, which stays cache-hot
         }
-        // The ten bytes of deltas lead the block's first code line, so the
-        // code region's hint covers all five, whichever symbol is asked.
+        // The twelve bytes of deltas lead the block's first code line, so
+        // the code region's hint covers all six, whichever is asked.
         self.store.prefetch_block(self.store.split(i).0, 0);
     }
 
@@ -228,19 +294,28 @@ mod tests {
         bwt_from_sa(&text, &sa)
     }
 
-    /// The BWT of a random text long enough to cross two superblocks.
+    /// The BWT of a random text long enough to cross three superblocks.
     fn long_bwt() -> Vec<Symbol> {
         let mut rng = SeededRng::new(0x0CC);
-        let len = 2 * OCC_SAMPLE_RATE * SUPERBLOCK_RATE + 100;
+        let len = 3 * OCC_SAMPLE_RATE * SUPERBLOCK_RATE + 100;
         let bases: Vec<_> = (0..len).map(|_| rng.base()).collect();
         let text = text_from_bases(&bases);
         bwt_from_sa(&text, &suffix_array(&text))
     }
 
     /// The BWTs the property tests cross: one shorter than a block, and
-    /// one over two superblocks.
+    /// one over three superblocks.
     fn bwts() -> [Vec<Symbol>; 2] {
         [bwt_of("CATAGACATTAGACCATAGGA"), long_bwt()]
+    }
+
+    /// The mark bitset of the rows `0..len` that `is_marked` picks.
+    fn marks_of(len: usize, is_marked: &dyn Fn(usize) -> bool) -> Vec<u64> {
+        let mut marks = vec![0u64; len.div_ceil(64)];
+        for row in (0..len).filter(|&row| is_marked(row)) {
+            marks[row / 64] |= 1 << (row % 64);
+        }
+        marks
     }
 
     /// Reference O(n) rank of `s` in `bwt[..i]`.
@@ -298,7 +373,7 @@ mod tests {
             let ranks = SYMBOL_ALPHABET.map(|s| naive_ranks(&bwt, s));
             for (set, is_marked) in row_sets.iter().enumerate() {
                 let mut occ = plain.clone();
-                occ.mark_rows((0..bwt.len()).filter(|&i| is_marked(i)));
+                occ.mark_rows(&marks_of(bwt.len(), is_marked));
                 let at = format!("n {}, row set {set}", bwt.len());
                 for i in 0..=bwt.len() {
                     assert_eq!(occ.rank_all(i), plain.rank_all(i), "{at}, prefix {i}");
@@ -314,6 +389,36 @@ mod tests {
                     assert_eq!(occ.lf_data(i), expect, "{at}, row {i}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mark_rank_counts_the_marked_rows_before_every_row() {
+        // No row, every 11th (the SA rate's density), one whole block, and
+        // every row, each against a plain prefix count at every row.
+        let row_sets: [&dyn Fn(usize) -> bool; 4] = [
+            &|_| false,
+            &|i| i % 11 == 0,
+            &|i| (OCC_SAMPLE_RATE..2 * OCC_SAMPLE_RATE).contains(&i),
+            &|_| true,
+        ];
+        let bwt = long_bwt();
+        assert!(bwt.len() > 3 * OCC_SAMPLE_RATE * SUPERBLOCK_RATE);
+        for (set, is_marked) in row_sets.iter().enumerate() {
+            let mut occ = OccTable::new(bwt.iter().copied()).unwrap();
+            let marks = marks_of(bwt.len(), is_marked);
+            occ.mark_rows(&marks);
+            let mut before = 0;
+            for i in 0..=bwt.len() {
+                assert_eq!(occ.mark_rank(i), before, "row set {set}, prefix {i}");
+                if i < bwt.len() {
+                    assert_eq!(occ.lf_data(i).2, is_marked(i), "row set {set}, row {i}");
+                    before += usize::from(is_marked(i));
+                }
+            }
+            // What a snapshot writes is what the table was marked from.
+            let words: Vec<u64> = occ.mark_words().collect();
+            assert_eq!(words, marks, "row set {set}");
         }
     }
 
@@ -343,7 +448,7 @@ mod tests {
 
     #[test]
     fn default_rate_blocks_are_one_cache_line() {
-        // 10 header bytes + 54 codes = 64: the spacing is the widest
+        // 12 header bytes + 52 codes = 64: the spacing is the widest
         // one-line block.
         assert_eq!(HEADER_LANES * 2 + OCC_SAMPLE_RATE, 64);
         for bwt in [bwt_of(&"ACGT".repeat(100)), long_bwt()] {

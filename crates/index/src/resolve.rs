@@ -10,10 +10,11 @@
 //! cursor sixteen places ahead (with every line hinted, sorting a round
 //! by row costs more than the address order buys). A step reads one
 //! occurrence line ([`FmIndex::lf_marked`]): the row's BWT symbol, its
-//! rank, and whether the row is SA-sampled. A marked cursor retires: its
-//! position is three dependent reads away (mark word, prefix count,
-//! sample), so the round's retirements are hinted and resolved in two
-//! passes at its end.
+//! rank, and whether the row is SA-sampled. A marked cursor retires: the
+//! same line gives its sample slot (the line's mark counter plus the
+//! marks before the row), the sample is hinted, and the round's
+//! retirements read their samples in one pass at its end — the one read
+//! a retirement makes beyond its occurrence line.
 //!
 //! **Hit caps.** An interval `lo..hi` capped at `h` (`max_hits` of a
 //! `QueryRequest::Locate`) keeps the positions of its first rows,
@@ -29,6 +30,8 @@ use std::ops::Range;
 use exma_genome::Symbol;
 
 use crate::fm::FmIndex;
+use crate::interleave::prefetch_element;
+use crate::sampled_sa::SampledSuffixArray;
 
 /// How many cursors ahead of the one being stepped the resolver hints.
 /// A step costs 20–25 ns and a miss 160–265 ns (`machine.chase_ns`), so
@@ -76,8 +79,8 @@ pub struct ResolveStats {
 /// values do; slots, because the worklist size is asserted below it.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
-    /// The row reached so far; on the `retiring` list, between the two
-    /// end-of-round passes, its slot in the sample vector.
+    /// The row reached so far; on the `retiring` list, its slot in the
+    /// sample vector.
     row: u32,
     /// LF steps taken so far — added back to the sampled position.
     steps: u32,
@@ -158,7 +161,7 @@ pub fn resolve_capped_with_arena(
         dropped: rows - live.len(),
         ..ResolveStats::default()
     };
-    let (occ, ssa) = (fm.occ(), fm.sampled_sa());
+    let SampledSuffixArray { occ, samples } = fm.sampled_sa();
     while !live.is_empty() {
         stats.rounds += 1;
         for j in 0..live.len() {
@@ -169,8 +172,12 @@ pub fn resolve_capped_with_arena(
             let c = live[j];
             let (successor, marked) = fm.lf_marked(c.row as usize);
             if marked {
-                ssa.prefetch(c.row as usize);
-                retiring.push(c);
+                let slot = occ.mark_rank(c.row as usize);
+                prefetch_element(samples, slot);
+                retiring.push(Cursor {
+                    row: slot as u32,
+                    ..c
+                });
             } else {
                 next.push(Cursor {
                     row: successor as u32,
@@ -181,12 +188,8 @@ pub fn resolve_capped_with_arena(
         }
         stats.lf_steps += next.len();
         stats.retired += retiring.len();
-        for r in retiring.iter_mut() {
-            r.row = ssa.slot(r.row as usize) as u32;
-            ssa.prefetch_sample(r.row as usize);
-        }
         for r in retiring.drain(..) {
-            flat[r.slot as usize] = ssa.sample(r.row as usize) + r.steps;
+            flat[r.slot as usize] = samples[r.row as usize] + r.steps;
         }
         std::mem::swap(live, next);
         next.clear();
@@ -293,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_per_row_resolution_under_every_schedule() {
+    fn matches_per_row_resolution_interval_by_interval() {
         let fm = small_index();
         let intervals = intervals_of(&fm);
         let mut expect_flat = Vec::new();

@@ -79,7 +79,7 @@ use crate::kstep::{bwt_of_codes, KStepBuildConfig, KStepFmIndex, MAX_STEP};
 use crate::layout::SA_SAMPLE_RATE;
 use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
-use crate::sampled_sa::{RankBits, SampledSuffixArray};
+use crate::sampled_sa;
 use crate::text::PackedText;
 
 /// The leading eight bytes of every snapshot file.
@@ -243,29 +243,32 @@ fn malformed(field: &'static str) -> SnapshotError {
 type Sink<'a> = dyn FnMut(&[u8]) -> io::Result<()> + 'a;
 
 /// Hands section `section`'s payload (0-based, in file order) to `sink`,
-/// read off the index's tables, words 4 KiB at a time.
+/// read off the index's tables, words 4 KiB at a time. The mark words are
+/// read off the occurrence lines' mark bits.
 fn payload(index: &KStepFmIndex, section: usize, sink: &mut Sink<'_>) -> io::Result<()> {
     fn words<T: Copy, const W: usize>(
-        words: &[T],
+        words: impl IntoIterator<Item = impl std::borrow::Borrow<T>>,
         le: fn(T) -> [u8; W],
         sink: &mut Sink<'_>,
     ) -> io::Result<()> {
         let mut chunk = [0; 4096];
-        words.chunks(4096 / W).try_for_each(|some| {
-            for (bytes, &word) in chunk.chunks_exact_mut(W).zip(some) {
-                bytes.copy_from_slice(&le(word));
-            }
-            sink(&chunk[..some.len() * W])
-        })
+        let mut words = words.into_iter().peekable();
+        while words.peek().is_some() {
+            let slots = chunk.chunks_exact_mut(W).zip(words.by_ref());
+            let filled = slots.map(|(bytes, w)| bytes.copy_from_slice(&le(*w.borrow())));
+            let len = filled.count() * W;
+            sink(&chunk[..len])?;
+        }
+        Ok(())
     }
     let ssa = index.base_index().sampled_sa();
     match section {
         0 => index.kmer_occ().code_runs().try_for_each(sink),
         1 => words(index.kmer_occ().markers(), u32::to_le_bytes, sink),
         2 => {
-            sink(&(ssa.stored() as u64).to_le_bytes())?;
-            words(ssa.marks().word_slice(), u64::to_le_bytes, sink)?;
-            words(ssa.sample_slice(), u32::to_le_bytes, sink)
+            sink(&(ssa.samples.len() as u64).to_le_bytes())?;
+            words(ssa.occ.mark_words(), u64::to_le_bytes, sink)?;
+            words(ssa.samples, u32::to_le_bytes, sink)
         }
         _ => words(index.packed_text().image(), u32::to_le_bytes, sink),
     }
@@ -739,8 +742,8 @@ fn build_tables(
     if n % 64 != 0 && words.last().is_some_and(|&last| last >> (n % 64) != 0) {
         return Err(malformed("mark padding bits"));
     }
-    let marks = RankBits::from_words(words, n);
-    if marks.rank(n) != samples.len() {
+    let marked: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+    if marked != samples.len() as u64 {
         return Err(malformed("sample count"));
     }
     if samples
@@ -749,7 +752,6 @@ fn build_tables(
     {
         return Err(malformed("suffix-array sample"));
     }
-    let ssa = SampledSuffixArray::from_parts(marks, samples);
 
     // The text, against the BWT the codes hold: the same base counts, and
     // at a sampled row the base in front of the row's sampled position.
@@ -768,8 +770,7 @@ fn build_tables(
         Ok(j) => symbols[j],
         Err(_) => Symbol::Base(Base::from_code(codes[row] & 3)),
     };
-    let samples = ssa.sample_slice();
-    for (i, (row, &position)) in ssa.marks().ones().zip(samples).enumerate() {
+    for (i, (row, &position)) in sampled_sa::ones(&words).zip(&samples).enumerate() {
         // The samples are in row order, their positions anywhere.
         if let Some(&ahead) = samples.get(i + 16) {
             text.prefetch(ahead as usize);
@@ -784,7 +785,9 @@ fn build_tables(
     // text-length check above already rules their error out.
     let occ = OccTable::new(bwt_of_codes(&codes, &markers, &symbols))
         .map_err(|_| malformed("occ layout"))?;
-    let base = FmIndex::from_parts(CountTable::from_frequencies(counts), occ, ssa);
+    let counts = CountTable::from_frequencies(counts);
+    let base = FmIndex::from_parts(counts, occ, &words, samples);
+    drop(words);
     // The sampled row of position 0 pinned its marker row (the one `$`);
     // an LF step from the row of `T[p..]` lands on the row of `T[p - 1..]`.
     let row_of = |p: usize| markers[positions.iter().position(|&q| q == p).expect("p < k")];
@@ -853,8 +856,11 @@ mod tests {
         ] {
             let occ = index.base_index().occ();
             let n = index.text_len();
-            let marked = (0..n).filter(|&row| occ.lf_data(row).2).count();
-            assert_eq!(marked, index.base_index().sampled_sa().stored());
+            let marked: Vec<usize> = (0..n).filter(|&row| occ.lf_data(row).2).collect();
+            assert_eq!(marked.len(), index.base_index().sampled_sa().samples.len());
+            // The mark words the image carries are the lines' marks.
+            let words: Vec<u64> = occ.mark_words().collect();
+            assert_eq!(sampled_sa::ones(&words).collect::<Vec<_>>(), marked);
             let bytes = encode_snapshot(&index);
             // The k-codes section leads, right behind the header: each
             // row's code, a placeholder 0 at the marker rows.

@@ -711,7 +711,8 @@ stats_counters! {
     heap_one_step_occ,
     /// Sampled suffix-array positions.
     heap_sa_samples,
-    /// The sampled-row rank bitvector.
+    /// Always 0 (the sampled rows are marked in the occurrence lines);
+    /// kept so every field offset behind it stays as clients read it.
     heap_rank_bits,
     /// Everything else (k-mer C-array, marker exception list).
     heap_other,
