@@ -1,6 +1,7 @@
 //! The build's memory bound: a cold index build peaks at a few bytes a
-//! base above what its caller holds, a snapshot write stages nothing
-//! beside the index, and a snapshot load stages one byte a base.
+//! base above what its caller holds, and a snapshot write and a snapshot
+//! load stage nothing beside the index but fixed-size chunks and the
+//! load's mark words, one bit a row.
 //!
 //! A counting global allocator keeps the live heap and its high-water
 //! mark. The binary holds one test, so no other test's allocations land
@@ -86,9 +87,12 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     let text = genome.text_with_sentinel();
     let bases = genome.len() as f64;
 
-    // Forward: the 4 B/base suffix array and the one-byte k-BWT codes,
-    // then the tables built from the codes — never the SA-IS side arrays,
-    // a BWT beside the codes, or the suffix array beside either table.
+    // Forward: the 4 B/base suffix array beside the samples, while one
+    // pass writes the one-byte k-BWT codes over it; the codes, shrunk in
+    // place to a quarter, fill the k-step table's lanes and are freed
+    // before the 1-step table is read off those lanes — never the SA-IS
+    // side arrays, a BWT, the codes beside the suffix array, or the
+    // suffix array beside either table.
     let builder = EngineBuilder::new();
     let (forward, peak) = peak_above(|| builder.build_index(&text).expect("builds"));
     assert!(
@@ -98,8 +102,8 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     );
     let per_base = peak as f64 / bases;
     assert!(
-        per_base <= 7.0,
-        "a forward build peaked at {per_base:.2} B/base above its caller (bound 7)"
+        per_base <= 4.95,
+        "a forward build peaked at {per_base:.2} B/base above its caller (bound 4.95)"
     );
 
     // The write streams the image off the index's tables: nothing beside
@@ -115,15 +119,16 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     );
     drop(forward);
 
-    // The load decodes each section straight into the buffer it becomes:
-    // beside the index it holds the k-codes both tables are built from,
-    // never the image.
+    // The load decodes each section straight into the buffer it becomes,
+    // the k-codes into the k-step table's lanes: beside the index it holds
+    // the mark words the 1-step table is marked from and the read chunk,
+    // never the codes or the image.
     let (loaded, peak) = peak_above(|| builder.attach_from_snapshot(&path));
     let loaded = loaded.expect("loads the snapshot");
     let per_base = (peak - loaded.heap_bytes()) as f64 / bases;
     assert!(
-        per_base <= 1.25,
-        "a snapshot load held {per_base:.2} B/base beside the index it built (bound 1.25)"
+        per_base <= 0.17,
+        "a snapshot load held {per_base:.2} B/base beside the index it built (bound 0.17)"
     );
     drop(loaded);
 
@@ -134,8 +139,8 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     assert!(peak >= doubled.heap_bytes());
     let per_base = peak as f64 / bases;
     assert!(
-        per_base <= 15.0,
-        "a doubled build peaked at {per_base:.2} B per forward base above its caller (bound 15)"
+        per_base <= 12.0,
+        "a doubled build peaked at {per_base:.2} B per forward base above its caller (bound 12)"
     );
     builder
         .snapshot_to(&doubled, &path)
@@ -146,7 +151,7 @@ fn a_cold_build_and_a_snapshot_write_stay_within_their_bounds() {
     let loaded = loaded.expect("loads the doubled snapshot");
     let per_base = (peak - loaded.heap_bytes()) as f64 / bases;
     assert!(
-        per_base <= 2.5,
-        "a doubled snapshot load held {per_base:.2} B per forward base beside the index (bound 2.5)"
+        per_base <= 0.3,
+        "a doubled snapshot load held {per_base:.2} B per forward base beside the index (bound 0.3)"
     );
 }

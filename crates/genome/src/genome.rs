@@ -244,9 +244,14 @@ impl Genome {
     }
 
     /// The sentinel-terminated symbol text fed to suffix-array and BWT
-    /// construction: every base as a [`Symbol`] plus a trailing `$`.
+    /// construction: every base as a [`Symbol`] plus a trailing `$`,
+    /// filled straight from the packed sequence into a vector of exactly
+    /// that length — no unpacked copy of the bases beside it.
     pub fn text_with_sentinel(&self) -> Vec<Symbol> {
-        text_from_bases(&self.seq.to_vec())
+        let mut text = Vec::with_capacity(self.seq.len() + 1);
+        text.extend(self.seq.iter().map(Symbol::Base));
+        text.push(Symbol::Sentinel);
+        text
     }
 
     /// The reverse complement of the window `start..start + len` — what a

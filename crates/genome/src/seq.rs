@@ -98,9 +98,12 @@ impl PackedSeq {
         (start..start + len).map(|i| self.get(i)).collect()
     }
 
-    /// Iterates over all bases.
+    /// Iterates over all bases, straight off the packed words.
     pub fn iter(&self) -> impl Iterator<Item = Base> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        let bases = self.words.iter().flat_map(|&word| {
+            (0..32).map(move |i| Base::from_code((word >> (2 * i)) as u8 & 0b11))
+        });
+        bases.take(self.len)
     }
 
     /// Unpacks the whole sequence.

@@ -10,11 +10,11 @@
 use std::ops::Range;
 
 use exma_genome::genome::Genome;
-use exma_genome::{count_table, suffix_array, Base, CountTable, Symbol};
+use exma_genome::{Base, CountTable, Symbol};
 
 use crate::layout::HeapBreakdown;
 use crate::occ::OccTable;
-use crate::sampled_sa::{self, SampledSuffixArray};
+use crate::sampled_sa::SampledSuffixArray;
 
 /// An FM-index over a sentinel-terminated text.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,9 +26,9 @@ pub struct FmIndex {
 }
 
 impl FmIndex {
-    /// Assembles an index from already-built components, so callers that
-    /// hold the suffix array (e.g. the k-step builder) need not recompute
-    /// it. The one funnel of cold builds and snapshot loads, and so the
+    /// Assembles an index from already-built components: the k-step
+    /// build's, made in its one pass over the suffix array, or a snapshot
+    /// load's. The one funnel of cold builds and snapshot loads, and so the
     /// place where the occurrence table learns which rows the `samples`
     /// belong to: those the bitset `marks` sets.
     pub(crate) fn from_parts(
@@ -45,25 +45,16 @@ impl FmIndex {
         }
     }
 
-    /// Builds the index from a sentinel-terminated symbol text in the
-    /// layout of [`crate::layout`], the one every
-    /// [`crate::KStepFmIndex::base_index`] has too.
+    /// Builds the index from a sentinel-terminated symbol text: the
+    /// [`crate::KStepFmIndex::base_index`] of a k = 1 build, which every
+    /// step width shares, so the suffix array has one consumer.
     ///
     /// # Panics
     ///
     /// Panics if `text` is not sentinel-terminated (see
     /// [`exma_genome::suffix_array`]) or too long for `u32` counters.
     pub fn from_text(text: &[Symbol]) -> FmIndex {
-        let sa = suffix_array(text);
-        let n = text.len();
-        let bwt = sa.iter().map(|&p| text[(p as usize + n - 1) % n]);
-        let (marks, samples) = sampled_sa::sample(&sa);
-        FmIndex::from_parts(
-            count_table(text),
-            OccTable::new(bwt).expect("the text fits u32 counters"),
-            &marks,
-            samples,
-        )
+        crate::KStepFmIndex::from_text(text, 1).into_base()
     }
 
     /// Builds the index for a genome's reference sequence.
@@ -235,8 +226,8 @@ mod tests {
     use crate::layout::SA_SAMPLE_RATE;
     use crate::{naive, KStepFmIndex, MAX_STEP};
     use exma_genome::alphabet::parse_bases;
-    use exma_genome::bwt_from_sa;
     use exma_genome::genome::text_from_str;
+    use exma_genome::{bwt_from_sa, count_table, suffix_array};
 
     fn fig3_index() -> FmIndex {
         // The paper's running example: G = CATAGA$.

@@ -419,9 +419,10 @@ impl CodeSpan {
 /// [`SUPERBLOCK_RATE`] blocks, in a separate small array. The spacing is
 /// the owning table's ([`crate::layout`] has one for each), and so is
 /// kept at run time. What a code lane *means* — and so
-/// which lanes a rank counts — is the owning table's business: it feeds
-/// the lanes in, names the counter each one bumps, and reads them back
-/// through the kernel with its own mask.
+/// which lanes a rank counts — is the owning table's business: it writes
+/// the lanes in, each the number of the counter it bumps, has the
+/// checkpoints counted off them, and reads them back through the kernel
+/// with its own mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockStore {
     data: AlignedWords,
@@ -440,25 +441,24 @@ pub(crate) struct BlockStore {
 }
 
 impl BlockStore {
-    /// Lays `rows` out in blocks. Each row is its code lane as stored and
-    /// the counter it bumps, `lanes` or more for a lane no rank counts.
-    /// Returns the store and the counters' totals over all rows.
+    /// A store of `len` rows, every code lane and checkpoint zero: the
+    /// owner writes the lanes ([`BlockStore::set_lanes`]) and then counts
+    /// the checkpoints off them ([`BlockStore::count_checkpoints`]).
     ///
     /// # Errors
     ///
-    /// [`IndexError::IndexTooLarge`] if the rows outgrow `u32` counters.
+    /// [`IndexError::IndexTooLarge`] if `len` rows outgrow `u32` counters.
     ///
     /// # Panics
     ///
     /// Panics if `sample_rate == 0`. The layout's spacings are proven
     /// narrow enough for the deltas at compile time ([`crate::layout`]).
-    pub(crate) fn build(
+    pub(crate) fn zeroed(
         lanes: usize,
         sample_rate: usize,
-        mut rows: impl ExactSizeIterator<Item = (u8, usize)>,
-    ) -> Result<(BlockStore, Vec<u32>), IndexError> {
+        len: usize,
+    ) -> Result<BlockStore, IndexError> {
         assert!(sample_rate > 0, "sample rate must be positive");
-        let len = rows.len();
         if len >= u32::MAX as usize {
             return Err(IndexError::IndexTooLarge { rows: len });
         }
@@ -467,7 +467,7 @@ impl BlockStore {
         let block_words = (delta_bytes + sample_rate)
             .div_ceil(4)
             .next_multiple_of(WORDS_PER_LINE);
-        let mut store = BlockStore {
+        Ok(BlockStore {
             data: AlignedWords::zeroed(blocks * block_words),
             superblocks: AlignedWords::zeroed(blocks.div_ceil(SUPERBLOCK_RATE) * lanes),
             lanes,
@@ -475,24 +475,46 @@ impl BlockStore {
             span: CodeSpan::new(block_words, delta_bytes, sample_rate),
             len,
             sample_rate: Divisor::new(sample_rate),
-        };
-        let mut running = vec![0u32; lanes];
-        for block in 0..blocks {
-            // The checkpoint row for prefix `block * sample_rate`: counts
-            // accumulated so far.
-            store.set_checkpoints(block, 0, &running);
-            // The codes this block covers, as plain byte lanes behind the
-            // delta row.
-            let code_base = block * block_words * 4 + delta_bytes;
-            let slots = &mut store.data.bytes_mut()[code_base..code_base + sample_rate];
-            for (slot, (code, lane)) in slots.iter_mut().zip(rows.by_ref()) {
-                *slot = code;
-                if let Some(count) = running.get_mut(lane) {
-                    *count += 1;
-                }
+        })
+    }
+
+    /// Sets every block's checkpoints from the lanes already written, in
+    /// one pass over the blocks: block by block, the checkpoint row for
+    /// the block's first row — the counts so far — then the block's lanes
+    /// counted, each lane the counter it bumps. Returns the counters'
+    /// totals over all rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is `lanes` or more.
+    pub(crate) fn count_checkpoints(&mut self) -> Vec<u32> {
+        let mut running = vec![0u32; self.lanes];
+        let rate = self.sample_rate.divisor;
+        for block in 0..=self.len / rate {
+            self.set_checkpoints(block, 0, &running);
+            for &lane in self.byte_lanes(block, rate.min(self.len - block * rate)) {
+                running[usize::from(lane)] += 1;
             }
         }
-        Ok((store, running))
+        running
+    }
+
+    /// Writes `codes` into the lanes of rows `first .. first + codes.len()`,
+    /// a block's run at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows reach past the store.
+    pub(crate) fn set_lanes(&mut self, first: usize, codes: &[u8]) {
+        assert!(first + codes.len() <= self.len, "lanes past the store");
+        let (mut row, mut codes) = (first, codes);
+        while !codes.is_empty() {
+            let (block, offset) = self.split(row);
+            let take = (self.sample_rate.divisor - offset).min(codes.len());
+            let base = self.code_base(block) + offset;
+            self.data.bytes_mut()[base..base + take].copy_from_slice(&codes[..take]);
+            (row, codes) = (row + take, &codes[take..]);
+        }
     }
 
     /// Rows covered.
@@ -655,6 +677,18 @@ impl BlockStore {
     #[inline]
     pub(crate) fn byte_lane(&self, block: usize, offset: usize) -> u8 {
         self.data.bytes()[self.code_base(block) + offset]
+    }
+
+    /// The one-byte code lane of `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` lies past the store.
+    #[inline]
+    pub(crate) fn lane(&self, row: usize) -> u8 {
+        assert!(row < self.len, "lane of row {row} past the store");
+        let (block, offset) = self.split(row);
+        self.byte_lane(block, offset)
     }
 
     /// Mutable [`BlockStore::byte_lanes`], for flag bits the owning table

@@ -66,11 +66,12 @@ pub struct KmerOccTable {
 }
 
 impl KmerOccTable {
-    /// Builds the table of step width `k` over the k-BWT `codes` (each
-    /// below `4^k`, a placeholder `0` at every marker row) and the sorted
-    /// `markers`, checkpointed every [`k_occ_sample_rate`]`(k)` rows.
-    /// Takes both by value: at reference scale the codes are tens of
-    /// megabytes, and the sole builders have no further use for them.
+    /// The code lanes of a table of step width `k` over `rows` rows, all
+    /// zero and not yet counted: the caller writes every row's k-BWT code
+    /// into them ([`BlockStore::set_lanes`]) — a placeholder `0` at each
+    /// marker row — and hands them to [`KmerOccTable::from_lanes`]. The
+    /// codes have no other home: a build writes them off the suffix
+    /// array's buffer, a load off the snapshot file.
     ///
     /// # Errors
     ///
@@ -79,41 +80,42 @@ impl KmerOccTable {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or greater than [`MAX_STEP`], a code is not
-    /// below `4^k`, or a marker row is out of order, out of range or not
-    /// a placeholder — programming errors of the (internal) callers, not
-    /// data-dependent conditions.
-    pub fn new(
-        codes: Vec<u8>,
-        mut markers: Vec<u32>,
-        k: usize,
-    ) -> Result<KmerOccTable, IndexError> {
+    /// Panics if `k` is zero or greater than [`MAX_STEP`].
+    pub(crate) fn lanes(rows: usize, k: usize) -> Result<BlockStore, IndexError> {
         assert!(
             (1..=MAX_STEP).contains(&k),
             "k must be in 1..={MAX_STEP}, got {k}"
         );
-        let stride = 1usize << (2 * k);
+        BlockStore::zeroed(1 << (2 * k), k_occ_sample_rate(k), rows)
+    }
+
+    /// The table over filled [`KmerOccTable::lanes`] and the sorted
+    /// `markers`: its checkpoints, every [`k_occ_sample_rate`]`(k)` rows,
+    /// counted off the lanes in one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code is not below `4^k`, or a marker row is out of
+    /// order, out of range or not a placeholder — programming errors of
+    /// the (internal) callers, not data-dependent conditions.
+    pub(crate) fn from_lanes(mut lanes: BlockStore, mut markers: Vec<u32>) -> KmerOccTable {
         assert!(
             markers.windows(2).all(|pair| pair[0] < pair[1])
                 && markers
                     .iter()
-                    .all(|&row| codes.get(row as usize) == Some(&0)),
+                    .all(|&row| (row as usize) < lanes.len() && lanes.lane(row as usize) == 0),
             "marker rows {markers:?} are not sorted placeholder rows"
         );
-        let rows = codes.iter().map(|&c| {
-            assert!(usize::from(c) < stride, "code {c} exceeds stride {stride}");
-            (c, usize::from(c))
-        });
-        let (store, mut totals) = BlockStore::build(stride, k_occ_sample_rate(k), rows)?;
+        let mut totals = lanes.count_checkpoints();
         // `totals` answers rank(r, len) directly, so it stores *true*
         // counts: placeholders are not occurrences of code 0.
         totals[0] -= markers.len() as u32;
         markers.shrink_to_fit();
-        Ok(KmerOccTable {
-            store,
+        KmerOccTable {
+            store: lanes,
             markers,
             totals,
-        })
+        }
     }
 
     /// Number of rows (the k-BWT length).
@@ -142,8 +144,7 @@ impl KmerOccTable {
         if self.markers.contains(&(i as u32)) {
             return None;
         }
-        let (block, offset) = self.store.split(i);
-        Some(self.store.byte_lane(block, offset))
+        Some(self.store.lane(i))
     }
 
     /// The sorted marker rows (the rows of the text positions below k).
@@ -300,9 +301,11 @@ mod tests {
     /// The table over `codes`: a placeholder `0` and a side-list entry at
     /// every marker row.
     fn table(codes: &[Option<u8>], k: usize) -> KmerOccTable {
-        let lanes = codes.iter().map(|c| c.unwrap_or(0)).collect();
+        let mut lanes = KmerOccTable::lanes(codes.len(), k).unwrap();
+        let placeholders: Vec<u8> = codes.iter().map(|c| c.unwrap_or(0)).collect();
+        lanes.set_lanes(0, &placeholders);
         let markers = (0..codes.len() as u32).filter(|&i| codes[i as usize].is_none());
-        KmerOccTable::new(lanes, markers.collect(), k).unwrap()
+        KmerOccTable::from_lanes(lanes, markers.collect())
     }
 
     /// [`naive_krank`] of `r` at every `i` in `0..=codes.len()`, counted
@@ -520,7 +523,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "not sorted placeholder rows")]
     fn a_marker_row_must_hold_the_placeholder() {
-        let _ = KmerOccTable::new(vec![0, 1, 2], vec![1], 1);
+        let mut lanes = KmerOccTable::lanes(3, 1).unwrap();
+        lanes.set_lanes(0, &[0, 1, 2]);
+        let _ = KmerOccTable::from_lanes(lanes, vec![1]);
     }
 
     #[test]

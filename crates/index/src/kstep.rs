@@ -35,11 +35,11 @@ use exma_genome::genome::Genome;
 use exma_genome::{count_table, suffix_array, Base, Kmer, Symbol};
 
 use crate::fm::FmIndex;
+use crate::interleave::{prefetch_element, BlockStore};
 use crate::kocc::KmerOccTable;
-use crate::layout::{HeapBreakdown, IndexError};
+use crate::layout::{HeapBreakdown, IndexError, SA_SAMPLE_RATE};
 use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
-use crate::sampled_sa;
 use crate::text::PackedText;
 
 /// Largest supported step width: the `4^4` = 256 k-mer codes of k = 4
@@ -82,52 +82,94 @@ impl KStepBuildConfig {
     }
 }
 
-/// The k-BWT of `text` from its suffix array `sa`, one byte a row: the k
-/// bases cyclically in front of each suffix packed into a code, the last
-/// one in the low two bits — so a code's low bits are the row's BWT
-/// symbol. The window crosses the sentinel exactly at the rows of the
-/// text positions below k, the *marker rows*: they take a placeholder
-/// `0` and are returned in row order, with their BWT symbols.
-fn k_bwt(text: &[Symbol], sa: &[u32], k: usize) -> (Vec<u8>, Vec<u32>, Vec<Symbol>) {
-    let n = text.len();
+/// What one pass over the suffix array leaves of it.
+struct ConsumedSa {
+    /// The k-BWT, one byte a row — row `r`'s code in byte `r % 4` of word
+    /// `r / 4` — in the suffix array's own buffer, shrunk to `⌈n/4⌉`
+    /// words.
+    codes: Vec<u32>,
+    /// The marker rows, ascending, and their BWT symbols.
+    markers: Vec<u32>,
+    marker_symbols: Vec<Symbol>,
+    /// The sampled rows as a bitset (row `i` at bit `i % 64` of word
+    /// `i / 64`) — the form a snapshot stores them in — and their values
+    /// in row order.
+    marks: Vec<u64>,
+    samples: Vec<u32>,
+}
+
+/// Consumes the suffix array `sa` of `text` in one forward pass: each
+/// row's k-BWT code — the k bases cyclically in front of its suffix,
+/// packed, the last one in the low two bits, so a code's low bits are the
+/// row's BWT symbol — is written over the suffix array's buffer, into a
+/// word the pass has already read, and the rows whose value is
+/// `0 (mod SA_SAMPLE_RATE)` are sampled on the way. The window crosses
+/// the sentinel exactly at the rows of the text positions below k, the
+/// *marker rows*: they take a placeholder `0`. The buffer is then cut to
+/// the codes and shrunk in place: beside the samples and their bitset,
+/// the suffix array is the only `O(n)` buffer the pass holds.
+fn consume_suffix_array(text: &[Symbol], mut sa: Vec<u32>, k: usize) -> ConsumedSa {
+    /// Rows between a window's prefetch hint and its read.
+    const AHEAD: usize = 32;
+    let n = sa.len();
     let mut markers = Vec::with_capacity(k.min(n));
-    let mut symbols = Vec::with_capacity(k.min(n));
-    let codes = sa
-        .iter()
-        .enumerate()
-        .map(|(row, &p)| {
-            let p = p as usize;
-            if p < k {
-                markers.push(row as u32);
-                symbols.push(text[(p + n - 1) % n]);
-                return 0;
-            }
+    let mut marker_symbols = Vec::with_capacity(k.min(n));
+    let mut marks = vec![0u64; n.div_ceil(64)];
+    // A permutation of `0..n` holds `⌈n / rate⌉` multiples of the rate.
+    let mut samples = Vec::with_capacity(n.div_ceil(SA_SAMPLE_RATE));
+    let mut word = [0u8; 4];
+    for row in 0..n {
+        // A row's window is a random read of the text, a cache miss at
+        // reference scale: hint the one `AHEAD` rows on, so that many
+        // are in flight at once.
+        if let Some(&ahead) = sa.get(row + AHEAD) {
+            prefetch_element(text, (ahead as usize).wrapping_sub(1));
+        }
+        let p = sa[row] as usize;
+        if p % SA_SAMPLE_RATE == 0 {
+            marks[row / 64] |= 1 << (row % 64);
+            samples.push(p as u32);
+        }
+        word[row % 4] = if p < k {
+            markers.push(row as u32);
+            marker_symbols.push(text[(p + n - 1) % n]);
+            0
+        } else {
             // The window `T[p - k..p]` ends before the sentinel, the
             // text's last symbol: k bases.
             text[p - k..p]
                 .iter()
                 .fold(0, |code, s| code << 2 | (s.code() - 1))
-        })
-        .collect();
-    (codes, markers, symbols)
+        };
+        // Word `row / 4` lies at or before `row`: already read.
+        if row % 4 == 3 || row == n - 1 {
+            sa[row / 4] = u32::from_ne_bytes(std::mem::take(&mut word));
+        }
+    }
+    sa.truncate(n.div_ceil(4));
+    sa.shrink_to_fit();
+    ConsumedSa {
+        codes: sa,
+        markers,
+        marker_symbols,
+        marks,
+        samples,
+    }
 }
 
-/// The BWT, row by row, read off the k-BWT: the last base of each row's
-/// code, and at the marker rows `symbols`, one a marker row in order.
-pub(crate) fn bwt_of_codes<'a>(
-    codes: &'a [u8],
-    markers: &'a [u32],
-    symbols: &'a [Symbol],
-) -> impl ExactSizeIterator<Item = Symbol> + 'a {
-    let mut next = 0;
-    codes.iter().enumerate().map(move |(row, &code)| {
-        if markers.get(next) == Some(&(row as u32)) {
-            next += 1;
-            symbols[next - 1]
-        } else {
-            Symbol::Base(Base::from_code(code & 3))
+/// Writes the codes [`consume_suffix_array`] left, `n` of them, into the
+/// k-step table's `lanes`, 4 KiB at a time.
+fn fill_lanes(lanes: &mut BlockStore, codes: &[u32]) {
+    let n = lanes.len();
+    let mut bytes = [0u8; 4096];
+    for (i, words) in codes.chunks(bytes.len() / 4).enumerate() {
+        let first = i * bytes.len();
+        for (slot, word) in bytes.chunks_exact_mut(4).zip(words) {
+            slot.copy_from_slice(&word.to_ne_bytes());
         }
-    })
+        let count = bytes.len().min(n - first);
+        lanes.set_lanes(first, &bytes[..count]);
+    }
 }
 
 /// A k-step FM-index over a sentinel-terminated text.
@@ -190,19 +232,26 @@ impl KStepFmIndex {
             "k must be in 1..={MAX_STEP}, got {k}"
         );
         let n = text.len();
-        // One pass over the suffix array gives the k-BWT codes and the
-        // marker rows; the suffix array is sampled and freed before either
-        // occurrence table is allocated, the 1-step table reads its
-        // symbols off the codes, and the sampled rows' bitset is freed
-        // once that table has marked them.
-        let sa = suffix_array(text);
-        let (codes, markers, marker_symbols) = k_bwt(text, &sa, k);
-        let (marks, samples) = sampled_sa::sample(&sa);
-        drop(sa);
-        let occ = OccTable::new(bwt_of_codes(&codes, &markers, &marker_symbols))?;
+        // The suffix array is the build's one large buffer: one pass turns
+        // it into the k-BWT codes, a quarter of its size, and the samples.
+        // The k-step table's lanes are then filled from those codes, which
+        // are freed before the 1-step table, read off the lanes, is
+        // allocated; the sampled rows' bitset goes once that table has
+        // marked them.
+        let ConsumedSa {
+            codes,
+            markers,
+            marker_symbols,
+            marks,
+            samples,
+        } = consume_suffix_array(text, suffix_array(text), k);
+        let mut lanes = KmerOccTable::lanes(n, k)?;
+        fill_lanes(&mut lanes, &codes);
+        drop(codes);
+        let occ = OccTable::from_codes(&lanes, &markers, &marker_symbols)?;
         let base = FmIndex::from_parts(count_table(text), occ, &marks, samples);
         drop(marks);
-        let kocc = KmerOccTable::new(codes, markers, k)?;
+        let kocc = KmerOccTable::from_lanes(lanes, markers);
 
         let text = PackedText::from_symbols(text);
         Ok(KStepFmIndex {
@@ -252,6 +301,12 @@ impl KStepFmIndex {
             text,
             lookup,
         }
+    }
+
+    /// The embedded 1-step index, by value: what
+    /// [`FmIndex::from_text`] keeps of a k = 1 build.
+    pub(crate) fn into_base(self) -> FmIndex {
+        self.base
     }
 
     /// The packed text, for snapshot serialization.

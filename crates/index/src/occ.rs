@@ -31,10 +31,11 @@
 //! the marks live nowhere else. Every reader of a code byte masks it
 //! down to the bits it asks about, the rank kernel included.
 
-use exma_genome::Symbol;
+use exma_genome::{Base, Symbol};
 
 use crate::interleave::BlockStore;
-use crate::layout::{HeapBreakdown, IndexError, OCC_SAMPLE_RATE};
+use crate::kstep::MAX_STEP;
+use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError, OCC_SAMPLE_RATE};
 
 /// Counters per checkpoint row: one per alphabet symbol, then the marks.
 const HEADER_LANES: usize = 6;
@@ -72,21 +73,56 @@ pub struct OccTable {
 
 impl OccTable {
     /// Builds the table from the BWT's symbols in row order,
-    /// checkpointed every [`OCC_SAMPLE_RATE`] symbols, with no row marked.
-    /// An iterator, so a build can derive them as it goes (from the suffix
-    /// array, or from the k-BWT codes) instead of holding a BWT beside the
-    /// table.
+    /// checkpointed every [`OCC_SAMPLE_RATE`] symbols, with no row marked:
+    /// the tests' reference for [`OccTable::from_codes`].
+    #[cfg(test)]
+    pub(crate) fn new(bwt: impl ExactSizeIterator<Item = Symbol>) -> Result<OccTable, IndexError> {
+        let mut store = BlockStore::zeroed(HEADER_LANES, OCC_SAMPLE_RATE, bwt.len())?;
+        for (row, symbol) in bwt.enumerate() {
+            store.set_lanes(row, &[symbol.code()]);
+        }
+        Ok(OccTable::counted(store))
+    }
+
+    /// Builds the table over the BWT the k-step table's code `lanes` hold
+    /// (see [`crate::kocc`]), checkpointed every [`OCC_SAMPLE_RATE`]
+    /// symbols, with no row marked. The BWT is read off the lanes a
+    /// block's run at a time: a row's symbol is the base in its code's low
+    /// two bits, but the marker rows' are `symbols`, one a marker row in
+    /// order. No BWT is held beside the two tables.
     ///
     /// # Errors
     ///
     /// [`IndexError::IndexTooLarge`] if the BWT outgrows `u32` counters.
-    pub fn new(bwt: impl ExactSizeIterator<Item = Symbol>) -> Result<OccTable, IndexError> {
-        let rows = bwt.map(|s| (s.code(), usize::from(s.code())));
-        let (store, totals) = BlockStore::build(HEADER_LANES, OCC_SAMPLE_RATE, rows)?;
-        Ok(OccTable {
+    pub(crate) fn from_codes(
+        lanes: &BlockStore,
+        markers: &[u32],
+        symbols: &[Symbol],
+    ) -> Result<OccTable, IndexError> {
+        let mut store = BlockStore::zeroed(HEADER_LANES, OCC_SAMPLE_RATE, lanes.len())?;
+        let mut run_symbols = [0; k_occ_sample_rate(MAX_STEP)];
+        let mut row = 0;
+        for run in lanes.lane_runs() {
+            let run_symbols = &mut run_symbols[..run.len()];
+            for (symbol, &code) in run_symbols.iter_mut().zip(run) {
+                *symbol = Symbol::Base(Base::from_code(code & 3)).code();
+            }
+            store.set_lanes(row, run_symbols);
+            row += run.len();
+        }
+        for (&row, symbol) in markers.iter().zip(symbols) {
+            store.set_lanes(row as usize, &[symbol.code()]);
+        }
+        Ok(OccTable::counted(store))
+    }
+
+    /// The table over `store`'s filled lanes, its checkpoints counted.
+    fn counted(mut store: BlockStore) -> OccTable {
+        let totals = store.count_checkpoints();
+        OccTable {
             store,
             totals: std::array::from_fn(|code| totals[code]),
-        })
+        }
     }
 
     /// Length of the underlying BWT.
@@ -192,8 +228,7 @@ impl OccTable {
     /// Panics if `i >= self.len()`.
     pub fn symbol(&self, i: usize) -> Symbol {
         assert!(i < self.len(), "symbol position {i} out of range");
-        let (block, offset) = self.store.split(i);
-        Symbol::from_code(self.store.byte_lane(block, offset) & SYMBOL_MASK)
+        Symbol::from_code(self.store.lane(i) & SYMBOL_MASK)
     }
 
     /// `Occ(s, i)`: occurrences of `s` in `BWT[0..i]` (exclusive of `i`).

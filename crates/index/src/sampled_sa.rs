@@ -15,13 +15,12 @@
 //! ([`crate::layout::SA_SAMPLE_RATE`], 11) is the densest the bytes freed
 //! by filling the occurrence table's lines paid for.
 
-use crate::layout::SA_SAMPLE_RATE;
 use crate::occ::OccTable;
 
 /// Suffix-array samples at text positions divisible by
-/// [`SA_SAMPLE_RATE`]: the occurrence table that marks their rows, and
-/// their values in row order. Borrowed from a [`crate::FmIndex`]
-/// ([`crate::FmIndex::sampled_sa`]).
+/// [`crate::layout::SA_SAMPLE_RATE`]: the occurrence table that marks
+/// their rows, and their values in row order. Borrowed from a
+/// [`crate::FmIndex`] ([`crate::FmIndex::sampled_sa`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampledSuffixArray<'a> {
     pub(crate) occ: &'a OccTable,
@@ -44,23 +43,6 @@ impl SampledSuffixArray<'_> {
     }
 }
 
-/// Samples `sa`, keeping entries whose value is `0 (mod SA_SAMPLE_RATE)`:
-/// which rows they are, as a bitset (row `i` at bit `i % 64` of word
-/// `i / 64`) — the form a build carries them in past the suffix array,
-/// and a snapshot stores them in — and their values in row order.
-pub(crate) fn sample(sa: &[u32]) -> (Vec<u64>, Vec<u32>) {
-    let mut marks = vec![0u64; sa.len().div_ceil(64)];
-    // A permutation of `0..n` holds `⌈n / rate⌉` multiples of the rate.
-    let mut samples = Vec::with_capacity(sa.len().div_ceil(SA_SAMPLE_RATE));
-    for (row, &value) in sa.iter().enumerate() {
-        if value as usize % SA_SAMPLE_RATE == 0 {
-            marks[row / 64] |= 1 << (row % 64);
-            samples.push(value);
-        }
-    }
-    (marks, samples)
-}
-
 /// The rows a mark bitset sets, ascending.
 pub(crate) fn ones(marks: &[u64]) -> impl Iterator<Item = usize> + '_ {
     marks.iter().enumerate().flat_map(|(w, &word)| {
@@ -79,6 +61,7 @@ pub(crate) fn ones(marks: &[u64]) -> impl Iterator<Item = usize> + '_ {
 mod tests {
     use super::*;
     use crate::kstep::{KStepBuildConfig, KStepFmIndex};
+    use crate::layout::SA_SAMPLE_RATE;
     use exma_genome::genome::text_from_str;
     use exma_genome::suffix_array;
 
@@ -97,15 +80,15 @@ mod tests {
                 assert_eq!(ssa.samples[ssa.occ.mark_rank(row)], value, "row {row}");
             }
         }
-        let (marks, samples) = sample(&sa);
         let sampled = (0..sa.len()).filter(|&row| sa[row] as usize % SA_SAMPLE_RATE == 0);
+        let marks: Vec<u64> = fm.occ().mark_words().collect();
         assert_eq!(
             ones(&marks).collect::<Vec<_>>(),
             sampled.collect::<Vec<_>>()
         );
-        assert_eq!(fm.occ().mark_words().collect::<Vec<_>>(), marks);
-        assert_eq!(samples, ssa.samples);
-        assert_eq!(samples.len(), sa.len().div_ceil(SA_SAMPLE_RATE));
+        let values = ones(&marks).map(|row| sa[row]);
+        assert_eq!(values.collect::<Vec<_>>(), ssa.samples);
+        assert_eq!(ssa.samples.len(), sa.len().div_ceil(SA_SAMPLE_RATE));
     }
 
     #[test]

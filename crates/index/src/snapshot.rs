@@ -34,29 +34,41 @@
 //! Any other version (v4 held the BWT beside `u16` k-codes) is refused as
 //! [`SnapshotError::VersionMismatch`]; a server answers by rebuilding.
 //!
-//! # One decoder, read front to back, verified before construction
+//! # One decoder, read front to back, staging nothing
 //!
 //! [`load_snapshot`] and [`decode_snapshot`] are one decoder over a file
 //! and a slice, so the same bytes give the same index or error. It reads
 //! the image once through a 64 KiB chunk into the buffers the payloads
-//! become, each read checked against the source's length first, so no
-//! header can make a load ask for more memory than the file's size.
-//! Beside the index, a load stages the k-codes: one byte a base.
+//! become — the k-codes into the code lanes of the k-step table, the mark
+//! words and samples into their vectors, the text words into the buffer
+//! the index keeps — each read checked against the source's length
+//! first. A load stages nothing beside the index but that chunk and the
+//! mark words, one bit a row, freed once the 1-step table is marked.
 //!
-//! Nothing is built before everything is verified: magic, version,
+//! No header can make a load ask for more memory than the image vouches
+//! for. Until the k-codes section's framing has shown that its `n` bytes
+//! are in the source, nothing is sized by `n`, and no request is larger
+//! than the source. Then the k-step table's lane store is sized — the
+//! largest request a load makes and the only one larger than the source,
+//! about `2.3 n` bytes at k = 4 and at most `1.6 n` below it — and every
+//! later buffer is smaller than the source.
+//!
+//! No table is counted before the codes are verified: magic, version,
 //! header and framing as read; then every checksum; then, in a fixed
 //! order, each payload's length, the codes (below `4^k`), the marker rows
 //! (distinct, ascending, in range, placeholders), the samples, the base
-//! counts of the BWT the codes hold against the text's, every sampled
-//! row's symbol against the base in front of its position, the marker
+//! counts of the BWT the codes hold against the text's, and every sampled
+//! row's symbol against the base in front of its position. Only then is
+//! the 1-step table read off the lanes, and its LF step checks the marker
 //! rows' suffix order (an LF step from the row of `T[p..]` lands on that
-//! of `T[p − 1..]`), and each code's count against its k-mer's in the
-//! text. As the BWT *is* the codes' low bits, the k-steps and the 1-step
-//! walks of a loaded index answer from one text. Every failure is a typed
-//! [`SnapshotError`], never a panic or an index. The checksums are the
-//! corruption defense (a file that collides CRC32 on every region it
-//! changed is crafted, outside the threat model); the semantic checks keep
-//! every table access in bounds.
+//! of `T[p − 1..]`); then the k-step table's checkpoints are counted off
+//! the lanes, and each code's count is checked against its k-mer's in the
+//! text before the index is returned. As the BWT *is* the codes' low
+//! bits, the k-steps and the 1-step walks of a loaded index answer from
+//! one text. Every failure is a typed [`SnapshotError`], never a panic or
+//! an index. The checksums are the corruption defense (a file that
+//! collides CRC32 on every region it changed is crafted, outside the
+//! threat model); the semantic checks keep every table access in bounds.
 //!
 //! # Crash-safe writes
 //!
@@ -73,9 +85,9 @@ use std::path::{Path, PathBuf};
 use exma_genome::{Base, CountTable, Symbol};
 
 use crate::fm::FmIndex;
-use crate::interleave::AlignedWords;
+use crate::interleave::{AlignedWords, BlockStore};
 use crate::kocc::KmerOccTable;
-use crate::kstep::{bwt_of_codes, KStepBuildConfig, KStepFmIndex, MAX_STEP};
+use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
 use crate::layout::SA_SAMPLE_RATE;
 use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
@@ -406,7 +418,7 @@ pub fn decode_snapshot(
     decode(&mut { bytes }, bytes.len() as u64, expected)
 }
 
-/// Bytes a load stages at a time: a multiple of 8, so no value (a `u64`
+/// Bytes a load reads at a time: a multiple of 8, so no value (a `u64`
 /// at most, each at a multiple of its width) straddles two pieces.
 const CHUNK_BYTES: usize = 64 << 10;
 
@@ -430,6 +442,10 @@ struct Image<'a> {
 /// A section payload read into the buffer it becomes or, when its length
 /// is not the one the header implies, the field that names it.
 type Staged<T> = Result<T, &'static str>;
+
+/// Section 1 as read: the k-step table's code lanes, filled, and how
+/// often each byte occurs among them.
+type Codes = (BlockStore, [u64; 256]);
 
 /// Section 3 as read: the mark words, then the samples.
 type Samples = (Vec<u64>, Vec<u32>);
@@ -505,6 +521,28 @@ impl Image<'_> {
         Ok(values)
     }
 
+    /// Section 1's payload, the `n` k-BWT codes of step width `k`,
+    /// straight into the code lanes of the k-step table, each byte counted
+    /// on the way.
+    fn codes(&mut self, n: usize, k: usize, crc: &mut u32) -> Result<Codes, SnapshotError> {
+        let mut lanes = KmerOccTable::lanes(n, k).map_err(|_| malformed("k-occ layout"))?;
+        // Four histograms side by side: equal neighbours would otherwise
+        // wait on each other's stores.
+        let mut seen = [[0u64; 256]; 4];
+        let mut at = 0;
+        self.stream(n, crc, |piece| {
+            for (i, &code) in piece.iter().enumerate() {
+                seen[i % 4][usize::from(code)] += 1;
+            }
+            lanes.set_lanes(at, piece);
+            at += piece.len();
+        })?;
+        Ok((
+            lanes,
+            std::array::from_fn(|code| seen.iter().map(|lane| lane[code]).sum()),
+        ))
+    }
+
     /// Section 3's payload — the sample count, then `⌈n/64⌉` mark words,
     /// then the samples — into the mark and sample vectors.
     fn samples(
@@ -560,8 +598,8 @@ impl Image<'_> {
 /// the header, then each section's framing and payload in file order,
 /// then the trailer. Structural failures stop it where they are read;
 /// the checksums are compared once the trailer is in; the semantic
-/// checks then run over the staged payloads; and only then does anything
-/// get constructed.
+/// checks then run over the payloads as read, the k-codes in the k-step
+/// table's lanes; and only then are the tables counted off those lanes.
 fn decode(
     source: &mut dyn Read,
     len: u64,
@@ -629,7 +667,7 @@ fn decode(
         image.need(len as u64)?;
         let mut crc = !0;
         match section {
-            0 if len == n => codes = Ok(image.values(n, &mut crc, u8::from_le_bytes)?),
+            0 if len == n => codes = Ok(image.codes(n, k, &mut crc)?),
             1 if len == 4 * k.min(n) => {
                 markers = Ok(image.values(k.min(n), &mut crc, u32::from_le_bytes)?);
             }
@@ -692,34 +730,27 @@ fn decode(
     ))
 }
 
-/// Checks the k-BWT `codes`, the marker rows and the samples, as read,
+/// Checks the k-BWT codes, the marker rows and the samples, as read,
 /// against each other and the already-checked `text`, then replays the
 /// cold-build constructors over them — the 1-step index over the BWT the
-/// codes hold, and the k-mer occurrence table, which consumes them.
+/// codes hold, and the k-mer occurrence table, whose lanes they are.
 fn build_tables(
-    codes: Vec<u8>,
+    (lanes, seen): Codes,
     markers: Staged<Vec<u32>>,
     samples: Staged<Samples>,
     k: usize,
     text: &PackedText,
 ) -> Result<(FmIndex, KmerOccTable), SnapshotError> {
     let n = text.len();
-    // How often each byte occurs, in four histograms side by side (equal
-    // neighbours would otherwise wait on each other's stores): the codes'
-    // range, and the base counts of the BWT they hold.
-    let mut lanes = [[0u64; 256]; 4];
-    for (i, &code) in codes.iter().enumerate() {
-        lanes[i % 4][usize::from(code)] += 1;
-    }
-    let seen = |code: usize| lanes.iter().map(|lane| lane[code]).sum::<u64>();
-    if (1 << (2 * k)..256).any(|code| seen(code) != 0) {
+    // The codes' range, from how often each byte occurs.
+    if (1 << (2 * k)..256).any(|code| seen[code] != 0) {
         return Err(malformed("k-mer code"));
     }
 
     let markers = markers.map_err(malformed)?;
     let placeholders = markers
         .iter()
-        .all(|&row| codes.get(row as usize) == Some(&0));
+        .all(|&row| (row as usize) < n && lanes.lane(row as usize) == 0);
     if !placeholders || markers.windows(2).any(|pair| pair[0] >= pair[1]) {
         return Err(malformed("marker rows"));
     }
@@ -756,8 +787,8 @@ fn build_tables(
     // The text, against the BWT the codes hold: the same base counts, and
     // at a sampled row the base in front of the row's sampled position.
     let mut counts = [0u64; 5];
-    for code in 0..256 {
-        counts[code % 4 + 1] += seen(code);
+    for (code, &times) in seen.iter().enumerate() {
+        counts[code % 4 + 1] += times;
     }
     counts[1] -= markers.len() as u64; // the placeholders
     for symbol in &symbols {
@@ -768,7 +799,7 @@ fn build_tables(
     }
     let symbol_at = |row: usize| match markers.binary_search(&(row as u32)) {
         Ok(j) => symbols[j],
-        Err(_) => Symbol::Base(Base::from_code(codes[row] & 3)),
+        Err(_) => Symbol::Base(Base::from_code(lanes.lane(row) & 3)),
     };
     for (i, (row, &position)) in sampled_sa::ones(&words).zip(&samples).enumerate() {
         // The samples are in row order, their positions anywhere.
@@ -783,8 +814,8 @@ fn build_tables(
 
     // Replay the cold-build constructors over the verified inputs; the
     // text-length check above already rules their error out.
-    let occ = OccTable::new(bwt_of_codes(&codes, &markers, &symbols))
-        .map_err(|_| malformed("occ layout"))?;
+    let occ =
+        OccTable::from_codes(&lanes, &markers, &symbols).map_err(|_| malformed("occ layout"))?;
     let counts = CountTable::from_frequencies(counts);
     let base = FmIndex::from_parts(counts, occ, &words, samples);
     drop(words);
@@ -794,8 +825,7 @@ fn build_tables(
     if (1..markers.len()).any(|p| base.lf(row_of(p) as usize) != row_of(p - 1) as usize) {
         return Err(malformed("marker rows against the suffix order"));
     }
-    let kocc = KmerOccTable::new(codes, markers, k).map_err(|_| malformed("k-occ layout"))?;
-    Ok((base, kocc))
+    Ok((base, KmerOccTable::from_lanes(lanes, markers)))
 }
 
 #[cfg(test)]
@@ -834,15 +864,22 @@ mod tests {
 
     #[test]
     fn round_trip_reproduces_the_index_exactly() {
-        for k in [1, 2, 4] {
-            let index = toy_index(k);
-            let bytes = encode_snapshot(&index);
-            let loaded = decode_snapshot(&bytes, None).expect("valid snapshot");
-            assert_eq!(loaded, index, "k={k}");
-            // Allocation-exact: the warm server's heap attribution must
-            // equal the cold one's, capacity for capacity.
-            assert_eq!(loaded.heap_breakdown(), index.heap_breakdown());
-            assert_eq!(loaded.build_config(), index.build_config());
+        // A text of 70 000 bases streams its k-codes into the k-step
+        // table's lanes in two read chunks, the second starting inside a
+        // block at every k here (96k rows a block).
+        const { assert!(70_000 > CHUNK_BYTES) };
+        for len in [3000, 70_000] {
+            for k in [1, 2, 4] {
+                assert_ne!(CHUNK_BYTES % crate::layout::k_occ_sample_rate(k), 0);
+                let index = toy_index_with(len, KStepBuildConfig::for_k(k));
+                let bytes = encode_snapshot(&index);
+                let loaded = decode_snapshot(&bytes, None).expect("valid snapshot");
+                assert_eq!(loaded, index, "len={len}, k={k}");
+                // Allocation-exact: the warm server's heap attribution
+                // must equal the cold one's, capacity for capacity.
+                assert_eq!(loaded.heap_breakdown(), index.heap_breakdown());
+                assert_eq!(loaded.build_config(), index.build_config());
+            }
         }
     }
 

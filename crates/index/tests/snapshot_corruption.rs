@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
+use exma_index::layout::k_occ_sample_rate;
 use exma_index::snapshot::crc32;
 use exma_index::{
     decode_snapshot, encode_snapshot, load_snapshot, naive, KStepFmIndex, SnapshotError,
@@ -29,6 +30,13 @@ use exma_index::{
 /// allocator since it was last zeroed. Process-wide, not per thread: a
 /// load counts the K-mer table on a thread of its own.
 static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+/// The size above which requests are counted into [`REQUESTS_ABOVE`]:
+/// `usize::MAX`, none, outside [`requests_above`].
+static NOTED_ABOVE: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+/// The requests larger than [`NOTED_ABOVE`] since it was last set.
+static REQUESTS_ABOVE: AtomicUsize = AtomicUsize::new(0);
 
 /// Taken by every test of this file for its whole run, so that the
 /// requests noted while one of them decodes are that decode's.
@@ -47,17 +55,30 @@ fn largest_request<T>(decode: impl FnOnce() -> T) -> (T, usize) {
     (outcome, LARGEST_REQUEST.load(Ordering::SeqCst))
 }
 
+/// The largest request `decode` makes of the allocator, and how many of
+/// its requests are larger than `bound`, from any thread.
+fn requests_above<T>(bound: usize, decode: impl FnOnce() -> T) -> (T, usize, usize) {
+    NOTED_ABOVE.store(bound, Ordering::SeqCst);
+    REQUESTS_ABOVE.store(0, Ordering::SeqCst);
+    let (outcome, largest) = largest_request(decode);
+    NOTED_ABOVE.store(usize::MAX, Ordering::SeqCst);
+    (outcome, largest, REQUESTS_ABOVE.load(Ordering::SeqCst))
+}
+
 /// The system allocator, noting each request's size.
 struct NotingAllocator;
 
 // SAFETY: both calls go to `System` with their arguments unchanged, so
 // `System`'s guarantees are this allocator's (zeroed and growing
 // requests reach `alloc` through the trait's default methods). The added
-// note is one atomic operation on a static, which neither allocates nor
-// unwinds.
+// notes are atomic operations on statics, which neither allocate nor
+// unwind.
 unsafe impl GlobalAlloc for NotingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        if layout.size() > NOTED_ABOVE.load(Ordering::Relaxed) {
+            REQUESTS_ABOVE.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -252,16 +273,29 @@ fn consistent_headers_stating_impossible_recipes_are_refused_before_anything_is_
             image.len()
         );
     }
-    // Past that check, the largest thing a load sizes by `n` alone is
-    // the K-mer table: `4 (4^K + 1)` bytes with `16 · 4^K ≤ n`, so at
-    // most `n / 4 + 8` — less than the k-codes section that vouched for
-    // `n`.
-    let (loaded, largest) = largest_request(|| decode_snapshot(&pristine, None));
+    // Past that check, a load sizes by `n` only what the k-codes section
+    // has vouched for: once its framing shows `n` bytes in the file, the
+    // k-step table's code-lane store, which those bytes stream into — the
+    // one request a load makes that is larger than the file (about 2.3
+    // bytes a row at k = 4) — and the K-mer table, `4 (4^K + 1)` bytes
+    // with `16 · 4^K ≤ n`, so at most `n / 4 + 8`.
+    let (loaded, largest, above) =
+        requests_above(pristine.len(), || decode_snapshot(&pristine, None));
     let loaded = loaded.expect("the pristine image loads");
     let n = loaded.text_len();
     let table = 4 * ((1usize << (2 * loaded.lookup_k())) + 1);
     assert!(table <= n / 4 + 8, "K = {}, n = {n}", loaded.lookup_k());
     assert!(largest >= table);
+    let store = loaded.kmer_occ().heap_bytes();
+    assert!(
+        largest <= store,
+        "asked for {largest} bytes, the k-step table holds {store}"
+    );
+    assert!(
+        above <= 1,
+        "{above} requests larger than the file's {} bytes",
+        pristine.len()
+    );
     let mut rng = SeededRng::new(0x534E_4150 ^ 14);
     assert_cold_build_serves(&genome, &oracle_patterns(&genome, &mut rng), &index);
 }
@@ -289,6 +323,7 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
     let pristine = encode_snapshot(&index);
     let payloads = section_payloads(&pristine);
     assert_eq!(payloads.len(), 4);
+    let store = index.kmer_occ().heap_bytes();
     let text = payloads[3].clone();
     assert_eq!(text.len(), 8 * (genome.len() + 1).div_ceil(32));
     let base_at = |image: &[u8], i: usize| (image[text.start + i / 4] >> (2 * (i % 4))) & 3;
@@ -349,13 +384,21 @@ fn a_consistent_image_whose_text_disagrees_with_its_tables_is_refused() {
         image[body..].copy_from_slice(&checksum.to_le_bytes());
 
         // The first two reach the tables' decoding, and so the K-mer
-        // table counted beside it: its requests are among these.
-        let (outcome, largest) = largest_request(|| decode_snapshot(&image, None));
+        // table counted beside it: its requests are among these. The
+        // k-codes section, whole and ahead of the text, has streamed into
+        // the k-step table's lanes: that store, no larger than the
+        // pristine index's, is the one request larger than the file.
+        let (outcome, largest, above) =
+            requests_above(image.len(), || decode_snapshot(&image, None));
         assert_eq!(outcome.unwrap_err(), SnapshotError::Malformed { field });
         assert!(
-            largest <= image.len(),
-            "{field}: asked for {largest} bytes, file has {}",
+            above <= 1,
+            "{field}: {above} requests larger than the file's {} bytes",
             image.len()
+        );
+        assert!(
+            largest <= store,
+            "{field}: asked for {largest} bytes, the k-step table holds {store}"
         );
     }
     let mut rng = SeededRng::new(0x534E_4150 ^ 15);
@@ -612,21 +655,29 @@ fn marker_rows_that_are_not_the_suffix_order_rows_are_malformed() {
 fn a_code_outside_the_alphabet_of_k_is_malformed() {
     let _turn = one_at_a_time();
     let text = toy_genome(19).text_with_sentinel();
+    let n = text.len();
     for k in 1..=3 {
         let index = KStepFmIndex::from_text(&text, k);
         let mut image = encode_snapshot(&index);
         let codes = section_payloads(&image)[0].clone();
-        for code in [1u8 << (2 * k), u8::MAX] {
-            let mut bad = image.clone();
-            bad[codes.start + 100] = code;
-            redo_checksums(&mut bad);
-            assert_eq!(
-                decode_snapshot(&bad, None).unwrap_err(),
-                SnapshotError::Malformed {
-                    field: "k-mer code"
-                },
-                "k {k}, code {code}"
-            );
+        // The codes stream into the k-step table's lanes, a block's run
+        // at a time: the first row, both sides of the first block
+        // boundary, one row inside a block, and the last row.
+        let rate = k_occ_sample_rate(k);
+        assert!(2 * rate < n, "k {k}: the text spans two code blocks");
+        for row in [0, rate - 1, rate, 100, n - 1] {
+            for code in [1u8 << (2 * k), u8::MAX] {
+                let mut bad = image.clone();
+                bad[codes.start + row] = code;
+                redo_checksums(&mut bad);
+                assert_eq!(
+                    decode_snapshot(&bad, None).unwrap_err(),
+                    SnapshotError::Malformed {
+                        field: "k-mer code"
+                    },
+                    "k {k}, row {row}, code {code}"
+                );
+            }
         }
         redo_checksums(&mut image);
         assert_eq!(decode_snapshot(&image, None).unwrap(), index);

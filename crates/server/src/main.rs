@@ -206,18 +206,24 @@ fn huge_page_share(heap_bytes: usize) -> String {
     }
 }
 
-/// `, peak N MiB`: this process's resident high-water mark so far (the
-/// `VmHWM` line of `/proc/self/status`); empty off Linux and wherever the
-/// file cannot be read.
-fn peak_rss() -> String {
+/// `, resident N MiB, peak M MiB`: what this process holds resident now
+/// and its resident high-water mark so far (the `VmRSS` and `VmHWM` lines
+/// of `/proc/self/status`) — the gap is what the start-up freed but did
+/// not hand back; each part empty off Linux and wherever the file cannot
+/// be read.
+fn resident_and_peak() -> String {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let kib = status.lines().find_map(|line| {
-        let kib = line.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?;
-        kib.trim().parse::<u64>().ok()
-    });
-    kib.map_or(String::new(), |kib| {
-        format!(", peak {:.0} MiB", kib as f64 / 1024.0)
-    })
+    let mib = |field: &str| {
+        let kib = status.lines().find_map(|line| {
+            let kib = line.strip_prefix(field)?.trim().strip_suffix("kB")?;
+            kib.trim().parse::<u64>().ok()
+        });
+        kib.map(|kib| kib as f64 / 1024.0)
+    };
+    [("resident", mib("VmRSS:")), ("peak", mib("VmHWM:"))]
+        .into_iter()
+        .filter_map(|(name, mib)| Some(format!(", {name} {:.0} MiB", mib?)))
+        .collect()
 }
 
 /// Bases compared per [`KStepFmIndex::text_ends_with`] call when a
@@ -370,9 +376,12 @@ fn run(args: &Args) -> ExitCode {
         // The readiness line scripts wait for — keep its prefix stable.
         // It follows the signal handlers, so a SIGTERM sent on it drains.
         // The parenthesized suffix reports cold vs warm startup, how long
-        // the build or verified load took, and the resident peak the
-        // startup reached.
-        Ok(addr) => println!("exma-server listening on {addr} ({startup}{})", peak_rss()),
+        // the build or verified load took, what is resident now and the
+        // resident peak the startup reached.
+        Ok(addr) => println!(
+            "exma-server listening on {addr} ({startup}{})",
+            resident_and_peak()
+        ),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

@@ -55,8 +55,9 @@ struct ServerProcess {
     child: Child,
     addr: String,
     /// The parenthesized readiness suffix: `cold start, index built in
-    /// 12.3 ms, peak 45 MiB` or `warm start, snapshot loaded in 4.5 ms,
-    /// peak 30 MiB` (no peak where `/proc/self/status` is unreadable).
+    /// 12.3 ms, resident 40 MiB, peak 45 MiB` or `warm start, snapshot
+    /// loaded in 4.5 ms, resident 28 MiB, peak 30 MiB` (neither figure
+    /// where `/proc/self/status` is unreadable).
     startup: String,
     stderr: mpsc::Receiver<String>,
 }
@@ -157,15 +158,22 @@ fn warm_restart_skips_the_rebuild_and_serves_identical_bytes() {
         cold.startup
     );
     let build_ms = startup_ms(&cold.startup);
-    // Where the kernel reports it, the suffix ends with the resident peak.
+    // Where the kernel reports them, the suffix ends with what is
+    // resident now and the resident peak, which bounds it.
     if Path::new("/proc/self/status").exists() {
-        let peak_mib = cold
-            .startup
-            .rsplit_once(", peak ")
-            .and_then(|(_, peak)| peak.strip_suffix(" MiB")?.parse::<u64>().ok());
+        let (before, peak) = cold.startup.rsplit_once(", peak ").unzip();
+        let peak_mib = peak.and_then(|peak| peak.strip_suffix(" MiB")?.parse::<u64>().ok());
         assert!(
             peak_mib.is_some_and(|mib| mib > 0),
             "no resident peak in {:?}",
+            cold.startup
+        );
+        let resident_mib = before
+            .and_then(|before| before.rsplit_once(", resident "))
+            .and_then(|(_, resident)| resident.strip_suffix(" MiB")?.parse::<u64>().ok());
+        assert!(
+            resident_mib.is_some_and(|mib| mib > 0 && Some(mib) <= peak_mib),
+            "no resident figure at or below the peak in {:?}",
             cold.startup
         );
     }
