@@ -111,6 +111,24 @@ pub fn random(len: usize, seed: u64) -> Reference {
     )
 }
 
+/// References whose short suffixes share long prefixes: all `A`, and
+/// `A…AC` repeated, of every period 2 to 5 — period k and k + 1 at every
+/// step width. Each is under 100 bases, so it is asked the sampled kind
+/// only.
+pub fn degenerate() -> Vec<Reference> {
+    (1..=5)
+        .map(|period| {
+            let unit = |i: usize| match period > 1 && i % period == period - 1 {
+                true => Base::C,
+                false => Base::A,
+            };
+            let bases: Vec<Base> = (0..97).map(unit).collect();
+            let genome = Genome::from_bases(&format!("period_{period}"), &bases);
+            Reference::new(genome, period as u64, None)
+        })
+        .collect()
+}
+
 /// `total` patterns: the empty pattern, then every other one a
 /// reference-sampled hit and the rest random (mostly misses), every 13th
 /// a 1–3-base repeat and the others of 4–40 bases.

@@ -313,6 +313,8 @@ cases! {
     repeat_rich_300k_doubled: [common::large_repeat_rich()], true;
     random_1_to_31_bases_forward: tiny(), false;
     random_1_to_31_bases_doubled: tiny(), true;
+    degenerate_forward: common::degenerate(), false;
+    degenerate_doubled: common::degenerate(), true;
 }
 
 #[test]

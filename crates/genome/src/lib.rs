@@ -32,7 +32,7 @@ pub mod seq;
 pub mod suffix;
 
 pub use alphabet::{Base, Symbol, SENTINEL_CODE, SYMBOL_ALPHABET};
-pub use bwt::{bwt_from_sa, count_table, CountTable};
+pub use bwt::bwt_from_sa;
 pub use genome::{Genome, GenomeProfile};
 pub use kmer::Kmer;
 pub use reads::{ErrorProfile, LongReadSimulator, Read, ReadOrigin, ShortReadSimulator};

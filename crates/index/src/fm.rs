@@ -1,16 +1,16 @@
 //! The FM-index: backward-search `count` and `locate`.
 //!
-//! This is the software baseline EXMA accelerates (paper §II): a C-array
-//! (`CountTable`), a sampled occurrence table over the BWT, and a sampled
-//! suffix array. `count` runs one LF-refinement per pattern symbol, right
-//! to left; `locate` resolves each row of the final interval by LF-walking
-//! to a sampled row. Every future PR — k-step indexing, batching, the EXMA
+//! This is the software baseline EXMA accelerates (paper §II): a C-array,
+//! a sampled occurrence table over the BWT, and a sampled suffix array.
+//! `count` runs one LF-refinement per pattern symbol, right to left;
+//! `locate` resolves each row of the final interval by LF-walking to a
+//! sampled row. Every future PR — k-step indexing, batching, the EXMA
 //! table itself — is measured against this query path.
 
 use std::ops::Range;
 
 use exma_genome::genome::Genome;
-use exma_genome::{Base, CountTable, Symbol};
+use exma_genome::{Base, Symbol};
 
 use crate::layout::HeapBreakdown;
 use crate::occ::OccTable;
@@ -19,27 +19,29 @@ use crate::sampled_sa::SampledSuffixArray;
 /// An FM-index over a sentinel-terminated text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FmIndex {
-    counts: CountTable,
+    /// `c_array[s]`: the rows whose suffixes start below symbol `s` — the
+    /// `Count` table of paper Fig. 3(c), summed up from the BWT's symbol
+    /// counts, which are the occurrence table's totals.
+    c_array: [u64; 5],
     /// The occurrence table, which also marks the sampled rows.
     occ: OccTable,
     samples: Vec<u32>,
 }
 
 impl FmIndex {
-    /// Assembles an index from already-built components: the k-step
-    /// build's, made in its one pass over the suffix array, or a snapshot
-    /// load's. The one funnel of cold builds and snapshot loads, and so the
-    /// place where the occurrence table learns which rows the `samples`
-    /// belong to: those the bitset `marks` sets.
-    pub(crate) fn from_parts(
-        counts: CountTable,
-        mut occ: OccTable,
-        marks: &[u64],
-        samples: Vec<u32>,
-    ) -> FmIndex {
+    /// Assembles an index from its occurrence table, in the finish every
+    /// k-step build and load ends in, and so the place where the table
+    /// learns which rows the `samples` belong to: those the bitset
+    /// `marks` sets.
+    pub(crate) fn from_parts(mut occ: OccTable, marks: &[u64], samples: Vec<u32>) -> FmIndex {
         occ.mark_rows(marks);
+        let mut below = 0;
+        let c_array = occ.rank_all(occ.len()).map(|count| {
+            below += count;
+            below - count
+        });
         FmIndex {
-            counts,
+            c_array,
             occ,
             samples,
         }
@@ -77,11 +79,6 @@ impl FmIndex {
         self.occ.len()
     }
 
-    /// The C-array of the indexed text.
-    pub fn counts(&self) -> &CountTable {
-        &self.counts
-    }
-
     /// The occurrence table.
     pub fn occ(&self) -> &OccTable {
         &self.occ
@@ -115,7 +112,10 @@ impl FmIndex {
     #[inline]
     pub fn lf_marked(&self, row: usize) -> (usize, bool) {
         let (s, rank, marked) = self.occ.lf_data(row);
-        ((self.counts.count(s) + rank) as usize, marked)
+        (
+            (self.c_array[usize::from(s.code())] + rank) as usize,
+            marked,
+        )
     }
 
     /// One LF refinement: narrows `range` (rows whose suffixes start with
@@ -128,7 +128,7 @@ impl FmIndex {
     #[inline]
     pub fn step(&self, b: Base, range: Range<usize>) -> Range<usize> {
         let s = Symbol::Base(b);
-        let c = self.counts.count(s) as usize;
+        let c = self.c_array[usize::from(s.code())] as usize;
         let lo = c + self.occ.rank(s, range.start) as usize;
         let hi = c + self.occ.rank(s, range.end) as usize;
         if lo >= hi {
@@ -224,14 +224,53 @@ impl FmIndex {
 mod tests {
     use super::*;
     use crate::layout::SA_SAMPLE_RATE;
-    use crate::{naive, KStepFmIndex, MAX_STEP};
+    use crate::{naive, KStepBuildConfig, KStepFmIndex, MAX_STEP};
     use exma_genome::alphabet::parse_bases;
     use exma_genome::genome::text_from_str;
-    use exma_genome::{bwt_from_sa, count_table, suffix_array};
+    use exma_genome::{bwt_from_sa, suffix_array};
 
     fn fig3_index() -> FmIndex {
         // The paper's running example: G = CATAGA$.
         FmIndex::from_text(&text_from_str("CATAGA").unwrap())
+    }
+
+    /// A text one block long and one of several blocks, each sampled
+    /// every 11th position.
+    fn block_texts() -> [Vec<Symbol>; 2] {
+        let body = "CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG";
+        [body, &body.repeat(7)].map(|body| text_from_str(body).unwrap())
+    }
+
+    /// The C-array by definition: for each symbol, the text's symbols
+    /// below it.
+    fn naive_c_array(text: &[Symbol]) -> [u64; 5] {
+        std::array::from_fn(|c| text.iter().filter(|s| usize::from(s.code()) < c).count() as u64)
+    }
+
+    #[test]
+    fn fig3_c_array() {
+        // Fig. 3(c): Count(A) = 1, Count(C) = 4, Count(G) = 5, Count(T) = 6.
+        let fm = fig3_index();
+        assert_eq!(fm.c_array, [0, 1, 4, 5, 6]);
+        assert_eq!(fm.c_array, naive_c_array(&text_from_str("CATAGA").unwrap()));
+    }
+
+    #[test]
+    fn the_c_array_is_the_naive_count_at_every_step_width() {
+        // Read off the occurrence table's totals, forward and doubled.
+        for forward in block_texts() {
+            let doubled = crate::doubled_text(&forward);
+            for (text, bidirectional) in [(forward, false), (doubled, true)] {
+                let naive = naive_c_array(&text);
+                assert_eq!(naive[1], 1, "one sentinel below every base");
+                for k in [1, 2, 4] {
+                    let config = KStepBuildConfig { k, bidirectional };
+                    let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
+                    let n = text.len();
+                    assert_eq!(index.base_index().c_array, naive, "{config:?}, n {n}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -288,15 +327,9 @@ mod tests {
 
     #[test]
     fn occurrence_lines_mark_exactly_the_sampled_rows() {
-        // A text one block long and one of several blocks, each sampled
-        // every 11th position.
-        for body in [
-            "CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG",
-            &"CCATAGACATTAGACCATAGGACATAGACCTTAGGACATTAG".repeat(7),
-        ] {
-            let text = text_from_str(body).unwrap();
+        for text in block_texts() {
             let bwt = bwt_from_sa(&text, &suffix_array(&text));
-            let counts = count_table(&text);
+            let c_array = naive_c_array(&text);
             // The same table before `from_parts` marked it.
             let unmarked = OccTable::new(bwt.iter().copied()).unwrap();
             let fm = FmIndex::from_text(&text);
@@ -313,7 +346,7 @@ mod tests {
                 assert_eq!(fm.occ().lf_data(row), (s, rank, sampled), "{at}");
                 assert_eq!(fm.occ().symbol(row), s, "{at}");
                 assert_eq!(fm.occ().rank(s, row), rank, "{at}");
-                let lf = (counts.count(s) + rank) as usize;
+                let lf = (c_array[usize::from(s.code())] + rank) as usize;
                 assert_eq!(fm.lf(row), lf, "{at}");
                 assert_eq!(fm.lf_marked(row), (lf, sampled), "{at}");
             }

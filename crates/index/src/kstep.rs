@@ -25,6 +25,9 @@
 //! The C-array and the K-mer table are one routine: the C-array is the
 //! K-mer table's counting pass run at K = k over the same 2-bit text, so
 //! both are derived from the text alone and a snapshot stores neither.
+//! Nor the 1-step C-array, the occurrence table's totals summed up. A
+//! cold build and a snapshot load assemble an index the same way, in
+//! `KStepFmIndex::finish`, which checks its parts against each other.
 //! The layout — every sampling rate — is the constants of
 //! [`crate::layout`]; what a build chooses is `k` and the strandedness
 //! ([`KStepBuildConfig`]).
@@ -32,7 +35,7 @@
 use std::ops::Range;
 
 use exma_genome::genome::Genome;
-use exma_genome::{count_table, suffix_array, Base, Kmer, Symbol};
+use exma_genome::{suffix_array, Base, Kmer, Symbol};
 
 use crate::fm::FmIndex;
 use crate::interleave::{prefetch_element, BlockStore};
@@ -40,6 +43,7 @@ use crate::kocc::KmerOccTable;
 use crate::layout::{HeapBreakdown, IndexError, SA_SAMPLE_RATE};
 use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
+use crate::sampled_sa;
 use crate::text::PackedText;
 
 /// Largest supported step width: the `4^4` = 256 k-mer codes of k = 4
@@ -88,9 +92,8 @@ struct ConsumedSa {
     /// `r / 4` — in the suffix array's own buffer, shrunk to `⌈n/4⌉`
     /// words.
     codes: Vec<u32>,
-    /// The marker rows, ascending, and their BWT symbols.
+    /// The marker rows, ascending.
     markers: Vec<u32>,
-    marker_symbols: Vec<Symbol>,
     /// The sampled rows as a bitset (row `i` at bit `i % 64` of word
     /// `i / 64`) — the form a snapshot stores them in — and their values
     /// in row order.
@@ -113,7 +116,6 @@ fn consume_suffix_array(text: &[Symbol], mut sa: Vec<u32>, k: usize) -> Consumed
     const AHEAD: usize = 32;
     let n = sa.len();
     let mut markers = Vec::with_capacity(k.min(n));
-    let mut marker_symbols = Vec::with_capacity(k.min(n));
     let mut marks = vec![0u64; n.div_ceil(64)];
     // A permutation of `0..n` holds `⌈n / rate⌉` multiples of the rate.
     let mut samples = Vec::with_capacity(n.div_ceil(SA_SAMPLE_RATE));
@@ -132,7 +134,6 @@ fn consume_suffix_array(text: &[Symbol], mut sa: Vec<u32>, k: usize) -> Consumed
         }
         word[row % 4] = if p < k {
             markers.push(row as u32);
-            marker_symbols.push(text[(p + n - 1) % n]);
             0
         } else {
             // The window `T[p - k..p]` ends before the sentinel, the
@@ -151,7 +152,6 @@ fn consume_suffix_array(text: &[Symbol], mut sa: Vec<u32>, k: usize) -> Consumed
     ConsumedSa {
         codes: sa,
         markers,
-        marker_symbols,
         marks,
         samples,
     }
@@ -170,6 +170,77 @@ fn fill_lanes(lanes: &mut BlockStore, codes: &[u32]) {
         let count = bytes.len().min(n - first);
         lanes.set_lanes(first, &bytes[..count]);
     }
+}
+
+/// The checks of [`KStepFmIndex::finish`] up to the k-mer totals, then
+/// the two rank tables they vouch for: the 1-step index over the BWT the
+/// code `lanes` hold, and the k-step table whose lanes they are.
+fn rank_tables(
+    lanes: BlockStore,
+    markers: Vec<u32>,
+    marks: Vec<u64>,
+    samples: Vec<u32>,
+    text: &PackedText,
+) -> Result<(FmIndex, KmerOccTable), &'static str> {
+    let n = text.len();
+    let placeholders = markers
+        .iter()
+        .all(|&row| (row as usize) < n && lanes.lane(row as usize) == 0);
+    if !placeholders || markers.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err("marker rows");
+    }
+    // Marker row `j` is the row of the `j`-th smallest suffix `T[p..]`,
+    // `p < k`; its BWT symbol is the one in front of `p`.
+    let mut positions: Vec<usize> = (0..markers.len()).collect();
+    positions.sort_by(|&a, &b| text.cmp_suffixes(a, b));
+    let symbols: Vec<Symbol> = positions
+        .iter()
+        .map(|&p| text.symbol((p + n - 1) % n))
+        .collect();
+
+    // Text position 0 is always 0 (mod rate), so an index always marks at
+    // least one row; zero marks would make locate's LF walk endless.
+    if samples.is_empty() {
+        return Err("sample count");
+    }
+    if n % 64 != 0 && marks.last().is_some_and(|&last| last >> (n % 64) != 0) {
+        return Err("mark padding bits");
+    }
+    let marked: u64 = marks.iter().map(|w| u64::from(w.count_ones())).sum();
+    if marked != samples.len() as u64 {
+        return Err("sample count");
+    }
+    if samples
+        .iter()
+        .any(|&v| v as usize >= n || v as usize % SA_SAMPLE_RATE != 0)
+    {
+        return Err("suffix-array sample");
+    }
+
+    // The text against the BWT the codes hold: the same base counts — the
+    // occurrence table's totals — and at a sampled row the base in front
+    // of the row's sampled position.
+    let occ = OccTable::from_codes(&lanes, &markers, &symbols);
+    if occ.rank_all(n)[1..] != text.base_counts() {
+        return Err("text base counts");
+    }
+    for (i, (row, &position)) in sampled_sa::ones(&marks).zip(&samples).enumerate() {
+        // The samples are in row order, their positions anywhere.
+        if let Some(&ahead) = samples.get(i + 16) {
+            text.prefetch(ahead as usize);
+        }
+        if occ.symbol(row) != text.symbol((position as usize + n - 1) % n) {
+            return Err("text against the sampled rows");
+        }
+    }
+    let base = FmIndex::from_parts(occ, &marks, samples);
+    // The sampled row of position 0 pinned its marker row (the one `$`);
+    // an LF step from the row of `T[p..]` lands on the row of `T[p - 1..]`.
+    let row_of = |p: usize| markers[positions.iter().position(|&q| q == p).expect("p < k")];
+    if (1..markers.len()).any(|p| base.lf(row_of(p) as usize) != row_of(p - 1) as usize) {
+        return Err("marker rows against the suffix order");
+    }
+    Ok((base, KmerOccTable::from_lanes(lanes, markers)))
 }
 
 /// A k-step FM-index over a sentinel-terminated text.
@@ -231,37 +302,72 @@ impl KStepFmIndex {
             (1..=MAX_STEP).contains(&k),
             "k must be in 1..={MAX_STEP}, got {k}"
         );
-        let n = text.len();
         // The suffix array is the build's one large buffer: one pass turns
         // it into the k-BWT codes, a quarter of its size, and the samples.
-        // The k-step table's lanes are then filled from those codes, which
-        // are freed before the 1-step table, read off the lanes, is
-        // allocated; the sampled rows' bitset goes once that table has
-        // marked them.
+        // The k-step table's lanes are filled from those codes, which are
+        // freed before the text is packed and the finish reads the 1-step
+        // table off the lanes.
         let ConsumedSa {
             codes,
             markers,
-            marker_symbols,
             marks,
             samples,
         } = consume_suffix_array(text, suffix_array(text), k);
-        let mut lanes = KmerOccTable::lanes(n, k)?;
+        let mut lanes = KmerOccTable::lanes(text.len(), k)?;
         fill_lanes(&mut lanes, &codes);
         drop(codes);
-        let occ = OccTable::from_codes(&lanes, &markers, &marker_symbols)?;
-        let base = FmIndex::from_parts(count_table(text), occ, &marks, samples);
-        drop(marks);
-        let kocc = KmerOccTable::from_lanes(lanes, markers);
-
         let text = PackedText::from_symbols(text);
+        let index = KStepFmIndex::finish(config, lanes, markers, marks, samples, text);
+        Ok(index.expect("the parts of a build agree"))
+    }
+
+    /// The one way an index is assembled, from exactly what a snapshot
+    /// stores: the k-step table's filled code `lanes`, the sorted
+    /// `markers`, the sampled rows as a bitset (`marks`) with their
+    /// `samples` in row order, and the packed `text` — by a cold build
+    /// after its pass over the suffix array, by a load after its framing,
+    /// checksums and code range. The parts are checked against each
+    /// other in this order, each failure naming its field: the marker
+    /// rows, the samples, the text's base counts against the BWT's, the
+    /// symbol of every sampled row against the base in front of its
+    /// position, the marker rows' suffix order by LF, and each k-mer's
+    /// total against its count in the text. The K-mer table and the
+    /// k-step C-array are counted from the text on a second thread
+    /// meanwhile.
+    pub(crate) fn finish(
+        config: KStepBuildConfig,
+        lanes: BlockStore,
+        markers: Vec<u32>,
+        marks: Vec<u64>,
+        samples: Vec<u32>,
+        text: PackedText,
+    ) -> Result<KStepFmIndex, &'static str> {
+        let (k, n) = (config.k, text.len());
+        let (tables, counted) = std::thread::scope(|scope| {
+            let counted =
+                scope.spawn(|| (KmerLookup::new(&text, lookup_k(n)), kmer_buckets(&text, k)));
+            (
+                rank_tables(lanes, markers, marks, samples, &text),
+                counted.join(),
+            )
+        });
+        let (lookup, (kstarts, sizes)) =
+            counted.expect("counting the K-mers of a text cannot panic");
+        let (base, kocc) = tables?;
+        // Each code occurs as often as the text holds its k-mer: every k-step
+        // interval lies inside `0..n`, and a code rewritten to another k-mer
+        // with the same last base (the BWT as it was) is refused.
+        if (0..kstarts.len()).any(|r| kocc.rank(r as u16, n) != sizes[r]) {
+            return Err("k-mer totals");
+        }
         Ok(KStepFmIndex {
             k,
             base,
-            kstarts: kmer_buckets(&text, k).0,
+            kstarts,
             kocc,
             bidirectional: config.bidirectional,
-            lookup: KmerLookup::new(&text, lookup_k(n)),
             text,
+            lookup,
         })
     }
 
@@ -279,28 +385,6 @@ impl KStepFmIndex {
     /// Builds the index for a genome's reference sequence.
     pub fn from_genome(genome: &Genome, k: usize) -> KStepFmIndex {
         KStepFmIndex::from_text(&genome.text_with_sentinel(), k)
-    }
-
-    /// Reassembles the index from snapshot-verified parts; the loader
-    /// has already proven the components mutually consistent.
-    pub(crate) fn from_parts(
-        k: usize,
-        base: FmIndex,
-        kstarts: Vec<u32>,
-        kocc: KmerOccTable,
-        bidirectional: bool,
-        text: PackedText,
-        lookup: KmerLookup,
-    ) -> KStepFmIndex {
-        KStepFmIndex {
-            k,
-            base,
-            kstarts,
-            kocc,
-            bidirectional,
-            text,
-            lookup,
-        }
     }
 
     /// The embedded 1-step index, by value: what

@@ -131,12 +131,11 @@ pub struct HeapBreakdown {
     /// occurrence lines alone. Kept because the benchmark's
     /// `index.heap.rank_bits_bytes` and the STATS field order name it.
     pub rank_bits: usize,
-    /// Everything else: symbol count tables, k-mer interval starts,
-    /// sentinel-exception rows, and two structures a k-step index keeps
-    /// that make up all but a few kilobytes of this component — the 2-bit
-    /// copy of the text (a quarter of a byte a base) and the K-mer lookup
-    /// table (`4 (4^K + 1)` bytes, at most a quarter of a byte a base:
-    /// 4.19 MB at K = 10).
+    /// Everything else: k-mer interval starts, the marker rows, and two
+    /// structures a k-step index keeps that make up all but a few
+    /// kilobytes of this component — the 2-bit copy of the text (a
+    /// quarter of a byte a base) and the K-mer lookup table (`4 (4^K + 1)`
+    /// bytes, at most a quarter of a byte a base: 4.19 MB at K = 10).
     pub other: usize,
 }
 

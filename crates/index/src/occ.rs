@@ -35,7 +35,7 @@ use exma_genome::{Base, Symbol};
 
 use crate::interleave::BlockStore;
 use crate::kstep::MAX_STEP;
-use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError, OCC_SAMPLE_RATE};
+use crate::layout::{k_occ_sample_rate, HeapBreakdown, OCC_SAMPLE_RATE};
 
 /// Counters per checkpoint row: one per alphabet symbol, then the marks.
 const HEADER_LANES: usize = 6;
@@ -76,7 +76,9 @@ impl OccTable {
     /// checkpointed every [`OCC_SAMPLE_RATE`] symbols, with no row marked:
     /// the tests' reference for [`OccTable::from_codes`].
     #[cfg(test)]
-    pub(crate) fn new(bwt: impl ExactSizeIterator<Item = Symbol>) -> Result<OccTable, IndexError> {
+    pub(crate) fn new(
+        bwt: impl ExactSizeIterator<Item = Symbol>,
+    ) -> Result<OccTable, crate::layout::IndexError> {
         let mut store = BlockStore::zeroed(HEADER_LANES, OCC_SAMPLE_RATE, bwt.len())?;
         for (row, symbol) in bwt.enumerate() {
             store.set_lanes(row, &[symbol.code()]);
@@ -90,16 +92,9 @@ impl OccTable {
     /// block's run at a time: a row's symbol is the base in its code's low
     /// two bits, but the marker rows' are `symbols`, one a marker row in
     /// order. No BWT is held beside the two tables.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::IndexTooLarge`] if the BWT outgrows `u32` counters.
-    pub(crate) fn from_codes(
-        lanes: &BlockStore,
-        markers: &[u32],
-        symbols: &[Symbol],
-    ) -> Result<OccTable, IndexError> {
-        let mut store = BlockStore::zeroed(HEADER_LANES, OCC_SAMPLE_RATE, lanes.len())?;
+    pub(crate) fn from_codes(lanes: &BlockStore, markers: &[u32], symbols: &[Symbol]) -> OccTable {
+        let mut store = BlockStore::zeroed(HEADER_LANES, OCC_SAMPLE_RATE, lanes.len())
+            .expect("as many rows as the lanes' store, which has them");
         let mut run_symbols = [0; k_occ_sample_rate(MAX_STEP)];
         let mut row = 0;
         for run in lanes.lane_runs() {
@@ -113,7 +108,7 @@ impl OccTable {
         for (&row, symbol) in markers.iter().zip(symbols) {
             store.set_lanes(row as usize, &[symbol.code()]);
         }
-        Ok(OccTable::counted(store))
+        OccTable::counted(store)
     }
 
     /// The table over `store`'s filled lanes, its checkpoints counted.

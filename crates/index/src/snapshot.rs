@@ -2,14 +2,16 @@
 //!
 //! A snapshot stores what an index cannot cheaply recover without its
 //! suffix array — the k-BWT, one byte a row, its marker rows, the sampled
-//! suffix array and the 2-bit text — with the build (`k`, strandedness),
-//! and a load replays the linear constructors over them: the reloaded
-//! index *equals* a cold build, down to its [`AlignedWords`] placement and
-//! an allocation-exact [`HeapBreakdown`](crate::HeapBreakdown). The 1-step
-//! BWT is not stored: a code's low two bits are its row's BWT symbol, and
-//! at the marker rows — those of text positions `p < k`, whose window
-//! crosses the sentinel — it is `T[p − 1]` or `$`, read off the text. Nor
-//! are the K-mer table and the C-array, counted from the text.
+//! suffix array and the 2-bit text — with the build (`k`, strandedness):
+//! exactly the parts a cold build hands the finish every index ends in
+//! (`KStepFmIndex::finish`), so the reloaded index *equals* a cold build,
+//! down to its [`AlignedWords`] placement and an allocation-exact
+//! [`HeapBreakdown`](crate::HeapBreakdown). The 1-step BWT is not stored:
+//! a code's low two bits are its row's BWT symbol, and at the marker rows
+//! — those of text positions `p < k`, whose window crosses the sentinel —
+//! it is `T[p − 1]` or `$`, read off the text. Nor are the K-mer table and
+//! the C-arrays: the k-step one is counted from the text, the 1-step one
+//! is the 1-step table's totals, the BWT's symbol counts.
 //!
 //! # On-disk format (version 5, all integers little-endian)
 //!
@@ -53,22 +55,22 @@
 //! about `2.3 n` bytes at k = 4 and at most `1.6 n` below it — and every
 //! later buffer is smaller than the source.
 //!
-//! No table is counted before the codes are verified: magic, version,
-//! header and framing as read; then every checksum; then, in a fixed
-//! order, each payload's length, the codes (below `4^k`), the marker rows
-//! (distinct, ascending, in range, placeholders), the samples, the base
-//! counts of the BWT the codes hold against the text's, and every sampled
-//! row's symbol against the base in front of its position. Only then is
-//! the 1-step table read off the lanes, and its LF step checks the marker
+//! The checks run in a fixed order: magic, version, header and framing as
+//! read; then every checksum; then each payload's length and the codes'
+//! range (below `4^k`). The finish then checks the parts against each
+//! other: the marker rows (distinct, ascending, in range, placeholders),
+//! the samples, the text's base counts against the BWT's, every sampled
+//! row's symbol against the base in front of its position, the marker
 //! rows' suffix order (an LF step from the row of `T[p..]` lands on that
-//! of `T[p − 1..]`); then the k-step table's checkpoints are counted off
-//! the lanes, and each code's count is checked against its k-mer's in the
-//! text before the index is returned. As the BWT *is* the codes' low
-//! bits, the k-steps and the 1-step walks of a loaded index answer from
-//! one text. Every failure is a typed [`SnapshotError`], never a panic or
-//! an index. The checksums are the corruption defense (a file that
-//! collides CRC32 on every region it changed is crafted, outside the
-//! threat model); the semantic checks keep every table access in bounds.
+//! of `T[p − 1..]`), and each code's count against its k-mer's in the
+//! text. The 1-step table is read off the lanes once the marker rows and
+//! the samples hold: it is total over any code byte, and its totals are
+//! the BWT's base counts. As the BWT *is* the codes' low bits, the k-steps and the
+//! 1-step walks of a loaded index answer from one text. Every failure is
+//! a typed [`SnapshotError`], never a panic or an index. The checksums
+//! are the corruption defense (a file that collides CRC32 on every region
+//! it changed is crafted, outside the threat model); the semantic checks
+//! keep every table access in bounds.
 //!
 //! # Crash-safe writes
 //!
@@ -82,16 +84,9 @@ use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use exma_genome::{Base, CountTable, Symbol};
-
-use crate::fm::FmIndex;
 use crate::interleave::{AlignedWords, BlockStore};
 use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
-use crate::layout::SA_SAMPLE_RATE;
-use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
-use crate::occ::OccTable;
-use crate::sampled_sa;
 use crate::text::PackedText;
 
 /// The leading eight bytes of every snapshot file.
@@ -443,9 +438,9 @@ struct Image<'a> {
 /// is not the one the header implies, the field that names it.
 type Staged<T> = Result<T, &'static str>;
 
-/// Section 1 as read: the k-step table's code lanes, filled, and how
-/// often each byte occurs among them.
-type Codes = (BlockStore, [u64; 256]);
+/// Section 1 as read: the k-step table's code lanes, filled, and every
+/// code byte or-ed together.
+type Codes = (BlockStore, u8);
 
 /// Section 3 as read: the mark words, then the samples.
 type Samples = (Vec<u64>, Vec<u32>);
@@ -522,25 +517,17 @@ impl Image<'_> {
     }
 
     /// Section 1's payload, the `n` k-BWT codes of step width `k`,
-    /// straight into the code lanes of the k-step table, each byte counted
-    /// on the way.
+    /// straight into the code lanes of the k-step table, each byte or-ed
+    /// into one on the way: its high bits are those of some code.
     fn codes(&mut self, n: usize, k: usize, crc: &mut u32) -> Result<Codes, SnapshotError> {
         let mut lanes = KmerOccTable::lanes(n, k).map_err(|_| malformed("k-occ layout"))?;
-        // Four histograms side by side: equal neighbours would otherwise
-        // wait on each other's stores.
-        let mut seen = [[0u64; 256]; 4];
-        let mut at = 0;
+        let (mut ored, mut at) = (0, 0);
         self.stream(n, crc, |piece| {
-            for (i, &code) in piece.iter().enumerate() {
-                seen[i % 4][usize::from(code)] += 1;
-            }
+            ored |= piece.iter().fold(0, |ored, &code| ored | code);
             lanes.set_lanes(at, piece);
             at += piece.len();
         })?;
-        Ok((
-            lanes,
-            std::array::from_fn(|code| seen.iter().map(|lane| lane[code]).sum()),
-        ))
+        Ok((lanes, ored))
     }
 
     /// Section 3's payload — the sample count, then `⌈n/64⌉` mark words,
@@ -597,9 +584,10 @@ impl Image<'_> {
 /// The one decoder behind [`decode_snapshot`] and [`load_snapshot`]:
 /// the header, then each section's framing and payload in file order,
 /// then the trailer. Structural failures stop it where they are read;
-/// the checksums are compared once the trailer is in; the semantic
-/// checks then run over the payloads as read, the k-codes in the k-step
-/// table's lanes; and only then are the tables counted off those lanes.
+/// the checksums are compared once the trailer is in; then the payloads'
+/// lengths and the codes' range; and the finish every index ends in
+/// checks the parts, the k-codes in the k-step table's lanes, against
+/// each other before it counts the tables off them.
 fn decode(
     source: &mut dyn Read,
     len: u64,
@@ -694,138 +682,19 @@ fn decode(
         return Err(SnapshotError::ChecksumMismatch { section: "file" });
     }
 
-    // Semantic checks, every value range-checked before a constructor
-    // that could assert sees it. The K-mer table and the k-mer buckets
-    // are counted from the text on a second thread, joined before the
-    // index or an error is returned; the table is `4 (4^K + 1)` bytes with
-    // `16 · 4^K ≤ n`, at most `n / 4 + 8`, and `n` has just been vouched
-    // for by the k-codes section's length.
-    let codes = codes.map_err(malformed)?;
+    // The parts, each as its section's length shaped it, then every code
+    // in the alphabet of k; the finish checks them against each other.
+    let (lanes, ored) = codes.map_err(malformed)?;
     let text = text
         .ok()
         .and_then(|words| PackedText::from_image(words, n))
         .ok_or(malformed("text length or padding"))?;
-    let (tables, counted) = std::thread::scope(|scope| {
-        let counted = scope.spawn(|| (KmerLookup::new(&text, lookup_k(n)), kmer_buckets(&text, k)));
-        let tables = build_tables(codes, markers, samples, k, &text);
-        (tables, counted.join())
-    });
-    let (lookup, (kstarts, sizes)) =
-        counted.expect("counting the K-mers of a decoded text cannot panic");
-    let (base, kocc) = tables?;
-    // Each code occurs as often as the text holds its k-mer: every k-step
-    // interval lies inside `0..n`, and a code rewritten to another k-mer
-    // with the same last base (the BWT as it was) is refused.
-    if (0..kstarts.len()).any(|r| kocc.rank(r as u16, n) != sizes[r]) {
-        return Err(malformed("k-mer totals"));
-    }
-    Ok(KStepFmIndex::from_parts(
-        k,
-        base,
-        kstarts,
-        kocc,
-        bidirectional,
-        text,
-        lookup,
-    ))
-}
-
-/// Checks the k-BWT codes, the marker rows and the samples, as read,
-/// against each other and the already-checked `text`, then replays the
-/// cold-build constructors over them — the 1-step index over the BWT the
-/// codes hold, and the k-mer occurrence table, whose lanes they are.
-fn build_tables(
-    (lanes, seen): Codes,
-    markers: Staged<Vec<u32>>,
-    samples: Staged<Samples>,
-    k: usize,
-    text: &PackedText,
-) -> Result<(FmIndex, KmerOccTable), SnapshotError> {
-    let n = text.len();
-    // The codes' range, from how often each byte occurs.
-    if (1 << (2 * k)..256).any(|code| seen[code] != 0) {
+    if u32::from(ored) >> (2 * k) != 0 {
         return Err(malformed("k-mer code"));
     }
-
     let markers = markers.map_err(malformed)?;
-    let placeholders = markers
-        .iter()
-        .all(|&row| (row as usize) < n && lanes.lane(row as usize) == 0);
-    if !placeholders || markers.windows(2).any(|pair| pair[0] >= pair[1]) {
-        return Err(malformed("marker rows"));
-    }
-    // Marker row `j` is the row of the `j`-th smallest suffix `T[p..]`,
-    // `p < k`; its BWT symbol is the one in front of `p`.
-    let mut positions: Vec<usize> = (0..markers.len()).collect();
-    positions.sort_by(|&a, &b| text.cmp_suffixes(a, b));
-    let symbols: Vec<Symbol> = positions
-        .iter()
-        .map(|&p| text.symbol((p + n - 1) % n))
-        .collect();
-
-    let (words, samples) = samples.map_err(malformed)?;
-    if samples.is_empty() {
-        // Text position 0 is always 0 (mod rate), so a real index
-        // always marks at least one row; zero marks would make locate's
-        // LF walk endless.
-        return Err(malformed("sample count"));
-    }
-    if n % 64 != 0 && words.last().is_some_and(|&last| last >> (n % 64) != 0) {
-        return Err(malformed("mark padding bits"));
-    }
-    let marked: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-    if marked != samples.len() as u64 {
-        return Err(malformed("sample count"));
-    }
-    if samples
-        .iter()
-        .any(|&v| v as usize >= n || v as usize % SA_SAMPLE_RATE != 0)
-    {
-        return Err(malformed("suffix-array sample"));
-    }
-
-    // The text, against the BWT the codes hold: the same base counts, and
-    // at a sampled row the base in front of the row's sampled position.
-    let mut counts = [0u64; 5];
-    for (code, &times) in seen.iter().enumerate() {
-        counts[code % 4 + 1] += times;
-    }
-    counts[1] -= markers.len() as u64; // the placeholders
-    for symbol in &symbols {
-        counts[usize::from(symbol.code())] += 1;
-    }
-    if counts[1..] != text.base_counts() {
-        return Err(malformed("text base counts"));
-    }
-    let symbol_at = |row: usize| match markers.binary_search(&(row as u32)) {
-        Ok(j) => symbols[j],
-        Err(_) => Symbol::Base(Base::from_code(lanes.lane(row) & 3)),
-    };
-    for (i, (row, &position)) in sampled_sa::ones(&words).zip(&samples).enumerate() {
-        // The samples are in row order, their positions anywhere.
-        if let Some(&ahead) = samples.get(i + 16) {
-            text.prefetch(ahead as usize);
-        }
-        let position = position as usize;
-        if symbol_at(row) != text.symbol((position + n - 1) % n) {
-            return Err(malformed("text against the sampled rows"));
-        }
-    }
-
-    // Replay the cold-build constructors over the verified inputs; the
-    // text-length check above already rules their error out.
-    let occ =
-        OccTable::from_codes(&lanes, &markers, &symbols).map_err(|_| malformed("occ layout"))?;
-    let counts = CountTable::from_frequencies(counts);
-    let base = FmIndex::from_parts(counts, occ, &words, samples);
-    drop(words);
-    // The sampled row of position 0 pinned its marker row (the one `$`);
-    // an LF step from the row of `T[p..]` lands on the row of `T[p - 1..]`.
-    let row_of = |p: usize| markers[positions.iter().position(|&q| q == p).expect("p < k")];
-    if (1..markers.len()).any(|p| base.lf(row_of(p) as usize) != row_of(p - 1) as usize) {
-        return Err(malformed("marker rows against the suffix order"));
-    }
-    Ok((base, KmerOccTable::from_lanes(lanes, markers)))
+    let (marks, samples) = samples.map_err(malformed)?;
+    KStepFmIndex::finish(found, lanes, markers, marks, samples, text).map_err(malformed)
 }
 
 #[cfg(test)]
@@ -881,6 +750,31 @@ mod tests {
                 assert_eq!(loaded.build_config(), index.build_config());
             }
         }
+        // Texts whose short suffixes share long prefixes — all `A`, and
+        // `A…AC` repeated at period k and k + 1 — at every k, both ways.
+        let periodic = |period: usize| {
+            let body: String = (1..=3000)
+                .map(|i| {
+                    if period > 1 && i % period == 0 {
+                        'C'
+                    } else {
+                        'A'
+                    }
+                })
+                .collect();
+            exma_genome::genome::text_from_str(&body).unwrap()
+        };
+        for k in 1..=MAX_STEP {
+            for forward in [periodic(1), periodic(k), periodic(k + 1)] {
+                let doubled = crate::bidir::doubled_text(&forward);
+                for (text, bidirectional) in [(forward, false), (doubled, true)] {
+                    let config = KStepBuildConfig { k, bidirectional };
+                    let index = KStepFmIndex::from_text_with_config(&text, config).unwrap();
+                    let loaded = decode_snapshot(&encode_snapshot(&index), None);
+                    assert_eq!(loaded.expect("valid snapshot"), index, "{config:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -897,7 +791,7 @@ mod tests {
             assert_eq!(marked.len(), index.base_index().sampled_sa().samples.len());
             // The mark words the image carries are the lines' marks.
             let words: Vec<u64> = occ.mark_words().collect();
-            assert_eq!(sampled_sa::ones(&words).collect::<Vec<_>>(), marked);
+            assert_eq!(crate::sampled_sa::ones(&words).collect::<Vec<_>>(), marked);
             let bytes = encode_snapshot(&index);
             // The k-codes section leads, right behind the header: each
             // row's code, a placeholder 0 at the marker rows.

@@ -714,7 +714,9 @@ stats_counters! {
     /// Always 0 (the sampled rows are marked in the occurrence lines);
     /// kept so every field offset behind it stays as clients read it.
     heap_rank_bits,
-    /// Everything else (k-mer C-array, marker exception list).
+    /// Everything else: k-mer interval starts, the marker rows, and — all
+    /// but a few kilobytes of it — the 2-bit copy of the text (a quarter
+    /// of a byte a base) and the K-mer lookup table (4.19 MB at K = 10).
     heap_other,
     /// Submissions dropped with a LATE response: their deadline
     /// elapsed before the batcher could execute them.
