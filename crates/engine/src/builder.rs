@@ -496,20 +496,18 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (52, 11, 384, 16);
+        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (128, 11, 384, 16);
         let index = EngineBuilder::new().build_index(&text).unwrap();
         let kocc_blocks = n / kocc_rate + 1;
-        let occ_blocks = n / occ_rate + 1;
         let expected = HeapBreakdown {
             k_occ_checkpoints: line_round(kocc_blocks.div_ceil(sb_rate) * stride * 4),
             k_occ_deltas: kocc_blocks * stride * 2,
             // Code lanes and block padding, plus the totals row.
             k_occ_codes: kocc_blocks * (line_round(stride * 2 + kocc_rate) - stride * 2)
                 + stride * 4,
-            // Five symbol counters and the mark counter a row, and the
-            // codes, marks in bit 7.
-            one_step_occ: occ_blocks * line_round(6 * 2 + occ_rate)
-                + line_round(occ_blocks.div_ceil(sb_rate) * 6 * 4),
+            // One line a 128 rows and one more: four counts, two base
+            // planes and a mark plane.
+            one_step_occ: (n / occ_rate + 1) * 64,
             sa_samples: n.div_ceil(sa_rate) * 4,
             // The marks live in the occurrence lines alone.
             rank_bits: 0,

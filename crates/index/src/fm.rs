@@ -331,7 +331,7 @@ mod tests {
             let bwt = bwt_from_sa(&text, &suffix_array(&text));
             let c_array = naive_c_array(&text);
             // The same table before `from_parts` marked it.
-            let unmarked = OccTable::new(bwt.iter().copied()).unwrap();
+            let unmarked = OccTable::new(bwt.iter().copied());
             let fm = FmIndex::from_text(&text);
             let n = text.len();
             for i in 0..=n {

@@ -4,18 +4,20 @@
 //! rank checkpoints in two separate allocations, so every `rank` paid two
 //! distant memory round-trips — exactly the DRAM behaviour the paper
 //! measures as the FM-index bottleneck (§II-C). The interleaved layout
-//! used by [`crate::occ::OccTable`] and [`crate::kocc::KmerOccTable`]
-//! instead packs each checkpoint row together with the codes it covers
-//! into one *block*, sized to a whole number of 64-byte cache lines and
-//! allocated line-aligned, so one `rank` touches one contiguous region.
-//! This module holds what those tables share: a `u32` word buffer whose
-//! first word sits on a cache-line boundary; the rank kernel that counts
-//! a code among a block's first lanes (`BlockStore::prefix_counts`);
-//! the software-prefetch hints the batch scheduler uses to overlap block
-//! fetches across queries; `Divisor`, which splits a row into block and
-//! offset without a hardware divide; and `BlockStore`, the checkpoint
-//! format itself — `u16` deltas off sparse `u32` superblock rows — built,
-//! read, hinted and sized in one place for both tables.
+//! of [`crate::kocc::KmerOccTable`] instead packs each checkpoint row
+//! together with the codes it covers into one *block*, sized to a whole
+//! number of 64-byte cache lines and allocated line-aligned, so one
+//! `rank` touches one contiguous region; [`crate::occ::OccTable`] goes
+//! further and fits a checkpoint and its 128 rows in one line. This
+//! module holds the buffer under both, a `u32` word buffer whose first
+//! word sits on a cache-line boundary, and for the k-step table: the rank
+//! kernel that counts a code among a block's first lanes
+//! (`BlockStore::prefix_counts`); the software-prefetch hints the batch
+//! scheduler uses to overlap block fetches across queries; `Divisor`,
+//! which splits a row into block and offset without a hardware divide;
+//! and `BlockStore`, the checkpoint format itself — `u16` deltas off
+//! sparse `u32` superblock rows — built, read, hinted and sized in one
+//! place.
 //!
 //! # The rank kernel
 //!
@@ -32,12 +34,9 @@
 //! 64-bit match mask and cut at the offset. Every code lane is one byte:
 //! the k-mer table's widest codes, at k = 4, are 256 values. Several
 //! offsets share the pass, so both ends of an interval come out of one
-//! forward walk from the block's own checkpoint. The compares go through
-//! a lane mask fixed at compile time: the 1-step table keeps a flag in
-//! bit 7 of each code byte and counts `lane & 0x07`; the k-mer table's
-//! codes use the whole byte, and its all-ones mask compiles away. The
-//! price is that the whole code region is read every time, which is why
-//! the prefetch hints cover all of it (`BlockStore::prefetch_block`).
+//! forward walk from the block's own checkpoint. The price is that the
+//! whole code region is read every time, which is why the prefetch hints
+//! cover all of it (`BlockStore::prefetch_block`).
 //! Reading only up to the furthest offset's line — re-reading that line
 //! in place of the later ones, to keep the trip count — measured 2.5 %
 //! slower on the 20 Mbp index than reading them all.
@@ -205,11 +204,13 @@ impl AlignedWords {
     }
 
     /// The buffer reinterpreted as a slice of `T` lanes; see [`lanes_of`].
-    fn lanes<T: Lane>(&self) -> &[T] {
+    #[inline]
+    pub(crate) fn lanes<T: Lane>(&self) -> &[T] {
         lanes_of(self.lines())
     }
 
-    fn lanes_mut<T: Lane>(&mut self) -> &mut [T] {
+    /// Mutable [`AlignedWords::lanes`], for builders.
+    pub(crate) fn lanes_mut<T: Lane>(&mut self) -> &mut [T] {
         let per_line = LINE_BYTES / std::mem::size_of::<T>();
         // SAFETY: as in `lines` and `lanes_of`, and the borrow of `self`
         // is exclusive for the returned lifetime.
@@ -404,7 +405,7 @@ impl CodeSpan {
     }
 }
 
-/// The one checkpoint format, stored once for both occurrence tables.
+/// The checkpoint format of the k-step occurrence table.
 ///
 /// Rows are checkpointed every `sample_rate` of them; block `b` packs the
 /// checkpoint for prefix `b * sample_rate` with the code lanes of the
@@ -416,13 +417,11 @@ impl CodeSpan {
 ///
 /// padded so every block starts on a 64-byte cache-line boundary. A delta
 /// is relative to the absolute `u32` row kept, every
-/// [`SUPERBLOCK_RATE`] blocks, in a separate small array. The spacing is
-/// the owning table's ([`crate::layout`] has one for each), and so is
-/// kept at run time. What a code lane *means* — and so
-/// which lanes a rank counts — is the owning table's business: it writes
-/// the lanes in, each the number of the counter it bumps, has the
-/// checkpoints counted off them, and reads them back through the kernel
-/// with its own mask.
+/// [`SUPERBLOCK_RATE`] blocks, in a separate small array. The spacing
+/// depends on the step width ([`crate::layout::k_occ_sample_rate`]), and
+/// so is kept at run time. The owning table writes the lanes in, each
+/// the number of the counter it bumps, has the checkpoints counted off
+/// them, and reads them back through the kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockStore {
     data: AlignedWords,
@@ -459,9 +458,7 @@ impl BlockStore {
         len: usize,
     ) -> Result<BlockStore, IndexError> {
         assert!(sample_rate > 0, "sample rate must be positive");
-        if len >= u32::MAX as usize {
-            return Err(IndexError::IndexTooLarge { rows: len });
-        }
+        IndexError::check_rows(len)?;
         let blocks = len / sample_rate + 1;
         let delta_bytes = lanes * 2;
         let block_words = (delta_bytes + sample_rate)
@@ -491,7 +488,7 @@ impl BlockStore {
         let mut running = vec![0u32; self.lanes];
         let rate = self.sample_rate.divisor;
         for block in 0..=self.len / rate {
-            self.set_checkpoints(block, 0, &running);
+            self.set_checkpoints(block, &running);
             for &lane in self.byte_lanes(block, rate.min(self.len - block * rate)) {
                 running[usize::from(lane)] += 1;
             }
@@ -550,19 +547,17 @@ impl BlockStore {
             + u32::from(self.data.halves()[block * self.block_words * 2 + lane])
     }
 
-    /// Sets the checkpoints of counters `first .. first + counts.len()` in
-    /// `block` to the absolute `counts`: the superblock row if `block`
-    /// starts one, and each counter's delta off it. Blocks are set in
-    /// ascending order, so a superblock row is in place before any delta
-    /// is taken from it.
-    #[inline]
-    pub(crate) fn set_checkpoints(&mut self, block: usize, first: usize, counts: &[u32]) {
-        let row = self.superblock_word(block, first);
+    /// Sets the checkpoints of `block` to the absolute `counts`: the
+    /// superblock row if `block` starts one, and each counter's delta off
+    /// it. Blocks are set in ascending order, so a superblock row is in
+    /// place before any delta is taken from it.
+    fn set_checkpoints(&mut self, block: usize, counts: &[u32]) {
+        let row = self.superblock_word(block, 0);
         let row = &mut self.superblocks.words_mut()[row..row + counts.len()];
         if block % SUPERBLOCK_RATE == 0 {
             row.copy_from_slice(counts);
         }
-        let at = block * self.block_words * 2 + first;
+        let at = block * self.block_words * 2;
         let deltas = &mut self.data.halves_mut()[at..at + counts.len()];
         for ((delta, &now), &at_group) in deltas.iter_mut().zip(counts).zip(&*row) {
             *delta = u16::try_from(now - at_group).expect("the span rule bounds every delta");
@@ -583,16 +578,13 @@ impl BlockStore {
     /// For each of `offsets`, the occurrences of `needle` among that many
     /// leading one-byte code lanes of `block` (each offset at most the
     /// lanes a block holds), all in one pass. The kernel of every rank
-    /// over byte codes; see the module docs. A lane counts when
-    /// `lane & MASK == needle`: a table whose code bytes carry flag bits
-    /// above the code names the code bits here, one whose codes use the
-    /// whole byte passes [`u8::MAX`], which compiles the mask away.
+    /// over byte codes; see the module docs.
     ///
     /// # Panics
     ///
     /// Panics if `block` lies past the store.
     #[inline]
-    pub(crate) fn prefix_counts<const MASK: u8, const N: usize>(
+    pub(crate) fn prefix_counts<const N: usize>(
         &self,
         block: usize,
         needle: u8,
@@ -600,9 +592,9 @@ impl BlockStore {
     ) -> [u32; N] {
         let lines = self.code_lines(block);
         #[cfg(target_arch = "x86_64")]
-        return prefix_counts_sse2::<MASK, N>(lines, self.span.head, needle, offsets);
+        return prefix_counts_sse2(lines, self.span.head, needle, offsets);
         #[cfg(not(target_arch = "x86_64"))]
-        return prefix_counts_scalar(lanes_of::<u8>(lines), self.span.head, MASK, needle, offsets);
+        return prefix_counts_scalar(lanes_of::<u8>(lines), self.span.head, needle, offsets);
     }
 
     /// What each byte kernel by itself answers to a
@@ -610,7 +602,7 @@ impl BlockStore {
     /// and, on x86-64, the SSE2 one. For differential tests; nothing
     /// switches between kernels at run time.
     #[cfg(test)]
-    pub(crate) fn prefix_counts_by_kernel<const MASK: u8, const N: usize>(
+    pub(crate) fn prefix_counts_by_kernel<const N: usize>(
         &self,
         block: usize,
         needle: u8,
@@ -620,13 +612,10 @@ impl BlockStore {
         vec![
             (
                 "scalar",
-                prefix_counts_scalar(lanes_of::<u8>(lines), head, MASK, needle, offsets),
+                prefix_counts_scalar(lanes_of::<u8>(lines), head, needle, offsets),
             ),
             #[cfg(target_arch = "x86_64")]
-            (
-                "sse2",
-                prefix_counts_sse2::<MASK, N>(lines, head, needle, offsets),
-            ),
+            ("sse2", prefix_counts_sse2(lines, head, needle, offsets)),
         ]
     }
 
@@ -673,12 +662,6 @@ impl BlockStore {
         (0..runs).map(move |block| self.byte_lanes(block, rate.min(self.len - block * rate)))
     }
 
-    /// The one-byte code lane `offset` rows into `block`.
-    #[inline]
-    pub(crate) fn byte_lane(&self, block: usize, offset: usize) -> u8 {
-        self.data.bytes()[self.code_base(block) + offset]
-    }
-
     /// The one-byte code lane of `row`.
     ///
     /// # Panics
@@ -688,14 +671,7 @@ impl BlockStore {
     pub(crate) fn lane(&self, row: usize) -> u8 {
         assert!(row < self.len, "lane of row {row} past the store");
         let (block, offset) = self.split(row);
-        self.byte_lane(block, offset)
-    }
-
-    /// Mutable [`BlockStore::byte_lanes`], for flag bits the owning table
-    /// keeps above its codes.
-    pub(crate) fn byte_lanes_mut(&mut self, block: usize, count: usize) -> &mut [u8] {
-        let base = self.code_base(block);
-        &mut self.data.bytes_mut()[base..base + count]
+        self.data.bytes()[self.code_base(block) + offset]
     }
 
     /// Heap bytes of the absolute superblock rows, of the per-block delta
@@ -722,15 +698,12 @@ fn mask_if(set: bool) -> u64 {
 
 #[cfg(target_arch = "x86_64")]
 impl CacheLine {
-    /// The line's four 16-byte quarters, each byte lane `0xFF` where
-    /// `lane & MASK` equals `needle` and zero elsewhere: four aligned
-    /// 16-byte loads, an `and` each unless `MASK` keeps every bit, and
+    /// The line's four 16-byte quarters, each byte lane `0xFF` where it
+    /// equals `needle` and zero elsewhere: four aligned 16-byte loads and
     /// four compares (SSE2, the x86-64 baseline).
     #[inline(always)]
-    fn eq_quarters<const MASK: u8>(&self, needle: u8) -> [std::arch::x86_64::__m128i; 4] {
-        use std::arch::x86_64::{
-            __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_load_si128, _mm_set1_epi8,
-        };
+    fn eq_quarters(&self, needle: u8) -> [std::arch::x86_64::__m128i; 4] {
+        use std::arch::x86_64::{__m128i, _mm_cmpeq_epi8, _mm_load_si128, _mm_set1_epi8};
         let quarters: *const __m128i = (self as *const CacheLine).cast();
         debug_assert_eq!(
             quarters as usize % LINE_BYTES,
@@ -748,22 +721,16 @@ impl CacheLine {
             let needle = _mm_set1_epi8(needle as i8);
             [0, 1, 2, 3].map(|j| {
                 debug_assert!(j < 4, "load past the line");
-                let lanes = _mm_load_si128(quarters.add(j));
-                if MASK == u8::MAX {
-                    _mm_cmpeq_epi8(lanes, needle)
-                } else {
-                    _mm_cmpeq_epi8(_mm_and_si128(lanes, _mm_set1_epi8(MASK as i8)), needle)
-                }
+                _mm_cmpeq_epi8(_mm_load_si128(quarters.add(j)), needle)
             })
         }
     }
 
-    /// Bit `i` of the result is set iff byte lane `i`, masked, equals
-    /// `needle`.
+    /// Bit `i` of the result is set iff byte lane `i` equals `needle`.
     #[inline(always)]
-    fn eq_bits<const MASK: u8>(&self, needle: u8) -> u64 {
+    fn eq_bits(&self, needle: u8) -> u64 {
         use std::arch::x86_64::_mm_movemask_epi8;
-        let [a, b, c, d] = self.eq_quarters::<MASK>(needle).map(|hits| {
+        let [a, b, c, d] = self.eq_quarters(needle).map(|hits| {
             // SAFETY: a register-only SSE2 instruction; SSE2 is part of
             // the x86-64 baseline.
             u64::from(unsafe { _mm_movemask_epi8(hits) } as u16)
@@ -771,14 +738,14 @@ impl CacheLine {
         a | b << 16 | c << 32 | d << 48
     }
 
-    /// How many of the 64 byte lanes, masked, equal `needle`.
+    /// How many of the 64 byte lanes equal `needle`.
     #[inline(always)]
-    fn eq_count<const MASK: u8>(&self, needle: u8) -> u64 {
+    fn eq_count(&self, needle: u8) -> u64 {
         use std::arch::x86_64::{
             _mm_add_epi8, _mm_cvtsi128_si64, _mm_sad_epu8, _mm_setzero_si128, _mm_sub_epi8,
             _mm_unpackhi_epi64,
         };
-        let [a, b, c, d] = self.eq_quarters::<MASK>(needle);
+        let [a, b, c, d] = self.eq_quarters(needle);
         // SAFETY: register-only SSE2 instructions; SSE2 is part of the
         // x86-64 baseline.
         unsafe {
@@ -794,12 +761,12 @@ impl CacheLine {
 }
 
 /// The SSE2 rank kernel: for each of `offsets`, the lanes equal to
-/// `needle` under `MASK` among byte lanes `head .. head + offset` of
+/// `needle` among byte lanes `head .. head + offset` of
 /// `lines`. The loop visits every line but the last whatever the offsets
 /// are, and nothing branches on them.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn prefix_counts_sse2<const MASK: u8, const N: usize>(
+fn prefix_counts_sse2<const N: usize>(
     lines: &[CacheLine],
     head: usize,
     needle: u8,
@@ -819,7 +786,7 @@ fn prefix_counts_sse2<const MASK: u8, const N: usize>(
     let edge_lines = ends.map(|end| (end / LINE_BYTES).min(last));
     let mut whole = [0u64; N];
     for (l, line) in lines[..last].iter().enumerate() {
-        let ones = line.eq_count::<MASK>(needle);
+        let ones = line.eq_count(needle);
         for n in 0..N {
             whole[n] += ones & mask_if(l < edge_lines[n]);
         }
@@ -828,7 +795,7 @@ fn prefix_counts_sse2<const MASK: u8, const N: usize>(
     // drop their matches from every prefix that took that line whole.
     let counters = (1u64 << head) - 1;
     if head != 0 && last != 0 {
-        let stray = u64::from((lines[0].eq_bits::<MASK>(needle) & counters).count_ones());
+        let stray = u64::from((lines[0].eq_bits(needle) & counters).count_ones());
         for n in 0..N {
             whole[n] -= stray & mask_if(edge_lines[n] != 0);
         }
@@ -839,15 +806,13 @@ fn prefix_counts_sse2<const MASK: u8, const N: usize>(
         let lanes = ends[n] - edge * LINE_BYTES; // 0 ..= 64
         let below = (1u64 << (lanes % LINE_BYTES)).wrapping_sub(1) | mask_if(lanes == LINE_BYTES);
         let codes = below & !(counters & mask_if(edge == 0));
-        counts[n] = whole[n] as u32 + (lines[edge].eq_bits::<MASK>(needle) & codes).count_ones();
+        counts[n] = whole[n] as u32 + (lines[edge].eq_bits(needle) & codes).count_ones();
     }
     counts
 }
 
 /// The portable rank kernel: for each of `offsets`, the byte lanes equal
-/// to `needle` under `mask` among `lanes[head .. head + offset]` (every
-/// caller passes a constant mask, and an all-ones one folds away). Like
-/// the SSE2 kernel it visits every lane and selects by comparison instead
+/// to `needle` among `lanes[head .. head + offset]`. Like the SSE2 kernel it visits every lane and selects by comparison instead
 /// of by loop bound, so it has a fixed trip count and autovectorizes. On
 /// x86-64 only the tests call it, to hold the SSE2 kernel to it.
 #[cfg(any(test, not(target_arch = "x86_64")))]
@@ -855,7 +820,6 @@ fn prefix_counts_sse2<const MASK: u8, const N: usize>(
 fn prefix_counts_scalar<const N: usize>(
     lanes: &[u8],
     head: usize,
-    mask: u8,
     needle: u8,
     offsets: [usize; N],
 ) -> [u32; N] {
@@ -867,7 +831,7 @@ fn prefix_counts_scalar<const N: usize>(
     let head = head as u32;
     let mut counts = [0u32; N];
     for (i, &lane) in (0u32..).zip(lanes) {
-        let hit = u32::from(lane & mask == needle) & u32::from(i >= head);
+        let hit = u32::from(lane == needle) & u32::from(i >= head);
         for n in 0..N {
             counts[n] += hit & u32::from(i < ends[n]);
         }
@@ -878,8 +842,7 @@ fn prefix_counts_scalar<const N: usize>(
 /// Division by a divisor fixed at construction, as one multiply-high
 /// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
 /// 2019): rows split into block and offset on every rank, and the
-/// checkpoint spacings are not powers of two (52, and 96k rows for the
-/// k-step table).
+/// checkpoint spacing, 96k rows, is not a power of two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Divisor {
     divisor: usize,
@@ -1108,14 +1071,13 @@ mod tests {
         }
     }
 
-    /// Holds both kernels to a plain scan of `lane & MASK == needle` on
-    /// bytes that carry `flags` above their codes: blocks of 1..=5 lines
-    /// whose code lanes start anywhere in the first line (the counter
-    /// bytes before them — noise too, so some equal the needle only once
-    /// masked — must never count), every pair of offsets up to the
-    /// block's end, so flagged bytes fall inside and outside every
-    /// counted prefix.
-    fn kernels_count_like_a_plain_scan<const MASK: u8>(flags: u8) {
+    /// Holds both kernels to a plain scan of `lane == needle` on bytes
+    /// that carry `flags` above small codes: blocks of 1..=5 lines whose
+    /// code lanes start anywhere in the first line (the counter bytes
+    /// before them — noise too — must never count), every pair of offsets
+    /// up to the block's end, so flagged bytes fall inside and outside
+    /// every counted prefix.
+    fn kernels_count_like_a_plain_scan(flags: u8) {
         for (block_lines, header) in [(1, 0), (1, 10), (1, 20), (2, 18), (4, 0), (5, 63), (3, 130)]
         {
             let span = block_lines * LINE_BYTES - header;
@@ -1124,22 +1086,18 @@ mod tests {
             for block in 0..3 {
                 let codes = store.byte_lanes(block, span);
                 for needle in [0u8, 3] {
-                    let scan = |n: usize| {
-                        codes[..n].iter().filter(|&&c| c & MASK == needle).count() as u32
-                    };
+                    let scan =
+                        |n: usize| codes[..n].iter().filter(|&&c| c == needle).count() as u32;
                     for lo in (0..=span).step_by(7).chain([span]) {
                         for hi in (lo..=span).step_by(5).chain([span]) {
                             let expect = [scan(lo), scan(hi)];
-                            assert_eq!(
-                                store.prefix_counts::<MASK, 2>(block, needle, [lo, hi]),
-                                expect
-                            );
+                            assert_eq!(store.prefix_counts(block, needle, [lo, hi]), expect);
                             for (kernel, got) in
-                                store.prefix_counts_by_kernel::<MASK, 2>(block, needle, [lo, hi])
+                                store.prefix_counts_by_kernel(block, needle, [lo, hi])
                             {
                                 assert_eq!(
                                     got, expect,
-                                    "{kernel}: mask {MASK:#x}, flags {flags:#x}, {block_lines} \
+                                    "{kernel}: flags {flags:#x}, {block_lines} \
                                      lines, header {header}, block {block}, needle {needle}, \
                                      offsets {lo}..{hi}"
                                 );
@@ -1148,13 +1106,12 @@ mod tests {
                     }
                     // One offset alone, at every lane.
                     for offset in 0..=span {
-                        for (kernel, got) in
-                            store.prefix_counts_by_kernel::<MASK, 1>(block, needle, [offset])
+                        for (kernel, got) in store.prefix_counts_by_kernel(block, needle, [offset])
                         {
                             assert_eq!(
                                 got,
                                 [scan(offset)],
-                                "{kernel}: mask {MASK:#x}, flags {flags:#x}, offset {offset}"
+                                "{kernel}: flags {flags:#x}, offset {offset}"
                             );
                         }
                     }
@@ -1165,15 +1122,10 @@ mod tests {
 
     #[test]
     fn every_kernel_counts_like_a_plain_scan() {
-        // Whole-byte codes, as the k-mer table stores them; then the
-        // 1-step table's bytes (bits 0-2 code, bit 7 mark) and bytes with
-        // every spare bit in use, read through the code mask; and marked
-        // bytes read without it, which must then match nothing they do
-        // not equal.
-        kernels_count_like_a_plain_scan::<{ u8::MAX }>(0);
-        kernels_count_like_a_plain_scan::<0x07>(0x80);
-        kernels_count_like_a_plain_scan::<0x07>(0xF8);
-        kernels_count_like_a_plain_scan::<{ u8::MAX }>(0x80);
+        // Small codes alone, then codes with random high bits, which must
+        // match nothing they do not equal.
+        kernels_count_like_a_plain_scan(0);
+        kernels_count_like_a_plain_scan(0xF8);
     }
 
     #[test]

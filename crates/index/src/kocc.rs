@@ -164,11 +164,8 @@ impl KmerOccTable {
     /// pass of the rank kernel over its code lanes.
     #[inline]
     fn block_ranks<const N: usize>(&self, block: usize, r: u16, offsets: [usize; N]) -> [u32; N] {
-        // r < stride <= 256, and at stride 256 a code uses all eight bits
-        // of its lane: no mask.
-        let below = self
-            .store
-            .prefix_counts::<{ u8::MAX }, N>(block, r as u8, offsets);
+        // r < stride <= 256: a code is one byte lane.
+        let below = self.store.prefix_counts(block, r as u8, offsets);
         let checkpoint = self.store.checkpoint(block, r as usize);
         below.map(|count| checkpoint + count)
     }
@@ -372,7 +369,7 @@ mod tests {
         let row = block * k_occ_sample_rate(k) + offset;
         let checkpoint = occ.store.checkpoint(block, r as usize);
         occ.store
-            .prefix_counts_by_kernel::<{ u8::MAX }, 1>(block, r as u8, [offset])
+            .prefix_counts_by_kernel(block, r as u8, [offset])
             .into_iter()
             .map(|(kernel, [below])| (kernel, occ.corrected(checkpoint + below, r, row)))
             .collect()

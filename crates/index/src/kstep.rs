@@ -285,8 +285,8 @@ impl KStepFmIndex {
     ///
     /// # Errors
     ///
-    /// Propagates [`IndexError`] from the rank tables: a text too long
-    /// for `u32` counters.
+    /// [`IndexError::IndexTooLarge`] if the text is too long for `u32`
+    /// counters, before anything is built.
     ///
     /// # Panics
     ///
@@ -302,6 +302,7 @@ impl KStepFmIndex {
             (1..=MAX_STEP).contains(&k),
             "k must be in 1..={MAX_STEP}, got {k}"
         );
+        IndexError::check_rows(text.len())?;
         // The suffix array is the build's one large buffer: one pass turns
         // it into the k-BWT codes, a quarter of its size, and the samples.
         // The k-step table's lanes are filled from those codes, which are

@@ -1,9 +1,10 @@
 //! The one index layout: its sampling rates, its typed construction
 //! error, and per-component heap attribution.
 //!
-//! Both occurrence tables store a checkpoint row one way (see
-//! [`crate::KmerOccTable`]): `u16` per-block deltas relative to sparse
-//! absolute `u32` superblock rows. The four spacings are constants, fixed
+//! The k-step table stores a checkpoint row as `u16` per-block deltas
+//! relative to sparse absolute `u32` superblock rows (see
+//! [`crate::KmerOccTable`]); the 1-step table's lines hold absolute `u32`
+//! counts (see [`crate::OccTable`]). The four spacings are constants, fixed
 //! here and nowhere else ([`OCC_SAMPLE_RATE`], [`SA_SAMPLE_RATE`],
 //! [`k_occ_sample_rate`] and [`SUPERBLOCK_RATE`]), as the paper fixes its
 //! table geometry at design time: every index of a given `k` has the same
@@ -52,12 +53,24 @@ impl fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// Checkpoint spacing of the 1-step occurrence table: the 52 one-byte
-/// codes that fill a 64-byte line beside its six `u16` deltas — one per
-/// symbol, and one counting the SA-sampled rows before the block (see
-/// [`crate::OccTable`]). A wider block still costs one line a rank, so
-/// this is the spacing at which the table is smallest for that price.
-pub const OCC_SAMPLE_RATE: usize = 52;
+impl IndexError {
+    /// `Ok` iff a text of `rows` rows fits the tables' `u32` counters and
+    /// suffix-array positions.
+    pub(crate) fn check_rows(rows: usize) -> Result<(), IndexError> {
+        if rows < u32::MAX as usize {
+            Ok(())
+        } else {
+            Err(IndexError::IndexTooLarge { rows })
+        }
+    }
+}
+
+/// Rows a line of the 1-step occurrence table covers: two bit planes of
+/// bases and one of SA marks, 16 bytes each, beside the four `u32` counts
+/// before the line — one 64-byte line (see [`crate::OccTable`]). At 52
+/// rows, one code byte a row beside six `u16` deltas, the table was 2.5
+/// times the size and a rank scanned 52 code bytes.
+pub const OCC_SAMPLE_RATE: usize = 128;
 
 /// Text-position spacing of kept suffix-array samples, set by a byte
 /// rule: the densest spacing at which [`HeapBreakdown::total`] of a
@@ -66,8 +79,9 @@ pub const OCC_SAMPLE_RATE: usize = 52;
 /// a line gained freed 5.49 MB of `one_step_occ`, samples every 11
 /// positions cost 4.77 MB more than every 32, and every 10 would have
 /// cost 7.6 kB more than the blocks freed. A locate walk averages 5 LF
-/// steps, not 15.5. The 2.72 MB freed since, by marking the sampled rows
-/// in the occurrence lines alone, are not spent on it yet.
+/// steps, not 15.5. The 2.72 MB freed since by marking the sampled rows
+/// in the occurrence lines alone, and the 15.2 MB freed by the 128-row
+/// bit-plane lines, are not spent on it yet.
 pub const SA_SAMPLE_RATE: usize = 11;
 
 /// Checkpoint spacing of the k-mer occurrence table at step width `k`:
@@ -90,16 +104,15 @@ pub const fn k_occ_sample_rate(k: usize) -> usize {
     96 * k
 }
 
-/// Blocks per absolute superblock row of both occurrence tables.
+/// Blocks per absolute superblock row of the k-step occurrence table.
 pub const SUPERBLOCK_RATE: usize = 16;
 
 // The one overflow rule of the checkpoint format: a delta counts rows
 // since its superblock row, one a row at most, so a superblock span
 // within `u16` proves every delta fits whatever the text. The widest
-// span is the k-occ table's at `MAX_STEP`: 96 × 4 × 16 = 6 144 rows.
+// span is at `MAX_STEP`: 96 × 4 × 16 = 6 144 rows.
 const _: () = assert!(
-    OCC_SAMPLE_RATE * SUPERBLOCK_RATE <= u16::MAX as usize
-        && k_occ_sample_rate(MAX_STEP) * SUPERBLOCK_RATE <= u16::MAX as usize,
+    k_occ_sample_rate(MAX_STEP) * SUPERBLOCK_RATE <= u16::MAX as usize,
     "a superblock span outgrows the u16 deltas"
 );
 
@@ -121,9 +134,8 @@ pub struct HeapBreakdown {
     /// Interleaved k-BWT code lanes (including block padding) and the
     /// totals row of the k-step table.
     pub k_occ_codes: usize,
-    /// The 1-step Occ table: superblock rows, delta rows (the SA-sampled
-    /// rows' counter among them), and BWT code lanes with their marks,
-    /// together.
+    /// The 1-step Occ table: its lines of counts, base planes and mark
+    /// planes, together.
     pub one_step_occ: usize,
     /// Sampled suffix-array positions.
     pub sa_samples: usize,

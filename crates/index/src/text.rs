@@ -140,10 +140,21 @@ impl PackedText {
         }
     }
 
-    /// The lexicographic order of the suffixes starting at `a` and `b`.
+    /// The lexicographic order of the suffixes starting at `a` and `b`,
+    /// compared 32 bases a step. Past their common bases the shorter one,
+    /// the later, reaches the sentinel first, and is the smaller.
     pub(crate) fn cmp_suffixes(&self, a: usize, b: usize) -> Ordering {
-        let suffix = |from: usize| (from..self.len).map(|i| self.symbol(i));
-        suffix(a).cmp(suffix(b))
+        let common = self.len - 1 - a.max(b);
+        for at in (0..common).step_by(WINDOW_BASES) {
+            let bases = (common - at).min(WINDOW_BASES);
+            let (x, y) = (self.window(a + at), self.window(b + at));
+            let differing = (x ^ y) & (u64::MAX >> (64 - 2 * bases));
+            if differing != 0 {
+                let shift = differing.trailing_zeros() & !1;
+                return (x >> shift & 3).cmp(&(y >> shift & 3));
+            }
+        }
+        b.cmp(&a)
     }
 
     /// Occurrences of each base in the text, counted a window at a time.
@@ -230,6 +241,27 @@ mod tests {
     /// The definition, a base at a time.
     fn ends_with_by_definition(bases: &[Base], end: usize, prefix: &[Base]) -> bool {
         end >= prefix.len() && end <= bases.len() && bases[end - prefix.len()..end] == *prefix
+    }
+
+    #[test]
+    fn suffixes_compare_as_their_symbols_do() {
+        let period = [Base::C, Base::A, Base::G];
+        let periodic: Vec<Base> = period.into_iter().cycle().take(150).collect();
+        for bases in [
+            noise(150, 5),
+            periodic,
+            vec![Base::A; 150],
+            vec![Base::T; 65],
+        ] {
+            let symbols = text_of(&bases);
+            let text = PackedText::from_symbols(&symbols);
+            for a in 0..symbols.len() {
+                for b in 0..symbols.len() {
+                    let expect = symbols[a..].cmp(&symbols[b..]);
+                    assert_eq!(text.cmp_suffixes(a, b), expect, "suffixes {a} and {b}");
+                }
+            }
+        }
     }
 
     #[test]
