@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn the_widest_legal_span_builds_and_ranks_like_naive() {
         // The widest superblock span of the layout is the k-occ table's
-        // at k = MAX_STEP: 384 x 16 = 6 144 rows. A text whose k-BWT is
+        // at k = MAX_STEP: 768 x 16 = 12 288 rows. A text whose k-BWT is
         // one run of the A-mer longer than two of them drives each
         // superblock's deltas as high as they go and crosses into the
         // third.
@@ -461,10 +461,11 @@ mod tests {
         let kocc = index.kmer_occ();
         let codes: Vec<Option<u8>> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
         assert!(codes[..=len - k].iter().all(|&c| c == Some(0)));
-        // Every block boundary and its neighbours, the superblock
-        // boundaries at rows 6 144 and 12 288 among them.
+        // Every block boundary and middle row and their neighbours: the
+        // middles of blocks 16 and 32, rows 12 672 and 24 960, hold the
+        // superblock rows the deltas are taken from.
         let stride = kocc.stride() as u16;
-        for boundary in (0..=kocc.len()).step_by(rate) {
+        for boundary in (0..=kocc.len()).step_by(rate / 2) {
             for i in boundary.saturating_sub(1)..=(boundary + 1).min(kocc.len()) {
                 for r in [0, 1, stride - 1] {
                     assert_eq!(
@@ -496,14 +497,16 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (128, 11, 384, 16);
+        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (128, 11, 768, 16);
         let index = EngineBuilder::new().build_index(&text).unwrap();
-        let kocc_blocks = n / kocc_rate + 1;
+        let kocc_blocks = n.div_ceil(kocc_rate);
         let expected = HeapBreakdown {
+            // The superblock rows, behind the blocks in their buffer.
             k_occ_checkpoints: line_round(kocc_blocks.div_ceil(sb_rate) * stride * 4),
             k_occ_deltas: kocc_blocks * stride * 2,
-            // Code lanes and block padding, plus the totals row.
-            k_occ_codes: kocc_blocks * (line_round(stride * 2 + kocc_rate) - stride * 2)
+            // Both halves' code lanes and block padding, plus the totals
+            // row.
+            k_occ_codes: kocc_blocks * (line_round(kocc_rate + stride * 2) - stride * 2)
                 + stride * 4,
             // One line a 128 rows and one more: four counts, two base
             // planes and a mark plane.
@@ -540,7 +543,7 @@ mod tests {
                 bidirectional: true
             }
         );
-        assert_eq!(k_occ_sample_rate(2), 192);
+        assert_eq!(k_occ_sample_rate(2), 384);
     }
 
     #[test]

@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn sampling_rates_do_not_change_answers() {
         // The 1-step tables and the k-mer tables at every width, each
-        // checkpointed at its own spacing (96k rows), against the scan.
+        // checkpointed at its own spacing (192k rows), against the scan.
         let body = "CCATAGACATTAGACCATAGGACATAGACC";
         let text = text_from_str(body).unwrap();
         let seq = exma_genome::PackedSeq::from_bases(&parse_bases(body).unwrap());

@@ -11,35 +11,53 @@
 //! further and fits a checkpoint and its 128 rows in one line. This
 //! module holds the buffer under both, a `u32` word buffer whose first
 //! word sits on a cache-line boundary, and for the k-step table: the rank
-//! kernel that counts a code among a block's first lanes
+//! kernel that counts a code among a half-block's first lanes
 //! (`BlockStore::prefix_counts`); the software-prefetch hints the batch
 //! scheduler uses to overlap block fetches across queries; `Divisor`,
-//! which splits a row into block and offset without a hardware divide;
-//! and `BlockStore`, the checkpoint format itself — `u16` deltas off
-//! sparse `u32` superblock rows — built, read, hinted and sized in one
-//! place.
+//! which splits a row into half-block and offset without a hardware
+//! divide; and `BlockStore`, the checkpoint format itself — one
+//! checkpoint at each block's middle row, `u16` deltas off sparse `u32`
+//! superblock rows — built, read, hinted and sized in one place.
 //!
 //! # The rank kernel
 //!
-//! A rank is a checkpoint plus the number of matching code lanes before
-//! the row. Which lanes those are differs from query to query, so a scan
-//! that stops at the row — or picks the nearer of two checkpoints — ends
-//! on a branch the predictor cannot learn, and on a cache-resident table
-//! those mispredictions cost more than the scan. The kernel here has no
-//! such branch. Its loop runs once per cache line of the block's code
-//! region — a trip count fixed per table (`CodeSpan`) — counting the
-//! line's matches with four aligned 16-byte compares and adding them to
-//! each prefix that covers the whole line, selected by an arithmetic
-//! mask; the one line a prefix ends in is then compared once more into a
-//! 64-bit match mask and cut at the offset. Every code lane is one byte:
-//! the k-mer table's widest codes, at k = 4, are 256 values. Several
-//! offsets share the pass, so both ends of an interval come out of one
-//! forward walk from the block's own checkpoint. The price is that the
-//! whole code region is read every time, which is why the prefetch hints
-//! cover all of it (`BlockStore::prefetch_block`).
+//! A rank is a checkpoint plus or minus the number of matching code
+//! lanes between it and the row. Each block keeps its checkpoint at its
+//! middle row, between the code lanes of its two halves, so a rank scans
+//! only the half its row lies in: the upper half's lanes from the middle
+//! up to the row are added, the lower half's from the row up to the
+//! middle subtracted. The lower half keeps its lanes in reverse row
+//! order, running down from the middle, so in either half those lanes
+//! are a prefix of the half's. (Counting the lower half forward and
+//! taking the part before the row from the whole half cost one more
+//! prefix a rank: a cache-resident `rank_pair` took 60–79 ns against
+//! 48–65 ns reversed, in traced `count_reads` runs, and 46–54 ns at
+//! 384-row blocks scanned forward.)
+//!
+//! Which lanes a rank counts differs from query to query, so a scan that
+//! stops at the row — or picks its half by a branch — ends on a branch
+//! the predictor cannot learn, and on a cache-resident table those
+//! mispredictions cost more than the scan. The kernel here has no such
+//! branch: the half's first line, the prefix's length and the lower
+//! half's sign are arithmetic on the half's parity. Its loop runs once
+//! per cache line of a half's code region — a trip count fixed per table
+//! (`CodeSpan`) — counting the line's matches with four aligned 16-byte
+//! compares and adding them to each prefix that covers the whole line,
+//! selected by an arithmetic mask; the one line a prefix ends in is then
+//! compared once more into a 64-bit match mask and cut at the offset.
+//! Every code lane is one byte: the k-mer table's widest codes, at k = 4,
+//! are 256 values. Several offsets share the pass, so both ends of an
+//! interval in one half come out of one walk. The price is that the
+//! half's whole code region is read every time, which is why the
+//! prefetch hints cover all of it (`BlockStore::prefetch_half`).
 //! Reading only up to the furthest offset's line — re-reading that line
 //! in place of the later ones, to keep the trip count — measured 2.5 %
-//! slower on the 20 Mbp index than reading them all.
+//! slower on the 20 Mbp index than reading them all. Reading fewer lines
+//! a rank buys no speed either: 384-row blocks ranked from their middle,
+//! five lines a rank instead of the eight a forward scan of the same
+//! block read, were no faster on `count_reads`, so the centered layout
+//! spends the halved scan on twice the rows a block instead (see
+//! [`crate::layout::k_occ_sample_rate`]).
 //!
 //! There are two kernels, and each is licensed by a measurement: SSE2 on
 //! x86-64, where it is the baseline, and a portable fixed-trip loop
@@ -86,7 +104,8 @@
 //!   and no second path. [`huge_page_bytes`] reads back what the
 //!   process was granted.
 
-use crate::layout::{IndexError, SUPERBLOCK_RATE};
+use crate::kstep::MAX_STEP;
+use crate::layout::{k_occ_sample_rate, IndexError, SUPERBLOCK_RATE};
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
@@ -364,79 +383,102 @@ fn lanes_of<T: Lane>(lines: &[CacheLine]) -> &[T] {
     unsafe { std::slice::from_raw_parts(lines.as_ptr().cast::<T>(), lines.len() * per_line) }
 }
 
-/// Where a table's blocks keep their code lanes, in whole cache lines.
-/// Fixed at construction: it is the rank kernel's trip count and the
-/// prefetcher's footprint.
+/// Where a table's blocks keep their two halves of code lanes, in whole
+/// cache lines. Fixed at construction: it is the rank kernel's trip
+/// count and the prefetcher's footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CodeSpan {
     /// Cache lines per block.
     block_lines: usize,
-    /// First line of the code region within a block.
-    first: usize,
-    /// Lines the code region touches.
+    /// First line of the upper half's code lanes within a block; the
+    /// lower half's start the block.
+    upper_line: usize,
+    /// Byte offset of the upper half's first code lane within its line;
+    /// the bytes before it are the tail of the block's delta row.
+    upper_head: usize,
+    /// Lines a half's scan reads: those the upper half touches, never
+    /// fewer than the lower half's, so both halves scan alike.
     lines: usize,
-    /// Byte offset of the first code lane within its line; the bytes
-    /// before it are the tail of the block's counter row.
-    head: usize,
 }
 
 impl CodeSpan {
-    /// The span of `codes` one-byte code lanes that follow
-    /// `header_bytes` of counters in blocks of `block_words` words.
-    pub(crate) fn new(block_words: usize, header_bytes: usize, codes: usize) -> CodeSpan {
-        assert!(codes > 0, "a block holds at least one code lane");
-        assert!(
-            block_words % WORDS_PER_LINE == 0 && header_bytes + codes <= block_words * 4,
-            "code lanes must lie inside a line-rounded block"
-        );
-        let head = header_bytes % LINE_BYTES;
+    /// The spans of blocks laid out as `half` one-byte code lanes,
+    /// `delta_bytes` of counters and `half` more code lanes, rounded up
+    /// to whole lines.
+    pub(crate) fn new(half: usize, delta_bytes: usize) -> CodeSpan {
+        assert!(half > 0, "a half-block holds at least one code lane");
+        let upper = half + delta_bytes;
+        let upper_head = upper % LINE_BYTES;
         CodeSpan {
-            block_lines: block_words / WORDS_PER_LINE,
-            first: header_bytes / LINE_BYTES,
-            lines: (head + codes).div_ceil(LINE_BYTES),
-            head,
+            block_lines: (upper + half).div_ceil(LINE_BYTES),
+            upper_line: upper / LINE_BYTES,
+            upper_head,
+            lines: (upper_head + half).div_ceil(LINE_BYTES),
         }
     }
 
-    /// Index of the first code line of `block`.
+    /// Index of the first code line of half-block `half`: block
+    /// `half / 2`, its upper half if `half` is odd. Arithmetic, not a
+    /// branch: which half a rank reads is as random as its row.
     #[inline]
-    fn first_line(self, block: usize) -> usize {
-        block * self.block_lines + self.first
+    fn first_line(self, half: usize) -> usize {
+        (half >> 1) * self.block_lines + (half & 1) * self.upper_line
+    }
+
+    /// Byte offset of half-block `half`'s first code lane within its
+    /// first line.
+    #[inline]
+    fn head(self, half: usize) -> usize {
+        (half & 1) * self.upper_head
     }
 }
 
 /// The checkpoint format of the k-step occurrence table.
 ///
-/// Rows are checkpointed every `sample_rate` of them; block `b` packs the
-/// checkpoint for prefix `b * sample_rate` with the code lanes of the
-/// rows it covers, in bytes:
+/// Rows are grouped in blocks of `sample_rate`; block `b` keeps one
+/// checkpoint row, the counts of the rows before its middle row
+/// `b * sample_rate + sample_rate / 2`, between the code lanes of its two
+/// halves, in bytes:
 ///
 /// ```text
-/// [ lanes u16 deltas | sample_rate one-byte code lanes | pad ]
+/// [ sample_rate/2 lower code lanes, last row first | lanes u16 deltas | sample_rate/2 upper code lanes | pad ]
 /// ```
 ///
-/// padded so every block starts on a 64-byte cache-line boundary. A delta
-/// is relative to the absolute `u32` row kept, every
-/// [`SUPERBLOCK_RATE`] blocks, in a separate small array. The spacing
-/// depends on the step width ([`crate::layout::k_occ_sample_rate`]), and
-/// so is kept at run time. The owning table writes the lanes in, each
-/// the number of the counter it bumps, has the checkpoints counted off
-/// them, and reads them back through the kernel.
+/// padded so every block starts on a 64-byte cache-line boundary. A rank
+/// in the upper half adds the matches from the middle up to its row; one
+/// in the lower half subtracts those from its row up to the middle, the
+/// leading lanes of its half too, since they run down from the middle. A
+/// delta is relative to the absolute `u32` row kept, every
+/// [`SUPERBLOCK_RATE`] blocks, behind the last block in the same buffer.
+/// The spacing depends on the step width
+/// ([`crate::layout::k_occ_sample_rate`]), and so is kept at run time.
+/// The owning table writes the lanes in, each the number of the counter
+/// it bumps, has the checkpoints counted off them, and reads them back
+/// through the kernel.
+///
+/// A text that ends in a block's lower half leaves the rest of that half
+/// zero lanes. The block's checkpoint counts them as the code 0 they
+/// read as, so that a scan of the half, which counts them too, takes
+/// them off again; [`BlockStore::zeroed`] refuses a length whose padded
+/// counts could outgrow `u32`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockStore {
+    /// The blocks, then the absolute superblock rows, one `lanes`-word
+    /// group per [`SUPERBLOCK_RATE`] blocks: one buffer, so the rows sit
+    /// on the blocks' huge pages.
     data: AlignedWords,
-    /// Absolute checkpoint rows, one `lanes`-word group per
-    /// [`SUPERBLOCK_RATE`] blocks.
-    superblocks: AlignedWords,
     /// Counters per checkpoint row.
     lanes: usize,
     /// Words per block, line-rounded.
     block_words: usize,
-    /// Where a block's code lanes lie: right behind its delta row.
+    /// First word of the superblock rows: the blocks' words.
+    superblocks: usize,
+    /// Where a block's two halves of code lanes lie.
     span: CodeSpan,
     /// Rows covered.
     len: usize,
-    sample_rate: Divisor,
+    /// Rows per half-block: half the checkpoint spacing.
+    half: Divisor,
 }
 
 impl BlockStore {
@@ -446,58 +488,71 @@ impl BlockStore {
     ///
     /// # Errors
     ///
-    /// [`IndexError::IndexTooLarge`] if `len` rows outgrow `u32` counters.
+    /// [`IndexError::IndexTooLarge`] if `len` rows, with the last
+    /// block's half-block of pad lanes, outgrow `u32` counters.
     ///
     /// # Panics
     ///
-    /// Panics if `sample_rate == 0`. The layout's spacings are proven
+    /// Panics if `sample_rate` is zero, not a multiple of four (the
+    /// delta row, behind the lower half's lanes, is `u16`-aligned) or
+    /// wider than the widest step's. The layout's spacings are proven
     /// narrow enough for the deltas at compile time ([`crate::layout`]).
     pub(crate) fn zeroed(
         lanes: usize,
         sample_rate: usize,
         len: usize,
     ) -> Result<BlockStore, IndexError> {
-        assert!(sample_rate > 0, "sample rate must be positive");
-        IndexError::check_rows(len)?;
-        let blocks = len / sample_rate + 1;
-        let delta_bytes = lanes * 2;
-        let block_words = (delta_bytes + sample_rate)
-            .div_ceil(4)
-            .next_multiple_of(WORDS_PER_LINE);
+        assert!(
+            sample_rate > 0 && sample_rate % 4 == 0 && sample_rate <= k_occ_sample_rate(MAX_STEP),
+            "sample rate must be a positive multiple of four, at most the widest step's"
+        );
+        let half = sample_rate / 2;
+        IndexError::check_rows(len.saturating_add(half))
+            .map_err(|_| IndexError::IndexTooLarge { rows: len })?;
+        let blocks = len.div_ceil(sample_rate);
+        let span = CodeSpan::new(half, lanes * 2);
+        let block_words = span.block_lines * WORDS_PER_LINE;
+        let superblocks = blocks * block_words;
+        let rows = blocks.div_ceil(SUPERBLOCK_RATE) * lanes;
         Ok(BlockStore {
-            data: AlignedWords::zeroed(blocks * block_words),
-            superblocks: AlignedWords::zeroed(blocks.div_ceil(SUPERBLOCK_RATE) * lanes),
+            data: AlignedWords::zeroed(superblocks + rows),
             lanes,
             block_words,
-            span: CodeSpan::new(block_words, delta_bytes, sample_rate),
+            superblocks,
+            span,
             len,
-            sample_rate: Divisor::new(sample_rate),
+            half: Divisor::new(half),
         })
     }
 
-    /// Sets every block's checkpoints from the lanes already written, in
-    /// one pass over the blocks: block by block, the checkpoint row for
-    /// the block's first row — the counts so far — then the block's lanes
-    /// counted, each lane the counter it bumps. Returns the counters'
-    /// totals over all rows.
+    /// Sets every block's checkpoint from the lanes already written, in
+    /// one pass over the half-blocks: the counts of the rows before each
+    /// block's middle — with the pad lanes of a lower half the text ends
+    /// in counted as code 0 — as the lower half is passed. Returns the
+    /// counters' totals over all rows, pads not included.
     ///
     /// # Panics
     ///
     /// Panics if a lane is `lanes` or more.
     pub(crate) fn count_checkpoints(&mut self) -> Vec<u32> {
         let mut running = vec![0u32; self.lanes];
-        let rate = self.sample_rate.divisor;
-        for block in 0..=self.len / rate {
-            self.set_checkpoints(block, &running);
-            for &lane in self.byte_lanes(block, rate.min(self.len - block * rate)) {
+        for half in 0..self.len.div_ceil(self.half.divisor) {
+            let run = self.run(half);
+            for &lane in run {
                 running[usize::from(lane)] += 1;
+            }
+            if half % 2 == 0 {
+                let pads = (self.half.divisor - run.len()) as u32;
+                running[0] += pads;
+                self.set_checkpoints(half / 2, &running);
+                running[0] -= pads;
             }
         }
         running
     }
 
     /// Writes `codes` into the lanes of rows `first .. first + codes.len()`,
-    /// a block's run at a time.
+    /// a half-block's run at a time.
     ///
     /// # Panics
     ///
@@ -506,10 +561,19 @@ impl BlockStore {
         assert!(first + codes.len() <= self.len, "lanes past the store");
         let (mut row, mut codes) = (first, codes);
         while !codes.is_empty() {
-            let (block, offset) = self.split(row);
-            let take = (self.sample_rate.divisor - offset).min(codes.len());
-            let base = self.code_base(block) + offset;
-            self.data.bytes_mut()[base..base + take].copy_from_slice(&codes[..take]);
+            let (half, offset) = self.split(row);
+            let take = (self.half.divisor - offset).min(codes.len());
+            let base = self.code_base(half);
+            if half % 2 == 0 {
+                // The lower half's lanes run down from the middle.
+                let end = base + self.half.divisor - offset;
+                let lanes = &mut self.data.bytes_mut()[end - take..end];
+                lanes.copy_from_slice(&codes[..take]);
+                lanes.reverse();
+            } else {
+                let lanes = &mut self.data.bytes_mut()[base + offset..base + offset + take];
+                lanes.copy_from_slice(&codes[..take]);
+            }
             (row, codes) = (row + take, &codes[take..]);
         }
     }
@@ -526,25 +590,44 @@ impl BlockStore {
         self.lanes
     }
 
-    /// The block holding `row` and the row's offset into it.
+    /// The half-block holding `row` — block `half / 2`, its upper half if
+    /// `half` is odd — and the row's offset into it.
     #[inline]
     pub(crate) fn split(&self, row: usize) -> (usize, usize) {
-        self.sample_rate.div_rem(row)
+        self.half.div_rem(row)
+    }
+
+    /// How many leading lanes of half-block `half` hold the rows between
+    /// its block's middle and the row `offset` rows into it: `offset` in
+    /// an upper half, the half's rows less `offset` in a lower one, whose
+    /// lanes run down from the middle. Arithmetic, not a branch.
+    #[inline]
+    pub(crate) fn reach(&self, half: usize, offset: usize) -> usize {
+        let lower = (half & 1) ^ 1;
+        let flip = self.half.divisor.wrapping_sub(2 * offset);
+        offset.wrapping_add(lower * flip)
     }
 
     /// Index of the absolute superblock counter `block`'s checkpoint is
-    /// relative to.
+    /// relative to: the superblock rows follow the last block.
     #[inline]
     fn superblock_word(&self, block: usize, lane: usize) -> usize {
-        block / SUPERBLOCK_RATE * self.lanes + lane
+        self.superblocks + block / SUPERBLOCK_RATE * self.lanes + lane
     }
 
-    /// The absolute count of counter `lane` at `block`'s checkpoint:
-    /// superblock word plus delta.
+    /// Index of counter `lane`'s `u16` delta in `block`: the delta row
+    /// follows the lower half's code lanes.
+    #[inline]
+    fn delta_lane(&self, block: usize, lane: usize) -> usize {
+        (block * self.block_words * 4 + self.half.divisor) / 2 + lane
+    }
+
+    /// The absolute count of counter `lane` at `block`'s checkpoint, the
+    /// rows before its middle: superblock word plus delta.
     #[inline]
     pub(crate) fn checkpoint(&self, block: usize, lane: usize) -> u32 {
-        self.superblocks.words()[self.superblock_word(block, lane)]
-            + u32::from(self.data.halves()[block * self.block_words * 2 + lane])
+        self.data.words()[self.superblock_word(block, lane)]
+            + u32::from(self.data.halves()[self.delta_lane(block, lane)])
     }
 
     /// Sets the checkpoints of `block` to the absolute `counts`: the
@@ -553,48 +636,48 @@ impl BlockStore {
     /// place before any delta is taken from it.
     fn set_checkpoints(&mut self, block: usize, counts: &[u32]) {
         let row = self.superblock_word(block, 0);
-        let row = &mut self.superblocks.words_mut()[row..row + counts.len()];
         if block % SUPERBLOCK_RATE == 0 {
-            row.copy_from_slice(counts);
+            self.data.words_mut()[row..row + counts.len()].copy_from_slice(counts);
         }
-        let at = block * self.block_words * 2;
-        let deltas = &mut self.data.halves_mut()[at..at + counts.len()];
-        for ((delta, &now), &at_group) in deltas.iter_mut().zip(counts).zip(&*row) {
-            *delta = u16::try_from(now - at_group).expect("the span rule bounds every delta");
+        let at = self.delta_lane(block, 0);
+        for (lane, &now) in counts.iter().enumerate() {
+            let delta = now - self.data.words()[row + lane];
+            self.data.halves_mut()[at + lane] =
+                u16::try_from(delta).expect("the span rule bounds every delta");
         }
     }
 
-    /// The cache lines holding `block`'s code lanes.
+    /// The cache lines a scan of half-block `half` reads.
     ///
     /// # Panics
     ///
-    /// Panics if `block` lies past the store.
+    /// Panics if `half` lies past the store.
     #[inline]
-    fn code_lines(&self, block: usize) -> &[CacheLine] {
-        let first = self.span.first_line(block);
+    fn code_lines(&self, half: usize) -> &[CacheLine] {
+        let first = self.span.first_line(half);
         &self.data.lines()[first..first + self.span.lines]
     }
 
     /// For each of `offsets`, the occurrences of `needle` among that many
-    /// leading one-byte code lanes of `block` (each offset at most the
-    /// lanes a block holds), all in one pass. The kernel of every rank
-    /// over byte codes; see the module docs.
+    /// leading one-byte code lanes of half-block `half` (each offset at
+    /// most the lanes a half holds), all in one pass. The kernel of every
+    /// rank over byte codes; see the module docs.
     ///
     /// # Panics
     ///
-    /// Panics if `block` lies past the store.
+    /// Panics if `half` lies past the store.
     #[inline]
     pub(crate) fn prefix_counts<const N: usize>(
         &self,
-        block: usize,
+        half: usize,
         needle: u8,
         offsets: [usize; N],
     ) -> [u32; N] {
-        let lines = self.code_lines(block);
+        let (lines, head) = (self.code_lines(half), self.span.head(half));
         #[cfg(target_arch = "x86_64")]
-        return prefix_counts_sse2(lines, self.span.head, needle, offsets);
+        return prefix_counts_sse2(lines, head, needle, offsets);
         #[cfg(not(target_arch = "x86_64"))]
-        return prefix_counts_scalar(lanes_of::<u8>(lines), self.span.head, needle, offsets);
+        return prefix_counts_scalar(lanes_of::<u8>(lines), head, needle, offsets);
     }
 
     /// What each byte kernel by itself answers to a
@@ -604,11 +687,11 @@ impl BlockStore {
     #[cfg(test)]
     pub(crate) fn prefix_counts_by_kernel<const N: usize>(
         &self,
-        block: usize,
+        half: usize,
         needle: u8,
         offsets: [usize; N],
     ) -> Vec<(&'static str, [u32; N])> {
-        let (lines, head) = (self.code_lines(block), self.span.head);
+        let (lines, head) = (self.code_lines(half), self.span.head(half));
         vec![
             (
                 "scalar",
@@ -619,47 +702,70 @@ impl BlockStore {
         ]
     }
 
-    /// Hints the line of counter `lane`'s delta in `block`. Only a table
-    /// whose delta row outgrows the block's first code line needs it;
-    /// [`BlockStore::prefetch_block`] reaches that line anyway. Never
-    /// faults.
+    /// Hints the line of counter `lane`'s delta in `block`. Never faults.
     #[inline]
     pub(crate) fn prefetch_delta(&self, block: usize, lane: usize) {
-        self.data.prefetch(block * self.block_words + lane / 2);
+        self.data.prefetch(self.delta_lane(block, lane) / 2);
     }
 
-    /// Hints the other lines a rank of counter `lane` in `block` reads:
-    /// the superblock word its delta is relative to, and the block's whole
-    /// code region, which the kernel always reads. Never faults; a no-op
-    /// off x86-64 and for blocks past the store.
+    /// Hints the other lines a rank of counter `lane` in half-block
+    /// `half` reads: the superblock word its block's delta is relative
+    /// to, and the half's whole code region, which the kernel always
+    /// reads. Never faults; a no-op off x86-64 and for half-blocks past
+    /// the store.
     #[inline]
-    pub(crate) fn prefetch_block(&self, block: usize, lane: usize) {
-        self.superblocks.prefetch(self.superblock_word(block, lane));
-        let first = self.span.first_line(block);
+    pub(crate) fn prefetch_half(&self, half: usize, lane: usize) {
+        self.data.prefetch(self.superblock_word(half / 2, lane));
+        let first = self.span.first_line(half);
         for line in first..first + self.span.lines {
             prefetch_element(self.data.lines(), line);
         }
     }
 
-    /// Byte index of `block`'s first code lane.
+    /// Byte index of half-block `half`'s first code lane.
     #[inline]
-    fn code_base(&self, block: usize) -> usize {
-        self.span.first_line(block) * LINE_BYTES + self.span.head
+    fn code_base(&self, half: usize) -> usize {
+        self.span.first_line(half) * LINE_BYTES + self.span.head(half)
     }
 
-    /// The first `count` one-byte code lanes of `block`.
+    /// The lanes of half-block `half`'s rows (fewer than a half's in
+    /// the last one), as stored: in reverse row order in a lower half.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `half` lies past the store's rows.
     #[inline]
-    pub(crate) fn byte_lanes(&self, block: usize, count: usize) -> &[u8] {
-        let base = self.code_base(block);
-        &self.data.bytes()[base..base + count]
+    fn run(&self, half: usize) -> &[u8] {
+        let rows = self.half.divisor.min(self.len - half * self.half.divisor);
+        let mut start = self.code_base(half);
+        if half % 2 == 0 {
+            // Behind the pad lanes of a lower half the text ends in.
+            start += self.half.divisor - rows;
+        }
+        &self.data.bytes()[start..start + rows]
     }
 
-    /// Every row's one-byte code lane in row order, a block's run at a
-    /// time.
-    pub(crate) fn lane_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        let rate = self.sample_rate.divisor;
-        let runs = self.len.div_ceil(rate);
-        (0..runs).map(move |block| self.byte_lanes(block, rate.min(self.len - block * rate)))
+    /// Hands `f` every row's one-byte code lane in row order, a
+    /// half-block's run at a time — a lower half's turned around in a
+    /// buffer on the stack, so nothing is allocated — and stops at the
+    /// first error `f` returns.
+    pub(crate) fn try_for_each_run<E>(
+        &self,
+        mut f: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut turned = [0; k_occ_sample_rate(MAX_STEP) / 2];
+        for half in 0..self.len.div_ceil(self.half.divisor) {
+            let run = self.run(half);
+            if half % 2 == 0 {
+                let turned = &mut turned[..run.len()];
+                turned.copy_from_slice(run);
+                turned.reverse();
+                f(turned)?;
+            } else {
+                f(run)?;
+            }
+        }
+        Ok(())
     }
 
     /// The one-byte code lane of `row`.
@@ -670,19 +776,25 @@ impl BlockStore {
     #[inline]
     pub(crate) fn lane(&self, row: usize) -> u8 {
         assert!(row < self.len, "lane of row {row} past the store");
-        let (block, offset) = self.split(row);
-        self.data.bytes()[self.code_base(block) + offset]
+        let (half, offset) = self.split(row);
+        let lane = if half % 2 == 0 {
+            self.half.divisor - 1 - offset
+        } else {
+            offset
+        };
+        self.data.bytes()[self.code_base(half) + lane]
     }
 
     /// Heap bytes of the absolute superblock rows, of the per-block delta
     /// rows, and of the code lanes (block padding included), in that
-    /// order. Exact: they sum to the two allocations.
+    /// order. Exact: they sum to the allocation.
     pub(crate) fn heap_split(&self) -> [usize; 3] {
-        let deltas = self.data.len() / self.block_words * self.lanes * 2;
+        let block_bytes = self.superblocks * 4;
+        let deltas = self.superblocks / self.block_words * self.lanes * 2;
         [
-            self.superblocks.heap_bytes(),
+            self.data.heap_bytes() - block_bytes,
             deltas,
-            self.data.heap_bytes() - deltas,
+            block_bytes - deltas,
         ]
     }
 }
@@ -841,8 +953,8 @@ fn prefix_counts_scalar<const N: usize>(
 
 /// Division by a divisor fixed at construction, as one multiply-high
 /// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
-/// 2019): rows split into block and offset on every rank, and the
-/// checkpoint spacing, 96k rows, is not a power of two.
+/// 2019): rows split into half-block and offset on every rank, and a
+/// half-block, 96k rows, is not a power of two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Divisor {
     divisor: usize,
@@ -1051,63 +1163,65 @@ mod tests {
         buf
     }
 
-    /// A store over `buf` as it is: blocks of `block_lines` lines whose
-    /// code lanes start `header` bytes in and run for `codes` bytes.
-    fn store_over(
-        buf: AlignedWords,
-        block_lines: usize,
-        header: usize,
-        codes: usize,
-    ) -> BlockStore {
-        let block_words = block_lines * WORDS_PER_LINE;
+    /// A store over `buf` as it is: blocks of `half` code lanes,
+    /// `delta_bytes` of counters and `half` more code lanes.
+    fn store_over(buf: AlignedWords, half: usize, delta_bytes: usize) -> BlockStore {
+        let span = CodeSpan::new(half, delta_bytes);
         BlockStore {
             data: buf,
-            superblocks: AlignedWords::zeroed(0),
             lanes: 0,
-            block_words,
-            span: CodeSpan::new(block_words, header, codes),
+            block_words: span.block_lines * WORDS_PER_LINE,
+            superblocks: 0,
+            span,
             len: 0,
-            sample_rate: Divisor::new(1),
+            half: Divisor::new(half),
         }
     }
 
     /// Holds both kernels to a plain scan of `lane == needle` on bytes
-    /// that carry `flags` above small codes: blocks of 1..=5 lines whose
-    /// code lanes start anywhere in the first line (the counter bytes
-    /// before them — noise too — must never count), every pair of offsets
-    /// up to the block's end, so flagged bytes fall inside and outside
-    /// every counted prefix.
+    /// that carry `flags` above small codes: both halves of blocks whose
+    /// lower half ends anywhere in a line and whose upper half starts
+    /// anywhere in one (the counter bytes between them — noise too — must
+    /// never count), every pair of offsets up to the half's end, so
+    /// flagged bytes fall inside and outside every counted prefix.
     fn kernels_count_like_a_plain_scan(flags: u8) {
-        for (block_lines, header) in [(1, 0), (1, 10), (1, 20), (2, 18), (4, 0), (5, 63), (3, 130)]
-        {
-            let span = block_lines * LINE_BYTES - header;
-            let buf = noisy_buffer(3 * block_lines, flags);
-            let store = store_over(buf, block_lines, header, span);
-            for block in 0..3 {
-                let codes = store.byte_lanes(block, span);
+        for (half, delta_bytes) in [
+            (64, 0),
+            (30, 10),
+            (30, 33),
+            (96, 8),
+            (100, 63),
+            (50, 150),
+            (192, 32),
+            (288, 128),
+            (384, 512),
+        ] {
+            let span = CodeSpan::new(half, delta_bytes);
+            let store = store_over(noisy_buffer(3 * span.block_lines, flags), half, delta_bytes);
+            for h in 0..6 {
+                let base = store.code_base(h);
+                let codes = &store.data.bytes()[base..base + half];
                 for needle in [0u8, 3] {
                     let scan =
                         |n: usize| codes[..n].iter().filter(|&&c| c == needle).count() as u32;
-                    for lo in (0..=span).step_by(7).chain([span]) {
-                        for hi in (lo..=span).step_by(5).chain([span]) {
+                    for lo in (0..=half).step_by(7).chain([half]) {
+                        for hi in (lo..=half).step_by(5).chain([half]) {
                             let expect = [scan(lo), scan(hi)];
-                            assert_eq!(store.prefix_counts(block, needle, [lo, hi]), expect);
-                            for (kernel, got) in
-                                store.prefix_counts_by_kernel(block, needle, [lo, hi])
+                            assert_eq!(store.prefix_counts(h, needle, [lo, hi]), expect);
+                            for (kernel, got) in store.prefix_counts_by_kernel(h, needle, [lo, hi])
                             {
                                 assert_eq!(
                                     got, expect,
-                                    "{kernel}: flags {flags:#x}, {block_lines} \
-                                     lines, header {header}, block {block}, needle {needle}, \
+                                    "{kernel}: flags {flags:#x}, half {half}, deltas \
+                                     {delta_bytes}, half-block {h}, needle {needle}, \
                                      offsets {lo}..{hi}"
                                 );
                             }
                         }
                     }
                     // One offset alone, at every lane.
-                    for offset in 0..=span {
-                        for (kernel, got) in store.prefix_counts_by_kernel(block, needle, [offset])
-                        {
+                    for offset in 0..=half {
+                        for (kernel, got) in store.prefix_counts_by_kernel(h, needle, [offset]) {
                             assert_eq!(
                                 got,
                                 [scan(offset)],
@@ -1130,9 +1244,37 @@ mod tests {
 
     #[test]
     fn prefetching_a_span_tolerates_any_block() {
-        let store = store_over(noisy_buffer(8, 0), 4, 70, 150);
-        for block in [0, 1, 2, u32::MAX as usize] {
-            store.prefetch_block(block, 0); // must not fault
+        let store = store_over(noisy_buffer(8, 0), 150, 70);
+        for half in [0, 1, 2, 3, u32::MAX as usize] {
+            store.prefetch_half(half, 0); // must not fault
+            store.prefetch_delta(half / 2, 0);
+        }
+    }
+
+    #[test]
+    fn a_length_whose_padded_counts_outgrow_u32_is_refused() {
+        // A text that ends in a block's lower half leaves up to half a
+        // block less one of pad lanes, which that block's checkpoint
+        // counts: the largest length a store takes is the one whose
+        // padded count still passes `IndexError::check_rows`. Checked on
+        // the arithmetic alone; a refused length allocates nothing.
+        for rate in [4, k_occ_sample_rate(1), k_occ_sample_rate(MAX_STEP)] {
+            let half = rate / 2;
+            let largest = u32::MAX as usize - 1 - half;
+            assert!(IndexError::check_rows(largest + half).is_ok());
+            assert!(IndexError::check_rows(largest + half + 1).is_err());
+            for len in [
+                largest + 1,
+                u32::MAX as usize - 1,
+                u32::MAX as usize,
+                usize::MAX,
+            ] {
+                assert_eq!(
+                    BlockStore::zeroed(256, rate, len).unwrap_err(),
+                    IndexError::IndexTooLarge { rows: len },
+                    "rate {rate}, length {len}"
+                );
+            }
         }
     }
 
@@ -1175,12 +1317,6 @@ mod tests {
                 assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "inside a line-rounded block")]
-    fn a_span_past_its_block_is_refused() {
-        let _ = CodeSpan::new(WORDS_PER_LINE, 20, 45);
     }
 
     #[test]

@@ -10,20 +10,23 @@
 //! [`MAX_STEP`] = 4, so every other code is one byte in the table and the
 //! C-array over the expanded alphabet is at most 256 words (1 KiB).
 //!
-//! Rank is checkpointed every `96k` rows
+//! Rank is checkpointed once every `192k` rows
 //! ([`crate::layout::k_occ_sample_rate`]) inside cache-line-aligned
 //! interleaved blocks (see [`crate::interleave`]): block `b` packs the
-//! checkpoint row for prefix `b * 96k` together with the `96k` codes it
-//! covers, so one `rank` touches one contiguous block. Absolute `u32`
-//! checkpoint rows would dominate memory at k = 4 — 1 KiB of counters
-//! ahead of every few hundred bytes of codes — so rows are stored
+//! checkpoint row for its middle row, prefix `b * 192k + 96k`, between
+//! the `96k` codes of its lower half and the `96k` of its upper half, so
+//! one `rank` touches one contiguous half-block and its checkpoint.
+//! Absolute `u32` checkpoint rows would dominate memory at k = 4 — 1 KiB
+//! of counters for every few hundred bytes of codes — so rows are stored
 //! *two-level*: sparse absolute `u32` *superblock* rows every
-//! [`crate::layout::SUPERBLOCK_RATE`] blocks live in a separate (small)
-//! array, and each block keeps only `u16` deltas relative to its
-//! superblock. A rank reads the superblock word, the
-//! delta lane and the block's code lanes, always forward from the block's
-//! own checkpoint and always all of them: the branch-free kernel of
-//! [`crate::interleave`] has a fixed trip count.
+//! [`crate::layout::SUPERBLOCK_RATE`] blocks live behind the last block,
+//! and each block keeps only `u16` deltas relative to its superblock. A
+//! rank reads the superblock word, the delta lane and the code lanes of
+//! the half its row lies in, always all of them: the branch-free kernel
+//! of [`crate::interleave`] has a fixed trip count. An upper-half rank
+//! adds the matches from the middle up to the row, a lower-half rank
+//! subtracts those from the row up to the middle; the lower half's lanes
+//! run down from the middle, so both count a prefix of their half.
 //! [`KmerOccTable::prefetch_rank`] hints exactly those lines.
 
 use crate::interleave::BlockStore;
@@ -35,17 +38,19 @@ use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError};
 /// Codes are `0 .. stride` (k-mer lexicographic ranks, `stride` = `4^k`);
 /// the marker rows hold no code.
 ///
-/// With `rate` = `96k`, block `b` covers code positions `b * rate ..` and
-/// lays out, in bytes:
+/// With `rate` = `192k`, block `b` covers code positions `b * rate ..`
+/// and lays out, in bytes:
 ///
 /// ```text
-/// [ stride u16 delta counters | rate codes | pad ]
+/// [ rate/2 codes, last row first | stride u16 delta counters | rate/2 codes | pad ]
 /// ```
 ///
-/// padded so every block starts on a 64-byte cache-line boundary. Code
-/// lanes are one byte: `k` is at most [`MAX_STEP`] = 4, so every k-mer
-/// code is below 256. Absolute rows live in a separate superblock array,
-/// one `stride`-word row per [`crate::layout::SUPERBLOCK_RATE`] blocks.
+/// padded so every block starts on a 64-byte cache-line boundary; the
+/// counters are those of the rows before the block's middle row,
+/// `b * rate + rate/2`. Code lanes are one byte: `k` is at most
+/// [`MAX_STEP`] = 4, so every k-mer code is below 256. Absolute rows live
+/// behind the last block, one `stride`-word row per
+/// [`crate::layout::SUPERBLOCK_RATE`] blocks.
 ///
 /// A marker row's lane holds a placeholder `0`: the table counts it like
 /// a real zero internally and subtracts the marker rows below `i` from
@@ -152,22 +157,27 @@ impl KmerOccTable {
         &self.markers
     }
 
-    /// Every row's code in row order, a block's run at a time, with the
-    /// placeholder `0` at the marker rows: the stream the table was built
-    /// from.
-    pub(crate) fn code_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.store.lane_runs()
+    /// Hands `f` every row's code in row order, a half-block's run at a
+    /// time, with the placeholder `0` at the marker rows — the stream the
+    /// table was built from — and stops at the first error `f` returns.
+    pub(crate) fn try_for_each_code_run<E>(
+        &self,
+        f: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.store.try_for_each_run(f)
     }
 
-    /// For each of `offsets`, the physical count of code `r` in rows
-    /// `0 .. block * 96k + offset`: `block`'s checkpoint plus one
-    /// pass of the rank kernel over its code lanes.
+    /// The physical counts of code `r` in the rows before each of the
+    /// rows whose `counts` the kernel took in half-block `half` — the
+    /// matches between the block's middle and the row: the checkpoint at
+    /// the middle plus them in an upper half, less them in a lower one.
+    /// Which half is arithmetic, not a branch.
     #[inline]
-    fn block_ranks<const N: usize>(&self, block: usize, r: u16, offsets: [usize; N]) -> [u32; N] {
-        // r < stride <= 256: a code is one byte lane.
-        let below = self.store.prefix_counts(block, r as u8, offsets);
-        let checkpoint = self.store.checkpoint(block, r as usize);
-        below.map(|count| checkpoint + count)
+    fn around_middle<const N: usize>(&self, half: usize, r: u16, counts: [u32; N]) -> [u32; N] {
+        let checkpoint = self.store.checkpoint(half / 2, r as usize);
+        // All ones in a lower half: `count ^ minus - minus` is `-count`.
+        let minus = 0u32.wrapping_sub(((half & 1) ^ 1) as u32);
+        counts.map(|count| checkpoint.wrapping_add((count ^ minus).wrapping_sub(minus)))
     }
 
     /// Corrects a physical count (which treats placeholder lanes as code
@@ -182,7 +192,8 @@ impl KmerOccTable {
     }
 
     /// `Occ_k(r, i)`: occurrences of k-mer code `r` in rows `0..i`
-    /// (exclusive of `i`), counted forward from the block's checkpoint.
+    /// (exclusive of `i`), counted from the checkpoint at the middle of
+    /// the row's block over the half the row lies in.
     ///
     /// # Panics
     ///
@@ -197,15 +208,19 @@ impl KmerOccTable {
         if i == 0 {
             return 0; // every search's first `lo`
         }
-        let (block, offset) = self.store.split(i);
-        let [physical] = self.block_ranks(block, r, [offset]);
+        let (half, offset) = self.store.split(i);
+        let reach = self.store.reach(half, offset);
+        // r < stride <= 256: a code is one byte lane.
+        let counts = self.store.prefix_counts(half, r as u8, [reach]);
+        let [physical] = self.around_middle(half, r, counts);
         self.corrected(physical, r, i)
     }
 
     /// `(rank(r, lo), rank(r, hi))` in one pass: when both positions fall
-    /// in the same block — the common case once a backward search has
-    /// narrowed its interval below a block's `96k` rows — one run of the kernel
-    /// over the block answers both.
+    /// in the same half-block — the common case once a backward search
+    /// has narrowed its interval below a half-block's `96k` rows — one
+    /// run of the kernel over the half answers both; ends in two halves,
+    /// across a block's middle or edge, take one run each.
     ///
     /// # Panics
     ///
@@ -216,32 +231,35 @@ impl KmerOccTable {
         if hi >= self.len() {
             return (self.rank(r, lo), self.rank(r, hi));
         }
-        let (block, offset_lo) = self.store.split(lo);
-        let (block_hi, offset_hi) = self.store.split(hi);
-        if block != block_hi {
+        let (half, offset_lo) = self.store.split(lo);
+        let (half_hi, offset_hi) = self.store.split(hi);
+        if half != half_hi {
             return (self.rank(r, lo), self.rank(r, hi));
         }
         assert!((r as usize) < self.stride(), "code {r} out of alphabet");
-        let [at_lo, at_hi] = self.block_ranks(block, r, [offset_lo, offset_hi]);
+        let reaches = [offset_lo, offset_hi].map(|offset| self.store.reach(half, offset));
+        let counts = self.store.prefix_counts(half, r as u8, reaches);
+        let [at_lo, at_hi] = self.around_middle(half, r, counts);
         (self.corrected(at_lo, r, lo), self.corrected(at_hi, r, hi))
     }
 
     /// Hints the CPU to pull every line a later `rank(r, i)` will read
     /// toward L1: the line of its delta counter, the superblock word it
-    /// is relative to, and all of the block's code lines. Never faults; a
-    /// no-op off x86-64 and for the `i == len` totals fast path.
+    /// is relative to, and all of the code lines of the half-block the
+    /// row lies in. Never faults; a no-op off x86-64 and for the
+    /// `i == len` totals fast path.
     #[inline]
     pub fn prefetch_rank(&self, r: u16, i: usize) {
         if i < self.len() {
-            let (block, lane) = (self.store.split(i).0, (r as usize).min(self.stride() - 1));
-            self.store.prefetch_delta(block, lane);
-            self.store.prefetch_block(block, lane);
+            let (half, lane) = (self.store.split(i).0, (r as usize).min(self.stride() - 1));
+            self.store.prefetch_delta(half / 2, lane);
+            self.store.prefetch_half(half, lane);
         }
     }
 
     /// [`KmerOccTable::prefetch_rank`] for both ends of an interval, as
-    /// later consumed by a `rank_pair(r, lo, hi)`: one block's lines when
-    /// the ends share it, two blocks' otherwise.
+    /// later consumed by a `rank_pair(r, lo, hi)`: one half-block's lines
+    /// when the ends share it, two halves' otherwise.
     #[inline]
     pub fn prefetch_rank_pair(&self, r: u16, lo: usize, hi: usize) {
         self.prefetch_rank(r, lo);
@@ -357,62 +375,130 @@ mod tests {
         }
     }
 
-    /// The rank of `r` at `offset` lanes into `block`, once per byte
-    /// kernel, each called directly.
-    fn ranks_by_kernel(
-        occ: &KmerOccTable,
-        k: usize,
-        block: usize,
-        r: u16,
-        offset: usize,
-    ) -> Vec<(&'static str, u32)> {
-        let row = block * k_occ_sample_rate(k) + offset;
-        let checkpoint = occ.store.checkpoint(block, r as usize);
+    /// The rank of `r` at `row`, once per byte kernel, each called
+    /// directly.
+    fn ranks_by_kernel(occ: &KmerOccTable, r: u16, row: usize) -> Vec<(&'static str, u32)> {
+        let (half, offset) = occ.store.split(row);
+        let reach = occ.store.reach(half, offset);
         occ.store
-            .prefix_counts_by_kernel(block, r as u8, [offset])
+            .prefix_counts_by_kernel(half, r as u8, [reach])
             .into_iter()
-            .map(|(kernel, [below])| (kernel, occ.corrected(checkpoint + below, r, row)))
+            .map(|(kernel, counts)| {
+                let [physical] = occ.around_middle(half, r, counts);
+                (kernel, occ.corrected(physical, r, row))
+            })
             .collect()
     }
 
     #[test]
     fn every_kernel_matches_naive_at_every_offset_of_every_block() {
         // Both byte kernels, called directly: every offset of every
-        // block (the last one short, its zero padding lanes never counted
-        // for code 0) at the one-byte widths — code regions of two to six
-        // lines, unaligned behind 8-, 32- and 128-byte delta rows and
-        // aligned behind k = 4's 512 — and the placeholder lanes of the
-        // marker rows.
+        // half-block (the last one short, its zero padding lanes never
+        // counted for code 0) at the one-byte widths — halves of two to
+        // six lines, the upper one unaligned behind 8-, 32- and 128-byte
+        // delta rows and aligned behind k = 4's 512 — and the placeholder
+        // lanes of the marker rows.
         for k in 1..=4 {
             let stride = 1usize << (2 * k);
-            let rate = k_occ_sample_rate(k);
+            let half_rows = k_occ_sample_rate(k) / 2;
             // At k = 4 a code uses all eight bits of its lane: every
             // other row's code differs from a low one only in bit 7, the
             // bit the 1-step table's readers mask off, so a mask that
             // leaked into this table's kernel would merge the two.
             let codes: Vec<Option<u8>> = if k == 4 {
-                (0..1100)
+                (0..2100)
                     .map(|i| (i % 151 != 3).then_some(((i * 31 + i / 7) % 3 + (i % 2) * 128) as u8))
                     .collect()
             } else {
-                fixture(1100, k)
+                fixture(2100, k)
             };
             let occ = table(&codes, k);
             // 130 is 2 with bit 7 set (a no-op repeat of the last code
             // on the small strides).
             for r in [0, 2, 130.min(stride - 1), stride - 1].map(|r| r as u16) {
                 let ranks = naive_kranks(&codes, r);
-                for block in 0..=codes.len() / rate {
-                    let covered = rate.min(codes.len() - block * rate);
+                for half in 0..codes.len().div_ceil(half_rows) {
+                    let covered = half_rows.min(codes.len() - half * half_rows);
                     for offset in 0..=covered {
-                        let expect = ranks[block * rate + offset];
-                        for (kernel, got) in ranks_by_kernel(&occ, k, block, r, offset) {
+                        let expect = ranks[half * half_rows + offset];
+                        for (kernel, got) in ranks_by_kernel(&occ, r, half * half_rows + offset) {
                             assert_eq!(
                                 got, expect,
-                                "{kernel}: k {k}, code {r}, block {block}, offset {offset}"
+                                "{kernel}: k {k}, code {r}, half-block {half}, offset {offset}"
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Holds `rank` at each of `rows` and `rank_pair` over every ordered
+    /// pair of them to the naive scan over `codes`, for code 0 and the
+    /// other codes worth checking, and each byte kernel, called directly,
+    /// to it at every row below the end.
+    fn ranks_like_naive_at(codes: &[Option<u8>], k: usize, rows: &[usize]) {
+        let occ = table(codes, k);
+        for r in probe_codes(k) {
+            let ranks = naive_kranks(codes, r);
+            for &i in rows {
+                assert_eq!(occ.rank(r, i), ranks[i], "k {k}, code {r}, row {i}");
+                if i < codes.len() {
+                    for (kernel, got) in ranks_by_kernel(&occ, r, i) {
+                        assert_eq!(got, ranks[i], "{kernel}: k {k}, code {r}, row {i}");
+                    }
+                }
+                for &j in rows.iter().filter(|&&j| j >= i) {
+                    assert_eq!(
+                        occ.rank_pair(r, i, j),
+                        (ranks[i], ranks[j]),
+                        "k {k}, code {r}, interval {i}..{j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_at_and_across_every_middle_row_match_naive() {
+        // Two rows either side of every block's middle, where a rank
+        // turns from subtracting the lower half's matches to adding the
+        // upper half's, and every pair of them: within one half, across
+        // a middle and across block edges. At k <= 3 the upper half starts
+        // mid-line behind the delta row.
+        for k in 1..=MAX_STEP {
+            let rate = k_occ_sample_rate(k);
+            let codes = fixture(3 * rate + rate / 2 + 9, k);
+            let rows: Vec<usize> = (0..codes.len())
+                .step_by(rate)
+                .flat_map(|start| start + rate / 2 - 2..=start + rate / 2 + 2)
+                .collect();
+            ranks_like_naive_at(&codes, k, &rows);
+        }
+    }
+
+    #[test]
+    fn a_table_ending_just_into_a_lower_half_ranks_like_naive() {
+        // The last block's checkpoint counts the zero pad lanes of its
+        // lower half as code 0, and a scan of the half takes them off
+        // again: tables that end one row into a lower half, and five rows
+        // in with code 0 and marker rows among them, probed around the
+        // middles and edges of the blocks and at every row of the last.
+        for k in 1..=MAX_STEP {
+            let rate = k_occ_sample_rate(k);
+            let mid = rate / 2;
+            for blocks in 1..=2 {
+                for tail in [&[Some(0)][..], &[Some(0), None, Some(0), None, Some(1)]] {
+                    let mut codes = fixture(blocks * rate, k);
+                    codes.extend_from_slice(tail);
+                    let mut rows: Vec<usize> = [mid - 1, mid, mid + 1, rate - 1, rate]
+                        .into_iter()
+                        .flat_map(|i| [i, (blocks - 1) * rate + i])
+                        .chain(blocks * rate..=codes.len())
+                        .collect();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    ranks_like_naive_at(&codes, k, &rows);
                 }
             }
         }
@@ -459,7 +545,11 @@ mod tests {
             for (i, &c) in codes.iter().enumerate() {
                 assert_eq!(occ.code(i), c, "k {k}, position {i}");
             }
-            let stream: Vec<u8> = occ.code_runs().flatten().copied().collect();
+            let mut stream = Vec::new();
+            let Ok(()) = occ.try_for_each_code_run(|run| {
+                stream.extend_from_slice(run);
+                Ok::<_, std::convert::Infallible>(())
+            });
             let lanes: Vec<u8> = codes.iter().map(|c| c.unwrap_or(0)).collect();
             assert_eq!(stream, lanes, "k {k}");
         }
@@ -479,9 +569,9 @@ mod tests {
     #[test]
     fn stride_256_markers_round_trip_and_never_count() {
         // Placeholder-0 lanes, corrected ranks, at the full one-byte
-        // alphabet. Past the first superblock boundary (16 blocks of 384
+        // alphabet. Past the first superblock boundary (16 blocks of 768
         // rows).
-        let codes: Vec<Option<u8>> = (0..6500)
+        let codes: Vec<Option<u8>> = (0..12_500)
             .map(|i| (i % 151 != 3).then_some((i * 31 % 256) as u8))
             .collect();
         let occ = table(&codes, 4);
@@ -494,7 +584,7 @@ mod tests {
             for (i, &rank) in ranks.iter().enumerate() {
                 assert_eq!(occ.rank(r, i), rank, "code {r}, prefix {i}");
             }
-            for lo in (0..codes.len()).step_by(41) {
+            for lo in (0..codes.len()).step_by(83) {
                 for hi in (lo..=codes.len()).step_by(13) {
                     assert_eq!(
                         occ.rank_pair(r, lo, hi),
@@ -529,16 +619,17 @@ mod tests {
     fn tighter_superblocks_absorb_the_same_overflow() {
         // A run of one code longer than a u16 delta counts. Without
         // superblocks the deltas of its last blocks would overflow; every
-        // 16 blocks of 96 rows (k = 1) the absolute row resets them, so
-        // none exceeds 15 x 96.
+        // 16 blocks of 192 rows (k = 1) the absolute row resets them, so
+        // none exceeds 15 x 192.
         let mut codes = vec![Some(0u8); 70_000];
         codes.extend([Some(1), None, Some(1), Some(1)]);
         let occ = table(&codes, 1);
-        let rate = k_occ_sample_rate(1);
-        // Around every block boundary, hence every superblock boundary.
+        let half = k_occ_sample_rate(1) / 2;
+        // Around every block boundary, hence every superblock boundary,
+        // and every block's middle.
         let mut zeros = 0;
         for (i, &c) in codes.iter().enumerate() {
-            if i % rate <= 1 || i % rate == rate - 1 {
+            if i % half <= 1 || i % half == half - 1 {
                 assert_eq!(occ.rank(0, i), zeros, "prefix {i}");
                 assert_eq!(
                     occ.rank_pair(0, i, i + 1).1,
@@ -565,17 +656,18 @@ mod tests {
 
     #[test]
     fn heap_breakdown_is_exact() {
-        // k = 1, 2000 codes: 2000 / 96 + 1 = 21 blocks of 8 delta bytes
-        // and 96 code bytes, each rounded to two lines; two superblock
-        // groups of 4 words round to one 64-byte line; totals is 4 words,
-        // and the side list a word a marker row.
+        // k = 1, 2000 codes: ⌈2000 / 192⌉ = 11 blocks of 96 code bytes,
+        // 8 delta bytes and 96 more code bytes, each rounded to four
+        // lines; one superblock group of 4 words behind them rounds the
+        // buffer up by one 64-byte line; totals is 4 words, and the side
+        // list a word a marker row.
         let codes = fixture(2000, 1);
         let markers = codes.iter().filter(|c| c.is_none()).count();
         let occ = table(&codes, 1);
         let heap = occ.heap_breakdown();
         assert_eq!(heap.k_occ_checkpoints, 64);
-        assert_eq!(heap.k_occ_deltas, 21 * 8);
-        assert_eq!(heap.k_occ_codes, 21 * 128 - 21 * 8 + 4 * 4);
+        assert_eq!(heap.k_occ_deltas, 11 * 8);
+        assert_eq!(heap.k_occ_codes, 11 * 256 - 11 * 8 + 4 * 4);
         assert_eq!(heap.other, 4 * markers);
         assert_eq!(heap.total(), occ.heap_bytes());
     }

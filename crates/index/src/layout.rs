@@ -85,32 +85,32 @@ pub const OCC_SAMPLE_RATE: usize = 128;
 pub const SA_SAMPLE_RATE: usize = 11;
 
 /// Checkpoint spacing of the k-mer occurrence table at step width `k`:
-/// `96k` rows, set by a byte rule — the smallest unpadded spacing at
-/// which the table, the 2-bit text and the K-mer lookup table a
-/// [`crate::KStepFmIndex`] keeps beside it take no more heap than the
-/// table and the text alone did at the `80k` rows this replaced. At k = 4
-/// a block is 512 B of deltas and one code byte a row; 320, 384 and 448
-/// rows are the spacings near here that fill whole cache lines (13, 14
-/// and 15), and 384 is the smallest past 320, which cannot pay for the
-/// lookup at all: on the 20 Mbp picea index
-/// the deltas fall from 32.0 to 26.67 MB and the superblock rows from
-/// 4.00 to 3.33, against 4.19 MB of lookup table (the index: 96.19 →
-/// 94.39 MB). The price is a sixth code line for every k-step to read;
-/// the lookup buys it back by starting every search ten bases in, past
-/// the widest steps (`exma-engine`'s batch engine), and the text by
-/// ending most searches early (a query leaves the lockstep search once
-/// its interval is a row or two wide).
+/// `192k` rows, set by a byte rule — the widest spacing whose half-block
+/// scan reads the six code lines the `96k`-row block it replaced read at
+/// k = 4. A block keeps one checkpoint, at its middle row, between the
+/// code lanes of its two halves, and a rank scans only the half its row
+/// lies in (see [`crate::KmerOccTable`]): at k = 4 a block is 384 code
+/// bytes, 512 B of deltas and 384 more code bytes, 20 whole lines for
+/// 768 rows, where the 384-row block was 14 lines. On the 20 Mbp picea
+/// index the deltas fall from 26.67 to 13.33 MB and the superblock rows
+/// from 3.33 to 1.67 (the index: 76.47 → 61.47 MB, 3.82 → 3.07 B/base).
+/// Reading fewer lines buys no speed: 384-row blocks ranked from their
+/// middle read five lines instead of eight and were no faster on
+/// `count_reads`. Wider reads do cost: a 1 536-row centered block, twelve
+/// code lines a rank, read 2.70 B/base but took 1.4 times the
+/// `count_reads` 10th-percentile latency over 8 pairs of runs.
 pub const fn k_occ_sample_rate(k: usize) -> usize {
-    96 * k
+    192 * k
 }
 
 /// Blocks per absolute superblock row of the k-step occurrence table.
 pub const SUPERBLOCK_RATE: usize = 16;
 
 // The one overflow rule of the checkpoint format: a delta counts rows
-// since its superblock row, one a row at most, so a superblock span
-// within `u16` proves every delta fits whatever the text. The widest
-// span is at `MAX_STEP`: 96 × 4 × 16 = 6 144 rows.
+// between its block's middle and its superblock's first middle, one a
+// row at most, so a superblock span within `u16` proves every delta fits
+// whatever the text. The widest span is at `MAX_STEP`: 192 × 4 × 16 =
+// 12 288 rows.
 const _: () = assert!(
     k_occ_sample_rate(MAX_STEP) * SUPERBLOCK_RATE <= u16::MAX as usize,
     "a superblock span outgrows the u16 deltas"

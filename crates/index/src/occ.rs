@@ -123,10 +123,11 @@ impl OccTable {
     pub(crate) fn from_codes(lanes: &BlockStore, markers: &[u32], symbols: &[Symbol]) -> OccTable {
         let mut table = OccTable::zeroed(lanes.len());
         let mut row = 0;
-        for run in lanes.lane_runs() {
+        let Ok(()) = lanes.try_for_each_run(|run| {
             table.set_codes(row, run);
             row += run.len();
-        }
+            Ok::<_, std::convert::Infallible>(())
+        });
         for (&row, &symbol) in markers.iter().zip(symbols) {
             table.set_symbol(row as usize, symbol);
         }

@@ -270,7 +270,7 @@ fn payload(index: &KStepFmIndex, section: usize, sink: &mut Sink<'_>) -> io::Res
     }
     let ssa = index.base_index().sampled_sa();
     match section {
-        0 => index.kmer_occ().code_runs().try_for_each(sink),
+        0 => index.kmer_occ().try_for_each_code_run(sink),
         1 => words(index.kmer_occ().markers(), u32::to_le_bytes, sink),
         2 => {
             sink(&(ssa.samples.len() as u64).to_le_bytes())?;
@@ -735,11 +735,11 @@ mod tests {
     fn round_trip_reproduces_the_index_exactly() {
         // A text of 70 000 bases streams its k-codes into the k-step
         // table's lanes in two read chunks, the second starting inside a
-        // block at every k here (96k rows a block).
+        // half-block at every k here (96k rows a half).
         const { assert!(70_000 > CHUNK_BYTES) };
         for len in [3000, 70_000] {
             for k in [1, 2, 4] {
-                assert_ne!(CHUNK_BYTES % crate::layout::k_occ_sample_rate(k), 0);
+                assert_ne!(CHUNK_BYTES % (crate::layout::k_occ_sample_rate(k) / 2), 0);
                 let index = toy_index_with(len, KStepBuildConfig::for_k(k));
                 let bytes = encode_snapshot(&index);
                 let loaded = decode_snapshot(&bytes, None).expect("valid snapshot");
