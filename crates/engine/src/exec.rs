@@ -7,9 +7,10 @@
 //! lockstep round-loop (an interval is what all three operations need
 //! first) until it is finished or *cut* (`batch.rs`: narrow enough that
 //! the text finishes it sooner); then every locate query's interval rows
-//! and every cut query's feed one shared resolver worklist; then a cut
-//! query's positions are checked against the text, and counts and
-//! intervals are read straight off the search result. The sequential
+//! and every cut query's feed one shared resolver worklist; then each
+//! query's answer is appended to the results once, in query order: a cut
+//! query's positions after they are checked against the text, counts and
+//! intervals straight off the search result. The sequential
 //! index types implement the same trait query-by-query and uncut, which
 //! is what makes them drop-in oracles: the property suites, the
 //! benchmark and `exma-loadgen` verify the lockstep engines against them.
@@ -93,34 +94,43 @@ fn run_sequential(
     for i in 0..batch.len() {
         let interval = search(batch.pattern(i));
         match batch.request(i) {
-            QueryRequest::Count => results.push_tag(QueryOutput::Count(interval.len() as u32)),
-            QueryRequest::Interval => results.push_tag(QueryOutput::Interval {
-                lo: interval.start as u32,
-                hi: interval.end as u32,
-            }),
+            QueryRequest::Count => results.push(QueryOutput::Count(interval.len() as u32), &[]),
+            QueryRequest::Interval => {
+                let (lo, hi) = (interval.start as u32, interval.end as u32);
+                results.push(QueryOutput::Interval { lo, hi }, &[]);
+            }
             QueryRequest::Locate { max_hits } => {
                 let kept = interval.len().min(max_hits.unwrap_or(UNCAPPED) as usize);
                 let truncated = kept < interval.len();
                 fm.resolve_range_into(interval.start..interval.start + kept, seq_buf);
-                results.push_positions(seq_buf, truncated);
+                results.push(QueryOutput::Located { truncated }, seq_buf);
             }
             QueryRequest::SearchBoth { max_hits } => {
-                // Resolve the raw doubled-text interval uncapped —
-                // straddlers and palindrome duplicates are only known
-                // after mapping — then map, sort, and apply the cap to
-                // the smallest (position, strand) hits.
                 fm.resolve_range_into(interval, seq_buf);
-                let valid =
-                    map_hits_in_place(seq_buf, batch.pattern(i), forward_len(fm.text_len()));
-                let kept = (max_hits.unwrap_or(UNCAPPED) as usize).min(valid);
-                seq_buf.truncate(kept);
-                results.push_both_positions(seq_buf, kept < valid);
+                push_strand_hits(results, seq_buf, batch.pattern(i), fm, max_hits);
             }
         }
     }
     // Sequential executors are baselines, not schedulers: they track no
     // lockstep counters.
     BatchStats::default()
+}
+
+/// How every executor finishes a strand search over `fm`'s doubled text:
+/// maps the raw positions in `hits` (its whole interval, resolved uncapped:
+/// straddlers and palindrome duplicates are only known after mapping),
+/// sorts them, and pushes the `max_hits` smallest `(position, strand)` hits.
+fn push_strand_hits(
+    results: &mut QueryResults,
+    hits: &mut Vec<u32>,
+    pattern: &[Base],
+    fm: &FmIndex,
+    max_hits: Option<u32>,
+) {
+    let valid = map_hits_in_place(hits, pattern, forward_len(fm.text_len()));
+    let kept = (max_hits.unwrap_or(UNCAPPED) as usize).min(valid);
+    let truncated = kept < valid;
+    results.push(QueryOutput::BothLocated { truncated }, &hits[..kept]);
 }
 
 impl Executor for FmIndex {
@@ -163,6 +173,7 @@ impl BatchEngine<'_> {
             intervals,
             locate_intervals,
             caps,
+            resolved,
             locate_offsets,
             cuts,
             search,
@@ -197,113 +208,81 @@ impl BatchEngine<'_> {
                 caps.push(cap);
             }
         }
-        results.reset(requests.len());
-        let resolved = resolve_capped_with_arena(
+        let walked = resolve_capped_with_arena(
             self.index().base_index(),
             locate_intervals,
             caps,
-            results.flat_mut(),
+            resolved,
             locate_offsets,
             resolve,
         );
-        stats.resolve_rounds = resolved.rounds;
-        stats.resolve_lf_steps = resolved.lf_steps;
-        stats.cursors_retired = resolved.retired;
+        stats.resolve_rounds = walked.rounds;
+        stats.resolve_lf_steps = walked.lf_steps;
+        stats.cursors_retired = walked.retired;
 
-        // Phase 3 — tag every query, mapping the resolver's pooled
-        // regions (in resolving-query order == query order restricted
-        // to locates, strand searches and cut queries) back onto the
-        // full batch. Regions shrink in place — a cut query keeps only
-        // the positions the text confirms, and its count keeps none; a
-        // SearchBoth region holds *raw doubled-text* positions, of which
-        // straddlers and palindrome duplicates drop and the post-mapping
-        // cap truncates — so the pool is compacted left as it is
-        // walked, and later regions shift down by the accumulated
-        // shrink.
+        // Phase 3 — push every query's answer once, in query order. A
+        // resolved query owns the next region of the scratch pool. A cut
+        // query's region holds where its matched suffix occurs: it is
+        // filtered in place down to the positions with the unmatched
+        // prefix in front of them, as where the whole pattern starts.
         let index = self.index();
-        let n = forward_len(index.text_len());
-        let mut next_resolved = 0;
+        let mut regions = locate_offsets.windows(2);
         let mut next_cut = 0;
-        let mut shrink = 0;
+        results.reset(requests.len());
         for (i, request) in requests.iter().enumerate() {
             let interval = &intervals[i];
             let left = unmatched[i] as usize;
-            match *request {
+            let mut region = match *request {
                 QueryRequest::Interval => {
-                    results.push_tag(QueryOutput::Interval {
-                        lo: interval.start as u32,
-                        hi: interval.end as u32,
-                    });
+                    let (lo, hi) = (interval.start as u32, interval.end as u32);
+                    results.push(QueryOutput::Interval { lo, hi }, &[]);
                     continue;
                 }
                 QueryRequest::Count if left == 0 => {
-                    results.push_tag(QueryOutput::Count(interval.len() as u32));
+                    results.push(QueryOutput::Count(interval.len() as u32), &[]);
                     continue;
                 }
-                _ => {}
-            }
-            let (start, full_end) = (
-                locate_offsets[next_resolved],
-                locate_offsets[next_resolved + 1],
-            );
-            next_resolved += 1;
-            let flat = results.flat_mut();
-            // A cut query's region holds where its matched suffix
-            // occurs: keep the positions with the unmatched prefix in
-            // front of them, as where the whole pattern starts.
-            let mut end = full_end;
+                _ => {
+                    let bounds = regions.next().expect("one region a resolved query");
+                    bounds[0]..bounds[1]
+                }
+            };
             if left > 0 {
-                if let Some(&(ahead, region)) = cuts.get(next_cut + CUT_LOOKAHEAD) {
-                    let (from, to) = (
-                        locate_offsets[region as usize],
-                        locate_offsets[region as usize + 1],
-                    );
-                    for &pos in &flat[from..to] {
+                if let Some(&(ahead, slot)) = cuts.get(next_cut + CUT_LOOKAHEAD) {
+                    let slot = slot as usize;
+                    for &pos in &resolved[locate_offsets[slot]..locate_offsets[slot + 1]] {
                         index.prefetch_text(pos.saturating_sub(ahead) as usize);
                         index.prefetch_text(pos as usize);
                     }
                 }
                 next_cut += 1;
-                end = start;
-                for at in start..full_end {
-                    let pos = flat[at] as usize;
+                let mut end = region.start;
+                for at in region.clone() {
+                    let pos = resolved[at] as usize;
                     if index.text_ends_with(pos, &patterns[i][..left]) {
-                        flat[end] = (pos - left) as u32;
+                        resolved[end] = (pos - left) as u32;
                         end += 1;
                     }
                 }
-                stats.rows_rejected += full_end - end;
+                stats.rows_rejected += region.end - end;
+                region.end = end;
             }
+            let kept = &resolved[region];
             match *request {
                 QueryRequest::SearchBoth { max_hits } => {
                     seq_buf.clear();
-                    seq_buf.extend_from_slice(&flat[start..end]);
-                    let valid = map_hits_in_place(seq_buf, &patterns[i], n);
-                    let kept = (max_hits.unwrap_or(UNCAPPED) as usize).min(valid);
-                    flat[start - shrink..start - shrink + kept].copy_from_slice(&seq_buf[..kept]);
-                    shrink += (full_end - start) - kept;
-                    results.push_both_located(kept, kept < valid);
+                    seq_buf.extend_from_slice(kept);
+                    let fm = index.base_index();
+                    push_strand_hits(results, seq_buf, &patterns[i], fm, max_hits);
                 }
                 QueryRequest::Locate { .. } => {
-                    if shrink > 0 {
-                        flat.copy_within(start..end, start - shrink);
-                    }
-                    shrink += full_end - end;
                     // A cut locate was no wider than its cap.
-                    let truncated = left == 0 && end - start < interval.len();
-                    results.push_located(end - start, truncated);
+                    let truncated = left == 0 && kept.len() < interval.len();
+                    results.push(QueryOutput::Located { truncated }, kept);
                 }
-                // A cut count: its region leaves the pool.
-                QueryRequest::Count => {
-                    shrink += full_end - start;
-                    results.push_tag(QueryOutput::Count((end - start) as u32));
-                }
-                QueryRequest::Interval => unreachable!("tagged above: never resolved"),
+                QueryRequest::Count => results.push(QueryOutput::Count(kept.len() as u32), &[]),
+                QueryRequest::Interval => unreachable!("answered above: never resolved"),
             }
-        }
-        if shrink > 0 {
-            let total = *locate_offsets.last().expect("resolver ran");
-            results.flat_mut().truncate(total - shrink);
         }
         stats
     }
@@ -354,7 +333,9 @@ impl Executor for ShardedEngine<'_> {
         let mut stats = BatchStats::default();
         arena.results.reset(batch.len());
         for (results, shard_stats) in &shards {
-            arena.results.append(results);
+            for (i, &output) in results.outputs().iter().enumerate() {
+                arena.results.push(output, results.positions(i));
+            }
             stats.absorb_shard(*shard_stats);
         }
         stats

@@ -354,8 +354,10 @@ impl QueryResults {
         &self.outputs
     }
 
-    /// Query `i`'s located positions, sorted ascending — empty unless
-    /// the query was a [`QueryRequest::Locate`].
+    /// Query `i`'s pooled answers, sorted ascending: the text positions
+    /// of a [`QueryRequest::Locate`], the [`exma_index::bidir::encode_hit`]
+    /// strand-hits of a [`QueryRequest::SearchBoth`], and nothing for a
+    /// count or an interval.
     ///
     /// # Panics
     ///
@@ -417,75 +419,21 @@ impl QueryResults {
         self.outputs.reserve(queries);
     }
 
-    /// The flat position pool, for the resolver to fill in place.
-    /// Offsets are rebuilt afterwards by the `push_*` calls.
-    pub(crate) fn flat_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.flat
-    }
-
-    /// Appends a query that owns no positions (count or interval).
-    pub(crate) fn push_tag(&mut self, output: QueryOutput) {
-        debug_assert!(!matches!(
-            output,
-            QueryOutput::Located { .. } | QueryOutput::BothLocated { .. }
-        ));
-        self.offsets
-            .push(*self.offsets.last().expect("reset first"));
-        self.outputs.push(output);
-    }
-
-    /// Appends a located query whose next `width` pooled positions are
-    /// already in `flat` (the resolver wrote them there).
-    pub(crate) fn push_located(&mut self, width: usize, truncated: bool) {
-        let end = self.offsets.last().expect("reset first") + width;
-        debug_assert!(end <= self.flat.len());
-        self.offsets.push(end);
-        self.outputs.push(QueryOutput::Located { truncated });
-    }
-
-    /// Appends a located query by copying `positions` into the pool —
-    /// the sequential executors' path.
-    pub(crate) fn push_positions(&mut self, positions: &[u32], truncated: bool) {
+    /// Appends the next query's answer: its tag and the positions it
+    /// owns (none for a count or an interval). Every executor fills the
+    /// pool through this one call.
+    pub(crate) fn push(&mut self, output: QueryOutput, positions: &[u32]) {
+        debug_assert!(!self.offsets.is_empty(), "reset first");
         self.flat.extend_from_slice(positions);
         self.offsets.push(self.flat.len());
-        self.outputs.push(QueryOutput::Located { truncated });
-    }
-
-    /// Appends a strand-agnostic query whose next `width` pooled
-    /// entries (encoded strand-hits) are already in `flat`.
-    pub(crate) fn push_both_located(&mut self, width: usize, truncated: bool) {
-        let end = self.offsets.last().expect("reset first") + width;
-        debug_assert!(end <= self.flat.len());
-        self.offsets.push(end);
-        self.outputs.push(QueryOutput::BothLocated { truncated });
-    }
-
-    /// Appends a strand-agnostic query by copying encoded strand-hits
-    /// into the pool — the sequential executors' path.
-    pub(crate) fn push_both_positions(&mut self, hits: &[u32], truncated: bool) {
-        self.flat.extend_from_slice(hits);
-        self.offsets.push(self.flat.len());
-        self.outputs.push(QueryOutput::BothLocated { truncated });
-    }
-
-    /// Appends another batch's results after this one's, rebasing its
-    /// offsets — how the sharded engine stitches per-shard pools back
-    /// into input order.
-    pub(crate) fn append(&mut self, other: &QueryResults) {
-        let base = self.flat.len();
-        self.flat.extend_from_slice(&other.flat);
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        self.offsets
-            .extend(other.offsets.iter().skip(1).map(|&o| base + o));
-        self.outputs.extend_from_slice(&other.outputs);
+        self.outputs.push(output);
     }
 }
 
 /// Every piece of scratch one [`crate::Executor`] run needs: the pooled
-/// [`QueryResults`], the searched intervals, the resolver feed, and the
-/// lockstep worklists. All buffers keep their high-water capacity, so a
+/// [`QueryResults`], the searched intervals, the resolver feed and its
+/// scratch output pool, and the lockstep worklists. All buffers keep
+/// their high-water capacity, so a
 /// caller that reuses one arena across submissions reaches a steady
 /// state where [`crate::Executor::run_into`] allocates nothing.
 /// (The sharded engine's workers each use a worker-local arena; the
@@ -502,7 +450,10 @@ pub struct QueryArena {
     pub(crate) locate_intervals: Vec<Range<usize>>,
     /// Hit caps aligned with `locate_intervals`.
     pub(crate) caps: Vec<u32>,
-    /// The resolver's offsets over `locate_intervals`.
+    /// The resolver's output, one region per `locate_intervals` entry:
+    /// scratch, filtered in place before a query's positions are pushed.
+    pub(crate) resolved: Vec<u32>,
+    /// The resolver's offsets delimiting those regions.
     pub(crate) locate_offsets: Vec<usize>,
     /// The cut queries, in query order: `(symbols left unmatched, slot
     /// in locate_intervals)` — what the text comparison looks ahead over.
@@ -511,7 +462,8 @@ pub struct QueryArena {
     pub(crate) search: SearchScratch,
     /// Lockstep resolver worklists.
     pub(crate) resolve: ResolveArena,
-    /// Per-query buffer of the sequential executors.
+    /// Per-query buffer of the sequential executors, and of a strand
+    /// search's hits while they are mapped.
     pub(crate) seq_buf: Vec<u32>,
 }
 
@@ -611,9 +563,11 @@ mod tests {
         let mut results = QueryResults::default();
         results.reset(2);
         // Encoded strand-hits ride the same flat pool as plain positions.
-        results.push_both_positions(&[0b100, 0b111], false);
-        results.flat_mut().push(0b10);
-        results.push_both_located(1, true);
+        results.push(
+            QueryOutput::BothLocated { truncated: false },
+            &[0b100, 0b111],
+        );
+        results.push(QueryOutput::BothLocated { truncated: true }, &[0b10]);
         assert_eq!(
             results.output(0),
             QueryOutput::BothLocated { truncated: false }
@@ -625,16 +579,17 @@ mod tests {
             QueryOutput::BothLocated { truncated: true }
         );
         assert_eq!(results.count(1), 1);
+        assert_eq!(results.positions(1), &[0b10]);
     }
 
     #[test]
     fn results_assembly_and_accessors_line_up() {
         let mut results = QueryResults::default();
         results.reset(4);
-        results.push_tag(QueryOutput::Count(5));
-        results.push_positions(&[3, 9], false);
-        results.push_tag(QueryOutput::Interval { lo: 2, hi: 6 });
-        results.push_positions(&[1], true);
+        results.push(QueryOutput::Count(5), &[]);
+        results.push(QueryOutput::Located { truncated: false }, &[3, 9]);
+        results.push(QueryOutput::Interval { lo: 2, hi: 6 }, &[]);
+        results.push(QueryOutput::Located { truncated: true }, &[1]);
         assert_eq!(results.len(), 4);
         assert_eq!(results.count(0), 5);
         assert_eq!(results.positions(0), &[] as &[u32]);
@@ -648,29 +603,10 @@ mod tests {
     }
 
     #[test]
-    fn append_rebases_offsets_and_outputs() {
-        let mut a = QueryResults::default();
-        a.reset(1);
-        a.push_positions(&[4, 8], false);
-        let mut b = QueryResults::default();
-        b.reset(2);
-        b.push_tag(QueryOutput::Count(2));
-        b.push_positions(&[6], false);
-        let mut merged = QueryResults::default();
-        merged.reset(0);
-        merged.append(&a);
-        merged.append(&b);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.positions(0), &[4, 8]);
-        assert_eq!(merged.count(1), 2);
-        assert_eq!(merged.positions(2), &[6]);
-    }
-
-    #[test]
     fn arena_hands_results_out_both_ways() {
         let mut arena = QueryArena::new();
         arena.results.reset(1);
-        arena.results.push_tag(QueryOutput::Count(3));
+        arena.results.push(QueryOutput::Count(3), &[]);
         assert_eq!(arena.results().len(), 1);
         let taken = arena.take_results();
         assert_eq!(taken.len(), 1);

@@ -45,6 +45,11 @@
 //! compares and adding them to each prefix that covers the whole line,
 //! selected by an arithmetic mask; the one line a prefix ends in is then
 //! compared once more into a 64-bit match mask and cut at the offset.
+//! Every half starts on a line of its own, the delta row too, so a
+//! prefix always starts at its first line's first lane and no lane of a
+//! line the kernel reads whole belongs to anything else. The padding
+//! that takes costs one line a block at k = 1 and k = 3, whose halves
+//! end mid-line, and none at k = 2 or k = 4 (6 + 8 + 6 lines).
 //! Every code lane is one byte: the k-mer table's widest codes, at k = 4,
 //! are 256 values. Several offsets share the pass, so both ends of an
 //! interval in one half come out of one walk. The price is that the
@@ -384,8 +389,10 @@ fn lanes_of<T: Lane>(lines: &[CacheLine]) -> &[T] {
 }
 
 /// Where a table's blocks keep their two halves of code lanes, in whole
-/// cache lines. Fixed at construction: it is the rank kernel's trip
-/// count and the prefetcher's footprint.
+/// cache lines: each half, and the delta row between them, starts on a
+/// line of its own, so a half's first code lane is its first line's
+/// first byte. Fixed at construction: it is the rank kernel's trip count
+/// and the prefetcher's footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CodeSpan {
     /// Cache lines per block.
@@ -393,27 +400,23 @@ pub(crate) struct CodeSpan {
     /// First line of the upper half's code lanes within a block; the
     /// lower half's start the block.
     upper_line: usize,
-    /// Byte offset of the upper half's first code lane within its line;
-    /// the bytes before it are the tail of the block's delta row.
-    upper_head: usize,
-    /// Lines a half's scan reads: those the upper half touches, never
-    /// fewer than the lower half's, so both halves scan alike.
+    /// Lines a half's code lanes fill, rounded up: what a scan reads,
+    /// and the first line of the delta row.
     lines: usize,
 }
 
 impl CodeSpan {
     /// The spans of blocks laid out as `half` one-byte code lanes,
-    /// `delta_bytes` of counters and `half` more code lanes, rounded up
-    /// to whole lines.
+    /// `delta_bytes` of counters and `half` more code lanes, each rounded
+    /// up to whole lines.
     pub(crate) fn new(half: usize, delta_bytes: usize) -> CodeSpan {
         assert!(half > 0, "a half-block holds at least one code lane");
-        let upper = half + delta_bytes;
-        let upper_head = upper % LINE_BYTES;
+        let lines = half.div_ceil(LINE_BYTES);
+        let upper_line = lines + delta_bytes.div_ceil(LINE_BYTES);
         CodeSpan {
-            block_lines: (upper + half).div_ceil(LINE_BYTES),
-            upper_line: upper / LINE_BYTES,
-            upper_head,
-            lines: (upper_head + half).div_ceil(LINE_BYTES),
+            block_lines: upper_line + lines,
+            upper_line,
+            lines,
         }
     }
 
@@ -423,13 +426,6 @@ impl CodeSpan {
     #[inline]
     fn first_line(self, half: usize) -> usize {
         (half >> 1) * self.block_lines + (half & 1) * self.upper_line
-    }
-
-    /// Byte offset of half-block `half`'s first code lane within its
-    /// first line.
-    #[inline]
-    fn head(self, half: usize) -> usize {
-        (half & 1) * self.upper_head
     }
 }
 
@@ -441,13 +437,14 @@ impl CodeSpan {
 /// halves, in bytes:
 ///
 /// ```text
-/// [ sample_rate/2 lower code lanes, last row first | lanes u16 deltas | sample_rate/2 upper code lanes | pad ]
+/// [ sample_rate/2 lower code lanes, last row first | pad | lanes u16 deltas | pad | sample_rate/2 upper code lanes | pad ]
 /// ```
 ///
-/// padded so every block starts on a 64-byte cache-line boundary. A rank
-/// in the upper half adds the matches from the middle up to its row; one
-/// in the lower half subtracts those from its row up to the middle, the
-/// leading lanes of its half too, since they run down from the middle. A
+/// each of the three parts padded to whole 64-byte cache lines, so every
+/// block and every half starts on a line. A rank in the upper half adds
+/// the matches from the middle up to its row; one in the lower half
+/// subtracts those from its row up to the middle, the leading lanes of
+/// its half too, since they run down from the middle. A
 /// delta is relative to the absolute `u32` row kept, every
 /// [`SUPERBLOCK_RATE`] blocks, behind the last block in the same buffer.
 /// The spacing depends on the step width
@@ -493,18 +490,17 @@ impl BlockStore {
     ///
     /// # Panics
     ///
-    /// Panics if `sample_rate` is zero, not a multiple of four (the
-    /// delta row, behind the lower half's lanes, is `u16`-aligned) or
-    /// wider than the widest step's. The layout's spacings are proven
-    /// narrow enough for the deltas at compile time ([`crate::layout`]).
+    /// Panics if `sample_rate` is zero, odd, or wider than the widest
+    /// step's. The layout's spacings are proven narrow enough for the
+    /// deltas at compile time ([`crate::layout`]).
     pub(crate) fn zeroed(
         lanes: usize,
         sample_rate: usize,
         len: usize,
     ) -> Result<BlockStore, IndexError> {
         assert!(
-            sample_rate > 0 && sample_rate % 4 == 0 && sample_rate <= k_occ_sample_rate(MAX_STEP),
-            "sample rate must be a positive multiple of four, at most the widest step's"
+            sample_rate > 0 && sample_rate % 2 == 0 && sample_rate <= k_occ_sample_rate(MAX_STEP),
+            "sample rate must be positive, even and at most the widest step's"
         );
         let half = sample_rate / 2;
         IndexError::check_rows(len.saturating_add(half))
@@ -616,10 +612,10 @@ impl BlockStore {
     }
 
     /// Index of counter `lane`'s `u16` delta in `block`: the delta row
-    /// follows the lower half's code lanes.
+    /// starts on the line after the lower half's code lanes.
     #[inline]
     fn delta_lane(&self, block: usize, lane: usize) -> usize {
-        (block * self.block_words * 4 + self.half.divisor) / 2 + lane
+        (block * self.span.block_lines + self.span.lines) * (LINE_BYTES / 2) + lane
     }
 
     /// The absolute count of counter `lane` at `block`'s checkpoint, the
@@ -673,11 +669,11 @@ impl BlockStore {
         needle: u8,
         offsets: [usize; N],
     ) -> [u32; N] {
-        let (lines, head) = (self.code_lines(half), self.span.head(half));
+        let lines = self.code_lines(half);
         #[cfg(target_arch = "x86_64")]
-        return prefix_counts_sse2(lines, head, needle, offsets);
+        return prefix_counts_sse2(lines, needle, offsets);
         #[cfg(not(target_arch = "x86_64"))]
-        return prefix_counts_scalar(lanes_of::<u8>(lines), head, needle, offsets);
+        return prefix_counts_scalar(lanes_of::<u8>(lines), needle, offsets);
     }
 
     /// What each byte kernel by itself answers to a
@@ -691,14 +687,14 @@ impl BlockStore {
         needle: u8,
         offsets: [usize; N],
     ) -> Vec<(&'static str, [u32; N])> {
-        let (lines, head) = (self.code_lines(half), self.span.head(half));
+        let lines = self.code_lines(half);
         vec![
             (
                 "scalar",
-                prefix_counts_scalar(lanes_of::<u8>(lines), head, needle, offsets),
+                prefix_counts_scalar(lanes_of::<u8>(lines), needle, offsets),
             ),
             #[cfg(target_arch = "x86_64")]
-            ("sse2", prefix_counts_sse2(lines, head, needle, offsets)),
+            ("sse2", prefix_counts_sse2(lines, needle, offsets)),
         ]
     }
 
@@ -725,7 +721,7 @@ impl BlockStore {
     /// Byte index of half-block `half`'s first code lane.
     #[inline]
     fn code_base(&self, half: usize) -> usize {
-        self.span.first_line(half) * LINE_BYTES + self.span.head(half)
+        self.span.first_line(half) * LINE_BYTES
     }
 
     /// The lanes of half-block `half`'s rows (fewer than a half's in
@@ -873,29 +869,26 @@ impl CacheLine {
 }
 
 /// The SSE2 rank kernel: for each of `offsets`, the lanes equal to
-/// `needle` among byte lanes `head .. head + offset` of
-/// `lines`. The loop visits every line but the last whatever the offsets
-/// are, and nothing branches on them.
+/// `needle` among the first `offset` byte lanes of `lines`. The loop
+/// visits every line but the last whatever the offsets are, and nothing
+/// branches on them.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn prefix_counts_sse2<const N: usize>(
     lines: &[CacheLine],
-    head: usize,
     needle: u8,
     offsets: [usize; N],
 ) -> [u32; N] {
-    debug_assert!(head < LINE_BYTES, "first code lane {head} past its line");
-    let ends = offsets.map(|offset| head + offset);
     debug_assert!(
-        ends.iter().all(|&end| end <= lines.len() * LINE_BYTES),
-        "lanes {offsets:?} at {head} past the span"
+        offsets.iter().all(|&end| end <= lines.len() * LINE_BYTES),
+        "lanes {offsets:?} past the span"
     );
     let last = lines.len() - 1;
     // Each prefix is the whole lines before its edge line plus that
     // line's low lanes; one that ends exactly on the span's end takes
     // all 64 lanes of the last line as its edge, so the last line is
     // never a whole one and a one-line span skips the loop altogether.
-    let edge_lines = ends.map(|end| (end / LINE_BYTES).min(last));
+    let edge_lines = offsets.map(|end| (end / LINE_BYTES).min(last));
     let mut whole = [0u64; N];
     for (l, line) in lines[..last].iter().enumerate() {
         let ones = line.eq_count(needle);
@@ -903,47 +896,32 @@ fn prefix_counts_sse2<const N: usize>(
             whole[n] += ones & mask_if(l < edge_lines[n]);
         }
     }
-    // Lanes below `head` in the first line are counter bytes, not codes:
-    // drop their matches from every prefix that took that line whole.
-    let counters = (1u64 << head) - 1;
-    if head != 0 && last != 0 {
-        let stray = u64::from((lines[0].eq_bits(needle) & counters).count_ones());
-        for n in 0..N {
-            whole[n] -= stray & mask_if(edge_lines[n] != 0);
-        }
-    }
     let mut counts = [0u32; N];
     for n in 0..N {
         let edge = edge_lines[n];
-        let lanes = ends[n] - edge * LINE_BYTES; // 0 ..= 64
+        let lanes = offsets[n] - edge * LINE_BYTES; // 0 ..= 64
         let below = (1u64 << (lanes % LINE_BYTES)).wrapping_sub(1) | mask_if(lanes == LINE_BYTES);
-        let codes = below & !(counters & mask_if(edge == 0));
-        counts[n] = whole[n] as u32 + (lines[edge].eq_bits(needle) & codes).count_ones();
+        counts[n] = whole[n] as u32 + (lines[edge].eq_bits(needle) & below).count_ones();
     }
     counts
 }
 
 /// The portable rank kernel: for each of `offsets`, the byte lanes equal
-/// to `needle` among `lanes[head .. head + offset]`. Like the SSE2 kernel it visits every lane and selects by comparison instead
-/// of by loop bound, so it has a fixed trip count and autovectorizes. On
-/// x86-64 only the tests call it, to hold the SSE2 kernel to it.
+/// to `needle` among `lanes[..offset]`. Like the SSE2 kernel it visits
+/// every lane and selects by comparison instead of by loop bound, so it
+/// has a fixed trip count and autovectorizes. On x86-64 only the tests
+/// call it, to hold the SSE2 kernel to it.
 #[cfg(any(test, not(target_arch = "x86_64")))]
 #[inline]
-fn prefix_counts_scalar<const N: usize>(
-    lanes: &[u8],
-    head: usize,
-    needle: u8,
-    offsets: [usize; N],
-) -> [u32; N] {
+fn prefix_counts_scalar<const N: usize>(lanes: &[u8], needle: u8, offsets: [usize; N]) -> [u32; N] {
     debug_assert!(
-        offsets.iter().all(|offset| head + offset <= lanes.len()),
-        "lanes {offsets:?} at {head} past the span"
+        offsets.iter().all(|&end| end <= lanes.len()),
+        "lanes {offsets:?} past the span"
     );
-    let ends = offsets.map(|offset| (head + offset) as u32);
-    let head = head as u32;
+    let ends = offsets.map(|end| end as u32);
     let mut counts = [0u32; N];
     for (i, &lane) in (0u32..).zip(lanes) {
-        let hit = u32::from(lane == needle) & u32::from(i >= head);
+        let hit = u32::from(lane == needle);
         for n in 0..N {
             counts[n] += hit & u32::from(i < ends[n]);
         }
@@ -1180,10 +1158,10 @@ mod tests {
 
     /// Holds both kernels to a plain scan of `lane == needle` on bytes
     /// that carry `flags` above small codes: both halves of blocks whose
-    /// lower half ends anywhere in a line and whose upper half starts
-    /// anywhere in one (the counter bytes between them — noise too — must
-    /// never count), every pair of offsets up to the half's end, so
-    /// flagged bytes fall inside and outside every counted prefix.
+    /// halves end anywhere in a line (the pad bytes behind them — noise
+    /// too — must never count), every pair of offsets up to the half's
+    /// end, so flagged bytes fall inside and outside every counted
+    /// prefix.
     fn kernels_count_like_a_plain_scan(flags: u8) {
         for (half, delta_bytes) in [
             (64, 0),

@@ -464,8 +464,8 @@ mod tests {
         // Two rows either side of every block's middle, where a rank
         // turns from subtracting the lower half's matches to adding the
         // upper half's, and every pair of them: within one half, across
-        // a middle and across block edges. At k <= 3 the upper half starts
-        // mid-line behind the delta row.
+        // a middle and across block edges. Every half starts on a line, but
+        // at k = 1 and k = 3 a half ends mid-line, before its pad.
         for k in 1..=MAX_STEP {
             let rate = k_occ_sample_rate(k);
             let codes = fixture(3 * rate + rate / 2 + 9, k);
@@ -657,17 +657,17 @@ mod tests {
     #[test]
     fn heap_breakdown_is_exact() {
         // k = 1, 2000 codes: ⌈2000 / 192⌉ = 11 blocks of 96 code bytes,
-        // 8 delta bytes and 96 more code bytes, each rounded to four
-        // lines; one superblock group of 4 words behind them rounds the
-        // buffer up by one 64-byte line; totals is 4 words, and the side
-        // list a word a marker row.
+        // 8 delta bytes and 96 more code bytes, each part rounded to whole
+        // lines: 2 + 1 + 2 = 5; one superblock group of 4 words behind
+        // them rounds the buffer up by one 64-byte line; totals is 4
+        // words, and the side list a word a marker row.
         let codes = fixture(2000, 1);
         let markers = codes.iter().filter(|c| c.is_none()).count();
         let occ = table(&codes, 1);
         let heap = occ.heap_breakdown();
         assert_eq!(heap.k_occ_checkpoints, 64);
         assert_eq!(heap.k_occ_deltas, 11 * 8);
-        assert_eq!(heap.k_occ_codes, 11 * 256 - 11 * 8 + 4 * 4);
+        assert_eq!(heap.k_occ_codes, 11 * 320 - 11 * 8 + 4 * 4);
         assert_eq!(heap.other, 4 * markers);
         assert_eq!(heap.total(), occ.heap_bytes());
     }

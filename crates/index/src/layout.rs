@@ -80,8 +80,10 @@ pub const OCC_SAMPLE_RATE: usize = 128;
 /// positions cost 4.77 MB more than every 32, and every 10 would have
 /// cost 7.6 kB more than the blocks freed. A locate walk averages 5 LF
 /// steps, not 15.5. The 2.72 MB freed since by marking the sampled rows
-/// in the occurrence lines alone, and the 15.2 MB freed by the 128-row
-/// bit-plane lines, are not spent on it yet.
+/// in the occurrence lines alone, the 15.2 MB freed by the 128-row
+/// bit-plane lines and the 15.0 MB freed by the centered 768-row k-step
+/// blocks are not spent on it yet: ROADMAP.md item 6(c) keeps the
+/// measured grid of denser rates (4, 6 and 8 against 11).
 pub const SA_SAMPLE_RATE: usize = 11;
 
 /// Checkpoint spacing of the k-mer occurrence table at step width `k`:
