@@ -69,11 +69,10 @@ use crate::query::QueryRequest;
 ///
 /// A refinement costs some 53 ns and a miss 160–265 ns
 /// (`machine.chase_ns`), so the hints must lead by at least four
-/// queries; each query hints eight lines per rank (its delta line, its
-/// superblock word and the six code lines of the half-block it scans,
-/// 384 of a block's 768 rows), so a lead of `d` keeps up to `16 d` lines
-/// in flight — as many as a rank of the 384-row blocks before read —
-/// and a core's 48 KiB L1
+/// queries; each query hints ten lines per rank (its delta line, its
+/// superblock word and the eight code lines of the half-block it scans,
+/// 512 of a block's 1 024 rows), so a lead of `d` keeps up to `20 d`
+/// lines in flight, and a core's 48 KiB L1
 /// (`lscpu` prints the two cores' 96 KiB) and its fill buffers bound that
 /// from above. On `count_reads` the sweep is flat from 4 to 16
 /// (10th-percentile ns/query at d = 2, 4, 8, 12, 16: 987, 936, 901, 929,

@@ -387,7 +387,7 @@ mod tests {
     use exma_genome::genome::text_from_str;
     use exma_genome::{Genome, GenomeProfile};
     use exma_index::kocc::naive_krank;
-    use exma_index::layout::{k_occ_sample_rate, SUPERBLOCK_RATE};
+    use exma_index::layout::{K_OCC_SAMPLE_RATE, SUPERBLOCK_RATE};
     use exma_index::HeapBreakdown;
 
     #[test]
@@ -442,13 +442,12 @@ mod tests {
 
     #[test]
     fn the_widest_legal_span_builds_and_ranks_like_naive() {
-        // The widest superblock span of the layout is the k-occ table's
-        // at k = MAX_STEP: 768 x 16 = 12 288 rows. A text whose k-BWT is
-        // one run of the A-mer longer than two of them drives each
-        // superblock's deltas as high as they go and crosses into the
-        // third.
+        // The superblock span of the layout is the k-occ table's, at
+        // every k: 1 024 x 16 = 16 384 rows. A text whose k-BWT is one run
+        // of the A-mer longer than two of them drives each superblock's
+        // deltas as high as they go and crosses into the third.
         let k = exma_index::MAX_STEP;
-        let rate = k_occ_sample_rate(k);
+        let rate = K_OCC_SAMPLE_RATE;
         let len = 2 * rate * SUPERBLOCK_RATE + 1000;
         let text = text_from_str(&"A".repeat(len)).unwrap();
         let index = EngineBuilder::new().k(k).build_index(&text).unwrap();
@@ -462,7 +461,7 @@ mod tests {
         let codes: Vec<Option<u8>> = (0..kocc.len()).map(|i| kocc.code(i)).collect();
         assert!(codes[..=len - k].iter().all(|&c| c == Some(0)));
         // Every block boundary and middle row and their neighbours: the
-        // middles of blocks 16 and 32, rows 12 672 and 24 960, hold the
+        // middles of blocks 16 and 32, rows 16 896 and 33 280, hold the
         // superblock rows the deltas are taken from.
         let stride = kocc.stride() as u16;
         for boundary in (0..=kocc.len()).step_by(rate / 2) {
@@ -497,7 +496,7 @@ mod tests {
         let n = text.len();
         let stride = 256; // 4^k counters per row, one-byte code lanes
         let line_round = |bytes: usize| bytes.next_multiple_of(64);
-        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (128, 11, 768, 16);
+        let (occ_rate, sa_rate, kocc_rate, sb_rate) = (128, 11, 1024, 16);
         let index = EngineBuilder::new().build_index(&text).unwrap();
         let kocc_blocks = n.div_ceil(kocc_rate);
         let expected = HeapBreakdown {
@@ -532,7 +531,7 @@ mod tests {
     #[test]
     fn build_config_fills_k_dependent_defaults() {
         // The build is the recipe's `k` and strandedness; the k-occ
-        // spacing follows from `k` alone.
+        // spacing is the same at every `k`.
         let config = EngineBuilder::new().k(2).build_config().unwrap();
         assert_eq!(config, KStepBuildConfig::for_k(2));
         let both = EngineBuilder::new().k(2).bidirectional(true);
@@ -543,7 +542,7 @@ mod tests {
                 bidirectional: true
             }
         );
-        assert_eq!(k_occ_sample_rate(2), 384);
+        assert_eq!(K_OCC_SAMPLE_RATE, 1024);
     }
 
     #[test]

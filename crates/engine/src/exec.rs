@@ -88,7 +88,7 @@ fn run_sequential(
     search: impl Fn(&[Base]) -> Range<usize>,
 ) -> BatchStats {
     let QueryArena {
-        results, seq_buf, ..
+        results, resolved, ..
     } = arena;
     results.reset(batch.len());
     for i in 0..batch.len() {
@@ -102,12 +102,12 @@ fn run_sequential(
             QueryRequest::Locate { max_hits } => {
                 let kept = interval.len().min(max_hits.unwrap_or(UNCAPPED) as usize);
                 let truncated = kept < interval.len();
-                fm.resolve_range_into(interval.start..interval.start + kept, seq_buf);
-                results.push(QueryOutput::Located { truncated }, seq_buf);
+                fm.resolve_range_into(interval.start..interval.start + kept, resolved);
+                results.push(QueryOutput::Located { truncated }, resolved);
             }
             QueryRequest::SearchBoth { max_hits } => {
-                fm.resolve_range_into(interval, seq_buf);
-                push_strand_hits(results, seq_buf, batch.pattern(i), fm, max_hits);
+                fm.resolve_range_into(interval, resolved);
+                push_strand_hits(results, resolved, batch.pattern(i), fm, max_hits);
             }
         }
     }
@@ -118,11 +118,12 @@ fn run_sequential(
 
 /// How every executor finishes a strand search over `fm`'s doubled text:
 /// maps the raw positions in `hits` (its whole interval, resolved uncapped:
-/// straddlers and palindrome duplicates are only known after mapping),
-/// sorts them, and pushes the `max_hits` smallest `(position, strand)` hits.
+/// straddlers and palindrome duplicates are only known after mapping) in
+/// place, sorts them, and pushes the `max_hits` smallest `(position,
+/// strand)` hits.
 fn push_strand_hits(
     results: &mut QueryResults,
-    hits: &mut Vec<u32>,
+    hits: &mut [u32],
     pattern: &[Base],
     fm: &FmIndex,
     max_hits: Option<u32>,
@@ -178,7 +179,6 @@ impl BatchEngine<'_> {
             cuts,
             search,
             resolve,
-            seq_buf,
         } = arena;
 
         // Phase 1 — one lockstep search round-loop for the whole batch:
@@ -267,13 +267,11 @@ impl BatchEngine<'_> {
                 stats.rows_rejected += region.end - end;
                 region.end = end;
             }
-            let kept = &resolved[region];
+            let kept = &mut resolved[region];
             match *request {
                 QueryRequest::SearchBoth { max_hits } => {
-                    seq_buf.clear();
-                    seq_buf.extend_from_slice(kept);
                     let fm = index.base_index();
-                    push_strand_hits(results, seq_buf, &patterns[i], fm, max_hits);
+                    push_strand_hits(results, kept, &patterns[i], fm, max_hits);
                 }
                 QueryRequest::Locate { .. } => {
                     // A cut locate was no wider than its cap.

@@ -451,7 +451,9 @@ pub struct QueryArena {
     /// Hit caps aligned with `locate_intervals`.
     pub(crate) caps: Vec<u32>,
     /// The resolver's output, one region per `locate_intervals` entry:
-    /// scratch, filtered in place before a query's positions are pushed.
+    /// scratch, filtered (and, for a strand search, mapped) in place
+    /// before a query's positions are pushed. The sequential executors
+    /// resolve each query into it alone.
     pub(crate) resolved: Vec<u32>,
     /// The resolver's offsets delimiting those regions.
     pub(crate) locate_offsets: Vec<usize>,
@@ -462,9 +464,6 @@ pub struct QueryArena {
     pub(crate) search: SearchScratch,
     /// Lockstep resolver worklists.
     pub(crate) resolve: ResolveArena,
-    /// Per-query buffer of the sequential executors, and of a strand
-    /// search's hits while they are mapped.
-    pub(crate) seq_buf: Vec<u32>,
 }
 
 impl QueryArena {

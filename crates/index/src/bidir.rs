@@ -163,21 +163,24 @@ pub fn map_raw_hit(raw: u32, m: usize, n: usize) -> Option<u32> {
 
 /// Maps a buffer of raw doubled-text hits to encoded strand-hits in
 /// place: straddlers are dropped, reverse hits of palindromic patterns
-/// are dropped (the dedup rule), and the survivors are sorted by
-/// `(position, strand)`. Returns the kept count; `hits[..kept]` holds
-/// the result.
-pub fn map_hits_in_place(hits: &mut Vec<u32>, pattern: &[Base], n: usize) -> usize {
+/// are dropped (the dedup rule), and the survivors are moved to the front
+/// and sorted by `(position, strand)`. Returns the kept count;
+/// `hits[..kept]` holds the result, and what lies behind it is spent.
+pub fn map_hits_in_place(hits: &mut [u32], pattern: &[Base], n: usize) -> usize {
     let m = pattern.len();
     let palindromic = is_palindromic(pattern);
-    hits.retain_mut(|raw| match map_raw_hit(*raw, m, n) {
-        Some(encoded) if !(palindromic && decode_hit(encoded).1 == Strand::Reverse) => {
-            *raw = encoded;
-            true
+    let mut kept = 0;
+    for i in 0..hits.len() {
+        match map_raw_hit(hits[i], m, n) {
+            Some(encoded) if !(palindromic && decode_hit(encoded).1 == Strand::Reverse) => {
+                hits[kept] = encoded;
+                kept += 1;
+            }
+            _ => {}
         }
-        _ => false,
-    });
-    hits.sort_unstable();
-    hits.len()
+    }
+    hits[..kept].sort_unstable();
+    kept
 }
 
 #[cfg(test)]
@@ -206,7 +209,8 @@ mod tests {
         index
             .base_index()
             .resolve_range_into(index.backward_search(pattern), &mut hits);
-        map_hits_in_place(&mut hits, pattern, forward_len(index.text_len()));
+        let kept = map_hits_in_place(&mut hits, pattern, forward_len(index.text_len()));
+        hits.truncate(kept);
         hits
     }
 

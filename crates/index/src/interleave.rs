@@ -13,11 +13,12 @@
 //! word sits on a cache-line boundary, and for the k-step table: the rank
 //! kernel that counts a code among a half-block's first lanes
 //! (`BlockStore::prefix_counts`); the software-prefetch hints the batch
-//! scheduler uses to overlap block fetches across queries; `Divisor`,
-//! which splits a row into half-block and offset without a hardware
-//! divide; and `BlockStore`, the checkpoint format itself — one
-//! checkpoint at each block's middle row, `u16` deltas off sparse `u32`
-//! superblock rows — built, read, hinted and sized in one place.
+//! scheduler uses to overlap block fetches across queries; and
+//! `BlockStore`, the checkpoint format itself — one checkpoint at each
+//! block's middle row, `u16` deltas off sparse `u32` superblock rows —
+//! built, read, hinted and sized in one place. A half-block is 512 rows
+//! at every step width ([`crate::layout::K_OCC_SAMPLE_RATE`]), so a row
+//! splits into half-block and offset by a shift and a mask.
 //!
 //! # The rank kernel
 //!
@@ -40,29 +41,28 @@
 //! mispredictions cost more than the scan. The kernel here has no such
 //! branch: the half's first line, the prefix's length and the lower
 //! half's sign are arithmetic on the half's parity. Its loop runs once
-//! per cache line of a half's code region — a trip count fixed per table
-//! (`CodeSpan`) — counting the line's matches with four aligned 16-byte
-//! compares and adding them to each prefix that covers the whole line,
-//! selected by an arithmetic mask; the one line a prefix ends in is then
-//! compared once more into a 64-bit match mask and cut at the offset.
-//! Every half starts on a line of its own, the delta row too, so a
+//! per cache line of a half's code region — eight, at every step width —
+//! counting the line's matches with four aligned 16-byte compares and
+//! adding them to each prefix that covers the whole line, selected by an
+//! arithmetic mask; the one line a prefix ends in is then compared once
+//! more into a 64-bit match mask and cut at the offset. Every half fills
+//! eight whole lines and the delta row starts on a line of its own, so a
 //! prefix always starts at its first line's first lane and no lane of a
-//! line the kernel reads whole belongs to anything else. The padding
-//! that takes costs one line a block at k = 1 and k = 3, whose halves
-//! end mid-line, and none at k = 2 or k = 4 (6 + 8 + 6 lines).
-//! Every code lane is one byte: the k-mer table's widest codes, at k = 4,
-//! are 256 values. Several offsets share the pass, so both ends of an
-//! interval in one half come out of one walk. The price is that the
-//! half's whole code region is read every time, which is why the
-//! prefetch hints cover all of it (`BlockStore::prefetch_half`).
+//! line the kernel reads belongs to anything else (at k = 4 a block is
+//! 8 + 8 + 8 lines, at k = 1 8 + 1 + 8). Every code lane is one byte: the
+//! k-mer table's widest codes, at k = 4, are 256 values. Several offsets
+//! share the pass, so both ends of an interval in one half come out of
+//! one walk. The price is that the half's whole code region is read every
+//! time, which is why the prefetch hints cover all of it
+//! (`BlockStore::prefetch_half`).
 //! Reading only up to the furthest offset's line — re-reading that line
 //! in place of the later ones, to keep the trip count — measured 2.5 %
 //! slower on the 20 Mbp index than reading them all. Reading fewer lines
 //! a rank buys no speed either: 384-row blocks ranked from their middle,
 //! five lines a rank instead of the eight a forward scan of the same
 //! block read, were no faster on `count_reads`, so the centered layout
-//! spends the halved scan on twice the rows a block instead (see
-//! [`crate::layout::k_occ_sample_rate`]).
+//! spends the halved scan on more rows a block instead (see
+//! [`crate::layout::K_OCC_SAMPLE_RATE`]).
 //!
 //! There are two kernels, and each is licensed by a measurement: SSE2 on
 //! x86-64, where it is the baseline, and a portable fixed-trip loop
@@ -109,8 +109,7 @@
 //!   and no second path. [`huge_page_bytes`] reads back what the
 //!   process was granted.
 
-use crate::kstep::MAX_STEP;
-use crate::layout::{k_occ_sample_rate, IndexError, SUPERBLOCK_RATE};
+use crate::layout::{IndexError, K_OCC_SAMPLE_RATE, SUPERBLOCK_RATE};
 
 /// One 64-byte cache line of sixteen `u32` words.
 ///
@@ -388,35 +387,37 @@ fn lanes_of<T: Lane>(lines: &[CacheLine]) -> &[T] {
     unsafe { std::slice::from_raw_parts(lines.as_ptr().cast::<T>(), lines.len() * per_line) }
 }
 
+/// Rows per half-block: half the k-step checkpoint spacing.
+const HALF: usize = K_OCC_SAMPLE_RATE / 2;
+
+/// Cache lines a half-block's code lanes fill: what a scan reads.
+const HALF_LINES: usize = HALF / LINE_BYTES;
+
+const _: () = assert!(HALF % LINE_BYTES == 0);
+
 /// Where a table's blocks keep their two halves of code lanes, in whole
-/// cache lines: each half, and the delta row between them, starts on a
-/// line of its own, so a half's first code lane is its first line's
-/// first byte. Fixed at construction: it is the rank kernel's trip count
-/// and the prefetcher's footprint.
+/// cache lines: the lower half starts the block, the delta row starts on
+/// the line after it, and the upper half on the line after the delta
+/// row, so each half's first code lane is its first line's first byte.
+/// Fixed at construction by the delta row's width: it is where the rank
+/// kernel and the prefetcher read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CodeSpan {
+struct CodeSpan {
     /// Cache lines per block.
     block_lines: usize,
-    /// First line of the upper half's code lanes within a block; the
-    /// lower half's start the block.
+    /// First line of the upper half's code lanes within a block.
     upper_line: usize,
-    /// Lines a half's code lanes fill, rounded up: what a scan reads,
-    /// and the first line of the delta row.
-    lines: usize,
 }
 
 impl CodeSpan {
-    /// The spans of blocks laid out as `half` one-byte code lanes,
-    /// `delta_bytes` of counters and `half` more code lanes, each rounded
-    /// up to whole lines.
-    pub(crate) fn new(half: usize, delta_bytes: usize) -> CodeSpan {
-        assert!(half > 0, "a half-block holds at least one code lane");
-        let lines = half.div_ceil(LINE_BYTES);
-        let upper_line = lines + delta_bytes.div_ceil(LINE_BYTES);
+    /// The spans of blocks laid out as [`HALF_LINES`] lines of code
+    /// lanes, `delta_bytes` of counters rounded up to whole lines, and
+    /// [`HALF_LINES`] more lines of code lanes.
+    fn new(delta_bytes: usize) -> CodeSpan {
+        let upper_line = HALF_LINES + delta_bytes.div_ceil(LINE_BYTES);
         CodeSpan {
-            block_lines: upper_line + lines,
+            block_lines: upper_line + HALF_LINES,
             upper_line,
-            lines,
         }
     }
 
@@ -431,24 +432,21 @@ impl CodeSpan {
 
 /// The checkpoint format of the k-step occurrence table.
 ///
-/// Rows are grouped in blocks of `sample_rate`; block `b` keeps one
-/// checkpoint row, the counts of the rows before its middle row
-/// `b * sample_rate + sample_rate / 2`, between the code lanes of its two
-/// halves, in bytes:
+/// Rows are grouped in blocks of [`K_OCC_SAMPLE_RATE`]; block `b` keeps
+/// one checkpoint row, the counts of the rows before its middle row
+/// `b * 1024 + 512`, between the code lanes of its two halves, in bytes:
 ///
 /// ```text
-/// [ sample_rate/2 lower code lanes, last row first | pad | lanes u16 deltas | pad | sample_rate/2 upper code lanes | pad ]
+/// [ 512 lower code lanes, last row first | lanes u16 deltas | pad | 512 upper code lanes ]
 /// ```
 ///
-/// each of the three parts padded to whole 64-byte cache lines, so every
-/// block and every half starts on a line. A rank in the upper half adds
-/// the matches from the middle up to its row; one in the lower half
-/// subtracts those from its row up to the middle, the leading lanes of
-/// its half too, since they run down from the middle. A
+/// each half eight whole 64-byte cache lines and the delta row padded to
+/// whole lines, so every block and every half starts on a line. A rank in
+/// the upper half adds the matches from the middle up to its row; one in
+/// the lower half subtracts those from its row up to the middle, the
+/// leading lanes of its half too, since they run down from the middle. A
 /// delta is relative to the absolute `u32` row kept, every
 /// [`SUPERBLOCK_RATE`] blocks, behind the last block in the same buffer.
-/// The spacing depends on the step width
-/// ([`crate::layout::k_occ_sample_rate`]), and so is kept at run time.
 /// The owning table writes the lanes in, each the number of the counter
 /// it bumps, has the checkpoints counted off them, and reads them back
 /// through the kernel.
@@ -466,16 +464,12 @@ pub(crate) struct BlockStore {
     data: AlignedWords,
     /// Counters per checkpoint row.
     lanes: usize,
-    /// Words per block, line-rounded.
-    block_words: usize,
     /// First word of the superblock rows: the blocks' words.
     superblocks: usize,
     /// Where a block's two halves of code lanes lie.
     span: CodeSpan,
     /// Rows covered.
     len: usize,
-    /// Rows per half-block: half the checkpoint spacing.
-    half: Divisor,
 }
 
 impl BlockStore {
@@ -487,37 +481,19 @@ impl BlockStore {
     ///
     /// [`IndexError::IndexTooLarge`] if `len` rows, with the last
     /// block's half-block of pad lanes, outgrow `u32` counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate` is zero, odd, or wider than the widest
-    /// step's. The layout's spacings are proven narrow enough for the
-    /// deltas at compile time ([`crate::layout`]).
-    pub(crate) fn zeroed(
-        lanes: usize,
-        sample_rate: usize,
-        len: usize,
-    ) -> Result<BlockStore, IndexError> {
-        assert!(
-            sample_rate > 0 && sample_rate % 2 == 0 && sample_rate <= k_occ_sample_rate(MAX_STEP),
-            "sample rate must be positive, even and at most the widest step's"
-        );
-        let half = sample_rate / 2;
-        IndexError::check_rows(len.saturating_add(half))
+    pub(crate) fn zeroed(lanes: usize, len: usize) -> Result<BlockStore, IndexError> {
+        IndexError::check_rows(len.saturating_add(HALF))
             .map_err(|_| IndexError::IndexTooLarge { rows: len })?;
-        let blocks = len.div_ceil(sample_rate);
-        let span = CodeSpan::new(half, lanes * 2);
-        let block_words = span.block_lines * WORDS_PER_LINE;
-        let superblocks = blocks * block_words;
+        let blocks = len.div_ceil(K_OCC_SAMPLE_RATE);
+        let span = CodeSpan::new(lanes * 2);
+        let superblocks = blocks * span.block_lines * WORDS_PER_LINE;
         let rows = blocks.div_ceil(SUPERBLOCK_RATE) * lanes;
         Ok(BlockStore {
             data: AlignedWords::zeroed(superblocks + rows),
             lanes,
-            block_words,
             superblocks,
             span,
             len,
-            half: Divisor::new(half),
         })
     }
 
@@ -532,13 +508,13 @@ impl BlockStore {
     /// Panics if a lane is `lanes` or more.
     pub(crate) fn count_checkpoints(&mut self) -> Vec<u32> {
         let mut running = vec![0u32; self.lanes];
-        for half in 0..self.len.div_ceil(self.half.divisor) {
+        for half in 0..self.len.div_ceil(HALF) {
             let run = self.run(half);
             for &lane in run {
                 running[usize::from(lane)] += 1;
             }
             if half % 2 == 0 {
-                let pads = (self.half.divisor - run.len()) as u32;
+                let pads = (HALF - run.len()) as u32;
                 running[0] += pads;
                 self.set_checkpoints(half / 2, &running);
                 running[0] -= pads;
@@ -548,29 +524,29 @@ impl BlockStore {
     }
 
     /// Writes `codes` into the lanes of rows `first .. first + codes.len()`,
-    /// a half-block's run at a time.
+    /// a half-block's run at a time. `first` starts a half-block, so each
+    /// run fills a whole half but the last, which may end short.
     ///
     /// # Panics
     ///
-    /// Panics if the rows reach past the store.
+    /// Panics if `first` does not start a half-block or the rows reach
+    /// past the store.
     pub(crate) fn set_lanes(&mut self, first: usize, codes: &[u8]) {
+        assert!(
+            first % HALF == 0,
+            "lanes from row {first}, inside a half-block"
+        );
         assert!(first + codes.len() <= self.len, "lanes past the store");
-        let (mut row, mut codes) = (first, codes);
-        while !codes.is_empty() {
-            let (half, offset) = self.split(row);
-            let take = (self.half.divisor - offset).min(codes.len());
+        for (half, run) in (first / HALF..).zip(codes.chunks(HALF)) {
             let base = self.code_base(half);
             if half % 2 == 0 {
                 // The lower half's lanes run down from the middle.
-                let end = base + self.half.divisor - offset;
-                let lanes = &mut self.data.bytes_mut()[end - take..end];
-                lanes.copy_from_slice(&codes[..take]);
+                let lanes = &mut self.data.bytes_mut()[base + HALF - run.len()..base + HALF];
+                lanes.copy_from_slice(run);
                 lanes.reverse();
             } else {
-                let lanes = &mut self.data.bytes_mut()[base + offset..base + offset + take];
-                lanes.copy_from_slice(&codes[..take]);
+                self.data.bytes_mut()[base..base + run.len()].copy_from_slice(run);
             }
-            (row, codes) = (row + take, &codes[take..]);
         }
     }
 
@@ -590,7 +566,7 @@ impl BlockStore {
     /// `half` is odd — and the row's offset into it.
     #[inline]
     pub(crate) fn split(&self, row: usize) -> (usize, usize) {
-        self.half.div_rem(row)
+        (row / HALF, row % HALF)
     }
 
     /// How many leading lanes of half-block `half` hold the rows between
@@ -600,7 +576,7 @@ impl BlockStore {
     #[inline]
     pub(crate) fn reach(&self, half: usize, offset: usize) -> usize {
         let lower = (half & 1) ^ 1;
-        let flip = self.half.divisor.wrapping_sub(2 * offset);
+        let flip = HALF.wrapping_sub(2 * offset);
         offset.wrapping_add(lower * flip)
     }
 
@@ -615,7 +591,7 @@ impl BlockStore {
     /// starts on the line after the lower half's code lanes.
     #[inline]
     fn delta_lane(&self, block: usize, lane: usize) -> usize {
-        (block * self.span.block_lines + self.span.lines) * (LINE_BYTES / 2) + lane
+        (block * self.span.block_lines + HALF_LINES) * (LINE_BYTES / 2) + lane
     }
 
     /// The absolute count of counter `lane` at `block`'s checkpoint, the
@@ -651,7 +627,7 @@ impl BlockStore {
     #[inline]
     fn code_lines(&self, half: usize) -> &[CacheLine] {
         let first = self.span.first_line(half);
-        &self.data.lines()[first..first + self.span.lines]
+        &self.data.lines()[first..first + HALF_LINES]
     }
 
     /// For each of `offsets`, the occurrences of `needle` among that many
@@ -713,7 +689,7 @@ impl BlockStore {
     pub(crate) fn prefetch_half(&self, half: usize, lane: usize) {
         self.data.prefetch(self.superblock_word(half / 2, lane));
         let first = self.span.first_line(half);
-        for line in first..first + self.span.lines {
+        for line in first..first + HALF_LINES {
             prefetch_element(self.data.lines(), line);
         }
     }
@@ -732,11 +708,11 @@ impl BlockStore {
     /// Panics if `half` lies past the store's rows.
     #[inline]
     fn run(&self, half: usize) -> &[u8] {
-        let rows = self.half.divisor.min(self.len - half * self.half.divisor);
+        let rows = HALF.min(self.len - half * HALF);
         let mut start = self.code_base(half);
         if half % 2 == 0 {
             // Behind the pad lanes of a lower half the text ends in.
-            start += self.half.divisor - rows;
+            start += HALF - rows;
         }
         &self.data.bytes()[start..start + rows]
     }
@@ -749,8 +725,8 @@ impl BlockStore {
         &self,
         mut f: impl FnMut(&[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut turned = [0; k_occ_sample_rate(MAX_STEP) / 2];
-        for half in 0..self.len.div_ceil(self.half.divisor) {
+        let mut turned = [0; HALF];
+        for half in 0..self.len.div_ceil(HALF) {
             let run = self.run(half);
             if half % 2 == 0 {
                 let turned = &mut turned[..run.len()];
@@ -774,7 +750,7 @@ impl BlockStore {
         assert!(row < self.len, "lane of row {row} past the store");
         let (half, offset) = self.split(row);
         let lane = if half % 2 == 0 {
-            self.half.divisor - 1 - offset
+            HALF - 1 - offset
         } else {
             offset
         };
@@ -786,7 +762,7 @@ impl BlockStore {
     /// order. Exact: they sum to the allocation.
     pub(crate) fn heap_split(&self) -> [usize; 3] {
         let block_bytes = self.superblocks * 4;
-        let deltas = self.superblocks / self.block_words * self.lanes * 2;
+        let deltas = self.len.div_ceil(K_OCC_SAMPLE_RATE) * self.lanes * 2;
         [
             self.data.heap_bytes() - block_bytes,
             deltas,
@@ -927,43 +903,6 @@ fn prefix_counts_scalar<const N: usize>(lanes: &[u8], needle: u8, offsets: [usiz
         }
     }
     counts
-}
-
-/// Division by a divisor fixed at construction, as one multiply-high
-/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
-/// 2019): rows split into half-block and offset on every rank, and a
-/// half-block, 96k rows, is not a power of two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Divisor {
-    divisor: usize,
-    /// `ceil(2^64 / divisor)`, which wraps to 0 for the divisor 1.
-    magic: u64,
-}
-
-impl Divisor {
-    /// # Panics
-    ///
-    /// Panics if `divisor == 0`.
-    pub(crate) fn new(divisor: usize) -> Divisor {
-        assert!(divisor > 0, "division by zero");
-        Divisor {
-            divisor,
-            magic: (u64::MAX / divisor as u64).wrapping_add(1),
-        }
-    }
-
-    /// `(n / divisor, n % divisor)`. Exact for every `n` that fits 32
-    /// bits — the tables' row ids do, by construction.
-    #[inline]
-    pub(crate) fn div_rem(self, n: usize) -> (usize, usize) {
-        debug_assert!(n <= u32::MAX as usize, "dividend {n} exceeds 32 bits");
-        let quotient = if self.magic == 0 {
-            n
-        } else {
-            ((u128::from(self.magic) * n as u128) >> 64) as usize
-        };
-        (quotient, n - quotient * self.divisor)
-    }
 }
 
 /// Hints the CPU to pull the cache line holding `slice[index]` toward L1.
@@ -1126,79 +1065,58 @@ mod tests {
         assert_eq!(buf.bytes().len(), 64);
     }
 
-    /// Bytes that hit every code of a small alphabet often, in no
-    /// pattern a 16- or 64-lane period could hide behind, each with a
-    /// random subset of the `flags` bits set above its code.
-    fn noisy_buffer(lines: usize, flags: u8) -> AlignedWords {
-        let mut buf = AlignedWords::zeroed(lines * WORDS_PER_LINE);
+    /// The counters a checkpoint row holds at each step width: `4^k`,
+    /// two delta bytes each.
+    fn lanes_of_every_width() -> impl Iterator<Item = usize> {
+        (1..=crate::kstep::MAX_STEP).map(|k| 1 << (2 * k))
+    }
+
+    /// A store of three blocks of `lanes` counters a checkpoint row,
+    /// every byte of it noise that hits every code of a small alphabet
+    /// often, in no pattern a 16- or 64-lane period could hide behind,
+    /// each with a random subset of the `flags` bits set above its code.
+    fn noisy_store(lanes: usize, flags: u8) -> BlockStore {
+        let mut store = BlockStore::zeroed(lanes, 3 * K_OCC_SAMPLE_RATE).unwrap();
         let mut x = 0x2545_f491_4f6c_dd1d_u64;
-        for byte in buf.bytes_mut() {
+        for byte in store.data.bytes_mut() {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             *byte = (x % 5) as u8 | ((x >> 32) as u8 & flags);
         }
-        buf
-    }
-
-    /// A store over `buf` as it is: blocks of `half` code lanes,
-    /// `delta_bytes` of counters and `half` more code lanes.
-    fn store_over(buf: AlignedWords, half: usize, delta_bytes: usize) -> BlockStore {
-        let span = CodeSpan::new(half, delta_bytes);
-        BlockStore {
-            data: buf,
-            lanes: 0,
-            block_words: span.block_lines * WORDS_PER_LINE,
-            superblocks: 0,
-            span,
-            len: 0,
-            half: Divisor::new(half),
-        }
+        store
     }
 
     /// Holds both kernels to a plain scan of `lane == needle` on bytes
-    /// that carry `flags` above small codes: both halves of blocks whose
-    /// halves end anywhere in a line (the pad bytes behind them — noise
-    /// too — must never count), every pair of offsets up to the half's
-    /// end, so flagged bytes fall inside and outside every counted
-    /// prefix.
+    /// that carry `flags` above small codes: both halves of blocks behind
+    /// the delta row of every step width (the noise in the delta row must
+    /// never count), every pair of offsets up to the half's end, so
+    /// flagged bytes fall inside and outside every counted prefix.
     fn kernels_count_like_a_plain_scan(flags: u8) {
-        for (half, delta_bytes) in [
-            (64, 0),
-            (30, 10),
-            (30, 33),
-            (96, 8),
-            (100, 63),
-            (50, 150),
-            (192, 32),
-            (288, 128),
-            (384, 512),
-        ] {
-            let span = CodeSpan::new(half, delta_bytes);
-            let store = store_over(noisy_buffer(3 * span.block_lines, flags), half, delta_bytes);
+        for lanes in lanes_of_every_width() {
+            let store = noisy_store(lanes, flags);
             for h in 0..6 {
                 let base = store.code_base(h);
-                let codes = &store.data.bytes()[base..base + half];
+                let codes = &store.data.bytes()[base..base + HALF];
                 for needle in [0u8, 3] {
                     let scan =
                         |n: usize| codes[..n].iter().filter(|&&c| c == needle).count() as u32;
-                    for lo in (0..=half).step_by(7).chain([half]) {
-                        for hi in (lo..=half).step_by(5).chain([half]) {
+                    for lo in (0..=HALF).step_by(7).chain([HALF]) {
+                        for hi in (lo..=HALF).step_by(5).chain([HALF]) {
                             let expect = [scan(lo), scan(hi)];
                             assert_eq!(store.prefix_counts(h, needle, [lo, hi]), expect);
                             for (kernel, got) in store.prefix_counts_by_kernel(h, needle, [lo, hi])
                             {
                                 assert_eq!(
                                     got, expect,
-                                    "{kernel}: flags {flags:#x}, half {half}, deltas \
-                                     {delta_bytes}, half-block {h}, needle {needle}, \
-                                     offsets {lo}..{hi}"
+                                    "{kernel}: flags {flags:#x}, lanes {lanes}, half-block \
+                                     {h}, needle {needle}, offsets {lo}..{hi}"
                                 );
                             }
                         }
                     }
                     // One offset alone, at every lane.
-                    for offset in 0..=half {
+                    for offset in 0..=HALF {
                         for (kernel, got) in store.prefix_counts_by_kernel(h, needle, [offset]) {
                             assert_eq!(
                                 got,
@@ -1222,7 +1140,7 @@ mod tests {
 
     #[test]
     fn prefetching_a_span_tolerates_any_block() {
-        let store = store_over(noisy_buffer(8, 0), 150, 70);
+        let store = noisy_store(4, 0);
         for half in [0, 1, 2, 3, u32::MAX as usize] {
             store.prefetch_half(half, 0); // must not fault
             store.prefetch_delta(half / 2, 0);
@@ -1236,11 +1154,10 @@ mod tests {
         // counts: the largest length a store takes is the one whose
         // padded count still passes `IndexError::check_rows`. Checked on
         // the arithmetic alone; a refused length allocates nothing.
-        for rate in [4, k_occ_sample_rate(1), k_occ_sample_rate(MAX_STEP)] {
-            let half = rate / 2;
-            let largest = u32::MAX as usize - 1 - half;
-            assert!(IndexError::check_rows(largest + half).is_ok());
-            assert!(IndexError::check_rows(largest + half + 1).is_err());
+        let largest = u32::MAX as usize - 1 - HALF;
+        assert!(IndexError::check_rows(largest + HALF).is_ok());
+        assert!(IndexError::check_rows(largest + HALF + 1).is_err());
+        for lanes in lanes_of_every_width() {
             for len in [
                 largest + 1,
                 u32::MAX as usize - 1,
@@ -1248,51 +1165,10 @@ mod tests {
                 usize::MAX,
             ] {
                 assert_eq!(
-                    BlockStore::zeroed(256, rate, len).unwrap_err(),
+                    BlockStore::zeroed(lanes, len).unwrap_err(),
                     IndexError::IndexTooLarge { rows: len },
-                    "rate {rate}, length {len}"
+                    "lanes {lanes}, length {len}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn divisor_matches_hardware_division() {
-        let max = u32::MAX as usize;
-        for d in [
-            1,
-            2,
-            3,
-            5,
-            7,
-            16,
-            44,
-            52,
-            54,
-            200,
-            256,
-            512,
-            641,
-            65_535,
-            65_536,
-            max - 1,
-            max,
-        ] {
-            let divisor = Divisor::new(d);
-            let mut probes = vec![0, 1, 2, max - 1, max, max / 2, max / 3];
-            for multiple in [1, 2, 3, 1000, max / d] {
-                let m = d.saturating_mul(multiple).min(max);
-                probes.extend([m.saturating_sub(1), m, (m + 1).min(max)]);
-            }
-            for n in probes {
-                assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
-            }
-        }
-        // And densely where the tables live: every row of a small text.
-        for d in [1, 5, 44, 52, 54, 200] {
-            let divisor = Divisor::new(d);
-            for n in 0..20_000 {
-                assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
             }
         }
     }

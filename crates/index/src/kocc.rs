@@ -10,15 +10,14 @@
 //! [`MAX_STEP`] = 4, so every other code is one byte in the table and the
 //! C-array over the expanded alphabet is at most 256 words (1 KiB).
 //!
-//! Rank is checkpointed once every `192k` rows
-//! ([`crate::layout::k_occ_sample_rate`]) inside cache-line-aligned
-//! interleaved blocks (see [`crate::interleave`]): block `b` packs the
-//! checkpoint row for its middle row, prefix `b * 192k + 96k`, between
-//! the `96k` codes of its lower half and the `96k` of its upper half, so
-//! one `rank` touches one contiguous half-block and its checkpoint.
-//! Absolute `u32` checkpoint rows would dominate memory at k = 4 — 1 KiB
-//! of counters for every few hundred bytes of codes — so rows are stored
-//! *two-level*: sparse absolute `u32` *superblock* rows every
+//! Rank is checkpointed once every [`crate::layout::K_OCC_SAMPLE_RATE`]
+//! rows, whatever `k`, inside cache-line-aligned interleaved blocks (see
+//! [`crate::interleave`]): each block packs the checkpoint row for its
+//! middle row between the codes of its lower half and those of its upper
+//! half, so one `rank` touches one contiguous half-block and its
+//! checkpoint. Absolute `u32` checkpoint rows would dominate memory at
+//! k = 4 — 1 KiB of counters for every kilobyte of codes — so rows are
+//! stored *two-level*: sparse absolute `u32` *superblock* rows every
 //! [`crate::layout::SUPERBLOCK_RATE`] blocks live behind the last block,
 //! and each block keeps only `u16` deltas relative to its superblock. A
 //! rank reads the superblock word, the delta lane and the code lanes of
@@ -31,23 +30,23 @@
 
 use crate::interleave::BlockStore;
 use crate::kstep::MAX_STEP;
-use crate::layout::{k_occ_sample_rate, HeapBreakdown, IndexError};
+use crate::layout::{HeapBreakdown, IndexError};
 
 /// Checkpointed rank structure over k-BWT codes, interleaved per block.
 ///
 /// Codes are `0 .. stride` (k-mer lexicographic ranks, `stride` = `4^k`);
 /// the marker rows hold no code.
 ///
-/// With `rate` = `192k`, block `b` covers code positions `b * rate ..`
-/// and lays out, in bytes:
+/// With `rate` = [`crate::layout::K_OCC_SAMPLE_RATE`], block `b` covers code positions
+/// `b * rate ..` and lays out, in bytes:
 ///
 /// ```text
-/// [ rate/2 codes, last row first | stride u16 delta counters | rate/2 codes | pad ]
+/// [ rate/2 codes, last row first | stride u16 delta counters | pad | rate/2 codes ]
 /// ```
 ///
-/// padded so every block starts on a 64-byte cache-line boundary; the
-/// counters are those of the rows before the block's middle row,
-/// `b * rate + rate/2`. Code lanes are one byte: `k` is at most
+/// padded so every block and both halves start on a 64-byte cache-line
+/// boundary; the counters are those of the rows before the block's
+/// middle row, `b * rate + rate/2`. Code lanes are one byte: `k` is at most
 /// [`MAX_STEP`] = 4, so every k-mer code is below 256. Absolute rows live
 /// behind the last block, one `stride`-word row per
 /// [`crate::layout::SUPERBLOCK_RATE`] blocks.
@@ -91,12 +90,13 @@ impl KmerOccTable {
             (1..=MAX_STEP).contains(&k),
             "k must be in 1..={MAX_STEP}, got {k}"
         );
-        BlockStore::zeroed(1 << (2 * k), k_occ_sample_rate(k), rows)
+        BlockStore::zeroed(1 << (2 * k), rows)
     }
 
     /// The table over filled [`KmerOccTable::lanes`] and the sorted
-    /// `markers`: its checkpoints, every [`k_occ_sample_rate`]`(k)` rows,
-    /// counted off the lanes in one pass.
+    /// `markers`: its checkpoints, every
+    /// [`crate::layout::K_OCC_SAMPLE_RATE`] rows, counted off the lanes in
+    /// one pass.
     ///
     /// # Panics
     ///
@@ -218,7 +218,7 @@ impl KmerOccTable {
 
     /// `(rank(r, lo), rank(r, hi))` in one pass: when both positions fall
     /// in the same half-block — the common case once a backward search
-    /// has narrowed its interval below a half-block's `96k` rows — one
+    /// has narrowed its interval below a half-block's 512 rows — one
     /// run of the kernel over the half answers both; ends in two halves,
     /// across a block's middle or edge, take one run each.
     ///
@@ -301,7 +301,7 @@ pub fn naive_krank(codes: &[Option<u8>], r: u16, i: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::SUPERBLOCK_RATE;
+    use crate::layout::{K_OCC_SAMPLE_RATE, SUPERBLOCK_RATE};
 
     /// A small deterministic code stream over the `4^k` codes of width
     /// `k` and marker rows (`None`).
@@ -342,10 +342,10 @@ mod tests {
 
     #[test]
     fn rank_matches_naive_across_widths_spacings_and_rates() {
-        // Every width, each at its own spacing: three blocks at k = 4, ten
-        // at k = 1.
+        // Every width at the one spacing: three blocks and part of a
+        // fourth.
         for k in 1..=MAX_STEP {
-            let codes = fixture(900, k);
+            let codes = fixture(3 * K_OCC_SAMPLE_RATE + 100, k);
             let occ = table(&codes, k);
             for r in probe_codes(k) {
                 for (i, &rank) in naive_kranks(&codes, r).iter().enumerate() {
@@ -357,8 +357,9 @@ mod tests {
 
     #[test]
     fn rank_pair_matches_naive_across_widths_spacings_and_rates() {
+        // Both halves of a block and into the next one.
         for k in 1..=MAX_STEP {
-            let codes = fixture(400, k);
+            let codes = fixture(K_OCC_SAMPLE_RATE + 76, k);
             let occ = table(&codes, k);
             for r in probe_codes(k) {
                 let ranks = naive_kranks(&codes, r);
@@ -394,13 +395,12 @@ mod tests {
     fn every_kernel_matches_naive_at_every_offset_of_every_block() {
         // Both byte kernels, called directly: every offset of every
         // half-block (the last one short, its zero padding lanes never
-        // counted for code 0) at the one-byte widths — halves of two to
-        // six lines, the upper one unaligned behind 8-, 32- and 128-byte
-        // delta rows and aligned behind k = 4's 512 — and the placeholder
-        // lanes of the marker rows.
+        // counted for code 0) at every width — the upper half behind 8-,
+        // 32-, 128- and 512-byte delta rows — and the placeholder lanes of
+        // the marker rows.
         for k in 1..=4 {
             let stride = 1usize << (2 * k);
-            let half_rows = k_occ_sample_rate(k) / 2;
+            let half_rows = K_OCC_SAMPLE_RATE / 2;
             // At k = 4 a code uses all eight bits of its lane: every
             // other row's code differs from a low one only in bit 7, the
             // bit the 1-step table's readers mask off, so a mask that
@@ -464,10 +464,9 @@ mod tests {
         // Two rows either side of every block's middle, where a rank
         // turns from subtracting the lower half's matches to adding the
         // upper half's, and every pair of them: within one half, across
-        // a middle and across block edges. Every half starts on a line, but
-        // at k = 1 and k = 3 a half ends mid-line, before its pad.
+        // a middle and across block edges.
         for k in 1..=MAX_STEP {
-            let rate = k_occ_sample_rate(k);
+            let rate = K_OCC_SAMPLE_RATE;
             let codes = fixture(3 * rate + rate / 2 + 9, k);
             let rows: Vec<usize> = (0..codes.len())
                 .step_by(rate)
@@ -485,7 +484,7 @@ mod tests {
         // in with code 0 and marker rows among them, probed around the
         // middles and edges of the blocks and at every row of the last.
         for k in 1..=MAX_STEP {
-            let rate = k_occ_sample_rate(k);
+            let rate = K_OCC_SAMPLE_RATE;
             let mid = rate / 2;
             for blocks in 1..=2 {
                 for tail in [&[Some(0)][..], &[Some(0), None, Some(0), None, Some(1)]] {
@@ -507,7 +506,7 @@ mod tests {
     #[test]
     fn rank_pair_straddling_block_and_superblock_boundaries() {
         for k in [1, 2, 4] {
-            let rate = k_occ_sample_rate(k);
+            let rate = K_OCC_SAMPLE_RATE;
             // Past the second superblock boundary.
             let codes = fixture(2 * rate * SUPERBLOCK_RATE + 100, k);
             let occ = table(&codes, k);
@@ -569,9 +568,9 @@ mod tests {
     #[test]
     fn stride_256_markers_round_trip_and_never_count() {
         // Placeholder-0 lanes, corrected ranks, at the full one-byte
-        // alphabet. Past the first superblock boundary (16 blocks of 768
+        // alphabet. Past the first superblock boundary (16 blocks of 1 024
         // rows).
-        let codes: Vec<Option<u8>> = (0..12_500)
+        let codes: Vec<Option<u8>> = (0..16_800)
             .map(|i| (i % 151 != 3).then_some((i * 31 % 256) as u8))
             .collect();
         let occ = table(&codes, 4);
@@ -619,12 +618,12 @@ mod tests {
     fn tighter_superblocks_absorb_the_same_overflow() {
         // A run of one code longer than a u16 delta counts. Without
         // superblocks the deltas of its last blocks would overflow; every
-        // 16 blocks of 192 rows (k = 1) the absolute row resets them, so
-        // none exceeds 15 x 192.
+        // 16 blocks of 1 024 rows the absolute row resets them, so none
+        // exceeds 15 x 1 024.
         let mut codes = vec![Some(0u8); 70_000];
         codes.extend([Some(1), None, Some(1), Some(1)]);
         let occ = table(&codes, 1);
-        let half = k_occ_sample_rate(1) / 2;
+        let half = K_OCC_SAMPLE_RATE / 2;
         // Around every block boundary, hence every superblock boundary,
         // and every block's middle.
         let mut zeros = 0;
@@ -656,18 +655,18 @@ mod tests {
 
     #[test]
     fn heap_breakdown_is_exact() {
-        // k = 1, 2000 codes: ⌈2000 / 192⌉ = 11 blocks of 96 code bytes,
-        // 8 delta bytes and 96 more code bytes, each part rounded to whole
-        // lines: 2 + 1 + 2 = 5; one superblock group of 4 words behind
-        // them rounds the buffer up by one 64-byte line; totals is 4
-        // words, and the side list a word a marker row.
+        // k = 1, 2000 codes: ⌈2000 / 1024⌉ = 2 blocks of 512 code bytes,
+        // 8 delta bytes and 512 more code bytes, the deltas rounded to a
+        // whole line: 8 + 1 + 8 = 17 lines; one superblock group of 4
+        // words behind them rounds the buffer up by one 64-byte line;
+        // totals is 4 words, and the side list a word a marker row.
         let codes = fixture(2000, 1);
         let markers = codes.iter().filter(|c| c.is_none()).count();
         let occ = table(&codes, 1);
         let heap = occ.heap_breakdown();
         assert_eq!(heap.k_occ_checkpoints, 64);
-        assert_eq!(heap.k_occ_deltas, 11 * 8);
-        assert_eq!(heap.k_occ_codes, 11 * 320 - 11 * 8 + 4 * 4);
+        assert_eq!(heap.k_occ_deltas, 2 * 8);
+        assert_eq!(heap.k_occ_codes, 2 * 17 * 64 - 2 * 8 + 4 * 4);
         assert_eq!(heap.other, 4 * markers);
         assert_eq!(heap.total(), occ.heap_bytes());
     }

@@ -40,7 +40,7 @@ use exma_genome::{suffix_array, Base, Kmer, Symbol};
 use crate::fm::FmIndex;
 use crate::interleave::{prefetch_element, BlockStore};
 use crate::kocc::KmerOccTable;
-use crate::layout::{HeapBreakdown, IndexError, SA_SAMPLE_RATE};
+use crate::layout::{HeapBreakdown, IndexError, K_OCC_SAMPLE_RATE, SA_SAMPLE_RATE};
 use crate::lookup::{kmer_buckets, lookup_k, KmerLookup};
 use crate::occ::OccTable;
 use crate::sampled_sa;
@@ -158,10 +158,13 @@ fn consume_suffix_array(text: &[Symbol], mut sa: Vec<u32>, k: usize) -> Consumed
 }
 
 /// Writes the codes [`consume_suffix_array`] left, `n` of them, into the
-/// k-step table's `lanes`, 4 KiB at a time.
+/// k-step table's `lanes`, 4 KiB — whole half-blocks, as
+/// [`BlockStore::set_lanes`] takes them — at a time.
 fn fill_lanes(lanes: &mut BlockStore, codes: &[u32]) {
+    const PIECE: usize = 4096;
+    const { assert!(PIECE % (K_OCC_SAMPLE_RATE / 2) == 0) };
     let n = lanes.len();
-    let mut bytes = [0u8; 4096];
+    let mut bytes = [0u8; PIECE];
     for (i, words) in codes.chunks(bytes.len() / 4).enumerate() {
         let first = i * bytes.len();
         for (slot, word) in bytes.chunks_exact_mut(4).zip(words) {

@@ -6,14 +6,14 @@
 //! [`crate::KmerOccTable`]); the 1-step table's lines hold absolute `u32`
 //! counts (see [`crate::OccTable`]). The four spacings are constants, fixed
 //! here and nowhere else ([`OCC_SAMPLE_RATE`], [`SA_SAMPLE_RATE`],
-//! [`k_occ_sample_rate`] and [`SUPERBLOCK_RATE`]), as the paper fixes its
-//! table geometry at design time: every index of a given `k` has the same
-//! layout, so a snapshot stores none of it. The SA rate is *derived*
-//! from the heap the occurrence rate frees, and the two move together:
-//! to try another spacing, edit the constant and rebuild. A compile-time
-//! assertion below proves that no superblock span can overflow its
-//! `u16` deltas, so the only way a build can fail is a text too long for
-//! `u32` row ids ([`IndexError`]). Beside the sampled tables a k-step
+//! [`K_OCC_SAMPLE_RATE`] and [`SUPERBLOCK_RATE`]), as the paper fixes its
+//! table geometry at design time: every index has the same spacings,
+//! whatever its `k`, so a snapshot stores none of them. The SA rate is
+//! *derived* from the heap the occurrence rate frees, and the two move
+//! together: to try another spacing, edit the constant and rebuild. A
+//! compile-time assertion below proves that no superblock span can
+//! overflow its `u16` deltas, so the only way a build can fail is a text
+//! too long for `u32` row ids ([`IndexError`]). Beside the sampled tables a k-step
 //! index keeps two unsampled ones, the k-step C-array (`4^k` words, 1 KiB
 //! at most) and the K-mer lookup table; they are one counting routine
 //! over the 2-bit text (see
@@ -23,8 +23,6 @@
 //! *where* the bytes went.
 
 use std::fmt;
-
-use crate::kstep::MAX_STEP;
 
 /// Why an index (or one of its rank tables) could not be built.
 ///
@@ -81,29 +79,23 @@ pub const OCC_SAMPLE_RATE: usize = 128;
 /// cost 7.6 kB more than the blocks freed. A locate walk averages 5 LF
 /// steps, not 15.5. The 2.72 MB freed since by marking the sampled rows
 /// in the occurrence lines alone, the 15.2 MB freed by the 128-row
-/// bit-plane lines and the 15.0 MB freed by the centered 768-row k-step
-/// blocks are not spent on it yet: ROADMAP.md item 6(c) keeps the
-/// measured grid of denser rates (4, 6 and 8 against 11).
+/// bit-plane lines, the 15.0 MB freed by the centered 768-row k-step
+/// blocks and the 3.75 MB freed by the 1 024-row ones are not spent on
+/// it yet: ROADMAP.md item 16 keeps the measured grid of denser rates
+/// (4, 6 and 8 against 11).
 pub const SA_SAMPLE_RATE: usize = 11;
 
-/// Checkpoint spacing of the k-mer occurrence table at step width `k`:
-/// `192k` rows, set by a byte rule — the widest spacing whose half-block
-/// scan reads the six code lines the `96k`-row block it replaced read at
-/// k = 4. A block keeps one checkpoint, at its middle row, between the
-/// code lanes of its two halves, and a rank scans only the half its row
-/// lies in (see [`crate::KmerOccTable`]): at k = 4 a block is 384 code
-/// bytes, 512 B of deltas and 384 more code bytes, 20 whole lines for
-/// 768 rows, where the 384-row block was 14 lines. On the 20 Mbp picea
-/// index the deltas fall from 26.67 to 13.33 MB and the superblock rows
-/// from 3.33 to 1.67 (the index: 76.47 → 61.47 MB, 3.82 → 3.07 B/base).
-/// Reading fewer lines buys no speed: 384-row blocks ranked from their
-/// middle read five lines instead of eight and were no faster on
-/// `count_reads`. Wider reads do cost: a 1 536-row centered block, twelve
-/// code lines a rank, read 2.70 B/base but took 1.4 times the
-/// `count_reads` 10th-percentile latency over 8 pairs of runs.
-pub const fn k_occ_sample_rate(k: usize) -> usize {
-    192 * k
-}
+/// Checkpoint spacing of the k-mer occurrence table, the same at every
+/// step width: a half-block is 512 rows, eight whole code lines at every
+/// `k`, split off a row by a shift. A block keeps one checkpoint, at its
+/// middle row, and a rank scans only the half its row lies in (see
+/// [`crate::KmerOccTable`]). On the 20 Mbp picea index the 768-row blocks
+/// before read 3.07 B/base, these 2.89 (deltas 13.33 → 10.00 MB), and
+/// 512 rows would cost 0.375 B/base more. Scan width is not speed: 384-row
+/// blocks ranked in five lines were no faster on `count_reads` than in
+/// eight, but 1 536-row ones, twelve lines a rank, took 1.4 times its
+/// 10th-percentile latency.
+pub const K_OCC_SAMPLE_RATE: usize = 1024;
 
 /// Blocks per absolute superblock row of the k-step occurrence table.
 pub const SUPERBLOCK_RATE: usize = 16;
@@ -111,10 +103,9 @@ pub const SUPERBLOCK_RATE: usize = 16;
 // The one overflow rule of the checkpoint format: a delta counts rows
 // between its block's middle and its superblock's first middle, one a
 // row at most, so a superblock span within `u16` proves every delta fits
-// whatever the text. The widest span is at `MAX_STEP`: 192 × 4 × 16 =
-// 12 288 rows.
+// whatever the text: 1 024 × 16 = 16 384 rows.
 const _: () = assert!(
-    k_occ_sample_rate(MAX_STEP) * SUPERBLOCK_RATE <= u16::MAX as usize,
+    K_OCC_SAMPLE_RATE * SUPERBLOCK_RATE <= u16::MAX as usize,
     "a superblock span outgrows the u16 deltas"
 );
 

@@ -87,6 +87,7 @@ use std::path::{Path, PathBuf};
 use crate::interleave::{AlignedWords, BlockStore};
 use crate::kocc::KmerOccTable;
 use crate::kstep::{KStepBuildConfig, KStepFmIndex, MAX_STEP};
+use crate::layout::K_OCC_SAMPLE_RATE;
 use crate::text::PackedText;
 
 /// The leading eight bytes of every snapshot file.
@@ -414,8 +415,11 @@ pub fn decode_snapshot(
 }
 
 /// Bytes a load reads at a time: a multiple of 8, so no value (a `u64`
-/// at most, each at a multiple of its width) straddles two pieces.
+/// at most, each at a multiple of its width) straddles two pieces, and of
+/// a k-step half-block, so every piece of the k-codes section starts one,
+/// as [`BlockStore::set_lanes`] takes them.
 const CHUNK_BYTES: usize = 64 << 10;
+const _: () = assert!(CHUNK_BYTES % (K_OCC_SAMPLE_RATE / 2) == 0);
 
 /// A snapshot image read front to back from a source of known length,
 /// which every read is checked against before it is made; every byte
@@ -734,12 +738,11 @@ mod tests {
     #[test]
     fn round_trip_reproduces_the_index_exactly() {
         // A text of 70 000 bases streams its k-codes into the k-step
-        // table's lanes in two read chunks, the second starting inside a
-        // half-block at every k here (96k rows a half).
-        const { assert!(70_000 > CHUNK_BYTES) };
+        // table's lanes in two read chunks, the second starting on a
+        // half-block boundary, as every chunk does.
+        const { assert!(70_000 > CHUNK_BYTES && CHUNK_BYTES % (K_OCC_SAMPLE_RATE / 2) == 0) };
         for len in [3000, 70_000] {
             for k in [1, 2, 4] {
-                assert_ne!(CHUNK_BYTES % (crate::layout::k_occ_sample_rate(k) / 2), 0);
                 let index = toy_index_with(len, KStepBuildConfig::for_k(k));
                 let bytes = encode_snapshot(&index);
                 let loaded = decode_snapshot(&bytes, None).expect("valid snapshot");

@@ -7,7 +7,7 @@
 //! in one line, as soon as the row's text position is known. A
 //! [`KStepFmIndex`](crate::KStepFmIndex) therefore keeps the text it was
 //! built over: a quarter of a byte a base, paid for by the k-mer table's
-//! wider blocks ([`crate::layout::k_occ_sample_rate`]).
+//! wider blocks ([`crate::layout::K_OCC_SAMPLE_RATE`]).
 //!
 //! Base `i` sits in bits `2 (i mod 16)` of `u32` word `i / 16` — two
 //! adjacent words read as one little-endian `u64` hold 32 consecutive

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use exma_genome::{Base, Genome, GenomeProfile, SeededRng};
-use exma_index::layout::k_occ_sample_rate;
+use exma_index::layout::K_OCC_SAMPLE_RATE;
 use exma_index::snapshot::crc32;
 use exma_index::{
     decode_snapshot, encode_snapshot, load_snapshot, naive, KStepFmIndex, SnapshotError,
@@ -663,7 +663,7 @@ fn a_code_outside_the_alphabet_of_k_is_malformed() {
         // The codes stream into the k-step table's lanes, a block's run
         // at a time: the first row, both sides of the first block
         // boundary, one row inside a block, and the last row.
-        let rate = k_occ_sample_rate(k);
+        let rate = K_OCC_SAMPLE_RATE;
         assert!(2 * rate < n, "k {k}: the text spans two code blocks");
         for row in [0, rate - 1, rate, 100, n - 1] {
             for code in [1u8 << (2 * k), u8::MAX] {
